@@ -120,7 +120,6 @@ runCell(const FaultConfig &cfg, unsigned threads)
     fopts.threads = std::min(threads, cfg.replicas);
     fopts.retryBackoffSeconds = 0.05;
     fopts.engine.allocator = AllocatorKind::LazyChunk;
-    fopts.engine.stepModel = StepModel::EventDriven;
     fopts.engine.prefillChunkTokens = 2048;
     fopts.faults = buildFaultSchedule(spec, 29);
     cell.faultEvents = fopts.faults.eventCount();
@@ -168,7 +167,6 @@ runAccountingScenario()
     fopts.policy = RoutePolicy::RoundRobin;
     fopts.dispatchLatencySeconds = 0.002;
     fopts.engine.allocator = AllocatorKind::LazyChunk;
-    fopts.engine.stepModel = StepModel::EventDriven;
     fopts.engine.prefillChunkTokens = 2048;
     fopts.faults.replicas.resize(2);
     fopts.faults.replicas[1].push_back(crashAt(0.5));

@@ -81,7 +81,6 @@ runFleetOnce(const FleetConfig &cfg, unsigned threads, double &wall)
     fopts.dispatchLatencySeconds = 0.002;
     fopts.threads = std::min(threads, cfg.replicas);
     fopts.engine.allocator = AllocatorKind::LazyChunk;
-    fopts.engine.stepModel = StepModel::EventDriven;
     fopts.engine.prefillChunkTokens = 2048;
 
     auto t0 = std::chrono::steady_clock::now();

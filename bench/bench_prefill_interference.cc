@@ -63,7 +63,6 @@ sweep(std::size_t n_requests, Tokens context, Tokens decode,
         auto timed = poissonArrivals(reqs, c.rate, 17);
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = c.chunk;
         opts.chargePrefill = c.chunk == 0;
         return ServingEngine(cluster, model, timed, opts).run();

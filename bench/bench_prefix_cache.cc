@@ -35,7 +35,6 @@ cacheOptions(bool enabled, PrefixEvictPolicy evict)
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     opts.prefixCache.enabled = enabled;
     opts.prefixCache.evict = evict;

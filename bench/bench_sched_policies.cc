@@ -75,7 +75,6 @@ sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
         auto timed = gammaArrivals(reqs, c.rate, 3.0, 17);
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = chunk;
         opts.sched.kind = c.kind;
         return ServingEngine(cluster, model, timed, opts).run();

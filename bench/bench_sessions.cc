@@ -117,7 +117,6 @@ sweep(std::size_t n_sessions, unsigned turns, Tokens decode,
         const Cell &c = cells[i];
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = c.chunk;
         opts.sched.kind = c.kind;
         ServingEngine engine(cluster, model, built.initial, opts);

@@ -104,7 +104,6 @@ runServingConfig(const ServingConfig &cfg, int reps, double &best_wall)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     opts.sched.kind = cfg.policy;
 
@@ -168,7 +167,6 @@ runFleetConfig(const FleetRowConfig &cfg, int reps, double &best_wall)
     fopts.dispatchLatencySeconds = 0.002;
     fopts.threads = 1;
     fopts.engine.allocator = AllocatorKind::LazyChunk;
-    fopts.engine.stepModel = StepModel::EventDriven;
     fopts.engine.prefillChunkTokens = 2048;
 
     (void)FleetEngine(cluster, model, trace, fopts).run();

@@ -120,7 +120,6 @@ sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
         }
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = chunk;
         opts.sched.kind = c.kind;
         return ServingEngine(cluster, model, timed, opts).run();

@@ -51,7 +51,6 @@ runFleet(unsigned replicas, RoutePolicy policy,
     options.dispatchLatencySeconds = 0.002; // 2 ms router hop
     options.threads = 0;                    // fleet pool on all cores
     options.engine.allocator = AllocatorKind::LazyChunk;
-    options.engine.stepModel = StepModel::EventDriven;
     options.engine.prefillChunkTokens = 2048;
 
     FleetEngine fleet(cluster, model, trace, options);
@@ -131,7 +130,6 @@ faultInjection()
     options.policy = RoutePolicy::RoundRobin;
     options.dispatchLatencySeconds = 0.002;
     options.engine.allocator = AllocatorKind::LazyChunk;
-    options.engine.stepModel = StepModel::EventDriven;
     options.engine.prefillChunkTokens = 2048;
 
     auto clean = FleetEngine(cluster, model, trace, options).run();

@@ -22,8 +22,8 @@ namespace pimphony {
 
 /**
  * Top-level evaluation configuration. The serving knobs shared with
- * the engine (stepModel, prefillChunkTokens, chargePrefill, sched,
- * tenantBudgets) live in the ServingOptions base —
+ * the engine (prefillChunkTokens, chargePrefill, sched,
+ * tenantBudgets, prefixCache) live in the ServingOptions base —
  * system/serving_options.hh documents them — and are forwarded to
  * EngineOptions wholesale at runPlan time, so a new serving knob is
  * added in exactly one place.

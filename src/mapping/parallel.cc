@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "common/units.hh"
 
 namespace pimphony {
 
@@ -14,32 +13,6 @@ ParallelPlan::toString() const
     char buf[32];
     std::snprintf(buf, sizeof(buf), "(TP=%u,PP=%u)", tp, pp);
     return buf;
-}
-
-MicroBatching
-planMicroBatches(std::uint32_t batch, unsigned pp)
-{
-    if (pp == 0)
-        panic("pipeline with zero stages");
-    MicroBatching mb;
-    if (batch == 0) {
-        mb.stageBeats = pp;
-        mb.pipelineFill = 0.0;
-        return mb;
-    }
-    if (batch >= pp) {
-        // Enough requests to fill every stage.
-        mb.count = pp;
-        mb.microBatchSize = ceilDiv(batch, static_cast<std::uint32_t>(pp));
-        mb.count = ceilDiv(batch, mb.microBatchSize);
-    } else {
-        mb.microBatchSize = 1;
-        mb.count = batch;
-    }
-    mb.stageBeats = std::max<std::uint32_t>(mb.count, pp);
-    mb.pipelineFill =
-        static_cast<double>(mb.count) / static_cast<double>(mb.stageBeats);
-    return mb;
 }
 
 unsigned

@@ -10,7 +10,6 @@
 #ifndef PIMPHONY_MAPPING_PARALLEL_HH
 #define PIMPHONY_MAPPING_PARALLEL_HH
 
-#include <cstdint>
 #include <string>
 
 #include "common/types.hh"
@@ -28,33 +27,11 @@ struct ParallelPlan
 };
 
 /**
- * Micro-batching decision for PP decode: split @p batch requests
- * into micro-batches so the pipeline is as full as it can be.
- */
-struct MicroBatching
-{
-    /** Requests per micro-batch. */
-    std::uint32_t microBatchSize = 1;
-
-    /** Number of micro-batches in flight. */
-    std::uint32_t count = 1;
-
-    /** Slots a full step occupies: max(count, pp) stage beats. */
-    std::uint32_t stageBeats = 1;
-
-    /** Fraction of stage beats doing useful work. */
-    double pipelineFill = 1.0;
-};
-
-MicroBatching planMicroBatches(std::uint32_t batch, unsigned pp);
-
-/**
  * Layers assigned to @p stage of a @p pp-deep pipeline over
  * @p n_layers: every stage gets floor(n_layers / pp) (at least 1)
  * and the last stage additionally absorbs the remainder, so layer
  * counts sum to n_layers whenever pp <= n_layers. The serving
- * engine's step models charge the last stage's longer service
- * accordingly.
+ * engine charges the last stage's longer service accordingly.
  */
 unsigned stageLayers(unsigned n_layers, unsigned pp, unsigned stage);
 

@@ -52,9 +52,6 @@ class EventQueue
     /** Earliest scheduled time (undefined when empty). */
     double nextTime() const { return heap_.front().time; }
 
-    /** Pre-size the event heap (sweeps with a known high-water). */
-    void reserve(std::size_t events) { heap_.reserve(events); }
-
     /** Dispatch the earliest event. @return false when empty. */
     bool runOne();
 

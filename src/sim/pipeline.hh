@@ -6,8 +6,8 @@
  * serializing resource of one PP stage). One decode cycle of a
  * cohort traverses every stage in order; the hand-off from stage s
  * to s+1 happens at s's completion event, so cohort m+1 enters stage
- * s while cohort m occupies s+1 — the pipeline overlap the analytic
- * step model flattens into stageBeats * max_stage_sec.
+ * s while cohort m occupies s+1, so a fast cohort is never padded to
+ * the slowest one's stage beat.
  *
  * Prefill chunks use the same traversal: submitSequence() runs an
  * ordered list of elements (one per chunk) through the stages with

@@ -24,10 +24,8 @@ struct ServingEngine::EventCohort
 };
 
 /**
- * State of one prepared event-driven run: the former runEventDriven
- * locals, hoisted to the heap so the run survives between advanceTo
- * calls. Field names and roles are unchanged from the run-local
- * originals; the ev* member functions are the former lambdas.
+ * State of one prepared run, heap-held so the run survives between
+ * advanceTo calls; the ev* member functions operate on it.
  */
 struct ServingEngine::EventRun
 {
@@ -136,13 +134,9 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     prefixActive_ = options_.prefixCache.enabled;
     if (prefixActive_) {
         // The tree shares the allocator's chunks; only the paged
-        // allocator has chunks to share, and only the event-driven
-        // model has the Prefilling state warm admissions skip.
+        // allocator has chunks to share.
         if (options_.allocator != AllocatorKind::LazyChunk)
             fatal("prefix caching requires the LazyChunk allocator");
-        if (options_.stepModel != StepModel::EventDriven)
-            fatal("prefix caching requires the event-driven step "
-                  "model");
         prefixCache_ = std::make_unique<PrefixCache>(
             static_cast<LazyChunkAllocator &>(*allocator_),
             options_.prefixCache);
@@ -564,6 +558,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         tenantRelease(a.request);
         releaseCacheRef(a);
         ++result_.preemptions;
+        result_.recomputedTokens += a.generated;
         requeue.push_back({a.request, a.arrival});
         return false;
     }
@@ -633,64 +628,6 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
     return true;
 }
 
-void
-ServingEngine::admit()
-{
-    if (!budgetsActive_) {
-        while (!pending_.empty()) {
-            const TimedRequest &timed = pending_.front();
-            if (timed.arrivalSeconds > result_.simulatedSeconds)
-                break; // not yet arrived (open loop)
-            double prefill_sec = 0.0;
-            AdmitOutcome outcome = tryAdmitOne(timed, prefill_sec);
-            if (outcome == AdmitOutcome::Blocked)
-                break;
-            if (outcome == AdmitOutcome::Admitted) {
-                result_.simulatedSeconds += prefill_sec;
-                integrateTenantShares(prefill_sec);
-                active_.push_back(
-                    {timed.request, 0, timed.arrivalSeconds});
-            }
-            pending_.pop_front();
-        }
-        return;
-    }
-    // Budget-aware admission scans past over-budget tenants so one
-    // saturating tenant cannot head-of-line block the others; a
-    // memory block still halts the scan (releases are what clear
-    // it).
-    std::set<unsigned> entitled =
-        entitledTenantsWaiting(pending_, result_.simulatedSeconds);
-    for (std::size_t i = 0; i < pending_.size();) {
-        const TimedRequest &timed = pending_[i];
-        if (timed.arrivalSeconds > result_.simulatedSeconds) {
-            // Mostly arrival-sorted, but preempted requests requeue
-            // at the back with past arrivals — skip future traffic
-            // instead of stopping at it.
-            ++i;
-            continue;
-        }
-        bool allow_borrow =
-            !entitledElsewhere(entitled, timed.request.cls.tenant);
-        double prefill_sec = 0.0;
-        AdmitOutcome outcome =
-            tryAdmitOne(timed, prefill_sec, allow_borrow);
-        if (outcome == AdmitOutcome::Blocked)
-            break;
-        if (outcome == AdmitOutcome::BudgetBlocked) {
-            ++i;
-            continue;
-        }
-        if (outcome == AdmitOutcome::Admitted) {
-            result_.simulatedSeconds += prefill_sec;
-            integrateTenantShares(prefill_sec);
-            active_.push_back({timed.request, 0, timed.arrivalSeconds});
-        }
-        pending_.erase(pending_.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-    }
-}
-
 ServingEngine::CyclePlan
 ServingEngine::planCohortCycle(const Active *begin, const Active *end)
 {
@@ -698,9 +635,6 @@ ServingEngine::planCohortCycle(const Active *begin, const Active *end)
     const unsigned pp = cluster_.plan.pp;
     const std::uint32_t batch =
         static_cast<std::uint32_t>(end - begin);
-    // Uneven layer split: the last stage absorbs the remainder and
-    // is the slowest (stageLayers), so it sets the analytic beat.
-    const unsigned last_layers = stageLayers(model_.nLayers, pp, pp - 1);
     const unsigned kvh = model_.kvHeads();
     const unsigned jobs_per_req = std::max(1u, ceilDiv(kvh, tp));
     // When the TP group outnumbers the KV heads, the modules sharing
@@ -750,7 +684,6 @@ ServingEngine::planCohortCycle(const Active *begin, const Active *end)
     plan.layerSeconds = layer_sec;
     plan.fcLayerSeconds =
         cluster_.kind == SystemKind::XpuPim ? fc_sec : 0.0;
-    plan.maxStageSeconds = last_layers * layer_sec;
 
     // Per full cycle the cohort crosses all pp stages.
     double layers_total = stageLayersTotal(model_.nLayers, pp);
@@ -797,135 +730,12 @@ ServingEngine::accountCycle(const CyclePlan &plan, double span_cycles,
     result_.fcEnergy += fc_energy;
 }
 
-double
-ServingEngine::stepSeconds(ChannelAccum &acc)
-{
-    const unsigned pp = cluster_.plan.pp;
-    const std::uint32_t batch =
-        static_cast<std::uint32_t>(active_.size());
-
-    MicroBatching mb = planMicroBatches(batch, pp);
-    const std::uint32_t mbs = mb.microBatchSize;
-
-    double max_stage_sec = 0.0;
-    double step_att_sec = 0.0, step_fc_sec = 0.0;
-    double step_busy = 0.0;
-    EnergyBreakdown att_energy, fc_energy;
-
-    for (std::uint32_t m = 0; m < mb.count; ++m) {
-        std::uint32_t lo = m * mbs;
-        std::uint32_t hi = std::min<std::uint32_t>(lo + mbs, batch);
-        if (lo >= hi)
-            continue;
-        CyclePlan plan = planCohortCycle(active_.data() + lo,
-                                         active_.data() + hi);
-        max_stage_sec = std::max(max_stage_sec, plan.maxStageSeconds);
-        step_att_sec += plan.attSeconds;
-        step_fc_sec += plan.fcSeconds;
-        step_busy += plan.busyChannelCycles;
-        att_energy += plan.attEnergy;
-        fc_energy += plan.fcEnergy;
-    }
-
-    double step_sec = mb.stageBeats * max_stage_sec;
-
-    // Cluster-wide channel-cycle span and residual idle background.
-    double spc = cluster_.module.timing.secondsPerCycle();
-    double span = step_sec / spc * cluster_.module.nChannels *
-                  cluster_.nModules;
-    acc.busyCycles += step_busy;
-    acc.spanCycles += span;
-
-    double busy_span_cycles =
-        (step_att_sec + (cluster_.kind == SystemKind::PimOnly
-                             ? step_fc_sec
-                             : 0.0)) /
-        spc * cluster_.module.nChannels * cluster_.plan.tp;
-    double idle = span - busy_span_cycles;
-    if (idle > 0) {
-        // Attribute idle background proportionally to phase time.
-        double tot = step_att_sec + step_fc_sec;
-        double att_share = tot > 0 ? step_att_sec / tot : 1.0;
-        EnergyBreakdown bg = backgroundEnergy(
-            static_cast<Cycle>(idle), 1,
-            EnergyParams{});
-        att_energy += bg.scaled(att_share);
-        fc_energy += bg.scaled(1.0 - att_share);
-    }
-
-    result_.attentionSeconds += step_att_sec;
-    result_.fcSeconds += step_fc_sec;
-    result_.attentionEnergy += att_energy;
-    result_.fcEnergy += fc_energy;
-    return step_sec;
-}
-
 EngineResult
 ServingEngine::run()
 {
-    return options_.stepModel == StepModel::Analytic ? runAnalytic()
-                                                     : runEventDriven();
-}
-
-EngineResult
-ServingEngine::runAnalytic()
-{
-    ChannelAccum acc;
-    double batch_time = 0.0;   // integral of batch over time
-    double capacity_time = 0.0;
-
-    admit();
-    std::uint64_t steps = 0;
-    while ((!active_.empty() || !pending_.empty()) &&
-           steps < options_.maxSteps) {
-        ++steps;
-        if (active_.empty()) {
-            if (pending_.front().arrivalSeconds >
-                result_.simulatedSeconds) {
-                // Open loop: idle until the next arrival.
-                integrateTenantShares(pending_.front().arrivalSeconds -
-                                      result_.simulatedSeconds);
-                result_.simulatedSeconds =
-                    pending_.front().arrivalSeconds;
-                admit();
-                continue;
-            }
-            // Nothing admitted although requests pend: the headroom
-            // check refuses them only when memory is held, which it
-            // cannot be with an empty active set -> reject front.
-            ++result_.rejectedRequests;
-            pending_.pop_front();
-            admit();
-            continue;
-        }
-
-        double sec = stepSeconds(acc);
-        result_.simulatedSeconds += sec;
-        batch_time += sec * static_cast<double>(active_.size());
-        capacity_time += sec * allocator_->capacityUtilization();
-        integrateTenantShares(sec);
-
-        // Advance every active request by one token, compacting the
-        // survivors in place (same order as the former copy into a
-        // fresh vector, without the per-step allocation).
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < active_.size(); ++i) {
-            if (advanceMember(active_[i], result_.simulatedSeconds,
-                              pending_)) {
-                if (keep != i)
-                    active_[keep] = std::move(active_[i]);
-                ++keep;
-            }
-        }
-        active_.resize(keep);
-        admit();
-    }
-    if (steps >= options_.maxSteps)
-        warn("engine stopped at the step cap (%llu)",
-             static_cast<unsigned long long>(options_.maxSteps));
-
-    finalizeResult(acc, batch_time, capacity_time);
-    return result_;
+    prepare();
+    ev_->queue.runAll();
+    return finalize();
 }
 
 void
@@ -1111,8 +921,8 @@ ServingEngine::evStartPrefill(Active a, double now)
 void
 ServingEngine::evAdmitArrivals(double now)
 {
-    // Admission under the same per-request rules as the analytic
-    // path (tryAdmitOne); admitted requests reach the ready pool
+    // Admission under the per-request rules of tryAdmitOne;
+    // admitted requests reach the ready pool
     // once decode-ready (immediately, or after prefill chunks). The
     // policy's admission gate runs first: a deferred prefill blocks
     // the (FIFO) admission queue until the SLO signal recovers,
@@ -1270,10 +1080,9 @@ ServingEngine::evOnCycleComplete(EventCohort &c, double t)
     // Continuous batching with balanced cohorts: survivors and
     // admissible pending requests meet in the ready pool
     // (survivors first, so mid-decode requests keep priority),
-    // and the cohort refills up to a fair share of the active
-    // set. The cap keeps cohorts balanced the way the analytic
-    // model's per-step re-split does, while leaving the other
-    // cohorts' in-flight cycles untouched.
+    // and the cohort refills up to a fair share of the decoding
+    // requests (ceil(total / pp)). The cap keeps cohorts balanced
+    // while leaving the other cohorts' in-flight cycles untouched.
     if (!ev.capped) {
         evAdmitArrivals(t);
         ev.readyPool.insert(ev.readyPool.begin(),
@@ -1379,9 +1188,6 @@ ServingEngine::evArmArrivalEvent()
 void
 ServingEngine::prepare()
 {
-    if (options_.stepModel != StepModel::EventDriven)
-        fatal("ServingEngine::prepare(): the resumable interface "
-              "requires the event-driven step model");
     if (ev_)
         fatal("ServingEngine::prepare() called twice");
     ev_ = std::make_unique<EventRun>();
@@ -1494,9 +1300,6 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 void
 ServingEngine::declareSessionTurns(const SessionBook &sessions)
 {
-    if (options_.stepModel != StepModel::EventDriven)
-        fatal("ServingEngine::declareSessionTurns(): closed-loop "
-              "turn release requires the event-driven step model");
     if (ev_)
         fatal("ServingEngine::declareSessionTurns() after prepare()");
     // Successor turns join the class/tenant declaration exactly as a
@@ -1779,14 +1582,6 @@ ServingEngine::finalize()
     }
     finalizeResult(ev.acc, ev.batchTime, ev.capacityTime);
     return result_;
-}
-
-EngineResult
-ServingEngine::runEventDriven()
-{
-    prepare();
-    ev_->queue.runAll();
-    return finalize();
 }
 
 void

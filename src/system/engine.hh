@@ -2,31 +2,27 @@
  * @file
  * Decode-serving engine: continuous batching over a multi-module PIM
  * system with TP/PP parallelism, allocator-driven admission, and
- * per-step latency composed from the module models.
+ * per-cycle latency composed from the module models.
  *
- * Two step models are available. The event-driven core (default)
- * schedules per-cohort (micro-batch), per-stage work items on the
- * sim subsystem's event queue: cohorts traverse the PP stages as
- * FIFO devices and decode asynchronously, so a fast cohort is not
- * padded to the slowest one and admission is arrival-driven. The
- * analytic model collapses each step into the closed-form
- * stageBeats * max_stage_sec expression; the two agree on PP=1
- * (single-cohort) configurations, where the pipeline recurrence
- * degenerates to the closed form.
+ * The engine is event-driven: it schedules per-cohort (micro-batch),
+ * per-stage work items on the sim subsystem's event queue. Cohorts
+ * traverse the PP stages as FIFO devices and decode asynchronously,
+ * so a fast cohort is not padded to the slowest one, PIM attention
+ * overlaps xPU FC work across stages, and admission is
+ * arrival-driven.
  *
  * Scope note: decode remains the focus (the paper locates the PIM
- * bottlenecks there), but prefill is now first-class work rather
- * than a free memory charge. Under the event-driven model with
- * EngineOptions::prefillChunkTokens > 0, an admitted request enters
- * a Prefilling state: its context is split into chunked work items
- * (system/prefill's planner) that traverse the per-stage xPU
- * timelines on the event queue, interleaving FIFO with — and
- * delaying — decode FC work, the way a continuous-batching
- * scheduler shares its compute engines between phases. The request
- * joins the decode ready pool only when its last chunk completes.
- * The analytic model (and chargePrefill without chunking) keeps the
- * scalar prefillSeconds() charge at admission for parity; the
- * chunked per-request total matches that scalar exactly.
+ * bottlenecks there), but prefill is first-class work rather than a
+ * free memory charge. With EngineOptions::prefillChunkTokens > 0,
+ * an admitted request enters a Prefilling state: its context is
+ * split into chunked work items (system/prefill's planner) that
+ * traverse the per-stage xPU timelines on the event queue,
+ * interleaving FIFO with — and delaying — decode FC work, the way a
+ * continuous-batching scheduler shares its compute engines between
+ * phases. The request joins the decode ready pool only when its last
+ * chunk completes. chargePrefill without chunking keeps the scalar
+ * prefillSeconds() charge at admission; the chunked per-request
+ * total matches that scalar exactly.
  */
 
 #ifndef PIMPHONY_SYSTEM_ENGINE_HH
@@ -54,8 +50,8 @@
 namespace pimphony {
 
 /**
- * Engine-level knob set: the shared serving options (step model,
- * prefill chunking, co-scheduling policy, tenant budgets — see
+ * Engine-level knob set: the shared serving options (prefill
+ * chunking, co-scheduling policy, tenant budgets — see
  * system/serving_options.hh) plus the engine's own allocator choice
  * and safety cap.
  */
@@ -63,7 +59,7 @@ struct EngineOptions : ServingOptions
 {
     AllocatorKind allocator = AllocatorKind::Static;
 
-    /** Cap on simulated decode steps / cohort cycles (safety valve). */
+    /** Cap on simulated cohort decode cycles (safety valve). */
     std::uint64_t maxSteps = 200000;
 };
 
@@ -75,6 +71,14 @@ struct EngineResult
     std::uint64_t completedRequests = 0;
     std::uint64_t rejectedRequests = 0;
     std::uint64_t preemptions = 0;
+
+    /**
+     * Decode tokens a preemption discarded: the preempted request
+     * restarts from scratch, so the tokens it had generated count
+     * in generatedTokens but are produced again before it
+     * completes.
+     */
+    std::uint64_t recomputedTokens = 0;
 
     /** Time-averaged concurrent batch ("effective batch", Fig. 4). */
     double avgEffectiveBatch = 0.0;
@@ -121,7 +125,7 @@ struct EngineResult
      */
     std::unordered_map<RequestId, double> completionSeconds;
 
-    // --- Co-scheduling policy metrics (event-driven model). ---------
+    // --- Co-scheduling policy metrics. ------------------------------
 
     /** Admission checks deferred by the SLO gate (SloAdmission). */
     std::uint64_t sloDeferrals = 0;
@@ -150,10 +154,9 @@ struct EngineResult
     double xpuPrefillBusySeconds = 0.0;
 
     /**
-     * Events dispatched by the event-driven core (0 under the
-     * analytic model). Deterministic for a given configuration and
-     * seed; bench_simperf divides it by wall time for the
-     * events-per-second trajectory metric.
+     * Events dispatched by the event core. Deterministic for a
+     * given configuration and seed; bench_simperf divides it by wall
+     * time for the events-per-second trajectory metric.
      */
     std::uint64_t simEvents = 0;
 
@@ -269,11 +272,11 @@ class ServingEngine
 
     EngineResult run();
 
-    // --- Resumable sub-simulation interface (event-driven model
-    // --- only). run() is the exact composition prepare() ->
-    // --- advanceTo(+inf) -> finalize(), bit for bit, so a windowed
-    // --- caller (the fleet simulation) reproduces a monolithic run
-    // --- whenever it feeds the same arrivals. --------------------------
+    // --- Resumable sub-simulation interface. run() is the exact
+    // --- composition prepare() -> advanceTo(+inf) -> finalize(), bit
+    // --- for bit, so a windowed caller (the fleet simulation)
+    // --- reproduces a monolithic run whenever it feeds the same
+    // --- arrivals. -------------------------------------------------------
 
     /**
      * Pre-declare the class/tenant shape of a workload whose
@@ -291,8 +294,8 @@ class ServingEngine
      * workload (workload/session.hh): when the request keyed in
      * @p sessions completes at time t, its successor turn is
      * released as a fresh arrival at t + thinkSeconds — the
-     * dependency an open-loop trace cannot express. Event-driven
-     * model only; must run before prepare(). Calls accumulate.
+     * dependency an open-loop trace cannot express. Must run before
+     * prepare(). Calls accumulate.
      *
      * Semantics worth knowing: a rejected or never-completing
      * predecessor keeps the rest of its session unreleased (the user
@@ -303,11 +306,11 @@ class ServingEngine
     void declareSessionTurns(const SessionBook &sessions);
 
     /**
-     * Build the event-driven run state and schedule the initial
-     * events (constructor-supplied arrivals, first cohorts). After
-     * prepare() the engine is a resumable sub-simulation: advance it
-     * with advanceTo(), feed it with injectArrivals(), and close it
-     * with finalize().
+     * Build the run state and schedule the initial events
+     * (constructor-supplied arrivals, first cohorts). After prepare()
+     * the engine is a resumable sub-simulation: advance it with
+     * advanceTo(), feed it with injectArrivals(), and close it with
+     * finalize().
      */
     void prepare();
 
@@ -454,9 +457,7 @@ class ServingEngine
     /**
      * Device-time plan for one decode cycle of one cohort
      * (micro-batch): the per-stage service time plus the cycle's
-     * aggregate phase seconds, occupancy, and energy. Both step
-     * models are composed from these plans; they differ only in how
-     * plans are laid out in time.
+     * aggregate phase seconds, occupancy, and energy.
      */
     struct CyclePlan
     {
@@ -465,13 +466,6 @@ class ServingEngine
 
         /** xPU share of one layer's service (XpuPim overlap). */
         double fcLayerSeconds = 0.0;
-
-        /**
-         * Service seconds of the slowest PP stage (the last stage
-         * when the layer count does not divide evenly): the beat
-         * length the analytic model charges per stage slot.
-         */
-        double maxStageSeconds = 0.0;
 
         /** Layers across all stages (= nLayers when pp <= nLayers). */
         double layersTotal = 0.0;
@@ -488,11 +482,10 @@ class ServingEngine
     };
 
     /**
-     * Running channel-cycle totals for MAC utilization. Both step
-     * models add one (busy, span) pair per cycle/step in simulation
-     * order, so the scalar sums round exactly as the former
-     * per-cycle vectors summed at finalize did — without growing a
-     * vector per cycle.
+     * Running channel-cycle totals for MAC utilization. Each decode
+     * cycle adds one (busy, span) pair in simulation order, so the
+     * scalar sums round exactly as the former per-cycle vectors
+     * summed at finalize did — without growing a vector per cycle.
      */
     struct ChannelAccum
     {
@@ -500,18 +493,15 @@ class ServingEngine
         double spanCycles = 0.0;
     };
 
-    /** Admit arrived pending requests while memory allows. */
-    void admit();
-
     /**
-     * Per-request admission rule shared by both step models:
-     * Rejected = can never be served here, Blocked = waits for
-     * memory, BudgetBlocked = the request's tenant is over budget
-     * and borrowing was denied (@p allow_borrow false; only with
-     * tenant budgets configured), Admitted = reserved (with
-     * @p prefill_sec the scalar prefill charge when chargePrefill or
-     * prefillChunkTokens is set; the chunked event path apportions
-     * it over chunk items instead of spending it as a lump).
+     * Per-request admission rule: Rejected = can never be served
+     * here, Blocked = waits for memory, BudgetBlocked = the
+     * request's tenant is over budget and borrowing was denied
+     * (@p allow_borrow false; only with tenant budgets configured),
+     * Admitted = reserved (with @p prefill_sec the scalar prefill
+     * charge when chargePrefill or prefillChunkTokens is set; the
+     * chunked path apportions it over chunk items instead of
+     * spending it as a lump).
      */
     enum class AdmitOutcome { Admitted, Rejected, Blocked, BudgetBlocked };
     AdmitOutcome tryAdmitOne(const TimedRequest &timed,
@@ -522,7 +512,7 @@ class ServingEngine
      * Advance @p a by the one token produced at @p completion_clock:
      * grow-or-preempt (re-queueing to @p requeue with the original
      * arrival), then complete-or-continue. Returns false when the
-     * request leaves the active set. Shared by both step models.
+     * request leaves its cohort.
      */
     bool advanceMember(Active &a, double completion_clock,
                        std::deque<TimedRequest> &requeue);
@@ -538,23 +528,16 @@ class ServingEngine
     void accountCycle(const CyclePlan &plan, double span_cycles,
                       ChannelAccum &acc);
 
-    /** Seconds for one lockstep decode step of the active set. */
-    double stepSeconds(ChannelAccum &acc);
-
-    EngineResult runAnalytic();
-    EngineResult runEventDriven();
     void finalizeResult(const ChannelAccum &acc, double batch_time,
                         double capacity_time);
 
-    // --- Event-driven run state (the former runEventDriven locals,
-    // --- hoisted so the run is resumable between advanceTo calls).
-    // --- Both types live in engine.cc; the ev* methods below are
-    // --- the former run-local lambdas, one to one. ------------------
+    // --- Run state, heap-held so the run is resumable between
+    // --- advanceTo calls. Both types live in engine.cc. -------------
 
     /** One in-flight decode cohort (micro-batch). */
     struct EventCohort;
 
-    /** Heap-held state of one prepared event-driven run. */
+    /** Heap-held state of one prepared run. */
     struct EventRun;
 
     /** Integrate batch/capacity time-averages up to @p t. */
@@ -684,7 +667,6 @@ class ServingEngine
     LlmConfig model_;
     EngineOptions options_;
     std::deque<TimedRequest> pending_;
-    std::vector<Active> active_;
     std::unique_ptr<KvAllocator> allocator_;
 
     // --- Prefix-sharing state (prefixCache.enabled only). -----------
@@ -756,7 +738,7 @@ class ServingEngine
 
     /**
      * Streaming p95 over the sliding SLO window of decode token
-     * gaps; allocated in runEventDriven only when the policy steers
+     * gaps; allocated in prepare() only when the policy steers
      * on the gap signal. advanceMember feeds it as gaps are
      * produced, so the admission gate reads the windowed percentile
      * in O(1) instead of copying and sorting the window per decode
@@ -767,7 +749,7 @@ class ServingEngine
     /** Per-cycle scratch for planCohortCycle's attention jobs. */
     std::vector<AttentionJob> jobsScratch_;
 
-    /** Live event-driven run (prepare() .. finalize()). */
+    /** Live run (prepare() .. finalize()). */
     std::unique_ptr<EventRun> ev_;
 
     EngineResult result_;

@@ -71,10 +71,13 @@ FaultSchedule::eventCount() const
 void
 FaultSchedule::validate(unsigned fleet_replicas) const
 {
-    if (replicas.size() > fleet_replicas)
-        fatal("FaultSchedule: events scripted for replica %zu of a "
-              "%u-replica fleet",
-              replicas.size() - 1, fleet_replicas);
+    // Empty slots beyond the fleet are harmless: an empty schedule
+    // of any shape validates.
+    for (std::size_t r = fleet_replicas; r < replicas.size(); ++r)
+        if (!replicas[r].empty())
+            fatal("FaultSchedule: events scripted for replica %zu of "
+                  "a %u-replica fleet",
+                  r, fleet_replicas);
     for (std::size_t r = 0; r < replicas.size(); ++r) {
         double last = 0.0;
         bool down = false;

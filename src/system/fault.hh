@@ -15,8 +15,8 @@
  * The schedule itself is passive data. All timing semantics — when
  * an event takes effect relative to the fleet's conservative window
  * barriers, what happens to in-flight work — live in the fleet's
- * state machine (system/fleet.hh); an empty schedule leaves the
- * fleet bit-identical to a fault-free run.
+ * state machine (system/fleet.hh); an empty schedule applies no
+ * transitions and displaces no work.
  */
 
 #ifndef PIMPHONY_SYSTEM_FAULT_HH

@@ -45,9 +45,6 @@ FleetEngine::FleetEngine(const ClusterConfig &cluster,
 {
     if (options_.replicas == 0)
         fatal("FleetEngine: at least one replica is required");
-    if (options_.engine.stepModel != StepModel::EventDriven)
-        fatal("FleetEngine: the fleet simulation requires the "
-              "event-driven step model");
     if (options_.dispatchLatencySeconds < 0.0)
         fatal("FleetEngine: negative dispatch latency");
     sortByArrival(trace_);
@@ -94,14 +91,12 @@ FleetEngine::pickReplica(const TimedRequest &timed)
             // then the lower index. All-cold requests drop through
             // to the exact least-loaded decision, so the policy is
             // decision-identical to LeastLoaded when caching is off.
-            if (engines_ == nullptr)
-                panic("fleet: prefix-affinity routing outside run()");
             Tokens warmest = 0;
             for (std::size_t i = 0; i < R; ++i) {
                 if (!routable_[i])
                     continue;
                 Tokens warm =
-                    (*engines_)[i]->prefixWarmTokens(timed.request);
+                    engines_[i]->prefixWarmTokens(timed.request);
                 if (warm > warmest ||
                     (warm == warmest && warm > 0 && best != R &&
                      loads_[i] < loads_[best])) {
@@ -141,10 +136,7 @@ FleetEngine::run()
     ran_ = true;
 
     const std::size_t R = options_.replicas;
-    const double d = options_.dispatchLatencySeconds;
-
-    std::vector<std::unique_ptr<ServingEngine>> engines;
-    engines.reserve(R);
+    engines_.reserve(R);
     for (std::size_t i = 0; i < R; ++i) {
         auto eng = std::make_unique<ServingEngine>(
             cluster_, model_, std::vector<TimedRequest>{},
@@ -160,12 +152,8 @@ FleetEngine::run()
         if (!sessions_.empty())
             eng->declareSessionTurns(sessions_);
         eng->prepare();
-        engines.push_back(std::move(eng));
+        engines_.push_back(std::move(eng));
     }
-    // Warmth probes for PrefixAffinity routing. `engines` is local
-    // to run(), so the view must be cleared before returning or the
-    // pointer dangles.
-    engines_ = &engines;
 
     FleetResult fleet;
     fleet.routedRequests.assign(R, 0);
@@ -174,105 +162,12 @@ FleetEngine::run()
     health_.assign(R, ReplicaHealth::Up);
     routable_.assign(R, 1);
     downIntervals_.assign(R, {});
-
-    std::vector<std::vector<TimedRequest>> batches(R);
-    std::size_t next = 0; // next unrouted trace index
-
-    auto refreshLoads = [&]() {
-        if (!usesLoads())
-            return;
-        for (std::size_t i = 0; i < R; ++i)
-            loads_[i] = engines[i]->queuedTokens();
-    };
-    auto routeDue = [&](double barrier, double delay) {
-        for (std::size_t i = 0; i < R; ++i)
-            batches[i].clear();
-        while (next < trace_.size() &&
-               trace_[next].arrivalSeconds <= barrier) {
-            TimedRequest timed = trace_[next++];
-            std::size_t r = pickReplica(timed);
-            timed.arrivalSeconds += delay;
-            batches[r].push_back(timed);
-            ++fleet.routedRequests[r];
-        }
-        for (std::size_t i = 0; i < R; ++i)
-            if (!batches[i].empty())
-                engines[i]->injectArrivals(batches[i]);
-    };
-    if (!options_.faults.empty()) {
-        // Fault injection takes the state-machine loop; the
-        // fault-free paths below stay untouched so an empty schedule
-        // is bit-identical to the pre-fault fleet.
-        runWithFaults(engines, fleet, next);
-    } else if (d <= 0.0) {
-        // Zero lookahead: serial lockstep. For each distinct arrival
-        // time, advance every replica to it (index order), route
-        // with replica state at that instant, inject with no delay.
-        while (next < trace_.size()) {
-            double t = trace_[next].arrivalSeconds;
-            for (auto &eng : engines)
-                eng->advanceTo(t);
-            refreshLoads();
-            routeDue(t, 0.0);
-            ++fleet.windows;
-        }
-        for (auto &eng : engines)
-            eng->advanceTo(std::numeric_limits<double>::infinity());
-        ++fleet.windows; // final drain
-    } else {
-        // Conservative windows of width W = d. At barrier B_j route
-        // everything with t <= B_j (delivery t + d <= B_{j+1}), then
-        // advance all replicas to B_{j+1} in parallel: every event
-        // inside the window is already known to its replica.
-        //
-        // Router-idle barriers are skipped: a barrier that routes
-        // nothing neither reads nor changes replica state, so
-        // advancing straight to the next barrier with a routable
-        // arrival dispatches the identical event sequence (runUntil
-        // horizons compose) while batching the per-window pool
-        // hand-off into usefully large chunks of work.
-        SweepRunner runner(options_.threads);
-        std::uint64_t j = 0;
-        while (next < trace_.size()) {
-            double t_next = trace_[next].arrivalSeconds;
-            if (t_next > 0.0) {
-                // First barrier that can route t_next (t <= j * W).
-                auto jump = static_cast<std::uint64_t>(
-                    std::ceil(t_next / d));
-                // FP rounding may land one barrier short; the loop
-                // below routes nothing there and retries at the
-                // next, so correctness is unaffected either way.
-                j = std::max(j, jump);
-            }
-            // Advance everyone to the routing barrier first (one
-            // batched parallel advance across the skipped idle
-            // windows), so the router reads replica state — the
-            // least-loaded signal — at exactly the barrier instant,
-            // as an unbatched window-by-window loop would.
-            double barrier = static_cast<double>(j) * d;
-            runner.forEach(R, [&](std::size_t i) {
-                engines[i]->advanceTo(barrier);
-            });
-            refreshLoads();
-            // Deliveries land in (B_j, B_{j+1}]: ahead of every
-            // replica's advanced horizon, never behind it.
-            routeDue(barrier, d);
-            ++fleet.windows;
-            ++j;
-        }
-        // Every request is routed and injected, so no cross-replica
-        // event can occur again: the remaining work is one
-        // independent drain per replica.
-        runner.forEach(R, [&](std::size_t i) {
-            engines[i]->advanceTo(
-                std::numeric_limits<double>::infinity());
-        });
-        ++fleet.windows;
-    }
+    runWindows(fleet);
 
     fleet.replicas.reserve(R);
-    for (auto &eng : engines)
+    for (auto &eng : engines_)
         fleet.replicas.push_back(eng->finalize());
+    engines_.clear();
     fleet.aggregate = aggregateResults(fleet.replicas);
     for (const auto &kv : sessionReplica_)
         ++fleet.routedSessions[kv.second];
@@ -280,7 +175,8 @@ FleetEngine::run()
     // Goodput: decode tokens of requests that actually completed
     // somewhere (integer sums, so iteration order cannot perturb
     // the result). The throughput basis (generatedTokens) also
-    // counts partial decodes a crash discarded.
+    // counts partial decodes a crash (lostTokens) or a preemption
+    // (recomputedTokens) discarded.
     std::unordered_map<RequestId, Tokens> decode_of;
     decode_of.reserve(trace_.size() + sessions_.size());
     for (const TimedRequest &timed : trace_)
@@ -316,14 +212,11 @@ FleetEngine::run()
                 std::min(std::max(1.0 - down / makespan, 0.0), 1.0);
         }
     }
-    engines_ = nullptr; // the probed vector dies with this frame
     return fleet;
 }
 
 void
-FleetEngine::runWithFaults(
-    std::vector<std::unique_ptr<ServingEngine>> &engines,
-    FleetResult &fleet, std::size_t &next)
+FleetEngine::runWindows(FleetResult &fleet)
 {
     const std::size_t R = options_.replicas;
     const double d = options_.dispatchLatencySeconds;
@@ -386,6 +279,7 @@ FleetEngine::runWithFaults(
                      });
     std::size_t next_tr = 0;
 
+    std::size_t next = 0; // next unrouted trace index
     std::deque<PendingRetry> retries; // nondecreasing arrival order
     std::unordered_map<RequestId, unsigned> attempts;
     std::vector<std::vector<TimedRequest>> batches(R);
@@ -453,7 +347,7 @@ FleetEngine::runWithFaults(
         for (std::size_t r = 0; r < R; ++r) {
             if (routable_[r])
                 continue;
-            auto ev = engines[r]->evacuate(false);
+            auto ev = engines_[r]->evacuate(false);
             fleet.evacuatedRequests += ev.queued.size();
             for (const TimedRequest &timed : ev.queued) {
                 queue_retry(timed, at);
@@ -472,7 +366,7 @@ FleetEngine::runWithFaults(
                 set_unroutable(r, tr.at);
                 // Graceful drain: queued work migrates now,
                 // in-flight work keeps the grace period.
-                auto ev = engines[r]->evacuate(false);
+                auto ev = engines_[r]->evacuate(false);
                 fleet.evacuatedRequests += ev.queued.size();
                 for (const TimedRequest &timed : ev.queued)
                     queue_retry(timed, tr.at);
@@ -482,7 +376,7 @@ FleetEngine::runWithFaults(
               case kKill: {
                 health_[r] = ReplicaHealth::Down;
                 set_unroutable(r, tr.at);
-                auto ev = engines[r]->evacuate(true);
+                auto ev = engines_[r]->evacuate(true);
                 fleet.evacuatedRequests += ev.queued.size();
                 fleet.lostTokens += ev.lostTokens;
                 for (const TimedRequest &timed : ev.queued)
@@ -495,12 +389,12 @@ FleetEngine::runWithFaults(
               case kDegradeStart:
                 if (health_[r] == ReplicaHealth::Up)
                     health_[r] = ReplicaHealth::Degraded;
-                engines[r]->setServiceRateScale(tr.value);
+                engines_[r]->setServiceRateScale(tr.value);
                 break;
               case kDegradeEnd:
                 if (health_[r] == ReplicaHealth::Degraded)
                     health_[r] = ReplicaHealth::Up;
-                engines[r]->setServiceRateScale(1.0);
+                engines_[r]->setServiceRateScale(1.0);
                 break;
               case kReloadStart:
                 if (health_[r] == ReplicaHealth::Down)
@@ -508,8 +402,8 @@ FleetEngine::runWithFaults(
                 break;
               case kReloadDone:
                 // Fresh process: full speed, accepting traffic.
-                engines[r]->setServiceRateScale(1.0);
-                engines[r]->restoreService();
+                engines_[r]->setServiceRateScale(1.0);
+                engines_[r]->restoreService();
                 health_[r] = ReplicaHealth::Up;
                 fleet.reloadSeconds += tr.value;
                 set_routable(r, tr.at);
@@ -523,19 +417,18 @@ FleetEngine::runWithFaults(
         if (!usesLoads())
             return;
         for (std::size_t i = 0; i < R; ++i)
-            loads_[i] = engines[i]->queuedTokens();
+            loads_[i] = engines_[i]->queuedTokens();
     };
     auto route_due = [&](double barrier) {
         // Merge the trace and retry streams in arrival order and
-        // route everything due. Deliveries keep the fault-free
-        // stamp (arrival + d) clamped up to the barrier: a backlog
-        // held through an outage may carry arrivals older than the
-        // replicas' advanced horizons, and the clamp keeps every
-        // injection at or ahead of them — the conservative-ordering
-        // contract injectArrivals requires. In-order flow always
-        // has arrival + d > barrier, so a schedule whose faults
-        // never displace work routes bit-identically to the
-        // fault-free loop.
+        // route everything due. Deliveries are stamped arrival + d,
+        // clamped up to the barrier: a backlog held through an
+        // outage may carry arrivals older than the replicas'
+        // advanced horizons, and the clamp keeps every injection at
+        // or ahead of them — the conservative-ordering contract
+        // injectArrivals requires. In-order flow always has
+        // arrival + d > barrier (delivery inside the next window),
+        // so the clamp only binds for displaced work.
         for (std::size_t i = 0; i < R; ++i)
             batches[i].clear();
         for (;;) {
@@ -566,19 +459,19 @@ FleetEngine::runWithFaults(
         }
         for (std::size_t i = 0; i < R; ++i)
             if (!batches[i].empty())
-                engines[i]->injectArrivals(batches[i]);
+                engines_[i]->injectArrivals(batches[i]);
     };
 
-    // Lockstep (d <= 0) advances serially in index order exactly as
-    // the fault-free path does; the pool only exists for windows.
+    // Lockstep (d <= 0) advances serially in index order: every
+    // barrier is a routing point, so the pool only serves windows.
     SweepRunner runner(windowed ? options_.threads : 1);
     auto advance_all = [&](double horizon) {
         if (windowed)
             runner.forEach(R, [&](std::size_t i) {
-                engines[i]->advanceTo(horizon);
+                engines_[i]->advanceTo(horizon);
             });
         else
-            for (auto &eng : engines)
+            for (auto &eng : engines_)
                 eng->advanceTo(horizon);
     };
 
@@ -609,6 +502,13 @@ FleetEngine::runWithFaults(
             retries.clear();
             break;
         }
+        // Windowed: jump to the first barrier B_j = j * d that can
+        // act on t_next. Router-idle barriers neither read nor
+        // change replica state, so skipping them dispatches the
+        // identical event sequence (runUntil horizons compose). FP
+        // rounding may land one barrier short; that barrier routes
+        // nothing and the next one retries. Lockstep: the barrier
+        // is t_next itself.
         double barrier;
         if (windowed) {
             if (t_next > 0.0)
@@ -618,6 +518,8 @@ FleetEngine::runWithFaults(
         } else {
             barrier = t_next;
         }
+        // Advance everyone to the barrier first, so the router reads
+        // replica state (the load signal) at exactly that instant.
         advance_all(barrier);
         apply_transitions(barrier);
         refresh_loads();
@@ -628,14 +530,16 @@ FleetEngine::runWithFaults(
             ++j;
     }
 
-    // Drain, then sweep stranded session releases off unroutable
-    // replicas until quiescent (a successor released during the
-    // drain may land on a halted replica and need one more hop).
+    // Every request is routed, so the remaining work is one
+    // independent drain per replica. Then sweep stranded session
+    // releases off unroutable replicas until quiescent (a successor
+    // released during the drain may land on a halted replica and
+    // need one more hop).
     for (;;) {
         advance_all(inf);
         ++fleet.windows;
         double at = 0.0;
-        for (const auto &eng : engines)
+        for (const auto &eng : engines_)
             at = std::max(at, eng->now());
         if (!sweep_strays(at))
             break;
@@ -652,7 +556,8 @@ FleetEngine::runWithFaults(
     }
 
     // Retry histogram over the requests a fault ever displaced:
-    // [k] = requests re-routed exactly k times (budget-capped).
+    // [k] = requests re-routed exactly k times (budget-capped); all
+    // zeros when nothing was displaced.
     fleet.retryHistogram.assign(options_.retryBudget + 1, 0);
     for (const auto &kv : attempts)
         ++fleet.retryHistogram[std::min<unsigned>(
@@ -692,6 +597,7 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
         agg.completedRequests += r.completedRequests;
         agg.rejectedRequests += r.rejectedRequests;
         agg.preemptions += r.preemptions;
+        agg.recomputedTokens += r.recomputedTokens;
         agg.simEvents += r.simEvents;
         agg.sloDeferrals += r.sloDeferrals;
         agg.chunkSlices += r.chunkSlices;

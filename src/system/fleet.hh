@@ -115,13 +115,13 @@ struct FleetOptions
      */
     unsigned threads = 1;
 
-    /** Per-replica engine configuration (event-driven model only). */
+    /** Per-replica engine configuration. */
     EngineOptions engine;
 
     /**
-     * Fault injection (system/fault.hh). An empty schedule runs the
-     * fault-free fleet code path and is bit-identical, field for
-     * field, to a FleetEngine without the fault subsystem.
+     * Fault injection (system/fault.hh). Every run takes the same
+     * fault-aware window loop; an empty schedule applies no
+     * transitions and reports trivial fault metrics.
      */
     FaultSchedule faults;
 
@@ -183,7 +183,7 @@ struct FleetResult
     std::uint64_t windows = 0;
 
     // --- Fault-tolerance metrics. All zeros / trivial (availability
-    // --- 1.0, empty histogram) without a fault schedule.
+    // --- 1.0, all-zero histogram) without a fault schedule.
 
     /**
      * Per-replica up-time fraction of the fleet makespan: the share
@@ -195,8 +195,14 @@ struct FleetResult
     /**
      * Decode tokens of requests that actually completed (the tokens
      * a user received). aggregate.generatedTokens also counts
-     * partial decodes a crash discarded, so goodputTokens <=
-     * generatedTokens measures fault damage.
+     * partial decodes that were discarded, and the ledger balances
+     * exactly:
+     *
+     *   generatedTokens == goodputTokens + lostTokens
+     *                      + aggregate.recomputedTokens
+     *
+     * where lostTokens were discarded by crashes and
+     * recomputedTokens by preemptions.
      */
     std::uint64_t goodputTokens = 0;
 
@@ -219,7 +225,8 @@ struct FleetResult
     /**
      * retryHistogram[k] = requests re-routed exactly k times
      * (capped at retryBudget; the k = 0 bucket is used only when
-     * retryBudget is 0). Empty without a fault schedule.
+     * retryBudget is 0). Always retryBudget + 1 buckets; all zeros
+     * when no fault displaced work.
      */
     std::vector<std::uint64_t> retryHistogram;
 
@@ -228,9 +235,8 @@ struct FleetResult
 };
 
 /**
- * Router + N replica ServingEngines over one open-loop trace.
- * Requires the event-driven step model (the resumable engine
- * interface); run() may be called once.
+ * Router + N replica ServingEngines over one open-loop trace, driven
+ * through the resumable engine interface; run() may be called once.
  */
 class FleetEngine
 {
@@ -271,10 +277,11 @@ class FleetEngine
         unsigned attempts = 0;
     };
 
-    /** The conservative-window run loop with fault transitions. */
-    void runWithFaults(
-        std::vector<std::unique_ptr<ServingEngine>> &engines,
-        FleetResult &fleet, std::size_t &next);
+    /**
+     * The conservative-window run loop: fault transitions, routing
+     * and replica advances at each barrier, then the final drain.
+     */
+    void runWindows(FleetResult &fleet);
 
     /** Fleet-level aggregate of @p results (see FleetResult). */
     static EngineResult
@@ -296,12 +303,10 @@ class FleetEngine
      *  and PrefixAffinity). */
     std::vector<double> loads_;
 
-    /** Replica view for warmth probes (PrefixAffinity); set for the
-     *  lifetime of run(). */
-    const std::vector<std::unique_ptr<ServingEngine>> *engines_ =
-        nullptr;
+    /** The replicas; populated for the duration of run(). */
+    std::vector<std::unique_ptr<ServingEngine>> engines_;
 
-    /** Health state machine, one entry per replica (fault runs). */
+    /** Health state machine, one entry per replica. */
     std::vector<ReplicaHealth> health_;
 
     /** 1 while the replica accepts traffic (Up or Degraded). All 1

@@ -34,9 +34,7 @@
  *    for chunks).
  *
  * Policies are selected through EngineOptions::sched (and
- * OrchestratorConfig::sched); they act under the event-driven step
- * model only — the analytic model has no per-item timeline to
- * arbitrate and ignores them.
+ * OrchestratorConfig::sched).
  */
 
 #ifndef PIMPHONY_SYSTEM_SCHED_POLICY_HH

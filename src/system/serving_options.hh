@@ -8,14 +8,13 @@
  * hand, so every new serving knob had to be added — and copied at
  * runPlan time — in two places. Both now embed ServingOptions as a
  * base, and the orchestrator forwards the whole block with one slice
- * assignment; existing field accesses (`opts.stepModel`,
+ * assignment; existing field accesses (`opts.prefillChunkTokens`,
  * `config.sched`, ...) compile unchanged.
  */
 
 #ifndef PIMPHONY_SYSTEM_SERVING_OPTIONS_HH
 #define PIMPHONY_SYSTEM_SERVING_OPTIONS_HH
 
-#include <string>
 #include <vector>
 
 #include "alloc/prefix_cache.hh"
@@ -23,17 +22,6 @@
 #include "system/sched_policy.hh"
 
 namespace pimphony {
-
-/** How the engine composes device time into serving time. */
-enum class StepModel {
-    /** Closed-form lockstep steps: stageBeats * max_stage_sec. */
-    Analytic,
-
-    /** Event-driven cohort pipeline on the sim core (default). */
-    EventDriven,
-};
-
-std::string stepModelName(StepModel model);
 
 /**
  * Admission budget of one tenant: a guaranteed share of the KV token
@@ -58,17 +46,12 @@ struct TenantBudget
  */
 struct ServingOptions
 {
-    StepModel stepModel = StepModel::EventDriven;
-
     /**
-     * Context tokens per prefill chunk. When > 0 under the
-     * event-driven model, admitted requests prefill as chunked work
-     * items on the xPU stage timelines (continuous prefill/decode
-     * batching) instead of a scalar time charge; smaller chunks
-     * interleave more finely with decode at the cost of more
-     * hand-offs. Under the analytic model a positive value falls
-     * back to the scalar charge (chargePrefill semantics) so the two
-     * models stay comparable. 0 disables chunking.
+     * Context tokens per prefill chunk. When > 0, admitted requests
+     * prefill as chunked work items on the xPU stage timelines
+     * (continuous prefill/decode batching) instead of a scalar time
+     * charge; smaller chunks interleave more finely with decode at
+     * the cost of more hand-offs. 0 disables chunking.
      */
     Tokens prefillChunkTokens = 0;
 
@@ -81,10 +64,8 @@ struct ServingOptions
 
     /**
      * Prefill/decode co-scheduling policy for the per-stage xPU
-     * timelines (and the admission gate). Defaults to FIFO — the
-     * PR 2 behavior, bit for bit. Policies act under the
-     * event-driven model only; the analytic model has no per-item
-     * timeline to arbitrate and ignores them.
+     * timelines (and the admission gate). Defaults to FIFO: plain
+     * submission order with no admission gate.
      */
     SchedPolicyConfig sched;
 
@@ -105,7 +86,7 @@ struct ServingOptions
      * cached share of their prefill charge and map the shared chunks
      * instead of reserving fresh ones. Disabled by default; off
      * reproduces the cache-less engine bit for bit. Requires the
-     * event-driven model and the LazyChunk allocator.
+     * LazyChunk allocator.
      */
     PrefixCacheOptions prefixCache;
 };

@@ -45,7 +45,6 @@ runConfigA()
     auto timed = gammaArrivals(reqs, 4.0, 3.0, 17);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     return ServingEngine(cluster, model, timed, opts).run();
 }
@@ -63,25 +62,9 @@ runConfigB()
     auto timed = poissonArrivals(reqs, 2.0, 7);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 1024;
     opts.sched.kind = SchedPolicyKind::SloAdmission;
     return ServingEngine(cluster, model, timed, opts).run();
-}
-
-EngineResult
-runConfigC()
-{
-    auto model = LlmConfig::llm7b(true);
-    auto cluster = ClusterConfig::centLike(model);
-    applyOptions(cluster, PimphonyOptions::all());
-    std::vector<Request> reqs;
-    for (RequestId i = 0; i < 8; ++i)
-        reqs.push_back({i, 20000 + 5000 * Tokens(i), 16});
-    EngineOptions opts;
-    opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
-    return ServingEngine(cluster, model, reqs, opts).run();
 }
 
 EngineResult
@@ -96,7 +79,6 @@ runConfigD()
     auto timed = poissonArrivals(reqs, 1.5, 17);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     opts.sched.kind = SchedPolicyKind::ChunkPreempt;
     return ServingEngine(cluster, model, timed, opts).run();
@@ -156,24 +138,6 @@ TEST(EngineGolden, EventDrivenPp2SloAdmission)
     EXPECT_EQ(r.sloDeferrals, 73u);
 }
 
-TEST(EngineGolden, AnalyticPp1)
-{
-    auto r = runConfigC();
-    EXPECT_DOUBLE_EQ(r.tokensPerSecond, 0x1.4499752e43138p+9);
-    EXPECT_DOUBLE_EQ(r.simulatedSeconds, 0x1.93cbcf4bd81acp-3);
-    EXPECT_EQ(r.generatedTokens, 128u);
-    EXPECT_EQ(r.completedRequests, 8u);
-    EXPECT_DOUBLE_EQ(r.avgEffectiveBatch, 0x1p+3);
-    EXPECT_DOUBLE_EQ(r.macUtilization, 0x1.5921e0372e998p-2);
-    EXPECT_DOUBLE_EQ(r.capacityUtilization, 0x1.41f3ea3258a45p-2);
-    EXPECT_DOUBLE_EQ(r.attentionSeconds, 0x1.eb60136ea557bp-4);
-    EXPECT_DOUBLE_EQ(r.fcSeconds, 0x1.b93da3cf7d811p-5);
-    EXPECT_DOUBLE_EQ(r.p95RequestLatency, 0x1.93cbcf4bd81acp-3);
-    EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.93ba17cf90b2ap-7);
-    EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.93d3dce16cedp-7);
-    expectAvgNear(r.avgTokenGapSeconds, 0x1.93ccfda97677ep-7);
-}
-
 TEST(EngineGolden, EventDrivenChunkPreempt)
 {
     auto r = runConfigD();
@@ -191,12 +155,11 @@ TEST(EngineGolden, EventDrivenChunkPreempt)
 
 TEST(EngineDeterminism, RepeatedRunsAreBitIdentical)
 {
-    for (int cfg = 0; cfg < 4; ++cfg) {
+    for (int cfg = 0; cfg < 3; ++cfg) {
         EngineResult a, b;
         switch (cfg) {
           case 0: a = runConfigA(); b = runConfigA(); break;
           case 1: a = runConfigB(); b = runConfigB(); break;
-          case 2: a = runConfigC(); b = runConfigC(); break;
           default: a = runConfigD(); b = runConfigD(); break;
         }
         EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond) << cfg;

@@ -5,15 +5,16 @@
  * routing, and the fault metrics.
  *
  * The acceptance properties:
- *  (a) additivity — an empty FaultSchedule is bit-identical, field
- *      for field, to the pre-fault fleet, and a schedule whose
- *      faults never displace work (slowdown-1.0 brown-out) routes
- *      and serves bit-identically through the fault loop;
+ *  (a) additivity — an empty FaultSchedule reports trivial fault
+ *      metrics, and a schedule whose faults never displace work
+ *      (slowdown-1.0 brown-out) routes and serves bit-identically
+ *      to a fleet without faults;
  *  (b) a T-thread fault run is bit-identical to a serial one, for
  *      both routing policies, fault metrics included;
  *  (c) accounting — every generated request is completed, lost, or
  *      rejected, exactly once, and generatedTokens decomposes into
- *      goodputTokens + lostTokens under crash-mid-decode failover;
+ *      goodputTokens + lostTokens + recomputedTokens under
+ *      crash-mid-decode failover and preemption;
  *  (d) drain evacuations, stranded session successors, availability
  *      and reload accounting behave as scripted.
  */
@@ -53,7 +54,6 @@ testEngineOptions()
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     return opts;
 }
@@ -82,6 +82,7 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.completedRequests, b.completedRequests);
     EXPECT_EQ(a.rejectedRequests, b.rejectedRequests);
     EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.recomputedTokens, b.recomputedTokens);
     EXPECT_EQ(a.avgEffectiveBatch, b.avgEffectiveBatch);
     EXPECT_EQ(a.macUtilization, b.macUtilization);
     EXPECT_EQ(a.capacityUtilization, b.capacityUtilization);
@@ -126,10 +127,17 @@ expectSameFleet(const FleetResult &a, const FleetResult &b)
     EXPECT_EQ(a.lostRequests, b.lostRequests);
     EXPECT_EQ(a.lostTokens, b.lostTokens);
     EXPECT_EQ(a.reloadSeconds, b.reloadSeconds);
-    // retryHistogram is compared by the callers that expect both
-    // sides to have run the fault loop: the fault-free path reports
-    // no histogram at all, a displacement-free fault run an all-zero
-    // one.
+    EXPECT_EQ(a.retryHistogram, b.retryHistogram);
+}
+
+/** The fleet token ledger: every generated token was delivered,
+ *  discarded by a crash, or discarded by a preemption. */
+void
+expectTokenLedgerBalances(const FleetResult &fleet)
+{
+    EXPECT_EQ(fleet.aggregate.generatedTokens,
+              fleet.goodputTokens + fleet.lostTokens +
+                  fleet.aggregate.recomputedTokens);
 }
 
 // --- FaultSchedule: generation and validation. -------------------------
@@ -195,6 +203,10 @@ TEST(FaultSchedule, ValidateRejectsMalformedSchedules)
     extra.replicas.resize(3);
     extra.replicas[2].push_back(crashAt(1.0));
     EXPECT_DEATH(extra.validate(2), "replica 2 of a 2-replica fleet");
+    // Empty slots beyond the fleet script nothing and validate.
+    FaultSchedule padded;
+    padded.replicas.resize(3);
+    padded.validate(2);
 
     FaultSchedule unsorted;
     unsorted.replicas.resize(1);
@@ -216,7 +228,7 @@ TEST(FaultSchedule, ValidateRejectsMalformedSchedules)
 
 // --- (a) Additivity. ---------------------------------------------------
 
-TEST(FleetFaults, EmptyScheduleIsBitIdenticalToFaultFreeFleet)
+TEST(FleetFaults, EmptyScheduleReportsTrivialFaultMetrics)
 {
     auto model = testModel();
     auto cluster = testCluster(model);
@@ -241,7 +253,9 @@ TEST(FleetFaults, EmptyScheduleIsBitIdenticalToFaultFreeFleet)
     EXPECT_EQ(faulty.retriedRequests, 0u);
     EXPECT_EQ(faulty.lostRequests, 0u);
     EXPECT_EQ(faulty.lostTokens, 0u);
-    EXPECT_TRUE(faulty.retryHistogram.empty());
+    // One bucket per budget notch, all zero: nothing was displaced.
+    EXPECT_EQ(faulty.retryHistogram,
+              std::vector<std::uint64_t>(fopts.retryBudget + 1, 0));
     EXPECT_EQ(faulty.reloadSeconds, 0.0);
     EXPECT_EQ(faulty.aggregate.completedRequests, trace.size());
     // Everything completed, so goodput equals the decode total.
@@ -257,8 +271,9 @@ TEST(FleetFaults, NonDisplacingFaultTakesFaultLoopYetMatchesBitForBit)
     // full fault state machine (transition barriers, stray sweeps,
     // service-rate scaling) without displacing any work — IEEE
     // multiplication by 1.0 is exact, so the run must still be
-    // bit-identical to the fault-free fleet on every result field
-    // (the sync-round count differs: transition barriers are real).
+    // bit-identical to the fleet without faults on every result
+    // field (the sync-round count differs: transition barriers are
+    // real).
     auto model = testModel();
     auto cluster = testCluster(model);
     auto trace = testTrace(48, 32.0, 22);
@@ -322,7 +337,6 @@ TEST(FleetFaults, ParallelFaultRunMatchesSerialBothPolicies)
 
         EXPECT_EQ(serial.windows, parallel.windows);
         expectSameFleet(serial, parallel);
-        EXPECT_EQ(serial.retryHistogram, parallel.retryHistogram);
         // The crashes must have actually displaced work, or the
         // comparison is vacuous.
         EXPECT_GT(serial.evacuatedRequests + serial.retriedRequests,
@@ -364,13 +378,13 @@ TEST(FleetFaults, CrashMidDecodeFailsOverWithExactTokenAccounting)
     EXPECT_GT(fleet.lostTokens, 0u);
     EXPECT_GT(fleet.retriedRequests, 0u);
     // ...and the token ledger balances exactly: every generated
-    // token was either delivered (goodput) or discarded by the kill.
+    // token was delivered (goodput), discarded by the kill, or
+    // discarded by a preemption.
     std::uint64_t decode_total = 0;
     for (const auto &timed : trace)
         decode_total += timed.request.decodeTokens;
     EXPECT_EQ(fleet.goodputTokens, decode_total);
-    EXPECT_EQ(fleet.aggregate.generatedTokens,
-              fleet.goodputTokens + fleet.lostTokens);
+    expectTokenLedgerBalances(fleet);
     EXPECT_LT(fleet.availability[1], 1.0);
     EXPECT_EQ(fleet.availability[0], 1.0);
 }
@@ -398,10 +412,49 @@ TEST(FleetFaults, DeadFleetLosesTheRemainderExactly)
     EXPECT_EQ(fleet.aggregate.completedRequests + fleet.lostRequests +
                   fleet.aggregate.rejectedRequests,
               trace.size());
-    EXPECT_EQ(fleet.aggregate.generatedTokens,
-              fleet.goodputTokens + fleet.lostTokens);
+    expectTokenLedgerBalances(fleet);
     EXPECT_LT(fleet.availability[0], 1.0);
     EXPECT_LT(fleet.availability[1], 1.0);
+}
+
+TEST(FleetFaults, CrashAndPreemptionBalanceTheTokenLedger)
+{
+    // Memory-tight replicas: the KV budget only just covers two
+    // small-context, long-decode trajectories. The crash on
+    // replica 1 kills its in-flight decodes and fails them over to
+    // replica 0, whose extra admissions then run it out of memory,
+    // so it preempts and recomputes. Both kinds of discarded tokens
+    // must be accounted for exactly.
+    auto model = testModel();
+    const Tokens ctx = 1000, decode = 2000;
+    auto cluster = ClusterConfig::centLike(model);
+    cluster.nModules = 2;
+    cluster.plan = ParallelPlan{2, 1};
+    Bytes kv_budget = model.kvBytesPerToken() * (2 * ctx + 2 * 1800);
+    cluster.module.capacityBytes =
+        (kv_budget + model.weightBytes()) / cluster.nModules + 1;
+    applyOptions(cluster, PimphonyOptions::all());
+
+    std::vector<TimedRequest> trace;
+    for (RequestId i = 0; i < 6; ++i)
+        trace.push_back({Request(i, ctx, decode),
+                         0.01 * static_cast<double>(i)});
+
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.policy = RoutePolicy::RoundRobin;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = testEngineOptions();
+    fopts.faults.replicas.resize(2);
+    fopts.faults.replicas[1].push_back(crashAt(3.0));
+    auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+
+    EXPECT_GT(fleet.aggregate.preemptions, 0u);
+    EXPECT_GT(fleet.aggregate.recomputedTokens, 0u);
+    EXPECT_GT(fleet.lostTokens, 0u);
+    EXPECT_EQ(fleet.aggregate.completedRequests + fleet.lostRequests,
+              trace.size());
+    expectTokenLedgerBalances(fleet);
 }
 
 TEST(FleetFaults, RetryBudgetExhaustionDropsAndHistogramsRequests)

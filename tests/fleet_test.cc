@@ -14,7 +14,9 @@
  *      independent;
  *  (d) window-protocol edges hold: a replica idling across many
  *      windows stays correct, and an arrival landing exactly on a
- *      window barrier routes at that barrier (inclusive bound).
+ *      window barrier routes at that barrier (inclusive bound);
+ *  (e) golden anchors pin a multi-replica prefix-affinity session
+ *      fleet, windowed and lockstep, at hex-float precision.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "system/engine.hh"
 #include "system/fleet.hh"
 #include "workload/arrival.hh"
+#include "workload/spec.hh"
 #include "workload/trace.hh"
 
 namespace pimphony {
@@ -49,7 +52,6 @@ testEngineOptions()
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     return opts;
 }
@@ -77,6 +79,7 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.completedRequests, b.completedRequests);
     EXPECT_EQ(a.rejectedRequests, b.rejectedRequests);
     EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.recomputedTokens, b.recomputedTokens);
     EXPECT_EQ(a.avgEffectiveBatch, b.avgEffectiveBatch);
     EXPECT_EQ(a.macUtilization, b.macUtilization);
     EXPECT_EQ(a.capacityUtilization, b.capacityUtilization);
@@ -335,6 +338,68 @@ TEST(FleetEngine, AggregateSumsAndBoundsPerReplicaResults)
     // Least-loaded routing spreads work: every replica serves some.
     for (std::uint64_t n : fleet.routedRequests)
         EXPECT_GT(n, 0u);
+}
+
+// --- (e) Golden anchors. -----------------------------------------------
+
+/**
+ * A 4-replica prefix-affinity fleet of 3-turn sessions, three
+ * quarters of them opening with one of two pooled 1024-token
+ * prefixes, with the prefix cache on: router warmth probes, session
+ * pins and closed-loop turn release all shape the run.
+ */
+FleetResult
+runSessionAffinityFleet(double dispatch_latency)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    WorkloadSpec spec;
+    spec.count = 16;
+    spec.length.kind = LengthSourceKind::Pairs;
+    spec.length.pairs = {{2000, 16}, {4000, 16}};
+    spec.arrival.kind = ArrivalKind::Poisson;
+    spec.arrival.ratePerSecond = 16.0;
+    spec.session.turns = 3;
+    spec.session.thinkMeanSeconds = 0.2;
+    spec.prefix.share = 0.75;
+    spec.prefix.pool = 2;
+    spec.prefix.tokens = 1024;
+    auto built = buildWorkload(spec, 31);
+
+    FleetOptions fopts;
+    fopts.replicas = 4;
+    fopts.policy = RoutePolicy::PrefixAffinity;
+    fopts.dispatchLatencySeconds = dispatch_latency;
+    fopts.engine = testEngineOptions();
+    fopts.engine.chargePrefill = true;
+    fopts.engine.prefixCache.enabled = true;
+    FleetEngine fleet(cluster, model, built.initial, fopts);
+    fleet.setSessions(built.sessions);
+    return fleet.run();
+}
+
+TEST(FleetGolden, SessionAffinityWindowedAndLockstep)
+{
+    // Both runs route identically; the dispatch delay only shifts the
+    // makespan, and with it the throughput.
+    struct Golden
+    {
+        double dispatchLatency;
+        double tokensPerSecond;
+    };
+    for (const Golden &g : {Golden{0.002, 0x1.d8cd98257ad7ap+7},
+                            Golden{0.0, 0x1.d918278c16482p+7}}) {
+        auto f = runSessionAffinityFleet(g.dispatchLatency);
+        const std::vector<std::uint64_t> routed{7, 3, 3, 3};
+        EXPECT_EQ(f.windows, 17u);
+        EXPECT_EQ(f.routedRequests, routed);
+        EXPECT_EQ(f.routedSessions, routed);
+        EXPECT_EQ(f.aggregate.tokensPerSecond, g.tokensPerSecond);
+        EXPECT_EQ(f.aggregate.simEvents, 5960u);
+        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, 0x1.23e25a9a436fp-3);
+        EXPECT_EQ(f.aggregate.completedRequests, 48u);
+        EXPECT_GT(f.aggregate.prefixHits, 0u);
+    }
 }
 
 } // namespace

@@ -86,38 +86,6 @@ TEST(Tcp, FullActivationThresholdMatchesPaper)
     EXPECT_EQ(tcpFullActivationTokens(16), 256u);
 }
 
-TEST(MicroBatching, FullPipelineWhenBatchLarge)
-{
-    auto mb = planMicroBatches(32, 4);
-    EXPECT_EQ(mb.count, 4u);
-    EXPECT_EQ(mb.microBatchSize, 8u);
-    EXPECT_EQ(mb.stageBeats, 4u);
-    EXPECT_DOUBLE_EQ(mb.pipelineFill, 1.0);
-}
-
-TEST(MicroBatching, BubblesWhenBatchSmall)
-{
-    auto mb = planMicroBatches(2, 8);
-    EXPECT_EQ(mb.count, 2u);
-    EXPECT_EQ(mb.microBatchSize, 1u);
-    EXPECT_EQ(mb.stageBeats, 8u);
-    EXPECT_DOUBLE_EQ(mb.pipelineFill, 0.25);
-}
-
-TEST(MicroBatching, NoPipelineDegenerates)
-{
-    auto mb = planMicroBatches(10, 1);
-    EXPECT_EQ(mb.count, 1u);
-    EXPECT_EQ(mb.microBatchSize, 10u);
-    EXPECT_EQ(mb.stageBeats, 1u);
-}
-
-TEST(MicroBatching, EmptyBatch)
-{
-    auto mb = planMicroBatches(0, 4);
-    EXPECT_DOUBLE_EQ(mb.pipelineFill, 0.0);
-}
-
 TEST(AllReduce, ZeroForSingleModule)
 {
     EXPECT_DOUBLE_EQ(allReduceSeconds(1_MiB, 1, 64e9, 1e-6), 0.0);

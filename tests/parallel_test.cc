@@ -149,7 +149,6 @@ runCell(Tokens ctx, double rate, std::uint64_t seed)
     auto timed = gammaArrivals(reqs, rate, 3.0, seed);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     return ServingEngine(cluster, model, timed, opts).run();
 }

@@ -202,11 +202,10 @@ TEST(StageLayersSplit, LastStageAbsorbsRemainder)
     EXPECT_EQ(stageLayers(2, 4, 3), 1u);
 }
 
-TEST(StageLayersSplit, RemainderLayersAreChargedByBothModels)
+TEST(StageLayersSplit, RemainderLayersAreCharged)
 {
     // Pre-remainder handling, a 33-layer model on PP=2 was billed as
-    // 32 layers (16 per stage); now the extra layer must cost time
-    // in both step models.
+    // 32 layers (16 per stage); now the extra layer must cost time.
     auto model32 = LlmConfig::llm7b(true);
     auto model33 = model32;
     model33.nLayers = 33;
@@ -214,21 +213,17 @@ TEST(StageLayersSplit, RemainderLayersAreChargedByBothModels)
     for (RequestId i = 0; i < 8; ++i)
         reqs.push_back({i, 20000, 8});
 
-    for (StepModel sm : {StepModel::Analytic, StepModel::EventDriven}) {
-        auto cluster = ClusterConfig::centLike(model32);
-        cluster.nModules = 2;
-        cluster.plan = ParallelPlan{1, 2};
-        applyOptions(cluster, PimphonyOptions::all());
-        EngineOptions opts;
-        opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = sm;
-        auto r32 = ServingEngine(cluster, model32, reqs, opts).run();
-        auto r33 = ServingEngine(cluster, model33, reqs, opts).run();
-        EXPECT_EQ(r32.completedRequests, 8u) << stepModelName(sm);
-        EXPECT_EQ(r33.completedRequests, 8u) << stepModelName(sm);
-        EXPECT_LT(r33.tokensPerSecond, r32.tokensPerSecond)
-            << stepModelName(sm);
-    }
+    auto cluster = ClusterConfig::centLike(model32);
+    cluster.nModules = 2;
+    cluster.plan = ParallelPlan{1, 2};
+    applyOptions(cluster, PimphonyOptions::all());
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    auto r32 = ServingEngine(cluster, model32, reqs, opts).run();
+    auto r33 = ServingEngine(cluster, model33, reqs, opts).run();
+    EXPECT_EQ(r32.completedRequests, 8u);
+    EXPECT_EQ(r33.completedRequests, 8u);
+    EXPECT_LT(r33.tokensPerSecond, r32.tokensPerSecond);
 }
 
 // --- Engine: Prefilling state, TTFT, interference. --------------------
@@ -245,7 +240,6 @@ TEST(ChunkedPrefill, TtftReportedAndMonotoneInContext)
         std::vector<Request> reqs{{0, ctx, 4}};
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = 2048;
         auto r = ServingEngine(cluster, model, reqs, opts).run();
         ASSERT_EQ(r.completedRequests, 1u) << "ctx=" << ctx;
@@ -279,7 +273,6 @@ TEST(ChunkedPrefill, SmallerChunksCutDecodeStallAtSamePrefillCost)
     auto run = [&](Tokens chunk_tokens, bool scalar) {
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = chunk_tokens;
         opts.chargePrefill = scalar;
         return ServingEngine(cluster, model, timed, opts).run();
@@ -322,7 +315,6 @@ TEST(ChunkedPrefill, ChunksPipelineAcrossPpStages)
     auto run = [&](Tokens chunk_tokens) {
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = chunk_tokens;
         return ServingEngine(cluster, model, reqs, opts).run();
     };
@@ -340,33 +332,6 @@ TEST(ChunkedPrefill, ChunksPipelineAcrossPpStages)
     EXPECT_GT(fine.avgFirstTokenSeconds, fine.prefillSeconds);
 }
 
-TEST(ChunkedPrefill, AnalyticFallsBackToScalarCharge)
-{
-    auto model = LlmConfig::llm7b(true);
-    auto cluster = ClusterConfig::neupimsLike(model);
-    applyOptions(cluster, PimphonyOptions::all());
-    std::vector<Request> reqs;
-    for (RequestId i = 0; i < 6; ++i)
-        reqs.push_back({i, 30000, 12});
-
-    EngineOptions opts;
-    opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
-    opts.prefillChunkTokens = 2048;
-    auto chunked = ServingEngine(cluster, model, reqs, opts).run();
-
-    opts.prefillChunkTokens = 0;
-    opts.chargePrefill = true;
-    auto charged = ServingEngine(cluster, model, reqs, opts).run();
-
-    // The analytic model keeps the scalar charge under the chunk
-    // knob: bit-identical to chargePrefill.
-    EXPECT_DOUBLE_EQ(chunked.simulatedSeconds, charged.simulatedSeconds);
-    EXPECT_DOUBLE_EQ(chunked.tokensPerSecond, charged.tokensPerSecond);
-    EXPECT_DOUBLE_EQ(chunked.prefillSeconds, charged.prefillSeconds);
-    EXPECT_EQ(chunked.completedRequests, charged.completedRequests);
-}
-
 TEST(ChunkedPrefill, PimOnlyPrefillsOnPnmWithoutTouchingDecode)
 {
     // In the PIM-only system prefill runs on the PNM engines; decode
@@ -381,7 +346,6 @@ TEST(ChunkedPrefill, PimOnlyPrefillsOnPnmWithoutTouchingDecode)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     auto plain = ServingEngine(cluster, model, reqs, opts).run();
     opts.prefillChunkTokens = 4096;
     auto chunked = ServingEngine(cluster, model, reqs, opts).run();

@@ -343,7 +343,6 @@ cachingOptions(bool enabled)
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     opts.chargePrefill = true;
     opts.prefixCache.enabled = enabled;
@@ -491,7 +490,6 @@ TEST(PrefixEngine, DisabledIsBitIdenticalToBaseline)
 
     EngineOptions base;
     base.allocator = AllocatorKind::LazyChunk;
-    base.stepModel = StepModel::EventDriven;
     base.prefillChunkTokens = 2048;
     auto disabled = base;
     disabled.prefixCache.enabled = false;
@@ -568,7 +566,7 @@ TEST(PrefixEngine, FractionalTenantChargeRefundsExactly)
     }
 }
 
-TEST(PrefixEngine, RequiresLazyChunkAndEventDriven)
+TEST(PrefixEngine, RequiresLazyChunk)
 {
     auto model = testModel();
     auto cluster = testCluster(model);
@@ -578,12 +576,6 @@ TEST(PrefixEngine, RequiresLazyChunkAndEventDriven)
     EXPECT_DEATH(
         ServingEngine(cluster, model, trace, static_opts).run(),
         "LazyChunk");
-    auto analytic_opts = cachingOptions(true);
-    analytic_opts.stepModel = StepModel::Analytic;
-    analytic_opts.prefillChunkTokens = 0;
-    EXPECT_DEATH(
-        ServingEngine(cluster, model, trace, analytic_opts).run(),
-        "event-driven");
 }
 
 // --- Workload prefix stamping. -----------------------------------------

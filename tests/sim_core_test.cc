@@ -2,8 +2,9 @@
  * @file
  * Tests for the event-driven serving core: the sim primitives
  * (event queue, devices, stage pipeline), the anchor contract that
- * the event-driven engine reproduces the analytic engine on PP=1
- * and beats it on a heterogeneous PP>1 deployment, and the
+ * the event-driven engine reproduces the recorded closed-form
+ * lockstep results on PP=1 and beats them on a heterogeneous PP>1
+ * deployment, and the
  * open-loop behaviors (late arrivals, preemption re-queue, latency
  * percentile edge cases).
  */
@@ -247,7 +248,6 @@ TEST(SmallFn, DecodePathIsCallbackAllocationFree)
         auto timed = gammaArrivals(reqs, 4.0, 3.0, 17);
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = StepModel::EventDriven;
         opts.prefillChunkTokens = 2048;
         opts.sched.kind = kind;
 
@@ -430,7 +430,6 @@ TEST(ChunkedPrefillEdge, ZeroContextRequestSkipsPrefill)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = 2048;
     auto r = ServingEngine(cluster, model, reqs, opts).run();
     EXPECT_EQ(r.completedRequests, 2u);
@@ -461,7 +460,14 @@ TEST(PipelineStage, XpuShadowTrailsPimTimeline)
     EXPECT_LE(stage.xpu()->busyUntil(), stage.busyUntil());
 }
 
-// --- Engine anchors: event-driven vs analytic. -----------------------
+// --- Engine anchors: event-driven vs the closed-form lockstep. -------
+//
+// The ka* constants are reference results of a closed-form lockstep
+// model on each configuration, recorded at hex-float precision: every
+// decode step costs stageBeats * max_stage_sec, each stage beat
+// padded to the slowest micro-batch. On PP=1 the event core must
+// agree with them; on a heterogeneous PP>1 deployment it must beat
+// them.
 
 std::vector<Request>
 uniformRequests(std::size_t n, Tokens context, Tokens decode)
@@ -483,18 +489,43 @@ TEST(StepModels, AgreeOnPp1PimOnly)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
-    auto a = ServingEngine(cluster, model, reqs, opts).run();
-    opts.stepModel = StepModel::EventDriven;
     auto e = ServingEngine(cluster, model, reqs, opts).run();
 
-    ASSERT_GT(a.tokensPerSecond, 0.0);
-    EXPECT_NEAR(e.tokensPerSecond / a.tokensPerSecond, 1.0, 0.01);
-    EXPECT_NEAR(e.macUtilization, a.macUtilization, 0.01);
-    EXPECT_NEAR(e.avgEffectiveBatch, a.avgEffectiveBatch,
-                0.01 * a.avgEffectiveBatch);
-    EXPECT_EQ(e.completedRequests, a.completedRequests);
-    EXPECT_EQ(e.generatedTokens, a.generatedTokens);
+    // The lockstep model's result on this configuration.
+    const double kaTokensPerSecond = 0x1.4499752e43138p+9;
+    const double kaSimulatedSeconds = 0x1.93cbcf4bd81acp-3;
+    const std::uint64_t kaGeneratedTokens = 128;
+    const std::uint64_t kaCompletedRequests = 8;
+    const double kaAvgEffectiveBatch = 0x1p+3;
+    const double kaMacUtilization = 0x1.5921e0372e998p-2;
+    const double kaCapacityUtilization = 0x1.41f3ea3258a45p-2;
+    const double kaAttentionSeconds = 0x1.eb60136ea557bp-4;
+    const double kaFcSeconds = 0x1.b93da3cf7d811p-5;
+    const double kaP95RequestLatency = 0x1.93cbcf4bd81acp-3;
+    const double kaP95FirstTokenSeconds = 0x1.93ba17cf90b2ap-7;
+    const double kaP95TokenGapSeconds = 0x1.93d3dce16cedp-7;
+    const double kaAvgTokenGapSeconds = 0x1.93ccfda97677ep-7;
+
+    EXPECT_NEAR(e.tokensPerSecond / kaTokensPerSecond, 1.0, 0.01);
+    EXPECT_NEAR(e.macUtilization, kaMacUtilization, 0.01);
+    EXPECT_NEAR(e.avgEffectiveBatch, kaAvgEffectiveBatch,
+                0.01 * kaAvgEffectiveBatch);
+    EXPECT_EQ(e.completedRequests, kaCompletedRequests);
+    EXPECT_EQ(e.generatedTokens, kaGeneratedTokens);
+    // On PP=1 the pipeline recurrence degenerates to the closed form,
+    // so time, occupancy and latency agree as well.
+    auto expectWithinOnePercent = [](double actual, double reference) {
+        EXPECT_NEAR(actual, reference, 0.01 * reference);
+    };
+    expectWithinOnePercent(e.simulatedSeconds, kaSimulatedSeconds);
+    expectWithinOnePercent(e.capacityUtilization, kaCapacityUtilization);
+    expectWithinOnePercent(e.attentionSeconds, kaAttentionSeconds);
+    expectWithinOnePercent(e.fcSeconds, kaFcSeconds);
+    expectWithinOnePercent(e.p95RequestLatency, kaP95RequestLatency);
+    expectWithinOnePercent(e.p95FirstTokenSeconds,
+                           kaP95FirstTokenSeconds);
+    expectWithinOnePercent(e.p95TokenGapSeconds, kaP95TokenGapSeconds);
+    expectWithinOnePercent(e.avgTokenGapSeconds, kaAvgTokenGapSeconds);
 }
 
 TEST(StepModels, AgreeOnPp1XpuPim)
@@ -506,20 +537,18 @@ TEST(StepModels, AgreeOnPp1XpuPim)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
-    auto a = ServingEngine(cluster, model, reqs, opts).run();
-    opts.stepModel = StepModel::EventDriven;
     auto e = ServingEngine(cluster, model, reqs, opts).run();
 
-    ASSERT_GT(a.tokensPerSecond, 0.0);
-    EXPECT_NEAR(e.tokensPerSecond / a.tokensPerSecond, 1.0, 0.01);
+    // The lockstep model's throughput on this configuration.
+    const double kaTokensPerSecond = 0x1.341fe7c4a1bf8p+9;
+    EXPECT_NEAR(e.tokensPerSecond / kaTokensPerSecond, 1.0, 0.01);
 }
 
 TEST(StepModels, EventDrivenBeatsAnalyticOnPp4Heterogeneous)
 {
     // PP=4 with memory turnover and bimodal context lengths: the
     // ready pool forms homogeneous cohorts of two, fewer cohorts
-    // than stages are in flight, and the analytic model pads every
+    // than stages are in flight, and the lockstep model padded every
     // stage beat to the slowest micro-batch while the event-driven
     // pipeline lets short-context cohorts cycle, retire, and pull
     // pending work at their own pace.
@@ -541,15 +570,13 @@ TEST(StepModels, EventDrivenBeatsAnalyticOnPp4Heterogeneous)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::Analytic;
-    auto a = ServingEngine(cluster, model, reqs, opts).run();
-    opts.stepModel = StepModel::EventDriven;
     auto e = ServingEngine(cluster, model, reqs, opts).run();
 
-    EXPECT_EQ(a.completedRequests, 32u);
+    // The lockstep model's throughput on this configuration (it
+    // completed all 32 requests).
+    const double kaTokensPerSecond = 0x1.cd50d0818d9b3p+7;
     EXPECT_EQ(e.completedRequests, 32u);
-    ASSERT_GT(a.tokensPerSecond, 0.0);
-    EXPECT_GE(e.tokensPerSecond, 1.05 * a.tokensPerSecond);
+    EXPECT_GE(e.tokensPerSecond, 1.05 * kaTokensPerSecond);
 }
 
 // --- Open-loop coverage. ---------------------------------------------
@@ -565,7 +592,6 @@ TEST(OpenLoopEvent, IdlesUntilFirstArrival)
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     auto r = ServingEngine(cluster, model, timed, opts).run();
     EXPECT_EQ(r.completedRequests, 2u);
     // The clock idles to the arrivals instead of starting at zero.
@@ -597,20 +623,21 @@ TEST(OpenLoopEvent, PreemptionRequeuesWithOriginalArrival)
     timed.push_back({{0, ctx, decode}, 0.0});
     timed.push_back({{1, ctx, decode}, 0.01});
 
-    for (StepModel sm : {StepModel::EventDriven, StepModel::Analytic}) {
-        EngineOptions opts;
-        opts.allocator = AllocatorKind::LazyChunk;
-        opts.stepModel = sm;
-        auto r = ServingEngine(cluster, model, timed, opts).run();
-        EXPECT_GE(r.preemptions, 1u) << stepModelName(sm);
-        EXPECT_EQ(r.completedRequests, 2u) << stepModelName(sm);
-        EXPECT_EQ(r.rejectedRequests, 0u) << stepModelName(sm);
-        // Nearest-rank p95 of two samples is the max latency: the
-        // preempted request restarts, finishes last, and its latency
-        // reaches back to its original arrival near time zero.
-        EXPECT_GE(r.p95RequestLatency, 0.9 * r.simulatedSeconds)
-            << stepModelName(sm);
-    }
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    auto r = ServingEngine(cluster, model, timed, opts).run();
+    EXPECT_GE(r.preemptions, 1u);
+    EXPECT_EQ(r.completedRequests, 2u);
+    EXPECT_EQ(r.rejectedRequests, 0u);
+    // Nearest-rank p95 of two samples is the max latency: the
+    // preempted request restarts, finishes last, and its latency
+    // reaches back to its original arrival near time zero.
+    EXPECT_GE(r.p95RequestLatency, 0.9 * r.simulatedSeconds);
+    // Token ledger: the preempted request's discarded tokens are
+    // generated again, so generation exceeds the delivered decode
+    // total by exactly the recomputed share.
+    EXPECT_GT(r.recomputedTokens, 0u);
+    EXPECT_EQ(r.generatedTokens, 2 * decode + r.recomputedTokens);
 }
 
 TEST(LatencyPercentiles, NearestRankEdgeCases)

@@ -205,7 +205,6 @@ runEngine(const ClusterConfig &cluster, const LlmConfig &model,
 {
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
-    opts.stepModel = StepModel::EventDriven;
     opts.prefillChunkTokens = chunk;
     opts.sched = sched;
     opts.tenantBudgets = budgets;
