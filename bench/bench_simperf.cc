@@ -25,7 +25,10 @@
  *    hand-off.
  *  - SLO gate: O(log W) per decode gap (WindowedQuantile), O(1) per
  *    admission check.
- *  - finalizeResult: O(n) per percentile via nth_element.
+ *  - finalize: each latency stream is an exact run-length store
+ *    (SampleRuns), so memory grows with runs of repeated values, not
+ *    with decoded tokens; a percentile sorts the r runs once,
+ *    O(r log r).
  *
  * Reading BENCH_simperf.json: rows[] carry the per-config results.
  * Deterministic fields (sim_events, generated_tokens,
@@ -43,7 +46,10 @@
  * except for host core contention when --threads > 1 oversubscribes
  * the machine. The committed baseline and the CI perf gate therefore
  * use serial (--threads 1) runs; threads and config_wall_ms record
- * each row's provenance.
+ * each row's provenance. config_wall_ms spans the whole cell: the
+ * warm-up run plus every timed repetition, 1 + reps runs (6 full, 4
+ * with --smoke), while wall_ms is the best single repetition — so
+ * config_wall_ms is roughly (1 + reps) x wall_ms.
  *
  * usage: bench_simperf [--smoke] [--json[=PATH]] [--threads N] |
  * --micro [gbench flags]

@@ -117,6 +117,25 @@ nearestRankPercentileInPlace(std::vector<double> &samples, double p)
     return samples[rank - 1];
 }
 
+double
+SampleRuns::percentile(double p)
+{
+    if (count_ == 0)
+        return 0.0;
+    // Equal values in different runs sort adjacent, so the walk
+    // visits the sorted expanded stream run by run.
+    std::sort(runs_.begin(), runs_.end(),
+              [](const Run &a, const Run &b) { return a.value < b.value; });
+    const Count rank = nearestRank(count_, p);
+    Count seen = 0;
+    for (const Run &run : runs_) {
+        seen += run.count;
+        if (seen >= rank)
+            return run.value;
+    }
+    return runs_.back().value;
+}
+
 WindowedQuantile::WindowedQuantile(std::size_t window, double percentile)
     : window_(window), percentile_(percentile)
 {

@@ -10,6 +10,8 @@
 #define PIMPHONY_COMMON_STATS_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <set>
 #include <string>
@@ -116,6 +118,71 @@ double nearestRankPercentile(const std::vector<double> &sorted, double p);
  */
 double nearestRankPercentileInPlace(std::vector<double> &samples,
                                     double p);
+
+/**
+ * Exact run-length sample store: a whole stream kept as runs of
+ * consecutive equal values.
+ *
+ * Memoized cycle costs make token gaps repeat bit for bit, so a
+ * decode stream of millions of samples collapses to a few hundred
+ * thousand runs. Memory grows with runs, not samples: 16 B per run
+ * (value + 64-bit count, which cannot wrap), so at worst — no two
+ * consecutive values equal — 16 B per sample. Runs live in a deque,
+ * which grows in fixed blocks instead of doubling a buffer.
+ *
+ * Nothing is lost: mean() is the running sum in production order,
+ * and percentile() returns the same order statistic as
+ * nearestRankPercentile over the sorted expanded stream (asserted
+ * property-style in tests/common_test.cc).
+ */
+class SampleRuns
+{
+  public:
+    using Count = std::uint64_t;
+
+    void
+    add(double v)
+    {
+        if (!runs_.empty() && runs_.back().value == v)
+            ++runs_.back().count;
+        else
+            runs_.push_back({v, 1});
+        ++count_;
+        sum_ += v;
+    }
+
+    /** Samples added (the expanded stream's length). */
+    Count count() const { return count_; }
+
+    /** Runs of consecutive equal samples stored. */
+    std::size_t runs() const { return runs_.size(); }
+
+    /** Production-order sum / count; 0 when empty. */
+    double
+    mean() const
+    {
+        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+    }
+
+    /**
+     * Nearest-rank percentile, @p p in (0, 100]; 0 when empty.
+     * Sorts the runs by value in place (no copy): later calls and
+     * mean() stay exact, and a later add() only forgoes merging into
+     * the run it would have extended.
+     */
+    double percentile(double p);
+
+  private:
+    struct Run
+    {
+        double value;
+        Count count;
+    };
+
+    std::deque<Run> runs_;
+    Count count_ = 0;
+    double sum_ = 0.0;
+};
 
 /**
  * Streaming nearest-rank percentile over a sliding window of the

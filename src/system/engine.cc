@@ -144,16 +144,6 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     module_ = std::make_unique<PimModuleModel>(cluster_.module);
     xpu_ = std::make_unique<XpuModel>(cluster_.xpu);
     sortByArrival(requests);
-    // Pre-size the sample accumulators from the workload: one
-    // latency and TTFT sample per request, and at most one gap per
-    // decoded token after the first — the push_back paths then never
-    // reallocate mid-run.
-    Tokens total_decode = 0;
-    for (const auto &r : requests)
-        total_decode += r.request.decodeTokens;
-    latencies_.reserve(requests.size());
-    firstTokenLatencies_.reserve(requests.size());
-    tokenGaps_.reserve(total_decode);
     result_.firstTokenLatency.reserve(requests.size());
     result_.completionSeconds.reserve(requests.size());
     for (auto &r : requests)
@@ -175,26 +165,18 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     }
     tenantsActive_ = tenantsActive_ || budgetsActive_;
     if (classesActive_) {
-        std::map<unsigned, Tokens> tier_decode;
         for (const auto &timed : pending_) {
             const RequestClass &cls = timed.request.cls;
             TierState &ts = tiers_[cls.tier];
             ++ts.requests;
-            tier_decode[cls.tier] += timed.request.decodeTokens;
             // First explicit per-class target wins; tiers without
             // one are judged against the policy-wide default.
             if (ts.target == 0.0 && cls.gapSloSeconds > 0.0)
                 ts.target = cls.gapSloSeconds;
         }
-        for (auto &kv : tiers_) {
+        for (auto &kv : tiers_)
             if (kv.second.target == 0.0)
                 kv.second.target = options_.sched.sloTargetGapSeconds;
-            // Pre-size the per-tier samples like the aggregate
-            // vectors above, so the decode path never reallocates
-            // mid-run.
-            kv.second.ttfts.reserve(kv.second.requests);
-            kv.second.gaps.reserve(tier_decode[kv.first]);
-        }
     }
     if (budgetsActive_) {
         double total_share = 0.0;
@@ -569,18 +551,18 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         // First admission wins: a preempted-and-recomputed request
         // keeps the TTFT of its first emitted token.
         if (result_.firstTokenLatency.emplace(a.request.id, ttft).second) {
-            firstTokenLatencies_.push_back(ttft);
+            firstTokenLatencies_.add(ttft);
             if (classesActive_)
-                tiers_[a.request.cls.tier].ttfts.push_back(ttft);
+                tiers_[a.request.cls.tier].ttfts.add(ttft);
         }
     } else if (a.lastTokenAt >= 0.0) {
         double gap = completion_clock - a.lastTokenAt;
-        tokenGaps_.push_back(gap);
+        tokenGaps_.add(gap);
         if (gapWindow_)
             gapWindow_->add(gap);
         if (classesActive_) {
             TierState &ts = tiers_[a.request.cls.tier];
-            ts.gaps.push_back(gap);
+            ts.gaps.add(gap);
             if (ts.window)
                 ts.window->add(gap);
         }
@@ -618,7 +600,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         ++result_.completedRequests;
         if (classesActive_)
             ++tiers_[a.request.cls.tier].completed;
-        latencies_.push_back(completion_clock - a.arrival);
+        latencies_.add(completion_clock - a.arrival);
         result_.completionSeconds.emplace(a.request.id,
                                           completion_clock);
         if (sessionsActive_)
@@ -1599,29 +1581,16 @@ ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
     }
     result_.macUtilization = safeRatio(acc.busyCycles, acc.spanCycles);
 
-    // O(n) summaries: a running sum for the average (accumulated in
-    // sample-production order) and one nth_element for the
-    // nearest-rank p95 — the former sort-the-whole-vector pass is
-    // the dominant finalize cost at sweep scale. The p95 is the
-    // exact order statistic the sorted path produced; the average
-    // now rounds in insertion order rather than ascending order
-    // (same value to ~1 ulp per thousand samples).
-    auto summarize = [](std::vector<double> &samples, double &avg,
-                        double &p95) {
-        if (samples.empty())
-            return;
-        double sum = 0.0;
-        for (double s : samples)
-            sum += s;
-        avg = sum / static_cast<double>(samples.size());
-        p95 = nearestRankPercentileInPlace(samples, 95.0);
-    };
-    summarize(latencies_, result_.avgRequestLatency,
-              result_.p95RequestLatency);
-    summarize(firstTokenLatencies_, result_.avgFirstTokenSeconds,
-              result_.p95FirstTokenSeconds);
-    summarize(tokenGaps_, result_.avgTokenGapSeconds,
-              result_.p95TokenGapSeconds);
+    // Exact summaries of the run-length sample stores: the average
+    // is the production-order running sum, the p95 the nearest-rank
+    // order statistic of the whole stream.
+    result_.avgRequestLatency = latencies_.mean();
+    result_.p95RequestLatency = latencies_.percentile(95.0);
+    result_.avgFirstTokenSeconds = firstTokenLatencies_.mean();
+    result_.p95FirstTokenSeconds = firstTokenLatencies_.percentile(95.0);
+    result_.avgTokenGapSeconds = tokenGaps_.mean();
+    result_.p95TokenGapSeconds = tokenGaps_.percentile(95.0);
+    result_.tokenGapSamples = tokenGaps_.count();
 
     // Per-class and per-tenant summaries (classes / budgets only;
     // both vectors stay empty on the strictly-additive default
@@ -1634,10 +1603,11 @@ ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
             cl.gapSloTargetSeconds = kv.second.target;
             cl.requests = kv.second.requests;
             cl.completedRequests = kv.second.completed;
-            summarize(kv.second.ttfts, cl.avgFirstTokenSeconds,
-                      cl.p95FirstTokenSeconds);
-            summarize(kv.second.gaps, cl.avgTokenGapSeconds,
-                      cl.p95TokenGapSeconds);
+            cl.avgFirstTokenSeconds = kv.second.ttfts.mean();
+            cl.p95FirstTokenSeconds = kv.second.ttfts.percentile(95.0);
+            cl.avgTokenGapSeconds = kv.second.gaps.mean();
+            cl.p95TokenGapSeconds = kv.second.gaps.percentile(95.0);
+            cl.tokenGapSamples = kv.second.gaps.count();
             result_.classLatencies.push_back(cl);
         }
     }

@@ -98,6 +98,10 @@ struct EngineResult
     /** Prefill time charged when EngineOptions::chargePrefill is on. */
     double prefillSeconds = 0.0;
 
+    // The averages and p95s below are exact over every sample of the
+    // run: production-order sums and nearest-rank order statistics of
+    // run-length SampleRuns stores (common/stats.hh).
+
     /** Request latency (completion - arrival), open- or closed-loop. */
     double avgRequestLatency = 0.0;
     double p95RequestLatency = 0.0;
@@ -113,6 +117,14 @@ struct EngineResult
      */
     double avgTokenGapSeconds = 0.0;
     double p95TokenGapSeconds = 0.0;
+
+    /**
+     * Token-gap samples behind the two fields above. A preempted
+     * request's restart emits a first token that records neither a
+     * TTFT nor a gap, so this is not generatedTokens minus the TTFT
+     * count; fleet aggregation weights gap averages by it.
+     */
+    std::uint64_t tokenGapSamples = 0;
 
     /** Per-request TTFT, keyed by request id (first admission). */
     std::unordered_map<RequestId, double> firstTokenLatency;
@@ -179,6 +191,9 @@ struct EngineResult
         double p95FirstTokenSeconds = 0.0;
         double avgTokenGapSeconds = 0.0;
         double p95TokenGapSeconds = 0.0;
+
+        /** Token-gap samples of the tier (its gap-average weight). */
+        std::uint64_t tokenGapSamples = 0;
     };
 
     /** Per-tier TTFT / decode-gap percentiles, ascending tier.
@@ -599,7 +614,7 @@ class ServingEngine
     // --- bit-transparent — when the workload is single-class and no
     // --- budgets are configured). -----------------------------------
 
-    /** Per-tier sample store and (optional) sliding SLO window. */
+    /** Per-tier sample stores and (optional) sliding SLO window. */
     struct TierState
     {
         /** Gap SLO target (class target, else the policy default). */
@@ -607,8 +622,10 @@ class ServingEngine
 
         std::uint64_t requests = 0;
         std::uint64_t completed = 0;
-        std::vector<double> ttfts;
-        std::vector<double> gaps;
+
+        /** TTFT and token-gap samples of the tier's requests. */
+        SampleRuns ttfts;
+        SampleRuns gaps;
 
         /** Per-tier windowed p95 (gap-steered policies only). */
         std::unique_ptr<WindowedQuantile> window;
@@ -705,9 +722,13 @@ class ServingEngine
 
     std::unique_ptr<PimModuleModel> module_;
     std::unique_ptr<XpuModel> xpu_;
-    std::vector<double> latencies_;
-    std::vector<double> firstTokenLatencies_;
-    std::vector<double> tokenGaps_;
+
+    /** Whole-run samples (a latency per completion, a TTFT per first
+     *  admission, a gap per later token), kept as runs of repeated
+     *  values: memory grows with runs, not with decoded tokens. */
+    SampleRuns latencies_;
+    SampleRuns firstTokenLatencies_;
+    SampleRuns tokenGaps_;
 
     /**
      * Declared-but-unreleased successor turns, keyed by the

@@ -570,10 +570,12 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
     EngineResult agg;
 
     // Weighted-average accumulators: (sum of value * weight, sum of
-    // weight) pairs folded into the mean at the end.
+    // weight) pairs folded into the mean at the end. Gap averages
+    // weight by the exact gap-sample counts, summed into the
+    // tokenGapSamples fields themselves.
     double lat_w = 0.0, lat_sum = 0.0;
     double ttft_w = 0.0, ttft_sum = 0.0;
-    double gap_w = 0.0, gap_sum = 0.0;
+    double gap_sum = 0.0;
     double batch_sum = 0.0, mac_sum = 0.0, cap_sum = 0.0;
     double sec_sum = 0.0;
 
@@ -581,7 +583,7 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
     {
         EngineResult::ClassLatency out;
         double ttft_w = 0.0, ttft_sum = 0.0;
-        double gap_w = 0.0, gap_sum = 0.0;
+        double gap_sum = 0.0;
     };
     std::map<unsigned, ClassAccum> classes;
 
@@ -642,11 +644,9 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
         double fw = static_cast<double>(r.firstTokenLatency.size());
         ttft_w += fw;
         ttft_sum += r.avgFirstTokenSeconds * fw;
-        double gw = static_cast<double>(r.generatedTokens) -
-                    static_cast<double>(r.firstTokenLatency.size());
-        gw = std::max(gw, 0.0);
-        gap_w += gw;
-        gap_sum += r.avgTokenGapSeconds * gw;
+        agg.tokenGapSamples += r.tokenGapSamples;
+        gap_sum += r.avgTokenGapSeconds *
+                   static_cast<double>(r.tokenGapSamples);
 
         batch_sum += r.avgEffectiveBatch * r.simulatedSeconds;
         mac_sum += r.macUtilization * r.simulatedSeconds;
@@ -668,8 +668,9 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
             double cw = static_cast<double>(cl.completedRequests);
             ca.ttft_w += cw;
             ca.ttft_sum += cl.avgFirstTokenSeconds * cw;
-            ca.gap_w += cw;
-            ca.gap_sum += cl.avgTokenGapSeconds * cw;
+            ca.out.tokenGapSamples += cl.tokenGapSamples;
+            ca.gap_sum += cl.avgTokenGapSeconds *
+                          static_cast<double>(cl.tokenGapSamples);
             ca.out.p95FirstTokenSeconds = std::max(
                 ca.out.p95FirstTokenSeconds, cl.p95FirstTokenSeconds);
             ca.out.p95TokenGapSeconds = std::max(
@@ -701,8 +702,9 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
         agg.avgRequestLatency = lat_sum / lat_w;
     if (ttft_w > 0.0)
         agg.avgFirstTokenSeconds = ttft_sum / ttft_w;
-    if (gap_w > 0.0)
-        agg.avgTokenGapSeconds = gap_sum / gap_w;
+    if (agg.tokenGapSamples > 0)
+        agg.avgTokenGapSeconds =
+            gap_sum / static_cast<double>(agg.tokenGapSamples);
     if (agg.simulatedSeconds > 0.0)
         // Sum of per-replica concurrent batches, time-averaged over
         // the fleet makespan.
@@ -716,8 +718,9 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
         ClassAccum &ca = kv.second;
         if (ca.ttft_w > 0.0)
             ca.out.avgFirstTokenSeconds = ca.ttft_sum / ca.ttft_w;
-        if (ca.gap_w > 0.0)
-            ca.out.avgTokenGapSeconds = ca.gap_sum / ca.gap_w;
+        if (ca.out.tokenGapSamples > 0)
+            ca.out.avgTokenGapSeconds =
+                ca.gap_sum / static_cast<double>(ca.out.tokenGapSamples);
         agg.classLatencies.push_back(ca.out);
     }
     for (auto &kv : tenants) {

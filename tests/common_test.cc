@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -271,6 +273,106 @@ TEST(NearestRankInPlace, MatchesSortedNearestRank)
     }
     std::vector<double> empty;
     EXPECT_DOUBLE_EQ(nearestRankPercentileInPlace(empty, 95.0), 0.0);
+}
+
+// --- Run-length sample store. ----------------------------------------
+
+/**
+ * Check @p store against the expanded stream @p samples it was fed:
+ * count, run count, production-order mean and nearest-rank
+ * percentiles, all bit for bit.
+ */
+void
+expectMatchesExpandedStream(SampleRuns &store,
+                            const std::vector<double> &samples)
+{
+    ASSERT_EQ(store.count(), samples.size());
+    double sum = 0.0;
+    for (double s : samples)
+        sum += s;
+    const double n = static_cast<double>(samples.size());
+    ASSERT_EQ(store.mean(), samples.empty() ? 0.0 : sum / n);
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : {50.0, 95.0, 99.0, 100.0})
+        ASSERT_EQ(store.percentile(p), nearestRankPercentile(sorted, p))
+            << "p " << p << " n " << samples.size();
+}
+
+TEST(SampleRuns, MatchesExpandedStreamOnRepeatRuns)
+{
+    // Property: streams mixing long repeat runs (memoized cycle costs
+    // repeat a gap bit for bit) with distinct values summarize exactly
+    // like the expanded stream. Repeat values come from a small pool,
+    // so equal values also recur in non-adjacent runs. Checkpoints
+    // query mid-stream, so later adds land after an in-place sort.
+    for (std::uint64_t seed : {3u, 17u, 101u}) {
+        Rng rng(seed);
+        const double pool[] = {0.25, 0.5, 0.75, 1.0, 1.25};
+        SampleRuns store;
+        std::vector<double> samples;
+        std::size_t value_changes = 0;
+        for (int run = 0; run < 600; ++run) {
+            double v;
+            std::uint64_t len;
+            if (rng.uniform() < 0.5) {
+                v = pool[rng.uniformInt(0, 4)];
+                len = rng.uniformInt(1, 200);
+            } else {
+                v = rng.uniform();
+                len = 1;
+            }
+            for (std::uint64_t i = 0; i < len; ++i) {
+                if (samples.empty() || samples.back() != v)
+                    ++value_changes;
+                samples.push_back(v);
+                store.add(v);
+            }
+            if (run % 150 == 149) {
+                // Until the first query each value change opens
+                // exactly one run.
+                if (run == 149) {
+                    EXPECT_EQ(store.runs(), value_changes);
+                }
+                expectMatchesExpandedStream(store, samples);
+            }
+        }
+        expectMatchesExpandedStream(store, samples);
+        EXPECT_LT(store.runs() * 10, samples.size());
+    }
+}
+
+TEST(SampleRuns, EmptyAndSingleSample)
+{
+    SampleRuns empty;
+    EXPECT_EQ(empty.count(), 0u);
+    EXPECT_EQ(empty.runs(), 0u);
+    expectMatchesExpandedStream(empty, {});
+    EXPECT_EQ(empty.percentile(95.0), 0.0);
+
+    SampleRuns one;
+    one.add(42.0);
+    EXPECT_EQ(one.runs(), 1u);
+    expectMatchesExpandedStream(one, {42.0});
+    EXPECT_EQ(one.percentile(1.0), 42.0);
+}
+
+TEST(SampleRuns, LongRunsCountExactly)
+{
+    // Run counts are 64-bit: no stream a host can hold wraps one.
+    static_assert(std::numeric_limits<SampleRuns::Count>::digits >= 64,
+                  "run counts must not wrap");
+    SampleRuns store;
+    const std::uint64_t n = (1u << 20) + 3;
+    for (std::uint64_t i = 0; i < n; ++i)
+        store.add(2.0);
+    store.add(7.0);
+    EXPECT_EQ(store.runs(), 2u);
+    EXPECT_EQ(store.count(), n + 1);
+    EXPECT_EQ(store.percentile(99.0), 2.0);
+    EXPECT_EQ(store.percentile(100.0), 7.0);
+    const double sum = 2.0 * static_cast<double>(n) + 7.0;
+    EXPECT_EQ(store.mean(), sum / static_cast<double>(n + 1));
 }
 
 } // namespace

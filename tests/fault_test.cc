@@ -95,6 +95,7 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.p95FirstTokenSeconds, b.p95FirstTokenSeconds);
     EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds);
     EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds);
+    EXPECT_EQ(a.tokenGapSamples, b.tokenGapSamples);
     EXPECT_EQ(a.sloDeferrals, b.sloDeferrals);
     EXPECT_EQ(a.chunkSlices, b.chunkSlices);
     EXPECT_EQ(a.decodeOvertakes, b.decodeOvertakes);

@@ -92,6 +92,7 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.p95FirstTokenSeconds, b.p95FirstTokenSeconds);
     EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds);
     EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds);
+    EXPECT_EQ(a.tokenGapSamples, b.tokenGapSamples);
     EXPECT_EQ(a.sloDeferrals, b.sloDeferrals);
     EXPECT_EQ(a.chunkSlices, b.chunkSlices);
     EXPECT_EQ(a.decodeOvertakes, b.decodeOvertakes);
@@ -113,6 +114,7 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
         EXPECT_EQ(ca.completedRequests, cb.completedRequests);
         EXPECT_EQ(ca.avgFirstTokenSeconds, cb.avgFirstTokenSeconds);
         EXPECT_EQ(ca.p95TokenGapSeconds, cb.p95TokenGapSeconds);
+        EXPECT_EQ(ca.tokenGapSamples, cb.tokenGapSamples);
     }
     ASSERT_EQ(a.tenantOccupancy.size(), b.tenantOccupancy.size());
     for (std::size_t i = 0; i < a.tenantOccupancy.size(); ++i) {
@@ -338,6 +340,109 @@ TEST(FleetEngine, AggregateSumsAndBoundsPerReplicaResults)
     // Least-loaded routing spreads work: every replica serves some.
     for (std::uint64_t n : fleet.routedRequests)
         EXPECT_GT(n, 0u);
+}
+
+TEST(FleetEngine, GapAveragesAreWeightedByGapSamples)
+{
+    // Two memory-tight replicas under round-robin routing. Requests
+    // alternate replicas; two tiers with different decode lengths
+    // land on both. Replica 0 gets the long contexts and runs out of
+    // KV, so it preempts and recomputes; replica 1 never does. A
+    // preempted restart's first token records neither a TTFT nor a
+    // gap, and a tier's gap samples are not proportional to its
+    // completed requests, so the fleet averages must weight by the
+    // exact gap-sample counts.
+    auto model = testModel();
+    auto cluster = ClusterConfig::centLike(model);
+    cluster.nModules = 2;
+    cluster.plan = ParallelPlan{2, 1};
+    Bytes kv_budget = model.kvBytesPerToken() * 5600;
+    cluster.module.capacityBytes =
+        (kv_budget + model.weightBytes()) / cluster.nModules + 1;
+    applyOptions(cluster, PimphonyOptions::all());
+
+    std::vector<TimedRequest> trace;
+    std::uint64_t replica1_gaps = 0;
+    for (RequestId i = 0; i < 8; ++i) {
+        RequestClass cls;
+        cls.tier = (i % 4 < 2) ? 1 : 0;
+        Tokens ctx = (i % 2 == 0) ? 1000 : 200;
+        Tokens decode = cls.tier == 0 ? (i % 2 == 0 ? 64 : 256)
+                                      : (i % 2 == 0 ? 2000 : 1000);
+        if (i % 2 == 1)
+            replica1_gaps += decode - 1;
+        trace.push_back({Request(i, ctx, decode, cls),
+                         0.01 * static_cast<double>(i)});
+    }
+
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.policy = RoutePolicy::RoundRobin;
+    fopts.dispatchLatencySeconds = 0.0;
+    fopts.engine = testEngineOptions();
+    auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+
+    ASSERT_EQ(fleet.aggregate.completedRequests, trace.size());
+    const EngineResult &r0 = fleet.replicas[0];
+    const EngineResult &r1 = fleet.replicas[1];
+    ASSERT_GT(r0.preemptions, 0u);
+    ASSERT_EQ(r1.preemptions, 0u);
+
+    // Replica 1 never restarts: one gap per token after each
+    // request's first, which is also generated minus TTFTs.
+    EXPECT_EQ(r1.tokenGapSamples, replica1_gaps);
+    EXPECT_EQ(r1.tokenGapSamples,
+              r1.generatedTokens - r1.firstTokenLatency.size());
+    // Replica 0's restarts emit unrecorded first tokens, which the
+    // generated-minus-TTFTs count wrongly includes.
+    EXPECT_LT(r0.tokenGapSamples,
+              r0.generatedTokens - r0.firstTokenLatency.size());
+
+    double gap_sum = 0.0, gap_n = 0.0;
+    double old_sum = 0.0, old_n = 0.0;
+    for (const EngineResult &r : fleet.replicas) {
+        std::uint64_t class_gaps = 0;
+        for (const auto &cl : r.classLatencies)
+            class_gaps += cl.tokenGapSamples;
+        EXPECT_EQ(class_gaps, r.tokenGapSamples);
+        double n = static_cast<double>(r.tokenGapSamples);
+        gap_sum += r.avgTokenGapSeconds * n;
+        gap_n += n;
+        double old_w = static_cast<double>(r.generatedTokens -
+                                           r.firstTokenLatency.size());
+        old_sum += r.avgTokenGapSeconds * old_w;
+        old_n += old_w;
+    }
+    EXPECT_EQ(fleet.aggregate.tokenGapSamples,
+              r0.tokenGapSamples + r1.tokenGapSamples);
+    EXPECT_DOUBLE_EQ(fleet.aggregate.avgTokenGapSeconds, gap_sum / gap_n);
+    // The scenario separates the weightings: generated minus TTFTs
+    // gives a different fleet average.
+    EXPECT_NE(gap_sum / gap_n, old_sum / old_n);
+
+    ASSERT_EQ(fleet.aggregate.classLatencies.size(), 2u);
+    for (const auto &agg_cl : fleet.aggregate.classLatencies) {
+        double sum = 0.0, n = 0.0, old_sum_c = 0.0, old_n_c = 0.0;
+        std::uint64_t samples = 0;
+        for (const EngineResult &r : fleet.replicas)
+            for (const auto &cl : r.classLatencies) {
+                if (cl.tier != agg_cl.tier)
+                    continue;
+                double w = static_cast<double>(cl.tokenGapSamples);
+                sum += cl.avgTokenGapSeconds * w;
+                n += w;
+                samples += cl.tokenGapSamples;
+                double cw = static_cast<double>(cl.completedRequests);
+                old_sum_c += cl.avgTokenGapSeconds * cw;
+                old_n_c += cw;
+            }
+        EXPECT_EQ(agg_cl.tokenGapSamples, samples);
+        ASSERT_GT(n, 0.0);
+        EXPECT_DOUBLE_EQ(agg_cl.avgTokenGapSeconds, sum / n)
+            << "tier " << agg_cl.tier;
+        // So does weighting a tier by its completed requests.
+        EXPECT_NE(sum / n, old_sum_c / old_n_c) << "tier " << agg_cl.tier;
+    }
 }
 
 // --- (e) Golden anchors. -----------------------------------------------
