@@ -146,8 +146,7 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     sortByArrival(requests);
     result_.firstTokenLatency.reserve(requests.size());
     result_.completionSeconds.reserve(requests.size());
-    for (auto &r : requests)
-        pending_.push_back(r);
+    pending_ = std::move(requests);
 
     // Request-class / tenant-budget activation. Both stay fully
     // inert — no extra bookkeeping on any path — when every request
@@ -156,28 +155,6 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     budgetsActive_ = !options_.tenantBudgets.empty();
     capacityTokens_ = static_cast<double>(allocator_->capacity()) /
                       static_cast<double>(model_.kvBytesPerToken());
-    for (const auto &timed : pending_) {
-        const RequestClass &cls = timed.request.cls;
-        if (!cls.isDefault())
-            classesActive_ = true;
-        if (cls.tenant != 0)
-            tenantsActive_ = true;
-    }
-    tenantsActive_ = tenantsActive_ || budgetsActive_;
-    if (classesActive_) {
-        for (const auto &timed : pending_) {
-            const RequestClass &cls = timed.request.cls;
-            TierState &ts = tiers_[cls.tier];
-            ++ts.requests;
-            // First explicit per-class target wins; tiers without
-            // one are judged against the policy-wide default.
-            if (ts.target == 0.0 && cls.gapSloSeconds > 0.0)
-                ts.target = cls.gapSloSeconds;
-        }
-        for (auto &kv : tiers_)
-            if (kv.second.target == 0.0)
-                kv.second.target = options_.sched.sloTargetGapSeconds;
-    }
     if (budgetsActive_) {
         double total_share = 0.0;
         for (const TenantBudget &b : options_.tenantBudgets) {
@@ -190,9 +167,7 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
                  "cannot all hold under saturation",
                  total_share);
     }
-    if (tenantsActive_)
-        for (const auto &timed : pending_)
-            (void)tenantState(timed.request.cls.tenant);
+    declareWorkload(pending_);
 }
 
 ServingEngine::TenantState &
@@ -304,11 +279,40 @@ ServingEngine::entitledElsewhere(const std::set<unsigned> &entitled,
     return false;
 }
 
-ServingEngine::AdmitOutcome
-ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
-                           bool allow_borrow)
+ServingEngine::PrefixProbe
+ServingEngine::probePrefix(const Request &r) const
 {
-    prefill_sec = 0.0;
+    // Retained session history first, then the declared workload
+    // prefix. Read-only (no stats, no LRU touch), so the routing
+    // probe never perturbs replica state.
+    PrefixProbe p;
+    if (options_.prefixCache.sessionReuse && r.session != kNoSession &&
+        r.turn > 0) {
+        std::uint64_t key = PrefixCache::sessionKey(r.session, r.turn - 1);
+        p.probed = true;
+        p.share = prefixCache_->peek(key);
+        if (p.share > 0) {
+            p.key = key;
+            return p;
+        }
+    }
+    if (r.prefixHash != 0 && r.prefixTokens > 0 &&
+        r.prefixTokens <= r.contextTokens) {
+        std::uint64_t key = PrefixCache::prefixKey(r.prefixHash);
+        p.probed = true;
+        p.share = prefixCache_->peek(key);
+        if (p.share > 0)
+            p.key = key;
+        else
+            p.missedPrefix = key;
+    }
+    return p;
+}
+
+ServingEngine::Admission
+ServingEngine::tryAdmitOne(const TimedRequest &timed, bool allow_borrow)
+{
+    Admission out;
     const Request &front = timed.request;
     Tokens final_tokens = front.contextTokens + front.decodeTokens;
     Bytes need = model_.kvBytesPerToken() * final_tokens;
@@ -316,12 +320,12 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
         final_tokens > model_.contextWindow) {
         // Can never be served on this configuration.
         ++result_.rejectedRequests;
-        return AdmitOutcome::Rejected;
+        out.outcome = AdmitOutcome::Rejected;
+        return out;
     }
-    // Prefix probe: the best reusable tree entry — retained session
-    // history first, then the declared workload prefix. A declared
-    // prefix nobody has cached yet makes this request its publisher:
-    // it prefills cold, but its prefix chunks go into the tree for
+    // Prefix probe: the best reusable tree entry. A declared prefix
+    // nobody has cached yet makes this request its publisher: it
+    // prefills cold, but its prefix chunks go into the tree for
     // everyone behind it. The hit is pinned immediately (consumer
     // reference) so the eviction pass below can never take the entry
     // this admission is counting on; every blocked exit hands the
@@ -331,28 +335,12 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
     bool probed = false;
     Tokens custody = 0;
     if (prefixActive_) {
-        Tokens share = 0;
-        if (options_.prefixCache.sessionReuse &&
-            front.session != kNoSession && front.turn > 0) {
-            std::uint64_t skey =
-                PrefixCache::sessionKey(front.session, front.turn - 1);
-            share = prefixCache_->peek(skey);
-            if (share > 0)
-                key = skey;
-            probed = true;
-        }
-        if (key == 0 && front.prefixHash != 0 &&
-            front.prefixTokens > 0 &&
-            front.prefixTokens <= front.contextTokens) {
-            std::uint64_t pkey =
-                PrefixCache::prefixKey(front.prefixHash);
-            share = prefixCache_->peek(pkey);
-            if (share > 0)
-                key = pkey;
-            else if (!prefixCache_->knows(pkey))
-                publish_key = pkey;
-            probed = true;
-        }
+        PrefixProbe probe = probePrefix(front);
+        probed = probe.probed;
+        key = probe.key;
+        if (probe.missedPrefix != 0 &&
+            !prefixCache_->knows(probe.missedPrefix))
+            publish_key = probe.missedPrefix;
         if (key != 0) {
             Tokens s =
                 prefixCache_->acquire(key, now(), front.cls.tier);
@@ -380,7 +368,8 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
         !budgetAdmits(front.cls.tenant, charge_tokens, allow_borrow)) {
         if (key != 0)
             prefixCache_->releaseConsumer(key);
-        return AdmitOutcome::BudgetBlocked;
+        out.outcome = AdmitOutcome::BudgetBlocked;
+        return out;
     }
     // Headroom: only admit when the full decode trajectory fits
     // next to the current reservations (avoids preemption storms).
@@ -393,7 +382,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
         if (!prefixActive_ || !prefixCache_->evictFor(need_unique)) {
             if (key != 0)
                 prefixCache_->releaseConsumer(key);
-            return AdmitOutcome::Blocked;
+            return out; // Blocked
         }
     }
     // Commit: count the hit or miss, seed the tree as the prefix's
@@ -421,7 +410,7 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
             else
                 prefixCache_->releaseConsumer(key);
         }
-        return AdmitOutcome::Blocked;
+        return out; // Blocked
     }
     // Scalar prefill is a serialized time charge, not chunk items:
     // the prefix KV is modelled present once the charge is taken, so
@@ -437,68 +426,35 @@ ServingEngine::tryAdmitOne(const TimedRequest &timed, double &prefill_sec,
     Tokens warm = publisher ? 0 : custody;
     result_.prefixCachedTokens += warm;
     if (options_.chargePrefill || options_.prefillChunkTokens > 0) {
-        if (warm > 0) {
-            double cold = prefillSeconds(model_, front.contextTokens,
-                                         cluster_.xpu,
-                                         cluster_.prefillEngines());
-            prefill_sec = prefillSecondsFrom(model_, warm,
-                                             front.contextTokens,
-                                             cluster_.xpu,
-                                             cluster_.prefillEngines());
-            result_.savedPrefillSeconds += cold - prefill_sec;
-        } else {
-            prefill_sec = prefillSeconds(model_, front.contextTokens,
-                                         cluster_.xpu,
-                                         cluster_.prefillEngines());
-        }
-        result_.prefillSeconds += prefill_sec;
+        double cold = prefillSeconds(model_, front.contextTokens,
+                                     cluster_.xpu,
+                                     cluster_.prefillEngines());
+        out.prefillSeconds =
+            warm > 0 ? prefillSecondsFrom(model_, warm,
+                                          front.contextTokens,
+                                          cluster_.xpu,
+                                          cluster_.prefillEngines())
+                     : cold;
+        result_.savedPrefillSeconds += cold - out.prefillSeconds;
+        result_.prefillSeconds += out.prefillSeconds;
     }
-    if (prefixActive_) {
-        pendingCacheKey_ = key;
-        pendingCachedTokens_ = custody;
-        pendingWarmTokens_ = publisher ? 0 : custody;
-        pendingPublisher_ = publisher;
+    if (prefixActive_)
         prefixSampleOccupancy();
-    }
-    return AdmitOutcome::Admitted;
-}
-
-ServingEngine::Active
-ServingEngine::takeAdmitted(const TimedRequest &timed)
-{
-    // Materialize the Active record for the admission tryAdmitOne
-    // just committed, consuming the prefix-cache handoff it stashed
-    // (all zero when caching is off — the record is then identical
-    // to the pre-cache construction).
-    Active a{timed.request, 0, timed.arrivalSeconds, -1.0};
-    a.cachedTokens = pendingCachedTokens_;
-    a.warmTokens = pendingWarmTokens_;
-    a.cacheKey = pendingCacheKey_;
-    a.cachePublisher = pendingPublisher_;
-    pendingCachedTokens_ = 0;
-    pendingWarmTokens_ = 0;
-    pendingCacheKey_ = 0;
-    pendingPublisher_ = false;
-    return a;
+    // The prefix fields stay zero when caching is off.
+    out.outcome = AdmitOutcome::Admitted;
+    out.active = Active{front, 0, timed.arrivalSeconds, -1.0,
+                        custody, warm, key, publisher};
+    return out;
 }
 
 Tokens
 ServingEngine::prefixWarmTokens(const Request &r) const
 {
     // Routing probe: how many of this request's context tokens this
-    // replica's tree could serve right now. Read-only (no stats, no
-    // LRU touch) so fleet probes never perturb the replica state.
+    // replica's tree could serve right now.
     if (!prefixActive_)
         return 0;
-    Tokens share = 0;
-    if (options_.prefixCache.sessionReuse && r.session != kNoSession &&
-        r.turn > 0)
-        share = prefixCache_->peek(
-            PrefixCache::sessionKey(r.session, r.turn - 1));
-    if (share == 0 && r.prefixHash != 0 && r.prefixTokens > 0 &&
-        r.prefixTokens <= r.contextTokens)
-        share = prefixCache_->peek(PrefixCache::prefixKey(r.prefixHash));
-    return std::min<Tokens>(share, r.contextTokens);
+    return std::min<Tokens>(probePrefix(r).share, r.contextTokens);
 }
 
 void
@@ -746,33 +702,27 @@ ServingEngine::evInFlightCount() const
 }
 
 void
-ServingEngine::evSortReadyPoolByTier()
+ServingEngine::evTakeFairShare(std::vector<Active> &members)
 {
     // Tier-segregated refills: order the pool by tier (stable, so
-    // survivors keep precedence inside a tier) and the next take
-    // forms the most tier-pure cohort the pool allows — higher
-    // tiers decode in cohorts the tier-aware arbiters can favor.
-    if (!classesActive_)
-        return;
-    std::stable_sort(ev_->readyPool.begin(), ev_->readyPool.end(),
-                     [](const Active &a, const Active &b) {
-                         return a.request.cls.tier < b.request.cls.tier;
-                     });
-}
-
-double
-ServingEngine::evRecentGapP95() const
-{
-    // SLO feedback: nearest-rank p95 over the most recent window of
-    // decode token gaps — the signal the SloAdmission gate steers
-    // on, streamed in O(log W) per gap by the windowed quantile.
-    return gapWindow_ ? gapWindow_->value() : 0.0;
-}
-
-std::size_t
-ServingEngine::evGapSamples() const
-{
-    return gapWindow_ ? gapWindow_->size() : 0;
+    // survivors keep precedence inside a tier) and the take forms
+    // the most tier-pure cohort the pool allows — higher tiers
+    // decode in cohorts the tier-aware arbiters can favor.
+    EventRun &ev = *ev_;
+    if (classesActive_)
+        std::stable_sort(ev.readyPool.begin(), ev.readyPool.end(),
+                         [](const Active &a, const Active &b) {
+                             return a.request.cls.tier <
+                                    b.request.cls.tier;
+                         });
+    std::size_t total = evInFlightCount() + ev.readyPool.size();
+    std::size_t take = std::min<std::size_t>(
+        std::max<std::size_t>(1, ceilDiv<std::size_t>(total, ev.pp)),
+        ev.readyPool.size());
+    auto end = ev.readyPool.begin() + static_cast<std::ptrdiff_t>(take);
+    members.assign(std::make_move_iterator(ev.readyPool.begin()),
+                   std::make_move_iterator(end));
+    ev.readyPool.erase(ev.readyPool.begin(), end);
 }
 
 void
@@ -795,14 +745,14 @@ ServingEngine::evClassGateDefers(const RequestClass &cls)
     // own gaps can still be produced (decode in flight), or a stale
     // window would deadlock that tier's admissions.
     EventRun &ev = *ev_;
-    if (!ev.policy->needsGapSignal())
-        return !ev.policy->admitPrefill(0.0, 0, evInFlightCount() > 0);
-    // Budgets configured but every request default-class: there
-    // are no per-tier windows, so the gate reads the global one
-    // exactly as the single-class path does.
-    if (tiers_.empty())
-        return !ev.policy->admitPrefill(evRecentGapP95(), evGapSamples(),
-                                        evInFlightCount() > 0);
+    // No per-tier windows (a single-class workload, or a policy that
+    // ignores the gap signal): the gate reads the one global window,
+    // the nearest-rank p95 of the most recent decode gaps (absent,
+    // hence empty, unless the policy steers on it).
+    if (!ev.policy->needsGapSignal() || tiers_.empty())
+        return !ev.policy->admitPrefill(
+            gapWindow_ ? gapWindow_->value() : 0.0,
+            gapWindow_ ? gapWindow_->size() : 0, evInFlightCount() > 0);
     for (auto &kv : tiers_) {
         if (kv.first > cls.tier)
             break; // ascending map: only tiers <= T guard T
@@ -903,94 +853,59 @@ ServingEngine::evStartPrefill(Active a, double now)
 void
 ServingEngine::evAdmitArrivals(double now)
 {
-    // Admission under the per-request rules of tryAdmitOne;
-    // admitted requests reach the ready pool
-    // once decode-ready (immediately, or after prefill chunks). The
-    // policy's admission gate runs first: a deferred prefill blocks
-    // the (FIFO) admission queue until the SLO signal recovers,
-    // re-checked at every cycle completion.
+    // The one admission path: a scan of the arrived queue under the
+    // per-request rules of tryAdmitOne. Admitted requests reach the
+    // ready pool once decode-ready (immediately, or after prefill
+    // chunks). A gate-deferred prefill or a budget-blocked tenant is
+    // skipped, so a gated tier or an over-budget tenant cannot
+    // head-of-line block the other classes; FIFO order is kept
+    // inside each (class, tenant) population. A memory block halts
+    // the scan (only releases clear it). With no classes and no
+    // budgets nothing is skipped: a deferred prefill blocks the FIFO
+    // queue until the SLO signal recovers, re-checked at every cycle
+    // completion.
     EventRun &ev = *ev_;
     if (ev.halted)
         return; // crashed replica: admissions wait for the sweep
-    if (!classesActive_ && !budgetsActive_) {
-        // Single-class path: plain FIFO admission, bit-identical
-        // to the pre-tier engine.
-        while (!ev.arrived.empty()) {
-            if (ev.chunked &&
-                ev.arrived.front().request.contextTokens > 0 &&
-                !ev.policy->admitPrefill(
-                    ev.policy->needsGapSignal() ? evRecentGapP95() : 0.0,
-                    evGapSamples(), evInFlightCount() > 0)) {
-                ++result_.sloDeferrals;
-                break;
-            }
-            TimedRequest timed = ev.arrived.front();
-            double prefill_sec = 0.0;
-            AdmitOutcome outcome = tryAdmitOne(timed, prefill_sec);
-            if (outcome == AdmitOutcome::Blocked)
-                break;
-            ev.arrived.pop_front();
-            if (outcome != AdmitOutcome::Admitted)
-                continue;
-            Active a = takeAdmitted(timed);
-            if (ev.chunked) {
-                evStartPrefill(std::move(a), now);
-            } else {
-                ev.prefillReady = std::max(ev.prefillReady, now) +
-                                  prefill_sec * ev.serviceRateScale;
-                ev.readyPool.push_back(std::move(a));
-            }
-        }
-        return;
-    }
-    // Class/tenant-aware admission: the queue is scanned rather
-    // than strictly FIFO, so a gated tier or an over-budget
-    // tenant cannot head-of-line block the other classes. FIFO
-    // order is kept inside each (class, tenant) population; a
-    // memory block still halts the scan (only releases clear
-    // it).
     if (classesActive_ && ev.policy->needsGapSignal())
         evRefreshTiersInFlight();
+    const bool fifo = !classesActive_ && !budgetsActive_;
     std::set<unsigned> entitled = entitledTenantsWaiting(ev.arrived, now);
     bool gate_deferred = false;
     for (std::size_t i = 0; i < ev.arrived.size();) {
         const TimedRequest &timed = ev.arrived[i];
         if (ev.chunked && timed.request.contextTokens > 0 &&
             evClassGateDefers(timed.request.cls)) {
-            // Count at most one deferral per admission check, as
-            // the single-class path does, so the metric stays
-            // comparable across the two paths.
+            // At most one deferral per admission check.
             if (!gate_deferred) {
                 ++result_.sloDeferrals;
                 gate_deferred = true;
             }
+            if (fifo)
+                break; // nothing may pass it in a FIFO queue
             ++i;
             continue;
         }
         bool allow_borrow =
             !budgetsActive_ ||
             !entitledElsewhere(entitled, timed.request.cls.tenant);
-        double prefill_sec = 0.0;
-        AdmitOutcome outcome =
-            tryAdmitOne(timed, prefill_sec, allow_borrow);
-        if (outcome == AdmitOutcome::Blocked)
+        Admission adm = tryAdmitOne(timed, allow_borrow);
+        if (adm.outcome == AdmitOutcome::Blocked)
             break;
-        if (outcome == AdmitOutcome::BudgetBlocked) {
+        if (adm.outcome == AdmitOutcome::BudgetBlocked) {
             ++i;
             continue;
         }
-        TimedRequest taken = timed;
         ev.arrived.erase(ev.arrived.begin() +
                          static_cast<std::ptrdiff_t>(i));
-        if (outcome != AdmitOutcome::Admitted)
+        if (adm.outcome != AdmitOutcome::Admitted)
             continue; // Rejected: already counted
-        Active a = takeAdmitted(taken);
         if (ev.chunked) {
-            evStartPrefill(std::move(a), now);
+            evStartPrefill(std::move(adm.active), now);
         } else {
             ev.prefillReady = std::max(ev.prefillReady, now) +
-                              prefill_sec * ev.serviceRateScale;
-            ev.readyPool.push_back(std::move(a));
+                              adm.prefillSeconds * ev.serviceRateScale;
+            ev.readyPool.push_back(std::move(adm.active));
         }
     }
 }
@@ -1071,20 +986,7 @@ ServingEngine::evOnCycleComplete(EventCohort &c, double t)
                             std::make_move_iterator(c.members.begin()),
                             std::make_move_iterator(c.members.end()));
         c.members.clear();
-        evSortReadyPoolByTier();
-        std::size_t others = evInFlightCount();
-        std::size_t total = others + ev.readyPool.size();
-        std::size_t target =
-            std::max<std::size_t>(1, ceilDiv<std::size_t>(total, ev.pp));
-        std::size_t take =
-            std::min<std::size_t>(target, ev.readyPool.size());
-        if (take > 0) {
-            c.members.assign(
-                std::make_move_iterator(ev.readyPool.begin()),
-                std::make_move_iterator(ev.readyPool.begin() + take));
-            ev.readyPool.erase(ev.readyPool.begin(),
-                               ev.readyPool.begin() + take);
-        }
+        evTakeFairShare(c.members);
     }
     if (!c.members.empty() && !ev.capped) {
         evStartCycle(c, std::max(t, ev.prefillReady));
@@ -1119,18 +1021,8 @@ ServingEngine::evFormNewCohorts(double t)
             }
             return;
         }
-        evSortReadyPoolByTier();
-        std::size_t total = evInFlightCount() + ev.readyPool.size();
-        std::size_t target =
-            std::max<std::size_t>(1, ceilDiv<std::size_t>(total, ev.pp));
-        std::size_t take =
-            std::min<std::size_t>(target, ev.readyPool.size());
-        ev.cohorts.push_back(EventCohort{
-            ev.nextCohortId++, 0,
-            {std::make_move_iterator(ev.readyPool.begin()),
-             std::make_move_iterator(ev.readyPool.begin() + take)}});
-        ev.readyPool.erase(ev.readyPool.begin(),
-                           ev.readyPool.begin() + take);
+        ev.cohorts.push_back(EventCohort{ev.nextCohortId++, 0, {}});
+        evTakeFairShare(ev.cohorts.back().members);
         evStartCycle(ev.cohorts.back(), std::max(t, ev.prefillReady));
     }
 }
@@ -1206,18 +1098,11 @@ ServingEngine::prepare()
         ev.policy->reordersXpu() ? ev.policy.get() : nullptr);
     ev.readyPool.reserve(pending_.size());
 
-    // Open-loop arrivals become events; time-zero requests are
-    // available immediately.
-    while (!pending_.empty()) {
-        TimedRequest timed = pending_.front();
-        pending_.pop_front();
-        if (timed.arrivalSeconds <= 0.0)
-            ev.arrived.push_back(timed);
-        else
-            ev.future.push_back(timed); // ctor sorted by arrival
-    }
-    evArmArrivalEvent();
-    evFormNewCohorts(0.0);
+    // Constructor-supplied requests take the mid-run intake path:
+    // time-zero requests are available immediately, later ones
+    // become arrival events.
+    injectArrivals(pending_);
+    pending_ = {};
 }
 
 void
@@ -1247,12 +1132,11 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
     if (ev_)
         fatal("ServingEngine::declareWorkload() after prepare()");
     requireSortedByArrival(trace, "ServingEngine::declareWorkload");
-    // The constructor's activation scan, over a trace whose requests
-    // arrive later through injectArrivals: flip the class/tenant
-    // machinery on and fix per-tier SLO targets before prepare()
-    // allocates the per-tier windows. Per-tier request counts stay
-    // zero — registerInjected counts what this engine actually
-    // receives.
+    // The one class/tenant activation scan (the constructor runs it
+    // over its own requests): flip the class/tenant machinery on and
+    // fix per-tier SLO targets before prepare() allocates the
+    // per-tier windows. Per-tier request counts stay zero —
+    // registerInjected counts what this engine actually receives.
     for (const auto &timed : trace) {
         const RequestClass &cls = timed.request.cls;
         if (!cls.isDefault())
@@ -1344,7 +1228,7 @@ ServingEngine::releaseNextTurn(RequestId completed, double now)
 void
 ServingEngine::registerInjected(const TimedRequest &timed)
 {
-    // The per-request share of the constructor's bookkeeping: count
+    // The per-request share of declareWorkload's bookkeeping: count
     // the request into its tier and touch its tenant. Inert on the
     // default-class, no-budget path.
     const RequestClass &cls = timed.request.cls;
@@ -1382,6 +1266,9 @@ ServingEngine::injectArrivals(const std::vector<TimedRequest> &batch)
         if (timed.arrivalSeconds <= 0.0) {
             ev.arrived.push_back(timed);
             immediate = true;
+        } else if (ev.future.empty() ||
+                   timed.arrivalSeconds >= ev.future.back().arrivalSeconds) {
+            ev.future.push_back(timed); // sorted batches append in O(1)
         } else {
             // Merge into the nondecreasing pending-arrival stream;
             // upper_bound keeps FIFO order among equal arrival
@@ -1396,9 +1283,8 @@ ServingEngine::injectArrivals(const std::vector<TimedRequest> &batch)
         }
     }
     evArmArrivalEvent();
-    // Time-zero deliveries skip the arrival-event path (exactly as
-    // constructor-supplied time-zero requests do), so form cohorts
-    // for them now.
+    // Time-zero deliveries skip the arrival-event path, so form
+    // cohorts for them now.
     if (immediate)
         evFormNewCohorts(ev.queue.now());
 }
@@ -1608,6 +1494,7 @@ ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
             cl.avgTokenGapSeconds = kv.second.gaps.mean();
             cl.p95TokenGapSeconds = kv.second.gaps.percentile(95.0);
             cl.tokenGapSamples = kv.second.gaps.count();
+            cl.ttftSamples = kv.second.ttfts.count();
             result_.classLatencies.push_back(cl);
         }
     }

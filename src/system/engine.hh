@@ -194,6 +194,10 @@ struct EngineResult
 
         /** Token-gap samples of the tier (its gap-average weight). */
         std::uint64_t tokenGapSamples = 0;
+
+        /** TTFT samples of the tier (its TTFT-average weight; a
+         *  request a crash kills after its first token counts). */
+        std::uint64_t ttftSamples = 0;
     };
 
     /** Per-tier TTFT / decode-gap percentiles, ascending tier.
@@ -294,13 +298,13 @@ class ServingEngine
     // --- arrivals. -------------------------------------------------------
 
     /**
-     * Pre-declare the class/tenant shape of a workload whose
-     * requests will be delivered later through injectArrivals():
-     * activates the request-class and tenant bookkeeping (per-tier
-     * SLO targets, tenant states) exactly as the constructor does
-     * for an up-front request list. Must run before prepare(); a
-     * purely default-class trace leaves the engine bit-identical to
-     * an undeclared one.
+     * Declare the class/tenant shape of a workload: activates the
+     * request-class and tenant bookkeeping (per-tier SLO targets,
+     * tenant states). The constructor declares its own requests; a
+     * caller that delivers requests later through injectArrivals()
+     * declares them here. Must run before prepare(); calls
+     * accumulate; a purely default-class trace leaves the engine
+     * bit-identical to an undeclared one.
      */
     void declareWorkload(const std::vector<TimedRequest> &trace);
 
@@ -321,8 +325,8 @@ class ServingEngine
     void declareSessionTurns(const SessionBook &sessions);
 
     /**
-     * Build the run state and schedule the initial events
-     * (constructor-supplied arrivals, first cohorts). After prepare()
+     * Build the run state and deliver the constructor-supplied
+     * requests through injectArrivals(). After prepare()
      * the engine is a resumable sub-simulation: advance it with
      * advanceTo(), feed it with injectArrivals(), and close it with
      * finalize().
@@ -513,15 +517,39 @@ class ServingEngine
      * here, Blocked = waits for memory, BudgetBlocked = the
      * request's tenant is over budget and borrowing was denied
      * (@p allow_borrow false; only with tenant budgets configured),
-     * Admitted = reserved (with @p prefill_sec the scalar prefill
-     * charge when chargePrefill or prefillChunkTokens is set; the
-     * chunked path apportions it over chunk items instead of
-     * spending it as a lump).
+     * Admitted = reserved.
      */
     enum class AdmitOutcome { Admitted, Rejected, Blocked, BudgetBlocked };
-    AdmitOutcome tryAdmitOne(const TimedRequest &timed,
-                             double &prefill_sec,
-                             bool allow_borrow = true);
+
+    /** tryAdmitOne's verdict. When Admitted: the request's record,
+     *  prefix state stamped, and its scalar prefill charge (set when
+     *  chargePrefill or prefillChunkTokens is; the chunked path
+     *  apportions it over chunk items instead of a lump). */
+    struct Admission
+    {
+        AdmitOutcome outcome = AdmitOutcome::Blocked;
+        Active active;
+        double prefillSeconds = 0.0;
+    };
+    Admission tryAdmitOne(const TimedRequest &timed, bool allow_borrow);
+
+    /** probePrefix's answer: the warm entry (key 0 = none) and its
+     *  tokens, the declared-prefix key if that lookup missed, and
+     *  whether any key was looked up (a hit or a miss to count). */
+    struct PrefixProbe
+    {
+        std::uint64_t key = 0;
+        Tokens share = 0;
+        std::uint64_t missedPrefix = 0;
+        bool probed = false;
+    };
+
+    /**
+     * The one prefix probe of admission and routing: retained
+     * session history first, then the declared prefix. Read-only;
+     * prefix caching must be on.
+     */
+    PrefixProbe probePrefix(const Request &r) const;
 
     /**
      * Advance @p a by the one token produced at @p completion_clock:
@@ -561,12 +589,12 @@ class ServingEngine
     /** Decoding requests across the in-flight cohorts. */
     std::size_t evInFlightCount() const;
 
-    /** Stable tier ordering of the ready pool (classes only). */
-    void evSortReadyPoolByTier();
-
-    /** Windowed p95 decode gap (0 without a gap window). */
-    double evRecentGapP95() const;
-    std::size_t evGapSamples() const;
+    /**
+     * Move a fair share of the ready pool into @p members:
+     * ceil((decoding + pooled) / pp) requests, at least one, taken
+     * after a stable tier sort of the pool (classes only).
+     */
+    void evTakeFairShare(std::vector<Active> &members);
 
     /** Hoist the per-scan tier in-flight flags (class gate). */
     void evRefreshTiersInFlight();
@@ -599,7 +627,7 @@ class ServingEngine
      */
     void evArmArrivalEvent();
 
-    /** Per-request class/tenant bookkeeping of a mid-run arrival. */
+    /** Per-request class/tenant bookkeeping of a delivered arrival. */
     void registerInjected(const TimedRequest &timed);
 
     /**
@@ -610,9 +638,9 @@ class ServingEngine
      */
     void releaseNextTurn(RequestId completed, double now);
 
-    // --- Request-class / tenant-budget machinery (inactive — and
-    // --- bit-transparent — when the workload is single-class and no
-    // --- budgets are configured). -----------------------------------
+    // --- Request-class / tenant-budget machinery. With a
+    // --- single-class workload and no budgets it keeps no state and
+    // --- the admission scan is the plain FIFO queue. ----------------
 
     /** Per-tier sample stores and (optional) sliding SLO window. */
     struct TierState
@@ -683,7 +711,8 @@ class ServingEngine
     ClusterConfig cluster_;
     LlmConfig model_;
     EngineOptions options_;
-    std::deque<TimedRequest> pending_;
+    /** Constructor-supplied requests, delivered by prepare(). */
+    std::vector<TimedRequest> pending_;
     std::unique_ptr<KvAllocator> allocator_;
 
     // --- Prefix-sharing state (prefixCache.enabled only). -----------
@@ -698,19 +727,9 @@ class ServingEngine
     /** Fractional tenant charges by request id (refunded exactly). */
     std::unordered_map<RequestId, double> prefixTenantCharge_;
 
-    /** tryAdmitOne -> Active handoff of the admitted request's
-     *  prefix state (custody offset, warm tokens, key, publisher). */
-    Tokens pendingCachedTokens_ = 0;
-    Tokens pendingWarmTokens_ = 0;
-    std::uint64_t pendingCacheKey_ = 0;
-    bool pendingPublisher_ = false;
-
     /** Peak shared/unique custody samples (EngineResult). */
     Bytes prefixSharedPeak_ = 0;
     Bytes prefixUniquePeak_ = 0;
-
-    /** Stamp an Active from the pending prefix-admission state. */
-    Active takeAdmitted(const TimedRequest &timed);
 
     /** Sample shared/unique custody peaks (prefixActive_ only). */
     void prefixSampleOccupancy();

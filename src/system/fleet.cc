@@ -570,9 +570,10 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
     EngineResult agg;
 
     // Weighted-average accumulators: (sum of value * weight, sum of
-    // weight) pairs folded into the mean at the end. Gap averages
-    // weight by the exact gap-sample counts, summed into the
-    // tokenGapSamples fields themselves.
+    // weight) pairs folded into the mean at the end. Gap and
+    // per-class TTFT averages weight by the exact sample counts,
+    // summed into the tokenGapSamples / ttftSamples fields
+    // themselves.
     double lat_w = 0.0, lat_sum = 0.0;
     double ttft_w = 0.0, ttft_sum = 0.0;
     double gap_sum = 0.0;
@@ -582,7 +583,7 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
     struct ClassAccum
     {
         EngineResult::ClassLatency out;
-        double ttft_w = 0.0, ttft_sum = 0.0;
+        double ttft_sum = 0.0;
         double gap_sum = 0.0;
     };
     std::map<unsigned, ClassAccum> classes;
@@ -665,9 +666,9 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
                 ca.out.gapSloTargetSeconds, cl.gapSloTargetSeconds);
             ca.out.requests += cl.requests;
             ca.out.completedRequests += cl.completedRequests;
-            double cw = static_cast<double>(cl.completedRequests);
-            ca.ttft_w += cw;
-            ca.ttft_sum += cl.avgFirstTokenSeconds * cw;
+            ca.out.ttftSamples += cl.ttftSamples;
+            ca.ttft_sum += cl.avgFirstTokenSeconds *
+                           static_cast<double>(cl.ttftSamples);
             ca.out.tokenGapSamples += cl.tokenGapSamples;
             ca.gap_sum += cl.avgTokenGapSeconds *
                           static_cast<double>(cl.tokenGapSamples);
@@ -716,8 +717,9 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
 
     for (auto &kv : classes) {
         ClassAccum &ca = kv.second;
-        if (ca.ttft_w > 0.0)
-            ca.out.avgFirstTokenSeconds = ca.ttft_sum / ca.ttft_w;
+        if (ca.out.ttftSamples > 0)
+            ca.out.avgFirstTokenSeconds =
+                ca.ttft_sum / static_cast<double>(ca.out.ttftSamples);
         if (ca.out.tokenGapSamples > 0)
             ca.out.avgTokenGapSeconds =
                 ca.gap_sum / static_cast<double>(ca.out.tokenGapSamples);

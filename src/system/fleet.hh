@@ -150,7 +150,8 @@ struct FleetResult
      * simulatedSeconds is the fleet makespan (max over replicas) and
      * tokensPerSecond the fleet throughput over it; averages are
      * weighted by each replica's sample count (gap averages by the
-     * exact tokenGapSamples, per class too); p95s are the max over
+     * exact tokenGapSamples, per class too; per-class TTFT averages
+     * by ttftSamples); p95s are the max over
      * replicas — a conservative bound, since exact fleet percentiles
      * would need the merged sample sets the replicas no longer hold.
      * A deterministic function of the per-replica results.

@@ -72,10 +72,11 @@ struct ServingOptions
     /**
      * Per-tenant admission budgets (token-capacity shares with
      * work-conserving borrowing; see TenantBudget). Empty — the
-     * default — disables tenant accounting entirely: admission is
-     * the plain FIFO queue, bit for bit. With budgets set, admission
-     * scans past budget-blocked requests so one saturating tenant
-     * cannot head-of-line block the others.
+     * default — disables tenant accounting entirely. With budgets
+     * set, the engine's admission scan skips budget-blocked requests
+     * so one saturating tenant cannot head-of-line block the others;
+     * with neither budgets nor request classes it skips nothing,
+     * which makes it a plain FIFO queue.
      */
     std::vector<TenantBudget> tenantBudgets;
 

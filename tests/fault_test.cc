@@ -22,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <vector>
 
 #include "system/engine.hh"
@@ -108,6 +110,18 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.simEvents, b.simEvents);
     EXPECT_EQ(a.budgetDeferrals, b.budgetDeferrals);
     EXPECT_EQ(a.firstTokenLatency, b.firstTokenLatency);
+    ASSERT_EQ(a.classLatencies.size(), b.classLatencies.size());
+    for (std::size_t i = 0; i < a.classLatencies.size(); ++i) {
+        const auto &ca = a.classLatencies[i];
+        const auto &cb = b.classLatencies[i];
+        EXPECT_EQ(ca.tier, cb.tier);
+        EXPECT_EQ(ca.requests, cb.requests);
+        EXPECT_EQ(ca.completedRequests, cb.completedRequests);
+        EXPECT_EQ(ca.avgFirstTokenSeconds, cb.avgFirstTokenSeconds);
+        EXPECT_EQ(ca.ttftSamples, cb.ttftSamples);
+        EXPECT_EQ(ca.avgTokenGapSeconds, cb.avgTokenGapSeconds);
+        EXPECT_EQ(ca.tokenGapSamples, cb.tokenGapSamples);
+    }
 }
 
 /** Full fleet comparison: per-replica, aggregate, fault metrics. */
@@ -388,6 +402,67 @@ TEST(FleetFaults, CrashMidDecodeFailsOverWithExactTokenAccounting)
     expectTokenLedgerBalances(fleet);
     EXPECT_LT(fleet.availability[1], 1.0);
     EXPECT_EQ(fleet.availability[0], 1.0);
+}
+
+TEST(FleetFaults, ClassTtftAveragesAreWeightedByTtftSamples)
+{
+    // Two tiers on both replicas of a 2-replica fleet; the crash on
+    // replica 1 kills requests mid-decode, after their first token.
+    // Their TTFTs stay recorded on replica 1 although they complete
+    // on replica 0, so a tier's TTFT samples outnumber its completed
+    // requests there and the fleet's per-class TTFT average must
+    // weight by the samples, not by completions.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(24, 64.0, 24, 256);
+    std::map<RequestId, unsigned> tier_of;
+    for (auto &timed : trace) {
+        timed.request.cls.tier = (timed.request.id / 2) % 2;
+        tier_of[timed.request.id] = timed.request.cls.tier;
+    }
+
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.policy = RoutePolicy::RoundRobin;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = testEngineOptions();
+    fopts.faults.replicas.resize(2);
+    fopts.faults.replicas[1].push_back(crashAt(0.5));
+    auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+
+    ASSERT_GT(fleet.lostTokens, 0u);
+    ASSERT_EQ(fleet.aggregate.completedRequests, trace.size());
+    bool killed_after_first_token = false;
+    for (const auto &cl : fleet.replicas[1].classLatencies)
+        killed_after_first_token |= cl.ttftSamples > cl.completedRequests;
+    ASSERT_TRUE(killed_after_first_token);
+
+    // Ground truth: every replica's TTFT samples, grouped by tier.
+    std::map<unsigned, double> sum;
+    std::map<unsigned, std::uint64_t> count;
+    for (const EngineResult &r : fleet.replicas)
+        for (const auto &kv : r.firstTokenLatency) {
+            sum[tier_of.at(kv.first)] += kv.second;
+            ++count[tier_of.at(kv.first)];
+        }
+    ASSERT_EQ(fleet.aggregate.classLatencies.size(), 2u);
+    for (const auto &agg : fleet.aggregate.classLatencies) {
+        double mean = sum[agg.tier] / static_cast<double>(count[agg.tier]);
+        EXPECT_EQ(agg.ttftSamples, count[agg.tier]) << "tier " << agg.tier;
+        EXPECT_NEAR(agg.avgFirstTokenSeconds, mean, 1e-12 * mean)
+            << "tier " << agg.tier;
+        // Weighting by completed requests gives a different average.
+        double done_sum = 0.0, done_n = 0.0;
+        for (const EngineResult &r : fleet.replicas)
+            for (const auto &cl : r.classLatencies)
+                if (cl.tier == agg.tier) {
+                    double w = static_cast<double>(cl.completedRequests);
+                    done_sum += cl.avgFirstTokenSeconds * w;
+                    done_n += w;
+                }
+        EXPECT_GT(std::abs(done_sum / done_n - mean), 1e-9 * mean)
+            << "tier " << agg.tier;
+    }
 }
 
 TEST(FleetFaults, DeadFleetLosesTheRemainderExactly)

@@ -349,6 +349,62 @@ TEST(SloClassesEngine, PerClassGateKeepsGuardedTierUnderItsTarget)
     EXPECT_GT(fifo_t0.p95TokenGapSeconds, interactive.gapSloSeconds);
 }
 
+TEST(SloClassesEngine, GateDeferredPrefillHoldsTheFifoQueueButNotTiers)
+{
+    // Request A decodes while prefill B and zero-context request C
+    // queue behind it. With a tiny gap target the SLO gate defers B
+    // for as long as A decodes; C needs no prefill, so the gate
+    // never applies to it. Single-class admission is a FIFO queue:
+    // C waits behind B until A completes and the gate reopens. With
+    // two tiers the scan skips the deferred B and admits C at once.
+    auto model = LlmConfig::llm7b(true);
+    auto cluster = ClusterConfig::neupimsLike(model);
+    applyOptions(cluster, PimphonyOptions::all());
+    SchedPolicyConfig sched;
+    sched.kind = SchedPolicyKind::SloAdmission;
+    sched.sloTargetGapSeconds = 1e-6;
+    sched.sloMinSamples = 1;
+
+    auto run = [&](const RequestClass &a_cls, const RequestClass &bc_cls,
+                   double b_at, double c_at) {
+        std::vector<TimedRequest> timed = {
+            {{0, 2000, 64, a_cls}, 0.0},
+            {{1, 2000, 16, bc_cls}, b_at},
+            {{2, 0, 16, bc_cls}, c_at}};
+        return runEngine(cluster, model, timed, 2048, sched);
+    };
+    // Place B and C a quarter of the way into A's decode.
+    auto alone = runEngine(cluster, model, {{{0, 2000, 64}, 0.0}}, 2048,
+                           sched);
+    double a_first = alone.firstTokenLatency.at(0);
+    double a_done = alone.completionSeconds.at(0);
+    double b_at = a_first + 0.25 * (a_done - a_first);
+    double c_at = a_first + 0.3 * (a_done - a_first);
+
+    auto c_first_token = [&](const EngineResult &r) {
+        return c_at + r.firstTokenLatency.at(2);
+    };
+
+    auto fifo = run(RequestClass{}, RequestClass{}, b_at, c_at);
+    ASSERT_EQ(fifo.completedRequests, 3u);
+    EXPECT_GT(fifo.sloDeferrals, 0u);
+    EXPECT_GT(c_first_token(fifo), fifo.completionSeconds.at(0));
+
+    RequestClass tier0;
+    tier0.tier = 0;
+    tier0.gapSloSeconds = 1e-6;
+    RequestClass tier1;
+    tier1.tier = 1;
+    tier1.gapSloSeconds = 1e-6;
+    auto tiers = run(tier0, tier1, b_at, c_at);
+    ASSERT_EQ(tiers.completedRequests, 3u);
+    EXPECT_GT(tiers.sloDeferrals, 0u);
+    EXPECT_LT(c_first_token(tiers), tiers.completionSeconds.at(0));
+    // B itself still waits for A.
+    EXPECT_GT(b_at + tiers.firstTokenLatency.at(1),
+              tiers.completionSeconds.at(0));
+}
+
 // --- (c) Per-tenant budgets. --------------------------------------------
 
 std::vector<TimedRequest>
