@@ -122,18 +122,33 @@ SampleRuns::percentile(double p)
 {
     if (count_ == 0)
         return 0.0;
-    // Equal values in different runs sort adjacent, so the walk
-    // visits the sorted expanded stream run by run.
-    std::sort(runs_.begin(), runs_.end(),
-              [](const Run &a, const Run &b) { return a.value < b.value; });
-    const Count rank = nearestRank(count_, p);
-    Count seen = 0;
-    for (const Run &run : runs_) {
-        seen += run.count;
-        if (seen >= rank)
-            return run.value;
+    // Weighted three-way quickselect: split the runs into < / == / >
+    // the pivot value, then keep the side whose count sum holds the
+    // rank. Each pass drops the nonempty == block, so it terminates,
+    // in O(runs) expected. Exact: the answer is the value the rank
+    // lands on in the sorted expanded stream.
+    auto lo = runs_.begin(), hi = runs_.end();
+    Count rank = nearestRank(count_, p);
+    for (;;) {
+        const double pivot = lo[(hi - lo) / 2].value;
+        auto below = [pivot](const Run &r) { return r.value < pivot; };
+        auto at_most = [pivot](const Run &r) { return !(pivot < r.value); };
+        auto eq = std::partition(lo, hi, below);
+        auto gt = std::partition(eq, hi, at_most);
+        Count less = 0, equal = 0;
+        for (auto it = lo; it != eq; ++it)
+            less += it->count;
+        for (auto it = eq; it != gt; ++it)
+            equal += it->count;
+        if (rank <= less) {
+            hi = eq;
+        } else if (rank <= less + equal) {
+            return pivot;
+        } else {
+            rank -= less + equal;
+            lo = gt;
+        }
     }
-    return runs_.back().value;
 }
 
 WindowedQuantile::WindowedQuantile(std::size_t window, double percentile)

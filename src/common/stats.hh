@@ -166,9 +166,9 @@ class SampleRuns
 
     /**
      * Nearest-rank percentile, @p p in (0, 100]; 0 when empty.
-     * Sorts the runs by value in place (no copy): later calls and
-     * mean() stay exact, and a later add() only forgoes merging into
-     * the run it would have extended.
+     * A weighted quickselect reorders the runs in place (O(runs),
+     * no copy): later calls and mean() stay exact, and a later add()
+     * only forgoes merging into the run it would have extended.
      */
     double percentile(double p);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <list>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -526,8 +527,8 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
     a.lastTokenAt = completion_clock;
     if (a.generated >= a.request.decodeTokens) {
         if (prefixActive_ && options_.prefixCache.sessionReuse &&
-            a.request.session != kNoSession &&
-            sessions_.count(a.request.id)) {
+            a.request.session != kNoSession && sessions_ &&
+            sessions_->count(a.request.id)) {
             // A declared successor exists: hand the full KV (context
             // plus everything generated) to the tree under this
             // turn's session key so turn k+1 prefills only its delta.
@@ -557,9 +558,13 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         if (classesActive_)
             ++tiers_[a.request.cls.tier].completed;
         latencies_.add(completion_clock - a.arrival);
-        result_.completionSeconds.emplace(a.request.id,
-                                          completion_clock);
-        if (sessionsActive_)
+        // At most one completion per request per engine: what lets
+        // releaseNextTurn() leave the session book unedited.
+        auto done = result_.completionSeconds.emplace(a.request.id,
+                                                      completion_clock);
+        if (!done.second)
+            panic("request %u completed twice", a.request.id);
+        if (sessions_)
             releaseNextTurn(a.request.id, completion_clock);
         return false;
     }
@@ -1166,16 +1171,25 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 void
 ServingEngine::declareSessionTurns(const SessionBook &sessions)
 {
+    declareSessionTurns(std::make_shared<const SessionBook>(sessions));
+}
+
+void
+ServingEngine::declareSessionTurns(
+    std::shared_ptr<const SessionBook> sessions)
+{
     if (ev_)
         fatal("ServingEngine::declareSessionTurns() after prepare()");
+    if (!sessions)
+        fatal("ServingEngine::declareSessionTurns(): null session book");
     // Successor turns join the class/tenant declaration exactly as a
     // declared open-loop trace would (tier targets fixed before
     // prepare() allocates the windows). Scan in ascending key order
     // so the first-target-wins rule is independent of the book's
     // bucket layout.
     std::vector<RequestId> keys;
-    keys.reserve(sessions.size());
-    for (const auto &kv : sessions) {
+    keys.reserve(sessions->size());
+    for (const auto &kv : *sessions) {
         if (kv.second.thinkSeconds < 0.0)
             fatal("session think times must be nonnegative");
         keys.push_back(kv.first);
@@ -1183,27 +1197,21 @@ ServingEngine::declareSessionTurns(const SessionBook &sessions)
     std::sort(keys.begin(), keys.end());
     std::vector<TimedRequest> decl;
     decl.reserve(keys.size());
-    for (RequestId key : keys) {
-        const SessionTurn &turn = sessions.at(key);
-        decl.push_back({turn.request, 0.0});
-        if (!sessions_.emplace(key, turn).second)
-            fatal("request %u already has a declared successor",
-                  key);
-    }
+    for (RequestId key : keys)
+        decl.push_back({sessions->at(key).request, 0.0});
+    sessions_ = mergeSessionBooks(std::move(sessions_), std::move(sessions));
     declareWorkload(decl);
-    sessionsActive_ = !sessions_.empty();
 }
 
 void
 ServingEngine::releaseNextTurn(RequestId completed, double now)
 {
-    auto it = sessions_.find(completed);
-    if (it == sessions_.end())
+    auto it = sessions_->find(completed);
+    if (it == sessions_->end())
         return;
-    TimedRequest next{it->second.request,
-                      now + it->second.thinkSeconds};
-    sessions_.erase(it);
-    registerInjected(next);
+    const SessionTurn *turn = &it->second;
+    double at = now + turn->thinkSeconds;
+    registerInjected({turn->request, at});
     // The release gets its own event rather than joining the
     // pending-arrival chain: a release often lands earlier than the
     // armed head arrival, and re-arming would leave a stale no-op
@@ -1215,12 +1223,13 @@ ServingEngine::releaseNextTurn(RequestId completed, double now)
     // holds by construction — including inside a fleet window, where
     // the successor lands on the replica that completed its
     // predecessor (natural session stickiness) without crossing the
-    // window barrier protocol.
-    EventRun &ev = *ev_;
-    ev.queue.schedule(next.arrivalSeconds, [this, next](double t) {
+    // window barrier protocol. The event fires at exactly @c at and
+    // captures only a pointer into the book (which outlives the
+    // run), so the callback fits SimFn's inline buffer.
+    ev_->queue.schedule(at, [this, turn](double t) {
         EventRun &run = *ev_;
         evAccountTo(t);
-        run.arrived.push_back(next);
+        run.arrived.push_back({turn->request, t});
         evFormNewCohorts(t);
     });
 }
@@ -1449,7 +1458,9 @@ ServingEngine::finalize()
         result_.uniqueKvPeakBytes = prefixUniquePeak_;
     }
     finalizeResult(ev.acc, ev.batchTime, ev.capacityTime);
-    return result_;
+    // Moved, not copied: the per-request maps are the largest part
+    // of the result, and a second finalize() is fatal above.
+    return std::move(result_);
 }
 
 void

@@ -314,7 +314,8 @@ class ServingEngine
      * @p sessions completes at time t, its successor turn is
      * released as a fresh arrival at t + thinkSeconds — the
      * dependency an open-loop trace cannot express. Must run before
-     * prepare(). Calls accumulate.
+     * prepare(). Calls accumulate (mergeSessionBooks: a predecessor
+     * id declared twice is fatal).
      *
      * Semantics worth knowing: a rejected or never-completing
      * predecessor keeps the rest of its session unreleased (the user
@@ -323,6 +324,13 @@ class ServingEngine
      * load signal sees only work that has actually arrived.
      */
     void declareSessionTurns(const SessionBook &sessions);
+
+    /**
+     * The same declaration, adopting @p sessions without copying it:
+     * the engine only reads the book and keeps it alive for the
+     * run, so many engines (a fleet's replicas) can share one.
+     */
+    void declareSessionTurns(std::shared_ptr<const SessionBook> sessions);
 
     /**
      * Build the run state and deliver the constructor-supplied
@@ -750,13 +758,13 @@ class ServingEngine
     SampleRuns tokenGaps_;
 
     /**
-     * Declared-but-unreleased successor turns, keyed by the
-     * predecessor request id; entries are erased as they fire.
+     * Declared successor turns, keyed by the predecessor request id;
+     * null when none were declared. Read-only and possibly shared
+     * with other engines: an entry fires when its predecessor
+     * completes here, which happens at most once, so nothing is
+     * erased. Pending release events point into it.
      */
-    SessionBook sessions_;
-
-    /** declareSessionTurns() declared at least one successor. */
-    bool sessionsActive_ = false;
+    std::shared_ptr<const SessionBook> sessions_;
 
     /** Any request carries a non-default class (tiers in play). */
     bool classesActive_ = false;

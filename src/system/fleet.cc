@@ -125,7 +125,9 @@ FleetEngine::setSessions(SessionBook sessions)
 {
     if (ran_)
         fatal("FleetEngine::setSessions() after run()");
-    sessions_ = std::move(sessions);
+    sessions_ = mergeSessionBooks(
+        std::move(sessions_),
+        std::make_shared<const SessionBook>(std::move(sessions)));
 }
 
 FleetResult
@@ -146,10 +148,11 @@ FleetEngine::run()
         // constructor, even though it will receive only a routed
         // subset.
         eng->declareWorkload(trace_);
-        // Likewise the full session book: a successor turn fires
-        // only on the replica that completes its predecessor, so a
-        // session's turns chain wherever its turn 0 was routed.
-        if (!sessions_.empty())
+        // Likewise the whole session book, shared rather than
+        // copied: a successor turn fires only on the replica that
+        // completes its predecessor, so a session's turns chain
+        // wherever its turn 0 was routed.
+        if (sessions_)
             eng->declareSessionTurns(sessions_);
         eng->prepare();
         engines_.push_back(std::move(eng));
@@ -178,12 +181,13 @@ FleetEngine::run()
     // counts partial decodes a crash (lostTokens) or a preemption
     // (recomputedTokens) discarded.
     std::unordered_map<RequestId, Tokens> decode_of;
-    decode_of.reserve(trace_.size() + sessions_.size());
+    decode_of.reserve(trace_.size() + (sessions_ ? sessions_->size() : 0));
     for (const TimedRequest &timed : trace_)
         decode_of[timed.request.id] = timed.request.decodeTokens;
-    for (const auto &kv : sessions_)
-        decode_of[kv.second.request.id] =
-            kv.second.request.decodeTokens;
+    if (sessions_)
+        for (const auto &kv : *sessions_)
+            decode_of[kv.second.request.id] =
+                kv.second.request.decodeTokens;
     for (const EngineResult &r : fleet.replicas)
         for (const auto &kv : r.completionSeconds) {
             auto it = decode_of.find(kv.first);

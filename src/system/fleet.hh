@@ -249,10 +249,14 @@ class FleetEngine
 
     /**
      * Declare the closed-loop successor turns of the trace's
-     * sessions (workload/session.hh) before run(). Every replica
-     * learns the full book; a successor fires only on the replica
-     * that completes its predecessor, so a session's turns stay on
-     * the replica its turn 0 was routed to. The router additionally
+     * sessions (workload/session.hh) before run(). Calls accumulate
+     * exactly as ServingEngine::declareSessionTurns() does
+     * (mergeSessionBooks: a predecessor id declared twice is fatal).
+     * The fleet keeps one immutable book and every replica shares
+     * it, so replica memory grows with the work routed to it, not
+     * with the trace. A successor fires only on the replica that
+     * completes its predecessor, so a session's turns stay on the
+     * replica its turn 0 was routed to. The router additionally
      * pins session identity (Request::session) at first sight: if a
      * session somehow reappears in the open-loop trace, its later
      * requests follow the pin rather than the policy.
@@ -319,8 +323,9 @@ class FleetEngine
      *  open interval carries a negative end until it closes. */
     std::vector<std::vector<std::pair<double, double>>> downIntervals_;
 
-    /** Closed-loop successor turns declared to every replica. */
-    SessionBook sessions_;
+    /** Closed-loop successor turns, shared by every replica; null
+     *  without sessions. */
+    std::shared_ptr<const SessionBook> sessions_;
 
     /** Session -> replica pin, recorded at first routing. */
     std::unordered_map<SessionId, std::size_t> sessionReplica_;

@@ -342,6 +342,35 @@ TEST(SampleRuns, MatchesExpandedStreamOnRepeatRuns)
     }
 }
 
+TEST(SampleRuns, QuickselectMatchesSortedReferenceWithTies)
+{
+    // The weighted quickselect against the sort-based reference on
+    // tie-heavy streams: four values, runs of one to three, so
+    // every pivot's == block spans many runs and ranks often land
+    // on a block edge. Sizes 1 and 2 cover the single-run and
+    // two-run degenerate partitions; repeated queries run on runs
+    // an earlier query already reordered.
+    for (std::uint64_t seed : {5u, 29u, 77u}) {
+        for (std::size_t n : {1u, 2u, 3u, 17u, 2000u}) {
+            Rng rng(seed + n);
+            const double pool[] = {-1.0, 0.0, 0.5, 3.0};
+            SampleRuns store;
+            std::vector<double> samples;
+            while (samples.size() < n) {
+                double v = pool[rng.uniformInt(0, 3)];
+                std::uint64_t len = rng.uniformInt(1, 3);
+                for (std::uint64_t i = 0; i < len && samples.size() < n;
+                     ++i) {
+                    samples.push_back(v);
+                    store.add(v);
+                }
+            }
+            expectMatchesExpandedStream(store, samples);
+            expectMatchesExpandedStream(store, samples);
+        }
+    }
+}
+
 TEST(SampleRuns, EmptyAndSingleSample)
 {
     SampleRuns empty;

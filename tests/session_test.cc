@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "system/engine.hh"
@@ -244,6 +246,117 @@ TEST(Sessions, FleetKeepsEverySessionOnOneReplica)
                 << "session " << kv.second.request.session;
         }
     }
+}
+
+// --- Declaring the book: adoption, accumulation, immutability. --------
+
+/** @p book split by predecessor-id parity into two disjoint halves. */
+std::pair<SessionBook, SessionBook>
+splitBook(const SessionBook &book)
+{
+    std::pair<SessionBook, SessionBook> halves;
+    for (const auto &kv : book)
+        (kv.first % 2 ? halves.second : halves.first).insert(kv);
+    return halves;
+}
+
+TEST(Sessions, SharedBookMatchesCopiedBook)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionWorkload(6, 3, 37);
+
+    auto copied = runWithSessions(cluster, model, built);
+    auto book = std::make_shared<const SessionBook>(built.sessions);
+    ServingEngine engine(cluster, model, built.initial,
+                         testEngineOptions());
+    engine.declareSessionTurns(book);
+    auto shared = engine.run();
+    ASSERT_EQ(copied.completedRequests, 18u);
+    expectSameResult(copied, shared);
+
+    // The engine only reads the book: after the run every entry is
+    // still there, unchanged, including the turns that fired.
+    ASSERT_EQ(book->size(), built.sessions.size());
+    for (const auto &kv : built.sessions) {
+        const SessionTurn &after = book->at(kv.first);
+        EXPECT_EQ(after.request.id, kv.second.request.id);
+        EXPECT_EQ(after.request.contextTokens,
+                  kv.second.request.contextTokens);
+        EXPECT_EQ(after.thinkSeconds, kv.second.thinkSeconds);
+    }
+}
+
+TEST(Sessions, TwoDeclarationsEqualTheirUnion)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionWorkload(6, 3, 41);
+    auto halves = splitBook(built.sessions);
+    ASSERT_FALSE(halves.first.empty());
+    ASSERT_FALSE(halves.second.empty());
+
+    auto whole = runWithSessions(cluster, model, built);
+    ServingEngine engine(cluster, model, built.initial,
+                         testEngineOptions());
+    engine.declareSessionTurns(halves.first);
+    engine.declareSessionTurns(halves.second);
+    auto split = engine.run();
+    ASSERT_EQ(whole.completedRequests, 18u);
+    expectSameResult(whole, split);
+}
+
+TEST(Sessions, FleetTwoSetSessionsEqualTheirUnion)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionWorkload(8, 3, 43);
+    auto halves = splitBook(built.sessions);
+
+    auto run = [&](const std::vector<const SessionBook *> &books) {
+        FleetOptions fopts;
+        fopts.replicas = 3;
+        fopts.policy = RoutePolicy::LeastLoaded;
+        fopts.dispatchLatencySeconds = 0.004;
+        fopts.engine = testEngineOptions();
+        FleetEngine fleet(cluster, model, built.initial, fopts);
+        for (const SessionBook *book : books)
+            fleet.setSessions(*book);
+        return fleet.run();
+    };
+    auto whole = run({&built.sessions});
+    auto split = run({&halves.first, &halves.second});
+
+    EXPECT_EQ(whole.aggregate.completedRequests, 24u);
+    EXPECT_EQ(split.goodputTokens, whole.goodputTokens);
+    ASSERT_EQ(split.replicas.size(), whole.replicas.size());
+    for (std::size_t i = 0; i < whole.replicas.size(); ++i)
+        expectSameResult(split.replicas[i], whole.replicas[i]);
+    expectSameResult(split.aggregate, whole.aggregate);
+}
+
+TEST(SessionsDeathTest, DuplicatePredecessorAcrossDeclarationsIsFatal)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionWorkload(2, 2, 47);
+    ASSERT_FALSE(built.sessions.empty());
+    SessionBook again;
+    again.insert(*built.sessions.begin());
+
+    auto engine_twice = [&]() {
+        ServingEngine engine(cluster, model, built.initial,
+                             testEngineOptions());
+        engine.declareSessionTurns(built.sessions);
+        engine.declareSessionTurns(again);
+    };
+    auto fleet_twice = [&]() {
+        FleetEngine fleet(cluster, model, built.initial, FleetOptions{});
+        fleet.setSessions(built.sessions);
+        fleet.setSessions(again);
+    };
+    EXPECT_DEATH(engine_twice(), "already has a declared successor");
+    EXPECT_DEATH(fleet_twice(), "already has a declared successor");
 }
 
 } // namespace

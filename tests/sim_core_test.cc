@@ -22,8 +22,10 @@
 #include "sim/ring_buffer.hh"
 #include "sim/small_fn.hh"
 #include "system/engine.hh"
+#include "system/fleet.hh"
 #include "system/stage_device.hh"
 #include "workload/arrival.hh"
+#include "workload/spec.hh"
 
 namespace pimphony {
 namespace {
@@ -258,6 +260,49 @@ TEST(SmallFn, DecodePathIsCallbackAllocationFree)
             << " heap-allocated callback storage on the decode path";
         EXPECT_EQ(r.completedRequests, 32u);
     }
+
+    // Closed-loop session releases ride the same path: each is one
+    // event whose callback points into the session book, on a bare
+    // engine with the prefix cache retaining turn KV and on a fleet
+    // whose replicas share one book.
+    auto cluster = ClusterConfig::neupimsLike(model);
+    cluster.plan = ParallelPlan{cluster.nModules / 2, 2};
+    applyOptions(cluster, PimphonyOptions::all());
+    WorkloadSpec spec;
+    spec.count = 16;
+    spec.length.kind = LengthSourceKind::Pairs;
+    spec.length.pairs = {{2000, 16}, {4000, 16}};
+    spec.arrival.kind = ArrivalKind::Poisson;
+    spec.arrival.ratePerSecond = 8.0;
+    spec.session.turns = 3;
+    spec.session.thinkMeanSeconds = 0.2;
+    spec.prefix.share = 0.5;
+    spec.prefix.tokens = 1024;
+    auto built = buildWorkload(spec, 41);
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    opts.prefillChunkTokens = 2048;
+    opts.prefixCache.enabled = true;
+
+    std::uint64_t before = sim::smallFnHeapAllocs();
+    ServingEngine engine(cluster, model, built.initial, opts);
+    engine.declareSessionTurns(built.sessions);
+    auto bare = engine.run();
+    EXPECT_EQ(sim::smallFnHeapAllocs(), before)
+        << "session releases heap-allocated callback storage";
+    EXPECT_EQ(bare.completedRequests, 48u);
+    EXPECT_GT(bare.prefixHits, 0u);
+
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.engine = opts;
+    before = sim::smallFnHeapAllocs();
+    FleetEngine fleet(cluster, model, built.initial, fopts);
+    fleet.setSessions(built.sessions);
+    auto out = fleet.run();
+    EXPECT_EQ(sim::smallFnHeapAllocs(), before)
+        << "fleet session releases heap-allocated callback storage";
+    EXPECT_EQ(out.aggregate.completedRequests, 48u);
 }
 
 TEST(RingQueue, FifoAcrossGrowthAndWraparound)
