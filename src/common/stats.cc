@@ -117,6 +117,15 @@ nearestRankPercentileInPlace(std::vector<double> &samples, double p)
     return samples[rank - 1];
 }
 
+void
+SampleRuns::absorb(SampleRuns &&other)
+{
+    runs_.insert(runs_.end(), other.runs_.begin(), other.runs_.end());
+    count_ += other.count_;
+    sum_ += other.sum_;
+    other = SampleRuns();
+}
+
 double
 SampleRuns::percentile(double p)
 {

@@ -151,6 +151,10 @@ class SampleRuns
         sum_ += v;
     }
 
+    /** Append @p other's stream to this one and empty @p other; the
+     *  sum becomes this sum plus @p other's. */
+    void absorb(SampleRuns &&other);
+
     /** Samples added (the expanded stream's length). */
     Count count() const { return count_; }
 

@@ -508,13 +508,13 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         // First admission wins: a preempted-and-recomputed request
         // keeps the TTFT of its first emitted token.
         if (result_.firstTokenLatency.emplace(a.request.id, ttft).second) {
-            firstTokenLatencies_.add(ttft);
+            result_.firstTokenRuns.add(ttft);
             if (classesActive_)
                 tiers_[a.request.cls.tier].ttfts.add(ttft);
         }
     } else if (a.lastTokenAt >= 0.0) {
         double gap = completion_clock - a.lastTokenAt;
-        tokenGaps_.add(gap);
+        result_.tokenGapRuns.add(gap);
         if (gapWindow_)
             gapWindow_->add(gap);
         if (classesActive_) {
@@ -557,7 +557,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         ++result_.completedRequests;
         if (classesActive_)
             ++tiers_[a.request.cls.tier].completed;
-        latencies_.add(completion_clock - a.arrival);
+        result_.requestLatencyRuns.add(completion_clock - a.arrival);
         // At most one completion per request per engine: what lets
         // releaseNextTurn() leave the session book unedited.
         auto done = result_.completionSeconds.emplace(a.request.id,
@@ -1478,19 +1478,8 @@ ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
     }
     result_.macUtilization = safeRatio(acc.busyCycles, acc.spanCycles);
 
-    // Exact summaries of the run-length sample stores: the average
-    // is the production-order running sum, the p95 the nearest-rank
-    // order statistic of the whole stream.
-    result_.avgRequestLatency = latencies_.mean();
-    result_.p95RequestLatency = latencies_.percentile(95.0);
-    result_.avgFirstTokenSeconds = firstTokenLatencies_.mean();
-    result_.p95FirstTokenSeconds = firstTokenLatencies_.percentile(95.0);
-    result_.avgTokenGapSeconds = tokenGaps_.mean();
-    result_.p95TokenGapSeconds = tokenGaps_.percentile(95.0);
-    result_.tokenGapSamples = tokenGaps_.count();
-
-    // Per-class and per-tenant summaries (classes / budgets only;
-    // both vectors stay empty on the strictly-additive default
+    // Per-class stores and per-tenant summaries (classes / budgets
+    // only; both vectors stay empty on the strictly-additive default
     // path).
     if (classesActive_) {
         result_.classLatencies.reserve(tiers_.size());
@@ -1500,13 +1489,9 @@ ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
             cl.gapSloTargetSeconds = kv.second.target;
             cl.requests = kv.second.requests;
             cl.completedRequests = kv.second.completed;
-            cl.avgFirstTokenSeconds = kv.second.ttfts.mean();
-            cl.p95FirstTokenSeconds = kv.second.ttfts.percentile(95.0);
-            cl.avgTokenGapSeconds = kv.second.gaps.mean();
-            cl.p95TokenGapSeconds = kv.second.gaps.percentile(95.0);
-            cl.tokenGapSamples = kv.second.gaps.count();
-            cl.ttftSamples = kv.second.ttfts.count();
-            result_.classLatencies.push_back(cl);
+            cl.firstTokenRuns = std::move(kv.second.ttfts);
+            cl.tokenGapRuns = std::move(kv.second.gaps);
+            result_.classLatencies.push_back(std::move(cl));
         }
     }
     if (tenantsActive_) {
@@ -1527,6 +1512,30 @@ ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
             to.budgetDeferrals = kv.second.deferrals;
             result_.tenantOccupancy.push_back(to);
         }
+    }
+    result_.summarizeLatencies();
+}
+
+void
+EngineResult::summarizeLatencies()
+{
+    // Exact summaries of the run-length sample stores: the average
+    // is the production-order running sum, the p95 the nearest-rank
+    // order statistic of the whole stream.
+    avgRequestLatency = requestLatencyRuns.mean();
+    p95RequestLatency = requestLatencyRuns.percentile(95.0);
+    avgFirstTokenSeconds = firstTokenRuns.mean();
+    p95FirstTokenSeconds = firstTokenRuns.percentile(95.0);
+    avgTokenGapSeconds = tokenGapRuns.mean();
+    p95TokenGapSeconds = tokenGapRuns.percentile(95.0);
+    tokenGapSamples = tokenGapRuns.count();
+    for (ClassLatency &cl : classLatencies) {
+        cl.avgFirstTokenSeconds = cl.firstTokenRuns.mean();
+        cl.p95FirstTokenSeconds = cl.firstTokenRuns.percentile(95.0);
+        cl.avgTokenGapSeconds = cl.tokenGapRuns.mean();
+        cl.p95TokenGapSeconds = cl.tokenGapRuns.percentile(95.0);
+        cl.tokenGapSamples = cl.tokenGapRuns.count();
+        cl.ttftSamples = cl.firstTokenRuns.count();
     }
 }
 

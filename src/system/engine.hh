@@ -99,8 +99,8 @@ struct EngineResult
     double prefillSeconds = 0.0;
 
     // The averages and p95s below are exact over every sample of the
-    // run: production-order sums and nearest-rank order statistics of
-    // run-length SampleRuns stores (common/stats.hh).
+    // run: summarizeLatencies() fills them from the sample stores at
+    // the end of this struct.
 
     /** Request latency (completion - arrival), open- or closed-loop. */
     double avgRequestLatency = 0.0;
@@ -122,7 +122,7 @@ struct EngineResult
      * Token-gap samples behind the two fields above. A preempted
      * request's restart emits a first token that records neither a
      * TTFT nor a gap, so this is not generatedTokens minus the TTFT
-     * count; fleet aggregation weights gap averages by it.
+     * count.
      */
     std::uint64_t tokenGapSamples = 0;
 
@@ -192,12 +192,15 @@ struct EngineResult
         double avgTokenGapSeconds = 0.0;
         double p95TokenGapSeconds = 0.0;
 
-        /** Token-gap samples of the tier (its gap-average weight). */
+        /** Token-gap samples of the tier. */
         std::uint64_t tokenGapSamples = 0;
 
-        /** TTFT samples of the tier (its TTFT-average weight; a
-         *  request a crash kills after its first token counts). */
+        /** TTFT samples of the tier (a request a crash kills after
+         *  its first token counts). */
         std::uint64_t ttftSamples = 0;
+
+        SampleRuns firstTokenRuns;
+        SampleRuns tokenGapRuns;
     };
 
     /** Per-tier TTFT / decode-gap percentiles, ascending tier.
@@ -272,6 +275,18 @@ struct EngineResult
      *  to the allocator's reservation at the sampling instant. */
     Bytes sharedKvPeakBytes = 0;
     Bytes uniqueKvPeakBytes = 0;
+
+    /** A latency per completion, a TTFT per first admission and a
+     *  gap per later token, in production order (absorb() merges two
+     *  results' stores exactly). */
+    SampleRuns requestLatencyRuns;
+    SampleRuns firstTokenRuns;
+    SampleRuns tokenGapRuns;
+
+    /** Fill every avg*, p95*, tokenGapSamples and ttftSamples field,
+     *  per class too, from the stores: the one summarizer, shared by
+     *  ServingEngine::finalize() and the fleet aggregate. */
+    void summarizeLatencies();
 };
 
 class ServingEngine
@@ -749,13 +764,6 @@ class ServingEngine
 
     std::unique_ptr<PimModuleModel> module_;
     std::unique_ptr<XpuModel> xpu_;
-
-    /** Whole-run samples (a latency per completion, a TTFT per first
-     *  admission, a gap per later token), kept as runs of repeated
-     *  values: memory grows with runs, not with decoded tokens. */
-    SampleRuns latencies_;
-    SampleRuns firstTokenLatencies_;
-    SampleRuns tokenGaps_;
 
     /**
      * Declared successor turns, keyed by the predecessor request id;

@@ -569,28 +569,17 @@ FleetEngine::runWindows(FleetResult &fleet)
 }
 
 EngineResult
-FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
+FleetEngine::aggregateResults(std::vector<EngineResult> &results)
 {
     EngineResult agg;
 
-    // Weighted-average accumulators: (sum of value * weight, sum of
-    // weight) pairs folded into the mean at the end. Gap and
-    // per-class TTFT averages weight by the exact sample counts,
-    // summed into the tokenGapSamples / ttftSamples fields
-    // themselves.
-    double lat_w = 0.0, lat_sum = 0.0;
-    double ttft_w = 0.0, ttft_sum = 0.0;
-    double gap_sum = 0.0;
+    // Time-weighted accumulators: (sum of value * replica seconds,
+    // sum of seconds) pairs folded into the mean at the end. Latency
+    // averages and p95s come from the pooled sample stores instead.
     double batch_sum = 0.0, mac_sum = 0.0, cap_sum = 0.0;
     double sec_sum = 0.0;
 
-    struct ClassAccum
-    {
-        EngineResult::ClassLatency out;
-        double ttft_sum = 0.0;
-        double gap_sum = 0.0;
-    };
-    std::map<unsigned, ClassAccum> classes;
+    std::map<unsigned, EngineResult::ClassLatency> classes;
 
     struct TenantAccum
     {
@@ -599,7 +588,7 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
     };
     std::map<unsigned, TenantAccum> tenants;
 
-    for (const EngineResult &r : results) {
+    for (EngineResult &r : results) {
         agg.generatedTokens += r.generatedTokens;
         agg.completedRequests += r.completedRequests;
         agg.rejectedRequests += r.rejectedRequests;
@@ -636,22 +625,10 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
         agg.maxTierInversionWaitSeconds =
             std::max(agg.maxTierInversionWaitSeconds,
                      r.maxTierInversionWaitSeconds);
-        agg.p95RequestLatency =
-            std::max(agg.p95RequestLatency, r.p95RequestLatency);
-        agg.p95FirstTokenSeconds =
-            std::max(agg.p95FirstTokenSeconds, r.p95FirstTokenSeconds);
-        agg.p95TokenGapSeconds =
-            std::max(agg.p95TokenGapSeconds, r.p95TokenGapSeconds);
 
-        double w = static_cast<double>(r.completedRequests);
-        lat_w += w;
-        lat_sum += r.avgRequestLatency * w;
-        double fw = static_cast<double>(r.firstTokenLatency.size());
-        ttft_w += fw;
-        ttft_sum += r.avgFirstTokenSeconds * fw;
-        agg.tokenGapSamples += r.tokenGapSamples;
-        gap_sum += r.avgTokenGapSeconds *
-                   static_cast<double>(r.tokenGapSamples);
+        agg.requestLatencyRuns.absorb(std::move(r.requestLatencyRuns));
+        agg.firstTokenRuns.absorb(std::move(r.firstTokenRuns));
+        agg.tokenGapRuns.absorb(std::move(r.tokenGapRuns));
 
         batch_sum += r.avgEffectiveBatch * r.simulatedSeconds;
         mac_sum += r.macUtilization * r.simulatedSeconds;
@@ -663,23 +640,15 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
         for (const auto &kv : r.completionSeconds)
             agg.completionSeconds[kv.first] = kv.second;
 
-        for (const auto &cl : r.classLatencies) {
-            ClassAccum &ca = classes[cl.tier];
-            ca.out.tier = cl.tier;
-            ca.out.gapSloTargetSeconds = std::max(
-                ca.out.gapSloTargetSeconds, cl.gapSloTargetSeconds);
-            ca.out.requests += cl.requests;
-            ca.out.completedRequests += cl.completedRequests;
-            ca.out.ttftSamples += cl.ttftSamples;
-            ca.ttft_sum += cl.avgFirstTokenSeconds *
-                           static_cast<double>(cl.ttftSamples);
-            ca.out.tokenGapSamples += cl.tokenGapSamples;
-            ca.gap_sum += cl.avgTokenGapSeconds *
-                          static_cast<double>(cl.tokenGapSamples);
-            ca.out.p95FirstTokenSeconds = std::max(
-                ca.out.p95FirstTokenSeconds, cl.p95FirstTokenSeconds);
-            ca.out.p95TokenGapSeconds = std::max(
-                ca.out.p95TokenGapSeconds, cl.p95TokenGapSeconds);
+        for (auto &cl : r.classLatencies) {
+            EngineResult::ClassLatency &out = classes[cl.tier];
+            out.tier = cl.tier;
+            out.gapSloTargetSeconds =
+                std::max(out.gapSloTargetSeconds, cl.gapSloTargetSeconds);
+            out.requests += cl.requests;
+            out.completedRequests += cl.completedRequests;
+            out.firstTokenRuns.absorb(std::move(cl.firstTokenRuns));
+            out.tokenGapRuns.absorb(std::move(cl.tokenGapRuns));
         }
 
         for (const auto &to : r.tenantOccupancy) {
@@ -703,13 +672,6 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
         agg.prefixHitRate =
             static_cast<double>(agg.prefixHits) /
             static_cast<double>(agg.prefixHits + agg.prefixMisses);
-    if (lat_w > 0.0)
-        agg.avgRequestLatency = lat_sum / lat_w;
-    if (ttft_w > 0.0)
-        agg.avgFirstTokenSeconds = ttft_sum / ttft_w;
-    if (agg.tokenGapSamples > 0)
-        agg.avgTokenGapSeconds =
-            gap_sum / static_cast<double>(agg.tokenGapSamples);
     if (agg.simulatedSeconds > 0.0)
         // Sum of per-replica concurrent batches, time-averaged over
         // the fleet makespan.
@@ -719,22 +681,15 @@ FleetEngine::aggregateResults(const std::vector<EngineResult> &results)
         agg.capacityUtilization = cap_sum / sec_sum;
     }
 
-    for (auto &kv : classes) {
-        ClassAccum &ca = kv.second;
-        if (ca.out.ttftSamples > 0)
-            ca.out.avgFirstTokenSeconds =
-                ca.ttft_sum / static_cast<double>(ca.out.ttftSamples);
-        if (ca.out.tokenGapSamples > 0)
-            ca.out.avgTokenGapSeconds =
-                ca.gap_sum / static_cast<double>(ca.out.tokenGapSamples);
-        agg.classLatencies.push_back(ca.out);
-    }
+    for (auto &kv : classes)
+        agg.classLatencies.push_back(std::move(kv.second));
     for (auto &kv : tenants) {
         TenantAccum &ta = kv.second;
         if (ta.share_w > 0.0)
             ta.out.avgTokenShare = ta.share_sum / ta.share_w;
         agg.tenantOccupancy.push_back(ta.out);
     }
+    agg.summarizeLatencies();
     return agg;
 }
 

@@ -148,17 +148,17 @@ struct FleetResult
      * Fleet-level roll-up of the per-replica results. Counters
      * (tokens, requests, events, energies, policy metrics) are sums;
      * simulatedSeconds is the fleet makespan (max over replicas) and
-     * tokensPerSecond the fleet throughput over it; averages are
-     * weighted by each replica's sample count (gap averages by the
-     * exact tokenGapSamples, per class too; per-class TTFT averages
-     * by ttftSamples); p95s are the max over
-     * replicas — a conservative bound, since exact fleet percentiles
-     * would need the merged sample sets the replicas no longer hold.
-     * A deterministic function of the per-replica results.
+     * tokensPerSecond the fleet throughput over it; batch, MAC,
+     * capacity and tenant-share means are time-weighted. Latency
+     * averages and p95s (per class too) are exact over the replicas'
+     * pooled samples: their stores are merged in replica index order
+     * and summarized as one engine's, so a p95 is a true nearest-rank
+     * percentile. A deterministic function of the per-replica results.
      */
     EngineResult aggregate;
 
-    /** Per-replica results, in replica index order. */
+    /** Per-replica results, in replica index order. Each keeps its
+     *  scalar summaries but handed its sample stores to aggregate. */
     std::vector<EngineResult> replicas;
 
     /** Requests routed to each replica, in replica index order. */
@@ -289,9 +289,10 @@ class FleetEngine
      */
     void runWindows(FleetResult &fleet);
 
-    /** Fleet-level aggregate of @p results (see FleetResult). */
+    /** Fleet-level aggregate of @p results (see FleetResult); takes
+     *  their sample stores. */
     static EngineResult
-    aggregateResults(const std::vector<EngineResult> &results);
+    aggregateResults(std::vector<EngineResult> &results);
 
     /** Policies that read and maintain the queued-token signal. */
     bool usesLoads() const

@@ -299,6 +299,43 @@ expectMatchesExpandedStream(SampleRuns &store,
             << "p " << p << " n " << samples.size();
 }
 
+/**
+ * Cut @p samples at @p cuts (ascending, from 0 to samples.size()),
+ * feed each piece to its own store, and absorb the pieces in order:
+ * the merged store must summarize exactly like the concatenation,
+ * with the piece-order sum of piece sums as its mean's numerator.
+ */
+void
+expectAbsorbedMatchesConcatenation(const std::vector<double> &samples,
+                                   const std::vector<std::size_t> &cuts)
+{
+    SampleRuns merged;
+    double sum_of_sums = 0.0;
+    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+        SampleRuns piece;
+        double piece_sum = 0.0;
+        for (std::size_t i = cuts[k]; i < cuts[k + 1]; ++i) {
+            piece.add(samples[i]);
+            piece_sum += samples[i];
+        }
+        // A summarized piece has reordered runs, as an engine's
+        // store has by the time a fleet merges it.
+        piece.percentile(95.0);
+        sum_of_sums += piece_sum;
+        merged.absorb(std::move(piece));
+        EXPECT_EQ(piece.count(), 0u);
+        EXPECT_EQ(piece.runs(), 0u);
+    }
+    ASSERT_EQ(merged.count(), samples.size());
+    const double n = static_cast<double>(samples.size());
+    ASSERT_EQ(merged.mean(), samples.empty() ? 0.0 : sum_of_sums / n);
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : {50.0, 95.0, 99.0, 100.0})
+        ASSERT_EQ(merged.percentile(p), nearestRankPercentile(sorted, p))
+            << "p " << p << " n " << samples.size();
+}
+
 TEST(SampleRuns, MatchesExpandedStreamOnRepeatRuns)
 {
     // Property: streams mixing long repeat runs (memoized cycle costs
@@ -339,6 +376,20 @@ TEST(SampleRuns, MatchesExpandedStreamOnRepeatRuns)
         }
         expectMatchesExpandedStream(store, samples);
         EXPECT_LT(store.runs() * 10, samples.size());
+
+        // Split-then-absorb, as a fleet pools its replicas' stores:
+        // random cuts, one piece left empty, cuts that may split a
+        // repeat run across two pieces.
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<std::size_t> cuts = {0, samples.size()};
+            for (int c = 0; c < 3; ++c)
+                cuts.push_back(static_cast<std::size_t>(
+                    rng.uniformInt(0, samples.size())));
+            cuts.push_back(cuts.back());
+            std::sort(cuts.begin(), cuts.end());
+            expectAbsorbedMatchesConcatenation(samples, cuts);
+        }
+        expectAbsorbedMatchesConcatenation({}, {0, 0, 0});
     }
 }
 

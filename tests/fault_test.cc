@@ -26,6 +26,7 @@
 #include <map>
 #include <vector>
 
+#include "result_eq.hh"
 #include "system/engine.hh"
 #include "system/fault.hh"
 #include "system/fleet.hh"
@@ -69,59 +70,6 @@ testTrace(std::size_t n, double rate, std::uint64_t seed,
         reqs.push_back({i, (i % 4 == 0) ? Tokens(20000) : Tokens(2000),
                         decode});
     return poissonArrivals(reqs, rate, seed);
-}
-
-/**
- * Field-by-field equality over the timing-independent EngineResult
- * metrics (the fleet_test comparison surface).
- */
-void
-expectSameResult(const EngineResult &a, const EngineResult &b)
-{
-    EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond);
-    EXPECT_EQ(a.simulatedSeconds, b.simulatedSeconds);
-    EXPECT_EQ(a.generatedTokens, b.generatedTokens);
-    EXPECT_EQ(a.completedRequests, b.completedRequests);
-    EXPECT_EQ(a.rejectedRequests, b.rejectedRequests);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.recomputedTokens, b.recomputedTokens);
-    EXPECT_EQ(a.avgEffectiveBatch, b.avgEffectiveBatch);
-    EXPECT_EQ(a.macUtilization, b.macUtilization);
-    EXPECT_EQ(a.capacityUtilization, b.capacityUtilization);
-    EXPECT_EQ(a.attentionSeconds, b.attentionSeconds);
-    EXPECT_EQ(a.fcSeconds, b.fcSeconds);
-    EXPECT_EQ(a.prefillSeconds, b.prefillSeconds);
-    EXPECT_EQ(a.avgRequestLatency, b.avgRequestLatency);
-    EXPECT_EQ(a.p95RequestLatency, b.p95RequestLatency);
-    EXPECT_EQ(a.avgFirstTokenSeconds, b.avgFirstTokenSeconds);
-    EXPECT_EQ(a.p95FirstTokenSeconds, b.p95FirstTokenSeconds);
-    EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds);
-    EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds);
-    EXPECT_EQ(a.tokenGapSamples, b.tokenGapSamples);
-    EXPECT_EQ(a.sloDeferrals, b.sloDeferrals);
-    EXPECT_EQ(a.chunkSlices, b.chunkSlices);
-    EXPECT_EQ(a.decodeOvertakes, b.decodeOvertakes);
-    EXPECT_EQ(a.decodePreemptSlices, b.decodePreemptSlices);
-    EXPECT_EQ(a.tierInversions, b.tierInversions);
-    EXPECT_EQ(a.maxTierInversionWaitSeconds,
-              b.maxTierInversionWaitSeconds);
-    EXPECT_EQ(a.maxDecodeXpuWaitSeconds, b.maxDecodeXpuWaitSeconds);
-    EXPECT_EQ(a.xpuPrefillBusySeconds, b.xpuPrefillBusySeconds);
-    EXPECT_EQ(a.simEvents, b.simEvents);
-    EXPECT_EQ(a.budgetDeferrals, b.budgetDeferrals);
-    EXPECT_EQ(a.firstTokenLatency, b.firstTokenLatency);
-    ASSERT_EQ(a.classLatencies.size(), b.classLatencies.size());
-    for (std::size_t i = 0; i < a.classLatencies.size(); ++i) {
-        const auto &ca = a.classLatencies[i];
-        const auto &cb = b.classLatencies[i];
-        EXPECT_EQ(ca.tier, cb.tier);
-        EXPECT_EQ(ca.requests, cb.requests);
-        EXPECT_EQ(ca.completedRequests, cb.completedRequests);
-        EXPECT_EQ(ca.avgFirstTokenSeconds, cb.avgFirstTokenSeconds);
-        EXPECT_EQ(ca.ttftSamples, cb.ttftSamples);
-        EXPECT_EQ(ca.avgTokenGapSeconds, cb.avgTokenGapSeconds);
-        EXPECT_EQ(ca.tokenGapSamples, cb.tokenGapSamples);
-    }
 }
 
 /** Full fleet comparison: per-replica, aggregate, fault metrics. */

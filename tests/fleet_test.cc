@@ -4,9 +4,10 @@
  * advancement behind a routing front-end.
  *
  * The acceptance properties:
- *  (a) a 1-replica fleet is bit-identical (field by field, over the
- *      timing-independent metrics) to a bare ServingEngine::run()
- *      fed the same arrivals — with zero dispatch latency directly,
+ *  (a) a 1-replica fleet is bit-identical (field by field, over every
+ *      deterministic metric: tests/result_eq.hh) to a bare
+ *      ServingEngine::run() fed the same arrivals — with zero
+ *      dispatch latency directly,
  *      with positive latency after shifting every arrival by it;
  *  (b) an N-replica fleet advanced on T threads is bit-identical to
  *      the same fleet advanced serially, for both routing policies;
@@ -16,13 +17,19 @@
  *      windows stays correct, and an arrival landing exactly on a
  *      window barrier routes at that barrier (inclusive bound);
  *  (e) golden anchors pin a multi-replica prefix-affinity session
- *      fleet, windowed and lockstep, at hex-float precision.
+ *      fleet, windowed and lockstep, at hex-float precision;
+ *  (f) aggregate latency p95s are nearest-rank percentiles of every
+ *      replica's pooled samples, never above the per-replica max.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
 #include <vector>
 
+#include "common/stats.hh"
+#include "result_eq.hh"
 #include "system/engine.hh"
 #include "system/fleet.hh"
 #include "workload/arrival.hh"
@@ -64,68 +71,6 @@ testTrace(std::size_t n, double rate, std::uint64_t seed)
         reqs.push_back({i, (i % 4 == 0) ? Tokens(20000) : Tokens(2000),
                         16});
     return poissonArrivals(reqs, rate, seed);
-}
-
-/**
- * Field-by-field equality over the timing-independent EngineResult
- * metrics (the engine_determinism_test comparison surface).
- */
-void
-expectSameResult(const EngineResult &a, const EngineResult &b)
-{
-    EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond);
-    EXPECT_EQ(a.simulatedSeconds, b.simulatedSeconds);
-    EXPECT_EQ(a.generatedTokens, b.generatedTokens);
-    EXPECT_EQ(a.completedRequests, b.completedRequests);
-    EXPECT_EQ(a.rejectedRequests, b.rejectedRequests);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.recomputedTokens, b.recomputedTokens);
-    EXPECT_EQ(a.avgEffectiveBatch, b.avgEffectiveBatch);
-    EXPECT_EQ(a.macUtilization, b.macUtilization);
-    EXPECT_EQ(a.capacityUtilization, b.capacityUtilization);
-    EXPECT_EQ(a.attentionSeconds, b.attentionSeconds);
-    EXPECT_EQ(a.fcSeconds, b.fcSeconds);
-    EXPECT_EQ(a.prefillSeconds, b.prefillSeconds);
-    EXPECT_EQ(a.avgRequestLatency, b.avgRequestLatency);
-    EXPECT_EQ(a.p95RequestLatency, b.p95RequestLatency);
-    EXPECT_EQ(a.avgFirstTokenSeconds, b.avgFirstTokenSeconds);
-    EXPECT_EQ(a.p95FirstTokenSeconds, b.p95FirstTokenSeconds);
-    EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds);
-    EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds);
-    EXPECT_EQ(a.tokenGapSamples, b.tokenGapSamples);
-    EXPECT_EQ(a.sloDeferrals, b.sloDeferrals);
-    EXPECT_EQ(a.chunkSlices, b.chunkSlices);
-    EXPECT_EQ(a.decodeOvertakes, b.decodeOvertakes);
-    EXPECT_EQ(a.decodePreemptSlices, b.decodePreemptSlices);
-    EXPECT_EQ(a.tierInversions, b.tierInversions);
-    EXPECT_EQ(a.maxTierInversionWaitSeconds,
-              b.maxTierInversionWaitSeconds);
-    EXPECT_EQ(a.maxDecodeXpuWaitSeconds, b.maxDecodeXpuWaitSeconds);
-    EXPECT_EQ(a.xpuPrefillBusySeconds, b.xpuPrefillBusySeconds);
-    EXPECT_EQ(a.simEvents, b.simEvents);
-    EXPECT_EQ(a.budgetDeferrals, b.budgetDeferrals);
-    EXPECT_EQ(a.firstTokenLatency, b.firstTokenLatency);
-    ASSERT_EQ(a.classLatencies.size(), b.classLatencies.size());
-    for (std::size_t i = 0; i < a.classLatencies.size(); ++i) {
-        const auto &ca = a.classLatencies[i];
-        const auto &cb = b.classLatencies[i];
-        EXPECT_EQ(ca.tier, cb.tier);
-        EXPECT_EQ(ca.requests, cb.requests);
-        EXPECT_EQ(ca.completedRequests, cb.completedRequests);
-        EXPECT_EQ(ca.avgFirstTokenSeconds, cb.avgFirstTokenSeconds);
-        EXPECT_EQ(ca.p95TokenGapSeconds, cb.p95TokenGapSeconds);
-        EXPECT_EQ(ca.tokenGapSamples, cb.tokenGapSamples);
-        EXPECT_EQ(ca.ttftSamples, cb.ttftSamples);
-    }
-    ASSERT_EQ(a.tenantOccupancy.size(), b.tenantOccupancy.size());
-    for (std::size_t i = 0; i < a.tenantOccupancy.size(); ++i) {
-        const auto &ta = a.tenantOccupancy[i];
-        const auto &tb = b.tenantOccupancy[i];
-        EXPECT_EQ(ta.tenant, tb.tenant);
-        EXPECT_EQ(ta.admittedRequests, tb.admittedRequests);
-        EXPECT_EQ(ta.avgTokenShare, tb.avgTokenShare);
-        EXPECT_EQ(ta.peakTokenShare, tb.peakTokenShare);
-    }
 }
 
 // --- (a) 1-replica fleet == bare engine. -------------------------------
@@ -385,6 +330,54 @@ TEST(FleetEngine, AggregateSumsAndBoundsPerReplicaResults)
         EXPECT_GT(n, 0u);
 }
 
+TEST(FleetEngine, AggregatePercentilesArePooledNearestRank)
+{
+    // A fault-free, session-free 3-replica fleet at zero dispatch
+    // latency: each replica sees the trace's own arrival times, so
+    // the pooled samples can be rebuilt from the per-request maps.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(60, 36.0, 19);
+
+    FleetOptions fopts;
+    fopts.replicas = 3;
+    fopts.policy = RoutePolicy::LeastLoaded;
+    fopts.dispatchLatencySeconds = 0.0;
+    fopts.engine = testEngineOptions();
+    auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+
+    std::unordered_map<RequestId, double> arrival;
+    for (const TimedRequest &t : trace)
+        arrival[t.request.id] = t.arrivalSeconds;
+    std::vector<double> ttfts, latencies;
+    double max_ttft = 0.0, max_latency = 0.0, max_gap = 0.0;
+    for (const EngineResult &r : fleet.replicas) {
+        for (const auto &kv : r.firstTokenLatency)
+            ttfts.push_back(kv.second);
+        for (const auto &kv : r.completionSeconds)
+            latencies.push_back(kv.second - arrival.at(kv.first));
+        max_ttft = std::max(max_ttft, r.p95FirstTokenSeconds);
+        max_latency = std::max(max_latency, r.p95RequestLatency);
+        max_gap = std::max(max_gap, r.p95TokenGapSeconds);
+        // The replica's stores now live in the aggregate.
+        EXPECT_EQ(r.firstTokenRuns.count(), 0u);
+        EXPECT_EQ(r.tokenGapRuns.count(), 0u);
+    }
+    ASSERT_EQ(ttfts.size(), trace.size());
+    ASSERT_EQ(latencies.size(), trace.size());
+    std::sort(ttfts.begin(), ttfts.end());
+    std::sort(latencies.begin(), latencies.end());
+
+    const EngineResult &agg = fleet.aggregate;
+    EXPECT_EQ(agg.p95FirstTokenSeconds, nearestRankPercentile(ttfts, 95.0));
+    EXPECT_EQ(agg.p95RequestLatency, nearestRankPercentile(latencies, 95.0));
+    // Pooled p95s never exceed the old max-over-replicas bound, and
+    // on this trace they sit strictly below it.
+    EXPECT_LT(agg.p95FirstTokenSeconds, max_ttft);
+    EXPECT_LT(agg.p95RequestLatency, max_latency);
+    EXPECT_LT(agg.p95TokenGapSeconds, max_gap);
+}
+
 TEST(FleetEngine, GapAveragesAreWeightedByGapSamples)
 {
     // Two memory-tight replicas under round-robin routing. Requests
@@ -529,14 +522,18 @@ runSessionAffinityFleet(double dispatch_latency)
 TEST(FleetGolden, SessionAffinityWindowedAndLockstep)
 {
     // Both runs route identically; the dispatch delay only shifts the
-    // makespan, and with it the throughput.
+    // makespan, and with it the throughput, and rounds the pooled
+    // TTFTs differently. The p95s are nearest-rank over the pooled
+    // samples of all four replicas.
     struct Golden
     {
         double dispatchLatency;
         double tokensPerSecond;
+        double p95FirstTokenSeconds;
     };
-    for (const Golden &g : {Golden{0.002, 0x1.d8cd98257ad7ap+7},
-                            Golden{0.0, 0x1.d918278c16482p+7}}) {
+    for (const Golden &g :
+         {Golden{0.002, 0x1.d8cd98257ad7ap+7, 0x1.590138bfd7a08p-2},
+          Golden{0.0, 0x1.d918278c16482p+7, 0x1.590138bfd7a0cp-2}}) {
         auto f = runSessionAffinityFleet(g.dispatchLatency);
         const std::vector<std::uint64_t> routed{7, 3, 3, 3};
         EXPECT_EQ(f.windows, 17u);
@@ -544,7 +541,9 @@ TEST(FleetGolden, SessionAffinityWindowedAndLockstep)
         EXPECT_EQ(f.routedSessions, routed);
         EXPECT_EQ(f.aggregate.tokensPerSecond, g.tokensPerSecond);
         EXPECT_EQ(f.aggregate.simEvents, 5960u);
-        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, 0x1.23e25a9a436fp-3);
+        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, 0x1.12f1d822de106p-3);
+        EXPECT_EQ(f.aggregate.p95FirstTokenSeconds, g.p95FirstTokenSeconds);
+        EXPECT_EQ(f.aggregate.p95RequestLatency, 0x1.d6fba5b17758ap-1);
         EXPECT_EQ(f.aggregate.completedRequests, 48u);
         EXPECT_GT(f.aggregate.prefixHits, 0u);
     }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/parallel.hh"
+#include "result_eq.hh"
 #include "system/engine.hh"
 #include "workload/arrival.hh"
 
@@ -151,19 +152,6 @@ runCell(Tokens ctx, double rate, std::uint64_t seed)
     opts.allocator = AllocatorKind::LazyChunk;
     opts.prefillChunkTokens = 2048;
     return ServingEngine(cluster, model, timed, opts).run();
-}
-
-void
-expectSameResult(const EngineResult &a, const EngineResult &b)
-{
-    // Bit-exact on the simulated (non-wall-clock) outputs.
-    EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond);
-    EXPECT_EQ(a.p95FirstTokenSeconds, b.p95FirstTokenSeconds);
-    EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds);
-    EXPECT_EQ(a.prefillSeconds, b.prefillSeconds);
-    EXPECT_EQ(a.chunkSlices, b.chunkSlices);
-    EXPECT_EQ(a.simEvents, b.simEvents);
-    EXPECT_EQ(a.completedRequests, b.completedRequests);
 }
 
 TEST(SweepRunner, ParallelEngineSweepIsBitIdenticalToSerial)
