@@ -17,7 +17,8 @@
  *      windows stays correct, and an arrival landing exactly on a
  *      window barrier routes at that barrier (inclusive bound);
  *  (e) golden anchors pin a multi-replica prefix-affinity session
- *      fleet, windowed and lockstep, at hex-float precision;
+ *      fleet, windowed and lockstep, at hex-float precision, with
+ *      and without a displacing fault schedule;
  *  (f) aggregate latency p95s are nearest-rank percentiles of every
  *      replica's pooled samples, never above the per-replica max.
  */
@@ -31,6 +32,7 @@
 #include "common/stats.hh"
 #include "result_eq.hh"
 #include "system/engine.hh"
+#include "system/fault.hh"
 #include "system/fleet.hh"
 #include "workload/arrival.hh"
 #include "workload/spec.hh"
@@ -490,7 +492,8 @@ TEST(FleetEngine, GapAveragesAreWeightedByGapSamples)
  * pins and closed-loop turn release all shape the run.
  */
 FleetResult
-runSessionAffinityFleet(double dispatch_latency)
+runSessionAffinityFleet(double dispatch_latency,
+                        const FaultSchedule &faults = {})
 {
     auto model = testModel();
     auto cluster = testCluster(model);
@@ -514,6 +517,7 @@ runSessionAffinityFleet(double dispatch_latency)
     fopts.engine = testEngineOptions();
     fopts.engine.chargePrefill = true;
     fopts.engine.prefixCache.enabled = true;
+    fopts.faults = faults;
     FleetEngine fleet(cluster, model, built.initial, fopts);
     fleet.setSessions(built.sessions);
     return fleet.run();
@@ -546,6 +550,68 @@ TEST(FleetGolden, SessionAffinityWindowedAndLockstep)
         EXPECT_EQ(f.aggregate.p95RequestLatency, 0x1.d6fba5b17758ap-1);
         EXPECT_EQ(f.aggregate.completedRequests, 48u);
         EXPECT_GT(f.aggregate.prefixHits, 0u);
+    }
+}
+
+/**
+ * The session fleet above under a displacing schedule: replica 0
+ * drains at 1.0 s and is killed 0.2 s later, replica 1 crashes hard
+ * at 0.3 s and recovers at 0.9 s after a 0.1 s reload, and replica 2
+ * runs at half speed over [0.2, 0.8) s. The drain evacuates queued
+ * work, both kills fail in-flight work over, and session releases
+ * landing on the dead replica 0 are swept as strays, so every
+ * displacement path, the retry backoff and the barrier schedule
+ * shape the pinned values.
+ */
+TEST(FleetGolden, DisplacingFaults)
+{
+    FaultSchedule faults;
+    faults.replicas.resize(4);
+    faults.replicas[0].push_back(crashAt(1.0, 0.2));
+    faults.replicas[1].push_back(crashAt(0.3));
+    faults.replicas[1].push_back(recoverAt(0.9, 0.1));
+    faults.replicas[2].push_back(degradeAt(0.2, 2.0, 0.6));
+
+    struct Golden
+    {
+        double dispatchLatency;
+        double availability0;
+        double availability1;
+        double tokensPerSecond;
+        double p95FirstTokenSeconds;
+        double p95RequestLatency;
+    };
+    for (const Golden &g :
+         {Golden{0.002, 0x1.f033ddab3f514p-3, 0x1.a92a1f9ba1b83p-1,
+                 0x1.8804f9e08ac5ep+7, 0x1.cda5f7597495ap-2,
+                 0x1.c86644eede3p-1},
+          Golden{0.0, 0x1.f0717332a65d4p-3, 0x1.a91f58a3efafbp-1,
+                 0x1.8835a142c3ef2p+7, 0x1.cda5f7597495ap-2,
+                 0x1.c86644eede302p-1}}) {
+        auto f = runSessionAffinityFleet(g.dispatchLatency, faults);
+        EXPECT_EQ(f.windows, 27u);
+        EXPECT_EQ(f.routedRequests,
+                  (std::vector<std::uint64_t>{7, 7, 5, 5}));
+        EXPECT_EQ(f.routedSessions,
+                  (std::vector<std::uint64_t>{0, 6, 5, 5}));
+        EXPECT_EQ(f.evacuatedRequests, 3u);
+        EXPECT_EQ(f.retriedRequests, 8u);
+        EXPECT_EQ(f.lostRequests, 0u);
+        EXPECT_EQ(f.lostTokens, 41u);
+        EXPECT_EQ(f.retryHistogram,
+                  (std::vector<std::uint64_t>{0, 8, 0, 0}));
+        EXPECT_EQ(f.availability,
+                  (std::vector<double>{g.availability0, g.availability1,
+                                       1.0, 1.0}));
+        EXPECT_EQ(f.reloadSeconds, 0x1.999999999999ap-4);
+        EXPECT_EQ(f.goodputTokens, 768u);
+        EXPECT_EQ(f.aggregate.tokensPerSecond, g.tokensPerSecond);
+        EXPECT_EQ(f.aggregate.simEvents, 6162u);
+        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, 0x1.0e3479bc1d38p-3);
+        EXPECT_EQ(f.aggregate.p95FirstTokenSeconds,
+                  g.p95FirstTokenSeconds);
+        EXPECT_EQ(f.aggregate.p95RequestLatency, g.p95RequestLatency);
+        EXPECT_EQ(f.aggregate.completedRequests, 48u);
     }
 }
 
