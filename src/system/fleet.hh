@@ -5,38 +5,33 @@
  *
  * The router's dispatch latency d is the fleet's lookahead bound: a
  * request the router sees at time t cannot reach a replica before
- * t + d. The fleet exploits this the way conservative parallel
- * discrete-event simulation does — simulated time is cut into
- * windows of width W = d with barriers B_j = j * W. At barrier B_j
- * every trace arrival with t <= B_j is routed (delivered to its
- * replica at t + d <= B_{j+1}), so when the replicas advance through
- * the window (B_j, B_{j+1}] they already hold every event that can
- * occur inside it: no mid-window injection is possible, and each
- * replica runs its own EventQueue independently. Within a window the
- * replicas execute in parallel on a SweepRunner pool; routing and
- * result merging happen serially between windows in replica index
- * order, so a T-thread fleet is bit-identical to a serial one, and a
- * 1-replica fleet is bit-identical to a bare ServingEngine fed the
- * same (dispatch-shifted) arrivals.
+ * t + d. As in conservative parallel discrete-event simulation, time
+ * is cut into windows of width d with barriers B_j = j * d. At B_j
+ * every arrival with t <= B_j is routed (delivered at
+ * t + d <= B_{j+1}), so the replicas advancing through
+ * (B_j, B_{j+1}] already hold every event inside it and run their
+ * own EventQueues independently, in parallel on a SweepRunner pool.
+ * Routing and result merging happen serially at barriers in replica
+ * index order, so a T-thread fleet is bit-identical to a serial one,
+ * and a 1-replica fleet to a bare ServingEngine fed the same
+ * (dispatch-shifted) arrivals. Zero lookahead (d = 0) degenerates to
+ * serial lockstep: the barriers are the distinct arrival times, the
+ * router reads replica state at each, and the pool has one thread.
  *
- * Zero lookahead (d = 0) removes the window slack, so the fleet
- * degenerates to serial lockstep: replicas advance to each distinct
- * arrival time in index order, the router reads their state at that
- * instant, and the request is injected with no dispatch delay.
- * Parallel advance would be fruitless there (every barrier is a
- * routing point), so the thread pool is bypassed regardless of the
- * configured thread count.
+ * FleetEngine has ServingEngine's resumable shape: prepare() builds
+ * the replicas, advanceTo(t) processes every barrier <= t (fault
+ * transitions, stray sweeps, routing) and then advances the replicas
+ * to t, advanceTo(+inf) also runs the post-trace drain, and
+ * finalize() builds the FleetResult. run() is that composition, and
+ * any sequence of horizons ending at +inf reproduces it bit for bit.
  */
 
 #ifndef PIMPHONY_SYSTEM_FLEET_HH
 #define PIMPHONY_SYSTEM_FLEET_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "system/engine.hh"
@@ -76,23 +71,6 @@ enum class RoutePolicy {
 
 std::string routePolicyName(RoutePolicy policy);
 
-/**
- * Per-replica health as the fleet's fault state machine sees it.
- * Transitions fire at window barriers (preserving the conservative
- * parallel protocol bit for bit):
- *
- *   Up --degrade--> Degraded --degrade end--> Up
- *   Up --crash(drain > 0)--> Draining --drain end--> Down
- *   Up --crash(drain = 0)--> Down
- *   Down --recover--> Reloading --reload done--> Up
- *
- * The router routes only to Up and Degraded replicas; Draining
- * replicas finish their in-flight work but receive nothing new.
- */
-enum class ReplicaHealth { Up, Degraded, Draining, Down, Reloading };
-
-std::string replicaHealthName(ReplicaHealth health);
-
 struct FleetOptions
 {
     /** Replica serving engines behind the router. */
@@ -101,9 +79,10 @@ struct FleetOptions
     RoutePolicy policy = RoutePolicy::RoundRobin;
 
     /**
-     * Router dispatch latency in seconds: a request routed at t
-     * arrives at its replica at t + d. Doubles as the conservative
-     * lookahead window width; 0 falls back to serial lockstep.
+     * Router dispatch latency in seconds (finite, >= 0): a request
+     * routed at t arrives at its replica at t + d. Doubles as the
+     * conservative lookahead window width; 0 falls back to serial
+     * lockstep.
      */
     double dispatchLatencySeconds = 0.0;
 
@@ -118,11 +97,9 @@ struct FleetOptions
     /** Per-replica engine configuration. */
     EngineOptions engine;
 
-    /**
-     * Fault injection (system/fault.hh). Every run takes the same
-     * fault-aware window loop; an empty schedule applies no
-     * transitions and reports trivial fault metrics.
-     */
+    /** Fault injection (system/fault.hh), validated at construction;
+     *  an empty schedule applies no transitions and reports trivial
+     *  fault metrics. */
     FaultSchedule faults;
 
     /**
@@ -134,10 +111,10 @@ struct FleetOptions
     unsigned retryBudget = 3;
 
     /**
-     * Failover backoff base: a request's k-th re-route is re-offered
-     * retryBackoffSeconds * 2^(k-1) after the fault that displaced
-     * it — deterministic exponential backoff, no jitter, so fault
-     * runs stay bit-reproducible.
+     * Failover backoff base (finite, >= 0): a request's k-th
+     * re-route is re-offered retryBackoffSeconds * 2^(k-1) after the
+     * fault that displaced it — deterministic exponential backoff,
+     * no jitter, so fault runs stay bit-reproducible.
      */
     double retryBackoffSeconds = 0.5;
 };
@@ -173,14 +150,12 @@ struct FleetResult
     std::vector<std::uint64_t> routedSessions;
 
     /**
-     * Synchronization rounds executed: parallel window advances
-     * under positive lookahead, per-arrival-time lockstep barriers
-     * under zero lookahead, plus the final drain in both modes.
-     * Router-idle barriers (nothing routable at or before them) are
-     * skipped — they neither read nor change replica state, so
-     * jumping to the next router-active barrier dispatches the
-     * identical event sequence — and once the trace is exhausted
-     * the remaining work is one independent drain per replica.
+     * Synchronization rounds executed: router-active barriers
+     * (windows under positive lookahead, arrival instants under zero
+     * lookahead, fault transitions in both) plus each post-trace
+     * drain. Router-idle barriers are skipped, since they neither
+     * read nor change replica state, and partial advanceTo()
+     * horizons count no round.
      */
     std::uint64_t windows = 0;
 
@@ -189,8 +164,8 @@ struct FleetResult
 
     /**
      * Per-replica up-time fraction of the fleet makespan: the share
-     * of time the replica was routable (Up or Degraded). 1.0
-     * everywhere without faults.
+     * of time the replica was routable (not draining, down or
+     * reloading). 1.0 everywhere without faults.
      */
     std::vector<double> availability;
 
@@ -237,20 +212,25 @@ struct FleetResult
 };
 
 /**
- * Router + N replica ServingEngines over one open-loop trace, driven
- * through the resumable engine interface; run() may be called once.
+ * Router + N replica ServingEngines over one open-loop trace (see the
+ * file comment). prepare() and finalize() may be called once each,
+ * advanceTo() any number of times between them.
  */
 class FleetEngine
 {
   public:
+    /** fatal() on an invalid option, naming the field. */
     FleetEngine(const ClusterConfig &cluster, const LlmConfig &model,
                 std::vector<TimedRequest> trace,
                 const FleetOptions &options);
 
+    FleetEngine(const FleetEngine &) = delete; // the run refers into it
+    ~FleetEngine();
+
     /**
      * Declare the closed-loop successor turns of the trace's
-     * sessions (workload/session.hh) before run(). Calls accumulate
-     * exactly as ServingEngine::declareSessionTurns() does
+     * sessions (workload/session.hh) before prepare(). Calls
+     * accumulate exactly as ServingEngine::declareSessionTurns() does
      * (mergeSessionBooks: a predecessor id declared twice is fatal).
      * The fleet keeps one immutable book and every replica shares
      * it, so replica memory grows with the work routed to it, not
@@ -263,76 +243,41 @@ class FleetEngine
      */
     void setSessions(SessionBook sessions);
 
+    /** prepare() -> advanceTo(+inf) -> finalize(). */
     FleetResult run();
 
+    /** Build the replicas and the router state. Call once. */
+    void prepare();
+
+    /**
+     * Process every router barrier at or before @p horizon, then
+     * advance every replica to @p horizon. Only +infinity runs the
+     * post-trace drain and its stray sweeps; later calls do nothing.
+     */
+    void advanceTo(double horizon);
+
+    /** advanceTo(+infinity) has completed the run. */
+    bool drained() const;
+
+    /** The fleet result (see FleetResult). fatal() unless drained(),
+     *  and on a second call. */
+    FleetResult finalize();
+
   private:
-    /**
-     * Route one request: returns the chosen replica index. Only
-     * routable replicas (routable_[i] != 0) are considered; a
-     * session pinned to an unroutable replica is un-pinned and
-     * re-pinned by policy. Callers guarantee at least one replica
-     * is routable. With every replica routable the decisions are
-     * identical to the pre-fault router.
-     */
-    std::size_t pickReplica(const TimedRequest &timed);
-
-    /** A request awaiting re-routing after a fault displaced it. */
-    struct PendingRetry
-    {
-        TimedRequest timed;
-        unsigned attempts = 0;
-    };
-
-    /**
-     * The conservative-window run loop: fault transitions, routing
-     * and replica advances at each barrier, then the final drain.
-     */
-    void runWindows(FleetResult &fleet);
-
-    /** Fleet-level aggregate of @p results (see FleetResult); takes
-     *  their sample stores. */
-    static EngineResult
-    aggregateResults(std::vector<EngineResult> &results);
-
-    /** Policies that read and maintain the queued-token signal. */
-    bool usesLoads() const
-    {
-        return options_.policy == RoutePolicy::LeastLoaded ||
-               options_.policy == RoutePolicy::PrefixAffinity;
-    }
+    /** Heap-held state of one prepared run (defined in fleet.cc). */
+    struct Run;
 
     ClusterConfig cluster_;
     LlmConfig model_;
     std::vector<TimedRequest> trace_;
     FleetOptions options_;
 
-    /** Router load signal: queued tokens per replica (LeastLoaded
-     *  and PrefixAffinity). */
-    std::vector<double> loads_;
-
-    /** The replicas; populated for the duration of run(). */
-    std::vector<std::unique_ptr<ServingEngine>> engines_;
-
-    /** Health state machine, one entry per replica. */
-    std::vector<ReplicaHealth> health_;
-
-    /** 1 while the replica accepts traffic (Up or Degraded). All 1
-     *  without faults, so the router is decision-identical. */
-    std::vector<char> routable_;
-
-    /** Unroutable intervals per replica, by nominal fault time; an
-     *  open interval carries a negative end until it closes. */
-    std::vector<std::vector<std::pair<double, double>>> downIntervals_;
-
     /** Closed-loop successor turns, shared by every replica; null
      *  without sessions. */
     std::shared_ptr<const SessionBook> sessions_;
 
-    /** Session -> replica pin, recorded at first routing. */
-    std::unordered_map<SessionId, std::size_t> sessionReplica_;
-
-    std::size_t rrNext_ = 0;
-    bool ran_ = false;
+    /** Live run (prepare() .. finalize()). */
+    std::unique_ptr<Run> run_;
 };
 
 } // namespace pimphony

@@ -72,27 +72,6 @@ testTrace(std::size_t n, double rate, std::uint64_t seed,
     return poissonArrivals(reqs, rate, seed);
 }
 
-/** Full fleet comparison: per-replica, aggregate, fault metrics. */
-void
-expectSameFleet(const FleetResult &a, const FleetResult &b)
-{
-    EXPECT_EQ(a.routedRequests, b.routedRequests);
-    EXPECT_EQ(a.routedSessions, b.routedSessions);
-    ASSERT_EQ(a.replicas.size(), b.replicas.size());
-    for (std::size_t i = 0; i < a.replicas.size(); ++i)
-        expectSameResult(a.replicas[i], b.replicas[i]);
-    expectSameResult(a.aggregate, b.aggregate);
-    EXPECT_EQ(a.availability, b.availability);
-    EXPECT_EQ(a.goodputTokens, b.goodputTokens);
-    EXPECT_EQ(a.goodputTokensPerSecond, b.goodputTokensPerSecond);
-    EXPECT_EQ(a.evacuatedRequests, b.evacuatedRequests);
-    EXPECT_EQ(a.retriedRequests, b.retriedRequests);
-    EXPECT_EQ(a.lostRequests, b.lostRequests);
-    EXPECT_EQ(a.lostTokens, b.lostTokens);
-    EXPECT_EQ(a.reloadSeconds, b.reloadSeconds);
-    EXPECT_EQ(a.retryHistogram, b.retryHistogram);
-}
-
 /** The fleet token ledger: every generated token was delivered,
  *  discarded by a crash, or discarded by a preemption. */
 void
@@ -256,6 +235,10 @@ TEST(FleetFaults, NonDisplacingFaultTakesFaultLoopYetMatchesBitForBit)
             degradeAt(after_last, 1.0, 1.0));
         auto benign = FleetEngine(cluster, model, trace, fopts).run();
 
+        // The degrade's start and end are two real sync rounds; with
+        // them set aside, every field matches.
+        EXPECT_EQ(benign.windows, plain.windows + 2);
+        benign.windows = plain.windows;
         expectSameFleet(plain, benign);
         EXPECT_EQ(benign.availability,
                   std::vector<double>(3, 1.0));

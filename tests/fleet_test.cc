@@ -20,12 +20,17 @@
  *      fleet, windowed and lockstep, at hex-float precision, with
  *      and without a displacing fault schedule;
  *  (f) aggregate latency p95s are nearest-rank percentiles of every
- *      replica's pooled samples, never above the per-replica max.
+ *      replica's pooled samples, never above the per-replica max;
+ *  (g) prepare() + advanceTo() over any horizons + finalize() equals
+ *      run(), and options and protocol misuse fail early.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -190,12 +195,7 @@ TEST(FleetEngine, ParallelAdvanceMatchesSerialBothPolicies)
         fopts.threads = 4;
         auto parallel = FleetEngine(cluster, model, trace, fopts).run();
 
-        EXPECT_EQ(serial.windows, parallel.windows);
-        EXPECT_EQ(serial.routedRequests, parallel.routedRequests);
-        ASSERT_EQ(serial.replicas.size(), parallel.replicas.size());
-        for (std::size_t i = 0; i < serial.replicas.size(); ++i)
-            expectSameResult(serial.replicas[i], parallel.replicas[i]);
-        expectSameResult(serial.aggregate, parallel.aggregate);
+        expectSameFleet(serial, parallel);
         EXPECT_EQ(serial.aggregate.completedRequests, trace.size());
     }
 }
@@ -219,10 +219,7 @@ TEST(FleetEngine, ZeroLookaheadLockstepIgnoresThreadCount)
     fopts.threads = 4;
     auto pooled = FleetEngine(cluster, model, trace, fopts).run();
 
-    EXPECT_EQ(serial.windows, pooled.windows);
-    EXPECT_EQ(serial.routedRequests, pooled.routedRequests);
-    for (std::size_t i = 0; i < serial.replicas.size(); ++i)
-        expectSameResult(serial.replicas[i], pooled.replicas[i]);
+    expectSameFleet(serial, pooled);
 }
 
 // --- (d) Window-protocol edges. ----------------------------------------
@@ -491,12 +488,9 @@ TEST(FleetEngine, GapAveragesAreWeightedByGapSamples)
  * prefixes, with the prefix cache on: router warmth probes, session
  * pins and closed-loop turn release all shape the run.
  */
-FleetResult
-runSessionAffinityFleet(double dispatch_latency,
-                        const FaultSchedule &faults = {})
+BuiltWorkload
+sessionAffinityWorkload()
 {
-    auto model = testModel();
-    auto cluster = testCluster(model);
     WorkloadSpec spec;
     spec.count = 16;
     spec.length.kind = LengthSourceKind::Pairs;
@@ -508,7 +502,21 @@ runSessionAffinityFleet(double dispatch_latency,
     spec.prefix.share = 0.75;
     spec.prefix.pool = 2;
     spec.prefix.tokens = 1024;
-    auto built = buildWorkload(spec, 31);
+    return buildWorkload(spec, 31);
+}
+
+/** Drives a constructed fleet to its result. */
+using FleetDriver = std::function<FleetResult(FleetEngine &)>;
+
+FleetResult
+runSessionAffinityFleet(
+    double dispatch_latency, const FaultSchedule &faults = {},
+    unsigned threads = 1,
+    const FleetDriver &drive = [](FleetEngine &f) { return f.run(); })
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionAffinityWorkload();
 
     FleetOptions fopts;
     fopts.replicas = 4;
@@ -518,9 +526,10 @@ runSessionAffinityFleet(double dispatch_latency,
     fopts.engine.chargePrefill = true;
     fopts.engine.prefixCache.enabled = true;
     fopts.faults = faults;
+    fopts.threads = threads;
     FleetEngine fleet(cluster, model, built.initial, fopts);
     fleet.setSessions(built.sessions);
-    return fleet.run();
+    return drive(fleet);
 }
 
 TEST(FleetGolden, SessionAffinityWindowedAndLockstep)
@@ -613,6 +622,119 @@ TEST(FleetGolden, DisplacingFaults)
         EXPECT_EQ(f.aggregate.p95RequestLatency, g.p95RequestLatency);
         EXPECT_EQ(f.aggregate.completedRequests, 48u);
     }
+}
+
+// --- (g) The resumable protocol. ---------------------------------------
+
+TEST(FleetEngine, AdvanceInStepsMatchesRun)
+{
+    // The displacing schedule of FleetGolden.DisplacingFaults, so
+    // the stepped runs cross drains, kills, a reload and stray
+    // sweeps as well as routing barriers.
+    FaultSchedule faults;
+    faults.replicas.resize(4);
+    faults.replicas[0].push_back(crashAt(1.0, 0.2));
+    faults.replicas[1].push_back(crashAt(0.3));
+    faults.replicas[1].push_back(recoverAt(0.9, 0.1));
+    faults.replicas[2].push_back(degradeAt(0.2, 2.0, 0.6));
+    double last_arrival =
+        sessionAffinityWorkload().initial.back().arrivalSeconds;
+    const double inf = std::numeric_limits<double>::infinity();
+
+    for (double d : {0.002, 0.0}) {
+        // The hard crash's barrier, computed as the fleet does.
+        double on_barrier = d > 0.0 ? std::ceil(0.3 / d) * d : 0.3;
+        // Inside a window; exactly on a barrier, twice; between a
+        // reload's start and completion; past the last trace arrival;
+        // past the makespan but before the drain.
+        const std::vector<double> horizons{
+            0.003, on_barrier, on_barrier, 0.95, last_arrival + 0.25,
+            1000.0};
+        for (unsigned threads : {1u, 4u}) {
+            auto whole = runSessionAffinityFleet(d, faults, threads);
+            auto stepped = runSessionAffinityFleet(
+                d, faults, threads, [&](FleetEngine &f) {
+                    f.prepare();
+                    for (double h : horizons) {
+                        f.advanceTo(h);
+                        EXPECT_FALSE(f.drained());
+                    }
+                    f.advanceTo(inf);
+                    EXPECT_TRUE(f.drained());
+                    f.advanceTo(inf); // a no-op once drained
+                    return f.finalize();
+                });
+            expectSameFleet(whole, stepped);
+            EXPECT_GT(stepped.retriedRequests, 0u);
+        }
+    }
+}
+
+TEST(FleetEngineDeathTest, InvalidOptionsAreFatalNamingTheField)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(4, 8.0, 3);
+    auto build = [&](const FleetOptions &opts) {
+        FleetEngine fleet(cluster, model, trace, opts);
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {nan, inf, -0.001}) {
+        FleetOptions latency;
+        latency.dispatchLatencySeconds = bad;
+        EXPECT_DEATH(build(latency),
+                     "dispatchLatencySeconds must be finite and >= 0");
+        FleetOptions backoff;
+        backoff.retryBackoffSeconds = bad;
+        EXPECT_DEATH(build(backoff),
+                     "retryBackoffSeconds must be finite and >= 0");
+    }
+    FleetOptions none;
+    none.replicas = 0;
+    EXPECT_DEATH(build(none), "replicas must be at least 1");
+    // The fault schedule is validated at construction, before run().
+    FleetOptions faults;
+    faults.replicas = 2;
+    faults.faults.replicas.resize(3);
+    faults.faults.replicas[2].push_back(crashAt(1.0));
+    EXPECT_DEATH(build(faults), "replica 2 of a 2-replica fleet");
+}
+
+TEST(FleetEngineDeathTest, ProtocolMisuseIsFatal)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(4, 8.0, 3);
+    FleetOptions opts;
+    opts.engine = testEngineOptions();
+    auto misuse = [&](const std::function<void(FleetEngine &)> &steps) {
+        FleetEngine fleet(cluster, model, trace, opts);
+        steps(fleet);
+    };
+    EXPECT_DEATH(misuse([](FleetEngine &f) { f.advanceTo(1.0); }),
+                 "advanceTo\\(\\) before prepare");
+    EXPECT_DEATH(misuse([](FleetEngine &f) {
+                     f.prepare();
+                     f.prepare();
+                 }),
+                 "prepare\\(\\) called twice");
+    EXPECT_DEATH(misuse([](FleetEngine &f) {
+                     f.prepare();
+                     f.advanceTo(1000.0);
+                     f.finalize();
+                 }),
+                 "finalize\\(\\) before advanceTo");
+    EXPECT_DEATH(misuse([](FleetEngine &f) {
+                     f.run();
+                     f.finalize();
+                 }),
+                 "finalize\\(\\) called twice");
+    EXPECT_DEATH(misuse([](FleetEngine &f) {
+                     f.prepare();
+                     f.setSessions({});
+                 }),
+                 "setSessions\\(\\) after prepare");
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
- * The one EngineResult comparison surface of the test suite:
- * field-by-field bit equality over every deterministic metric
- * (everything the simulation computes; no field reads a wall clock).
+ * The one EngineResult and FleetResult comparison surface of the
+ * test suite: field-by-field bit equality over every deterministic
+ * metric (everything the simulation computes; no field reads a wall
+ * clock).
  *
  * The sample stores (requestLatencyRuns, firstTokenRuns,
  * tokenGapRuns) are compared through their summaries, the avg / p95
@@ -20,6 +21,7 @@
 
 #include "energy/energy.hh"
 #include "system/engine.hh"
+#include "system/fleet.hh"
 
 namespace pimphony {
 
@@ -109,6 +111,29 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.savedPrefillSeconds, b.savedPrefillSeconds);
     EXPECT_EQ(a.sharedKvPeakBytes, b.sharedKvPeakBytes);
     EXPECT_EQ(a.uniqueKvPeakBytes, b.uniqueKvPeakBytes);
+}
+
+/** Full fleet comparison: routing, window count, per-replica and
+ *  aggregate results, and every fault metric. */
+inline void
+expectSameFleet(const FleetResult &a, const FleetResult &b)
+{
+    EXPECT_EQ(a.windows, b.windows);
+    EXPECT_EQ(a.routedRequests, b.routedRequests);
+    EXPECT_EQ(a.routedSessions, b.routedSessions);
+    ASSERT_EQ(a.replicas.size(), b.replicas.size());
+    for (std::size_t i = 0; i < a.replicas.size(); ++i)
+        expectSameResult(a.replicas[i], b.replicas[i]);
+    expectSameResult(a.aggregate, b.aggregate);
+    EXPECT_EQ(a.availability, b.availability);
+    EXPECT_EQ(a.goodputTokens, b.goodputTokens);
+    EXPECT_EQ(a.goodputTokensPerSecond, b.goodputTokensPerSecond);
+    EXPECT_EQ(a.evacuatedRequests, b.evacuatedRequests);
+    EXPECT_EQ(a.retriedRequests, b.retriedRequests);
+    EXPECT_EQ(a.lostRequests, b.lostRequests);
+    EXPECT_EQ(a.lostTokens, b.lostTokens);
+    EXPECT_EQ(a.reloadSeconds, b.reloadSeconds);
+    EXPECT_EQ(a.retryHistogram, b.retryHistogram);
 }
 
 } // namespace pimphony
