@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <string>
 
 #include "common/stats.hh"
 #include "workload/arrival.hh"
@@ -540,6 +542,121 @@ TEST(WorkloadSpec, SessionsGrowHistoryAndChainTurns)
                   it->second.request.contextTokens);
         EXPECT_EQ(kv.second.thinkSeconds, it->second.thinkSeconds);
     }
+}
+
+// --- WorkloadSpec: pinned build output. ---------------------------------
+
+/** FNV-1a over field values, so struct padding never enters the hash. */
+class Fnv1a
+{
+  public:
+    template <typename T>
+    void
+    add(T v)
+    {
+        const auto *p = reinterpret_cast<const unsigned char *>(&v);
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            h_ ^= p[i];
+            h_ *= 1099511628211ull;
+        }
+    }
+
+    void
+    add(const Request &r)
+    {
+        add(r.id);
+        add(r.contextTokens);
+        add(r.decodeTokens);
+        add(r.cls.tier);
+        add(r.cls.gapSloSeconds);
+        add(r.cls.tenant);
+        add(r.cls.weight);
+        add(r.session);
+        add(r.turn);
+        add(r.prefixHash);
+        add(r.prefixTokens);
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[17];
+        std::snprintf(buf, sizeof buf, "%016llx",
+                      static_cast<unsigned long long>(h_));
+        return buf;
+    }
+
+  private:
+    std::uint64_t h_ = 1469598103934665603ull;
+};
+
+/** Every field of the initial trace, then of the book in key order. */
+std::string
+builtDigest(const BuiltWorkload &built)
+{
+    Fnv1a h;
+    h.add(built.initial.size());
+    for (const TimedRequest &t : built.initial) {
+        h.add(t.request);
+        h.add(t.arrivalSeconds);
+    }
+    std::vector<RequestId> keys;
+    for (const auto &kv : built.sessions)
+        keys.push_back(kv.first);
+    std::sort(keys.begin(), keys.end());
+    h.add(keys.size());
+    for (RequestId k : keys) {
+        const SessionTurn &turn = built.sessions.at(k);
+        h.add(k);
+        h.add(turn.request);
+        h.add(turn.thinkSeconds);
+    }
+    return h.hex();
+}
+
+TEST(WorkloadSpec, BuildDigestsArePinned)
+{
+    // Recorded once and never edited: the *MatchFreeFunctions tests
+    // compare buildWorkload with the generators it is built from, so
+    // a change to a generator moves both sides. These constants catch
+    // it. The three specs are small versions of the perfbench shapes.
+    WorkloadSpec task_poisson;
+    task_poisson.count = 256;
+    task_poisson.length.task = TraceTask::QMSum;
+    task_poisson.length.decodeTokens = 128;
+    task_poisson.arrival.kind = ArrivalKind::Poisson;
+    task_poisson.arrival.ratePerSecond = 2.0;
+    EXPECT_EQ(builtDigest(buildWorkload(task_poisson, 1)), "e0411511b8c68fee");
+
+    WorkloadSpec histogram_classes;
+    histogram_classes.count = 256;
+    histogram_classes.length.kind = LengthSourceKind::Histogram;
+    histogram_classes.length.histogram.add(30000, 48, 1.0);
+    histogram_classes.length.histogram.add(2000, 48, 3.0);
+    histogram_classes.arrival.kind = ArrivalKind::Poisson;
+    histogram_classes.arrival.ratePerSecond = 100.0;
+    for (unsigned i = 0; i < 4; ++i) {
+        RequestClass cls;
+        cls.tier = i % 2;
+        cls.gapSloSeconds = cls.tier == 0 ? 50e-3 : 500e-3;
+        cls.tenant = (i / 2) % 2;
+        histogram_classes.classes.push_back(cls);
+    }
+    EXPECT_EQ(builtDigest(buildWorkload(histogram_classes, 1)), "1f62a33ce1b1270a");
+
+    WorkloadSpec sessions;
+    sessions.count = 64;
+    sessions.length.task = TraceTask::QMSum;
+    sessions.length.decodeTokens = 64;
+    sessions.arrival.kind = ArrivalKind::Poisson;
+    sessions.arrival.ratePerSecond = 1.0;
+    sessions.session.turns = 4;
+    sessions.session.thinkMeanSeconds = 2.0;
+    sessions.session.carryHistory = true;
+    sessions.prefix.share = 0.8;
+    sessions.prefix.pool = 16;
+    sessions.prefix.tokens = 2048;
+    EXPECT_EQ(builtDigest(buildWorkload(sessions, 1)), "1b95194e86b8a7fa");
 }
 
 // --- Trace replay round trip. -------------------------------------------
