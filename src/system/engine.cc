@@ -1131,41 +1131,50 @@ ServingEngine::nextEventTime() const
                      : ev_->queue.nextTime();
 }
 
+template <typename ForEach>
+void
+ServingEngine::declareRequests(ForEach for_each)
+{
+    // The one class/tenant activation scan: flip the class/tenant
+    // machinery on and fix per-tier SLO targets before prepare()
+    // allocates the per-tier windows. Per-tier request counts stay
+    // zero — registerInjected counts what this engine actually
+    // receives.
+    for_each([this](const Request &r) {
+        if (!r.cls.isDefault())
+            classesActive_ = true;
+        if (r.cls.tenant != 0)
+            tenantsActive_ = true;
+    });
+    tenantsActive_ = tenantsActive_ || budgetsActive_;
+    if (classesActive_) {
+        for_each([this](const Request &r) {
+            TierState &ts = tiers_[r.cls.tier];
+            // First explicit per-class target wins; tiers without
+            // one are judged against the policy-wide default.
+            if (ts.target == 0.0 && r.cls.gapSloSeconds > 0.0)
+                ts.target = r.cls.gapSloSeconds;
+        });
+        for (auto &kv : tiers_)
+            if (kv.second.target == 0.0)
+                kv.second.target = options_.sched.sloTargetGapSeconds;
+    }
+    if (tenantsActive_)
+        for_each([this](const Request &r) {
+            (void)tenantState(r.cls.tenant);
+        });
+}
+
 void
 ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 {
     if (ev_)
         fatal("ServingEngine::declareWorkload() after prepare()");
     requireSortedByArrival(trace, "ServingEngine::declareWorkload");
-    // The one class/tenant activation scan (the constructor runs it
-    // over its own requests): flip the class/tenant machinery on and
-    // fix per-tier SLO targets before prepare() allocates the
-    // per-tier windows. Per-tier request counts stay zero —
-    // registerInjected counts what this engine actually receives.
-    for (const auto &timed : trace) {
-        const RequestClass &cls = timed.request.cls;
-        if (!cls.isDefault())
-            classesActive_ = true;
-        if (cls.tenant != 0)
-            tenantsActive_ = true;
-    }
-    tenantsActive_ = tenantsActive_ || budgetsActive_;
-    if (classesActive_) {
-        for (const auto &timed : trace) {
-            const RequestClass &cls = timed.request.cls;
-            TierState &ts = tiers_[cls.tier];
-            // First explicit per-class target wins; tiers without
-            // one are judged against the policy-wide default.
-            if (ts.target == 0.0 && cls.gapSloSeconds > 0.0)
-                ts.target = cls.gapSloSeconds;
-        }
-        for (auto &kv : tiers_)
-            if (kv.second.target == 0.0)
-                kv.second.target = options_.sched.sloTargetGapSeconds;
-    }
-    if (tenantsActive_)
-        for (const auto &timed : trace)
-            (void)tenantState(timed.request.cls.tenant);
+    declareRequests([&trace](auto &&visit) {
+        for (const TimedRequest &timed : trace)
+            visit(timed.request);
+    });
 }
 
 void
@@ -1182,25 +1191,30 @@ ServingEngine::declareSessionTurns(
         fatal("ServingEngine::declareSessionTurns() after prepare()");
     if (!sessions)
         fatal("ServingEngine::declareSessionTurns(): null session book");
-    // Successor turns join the class/tenant declaration exactly as a
-    // declared open-loop trace would (tier targets fixed before
-    // prepare() allocates the windows). Scan in ascending key order
-    // so the first-target-wins rule is independent of the book's
-    // bucket layout.
-    std::vector<RequestId> keys;
-    keys.reserve(sessions->size());
-    for (const auto &kv : *sessions) {
-        if (kv.second.thinkSeconds < 0.0)
+    for (const auto &kv : *sessions)
+        if (!(kv.second.thinkSeconds >= 0.0)) // NaN too
             fatal("session think times must be nonnegative");
-        keys.push_back(kv.first);
-    }
-    std::sort(keys.begin(), keys.end());
-    std::vector<TimedRequest> decl;
-    decl.reserve(keys.size());
-    for (RequestId key : keys)
-        decl.push_back({sessions->at(key).request, 0.0});
+    // Successor turns join the class/tenant declaration exactly as a
+    // declared open-loop trace would. Only the first-target-wins rule
+    // depends on order, so only an active class scan walks the book
+    // in ascending key order, independent of its bucket layout.
+    std::vector<const SessionBook::value_type *> ordered;
+    declareRequests([&](auto &&visit) {
+        if (!classesActive_) {
+            for (const auto &kv : *sessions)
+                visit(kv.second.request);
+            return;
+        }
+        if (ordered.empty()) {
+            for (const auto &kv : *sessions)
+                ordered.push_back(&kv);
+            std::sort(ordered.begin(), ordered.end(),
+                      [](auto *a, auto *b) { return a->first < b->first; });
+        }
+        for (const auto *kv : ordered)
+            visit(kv->second.request);
+    });
     sessions_ = mergeSessionBooks(std::move(sessions_), std::move(sessions));
-    declareWorkload(decl);
 }
 
 void
@@ -1269,26 +1283,30 @@ ServingEngine::injectArrivals(const std::vector<TimedRequest> &batch)
         fatal("ServingEngine::injectArrivals() after finalize()");
     requireSortedByArrival(batch, "ServingEngine::injectArrivals");
     EventRun &ev = *ev_;
-    bool immediate = false;
-    for (const TimedRequest &timed : batch) {
+    for (const TimedRequest &timed : batch)
         registerInjected(timed);
-        if (timed.arrivalSeconds <= 0.0) {
-            ev.arrived.push_back(timed);
-            immediate = true;
-        } else if (ev.future.empty() ||
-                   timed.arrivalSeconds >= ev.future.back().arrivalSeconds) {
-            ev.future.push_back(timed); // sorted batches append in O(1)
-        } else {
-            // Merge into the nondecreasing pending-arrival stream;
-            // upper_bound keeps FIFO order among equal arrival
-            // times (later injections queue behind earlier ones).
+    // The sorted batch's time-zero prefix is available at once; the
+    // rest appends to the nondecreasing pending-arrival stream when
+    // it starts at or after the stream's tail.
+    auto later = std::partition_point(
+        batch.begin(), batch.end(),
+        [](const TimedRequest &t) { return t.arrivalSeconds <= 0.0; });
+    const bool immediate = later != batch.begin();
+    ev.arrived.insert(ev.arrived.end(), batch.begin(), later);
+    if (later == batch.end() || ev.future.empty() ||
+        later->arrivalSeconds >= ev.future.back().arrivalSeconds) {
+        ev.future.insert(ev.future.end(), later, batch.end());
+    } else {
+        for (; later != batch.end(); ++later) {
+            // upper_bound keeps FIFO order among equal arrival times
+            // (later injections queue behind earlier ones).
             auto pos = std::upper_bound(
                 ev.future.begin(), ev.future.end(),
-                timed.arrivalSeconds,
+                later->arrivalSeconds,
                 [](double t, const TimedRequest &r) {
                     return t < r.arrivalSeconds;
                 });
-            ev.future.insert(pos, timed);
+            ev.future.insert(pos, *later);
         }
     }
     evArmArrivalEvent();

@@ -650,6 +650,10 @@ class ServingEngine
      */
     void evArmArrivalEvent();
 
+    /** The one class/tenant declaration scan: @p for_each(visit)
+     *  visits every request in first-target-wins order, in place. */
+    template <typename ForEach> void declareRequests(ForEach for_each);
+
     /** Per-request class/tenant bookkeeping of a delivered arrival. */
     void registerInjected(const TimedRequest &timed);
 

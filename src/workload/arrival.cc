@@ -1,6 +1,7 @@
 #include "workload/arrival.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "workload/arrival_process.hh"
@@ -38,19 +39,26 @@ onOffArrivals(const std::vector<Request> &requests,
 void
 sortByArrival(std::vector<TimedRequest> &requests)
 {
-    std::stable_sort(requests.begin(), requests.end(),
-                     [](const TimedRequest &a, const TimedRequest &b) {
-                         return a.arrivalSeconds < b.arrivalSeconds;
-                     });
+    auto earlier = [](const TimedRequest &a, const TimedRequest &b) {
+        return a.arrivalSeconds < b.arrivalSeconds;
+    };
+    // Stable-sorting a sorted range is the identity: sorted input
+    // (every generator's) skips the sort and its scratch buffer.
+    if (!std::is_sorted(requests.begin(), requests.end(), earlier))
+        std::stable_sort(requests.begin(), requests.end(), earlier);
 }
 
 void
 requireSortedByArrival(const std::vector<TimedRequest> &requests,
                        const char *context)
 {
-    for (std::size_t i = 1; i < requests.size(); ++i)
-        if (requests[i].arrivalSeconds <
-            requests[i - 1].arrivalSeconds)
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (std::isnan(requests[i].arrivalSeconds))
+            fatal("%s: arrivalSeconds of request %u at index %zu is NaN",
+                  context, static_cast<unsigned>(requests[i].request.id),
+                  i);
+        if (i > 0 && requests[i].arrivalSeconds <
+                         requests[i - 1].arrivalSeconds)
             fatal("%s: arrivals out of order at index %zu "
                   "(request %u at %.17g after request %u at %.17g); "
                   "sortByArrival() first",
@@ -59,6 +67,7 @@ requireSortedByArrival(const std::vector<TimedRequest> &requests,
                   requests[i].arrivalSeconds,
                   static_cast<unsigned>(requests[i - 1].request.id),
                   requests[i - 1].arrivalSeconds);
+    }
 }
 
 std::vector<TimedRequest>

@@ -88,14 +88,14 @@ immediateArrivals(const std::vector<Request> &requests);
  * Stable-sort @p requests by arrival time. The serving engine's
  * admission queue and the event-driven core's arrival events both
  * assume nondecreasing arrival order; generators already satisfy it,
- * hand-built traces may not.
+ * hand-built traces may not, and only those pay for the sort.
  */
 void sortByArrival(std::vector<TimedRequest> &requests);
 
 /**
  * Check the nondecreasing-arrival invariant sortByArrival
- * establishes and fatal() with @p context on the first violation —
- * the assert form of the sort, called where the serving engine
+ * establishes and fatal() with @p context on a NaN or the first
+ * violation — the assert form of the sort, called where the serving engine
  * consumes a trace (declareWorkload / injectArrivals) so a
  * hand-built out-of-order trace fails loudly instead of silently
  * starving its early requests.

@@ -25,8 +25,9 @@ ImmediateProcess::next()
 PoissonProcess::PoissonProcess(double rate_per_second)
     : rate_(rate_per_second)
 {
-    if (rate_ <= 0.0)
-        fatal("arrival rate must be positive");
+    if (!std::isfinite(rate_) || rate_ <= 0.0)
+        fatal("arrival ratePerSecond must be finite and positive "
+              "(got %g)", rate_);
 }
 
 void
@@ -51,10 +52,11 @@ PoissonProcess::next()
 
 GammaProcess::GammaProcess(double rate_per_second, double cv)
 {
-    if (rate_per_second <= 0.0)
-        fatal("arrival rate must be positive");
-    if (cv <= 0.0)
-        fatal("arrival CV must be positive");
+    if (!std::isfinite(rate_per_second) || rate_per_second <= 0.0)
+        fatal("arrival ratePerSecond must be finite and positive "
+              "(got %g)", rate_per_second);
+    if (!std::isfinite(cv) || cv <= 0.0)
+        fatal("arrival cv must be finite and positive (got %g)", cv);
     // Gamma(k, theta): mean = k * theta = 1 / rate, CV = 1 / sqrt(k).
     shape_ = 1.0 / (cv * cv);
     scale_ = cv * cv / rate_per_second;

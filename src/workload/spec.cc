@@ -67,6 +67,8 @@ class LengthDraws
     {
         switch (spec_.kind) {
           case LengthSourceKind::TableTask:
+            if (spec_.decodeTokens == 0)
+                fatal("requests must decode at least one token");
             generator_ = std::make_unique<TraceGenerator>(spec_.task,
                                                           length_seed);
             break;
@@ -87,12 +89,8 @@ class LengthDraws
     next()
     {
         switch (spec_.kind) {
-          case LengthSourceKind::TableTask: {
-            // One-request batches replay generate(n)'s sample
-            // sequence exactly (the generator draws per request).
-            auto reqs = generator_->generate(1, spec_.decodeTokens);
-            return {reqs[0].contextTokens, reqs[0].decodeTokens};
-          }
+          case LengthSourceKind::TableTask:
+            return {generator_->sampleLength(), spec_.decodeTokens};
           case LengthSourceKind::Pairs: {
             const LengthPair &p =
                 spec_.pairs[nextPair_ % spec_.pairs.size()];
@@ -166,8 +164,10 @@ buildWorkload(const WorkloadSpec &spec, std::uint64_t seed)
 {
     if (spec.session.turns == 0)
         fatal("WorkloadSpec: session.turns must be >= 1");
-    if (spec.session.thinkMeanSeconds < 0.0)
-        fatal("WorkloadSpec: negative think time");
+    if (!std::isfinite(spec.session.thinkMeanSeconds) ||
+        spec.session.thinkMeanSeconds < 0.0)
+        fatal("WorkloadSpec: session.thinkMeanSeconds must be finite "
+              "and >= 0 (got %g)", spec.session.thinkMeanSeconds);
 
     LengthDraws lengths(spec.length, workloadLengthSeed(seed));
     PrefixDraws prefixes(spec.prefix, workloadPrefixSeed(seed));

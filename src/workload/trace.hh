@@ -137,9 +137,10 @@ class TraceGenerator
     void setRequestClass(const RequestClass &cls) { cls_ = cls; }
     const RequestClass &requestClass() const { return cls_; }
 
-  private:
+    /** Draw one context length; generate() draws once per request. */
     Tokens sampleLength();
 
+  private:
     TraceTask task_;
     Rng rng_;
     RequestId next_ = 0;

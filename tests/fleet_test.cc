@@ -626,6 +626,46 @@ TEST(FleetGolden, DisplacingFaults)
 
 // --- (g) The resumable protocol. ---------------------------------------
 
+TEST(ServingEngine, InjectedSortedBatchesMatchConstructorFeed)
+{
+    // One trace reaches a prepared engine in sorted batches: a
+    // time-zero prefix riding on the first batch, a disjoint batch
+    // (appended in bulk), then two interleaved batches, the second of
+    // which starts before the tail of the pending stream (merged per
+    // request). The pending stream ends up in trace order, so the run
+    // must equal the constructor-fed one.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(48, 24.0, 19);
+    for (std::size_t i = 0; i < 3; ++i)
+        trace[i].arrivalSeconds = 0.0;
+    auto slice = [&trace](std::size_t begin, std::size_t end,
+                          std::size_t stride) {
+        std::vector<TimedRequest> batch;
+        for (std::size_t i = begin; i < end; i += stride)
+            batch.push_back(trace[i]);
+        return batch;
+    };
+    const std::vector<std::vector<TimedRequest>> batches = {
+        slice(0, 12, 1), slice(12, 30, 1), slice(30, 48, 2),
+        slice(31, 48, 2)};
+    ASSERT_LT(batches[3].front().arrivalSeconds,
+              batches[2].back().arrivalSeconds);
+
+    auto whole =
+        ServingEngine(cluster, model, trace, testEngineOptions()).run();
+    ServingEngine engine(cluster, model, std::vector<TimedRequest>{},
+                         testEngineOptions());
+    engine.declareWorkload(trace);
+    engine.prepare();
+    for (const auto &batch : batches)
+        engine.injectArrivals(batch);
+    engine.advanceTo(std::numeric_limits<double>::infinity());
+    auto fed = engine.finalize();
+    EXPECT_EQ(fed.completedRequests, trace.size());
+    expectSameResult(fed, whole);
+}
+
 TEST(FleetEngine, AdvanceInStepsMatchesRun)
 {
     // The displacing schedule of FleetGolden.DisplacingFaults, so

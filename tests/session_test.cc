@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <utility>
@@ -312,6 +313,102 @@ TEST(Sessions, FleetTwoSetSessionsEqualTheirUnion)
     expectSameResult(split.aggregate, whole.aggregate);
 }
 
+// --- A session book with classes. --------------------------------------
+
+/**
+ * 8 four-turn sessions over two tiers and two budgeted tenants. Within
+ * a tier the sessions alternate between two gap targets, the lower
+ * one on the tier's lowest session, so the tier's target names the
+ * book entry the declaration scan saw first.
+ */
+BuiltWorkload
+classedSessionWorkload()
+{
+    WorkloadSpec spec;
+    spec.count = 8;
+    spec.length.kind = LengthSourceKind::Pairs;
+    spec.length.pairs = {{2000, 16}, {4000, 16}};
+    spec.arrival.kind = ArrivalKind::Poisson;
+    spec.arrival.ratePerSecond = 8.0;
+    spec.session.turns = 4;
+    spec.session.thinkMeanSeconds = 0.2;
+    const double targets[] = {0.04, 0.4, 0.06, 0.6};
+    for (unsigned i = 0; i < 4; ++i) {
+        RequestClass cls;
+        cls.tier = i % 2;
+        cls.gapSloSeconds = targets[i];
+        cls.tenant = (i / 2) % 2;
+        spec.classes.push_back(cls);
+    }
+    return buildWorkload(spec, 53);
+}
+
+EngineOptions
+classedEngineOptions()
+{
+    EngineOptions opts = testEngineOptions();
+    opts.sched.kind = SchedPolicyKind::SloAdmission;
+    opts.tenantBudgets = {{0, 0.5}, {1, 0.5}};
+    return opts;
+}
+
+TEST(Sessions, ClassedBookFirstTargetIsTheLowestKeys)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = classedSessionWorkload();
+    ASSERT_EQ(built.sessions.size(), 24u);
+
+    // Declared alone, the book fixes each tier's target from its
+    // lowest predecessor id: session 0 (key 0) for tier 0, session 1
+    // (key 4) for tier 1. The later sessions of each tier carry the
+    // other target.
+    ServingEngine engine(cluster, model, std::vector<TimedRequest>{},
+                         classedEngineOptions());
+    engine.declareSessionTurns(built.sessions);
+    auto r = engine.run();
+    ASSERT_EQ(r.classLatencies.size(), 2u);
+    EXPECT_EQ(r.classLatencies[0].tier, 0u);
+    EXPECT_EQ(r.classLatencies[0].gapSloTargetSeconds, 0.04);
+    EXPECT_EQ(r.classLatencies[1].tier, 1u);
+    EXPECT_EQ(r.classLatencies[1].gapSloTargetSeconds, 0.4);
+    ASSERT_EQ(r.tenantOccupancy.size(), 2u);
+}
+
+TEST(Sessions, ClassedBookInHalvesEqualsWholeAndOneReplicaFleet)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = classedSessionWorkload();
+    auto halves = splitBook(built.sessions);
+
+    ServingEngine whole_engine(cluster, model, built.initial,
+                               classedEngineOptions());
+    whole_engine.declareSessionTurns(built.sessions);
+    auto whole = whole_engine.run();
+    ASSERT_EQ(whole.completedRequests, 32u);
+    ASSERT_EQ(whole.classLatencies.size(), 2u);
+    EXPECT_EQ(whole.classLatencies[0].requests +
+                  whole.classLatencies[1].requests,
+              32u);
+
+    ServingEngine split_engine(cluster, model, built.initial,
+                               classedEngineOptions());
+    split_engine.declareSessionTurns(halves.first);
+    split_engine.declareSessionTurns(halves.second);
+    expectSameResult(split_engine.run(), whole);
+
+    FleetOptions fopts;
+    fopts.replicas = 1;
+    fopts.dispatchLatencySeconds = 0.0;
+    fopts.engine = classedEngineOptions();
+    FleetEngine fleet(cluster, model, built.initial, fopts);
+    fleet.setSessions(built.sessions);
+    auto fr = fleet.run();
+    ASSERT_EQ(fr.replicas.size(), 1u);
+    expectSameResult(fr.replicas[0], whole);
+}
+
 TEST(SessionsDeathTest, DuplicatePredecessorAcrossDeclarationsIsFatal)
 {
     auto model = testModel();
@@ -334,6 +431,21 @@ TEST(SessionsDeathTest, DuplicatePredecessorAcrossDeclarationsIsFatal)
     };
     EXPECT_DEATH(engine_twice(), "already has a declared successor");
     EXPECT_DEATH(fleet_twice(), "already has a declared successor");
+}
+
+TEST(SessionsDeathTest, NegativeOrNaNThinkTimeIsFatal)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionWorkload(2, 2, 59);
+    for (double think : {-1.0, std::nan("")}) {
+        SessionBook book = built.sessions;
+        book.begin()->second.thinkSeconds = think;
+        ServingEngine engine(cluster, model, built.initial,
+                             testEngineOptions());
+        EXPECT_DEATH(engine.declareSessionTurns(book),
+                     "session think times must be nonnegative");
+    }
 }
 
 } // namespace

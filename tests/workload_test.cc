@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <string>
 
@@ -762,6 +763,103 @@ TEST(Arrivals, RequireSortedReportsIndexIdsAndTimestamps)
     EXPECT_DEATH(requireSortedByArrival(timed, "ctx"),
                  "ctx: arrivals out of order at index 1 "
                  "\\(request 3 at 1 after request 7 at 2\\)");
+}
+
+TEST(Arrivals, SortByArrivalLeavesSortedTiesInPlace)
+{
+    // Ties in id-descending order: a sort keyed on anything but the
+    // arrival time, or an unstable one, would reorder them.
+    std::vector<TimedRequest> timed = {{{5, 100, 8}, 1.0},
+                                       {{2, 100, 8}, 1.0},
+                                       {{9, 100, 8}, 2.0},
+                                       {{1, 100, 8}, 2.0},
+                                       {{7, 100, 8}, 3.0}};
+    sortByArrival(timed);
+    const RequestId expected[] = {5, 2, 9, 1, 7};
+    for (std::size_t i = 0; i < timed.size(); ++i)
+        EXPECT_EQ(timed[i].request.id, expected[i]) << i;
+}
+
+TEST(Arrivals, SortByArrivalSortsUnsortedTiesStably)
+{
+    // 64 requests over 5 distinct times: long enough that an unstable
+    // sort (introsort past its insertion-sort cutoff) reorders ties.
+    std::vector<TimedRequest> timed;
+    for (RequestId i = 0; i < 64; ++i)
+        timed.push_back({{i, 100, 8}, static_cast<double>((i * 7) % 5)});
+    sortByArrival(timed);
+    requireSortedByArrival(timed, "test");
+    for (std::size_t i = 1; i < timed.size(); ++i) {
+        if (timed[i].arrivalSeconds == timed[i - 1].arrivalSeconds) {
+            EXPECT_LT(timed[i - 1].request.id, timed[i].request.id) << i;
+        }
+    }
+}
+
+TEST(ArrivalsDeathTest, RequireSortedRejectsNaNArrival)
+{
+    // NaN compares false both ways, so an order check alone lets it
+    // through anywhere in the trace.
+    std::vector<TimedRequest> timed = {{{0, 100, 8}, 1.0},
+                                       {{4, 100, 8}, std::nan("")},
+                                       {{2, 100, 8}, 3.0}};
+    EXPECT_DEATH(requireSortedByArrival(timed, "ctx"),
+                 "ctx: arrivalSeconds of request 4 at index 1 is NaN");
+}
+
+// --- Non-finite workload parameters. -------------------------------------
+
+TEST(WorkloadSpecDeathTest, NonFiniteArrivalRateIsFatal)
+{
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(PoissonProcess{nan}, "ratePerSecond must be finite");
+    EXPECT_DEATH(PoissonProcess{inf}, "ratePerSecond must be finite");
+    EXPECT_DEATH((GammaProcess{nan, 1.0}),
+                 "ratePerSecond must be finite");
+    EXPECT_DEATH((GammaProcess{inf, 1.0}),
+                 "ratePerSecond must be finite");
+
+    WorkloadSpec spec;
+    spec.count = 8;
+    spec.arrival.kind = ArrivalKind::Poisson;
+    spec.arrival.ratePerSecond = nan;
+    EXPECT_DEATH(buildWorkload(spec, 1), "ratePerSecond must be finite");
+}
+
+TEST(WorkloadSpecDeathTest, NonFiniteGammaCvIsFatal)
+{
+    EXPECT_DEATH((GammaProcess{1.0, std::nan("")}),
+                 "cv must be finite");
+    EXPECT_DEATH(
+        (GammaProcess{1.0, std::numeric_limits<double>::infinity()}),
+        "cv must be finite");
+}
+
+TEST(WorkloadSpecDeathTest, NonFiniteThinkTimeIsFatal)
+{
+    WorkloadSpec spec;
+    spec.count = 4;
+    spec.session.turns = 2;
+    spec.session.thinkMeanSeconds = std::nan("");
+    EXPECT_DEATH(buildWorkload(spec, 1),
+                 "session.thinkMeanSeconds must be finite");
+    spec.session.thinkMeanSeconds =
+        std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(buildWorkload(spec, 1),
+                 "session.thinkMeanSeconds must be finite");
+    spec.session.thinkMeanSeconds = -1.0;
+    EXPECT_DEATH(buildWorkload(spec, 1),
+                 "session.thinkMeanSeconds must be finite and >= 0");
+}
+
+TEST(WorkloadSpecDeathTest, TableTaskZeroDecodeTokensIsFatal)
+{
+    WorkloadSpec spec;
+    spec.count = 4;
+    spec.length.decodeTokens = 0;
+    EXPECT_DEATH(buildWorkload(spec, 1),
+                 "must decode at least one token");
 }
 
 TEST(Trace, NamesAndSuites)
