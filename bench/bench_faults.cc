@@ -101,8 +101,8 @@ runCell(const FaultConfig &cfg, unsigned threads)
                         32});
         cell.decodeTokens += 32;
     }
-    auto trace =
-        poissonArrivals(reqs, 24.0 * cfg.replicas, 17);
+    PoissonProcess arrivals(24.0 * cfg.replicas);
+    auto trace = attachArrivals(reqs, arrivals, 17);
 
     FaultSpec spec;
     spec.replicas = cfg.replicas;
@@ -160,7 +160,8 @@ runAccountingScenario()
     for (RequestId i = 0; i < 24; ++i)
         reqs.push_back({i, (i % 4 == 0) ? Tokens(20000) : Tokens(2000),
                         256});
-    auto trace = poissonArrivals(reqs, 64.0, 24);
+    PoissonProcess arrivals(64.0);
+    auto trace = attachArrivals(reqs, arrivals, 24);
 
     FleetOptions fopts;
     fopts.replicas = 2;

@@ -73,7 +73,8 @@ runFleetOnce(const FleetConfig &cfg, unsigned threads, double &wall)
     for (RequestId i = 0; i < n; ++i)
         reqs.push_back({i, (i % 4 == 0) ? Tokens(30000) : Tokens(2000),
                         32});
-    auto trace = poissonArrivals(reqs, cfg.ratePerSecond, 17);
+    PoissonProcess arrivals(cfg.ratePerSecond);
+    auto trace = attachArrivals(reqs, arrivals, 17);
 
     FleetOptions fopts;
     fopts.replicas = cfg.replicas;

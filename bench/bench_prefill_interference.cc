@@ -60,7 +60,8 @@ sweep(std::size_t n_requests, Tokens context, Tokens decode,
 
     auto outs = bench::runSweep(args, cells.size(), [&](std::size_t i) {
         const Cell &c = cells[i];
-        auto timed = poissonArrivals(reqs, c.rate, 17);
+        PoissonProcess arrivals(c.rate);
+        auto timed = attachArrivals(reqs, arrivals, 17);
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
         opts.prefillChunkTokens = c.chunk;

@@ -72,7 +72,8 @@ sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
         std::vector<Request> reqs;
         for (RequestId r = 0; r < n_requests; ++r)
             reqs.push_back({r, c.ctx, decode});
-        auto timed = gammaArrivals(reqs, c.rate, 3.0, 17);
+        GammaProcess arrivals(c.rate, 3.0);
+        auto timed = attachArrivals(reqs, arrivals, 17);
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
         opts.prefillChunkTokens = chunk;

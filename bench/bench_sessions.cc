@@ -67,10 +67,10 @@ sweep(std::size_t n_sessions, unsigned turns, Tokens decode,
         spec.session.thinkMeanSeconds = 0.5;
         spec.session.carryHistory = true;
         built = buildWorkload(spec, 33);
-        if (!args.saveTracePath.empty()) {
-            saveWorkload(args.saveTracePath, built);
+        if (!args.saveWorkloadPath.empty()) {
+            saveWorkload(args.saveWorkloadPath, built);
             std::cout << "saved workload trace to "
-                      << args.saveTracePath << "\n";
+                      << args.saveWorkloadPath << "\n";
         }
     }
 

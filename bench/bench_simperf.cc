@@ -106,7 +106,8 @@ runServingConfig(const ServingConfig &cfg, int reps, double &best_wall)
     for (RequestId i = 0; i < n; ++i)
         reqs.push_back({i, (i % 4 == 0) ? Tokens(30000) : Tokens(2000),
                         48});
-    auto timed = poissonArrivals(reqs, 8.0, 17);
+    PoissonProcess arrivals(8.0);
+    auto timed = attachArrivals(reqs, arrivals, 17);
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
@@ -165,7 +166,8 @@ runFleetConfig(const FleetRowConfig &cfg, int reps, double &best_wall)
     for (RequestId i = 0; i < n; ++i)
         reqs.push_back({i, (i % 4 == 0) ? Tokens(30000) : Tokens(2000),
                         32});
-    auto trace = poissonArrivals(reqs, 24.0, 17);
+    PoissonProcess arrivals(24.0);
+    auto trace = attachArrivals(reqs, arrivals, 17);
 
     FleetOptions fopts;
     fopts.replicas = cfg.replicas;

@@ -20,7 +20,6 @@
 
 #include "system/sched_policy.hh"
 #include "workload/arrival.hh"
-#include "workload/arrival_process.hh"
 #include "workload/request_class.hh"
 
 using namespace pimphony;
@@ -116,7 +115,8 @@ sweep(std::size_t n_requests, Tokens decode, Tokens chunk,
             traffic.offRate = 0.0;
             traffic.meanOnSeconds = 1.0;
             traffic.meanOffSeconds = 2.0;
-            timed = onOffArrivals(reqs, traffic, 17);
+            OnOffProcess process(traffic);
+            timed = attachArrivals(reqs, process, 17);
         }
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;

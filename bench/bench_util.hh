@@ -59,7 +59,7 @@ struct BenchArgs
 
     /** --save-trace[=PATH]: save the generated workload for replay
      *  (kTraceFlags). Empty = don't save. */
-    std::string saveTracePath;
+    std::string saveWorkloadPath;
 
     /** --rate-curve=R1,R2,...: diurnal arrival-rate profile in
      *  requests/second (kRateCurveFlag). Empty = bench default. */
@@ -148,10 +148,10 @@ parseBenchArgs(int argc, char **argv, const char *description,
             out.tracePath = arg.substr(8);
         } else if ((workload_flags & kTraceFlags) &&
                    arg == "--save-trace") {
-            out.saveTracePath = default_trace;
+            out.saveWorkloadPath = default_trace;
         } else if ((workload_flags & kTraceFlags) &&
                    arg.rfind("--save-trace=", 0) == 0) {
-            out.saveTracePath = arg.substr(13);
+            out.saveWorkloadPath = arg.substr(13);
         } else if ((workload_flags & kRateCurveFlag) &&
                    arg.rfind("--rate-curve=", 0) == 0) {
             parse_rates(arg.substr(13));

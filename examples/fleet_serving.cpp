@@ -34,7 +34,8 @@ makeTrace(std::size_t n, double ratePerSecond, unsigned seed)
         Tokens context = (i % 4 == 0) ? 30000 : 2000;
         reqs.push_back({i, context, 32});
     }
-    return poissonArrivals(reqs, ratePerSecond, seed);
+    PoissonProcess arrivals(ratePerSecond);
+    return attachArrivals(reqs, arrivals, seed);
 }
 
 FleetResult
@@ -119,7 +120,8 @@ faultInjection()
     for (RequestId i = 0; i < 48; ++i)
         reqs.push_back({i, (i % 4 == 0) ? Tokens(20000) : Tokens(2000),
                         256});
-    auto trace = poissonArrivals(reqs, 32.0, 29);
+    PoissonProcess arrivals(32.0);
+    auto trace = attachArrivals(reqs, arrivals, 29);
 
     auto model = LlmConfig::llm7b(true);
     auto cluster = ClusterConfig::neupimsLike(model);

@@ -48,7 +48,8 @@ policySelection()
     traffic.onRate = 4.0;           // bursts of ~8 requests...
     traffic.meanOnSeconds = 2.0;
     traffic.meanOffSeconds = 4.0;   // ...then silence
-    auto timed = onOffArrivals(reqs, traffic, 17);
+    OnOffProcess arrivals(traffic);
+    auto timed = attachArrivals(reqs, arrivals, 17);
 
     const double target_gap = 0.05; // 50 ms decode token-gap SLO
 
@@ -112,7 +113,8 @@ requestClasses()
     traffic.onRate = 4.0;
     traffic.meanOnSeconds = 2.0;
     traffic.meanOffSeconds = 4.0;
-    auto timed = onOffArrivals(reqs, traffic, 17);
+    OnOffProcess arrivals(traffic);
+    auto timed = attachArrivals(reqs, arrivals, 17);
 
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
@@ -229,7 +231,8 @@ main()
                 "tokens/s", "avg lat (s)", "p95 lat (s)");
 
     for (double rate : {1.0, 4.0, 16.0}) {
-        auto timed = poissonArrivals(requests, rate, 5);
+        PoissonProcess arrivals(rate);
+        auto timed = attachArrivals(requests, arrivals, 5);
         for (auto options :
              {PimphonyOptions::baseline(), PimphonyOptions::all()}) {
             auto cluster = base_cluster;

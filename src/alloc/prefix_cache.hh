@@ -62,9 +62,6 @@ struct PrefixCacheOptions
     /** Cap on cache chunk custody as a fraction of KV capacity;
      *  publishes beyond it evict idle entries or are skipped. */
     double maxShare = 0.5;
-
-    /** Retain a completed turn's KV for the declared next turn. */
-    bool sessionReuse = true;
 };
 
 struct PrefixCacheStats

@@ -112,7 +112,12 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
                              const LlmConfig &model,
                              std::vector<Request> requests,
                              const EngineOptions &options)
-    : ServingEngine(cluster, model, immediateArrivals(requests), options)
+    : ServingEngine(cluster, model,
+                    [&requests] {
+                        ImmediateProcess closed;
+                        return attachArrivals(requests, closed, 0);
+                    }(),
+                    options)
 {
 }
 
@@ -287,8 +292,7 @@ ServingEngine::probePrefix(const Request &r) const
     // prefix. Read-only (no stats, no LRU touch), so the routing
     // probe never perturbs replica state.
     PrefixProbe p;
-    if (options_.prefixCache.sessionReuse && r.session != kNoSession &&
-        r.turn > 0) {
+    if (r.session != kNoSession && r.turn > 0) {
         std::uint64_t key = PrefixCache::sessionKey(r.session, r.turn - 1);
         p.probed = true;
         p.share = prefixCache_->peek(key);
@@ -526,8 +530,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
     }
     a.lastTokenAt = completion_clock;
     if (a.generated >= a.request.decodeTokens) {
-        if (prefixActive_ && options_.prefixCache.sessionReuse &&
-            a.request.session != kNoSession && sessions_ &&
+        if (prefixActive_ && a.request.session != kNoSession && sessions_ &&
             sessions_->count(a.request.id)) {
             // A declared successor exists: hand the full KV (context
             // plus everything generated) to the tree under this

@@ -3,21 +3,19 @@
  * Open-loop arrival processes for online serving experiments.
  *
  * The paper's evaluation is closed-loop (a fixed request pool), but a
- * deployed long-context service sees requests arrive over time; the
- * Poisson process here lets the engine run open-loop and report
- * request latency percentiles in addition to throughput.
- *
- * Deprecation note: the free functions below are retained as thin,
- * bit-identical wrappers over the ArrivalProcess implementations in
- * workload/arrival_process.hh. New code should compose workloads
- * through WorkloadSpec / buildWorkload() (workload/spec.hh), which
- * also covers class mixes, sessions, and the diurnal rate curve the
- * free functions cannot express.
+ * deployed long-context service sees requests arrive over time. An
+ * ArrivalProcess is a deterministic-per-seed stream of nondecreasing
+ * arrival times, and attachArrivals() zips one onto a request list —
+ * the one way to time a trace. WorkloadSpec / buildWorkload()
+ * (workload/spec.hh) composes a process with lengths, class mixes and
+ * sessions.
  */
 
 #ifndef PIMPHONY_WORKLOAD_ARRIVAL_HH
 #define PIMPHONY_WORKLOAD_ARRIVAL_HH
 
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "common/rng.hh"
@@ -34,23 +32,73 @@ struct TimedRequest
 };
 
 /**
- * Attach Poisson arrivals at @p rate_per_second to @p requests
- * (exponential inter-arrival times, deterministic per seed).
+ * A stream of absolute arrival times on the serving clock.
+ *
+ * Contract: after reset(seed) the stream restarts from time zero,
+ * successive next() calls return nondecreasing times, and the whole
+ * stream is a deterministic function of the seed. next() before the
+ * first reset() is a usage error (fatal).
  */
-std::vector<TimedRequest> poissonArrivals(const std::vector<Request> &requests,
-                                          double rate_per_second,
-                                          std::uint64_t seed);
+class ArrivalProcess
+{
+  public:
+    virtual ~ArrivalProcess() = default;
+
+    /** Restart the stream from time zero, seeded with @p seed. */
+    virtual void reset(std::uint64_t seed) = 0;
+
+    /** The next absolute arrival time (seconds, nondecreasing). */
+    virtual double next() = 0;
+};
+
+/** Every request at time zero (closed-loop; no randomness). */
+class ImmediateProcess final : public ArrivalProcess
+{
+  public:
+    void reset(std::uint64_t seed) override;
+    double next() override;
+
+  private:
+    bool armed_ = false;
+};
+
+/** Poisson arrivals: exponential gaps at a fixed rate. */
+class PoissonProcess final : public ArrivalProcess
+{
+  public:
+    explicit PoissonProcess(double rate_per_second);
+
+    void reset(std::uint64_t seed) override;
+    double next() override;
+
+  private:
+    double rate_;
+    Rng rng_{0};
+    double t_ = 0.0;
+    bool armed_ = false;
+};
 
 /**
- * Bursty open-loop arrivals: gamma inter-arrival times with mean
- * 1 / @p rate_per_second and coefficient of variation @p cv.
- * cv == 1 recovers the Poisson process; cv > 1 clusters arrivals
- * (heavier bursts than Poisson); cv < 1 smooths them. Deterministic
- * per seed.
+ * Gamma renewal arrivals: gaps with mean 1 / rate and coefficient of
+ * variation cv. cv == 1 recovers the Poisson process; cv > 1
+ * clusters arrivals; cv < 1 smooths them.
  */
-std::vector<TimedRequest> gammaArrivals(const std::vector<Request> &requests,
-                                        double rate_per_second, double cv,
-                                        std::uint64_t seed);
+class GammaProcess final : public ArrivalProcess
+{
+  public:
+    GammaProcess(double rate_per_second, double cv);
+
+    void reset(std::uint64_t seed) override;
+    double next() override;
+
+  private:
+    double shape_;
+    double scale_;
+    Rng rng_{0};
+    std::gamma_distribution<double> gap_;
+    double t_ = 0.0;
+    bool armed_ = false;
+};
 
 /**
  * Two-state on/off (MMPP-like) burst process: the source alternates
@@ -75,14 +123,100 @@ struct OnOffTraffic
     double meanOffSeconds = 1.0;
 };
 
-/** Attach on/off burst arrivals; deterministic per seed. */
-std::vector<TimedRequest> onOffArrivals(const std::vector<Request> &requests,
-                                        const OnOffTraffic &traffic,
-                                        std::uint64_t seed);
+/** Two-state on/off (MMPP-like) burst arrivals; see OnOffTraffic. */
+class OnOffProcess final : public ArrivalProcess
+{
+  public:
+    explicit OnOffProcess(const OnOffTraffic &traffic);
 
-/** All requests available at time zero (closed-loop). */
-std::vector<TimedRequest>
-immediateArrivals(const std::vector<Request> &requests);
+    void reset(std::uint64_t seed) override;
+    double next() override;
+
+  private:
+    double expDraw(double mean);
+
+    OnOffTraffic traffic_;
+    Rng rng_{0};
+    double t_ = 0.0;
+    bool on_ = true;
+    double stateEnd_ = 0.0;
+    bool armed_ = false;
+};
+
+/** One constant-rate span of a piecewise rate curve. */
+struct RateSegment
+{
+    /** Span length in seconds (must be positive). */
+    double seconds = 0.0;
+
+    /** Poisson arrival rate over the span (>= 0; 0 = silent). */
+    double ratePerSecond = 0.0;
+};
+
+/**
+ * A piecewise-constant rate profile — e.g. a diurnal load curve
+ * sampled into hourly buckets. With repeat set (the default) the
+ * profile cycles forever; otherwise the last segment's rate extends
+ * past the end (and must therefore be positive, or the stream could
+ * never produce another arrival).
+ */
+struct RateCurve
+{
+    std::vector<RateSegment> segments;
+    bool repeat = true;
+
+    /** Uniform-duration curve from a rate list (the --rate-curve
+     *  bench flag's shape). */
+    static RateCurve fromRates(const std::vector<double> &rates,
+                               double segment_seconds);
+
+    /** Time-averaged rate over one cycle (the long-run rate under
+     *  repeat). */
+    double meanRate() const;
+
+    /** One cycle's length in seconds. */
+    double cycleSeconds() const;
+};
+
+/**
+ * Inhomogeneous Poisson arrivals driven by a RateCurve, generated by
+ * inversion: each gap consumes a unit-exponential deviate against
+ * the running rate integral, so the long-run arrival rate tracks the
+ * curve's time average (asserted empirically in tests).
+ */
+class PiecewiseRateCurve final : public ArrivalProcess
+{
+  public:
+    explicit PiecewiseRateCurve(const RateCurve &curve);
+
+    void reset(std::uint64_t seed) override;
+    double next() override;
+
+  private:
+    /** Rate and end time of the segment containing t_. */
+    double segmentRate() const;
+    double segmentEnd() const;
+
+    RateCurve curve_;
+    Rng rng_{0};
+    double t_ = 0.0;
+
+    /** Index into segments of the current span (wraps on repeat). */
+    std::size_t seg_ = 0;
+
+    /** Absolute start time of the current span. */
+    double segStart_ = 0.0;
+
+    bool armed_ = false;
+};
+
+/**
+ * Zip the next |requests| arrival times of @p process (after
+ * reset(seed)) onto @p requests, in order.
+ */
+std::vector<TimedRequest> attachArrivals(
+    const std::vector<Request> &requests, ArrivalProcess &process,
+    std::uint64_t seed);
 
 /**
  * Stable-sort @p requests by arrival time. The serving engine's

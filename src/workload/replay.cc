@@ -302,23 +302,4 @@ loadWorkload(const std::string &path)
     return out;
 }
 
-void
-saveTrace(const std::string &path,
-          const std::vector<TimedRequest> &trace)
-{
-    BuiltWorkload workload;
-    workload.initial = trace;
-    saveWorkload(path, workload);
-}
-
-std::vector<TimedRequest>
-loadTrace(const std::string &path)
-{
-    BuiltWorkload workload = loadWorkload(path);
-    if (!workload.sessions.empty())
-        fatal("trace '%s' carries session successors; load it with "
-              "loadWorkload()", path.c_str());
-    return std::move(workload.initial);
-}
-
 } // namespace pimphony

@@ -29,9 +29,7 @@
 #define PIMPHONY_WORKLOAD_REPLAY_HH
 
 #include <string>
-#include <vector>
 
-#include "workload/arrival.hh"
 #include "workload/spec.hh"
 
 namespace pimphony {
@@ -42,13 +40,6 @@ void saveWorkload(const std::string &path,
 
 /** Read a workload saved by saveWorkload (fatal on parse errors). */
 BuiltWorkload loadWorkload(const std::string &path);
-
-/** Convenience: save a plain open-loop trace (no sessions). */
-void saveTrace(const std::string &path,
-               const std::vector<TimedRequest> &trace);
-
-/** Convenience: load the open-loop arrivals of a saved workload. */
-std::vector<TimedRequest> loadTrace(const std::string &path);
 
 } // namespace pimphony
 

@@ -183,8 +183,8 @@ buildWorkload(const WorkloadSpec &spec, std::uint64_t seed)
     BuiltWorkload out;
     const unsigned turns = spec.session.turns;
     if (turns <= 1) {
-        // Open-loop: one request per arrival, the legacy
-        // generator-plus-arrivals composition bit for bit.
+        // Open-loop: one request per arrival, the TraceGenerator-
+        // plus-attachArrivals composition bit for bit.
         out.initial.reserve(spec.count);
         for (std::size_t i = 0; i < spec.count; ++i) {
             LengthPair p = lengths.next();

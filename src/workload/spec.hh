@@ -1,26 +1,26 @@
 /**
  * @file
- * Declarative workload composition: one WorkloadSpec describes what
- * the benches used to assemble by hand from TraceGenerator, the
- * arrival free functions, and assignRequestClass* — a length source,
- * an arrival process, a class/tenant mix, and an optional multi-turn
- * session model — and one buildWorkload(spec, seed) call turns it
- * into a sorted TimedRequest stream (plus the SessionBook of
- * closed-loop successor turns, when sessions are configured).
+ * Declarative workload composition: one WorkloadSpec describes a
+ * length source, an arrival process, a class/tenant mix, and an
+ * optional multi-turn session model, and one buildWorkload(spec,
+ * seed) call turns it into a sorted TimedRequest stream (plus the
+ * SessionBook of closed-loop successor turns, when sessions are
+ * configured).
  *
  * Determinism contract: the build is a pure function of (spec,
- * seed). The three independent random streams (lengths, arrivals,
- * think times) are seeded by the public workload*Seed(seed) helpers,
- * so equivalence with the legacy composition is assertable bit for
- * bit: a default spec over a Table II task with Poisson arrivals
- * produces exactly
+ * seed). The independent random streams (lengths, arrivals, think
+ * times, prefixes) are seeded by the public workload*Seed(seed)
+ * helpers, so the build is assertable against the hand composition
+ * bit for bit: a default spec over a Table II task with Poisson
+ * arrivals produces exactly
  *
- *   poissonArrivals(TraceGenerator(task, workloadLengthSeed(s))
- *                       .generate(n, decode),
- *                   rate, workloadArrivalSeed(s))
+ *   PoissonProcess arrivals(rate);
+ *   attachArrivals(TraceGenerator(task, workloadLengthSeed(s))
+ *                      .generate(n, decode),
+ *                  arrivals, workloadArrivalSeed(s))
  *
- * — asserted in tests/workload_test.cc for all three wrapped
- * processes.
+ * — asserted in tests/workload_test.cc for the Poisson, gamma and
+ * on/off processes.
  */
 
 #ifndef PIMPHONY_WORKLOAD_SPEC_HH
@@ -32,7 +32,6 @@
 
 #include "common/types.hh"
 #include "workload/arrival.hh"
-#include "workload/arrival_process.hh"
 #include "workload/length_source.hh"
 #include "workload/request_class.hh"
 #include "workload/session.hh"
@@ -177,9 +176,9 @@ struct BuiltWorkload
 };
 
 /**
- * Sub-seeds of the three independent random streams a build uses.
- * Public so tests (and replay tooling) can reproduce each stream
- * against the legacy free functions.
+ * Sub-seeds of the independent random streams a build uses. Public
+ * so tests (and replay tooling) can reproduce each stream by hand,
+ * e.g. attachArrivals(reqs, process, workloadArrivalSeed(seed)).
  */
 std::uint64_t workloadLengthSeed(std::uint64_t build_seed);
 std::uint64_t workloadArrivalSeed(std::uint64_t build_seed);

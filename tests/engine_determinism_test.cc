@@ -42,7 +42,8 @@ runConfigA()
     for (RequestId i = 0; i < 64; ++i)
         reqs.push_back({i, (i % 4 == 0) ? Tokens(30000) : Tokens(2000),
                         24});
-    auto timed = gammaArrivals(reqs, 4.0, 3.0, 17);
+    GammaProcess arrivals(4.0, 3.0);
+    auto timed = attachArrivals(reqs, arrivals, 17);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
     opts.prefillChunkTokens = 2048;
@@ -59,7 +60,8 @@ runConfigB()
     std::vector<Request> reqs;
     for (RequestId i = 0; i < 32; ++i)
         reqs.push_back({i, 20000, 16});
-    auto timed = poissonArrivals(reqs, 2.0, 7);
+    PoissonProcess arrivals(2.0);
+    auto timed = attachArrivals(reqs, arrivals, 7);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
     opts.prefillChunkTokens = 1024;
@@ -76,7 +78,8 @@ runConfigD()
     std::vector<Request> reqs;
     for (RequestId i = 0; i < 16; ++i)
         reqs.push_back({i, 30000, 12});
-    auto timed = poissonArrivals(reqs, 1.5, 17);
+    PoissonProcess arrivals(1.5);
+    auto timed = attachArrivals(reqs, arrivals, 17);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
     opts.prefillChunkTokens = 2048;

@@ -69,7 +69,8 @@ testTrace(std::size_t n, double rate, std::uint64_t seed,
     for (RequestId i = 0; i < n; ++i)
         reqs.push_back({i, (i % 4 == 0) ? Tokens(20000) : Tokens(2000),
                         decode});
-    return poissonArrivals(reqs, rate, seed);
+    PoissonProcess arrivals(rate);
+    return attachArrivals(reqs, arrivals, seed);
 }
 
 /** The fleet token ledger: every generated token was delivered,

@@ -147,7 +147,8 @@ runCell(Tokens ctx, double rate, std::uint64_t seed)
     std::vector<Request> reqs;
     for (RequestId i = 0; i < 8; ++i)
         reqs.push_back({i, ctx, 8});
-    auto timed = gammaArrivals(reqs, rate, 3.0, seed);
+    GammaProcess arrivals(rate, 3.0);
+    auto timed = attachArrivals(reqs, arrivals, seed);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
     opts.prefillChunkTokens = 2048;

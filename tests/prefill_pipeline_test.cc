@@ -268,7 +268,8 @@ TEST(ChunkedPrefill, SmallerChunksCutDecodeStallAtSamePrefillCost)
     std::vector<Request> reqs;
     for (RequestId i = 0; i < 32; ++i)
         reqs.push_back({i, 30000, 64});
-    auto timed = poissonArrivals(reqs, 1.5, 17);
+    PoissonProcess arrivals(1.5);
+    auto timed = attachArrivals(reqs, arrivals, 17);
 
     auto run = [&](Tokens chunk_tokens, bool scalar) {
         EngineOptions opts;

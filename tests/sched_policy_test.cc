@@ -311,7 +311,8 @@ TEST(SchedPolicyEngine, DecodePriorityCutsP95GapUnderBurstyLoad)
     traffic.offRate = 0.0;
     traffic.meanOnSeconds = 2.0;
     traffic.meanOffSeconds = 4.0;
-    auto timed = onOffArrivals(reqs, traffic, 17);
+    OnOffProcess arrivals(traffic);
+    auto timed = attachArrivals(reqs, arrivals, 17);
 
     SchedPolicyConfig sched;
     sched.kind = SchedPolicyKind::Fifo;
@@ -368,7 +369,8 @@ TEST(SchedPolicyEngine, ChunkPreemptBoundsDecodeStallByQuantum)
     traffic.offRate = 0.0;
     traffic.meanOnSeconds = 2.0;
     traffic.meanOffSeconds = 4.0;
-    auto timed = onOffArrivals(reqs, traffic, 17);
+    OnOffProcess arrivals(traffic);
+    auto timed = attachArrivals(reqs, arrivals, 17);
 
     SchedPolicyConfig sched;
     sched.kind = SchedPolicyKind::ChunkPreempt;

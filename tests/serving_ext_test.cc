@@ -27,7 +27,8 @@ uniformRequests(std::size_t n, Tokens context, Tokens decode)
 TEST(Arrivals, PoissonIsMonotoneAndRateAccurate)
 {
     auto reqs = uniformRequests(20000, 1000, 8);
-    auto timed = poissonArrivals(reqs, 50.0, 7);
+    PoissonProcess arrivals(50.0);
+    auto timed = attachArrivals(reqs, arrivals, 7);
     ASSERT_EQ(timed.size(), reqs.size());
     double prev = 0.0;
     for (const auto &t : timed) {
@@ -38,19 +39,11 @@ TEST(Arrivals, PoissonIsMonotoneAndRateAccurate)
     EXPECT_NEAR(timed.back().arrivalSeconds, 400.0, 400.0 * 0.05);
 }
 
-TEST(Arrivals, DeterministicPerSeed)
-{
-    auto reqs = uniformRequests(100, 1000, 8);
-    auto a = poissonArrivals(reqs, 10.0, 3);
-    auto b = poissonArrivals(reqs, 10.0, 3);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_DOUBLE_EQ(a[i].arrivalSeconds, b[i].arrivalSeconds);
-}
-
 TEST(Arrivals, ImmediateIsClosedLoop)
 {
     auto reqs = uniformRequests(5, 1000, 8);
-    for (const auto &t : immediateArrivals(reqs))
+    ImmediateProcess arrivals;
+    for (const auto &t : attachArrivals(reqs, arrivals, 0))
         EXPECT_DOUBLE_EQ(t.arrivalSeconds, 0.0);
 }
 
@@ -79,7 +72,8 @@ gapMoments(const std::vector<TimedRequest> &timed, double &mean,
 TEST(Arrivals, GammaMatchesRateAndBurstiness)
 {
     auto reqs = uniformRequests(20000, 1000, 8);
-    auto timed = gammaArrivals(reqs, 50.0, 2.5, 7);
+    GammaProcess arrivals(50.0, 2.5);
+    auto timed = attachArrivals(reqs, arrivals, 7);
     ASSERT_EQ(timed.size(), reqs.size());
     double prev = 0.0;
     for (const auto &t : timed) {
@@ -93,21 +87,6 @@ TEST(Arrivals, GammaMatchesRateAndBurstiness)
     EXPECT_GT(cv, 1.0);
 }
 
-TEST(Arrivals, GammaDeterministicPerSeed)
-{
-    auto reqs = uniformRequests(200, 1000, 8);
-    auto a = gammaArrivals(reqs, 10.0, 3.0, 5);
-    auto b = gammaArrivals(reqs, 10.0, 3.0, 5);
-    auto c = gammaArrivals(reqs, 10.0, 3.0, 6);
-    int same = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a[i].arrivalSeconds, b[i].arrivalSeconds);
-        if (a[i].arrivalSeconds == c[i].arrivalSeconds)
-            ++same;
-    }
-    EXPECT_LT(same, 4);
-}
-
 TEST(Arrivals, OnOffProducesBurstsAndMatchesLongRunRate)
 {
     auto reqs = uniformRequests(20000, 1000, 8);
@@ -116,7 +95,8 @@ TEST(Arrivals, OnOffProducesBurstsAndMatchesLongRunRate)
     traffic.offRate = 0.0;
     traffic.meanOnSeconds = 1.0;
     traffic.meanOffSeconds = 9.0;
-    auto timed = onOffArrivals(reqs, traffic, 7);
+    OnOffProcess arrivals(traffic);
+    auto timed = attachArrivals(reqs, arrivals, 7);
     ASSERT_EQ(timed.size(), reqs.size());
     double prev = 0.0;
     for (const auto &t : timed) {
@@ -144,16 +124,6 @@ TEST(Arrivals, OnOffProducesBurstsAndMatchesLongRunRate)
     EXPECT_GT(across, 50u);
 }
 
-TEST(Arrivals, OnOffDeterministicPerSeed)
-{
-    auto reqs = uniformRequests(500, 1000, 8);
-    OnOffTraffic traffic;
-    auto a = onOffArrivals(reqs, traffic, 11);
-    auto b = onOffArrivals(reqs, traffic, 11);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_DOUBLE_EQ(a[i].arrivalSeconds, b[i].arrivalSeconds);
-}
-
 TEST(Arrivals, BurstyTracesServeEndToEnd)
 {
     // The bursty generators must compose with the event engine: an
@@ -166,7 +136,8 @@ TEST(Arrivals, BurstyTracesServeEndToEnd)
     traffic.onRate = 50.0;
     traffic.meanOnSeconds = 0.5;
     traffic.meanOffSeconds = 2.0;
-    auto timed = onOffArrivals(reqs, traffic, 3);
+    OnOffProcess arrivals(traffic);
+    auto timed = attachArrivals(reqs, arrivals, 3);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
     auto r = ServingEngine(cluster, model, timed, opts).run();
@@ -201,7 +172,8 @@ TEST(OpenLoop, LatencyPercentilesOrdered)
     auto cluster = ClusterConfig::centLike(model);
     applyOptions(cluster, PimphonyOptions::all());
     auto reqs = uniformRequests(24, 30000, 16);
-    auto timed = poissonArrivals(reqs, 100.0, 11);
+    PoissonProcess arrivals(100.0);
+    auto timed = attachArrivals(reqs, arrivals, 11);
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
     ServingEngine engine(cluster, model, timed, opts);

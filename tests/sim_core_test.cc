@@ -247,7 +247,8 @@ TEST(SmallFn, DecodePathIsCallbackAllocationFree)
             reqs.push_back({i, (i % 4 == 0) ? Tokens(30000)
                                             : Tokens(2000),
                             16});
-        auto timed = gammaArrivals(reqs, 4.0, 3.0, 17);
+        GammaProcess arrivals(4.0, 3.0);
+        auto timed = attachArrivals(reqs, arrivals, 17);
         EngineOptions opts;
         opts.allocator = AllocatorKind::LazyChunk;
         opts.prefillChunkTokens = 2048;

@@ -258,7 +258,8 @@ TEST(SloClassesEngine, TierZeroGapBeatsTierOneAndSingleClassFifo)
     traffic.offRate = 0.0;
     traffic.meanOnSeconds = 2.0;
     traffic.meanOffSeconds = 4.0;
-    auto timed = onOffArrivals(reqs, traffic, 17);
+    OnOffProcess arrivals(traffic);
+    auto timed = attachArrivals(reqs, arrivals, 17);
 
     SchedPolicyConfig sched;
     sched.kind = SchedPolicyKind::TierPriority;
@@ -267,7 +268,7 @@ TEST(SloClassesEngine, TierZeroGapBeatsTierOneAndSingleClassFifo)
     // The single-class reference: same trace, default classes, FIFO.
     std::vector<Request> plain = reqs;
     assignRequestClass(plain, RequestClass{});
-    auto plain_timed = onOffArrivals(plain, traffic, 17);
+    auto plain_timed = attachArrivals(plain, arrivals, 17);
     sched.kind = SchedPolicyKind::Fifo;
     auto fifo = runEngine(cluster, model, plain_timed, 2048, sched);
 
@@ -537,7 +538,8 @@ TEST(SloClassesEngine, DefaultClassNoBudgetsIsBitIdentical)
     for (RequestId i = 0; i < 64; ++i)
         reqs.push_back({i, (i % 4 == 0) ? Tokens(30000) : Tokens(2000),
                         24});
-    auto timed = gammaArrivals(reqs, 4.0, 3.0, 17);
+    GammaProcess arrivals(4.0, 3.0);
+    auto timed = attachArrivals(reqs, arrivals, 17);
 
     // Explicitly stamping the default class must change nothing: the
     // subsystem is strictly additive (the PR 4 goldens pinned in

@@ -19,7 +19,6 @@
 
 #include "common/stats.hh"
 #include "workload/arrival.hh"
-#include "workload/arrival_process.hh"
 #include "workload/replay.hh"
 #include "workload/spec.hh"
 #include "workload/trace.hh"
@@ -125,11 +124,12 @@ expectSameArrivals(const std::vector<TimedRequest> &a,
 TEST(Arrivals, GammaDeterministicPerSeedAndSeedsDiffer)
 {
     auto reqs = flatRequests(256);
-    auto a = gammaArrivals(reqs, 5.0, 3.0, 11);
-    auto b = gammaArrivals(reqs, 5.0, 3.0, 11);
+    GammaProcess arrivals(5.0, 3.0);
+    auto a = attachArrivals(reqs, arrivals, 11);
+    auto b = attachArrivals(reqs, arrivals, 11);
     expectSameArrivals(a, b);
 
-    auto c = gammaArrivals(reqs, 5.0, 3.0, 12);
+    auto c = attachArrivals(reqs, arrivals, 12);
     ASSERT_EQ(a.size(), c.size());
     int same = 0;
     for (std::size_t i = 0; i < a.size(); ++i)
@@ -146,11 +146,12 @@ TEST(Arrivals, OnOffDeterministicPerSeedAndSeedsDiffer)
     traffic.offRate = 0.5;
     traffic.meanOnSeconds = 1.5;
     traffic.meanOffSeconds = 3.0;
-    auto a = onOffArrivals(reqs, traffic, 21);
-    auto b = onOffArrivals(reqs, traffic, 21);
+    OnOffProcess arrivals(traffic);
+    auto a = attachArrivals(reqs, arrivals, 21);
+    auto b = attachArrivals(reqs, arrivals, 21);
     expectSameArrivals(a, b);
 
-    auto c = onOffArrivals(reqs, traffic, 22);
+    auto c = attachArrivals(reqs, arrivals, 22);
     int same = 0;
     for (std::size_t i = 0; i < a.size(); ++i)
         if (a[i].arrivalSeconds == c[i].arrivalSeconds)
@@ -166,10 +167,11 @@ TEST(Arrivals, GammaEmpiricalMeanRateMatchesConfigured)
     // tight without flaking.
     auto reqs = flatRequests(4000);
     for (double cv : {0.5, 1.0, 3.0}) {
+        GammaProcess arrivals(4.0, cv);
         double rate_sum = 0.0;
         const int kSeeds = 5;
         for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-            auto timed = gammaArrivals(reqs, 4.0, cv, seed);
+            auto timed = attachArrivals(reqs, arrivals, seed);
             ASSERT_GT(timed.back().arrivalSeconds, 0.0);
             rate_sum += static_cast<double>(timed.size()) /
                         timed.back().arrivalSeconds;
@@ -190,10 +192,11 @@ TEST(Arrivals, OnOffEmpiricalMeanRateMatchesConfigured)
     double expected = (traffic.onRate * traffic.meanOnSeconds +
                        traffic.offRate * traffic.meanOffSeconds) /
                       (traffic.meanOnSeconds + traffic.meanOffSeconds);
+    OnOffProcess arrivals(traffic);
     double rate_sum = 0.0;
     const int kSeeds = 5;
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-        auto timed = onOffArrivals(reqs, traffic, seed);
+        auto timed = attachArrivals(reqs, arrivals, seed);
         ASSERT_GT(timed.back().arrivalSeconds, 0.0);
         rate_sum += static_cast<double>(timed.size()) /
                     timed.back().arrivalSeconds;
@@ -201,11 +204,11 @@ TEST(Arrivals, OnOffEmpiricalMeanRateMatchesConfigured)
     EXPECT_NEAR(rate_sum / kSeeds, expected, expected * 0.10);
 }
 
-// --- ArrivalProcess wrappers: the free functions must reproduce the
-// --- pre-refactor RNG loops bit for bit. The goldens below are
-// --- verbatim copies of the original generator bodies. ------------------
+// --- ArrivalProcess goldens: attachArrivals over each process must
+// --- reproduce the original generator RNG loops bit for bit. The
+// --- goldens below are verbatim copies of those loop bodies. ------------
 
-TEST(ArrivalProcess, PoissonWrapperMatchesLegacyLoop)
+TEST(ArrivalProcess, PoissonProcessMatchesLegacyLoop)
 {
     auto reqs = flatRequests(128);
     const double rate = 3.0;
@@ -220,10 +223,11 @@ TEST(ArrivalProcess, PoissonWrapperMatchesLegacyLoop)
         t += -std::log(u) / rate;
         golden.push_back({r, t});
     }
-    expectSameArrivals(poissonArrivals(reqs, rate, seed), golden);
+    PoissonProcess arrivals(rate);
+    expectSameArrivals(attachArrivals(reqs, arrivals, seed), golden);
 }
 
-TEST(ArrivalProcess, GammaWrapperMatchesLegacyLoop)
+TEST(ArrivalProcess, GammaProcessMatchesLegacyLoop)
 {
     auto reqs = flatRequests(128);
     const double rate = 2.0, cv = 2.5;
@@ -237,10 +241,11 @@ TEST(ArrivalProcess, GammaWrapperMatchesLegacyLoop)
         t += gap(rng.engine());
         golden.push_back({r, t});
     }
-    expectSameArrivals(gammaArrivals(reqs, rate, cv, seed), golden);
+    GammaProcess arrivals(rate, cv);
+    expectSameArrivals(attachArrivals(reqs, arrivals, seed), golden);
 }
 
-TEST(ArrivalProcess, OnOffWrapperMatchesLegacyLoop)
+TEST(ArrivalProcess, OnOffProcessMatchesLegacyLoop)
 {
     auto reqs = flatRequests(128);
     OnOffTraffic traffic;
@@ -277,7 +282,8 @@ TEST(ArrivalProcess, OnOffWrapperMatchesLegacyLoop)
         }
         golden.push_back({r, t});
     }
-    expectSameArrivals(onOffArrivals(reqs, traffic, seed), golden);
+    OnOffProcess arrivals(traffic);
+    expectSameArrivals(attachArrivals(reqs, arrivals, seed), golden);
 }
 
 TEST(ArrivalProcess, NextBeforeResetDies)
@@ -417,9 +423,9 @@ TEST(LengthHistogram, FromFileErrorPathsNameFileAndLine)
                  "cannot open length histogram");
 }
 
-// --- WorkloadSpec: bit-identity with the legacy composition. ------------
+// --- WorkloadSpec: bit-identity with the hand composition. --------------
 
-TEST(WorkloadSpec, TableTaskPoissonMatchesFreeFunctions)
+TEST(WorkloadSpec, TableTaskPoissonMatchesProcesses)
 {
     const std::uint64_t seed = 77;
     WorkloadSpec spec;
@@ -433,8 +439,9 @@ TEST(WorkloadSpec, TableTaskPoissonMatchesFreeFunctions)
     EXPECT_TRUE(built.sessions.empty());
 
     TraceGenerator gen(TraceTask::QMSum, workloadLengthSeed(seed));
-    auto legacy = poissonArrivals(gen.generate(96, 32), 2.0,
-                                  workloadArrivalSeed(seed));
+    PoissonProcess arrivals(2.0);
+    auto legacy = attachArrivals(gen.generate(96, 32), arrivals,
+                                 workloadArrivalSeed(seed));
     ASSERT_EQ(built.initial.size(), legacy.size());
     for (std::size_t i = 0; i < legacy.size(); ++i) {
         EXPECT_EQ(built.initial[i].request.id, legacy[i].request.id);
@@ -447,7 +454,7 @@ TEST(WorkloadSpec, TableTaskPoissonMatchesFreeFunctions)
     }
 }
 
-TEST(WorkloadSpec, PairsGammaAndOnOffMatchFreeFunctions)
+TEST(WorkloadSpec, PairsGammaAndOnOffMatchProcesses)
 {
     const std::uint64_t seed = 101;
     std::vector<LengthPair> pairs = {{1000, 16}, {2000, 32}, {500, 8}};
@@ -464,18 +471,20 @@ TEST(WorkloadSpec, PairsGammaAndOnOffMatchFreeFunctions)
     spec.arrival.kind = ArrivalKind::Gamma;
     spec.arrival.ratePerSecond = 3.0;
     spec.arrival.cv = 2.0;
+    GammaProcess gamma(3.0, 2.0);
     expectSameArrivals(buildWorkload(spec, seed).initial,
-                       gammaArrivals(legacy_reqs, 3.0, 2.0,
-                                     workloadArrivalSeed(seed)));
+                       attachArrivals(legacy_reqs, gamma,
+                                      workloadArrivalSeed(seed)));
 
     spec.arrival.kind = ArrivalKind::OnOff;
     spec.arrival.onOff.onRate = 5.0;
     spec.arrival.onOff.offRate = 0.0;
     spec.arrival.onOff.meanOnSeconds = 1.0;
     spec.arrival.onOff.meanOffSeconds = 2.0;
+    OnOffProcess on_off(spec.arrival.onOff);
     expectSameArrivals(buildWorkload(spec, seed).initial,
-                       onOffArrivals(legacy_reqs, spec.arrival.onOff,
-                                     workloadArrivalSeed(seed)));
+                       attachArrivals(legacy_reqs, on_off,
+                                      workloadArrivalSeed(seed)));
 }
 
 TEST(WorkloadSpec, ClassesAssignedCyclically)
@@ -729,15 +738,15 @@ TEST(Replay, LoadReportsFileLineColumnOnMalformedInput)
     write("{\"format\": \"pimphony-trace-v1\",\n"
           " \"requests\": [\n"
           "   {\"id\": 0, \"context\": 100,");
-    EXPECT_DEATH(loadTrace(path),
+    EXPECT_DEATH(loadWorkload(path),
                  "REPLAY_BAD_TEST.tmp:3:.*expected string");
     // Non-numeric field value.
     write("{\"format\": \"pimphony-trace-v1\",\n"
           " \"requests\": [{\"id\": x}]}");
-    EXPECT_DEATH(loadTrace(path),
+    EXPECT_DEATH(loadWorkload(path),
                  "REPLAY_BAD_TEST.tmp:2:.*expected number");
     std::remove(path);
-    EXPECT_DEATH(loadTrace(path), "cannot open trace");
+    EXPECT_DEATH(loadWorkload(path), "cannot open trace");
 }
 
 // --- Sorted-arrival guard. ----------------------------------------------
@@ -745,7 +754,8 @@ TEST(Replay, LoadReportsFileLineColumnOnMalformedInput)
 TEST(Arrivals, RequireSortedAcceptsSortedAndDiesOnUnsorted)
 {
     auto reqs = flatRequests(16);
-    auto timed = poissonArrivals(reqs, 2.0, 3);
+    PoissonProcess arrivals(2.0);
+    auto timed = attachArrivals(reqs, arrivals, 3);
     requireSortedByArrival(timed, "test");
     std::swap(timed.front().arrivalSeconds,
               timed.back().arrivalSeconds);
@@ -834,6 +844,30 @@ TEST(WorkloadSpecDeathTest, NonFiniteGammaCvIsFatal)
     EXPECT_DEATH(
         (GammaProcess{1.0, std::numeric_limits<double>::infinity()}),
         "cv must be finite");
+}
+
+TEST(WorkloadSpecDeathTest, BadOnOffTrafficNamesTheField)
+{
+    WorkloadSpec spec;
+    spec.count = 8;
+    spec.arrival.kind = ArrivalKind::OnOff;
+    spec.arrival.onOff.offRate = 2.0;
+    spec.arrival.onOff.onRate = -5.0;
+    EXPECT_DEATH(buildWorkload(spec, 1),
+                 "onOff.onRate must be finite and >= 0");
+    spec.arrival.onOff.onRate = 10.0;
+    spec.arrival.onOff.offRate = std::nan("");
+    EXPECT_DEATH(buildWorkload(spec, 1),
+                 "onOff.offRate must be finite and >= 0");
+    spec.arrival.onOff.offRate = 0.0;
+    spec.arrival.onOff.meanOnSeconds = std::nan("");
+    EXPECT_DEATH(buildWorkload(spec, 1),
+                 "onOff.meanOnSeconds must be finite and positive");
+    spec.arrival.onOff.meanOnSeconds = 1.0;
+    spec.arrival.onOff.meanOffSeconds =
+        std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(buildWorkload(spec, 1),
+                 "onOff.meanOffSeconds must be finite and positive");
 }
 
 TEST(WorkloadSpecDeathTest, NonFiniteThinkTimeIsFatal)
