@@ -1,7 +1,7 @@
 #include "system/engine.hh"
 
 #include <algorithm>
-#include <functional>
+#include <deque>
 #include <list>
 #include <utility>
 
@@ -11,6 +11,7 @@
 #include "sim/event_queue.hh"
 #include "sim/pipeline.hh"
 #include "sim/work_item.hh"
+#include "system/admission.hh"
 #include "system/prefill.hh"
 #include "system/stage_device.hh"
 
@@ -46,7 +47,6 @@ struct ServingEngine::EventRun
     double endTime = 0.0;
 
     std::list<EventCohort> cohorts; // list keeps addresses stable
-    std::deque<TimedRequest> arrived;
     std::vector<Active> readyPool; // admitted, waiting for a cohort
     std::vector<sim::WorkItem> cycleItems;
     std::vector<std::vector<sim::WorkItem>> seqScratch;
@@ -100,8 +100,9 @@ struct ServingEngine::EventRun
     bool arrivalArmed = false;
     double arrivalArmedAt = 0.0;
 
-    /** Hoisted per-admission-scan tier in-flight flags. */
-    std::set<unsigned> scanTiersInFlight;
+    /** Admission pass scratch (decoding tiers, admissions). */
+    std::vector<unsigned> decodingTiers;
+    std::vector<Admission::Admitted> admitted;
 
     bool finalized = false;
 };
@@ -137,8 +138,7 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     allocator_ = makeAllocator(options_.allocator, kv_capacity,
                                model_.kvBytesPerToken(),
                                model_.contextWindow);
-    prefixActive_ = options_.prefixCache.enabled;
-    if (prefixActive_) {
+    if (options_.prefixCache.enabled) {
         // The tree shares the allocator's chunks; only the paged
         // allocator has chunks to share.
         if (options_.allocator != AllocatorKind::LazyChunk)
@@ -147,348 +147,26 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
             static_cast<LazyChunkAllocator &>(*allocator_),
             options_.prefixCache);
     }
+    admission_ = std::make_unique<Admission>(model_, cluster_, options_,
+                                             *allocator_, prefixCache_.get(),
+                                             result_);
     module_ = std::make_unique<PimModuleModel>(cluster_.module);
     xpu_ = std::make_unique<XpuModel>(cluster_.xpu);
     sortByArrival(requests);
     result_.firstTokenLatency.reserve(requests.size());
     result_.completionSeconds.reserve(requests.size());
     pending_ = std::move(requests);
-
-    // Request-class / tenant-budget activation. Both stay fully
-    // inert — no extra bookkeeping on any path — when every request
-    // carries the default class and no budgets are configured, so
-    // the pre-tier engine is reproduced bit for bit.
-    budgetsActive_ = !options_.tenantBudgets.empty();
-    capacityTokens_ = static_cast<double>(allocator_->capacity()) /
-                      static_cast<double>(model_.kvBytesPerToken());
-    if (budgetsActive_) {
-        double total_share = 0.0;
-        for (const TenantBudget &b : options_.tenantBudgets) {
-            TenantState &ts = tenants_[b.tenant];
-            ts.budgetTokens = b.share * capacityTokens_;
-            total_share += b.share;
-        }
-        if (total_share > 1.0 + 1e-9)
-            warn("tenant budget shares sum to %.3f > 1; guarantees "
-                 "cannot all hold under saturation",
-                 total_share);
-    }
     declareWorkload(pending_);
-}
-
-ServingEngine::TenantState &
-ServingEngine::tenantState(unsigned tenant)
-{
-    return tenants_[tenant];
-}
-
-bool
-ServingEngine::budgetAdmits(unsigned tenant, double need,
-                            bool allow_borrow)
-{
-    TenantState &ts = tenantState(tenant);
-    if (ts.reservedTokens + need <= ts.budgetTokens)
-        return true; // within the guarantee
-    if (allow_borrow)
-        return true; // borrowing from idle headroom (work conserving)
-    ++ts.deferrals;
-    ++result_.budgetDeferrals;
-    return false;
-}
-
-void
-ServingEngine::tenantReserve(const Request &request, double charge_tokens)
-{
-    if (!tenantsActive_)
-        return;
-    double tokens = charge_tokens >= 0.0
-                        ? charge_tokens
-                        : static_cast<double>(request.contextTokens +
-                                              request.decodeTokens);
-    // Remember an overridden (fractionally shared) charge so the
-    // release refunds exactly what was reserved, no matter how the
-    // entry's refcount moves in between.
-    if (prefixActive_ && charge_tokens >= 0.0)
-        prefixTenantCharge_[request.id] = charge_tokens;
-    TenantState &ts = tenantState(request.cls.tenant);
-    ts.reservedTokens += tokens;
-    ++ts.admitted;
-    if (capacityTokens_ > 0.0)
-        ts.peakShare = std::max(ts.peakShare,
-                                ts.reservedTokens / capacityTokens_);
-}
-
-void
-ServingEngine::tenantRelease(const Request &request)
-{
-    if (!tenantsActive_)
-        return;
-    double tokens = static_cast<double>(request.contextTokens +
-                                        request.decodeTokens);
-    if (prefixActive_) {
-        auto it = prefixTenantCharge_.find(request.id);
-        if (it != prefixTenantCharge_.end()) {
-            tokens = it->second;
-            prefixTenantCharge_.erase(it);
-        }
-    }
-    TenantState &ts = tenantState(request.cls.tenant);
-    ts.reservedTokens -= tokens;
-    if (ts.reservedTokens < 0.0)
-        ts.reservedTokens = 0.0;
-}
-
-void
-ServingEngine::integrateTenantShares(double dt)
-{
-    if (!tenantsActive_ || dt <= 0.0 || capacityTokens_ <= 0.0)
-        return;
-    for (auto &kv : tenants_)
-        kv.second.shareSeconds +=
-            dt * kv.second.reservedTokens / capacityTokens_;
-}
-
-std::set<unsigned>
-ServingEngine::entitledTenantsWaiting(
-    const std::deque<TimedRequest> &queue, double now) const
-{
-    std::set<unsigned> out;
-    if (!budgetsActive_)
-        return out;
-    for (const auto &timed : queue) {
-        // Mostly arrival-sorted, but preempted requests requeue at
-        // the back with their original (past) arrival — keep
-        // scanning past future traffic rather than stopping at it.
-        if (timed.arrivalSeconds > now)
-            continue;
-        const RequestClass &cls = timed.request.cls;
-        if (out.count(cls.tenant))
-            continue;
-        auto it = tenants_.find(cls.tenant);
-        if (it == tenants_.end())
-            continue;
-        double need = static_cast<double>(timed.request.contextTokens +
-                                          timed.request.decodeTokens);
-        if (it->second.reservedTokens + need <= it->second.budgetTokens)
-            out.insert(cls.tenant);
-    }
-    return out;
-}
-
-bool
-ServingEngine::entitledElsewhere(const std::set<unsigned> &entitled,
-                                 unsigned tenant)
-{
-    for (unsigned u : entitled)
-        if (u != tenant)
-            return true;
-    return false;
-}
-
-ServingEngine::PrefixProbe
-ServingEngine::probePrefix(const Request &r) const
-{
-    // Retained session history first, then the declared workload
-    // prefix. Read-only (no stats, no LRU touch), so the routing
-    // probe never perturbs replica state.
-    PrefixProbe p;
-    if (r.session != kNoSession && r.turn > 0) {
-        std::uint64_t key = PrefixCache::sessionKey(r.session, r.turn - 1);
-        p.probed = true;
-        p.share = prefixCache_->peek(key);
-        if (p.share > 0) {
-            p.key = key;
-            return p;
-        }
-    }
-    if (r.prefixHash != 0 && r.prefixTokens > 0 &&
-        r.prefixTokens <= r.contextTokens) {
-        std::uint64_t key = PrefixCache::prefixKey(r.prefixHash);
-        p.probed = true;
-        p.share = prefixCache_->peek(key);
-        if (p.share > 0)
-            p.key = key;
-        else
-            p.missedPrefix = key;
-    }
-    return p;
-}
-
-ServingEngine::Admission
-ServingEngine::tryAdmitOne(const TimedRequest &timed, bool allow_borrow)
-{
-    Admission out;
-    const Request &front = timed.request;
-    Tokens final_tokens = front.contextTokens + front.decodeTokens;
-    Bytes need = model_.kvBytesPerToken() * final_tokens;
-    if (need > allocator_->capacity() ||
-        final_tokens > model_.contextWindow) {
-        // Can never be served on this configuration.
-        ++result_.rejectedRequests;
-        out.outcome = AdmitOutcome::Rejected;
-        return out;
-    }
-    // Prefix probe: the best reusable tree entry. A declared prefix
-    // nobody has cached yet makes this request its publisher: it
-    // prefills cold, but its prefix chunks go into the tree for
-    // everyone behind it. The hit is pinned immediately (consumer
-    // reference) so the eviction pass below can never take the entry
-    // this admission is counting on; every blocked exit hands the
-    // reference back.
-    std::uint64_t key = 0;
-    std::uint64_t publish_key = 0;
-    bool probed = false;
-    Tokens custody = 0;
-    if (prefixActive_) {
-        PrefixProbe probe = probePrefix(front);
-        probed = probe.probed;
-        key = probe.key;
-        if (probe.missedPrefix != 0 &&
-            !prefixCache_->knows(probe.missedPrefix))
-            publish_key = probe.missedPrefix;
-        if (key != 0) {
-            Tokens s =
-                prefixCache_->acquire(key, now(), front.cls.tier);
-            custody = std::min<Tokens>(s, front.contextTokens);
-            if (custody == 0)
-                key = 0; // entry vanished since the peek: go cold
-        }
-    }
-    Tokens cached = custody;
-    // Tenant budget: within the guarantee always admissible (memory
-    // permitting); beyond it only while borrowing is allowed. A warm
-    // hit charges its unique tokens in full but the shared prefix
-    // only at 1 / consumers — the chunks serve all of them at once,
-    // this admission's reference is already counted, and structural
-    // refs (publisher hold, session-chained children) never dilute
-    // the charge. The PR 5 work-conserving guarantee holds because
-    // checks and reservations use the same reduced charge.
-    double charge_tokens = static_cast<double>(final_tokens);
-    if (cached > 0)
-        charge_tokens =
-            static_cast<double>(final_tokens - cached) +
-            static_cast<double>(cached) /
-                static_cast<double>(prefixCache_->consumersOf(key));
-    if (budgetsActive_ &&
-        !budgetAdmits(front.cls.tenant, charge_tokens, allow_borrow)) {
-        if (key != 0)
-            prefixCache_->releaseConsumer(key);
-        out.outcome = AdmitOutcome::BudgetBlocked;
-        return out;
-    }
-    // Headroom: only admit when the full decode trajectory fits
-    // next to the current reservations (avoids preemption storms).
-    // Warm admissions need headroom only for their unique share;
-    // under pressure the cache sheds idle entries first — never the
-    // pinned one, which is reference-held.
-    Bytes need_unique = model_.kvBytesPerToken() * (final_tokens - cached);
-    if (allocator_->reservedBytes() + need_unique >
-        allocator_->capacity()) {
-        if (!prefixActive_ || !prefixCache_->evictFor(need_unique)) {
-            if (key != 0)
-                prefixCache_->releaseConsumer(key);
-            return out; // Blocked
-        }
-    }
-    // Commit: count the hit or miss, seed the tree as the prefix's
-    // publisher if nobody cached it yet, then reserve the unique
-    // share.
-    bool publisher = false;
-    if (key != 0)
-        prefixCache_->noteHit();
-    else if (probed)
-        prefixCache_->noteMiss();
-    if (publish_key != 0 &&
-        prefixCache_->publish(publish_key, 0, 0, front.prefixTokens,
-                              front.prefixTokens, now(),
-                              front.cls.tier, /*hold=*/true,
-                              /*ready=*/false)) {
-        publisher = true;
-        key = publish_key;
-        custody = front.prefixTokens;
-    }
-    if (!allocator_->tryAdmit(front.id,
-                              front.contextTokens - custody)) {
-        if (key != 0) {
-            if (publisher)
-                prefixCache_->release(key);
-            else
-                prefixCache_->releaseConsumer(key);
-        }
-        return out; // Blocked
-    }
-    // Scalar prefill is a serialized time charge, not chunk items:
-    // the prefix KV is modelled present once the charge is taken, so
-    // the entry opens at admission. The chunked path opens it from
-    // the prefill-completion callback instead.
-    if (publisher && options_.prefillChunkTokens == 0)
-        prefixCache_->markReady(key, now());
-    tenantReserve(front, cached > 0 ? charge_tokens : -1.0);
-    // Reused tokens are counted whether or not prefill time is
-    // charged, so sweeps with charging off still report the hit's
-    // substance (savedPrefillSeconds stays zero there: no time
-    // charge means nothing to save).
-    Tokens warm = publisher ? 0 : custody;
-    result_.prefixCachedTokens += warm;
-    if (options_.chargePrefill || options_.prefillChunkTokens > 0) {
-        double cold = prefillSeconds(model_, front.contextTokens,
-                                     cluster_.xpu,
-                                     cluster_.prefillEngines());
-        out.prefillSeconds =
-            warm > 0 ? prefillSecondsFrom(model_, warm,
-                                          front.contextTokens,
-                                          cluster_.xpu,
-                                          cluster_.prefillEngines())
-                     : cold;
-        result_.savedPrefillSeconds += cold - out.prefillSeconds;
-        result_.prefillSeconds += out.prefillSeconds;
-    }
-    if (prefixActive_)
-        prefixSampleOccupancy();
-    // The prefix fields stay zero when caching is off.
-    out.outcome = AdmitOutcome::Admitted;
-    out.active = Active{front, 0, timed.arrivalSeconds, -1.0,
-                        custody, warm, key, publisher};
-    return out;
 }
 
 Tokens
 ServingEngine::prefixWarmTokens(const Request &r) const
 {
-    // Routing probe: how many of this request's context tokens this
-    // replica's tree could serve right now.
-    if (!prefixActive_)
-        return 0;
-    return std::min<Tokens>(probePrefix(r).share, r.contextTokens);
-}
-
-void
-ServingEngine::releaseCacheRef(const Active &a)
-{
-    if (!prefixActive_ || a.cacheKey == 0)
-        return;
-    if (a.cachePublisher)
-        prefixCache_->release(a.cacheKey);
-    else
-        prefixCache_->releaseConsumer(a.cacheKey);
-}
-
-void
-ServingEngine::prefixSampleOccupancy()
-{
-    // Shared (tree custody) vs unique (per-request) split of the
-    // allocator's reservation — allocated == shared + unique holds
-    // structurally because the tree reserves its chunks through the
-    // same allocator.
-    Bytes shared = prefixCache_->heldBytes();
-    Bytes unique = allocator_->reservedBytes() - shared;
-    prefixSharedPeak_ = std::max(prefixSharedPeak_, shared);
-    prefixUniquePeak_ = std::max(prefixUniquePeak_, unique);
+    return admission_->warmTokens(r);
 }
 
 bool
-ServingEngine::advanceMember(Active &a, double completion_clock,
-                             std::deque<TimedRequest> &requeue)
+ServingEngine::advanceMember(Active &a, double completion_clock)
 {
     // The allocator holds this request's KV minus whatever the prefix
     // cache holds on its behalf (cachedTokens == 0 when caching is
@@ -498,39 +176,31 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         // Out of memory: preempt (vLLM-style recompute); the
         // request re-queues with its original arrival time.
         allocator_->release(a.request.id);
-        tenantRelease(a.request);
-        releaseCacheRef(a);
+        admission_->release(a);
         ++result_.preemptions;
         result_.recomputedTokens += a.generated;
-        requeue.push_back({a.request, a.arrival});
+        admission_->enqueue({a.request, a.arrival});
         return false;
     }
     ++a.generated;
     ++result_.generatedTokens;
+    const unsigned tier = a.request.cls.tier;
     if (a.generated == 1) {
         double ttft = completion_clock - a.arrival;
         // First admission wins: a preempted-and-recomputed request
         // keeps the TTFT of its first emitted token.
         if (result_.firstTokenLatency.emplace(a.request.id, ttft).second) {
             result_.firstTokenRuns.add(ttft);
-            if (classesActive_)
-                tiers_[a.request.cls.tier].ttfts.add(ttft);
+            admission_->recordFirstToken(tier, ttft);
         }
     } else if (a.lastTokenAt >= 0.0) {
         double gap = completion_clock - a.lastTokenAt;
         result_.tokenGapRuns.add(gap);
-        if (gapWindow_)
-            gapWindow_->add(gap);
-        if (classesActive_) {
-            TierState &ts = tiers_[a.request.cls.tier];
-            ts.gaps.add(gap);
-            if (ts.window)
-                ts.window->add(gap);
-        }
+        admission_->recordGap(tier, gap);
     }
     a.lastTokenAt = completion_clock;
     if (a.generated >= a.request.decodeTokens) {
-        if (prefixActive_ && a.request.session != kNoSession && sessions_ &&
+        if (prefixCache_ && a.request.session != kNoSession && sessions_ &&
             sessions_->count(a.request.id)) {
             // A declared successor exists: hand the full KV (context
             // plus everything generated) to the tree under this
@@ -555,11 +225,9 @@ ServingEngine::advanceMember(Active &a, double completion_clock,
         } else {
             allocator_->release(a.request.id);
         }
-        releaseCacheRef(a);
-        tenantRelease(a.request);
+        admission_->release(a);
         ++result_.completedRequests;
-        if (classesActive_)
-            ++tiers_[a.request.cls.tier].completed;
+        admission_->recordCompletion(tier);
         result_.requestLatencyRuns.add(completion_clock - a.arrival);
         // At most one completion per request per engine: what lets
         // releaseNextTurn() leave the session book unedited.
@@ -695,7 +363,7 @@ ServingEngine::evAccountTo(double t)
     // hold memory but are not batched on any device.
     ev.batchTime += dt * static_cast<double>(evInFlightCount());
     ev.capacityTime += dt * allocator_->capacityUtilization();
-    integrateTenantShares(dt);
+    admission_->integrate(dt);
     ev.lastAccount = t;
     ev.endTime = std::max(ev.endTime, t);
 }
@@ -717,7 +385,7 @@ ServingEngine::evTakeFairShare(std::vector<Active> &members)
     // the most tier-pure cohort the pool allows — higher tiers
     // decode in cohorts the tier-aware arbiters can favor.
     EventRun &ev = *ev_;
-    if (classesActive_)
+    if (admission_->classesActive())
         std::stable_sort(ev.readyPool.begin(), ev.readyPool.end(),
                          [](const Active &a, const Active &b) {
                              return a.request.cls.tier <
@@ -734,48 +402,6 @@ ServingEngine::evTakeFairShare(std::vector<Active> &members)
 }
 
 void
-ServingEngine::evRefreshTiersInFlight()
-{
-    ev_->scanTiersInFlight.clear();
-    for (const auto &c : ev_->cohorts)
-        for (const auto &m : c.members)
-            ev_->scanTiersInFlight.insert(m.request.cls.tier);
-}
-
-bool
-ServingEngine::evClassGateDefers(const RequestClass &cls)
-{
-    // A prefill of tier T defers while any tier T' <= T (equal or
-    // higher priority) exceeds its own target on its own window, so
-    // admitting lower-priority work can never break a higher tier's
-    // SLO, while a high-priority prefill is not held hostage by a
-    // struggling lower tier. A tier's gate may only bind while its
-    // own gaps can still be produced (decode in flight), or a stale
-    // window would deadlock that tier's admissions.
-    EventRun &ev = *ev_;
-    // No per-tier windows (a single-class workload, or a policy that
-    // ignores the gap signal): the gate reads the one global window,
-    // the nearest-rank p95 of the most recent decode gaps (absent,
-    // hence empty, unless the policy steers on it).
-    if (!ev.policy->needsGapSignal() || tiers_.empty())
-        return !ev.policy->admitPrefill(
-            gapWindow_ ? gapWindow_->value() : 0.0,
-            gapWindow_ ? gapWindow_->size() : 0, evInFlightCount() > 0);
-    for (auto &kv : tiers_) {
-        if (kv.first > cls.tier)
-            break; // ascending map: only tiers <= T guard T
-        const TierState &ts = kv.second;
-        if (!ts.window)
-            continue;
-        if (!ev.policy->admitPrefillAt(
-                ts.window->value(), ts.window->size(),
-                ev.scanTiersInFlight.count(kv.first) > 0, ts.target))
-            return true;
-    }
-    return false;
-}
-
-void
 ServingEngine::evStartPrefill(Active a, double now)
 {
     // Chunked prefill: the admitted request enters a Prefilling
@@ -787,23 +413,16 @@ ServingEngine::evStartPrefill(Active a, double now)
     EventRun &ev = *ev_;
     // A warm prefix skips its cached share: the chunk plan covers
     // only [warmTokens, context), apportioning the reduced scalar
-    // charge. warmTokens == 0 takes the cold plan bit for bit.
-    auto chunk_secs =
-        (prefixActive_ && a.warmTokens > 0)
-            ? prefillChunkSecondsFrom(model_, a.warmTokens,
-                                      a.request.contextTokens,
-                                      options_.prefillChunkTokens,
-                                      cluster_.xpu,
-                                      cluster_.prefillEngines())
-            : prefillChunkSeconds(model_, a.request.contextTokens,
-                                  options_.prefillChunkTokens,
-                                  cluster_.xpu,
-                                  cluster_.prefillEngines());
+    // charge. warmTokens == 0 is the cold plan bit for bit.
+    auto chunk_secs = prefillChunkSecondsFrom(
+        model_, a.warmTokens, a.request.contextTokens,
+        options_.prefillChunkTokens, cluster_.xpu,
+        cluster_.prefillEngines());
     if (chunk_secs.empty()) {
         // Fully cached context: nothing left to prefill. A publisher
         // with an empty plan (zero-context request) opens its entry
         // immediately.
-        if (prefixActive_ && a.cachePublisher && a.cacheKey != 0)
+        if (prefixCache_ && a.cachePublisher && a.cacheKey != 0)
             prefixCache_->markReady(a.cacheKey, now);
         ev.readyPool.push_back(std::move(a));
         return;
@@ -850,7 +469,7 @@ ServingEngine::evStartPrefill(Active a, double now)
             evAccountTo(t);
             // Publisher's prefix KV is now materialized: open the
             // tree entry for the requests queued behind it.
-            if (prefixActive_ && holder->cachePublisher &&
+            if (prefixCache_ && holder->cachePublisher &&
                 holder->cacheKey != 0)
                 prefixCache_->markReady(holder->cacheKey, t);
             run.readyPool.push_back(std::move(*holder));
@@ -861,53 +480,19 @@ ServingEngine::evStartPrefill(Active a, double now)
 void
 ServingEngine::evAdmitArrivals(double now)
 {
-    // The one admission path: a scan of the arrived queue under the
-    // per-request rules of tryAdmitOne. Admitted requests reach the
-    // ready pool once decode-ready (immediately, or after prefill
-    // chunks). A gate-deferred prefill or a budget-blocked tenant is
-    // skipped, so a gated tier or an over-budget tenant cannot
-    // head-of-line block the other classes; FIFO order is kept
-    // inside each (class, tenant) population. A memory block halts
-    // the scan (only releases clear it). With no classes and no
-    // budgets nothing is skipped: a deferred prefill blocks the FIFO
-    // queue until the SLO signal recovers, re-checked at every cycle
-    // completion.
+    // Admitted requests reach the ready pool once decode-ready: at
+    // once, or after their prefill chunks. The SLO gate binds a tier
+    // only while it decodes, so a gated pass gets the decoding tiers.
     EventRun &ev = *ev_;
     if (ev.halted)
         return; // crashed replica: admissions wait for the sweep
-    if (classesActive_ && ev.policy->needsGapSignal())
-        evRefreshTiersInFlight();
-    const bool fifo = !classesActive_ && !budgetsActive_;
-    std::set<unsigned> entitled = entitledTenantsWaiting(ev.arrived, now);
-    bool gate_deferred = false;
-    for (std::size_t i = 0; i < ev.arrived.size();) {
-        const TimedRequest &timed = ev.arrived[i];
-        if (ev.chunked && timed.request.contextTokens > 0 &&
-            evClassGateDefers(timed.request.cls)) {
-            // At most one deferral per admission check.
-            if (!gate_deferred) {
-                ++result_.sloDeferrals;
-                gate_deferred = true;
-            }
-            if (fifo)
-                break; // nothing may pass it in a FIFO queue
-            ++i;
-            continue;
-        }
-        bool allow_borrow =
-            !budgetsActive_ ||
-            !entitledElsewhere(entitled, timed.request.cls.tenant);
-        Admission adm = tryAdmitOne(timed, allow_borrow);
-        if (adm.outcome == AdmitOutcome::Blocked)
-            break;
-        if (adm.outcome == AdmitOutcome::BudgetBlocked) {
-            ++i;
-            continue;
-        }
-        ev.arrived.erase(ev.arrived.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-        if (adm.outcome != AdmitOutcome::Admitted)
-            continue; // Rejected: already counted
+    ev.decodingTiers.clear();
+    if (admission_->gated())
+        for (const auto &c : ev.cohorts)
+            for (const auto &m : c.members)
+                ev.decodingTiers.push_back(m.request.cls.tier);
+    admission_->admit(now, ev.decodingTiers, ev.admitted);
+    for (Admission::Admitted &adm : ev.admitted) {
         if (ev.chunked) {
             evStartPrefill(std::move(adm.active), now);
         } else {
@@ -937,7 +522,7 @@ ServingEngine::evStartCycle(EventCohort &c, double ready)
     // its members, so a mixed cohort is arbitrated at the
     // priority of its most latency-sensitive member.
     std::uint32_t cohort_tier = 0;
-    if (classesActive_ && !c.members.empty()) {
+    if (admission_->classesActive() && !c.members.empty()) {
         cohort_tier = c.members.front().request.cls.tier;
         for (const Active &m : c.members)
             cohort_tier = std::min(cohort_tier, m.request.cls.tier);
@@ -970,7 +555,7 @@ ServingEngine::evOnCycleComplete(EventCohort &c, double t)
     // survivors in place (order preserved, no allocation).
     std::size_t keep = 0;
     for (std::size_t i = 0; i < c.members.size(); ++i) {
-        if (advanceMember(c.members[i], t, ev.arrived)) {
+        if (advanceMember(c.members[i], t)) {
             if (keep != i)
                 c.members[keep] = std::move(c.members[i]);
             ++keep;
@@ -1022,9 +607,8 @@ ServingEngine::evFormNewCohorts(double t)
             // change that -> the front request can never be
             // served; reject it.
             if (ev.cohorts.empty() && ev.prefilling == 0 &&
-                ev.queue.empty() && !ev.arrived.empty()) {
-                ++result_.rejectedRequests;
-                ev.arrived.pop_front();
+                ev.queue.empty() && !admission_->queue().empty()) {
+                admission_->rejectFront();
                 continue;
             }
             return;
@@ -1042,7 +626,7 @@ ServingEngine::evOnArrival(double t)
     ev.arrivalArmed = false;
     evAccountTo(t);
     while (!ev.future.empty() && ev.future.front().arrivalSeconds <= t) {
-        ev.arrived.push_back(ev.future.front());
+        admission_->enqueue(ev.future.front());
         ev.future.pop_front();
     }
     evArmArrivalEvent();
@@ -1080,24 +664,10 @@ ServingEngine::prepare()
     ev.chunked = options_.prefillChunkTokens > 0;
 
     // Co-scheduling policy: arbitration of the xPU timelines (FIFO
-    // policies keep the plain reservation arithmetic) plus the
-    // SLO admission gate consulted by evAdmitArrivals.
+    // policies keep the plain reservation arithmetic) plus the SLO
+    // admission gate.
     ev.policy = makeSchedPolicy(options_.sched);
-    // Policies steering on the gap signal read a streaming windowed
-    // p95 (fed by advanceMember) instead of copying and sorting the
-    // window every decode cycle. With request classes attached the
-    // gate is per tier: each tier gets its own window, judged
-    // against its own target (advanceMember routes gaps by tier).
-    if (ev.policy->needsGapSignal() && options_.sched.sloWindow > 0) {
-        if (classesActive_) {
-            for (auto &kv : tiers_)
-                kv.second.window = std::make_unique<WindowedQuantile>(
-                    options_.sched.sloWindow, 95.0);
-        } else {
-            gapWindow_ = std::make_unique<WindowedQuantile>(
-                options_.sched.sloWindow, 95.0);
-        }
-    }
+    admission_->prepare(*ev.policy);
     // Every stage carries an xPU timeline: in XpuPim mode it serves
     // decode FC shares and prefill chunks; in PimOnly mode only the
     // prefill chunks (the PNM compute engines) land there.
@@ -1127,54 +697,13 @@ ServingEngine::drained() const
     return !ev_ || ev_->queue.empty();
 }
 
-double
-ServingEngine::nextEventTime() const
-{
-    return drained() ? std::numeric_limits<double>::infinity()
-                     : ev_->queue.nextTime();
-}
-
-template <typename ForEach>
-void
-ServingEngine::declareRequests(ForEach for_each)
-{
-    // The one class/tenant activation scan: flip the class/tenant
-    // machinery on and fix per-tier SLO targets before prepare()
-    // allocates the per-tier windows. Per-tier request counts stay
-    // zero — registerInjected counts what this engine actually
-    // receives.
-    for_each([this](const Request &r) {
-        if (!r.cls.isDefault())
-            classesActive_ = true;
-        if (r.cls.tenant != 0)
-            tenantsActive_ = true;
-    });
-    tenantsActive_ = tenantsActive_ || budgetsActive_;
-    if (classesActive_) {
-        for_each([this](const Request &r) {
-            TierState &ts = tiers_[r.cls.tier];
-            // First explicit per-class target wins; tiers without
-            // one are judged against the policy-wide default.
-            if (ts.target == 0.0 && r.cls.gapSloSeconds > 0.0)
-                ts.target = r.cls.gapSloSeconds;
-        });
-        for (auto &kv : tiers_)
-            if (kv.second.target == 0.0)
-                kv.second.target = options_.sched.sloTargetGapSeconds;
-    }
-    if (tenantsActive_)
-        for_each([this](const Request &r) {
-            (void)tenantState(r.cls.tenant);
-        });
-}
-
 void
 ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 {
     if (ev_)
         fatal("ServingEngine::declareWorkload() after prepare()");
     requireSortedByArrival(trace, "ServingEngine::declareWorkload");
-    declareRequests([&trace](auto &&visit) {
+    admission_->declare([&trace](auto &&visit) {
         for (const TimedRequest &timed : trace)
             visit(timed.request);
     });
@@ -1202,8 +731,8 @@ ServingEngine::declareSessionTurns(
     // depends on order, so only an active class scan walks the book
     // in ascending key order, independent of its bucket layout.
     std::vector<const SessionBook::value_type *> ordered;
-    declareRequests([&](auto &&visit) {
-        if (!classesActive_) {
+    admission_->declare([&](auto &&visit) {
+        if (!admission_->classesActive()) {
             for (const auto &kv : *sessions)
                 visit(kv.second.request);
             return;
@@ -1228,7 +757,7 @@ ServingEngine::releaseNextTurn(RequestId completed, double now)
         return;
     const SessionTurn *turn = &it->second;
     double at = now + turn->thinkSeconds;
-    registerInjected({turn->request, at});
+    admission_->registerArrival(turn->request);
     // The release gets its own event rather than joining the
     // pending-arrival chain: a release often lands earlier than the
     // armed head arrival, and re-arming would leave a stale no-op
@@ -1244,37 +773,10 @@ ServingEngine::releaseNextTurn(RequestId completed, double now)
     // captures only a pointer into the book (which outlives the
     // run), so the callback fits SimFn's inline buffer.
     ev_->queue.schedule(at, [this, turn](double t) {
-        EventRun &run = *ev_;
         evAccountTo(t);
-        run.arrived.push_back({turn->request, t});
+        admission_->enqueue({turn->request, t});
         evFormNewCohorts(t);
     });
-}
-
-void
-ServingEngine::registerInjected(const TimedRequest &timed)
-{
-    // The per-request share of declareWorkload's bookkeeping: count
-    // the request into its tier and touch its tenant. Inert on the
-    // default-class, no-budget path.
-    const RequestClass &cls = timed.request.cls;
-    if (classesActive_) {
-        TierState &ts = tiers_[cls.tier];
-        ++ts.requests;
-        if (ts.target == 0.0)
-            ts.target = cls.gapSloSeconds > 0.0
-                            ? cls.gapSloSeconds
-                            : options_.sched.sloTargetGapSeconds;
-        // A tier first seen mid-run still gets its SLO window when
-        // the policy steers on the gap signal (declared tiers got
-        // theirs in prepare).
-        if (!ts.window && ev_ && ev_->policy->needsGapSignal() &&
-            options_.sched.sloWindow > 0)
-            ts.window = std::make_unique<WindowedQuantile>(
-                options_.sched.sloWindow, 95.0);
-    }
-    if (tenantsActive_)
-        (void)tenantState(cls.tenant);
 }
 
 void
@@ -1287,7 +789,7 @@ ServingEngine::injectArrivals(const std::vector<TimedRequest> &batch)
     requireSortedByArrival(batch, "ServingEngine::injectArrivals");
     EventRun &ev = *ev_;
     for (const TimedRequest &timed : batch)
-        registerInjected(timed);
+        admission_->registerArrival(timed.request);
     // The sorted batch's time-zero prefix is available at once; the
     // rest appends to the nondecreasing pending-arrival stream when
     // it starts at or after the stream's tail.
@@ -1295,7 +797,8 @@ ServingEngine::injectArrivals(const std::vector<TimedRequest> &batch)
         batch.begin(), batch.end(),
         [](const TimedRequest &t) { return t.arrivalSeconds <= 0.0; });
     const bool immediate = later != batch.begin();
-    ev.arrived.insert(ev.arrived.end(), batch.begin(), later);
+    for (auto it = batch.begin(); it != later; ++it)
+        admission_->enqueue(*it);
     if (later == batch.end() || ev.future.empty() ||
         later->arrivalSeconds >= ev.future.back().arrivalSeconds) {
         ev.future.insert(ev.future.end(), later, batch.end());
@@ -1333,7 +836,7 @@ ServingEngine::queuedTokens() const
     const EventRun &ev = *ev_;
     for (const auto &timed : ev.future)
         sum += request_tokens(timed.request);
-    for (const auto &timed : ev.arrived)
+    for (const auto &timed : admission_->queue())
         sum += request_tokens(timed.request);
     for (const auto &a : ev.readyPool)
         sum += request_tokens(a.request) - static_cast<double>(a.generated);
@@ -1360,13 +863,11 @@ ServingEngine::evacuate(bool kill_in_flight)
         fatal("ServingEngine::evacuate() after finalize()");
 
     Evacuation out;
-    // The undelivered/unadmitted queue migrates as-is. arrived may
-    // hold preemption requeues with past arrivals, so the merged
-    // batch is re-sorted rather than assumed ordered.
-    out.queued.reserve(ev.arrived.size() + ev.future.size());
-    for (const TimedRequest &timed : ev.arrived)
-        out.queued.push_back(timed);
-    ev.arrived.clear();
+    // The undelivered/unadmitted queue migrates as-is. The admission
+    // queue may hold preemption requeues with past arrivals, so the
+    // merged batch is re-sorted rather than assumed ordered.
+    out.queued.reserve(admission_->queue().size() + ev.future.size());
+    admission_->takeQueue(out.queued);
     for (const TimedRequest &timed : ev.future)
         out.queued.push_back(timed);
     ev.future.clear();
@@ -1384,8 +885,7 @@ ServingEngine::evacuate(bool kill_in_flight)
     ++ev.epoch;
     auto drop = [&](Active &a) {
         allocator_->release(a.request.id);
-        tenantRelease(a.request);
-        releaseCacheRef(a);
+        admission_->release(a);
         out.lostTokens += a.generated;
         out.inFlight.push_back({a.request, a.arrival});
     };
@@ -1404,7 +904,7 @@ ServingEngine::evacuate(bool kill_in_flight)
     ev.prefillingTokens = 0.0;
     // The crash loses the replica's KV wholesale — retained prefixes
     // included. The tree restarts cold after restoreService().
-    if (prefixActive_)
+    if (prefixCache_)
         prefixCache_->clear();
     sortByArrival(out.inFlight);
     return out;
@@ -1467,17 +967,7 @@ ServingEngine::finalize()
 
     result_.simulatedSeconds = ev.endTime;
     result_.simEvents = ev.queue.dispatched();
-    if (prefixActive_) {
-        const PrefixCacheStats &pc = prefixCache_->stats();
-        result_.prefixHits = pc.hits;
-        result_.prefixMisses = pc.misses;
-        result_.prefixEvictions = pc.evictions;
-        result_.prefixHitRate =
-            safeRatio(static_cast<double>(pc.hits),
-                      static_cast<double>(pc.hits + pc.misses));
-        result_.sharedKvPeakBytes = prefixSharedPeak_;
-        result_.uniqueKvPeakBytes = prefixUniquePeak_;
-    }
+    admission_->finalize();
     finalizeResult(ev.acc, ev.batchTime, ev.capacityTime);
     // Moved, not copied: the per-request maps are the largest part
     // of the result, and a second finalize() is fatal above.
@@ -1498,42 +988,6 @@ ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
             capacity_time / result_.simulatedSeconds;
     }
     result_.macUtilization = safeRatio(acc.busyCycles, acc.spanCycles);
-
-    // Per-class stores and per-tenant summaries (classes / budgets
-    // only; both vectors stay empty on the strictly-additive default
-    // path).
-    if (classesActive_) {
-        result_.classLatencies.reserve(tiers_.size());
-        for (auto &kv : tiers_) {
-            EngineResult::ClassLatency cl;
-            cl.tier = kv.first;
-            cl.gapSloTargetSeconds = kv.second.target;
-            cl.requests = kv.second.requests;
-            cl.completedRequests = kv.second.completed;
-            cl.firstTokenRuns = std::move(kv.second.ttfts);
-            cl.tokenGapRuns = std::move(kv.second.gaps);
-            result_.classLatencies.push_back(std::move(cl));
-        }
-    }
-    if (tenantsActive_) {
-        result_.tenantOccupancy.reserve(tenants_.size());
-        for (auto &kv : tenants_) {
-            EngineResult::TenantOccupancy to;
-            to.tenant = kv.first;
-            to.budgetShare = capacityTokens_ > 0.0
-                                 ? kv.second.budgetTokens /
-                                       capacityTokens_
-                                 : 0.0;
-            to.avgTokenShare = result_.simulatedSeconds > 0.0
-                                   ? kv.second.shareSeconds /
-                                         result_.simulatedSeconds
-                                   : 0.0;
-            to.peakTokenShare = kv.second.peakShare;
-            to.admittedRequests = kv.second.admitted;
-            to.budgetDeferrals = kv.second.deferrals;
-            result_.tenantOccupancy.push_back(to);
-        }
-    }
     result_.summarizeLatencies();
 }
 

@@ -1,15 +1,17 @@
 /**
  * @file
  * Decode-serving engine: continuous batching over a multi-module PIM
- * system with TP/PP parallelism, allocator-driven admission, and
- * per-cycle latency composed from the module models.
+ * system with TP/PP parallelism and per-cycle latency composed from
+ * the module models.
  *
  * The engine is event-driven: it schedules per-cohort (micro-batch),
  * per-stage work items on the sim subsystem's event queue. Cohorts
  * traverse the PP stages as FIFO devices and decode asynchronously,
- * so a fast cohort is not padded to the slowest one, PIM attention
- * overlaps xPU FC work across stages, and admission is
- * arrival-driven.
+ * so a fast cohort is not padded to the slowest one, and PIM
+ * attention overlaps xPU FC work across stages. Admission is its own
+ * module (system/admission.hh), run once per arrival or completion
+ * event; the engine keeps the cohorts, the ready pool, prefill
+ * submission and the decode-side KV custody.
  *
  * Scope note: decode remains the focus (the paper locates the PIM
  * bottlenecks there), but prefill is first-class work rather than a
@@ -29,10 +31,7 @@
 #define PIMPHONY_SYSTEM_ENGINE_HH
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +47,9 @@
 #include "workload/trace.hh"
 
 namespace pimphony {
+
+class Admission;
+struct ActiveRequest;
 
 /**
  * Engine-level knob set: the shared serving options (prefill
@@ -367,9 +369,6 @@ class ServingEngine
     /** No pending events (the sub-simulation is quiescent). */
     bool drained() const;
 
-    /** Earliest pending event time; +infinity when drained. */
-    double nextEventTime() const;
-
     /**
      * Deliver requests mid-run (router dispatch). Arrivals at or
      * before time zero join the admission queue immediately; later
@@ -466,35 +465,8 @@ class ServingEngine
     const KvAllocator &allocatorView() const { return *allocator_; }
 
   private:
-    struct Active
-    {
-        Request request;
-        Tokens generated = 0;
-        double arrival = 0.0;
-
-        /** Completion time of the latest token (< 0: none yet). */
-        double lastTokenAt = -1.0;
-
-        // --- Prefix-sharing state (all-zero when caching is off). --
-
-        /** Tokens of this request's KV held by the prefix tree
-         *  rather than its own allocation (custody offset: the
-         *  allocator account covers context + generated minus
-         *  this). */
-        Tokens cachedTokens = 0;
-
-        /** Warm-hit tokens whose prefill charge was skipped
-         *  (== cachedTokens for consumers; 0 for the publisher,
-         *  which prefills its prefix cold). */
-        Tokens warmTokens = 0;
-
-        /** Tree entry this request references (0 = none). */
-        std::uint64_t cacheKey = 0;
-
-        /** This request is prefilling a new entry cold; its prefill
-         *  completion marks the entry ready. */
-        bool cachePublisher = false;
-    };
+    /** An admitted request (system/admission.hh). */
+    using Active = ActiveRequest;
 
     /**
      * Device-time plan for one decode cycle of one cohort
@@ -536,52 +508,12 @@ class ServingEngine
     };
 
     /**
-     * Per-request admission rule: Rejected = can never be served
-     * here, Blocked = waits for memory, BudgetBlocked = the
-     * request's tenant is over budget and borrowing was denied
-     * (@p allow_borrow false; only with tenant budgets configured),
-     * Admitted = reserved.
-     */
-    enum class AdmitOutcome { Admitted, Rejected, Blocked, BudgetBlocked };
-
-    /** tryAdmitOne's verdict. When Admitted: the request's record,
-     *  prefix state stamped, and its scalar prefill charge (set when
-     *  chargePrefill or prefillChunkTokens is; the chunked path
-     *  apportions it over chunk items instead of a lump). */
-    struct Admission
-    {
-        AdmitOutcome outcome = AdmitOutcome::Blocked;
-        Active active;
-        double prefillSeconds = 0.0;
-    };
-    Admission tryAdmitOne(const TimedRequest &timed, bool allow_borrow);
-
-    /** probePrefix's answer: the warm entry (key 0 = none) and its
-     *  tokens, the declared-prefix key if that lookup missed, and
-     *  whether any key was looked up (a hit or a miss to count). */
-    struct PrefixProbe
-    {
-        std::uint64_t key = 0;
-        Tokens share = 0;
-        std::uint64_t missedPrefix = 0;
-        bool probed = false;
-    };
-
-    /**
-     * The one prefix probe of admission and routing: retained
-     * session history first, then the declared prefix. Read-only;
-     * prefix caching must be on.
-     */
-    PrefixProbe probePrefix(const Request &r) const;
-
-    /**
      * Advance @p a by the one token produced at @p completion_clock:
-     * grow-or-preempt (re-queueing to @p requeue with the original
+     * grow-or-preempt (re-queueing it for admission with its original
      * arrival), then complete-or-continue. Returns false when the
      * request leaves its cohort.
      */
-    bool advanceMember(Active &a, double completion_clock,
-                       std::deque<TimedRequest> &requeue);
+    bool advanceMember(Active &a, double completion_clock);
 
     /** Device-time plan for one decode cycle of [@p begin, @p end). */
     CyclePlan planCohortCycle(const Active *begin, const Active *end);
@@ -619,13 +551,7 @@ class ServingEngine
      */
     void evTakeFairShare(std::vector<Active> &members);
 
-    /** Hoist the per-scan tier in-flight flags (class gate). */
-    void evRefreshTiersInFlight();
-
-    /** Per-class SLO admission gate (see classGateDefers notes). */
-    bool evClassGateDefers(const RequestClass &cls);
-
-    /** Admission scan over the arrived queue at event time @p now. */
+    /** One admission pass at event time @p now. */
     void evAdmitArrivals(double now);
 
     /** Submit an admitted request's chunked prefill sequence. */
@@ -650,13 +576,6 @@ class ServingEngine
      */
     void evArmArrivalEvent();
 
-    /** The one class/tenant declaration scan: @p for_each(visit)
-     *  visits every request in first-target-wins order, in place. */
-    template <typename ForEach> void declareRequests(ForEach for_each);
-
-    /** Per-request class/tenant bookkeeping of a delivered arrival. */
-    void registerInjected(const TimedRequest &timed);
-
     /**
      * Release the successor turn of @p completed (if any) as an
      * arrival at @p now + its think time. Called from
@@ -665,76 +584,6 @@ class ServingEngine
      */
     void releaseNextTurn(RequestId completed, double now);
 
-    // --- Request-class / tenant-budget machinery. With a
-    // --- single-class workload and no budgets it keeps no state and
-    // --- the admission scan is the plain FIFO queue. ----------------
-
-    /** Per-tier sample stores and (optional) sliding SLO window. */
-    struct TierState
-    {
-        /** Gap SLO target (class target, else the policy default). */
-        double target = 0.0;
-
-        std::uint64_t requests = 0;
-        std::uint64_t completed = 0;
-
-        /** TTFT and token-gap samples of the tier's requests. */
-        SampleRuns ttfts;
-        SampleRuns gaps;
-
-        /** Per-tier windowed p95 (gap-steered policies only). */
-        std::unique_ptr<WindowedQuantile> window;
-    };
-
-    /** Admission-budget accounting of one tenant. */
-    struct TenantState
-    {
-        double budgetTokens = 0.0;
-        double reservedTokens = 0.0;
-
-        /** Integral of reservedTokens/capacity over time. */
-        double shareSeconds = 0.0;
-        double peakShare = 0.0;
-        std::uint64_t admitted = 0;
-        std::uint64_t deferrals = 0;
-    };
-
-    TenantState &tenantState(unsigned tenant);
-
-    /** Budget verdict for @p tenant wanting @p need more tokens. */
-    bool budgetAdmits(unsigned tenant, double need, bool allow_borrow);
-
-    /**
-     * Reserve / release tenant budget accounting. By default a
-     * request is charged context + decode tokens; @p charge_tokens
-     * >= 0 overrides it (prefix sharing charges shared chunks
-     * fractionally — see tryAdmitOne), and the charged amount is
-     * remembered so release refunds exactly what was reserved.
-     */
-    void tenantReserve(const Request &request,
-                       double charge_tokens = -1.0);
-    void tenantRelease(const Request &request);
-
-    /** Advance the per-tenant occupancy integrals by @p dt. */
-    void integrateTenantShares(double dt);
-
-    /**
-     * Tenants with an under-budget ("entitled") request waiting in
-     * @p queue, computed once per admission scan. A borrower is
-     * denied while any OTHER tenant appears here (see
-     * entitledElsewhere), preserving every active tenant's
-     * guarantee. Reservations only grow during a scan, so the set
-     * can only shrink mid-scan — a stale entry defers a borrower to
-     * the next round but never breaks a guarantee.
-     */
-    std::set<unsigned>
-    entitledTenantsWaiting(const std::deque<TimedRequest> &queue,
-                           double now) const;
-
-    /** True when @p entitled holds a tenant other than @p tenant. */
-    static bool entitledElsewhere(const std::set<unsigned> &entitled,
-                                  unsigned tenant);
-
     ClusterConfig cluster_;
     LlmConfig model_;
     EngineOptions options_;
@@ -742,29 +591,13 @@ class ServingEngine
     std::vector<TimedRequest> pending_;
     std::unique_ptr<KvAllocator> allocator_;
 
-    // --- Prefix-sharing state (prefixCache.enabled only). -----------
-
-    /** The CoW prefix tree; declared after allocator_ so its chunk
-     *  custody is released before the allocator dies. */
+    /** The CoW prefix tree (null unless prefixCache.enabled); after
+     *  allocator_, so its chunk custody is released first. */
     std::unique_ptr<PrefixCache> prefixCache_;
 
-    /** options_.prefixCache.enabled (hot-path guard). */
-    bool prefixActive_ = false;
-
-    /** Fractional tenant charges by request id (refunded exactly). */
-    std::unordered_map<RequestId, double> prefixTenantCharge_;
-
-    /** Peak shared/unique custody samples (EngineResult). */
-    Bytes prefixSharedPeak_ = 0;
-    Bytes prefixUniquePeak_ = 0;
-
-    /** Sample shared/unique custody peaks (prefixActive_ only). */
-    void prefixSampleOccupancy();
-
-    /** Drop @p a's prefix-tree reference, if it holds one: the
-     *  publisher's hold is structural, a warm hit's is a consumer
-     *  ref (the fractional-charge divisor). */
-    void releaseCacheRef(const Active &a);
+    /** Admission over allocator_ and prefixCache_ (its queue, gate
+     *  and tenant ledger). */
+    std::unique_ptr<Admission> admission_;
 
     std::unique_ptr<PimModuleModel> module_;
     std::unique_ptr<XpuModel> xpu_;
@@ -777,34 +610,6 @@ class ServingEngine
      * erased. Pending release events point into it.
      */
     std::shared_ptr<const SessionBook> sessions_;
-
-    /** Any request carries a non-default class (tiers in play). */
-    bool classesActive_ = false;
-
-    /** EngineOptions::tenantBudgets is non-empty. */
-    bool budgetsActive_ = false;
-
-    /** Track per-tenant occupancy (budgets or tagged tenants). */
-    bool tenantsActive_ = false;
-
-    /** KV capacity in tokens (budget shares are fractions of it). */
-    double capacityTokens_ = 0.0;
-
-    /** Per-tier state, keyed ascending (classes active only). */
-    std::map<unsigned, TierState> tiers_;
-
-    /** Per-tenant state, keyed ascending (tenants active only). */
-    std::map<unsigned, TenantState> tenants_;
-
-    /**
-     * Streaming p95 over the sliding SLO window of decode token
-     * gaps; allocated in prepare() only when the policy steers
-     * on the gap signal. advanceMember feeds it as gaps are
-     * produced, so the admission gate reads the windowed percentile
-     * in O(1) instead of copying and sorting the window per decode
-     * cycle.
-     */
-    std::unique_ptr<WindowedQuantile> gapWindow_;
 
     /** Per-cycle scratch for planCohortCycle's attention jobs. */
     std::vector<AttentionJob> jobsScratch_;

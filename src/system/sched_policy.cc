@@ -1,5 +1,7 @@
 #include "system/sched_policy.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 
 namespace pimphony {
@@ -109,26 +111,34 @@ TierPriorityPolicy::sliceSeconds(const sim::WorkItem &item) const
 std::unique_ptr<SchedPolicy>
 makeSchedPolicy(const SchedPolicyConfig &config)
 {
+    auto finite = [](const char *field, double v) {
+        if (!std::isfinite(v))
+            fatal("SchedPolicyConfig::%s must be finite (got %g)", field, v);
+    };
+    finite("preemptQuantumSeconds", config.preemptQuantumSeconds);
+    finite("sloTargetGapSeconds", config.sloTargetGapSeconds);
+    finite("sloHeadroom", config.sloHeadroom);
+    finite("tierPreemptQuantumSeconds", config.tierPreemptQuantumSeconds);
+    auto positive = [&config](const char *field, double v) {
+        if (!(v > 0.0))
+            fatal("%s needs a positive SchedPolicyConfig::%s (got %g)",
+                  schedPolicyName(config.kind).c_str(), field, v);
+    };
     switch (config.kind) {
       case SchedPolicyKind::Fifo:
         return std::make_unique<FifoPolicy>(config);
       case SchedPolicyKind::DecodePriority:
         return std::make_unique<DecodePriorityPolicy>(config);
       case SchedPolicyKind::ChunkPreempt:
-        if (config.preemptQuantumSeconds <= 0.0)
-            fatal("chunk-preempt needs a positive quantum (got %g s)",
-                  config.preemptQuantumSeconds);
+        positive("preemptQuantumSeconds", config.preemptQuantumSeconds);
         return std::make_unique<ChunkPreemptPolicy>(config);
       case SchedPolicyKind::SloAdmission:
-        if (config.sloTargetGapSeconds <= 0.0)
-            fatal("slo-admission needs a positive gap target (got %g s)",
-                  config.sloTargetGapSeconds);
+        positive("sloTargetGapSeconds", config.sloTargetGapSeconds);
+        positive("sloHeadroom", config.sloHeadroom);
+        positive("sloWindow", config.sloWindow);
         return std::make_unique<SloAdmissionPolicy>(config);
       case SchedPolicyKind::TierPriority:
-        if (config.preemptQuantumSeconds <= 0.0)
-            fatal("tier-priority needs a positive chunk quantum (got "
-                  "%g s)",
-                  config.preemptQuantumSeconds);
+        positive("preemptQuantumSeconds", config.preemptQuantumSeconds);
         return std::make_unique<TierPriorityPolicy>(config);
     }
     fatal("unknown scheduling policy");

@@ -63,7 +63,7 @@ std::string schedPolicyName(SchedPolicyKind kind);
  *  false (leaving @p out untouched) on an unknown name. */
 bool parseSchedPolicy(const std::string &name, SchedPolicyKind &out);
 
-/** The four kinds, in declaration order (sweep helper). */
+/** Every kind, in declaration order (sweep helper). */
 std::vector<SchedPolicyKind> allSchedPolicies();
 
 struct SchedPolicyConfig
@@ -126,7 +126,6 @@ class SchedPolicy : public sim::QueueArbiter
     }
 
     SchedPolicyKind kind() const { return config_.kind; }
-    const SchedPolicyConfig &config() const { return config_; }
     std::string name() const { return schedPolicyName(config_.kind); }
 
     /**
@@ -137,43 +136,26 @@ class SchedPolicy : public sim::QueueArbiter
     virtual bool reordersXpu() const { return false; }
 
     /**
-     * True when admitPrefill() steers on the observed gap p95, so
+     * True when admitPrefillAt() steers on the observed gap p95, so
      * the engine only pays for the windowed percentile when a policy
      * consumes it.
      */
     virtual bool needsGapSignal() const { return false; }
 
     /**
-     * Admission gate for a new prefill. @p observed_p95_gap is the
-     * windowed p95 decode token gap over @p gap_samples recent
-     * samples; @p decode_in_flight tells whether any cohort is
-     * decoding (a gate must never bind with nothing decoding, or
-     * admission could deadlock). @return false to defer.
+     * Admission gate for a new prefill, judged for one tier against
+     * its @p target_gap. @p observed_p95_gap is the tier's windowed
+     * p95 decode token gap over @p gap_samples recent samples;
+     * @p decode_in_flight tells whether the tier is decoding (a gate
+     * must never bind with nothing decoding, or admission could
+     * deadlock). A single-class workload is one tier at
+     * sloTargetGapSeconds. The base policy never defers. @return
+     * false to defer.
      */
     virtual bool
-    admitPrefill(double observed_p95_gap, std::size_t gap_samples,
-                 bool decode_in_flight) const
+    admitPrefillAt(double /*observed_p95_gap*/, std::size_t /*gap_samples*/,
+                   bool /*decode_in_flight*/, double /*target_gap*/) const
     {
-        return admitPrefillAt(observed_p95_gap, gap_samples,
-                              decode_in_flight,
-                              config_.sloTargetGapSeconds);
-    }
-
-    /**
-     * Per-class admission gate: like admitPrefill(), but against an
-     * explicit @p target_gap — the engine calls this once per tier
-     * whose windowed p95 guards the candidate prefill, passing each
-     * tier's own RequestClass::gapSloSeconds target. The base policy
-     * never defers.
-     */
-    virtual bool
-    admitPrefillAt(double observed_p95_gap, std::size_t gap_samples,
-                   bool decode_in_flight, double target_gap) const
-    {
-        (void)observed_p95_gap;
-        (void)gap_samples;
-        (void)decode_in_flight;
-        (void)target_gap;
         return true;
     }
 

@@ -266,6 +266,8 @@ TEST(PrefillFrom, ZeroCachedReducesToColdPlanner)
     auto cluster = ClusterConfig::neupimsLike(model);
     EXPECT_EQ(prefillSecondsFrom(model, 0, 4096, cluster.xpu, 4),
               prefillSeconds(model, 4096, cluster.xpu, 4));
+    EXPECT_EQ(prefillChunkSecondsFrom(model, 0, 4096, 512, cluster.xpu, 4),
+              prefillChunkSeconds(model, 4096, 512, cluster.xpu, 4));
     auto cold = prefillChunks(model, 4096, 512);
     auto from = prefillChunksFrom(model, 0, 4096, 512);
     ASSERT_EQ(cold.size(), from.size());

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "sim/device.hh"
@@ -73,14 +74,68 @@ TEST(SchedPolicy, SloGateBindsOnlyWithDecodeInFlight)
     auto policy = makeSchedPolicy(cfg);
 
     // Gate open: nothing decoding, or too few samples, or gap OK.
-    EXPECT_TRUE(policy->admitPrefill(10.0, 100, false));
-    EXPECT_TRUE(policy->admitPrefill(10.0, 7, true));
-    EXPECT_TRUE(policy->admitPrefill(0.06, 100, true));
+    const double target = cfg.sloTargetGapSeconds;
+    EXPECT_TRUE(policy->admitPrefillAt(10.0, 100, false, target));
+    EXPECT_TRUE(policy->admitPrefillAt(10.0, 7, true, target));
+    EXPECT_TRUE(policy->admitPrefillAt(0.06, 100, true, target));
     // Gate shut: headroom * target = 70 ms exceeded while decoding.
-    EXPECT_FALSE(policy->admitPrefill(0.0701, 100, true));
+    EXPECT_FALSE(policy->admitPrefillAt(0.0701, 100, true, target));
     // Other policies never defer.
     cfg.kind = SchedPolicyKind::Fifo;
-    EXPECT_TRUE(makeSchedPolicy(cfg)->admitPrefill(10.0, 100, true));
+    EXPECT_TRUE(makeSchedPolicy(cfg)->admitPrefillAt(10.0, 100, true, target));
+}
+
+TEST(SchedPolicy, RejectsInvalidConfigNamingTheField)
+{
+    const double nan = std::nan("");
+    // NaN is rejected in every field, whatever the policy (Fifo
+    // here): a NaN target or headroom used to shut the gate for good,
+    // a NaN quantum to stop all slicing.
+    SchedPolicyConfig cfg;
+    cfg.sloTargetGapSeconds = nan;
+    EXPECT_DEATH(makeSchedPolicy(cfg), "sloTargetGapSeconds must be finite");
+    cfg = SchedPolicyConfig{};
+    cfg.sloHeadroom = nan;
+    EXPECT_DEATH(makeSchedPolicy(cfg), "sloHeadroom must be finite");
+    cfg = SchedPolicyConfig{};
+    cfg.preemptQuantumSeconds = nan;
+    EXPECT_DEATH(makeSchedPolicy(cfg), "preemptQuantumSeconds must be finite");
+    cfg = SchedPolicyConfig{};
+    cfg.tierPreemptQuantumSeconds = nan;
+    EXPECT_DEATH(makeSchedPolicy(cfg),
+                 "tierPreemptQuantumSeconds must be finite");
+
+    // Positive where the policy uses the value.
+    cfg = SchedPolicyConfig{};
+    cfg.kind = SchedPolicyKind::SloAdmission;
+    cfg.sloWindow = 0; // used to disable the gate silently
+    EXPECT_DEATH(makeSchedPolicy(cfg),
+                 "slo-admission needs a positive "
+                 "SchedPolicyConfig::sloWindow");
+    cfg.sloWindow = 64;
+    cfg.sloHeadroom = 0.0;
+    EXPECT_DEATH(makeSchedPolicy(cfg),
+                 "positive SchedPolicyConfig::sloHeadroom");
+    cfg.sloHeadroom = 0.7;
+    cfg.sloTargetGapSeconds = -1.0;
+    EXPECT_DEATH(makeSchedPolicy(cfg),
+                 "positive SchedPolicyConfig::sloTargetGapSeconds");
+    cfg = SchedPolicyConfig{};
+    cfg.kind = SchedPolicyKind::ChunkPreempt;
+    cfg.preemptQuantumSeconds = 0.0;
+    EXPECT_DEATH(makeSchedPolicy(cfg),
+                 "chunk-preempt needs a positive "
+                 "SchedPolicyConfig::preemptQuantumSeconds");
+
+    // A non-positive tier quantum stays the documented "off", and a
+    // field the policy ignores need not be positive.
+    cfg = SchedPolicyConfig{};
+    cfg.kind = SchedPolicyKind::TierPriority;
+    cfg.tierPreemptQuantumSeconds = 0.0;
+    EXPECT_NE(makeSchedPolicy(cfg), nullptr);
+    cfg = SchedPolicyConfig{};
+    cfg.sloWindow = 0;
+    EXPECT_NE(makeSchedPolicy(cfg), nullptr);
 }
 
 // --- Preemption re-planner. ------------------------------------------

@@ -23,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/orchestrator.hh"
@@ -523,6 +525,28 @@ TEST(SloClassesEngine, IdleTenantShareIsBorrowable)
     const auto &b = tenantRow(with, 1);
     EXPECT_EQ(b.admittedRequests, 0u);
     EXPECT_DOUBLE_EQ(b.avgTokenShare, 0.0);
+}
+
+TEST(SloClassesEngine, RejectsInvalidTenantBudgets)
+{
+    auto model = LlmConfig::llm7b(true);
+    auto cluster = ClusterConfig::neupimsLike(model);
+    applyOptions(cluster, PimphonyOptions::all());
+    auto timed = tenantMix(2, 2000, 16, true);
+    auto build = [&](std::vector<TenantBudget> budgets) {
+        EngineOptions opts;
+        opts.allocator = AllocatorKind::LazyChunk;
+        opts.tenantBudgets = std::move(budgets);
+        ServingEngine engine(cluster, model, timed, opts);
+    };
+    // A second entry for tenant 0 used to overwrite the first one.
+    EXPECT_DEATH(build({{0, 0.5}, {1, 0.5}, {0, 0.1}}),
+                 "tenantBudgets\\[2\\]: tenant 0 already has a budget");
+    EXPECT_DEATH(build({{0, 0.5}, {1, std::nan("")}}),
+                 "tenantBudgets\\[1\\].share must be finite and in "
+                 "\\[0, 1\\]");
+    EXPECT_DEATH(build({{0, -1.0}}), "tenantBudgets\\[0\\].share");
+    EXPECT_DEATH(build({{0, 1.5}}), "tenantBudgets\\[0\\].share");
 }
 
 // --- (d) Strict additivity of the subsystem. ----------------------------
