@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "system/engine.hh"
 #include "system/prefill.hh"
 
 namespace pimphony {
@@ -106,11 +105,10 @@ Admission::gateTier(const std::vector<unsigned> &decoding) const
         const TierState &ts = kv.second;
         if (!ts.window)
             continue;
-        bool decodes =
-            classesActive_
-                ? std::find(decoding.begin(), decoding.end(), kv.first) !=
-                      decoding.end()
-                : !decoding.empty();
+        bool decodes = !decoding.empty(); // one tier: anything decodes
+        if (classesActive_)
+            decodes = std::find(decoding.begin(), decoding.end(),
+                                kv.first) != decoding.end();
         if (!policy_->admitPrefillAt(ts.window->value(), ts.window->size(),
                                      decodes, ts.row.gapSloTargetSeconds))
             return kv.first;

@@ -147,9 +147,8 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
             static_cast<LazyChunkAllocator &>(*allocator_),
             options_.prefixCache);
     }
-    admission_ = std::make_unique<Admission>(model_, cluster_, options_,
-                                             *allocator_, prefixCache_.get(),
-                                             result_);
+    admission_ = std::make_unique<Admission>(
+        model_, cluster_, options_, *allocator_, prefixCache_.get(), result_);
     module_ = std::make_unique<PimModuleModel>(cluster_.module);
     xpu_ = std::make_unique<XpuModel>(cluster_.xpu);
     sortByArrival(requests);

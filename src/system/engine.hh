@@ -141,7 +141,7 @@ struct EngineResult
 
     // --- Co-scheduling policy metrics. ------------------------------
 
-    /** Admission checks deferred by the SLO gate (SloAdmission). */
+    /** Admission passes whose SLO gate deferred a prefill. */
     std::uint64_t sloDeferrals = 0;
 
     /** Preemption splits of in-flight prefill chunks (ChunkPreempt). */
