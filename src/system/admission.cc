@@ -107,8 +107,7 @@ Admission::gateTier(const std::vector<unsigned> &decoding) const
             continue;
         bool decodes = !decoding.empty(); // one tier: anything decodes
         if (classesActive_)
-            decodes = std::find(decoding.begin(), decoding.end(),
-                                kv.first) != decoding.end();
+            decodes = std::count(decoding.begin(), decoding.end(), kv.first);
         if (!policy_->admitPrefillAt(ts.window->value(), ts.window->size(),
                                      decodes, ts.row.gapSloTargetSeconds))
             return kv.first;

@@ -415,8 +415,7 @@ ServingEngine::evStartPrefill(Active a, double now)
     // charge. warmTokens == 0 is the cold plan bit for bit.
     auto chunk_secs = prefillChunkSecondsFrom(
         model_, a.warmTokens, a.request.contextTokens,
-        options_.prefillChunkTokens, cluster_.xpu,
-        cluster_.prefillEngines());
+        options_.prefillChunkTokens, cluster_.xpu, cluster_.prefillEngines());
     if (chunk_secs.empty()) {
         // Fully cached context: nothing left to prefill. A publisher
         // with an empty plan (zero-context request) opens its entry

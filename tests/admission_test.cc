@@ -104,10 +104,11 @@ TEST(Admission, GateIsAMonotoneTierThreshold)
     ServingOptions opts = gatedOptions();
     auto policy = makeSchedPolicy(opts.sched);
     Admission adm = rig.admission(opts);
-    deliver(adm,
-            {arrival(0, 1000, 0, 0, 0.1), arrival(1, 1000, 1, 0, 0.2),
-             arrival(2, 1000, 2, 0, 0.3)},
-            *policy);
+    // Request i is a tier-i prefill with a gap target of 0.1 * (i + 1).
+    auto tiered = [](unsigned tier) {
+        return arrival(tier, 1000, tier, 0, 0.1 * (tier + 1));
+    };
+    deliver(adm, {tiered(0), tiered(1), tiered(2)}, *policy);
     ASSERT_TRUE(adm.gated());
 
     // Tier 0 under its target; tiers 1 and 2 over theirs.
@@ -153,13 +154,14 @@ TEST(Admission, SingleClassGateIsTierZero)
     ASSERT_TRUE(classed.classesActive());
 
     const double target = opts.sched.sloTargetGapSeconds;
-    for (double gap : {0.01, 2.0 * target, 3.0 * target, 0.01, 0.01,
-                       0.01, 0.01, 2.0 * target}) {
+    for (double gap : {0.01, 2 * target, 3 * target, 0.01, 0.01, 0.01, 0.01}) {
         plain.recordGap(0, gap);
         classed.recordGap(0, gap);
         EXPECT_EQ(plain.gateTier({}), classed.gateTier({}));
         EXPECT_EQ(plain.gateTier({0}), classed.gateTier({0}));
     }
+    // Over target: tier 0 binds, but only while something decodes.
+    plain.recordGap(0, 4 * target);
     EXPECT_EQ(plain.gateTier({0}), 0u);
     EXPECT_EQ(plain.gateTier({}), Admission::kGateOpen);
 }
@@ -171,12 +173,12 @@ TEST(Admission, BorrowerWaitsWhileAnotherTenantIsEntitled)
     opts.tenantBudgets = {{0, 0.25}, {1, 0.25}};
     auto policy = makeSchedPolicy(opts.sched);
     Admission adm = rig.admission(opts);
-    // Tenant 0's third request would borrow past its 25k-token
-    // budget; tenant 1 has an entitled request waiting behind it.
-    deliver(adm,
-            {arrival(0, 9992, 0, 0), arrival(1, 9992, 0, 0),
-             arrival(2, 9992, 0, 0), arrival(3, 9992, 0, 1)},
-            *policy);
+    // 10k-token requests. Tenant 0's third would borrow past its
+    // 25k-token budget; tenant 1 has an entitled request behind it.
+    auto req = [](RequestId id, unsigned tenant) {
+        return arrival(id, 9992, 0, tenant);
+    };
+    deliver(adm, {req(0, 0), req(1, 0), req(2, 0), req(3, 1)}, *policy);
     std::vector<Admission::Admitted> out;
     adm.admit(0.0, {}, out);
     EXPECT_EQ(admittedIds(out), std::vector<RequestId>({0, 1, 3}));
@@ -203,9 +205,10 @@ TEST(Admission, MemoryBlockHaltsThePassBudgetBlockSkips)
     opts.tenantBudgets = {{0, 0.1}, {1, 0.9}};
     auto policy = makeSchedPolicy(opts.sched);
     Admission adm = rig.admission(opts);
-    deliver(adm,
-            {arrival(0, 59992, 0, 1), arrival(1, 59992, 0, 1),
-             arrival(2, 992, 0, 1)},
+    auto tenant1 = [](RequestId id, Tokens context) {
+        return arrival(id, context, 0, 1);
+    };
+    deliver(adm, {tenant1(0, 59992), tenant1(1, 59992), tenant1(2, 992)},
             *policy);
     std::vector<Admission::Admitted> out;
     // Request 1 does not fit next to request 0: the pass stops there,
@@ -218,8 +221,8 @@ TEST(Admission, MemoryBlockHaltsThePassBudgetBlockSkips)
     // blocked borrower is skipped and the pass continues past it.
     Rig other(100000);
     Admission budget = other.admission(opts);
-    deliver(budget, {arrival(10, 19992, 0, 0), arrival(11, 992, 0, 1)},
-            *policy);
+    TimedRequest borrower = arrival(10, 19992, 0, 0);
+    deliver(budget, {borrower, tenant1(11, 992)}, *policy);
     budget.admit(0.0, {}, out);
     EXPECT_EQ(admittedIds(out), std::vector<RequestId>({11}));
     ASSERT_EQ(budget.queue().size(), 1u);
@@ -247,9 +250,8 @@ TEST(Admission, FractionalChargeIsRefundedExactly)
     // Request 0 publishes the prefix (scalar prefill: ready at once);
     // requests 1 and 2 hit it; tenant 1's request 3 holds a full
     // charge.
-    deliver(adm,
-            {shared(0, 0), shared(1, 0), shared(2, 0), arrival(3, 992, 0, 1)},
-            *policy);
+    TimedRequest full = arrival(3, 992, 0, 1);
+    deliver(adm, {shared(0, 0), shared(1, 0), shared(2, 0), full}, *policy);
     std::vector<Admission::Admitted> out;
     adm.admit(0.0, {}, out);
     ASSERT_EQ(out.size(), 4u);
