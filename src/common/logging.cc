@@ -75,15 +75,6 @@ logThreshold()
 }
 
 void
-logMessage(LogLevel level, const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vlogMessage(level, fmt, args);
-    va_end(args);
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list args;

@@ -42,10 +42,6 @@ void setLogThreshold(LogLevel level);
 /** Current threshold (default LogLevel::Inform). */
 LogLevel logThreshold();
 
-/** printf-style message at the given level; does not terminate. */
-void logMessage(LogLevel level, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
 /** Internal invariant violation: print and abort(). */
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

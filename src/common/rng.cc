@@ -2,27 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 
 #include "common/logging.hh"
 
 namespace pimphony {
 
-double
-Rng::uniform()
+Mt19937_64::Mt19937_64(result_type seed)
 {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kState; ++i)
+        state_[i] = 6364136223846793005ULL *
+                        (state_[i - 1] ^ (state_[i - 1] >> 62)) +
+                    i;
+}
+
+void
+Mt19937_64::twist()
+{
+    constexpr std::size_t kShift = 156;
+    constexpr result_type kUpper = ~result_type{0} << 31;
+    // "(0 - bit) & a" is the reference's "bit ? a : 0" without a
+    // branch, which random bits would mispredict half the time.
+    auto mix = [](result_type hi, result_type lo, result_type far) {
+        result_type y = (hi & kUpper) | (lo & ~kUpper);
+        return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xb5026f5aa96619e9ULL);
+    };
+    std::size_t k = 0;
+    for (; k < kState - kShift; ++k)
+        state_[k] = mix(state_[k], state_[k + 1], state_[k + kShift]);
+    for (; k < kState - 1; ++k)
+        state_[k] = mix(state_[k], state_[k + 1],
+                        state_[k + kShift - kState]);
+    state_[k] = mix(state_[k], state_[0], state_[kShift - 1]);
+    next_ = 0;
 }
 
 std::uint64_t
 Rng::uniformInt(std::uint64_t lo, std::uint64_t hi)
 {
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
-}
-
-double
-Rng::normal()
-{
-    return std::normal_distribution<double>(0.0, 1.0)(engine_);
 }
 
 TruncatedNormal::TruncatedNormal(double mean, double stddev, double lo,

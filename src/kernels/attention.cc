@@ -337,25 +337,4 @@ buildSvStream(const AttentionSpec &spec, const AimTimingParams &params,
     return std::move(em.stream);
 }
 
-std::uint64_t
-svPartialReductions(const AttentionSpec &spec, const AimTimingParams &params)
-{
-    const unsigned j_tiles = spec.headDim / 16;
-    const std::uint64_t token_groups = ceilDiv<Tokens>(spec.tokens, 16);
-    const unsigned g = std::max(1u, spec.gqaGroup);
-    std::uint64_t per_row =
-        params.rowBytesPerChannel() / params.macBytesPerCommand();
-    if (per_row == 0)
-        per_row = 1;
-    if (!spec.rowReuse) {
-        unsigned block = std::max(1u, params.gbufEntries / 2);
-        std::uint64_t n_blocks = ceilDiv<std::uint64_t>(token_groups, block);
-        return (n_blocks > 1 ? n_blocks - 1 : 0) * j_tiles * g;
-    }
-    std::uint64_t tg_per_chunk = std::max<std::uint64_t>(1,
-                                                         per_row / j_tiles);
-    std::uint64_t chunks = ceilDiv(token_groups, tg_per_chunk);
-    return (chunks > 1 ? chunks - 1 : 0) * j_tiles * g;
-}
-
 } // namespace pimphony

@@ -56,10 +56,6 @@ CommandStream buildSvStream(const AttentionSpec &spec,
                             const AimTimingParams &params,
                             bool pingpong = false);
 
-/** Partial sums the EPU must reduce for SV (per channel). */
-std::uint64_t svPartialReductions(const AttentionSpec &spec,
-                                  const AimTimingParams &params);
-
 } // namespace pimphony
 
 #endif // PIMPHONY_KERNELS_ATTENTION_HH

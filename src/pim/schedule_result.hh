@@ -43,8 +43,6 @@ struct LatencyBreakdown
         return macCycles + actPreCycles + refreshCycles + dtGbufCycles +
                dtOutregCycles + pipelinePenaltyCycles;
     }
-
-    LatencyBreakdown &operator+=(const LatencyBreakdown &o);
 };
 
 struct ScheduleResult

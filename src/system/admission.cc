@@ -49,7 +49,7 @@ Admission::prepare(const SchedPolicy &policy)
     if (!gated_)
         return;
     if (!classesActive_)
-        tiers_[0].row.gapSloTargetSeconds =
+        tierEntry(0).row.gapSloTargetSeconds =
             options_.sched.sloTargetGapSeconds;
     for (auto &kv : tiers_)
         kv.second.window = std::make_unique<WindowedQuantile>(
@@ -61,7 +61,7 @@ Admission::registerArrival(const Request &r)
 {
     const RequestClass &cls = r.cls;
     if (classesActive_) {
-        TierState &ts = tiers_[cls.tier];
+        TierState &ts = tierEntry(cls.tier);
         ++ts.row.requests;
         double &target = ts.row.gapSloTargetSeconds;
         if (target == 0.0)
@@ -73,7 +73,46 @@ Admission::registerArrival(const Request &r)
                 options_.sched.sloWindow, 95.0);
     }
     if (tenantsActive_)
-        (void)tenants_[cls.tenant];
+        (void)tenantEntry(cls.tenant);
+}
+
+void
+Admission::registerArrivals(std::vector<TimedRequest>::const_iterator first,
+                            std::vector<TimedRequest>::const_iterator last)
+{
+    if (!classesActive_ && !tenantsActive_)
+        return;
+    for (; first != last; ++first)
+        registerArrival(first->request);
+}
+
+void
+Admission::beginDeclare()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (auto &kv : tiers_)
+        kv.second.targetRank =
+            kv.second.row.gapSloTargetSeconds != 0.0 ? -inf : inf;
+}
+
+void
+Admission::endDeclare()
+{
+    tenantsActive_ = tenantsActive_ || budgetsActive_;
+    // An inactive scan entered only tier 0 (tenant 0), untouched.
+    if (!classesActive_) {
+        tiers_.clear();
+        tierMemo_.clear();
+    } else {
+        for (auto &kv : tiers_)
+            if (kv.second.row.gapSloTargetSeconds == 0.0)
+                kv.second.row.gapSloTargetSeconds =
+                    options_.sched.sloTargetGapSeconds;
+    }
+    if (!tenantsActive_) {
+        tenants_.clear();
+        tenantMemo_.clear();
+    }
 }
 
 void
@@ -219,7 +258,7 @@ Admission::budgetAdmits(unsigned tenant, double need)
 {
     // Beyond its guarantee a tenant borrows idle headroom (work
     // conserving), denied while another tenant is entitled.
-    TenantState &ts = tenants_[tenant];
+    TenantState &ts = tenantEntry(tenant);
     if (ts.reservedTokens + need <= ts.budgetTokens)
         return true;
     if (entitledCount_ == (ts.entitled ? 1u : 0u))
@@ -312,7 +351,7 @@ Admission::tryAdmitOne(const TimedRequest &timed, double now, Admitted &out)
     if (publisher && options_.prefillChunkTokens == 0)
         cache_->markReady(key, now);
     if (tenantsActive_) {
-        TenantState &ts = tenants_[front.cls.tenant];
+        TenantState &ts = tenantEntry(front.cls.tenant);
         ts.reservedTokens += charge_tokens;
         ++ts.row.admittedRequests;
         if (capacityTokens_ > 0.0)
@@ -349,7 +388,7 @@ void
 Admission::release(const ActiveRequest &a)
 {
     if (tenantsActive_) {
-        TenantState &ts = tenants_[a.request.cls.tenant];
+        TenantState &ts = tenantEntry(a.request.cls.tenant);
         ts.reservedTokens -= a.tenantCharge;
         if (ts.reservedTokens < 0.0)
             ts.reservedTokens = 0.0;
@@ -380,7 +419,7 @@ Admission::recordGap(unsigned tier, double gap)
 {
     if (!classesActive_ && !gated_)
         return;
-    TierState &ts = tiers_[classesActive_ ? tier : 0];
+    TierState &ts = tierEntry(classesActive_ ? tier : 0);
     if (classesActive_)
         ts.row.tokenGapRuns.add(gap);
     if (ts.window)
@@ -391,14 +430,14 @@ void
 Admission::recordFirstToken(unsigned tier, double ttft)
 {
     if (classesActive_)
-        tiers_[tier].row.firstTokenRuns.add(ttft);
+        tierEntry(tier).row.firstTokenRuns.add(ttft);
 }
 
 void
 Admission::recordCompletion(unsigned tier)
 {
     if (classesActive_)
-        ++tiers_[tier].row.completedRequests;
+        ++tierEntry(tier).row.completedRequests;
 }
 
 void

@@ -22,6 +22,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "alloc/kv_allocator.hh"
@@ -93,9 +94,12 @@ class Admission
 
     /**
      * The one class/tenant activation scan, before prepare():
-     * @p for_each(visit) visits every declared request in
-     * first-target-wins order. Calls accumulate; a default-class
-     * workload without budgets activates nothing.
+     * @p for_each(visit) calls visit(request, rank) once per declared
+     * request. A tier's gap SLO target is the explicit one of its
+     * lowest-rank request (ties: the first visited); a tier without
+     * one gets sloTargetGapSeconds. Calls accumulate, and a target an
+     * earlier call set stays. A default-class workload without
+     * budgets activates nothing.
      */
     template <typename ForEach> void declare(ForEach for_each);
 
@@ -106,6 +110,11 @@ class Admission
 
     /** Count a delivered request into its tier; touch its tenant. */
     void registerArrival(const Request &r);
+
+    /** registerArrival() each of [first, last): nothing to do when
+     *  neither classes nor tenants are active. */
+    void registerArrivals(std::vector<TimedRequest>::const_iterator first,
+                          std::vector<TimedRequest>::const_iterator last);
 
     /** Append an arrival, or a preempted request's requeue. */
     void enqueue(const TimedRequest &timed) { queue_.push_back(timed); }
@@ -209,6 +218,10 @@ class Admission
     {
         EngineResult::ClassLatency row;
         std::unique_ptr<WindowedQuantile> window;
+
+        /** declare() scratch: rank of the request whose target the
+         *  tier holds (-inf: an earlier call's, +inf: none yet). */
+        double targetRank = std::numeric_limits<double>::infinity();
     };
 
     /** A tenant's result row and budget ledger. */
@@ -255,34 +268,65 @@ class Admission
 
     /** Tenants marked entitled in the current pass. */
     std::size_t entitledCount_ = 0;
+
+    /**
+     * tiers_[tier] and tenants_[tenant] through a flat memo of the
+     * first kMemo keys looked up: a workload has a handful of
+     * classes, so a lookup per request costs a few compares instead
+     * of a tree walk. Map nodes never move, and the maps are only
+     * ever cleared together with their memo.
+     */
+    static constexpr std::size_t kMemo = 8;
+    std::vector<std::pair<unsigned, TierState *>> tierMemo_;
+    std::vector<std::pair<unsigned, TenantState *>> tenantMemo_;
+
+    template <typename State>
+    static State &
+    memoized(std::map<unsigned, State> &map,
+             std::vector<std::pair<unsigned, State *>> &memo, unsigned key)
+    {
+        for (const auto &m : memo)
+            if (m.first == key)
+                return *m.second;
+        State &state = map[key];
+        if (memo.size() < kMemo)
+            memo.emplace_back(key, &state);
+        return state;
+    }
+    TierState &tierEntry(unsigned t) { return memoized(tiers_, tierMemo_, t); }
+    TenantState &
+    tenantEntry(unsigned t)
+    {
+        return memoized(tenants_, tenantMemo_, t);
+    }
+
+    /** Open a declare() call: lock the targets earlier calls set. */
+    void beginDeclare();
+
+    /** Close a declare() call: drop what an inactive scan entered,
+     *  give target-less tiers the policy-wide default. */
+    void endDeclare();
 };
 
 template <typename ForEach>
 void
 Admission::declare(ForEach for_each)
 {
-    for_each([this](const Request &r) {
-        if (!r.cls.isDefault())
-            classesActive_ = true;
-        if (r.cls.tenant != 0)
-            tenantsActive_ = true;
+    // One pass enters every visited tier and tenant; endDeclare()
+    // drops them again if classes (tenants) stay inactive.
+    beginDeclare();
+    for_each([this](const Request &r, double rank) {
+        const RequestClass &cls = r.cls;
+        classesActive_ = classesActive_ || !cls.isDefault();
+        tenantsActive_ = tenantsActive_ || cls.tenant != 0;
+        TierState &ts = tierEntry(cls.tier);
+        if (cls.gapSloSeconds > 0.0 && rank < ts.targetRank) {
+            ts.row.gapSloTargetSeconds = cls.gapSloSeconds;
+            ts.targetRank = rank;
+        }
+        (void)tenantEntry(cls.tenant);
     });
-    tenantsActive_ = tenantsActive_ || budgetsActive_;
-    if (classesActive_) {
-        for_each([this](const Request &r) {
-            double &target = tiers_[r.cls.tier].row.gapSloTargetSeconds;
-            // First explicit per-class target wins; tiers without
-            // one are judged against the policy-wide default.
-            if (target == 0.0 && r.cls.gapSloSeconds > 0.0)
-                target = r.cls.gapSloSeconds;
-        });
-        for (auto &kv : tiers_)
-            if (kv.second.row.gapSloTargetSeconds == 0.0)
-                kv.second.row.gapSloTargetSeconds =
-                    options_.sched.sloTargetGapSeconds;
-    }
-    if (tenantsActive_)
-        for_each([this](const Request &r) { (void)tenants_[r.cls.tenant]; });
+    endDeclare();
 }
 
 } // namespace pimphony

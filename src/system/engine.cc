@@ -1,7 +1,6 @@
 #include "system/engine.hh"
 
 #include <algorithm>
-#include <deque>
 #include <list>
 #include <utility>
 
@@ -93,8 +92,35 @@ struct ServingEngine::EventRun
     /** Scalar-prefill serialization clock (chargePrefill). */
     double prefillReady = 0.0;
 
-    /** Not-yet-arrived requests, nondecreasing arrival order. */
-    std::deque<TimedRequest> future;
+    /**
+     * Not-yet-arrived requests in nondecreasing arrival order: a
+     * vector read from a head cursor. prepare() adopts the
+     * constructor's sorted trace as it is; the consumed prefix is
+     * dropped once the head passes half the vector, so the stream
+     * never holds more than twice its unconsumed records.
+     */
+    struct ArrivalStream
+    {
+        std::vector<TimedRequest> items;
+        std::size_t head = 0;
+
+        bool empty() const { return head == items.size(); }
+        const TimedRequest &front() const { return items[head]; }
+        auto begin() const { return items.begin() + head; }
+        auto end() const { return items.end(); }
+
+        /** Consume the @p n records at the head. */
+        void
+        pop(std::size_t n)
+        {
+            head += n;
+            if (2 * head > items.size()) {
+                items.erase(items.begin(), items.begin() + head);
+                head = 0;
+            }
+        }
+    };
+    ArrivalStream future;
 
     /** An arrival event is scheduled (at arrivalArmedAt). */
     bool arrivalArmed = false;
@@ -151,11 +177,23 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
         model_, cluster_, options_, *allocator_, prefixCache_.get(), result_);
     module_ = std::make_unique<PimModuleModel>(cluster_.module);
     xpu_ = std::make_unique<XpuModel>(cluster_.xpu);
-    sortByArrival(requests);
+    // One pass rejects a NaN arrival before anything compares
+    // arrivals, notes whether the trace is sorted and declares each
+    // request. Declaration ranks requests by arrival, so it does not
+    // depend on the order it visits them in.
+    bool sorted = true;
+    admission_->declare([&requests, &sorted](auto &&visit) {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            if (!arrivalInOrder(requests, i, "ServingEngine"))
+                sorted = false;
+            visit(requests[i].request, requests[i].arrivalSeconds);
+        }
+    });
+    if (!sorted)
+        sortByArrival(requests);
     result_.firstTokenLatency.reserve(requests.size());
     result_.completionSeconds.reserve(requests.size());
     pending_ = std::move(requests);
-    declareWorkload(pending_);
 }
 
 Tokens
@@ -623,12 +661,21 @@ ServingEngine::evOnArrival(double t)
     EventRun &ev = *ev_;
     ev.arrivalArmed = false;
     evAccountTo(t);
-    while (!ev.future.empty() && ev.future.front().arrivalSeconds <= t) {
-        admission_->enqueue(ev.future.front());
-        ev.future.pop_front();
-    }
+    evDeliverDue(t);
     evArmArrivalEvent();
     evFormNewCohorts(t);
+}
+
+bool
+ServingEngine::evDeliverDue(double t)
+{
+    EventRun::ArrivalStream &future = ev_->future;
+    std::size_t n = 0;
+    for (auto it = future.begin();
+         it != future.end() && it->arrivalSeconds <= t; ++it, ++n)
+        admission_->enqueue(*it);
+    future.pop(n);
+    return n > 0;
 }
 
 void
@@ -674,11 +721,16 @@ ServingEngine::prepare()
         ev.policy->reordersXpu() ? ev.policy.get() : nullptr);
     ev.readyPool.reserve(pending_.size());
 
-    // Constructor-supplied requests take the mid-run intake path:
-    // time-zero requests are available immediately, later ones
-    // become arrival events.
-    injectArrivals(pending_);
-    pending_ = {};
+    // The constructor's sorted trace becomes the pending-arrival
+    // stream without a copy. As with injectArrivals(), its time-zero
+    // prefix is available at once; later requests become arrival
+    // events.
+    ev.future.items.swap(pending_);
+    admission_->registerArrivals(ev.future.begin(), ev.future.end());
+    const bool immediate = evDeliverDue(0.0);
+    evArmArrivalEvent();
+    if (immediate)
+        evFormNewCohorts(ev.queue.now());
 }
 
 void
@@ -700,10 +752,13 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 {
     if (ev_)
         fatal("ServingEngine::declareWorkload() after prepare()");
-    requireSortedByArrival(trace, "ServingEngine::declareWorkload");
-    admission_->declare([&trace](auto &&visit) {
-        for (const TimedRequest &timed : trace)
-            visit(timed.request);
+    const char *context = "ServingEngine::declareWorkload";
+    admission_->declare([&trace, context](auto &&visit) {
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            if (!arrivalInOrder(trace, i, context))
+                requireSortedByArrival(trace, context); // names it, exits
+            visit(trace[i].request, trace[i].arrivalSeconds);
+        }
     });
 }
 
@@ -725,24 +780,11 @@ ServingEngine::declareSessionTurns(
         if (!(kv.second.thinkSeconds >= 0.0)) // NaN too
             fatal("session think times must be nonnegative");
     // Successor turns join the class/tenant declaration exactly as a
-    // declared open-loop trace would. Only the first-target-wins rule
-    // depends on order, so only an active class scan walks the book
-    // in ascending key order, independent of its bucket layout.
-    std::vector<const SessionBook::value_type *> ordered;
-    admission_->declare([&](auto &&visit) {
-        if (!admission_->classesActive()) {
-            for (const auto &kv : *sessions)
-                visit(kv.second.request);
-            return;
-        }
-        if (ordered.empty()) {
-            for (const auto &kv : *sessions)
-                ordered.push_back(&kv);
-            std::sort(ordered.begin(), ordered.end(),
-                      [](auto *a, auto *b) { return a->first < b->first; });
-        }
-        for (const auto *kv : ordered)
-            visit(kv->second.request);
+    // declared open-loop trace would, ranked by key: the outcome does
+    // not depend on the book's bucket layout.
+    admission_->declare([&sessions](auto &&visit) {
+        for (const auto &kv : *sessions)
+            visit(kv.second.request, static_cast<double>(kv.first));
     });
     sessions_ = mergeSessionBooks(std::move(sessions_), std::move(sessions));
 }
@@ -786,8 +828,7 @@ ServingEngine::injectArrivals(const std::vector<TimedRequest> &batch)
         fatal("ServingEngine::injectArrivals() after finalize()");
     requireSortedByArrival(batch, "ServingEngine::injectArrivals");
     EventRun &ev = *ev_;
-    for (const TimedRequest &timed : batch)
-        admission_->registerArrival(timed.request);
+    admission_->registerArrivals(batch.begin(), batch.end());
     // The sorted batch's time-zero prefix is available at once; the
     // rest appends to the nondecreasing pending-arrival stream when
     // it starts at or after the stream's tail.
@@ -797,9 +838,10 @@ ServingEngine::injectArrivals(const std::vector<TimedRequest> &batch)
     const bool immediate = later != batch.begin();
     for (auto it = batch.begin(); it != later; ++it)
         admission_->enqueue(*it);
+    std::vector<TimedRequest> &future = ev.future.items;
     if (later == batch.end() || ev.future.empty() ||
-        later->arrivalSeconds >= ev.future.back().arrivalSeconds) {
-        ev.future.insert(ev.future.end(), later, batch.end());
+        later->arrivalSeconds >= future.back().arrivalSeconds) {
+        future.insert(future.end(), later, batch.end());
     } else {
         for (; later != batch.end(); ++later) {
             // upper_bound keeps FIFO order among equal arrival times
@@ -810,7 +852,7 @@ ServingEngine::injectArrivals(const std::vector<TimedRequest> &batch)
                 [](double t, const TimedRequest &r) {
                     return t < r.arrivalSeconds;
                 });
-            ev.future.insert(pos, *later);
+            future.insert(pos, *later);
         }
     }
     evArmArrivalEvent();
@@ -864,11 +906,11 @@ ServingEngine::evacuate(bool kill_in_flight)
     // The undelivered/unadmitted queue migrates as-is. The admission
     // queue may hold preemption requeues with past arrivals, so the
     // merged batch is re-sorted rather than assumed ordered.
-    out.queued.reserve(admission_->queue().size() + ev.future.size());
+    out.queued.reserve(admission_->queue().size() +
+                       (ev.future.end() - ev.future.begin()));
     admission_->takeQueue(out.queued);
-    for (const TimedRequest &timed : ev.future)
-        out.queued.push_back(timed);
-    ev.future.clear();
+    out.queued.insert(out.queued.end(), ev.future.begin(), ev.future.end());
+    ev.future = {};
     sortByArrival(out.queued);
     if (!kill_in_flight)
         return out;

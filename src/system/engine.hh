@@ -351,7 +351,7 @@ class ServingEngine
 
     /**
      * Build the run state and deliver the constructor-supplied
-     * requests through injectArrivals(). After prepare()
+     * requests as injectArrivals() would. After prepare()
      * the engine is a resumable sub-simulation: advance it with
      * advanceTo(), feed it with injectArrivals(), and close it with
      * finalize().
@@ -568,6 +568,10 @@ class ServingEngine
 
     /** Arrival event: drain due arrivals, re-arm, form cohorts. */
     void evOnArrival(double t);
+
+    /** Move the pending arrivals due by @p t to the admission queue;
+     *  true when there were any. */
+    bool evDeliverDue(double t);
 
     /**
      * Schedule the arrival event for the earliest pending arrival

@@ -95,8 +95,6 @@ struct FaultSchedule
 {
     std::vector<std::vector<FaultEvent>> replicas;
 
-    bool empty() const;
-
     /** Total events across all replicas. */
     std::size_t eventCount() const;
 

@@ -269,29 +269,38 @@ attachArrivals(const std::vector<Request> &requests,
     return out;
 }
 
+bool
+detail::arrivalOrderBreak(const std::vector<TimedRequest> &requests,
+                          std::size_t i, const char *context)
+{
+    if (std::isnan(requests[i].arrivalSeconds))
+        fatal("%s: arrivalSeconds of request %u at index %zu is NaN",
+              context, static_cast<unsigned>(requests[i].request.id), i);
+    return false;
+}
+
 void
 sortByArrival(std::vector<TimedRequest> &requests)
 {
-    auto earlier = [](const TimedRequest &a, const TimedRequest &b) {
-        return a.arrivalSeconds < b.arrivalSeconds;
-    };
     // Stable-sorting a sorted range is the identity: sorted input
     // (every generator's) skips the sort and its scratch buffer.
-    if (!std::is_sorted(requests.begin(), requests.end(), earlier))
-        std::stable_sort(requests.begin(), requests.end(), earlier);
+    bool sorted = true;
+    for (std::size_t i = 0; i < requests.size(); ++i)
+        if (!arrivalInOrder(requests, i, "sortByArrival"))
+            sorted = false;
+    if (!sorted)
+        std::stable_sort(requests.begin(), requests.end(),
+                         [](const TimedRequest &a, const TimedRequest &b) {
+                             return a.arrivalSeconds < b.arrivalSeconds;
+                         });
 }
 
 void
 requireSortedByArrival(const std::vector<TimedRequest> &requests,
                        const char *context)
 {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (std::isnan(requests[i].arrivalSeconds))
-            fatal("%s: arrivalSeconds of request %u at index %zu is NaN",
-                  context, static_cast<unsigned>(requests[i].request.id),
-                  i);
-        if (i > 0 && requests[i].arrivalSeconds <
-                         requests[i - 1].arrivalSeconds)
+    for (std::size_t i = 0; i < requests.size(); ++i)
+        if (!arrivalInOrder(requests, i, context))
             fatal("%s: arrivals out of order at index %zu "
                   "(request %u at %.17g after request %u at %.17g); "
                   "sortByArrival() first",
@@ -300,7 +309,6 @@ requireSortedByArrival(const std::vector<TimedRequest> &requests,
                   requests[i].arrivalSeconds,
                   static_cast<unsigned>(requests[i - 1].request.id),
                   requests[i - 1].arrivalSeconds);
-    }
 }
 
 } // namespace pimphony

@@ -14,6 +14,8 @@
 #ifndef PIMPHONY_WORKLOAD_ARRIVAL_HH
 #define PIMPHONY_WORKLOAD_ARRIVAL_HH
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -219,9 +221,21 @@ std::vector<TimedRequest> attachArrivals(
     std::uint64_t seed);
 
 /**
- * Stable-sort @p requests by arrival time. The serving engine's
- * admission queue and the event-driven core's arrival events both
- * assume nondecreasing arrival order; generators already satisfy it,
+ * Whether requests[i] arrives no earlier than requests[i - 1], as a
+ * scan over the trace visits index i after rejecting every earlier
+ * one's NaN: the step of every arrival-order check. fatal()s with
+ * @p context on a NaN arrival, naming request and index — NaN
+ * compares false both ways, so it would pass an order check and
+ * break the strict weak order a sort needs.
+ */
+bool arrivalInOrder(const std::vector<TimedRequest> &requests,
+                    std::size_t i, const char *context);
+
+/**
+ * Stable-sort @p requests by arrival time, after rejecting a NaN
+ * arrival as arrivalInOrder() does. The serving engine's admission
+ * queue and the event-driven core's arrival events both assume
+ * nondecreasing arrival order; generators already satisfy it,
  * hand-built traces may not, and only those pay for the sort.
  */
 void sortByArrival(std::vector<TimedRequest> &requests);
@@ -236,6 +250,25 @@ void sortByArrival(std::vector<TimedRequest> &requests);
  */
 void requireSortedByArrival(const std::vector<TimedRequest> &requests,
                             const char *context);
+
+namespace detail {
+
+/** arrivalInOrder()'s rare path: a NaN or an inversion at @p i. */
+bool arrivalOrderBreak(const std::vector<TimedRequest> &requests,
+                       std::size_t i, const char *context);
+
+} // namespace detail
+
+inline bool
+arrivalInOrder(const std::vector<TimedRequest> &requests, std::size_t i,
+               const char *context)
+{
+    // One compare on the common path: false for a NaN here too.
+    const double t = requests[i].arrivalSeconds;
+    if (i > 0 ? t >= requests[i - 1].arrivalSeconds : !std::isnan(t))
+        return true;
+    return detail::arrivalOrderBreak(requests, i, context);
+}
 
 } // namespace pimphony
 

@@ -9,12 +9,15 @@
  *  - a borrower is denied while another tenant has an entitled
  *    request waiting, and allowed once none does;
  *  - a memory block halts a pass while a budget block only skips;
- *  - a fractional prefix charge is refunded exactly.
+ *  - a fractional prefix charge is refunded exactly;
+ *  - declaration picks each tier's target by rank, whatever the
+ *    visit order, and an earlier call's target stays.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "alloc/kv_allocator.hh"
@@ -68,7 +71,7 @@ deliver(Admission &adm, const std::vector<TimedRequest> &trace,
 {
     adm.declare([&trace](auto &&visit) {
         for (const TimedRequest &timed : trace)
-            visit(timed.request);
+            visit(timed.request, timed.arrivalSeconds);
     });
     adm.prepare(policy);
     for (const TimedRequest &timed : trace) {
@@ -96,6 +99,50 @@ gatedOptions()
     opts.sched.sloMinSamples = 1;
     opts.sched.sloHeadroom = 1.0;
     return opts;
+}
+
+TEST(Admission, DeclaredTargetIsTheLowestRanksAndCallsAccumulate)
+{
+    Rig rig(200000);
+    ServingOptions opts = gatedOptions();
+    // A default-class scan activates nothing and keeps no entry.
+    Admission plain = rig.admission(opts);
+    plain.declare([](auto &&visit) {
+        visit(arrival(0, 1000).request, 0.0);
+        visit(arrival(1, 1000).request, 1.0);
+    });
+    plain.finalize();
+    EXPECT_FALSE(plain.classesActive());
+    EXPECT_TRUE(rig.result.classLatencies.empty());
+    EXPECT_TRUE(rig.result.tenantOccupancy.empty());
+
+    rig.result = EngineResult{};
+    Admission adm = rig.admission(opts);
+    auto req = [](unsigned tier, double gap) {
+        return arrival(0, 1000, tier, tier % 2, gap).request;
+    };
+    adm.declare([&](auto &&visit) {
+        visit(req(1, 0.4), 5.0);
+        visit(req(1, 0.2), 1.0); // lowest rank: wins
+        visit(req(1, 0.3), 1.0); // a tie goes to the first visited
+        visit(req(0, 0.0), 0.0); // no explicit target: the default
+        visit(req(2, 0.7), 3.0);
+    });
+    adm.declare([&](auto &&visit) {
+        visit(req(1, 0.9), 0.0); // tier 1's target is already set
+        visit(req(3, 0.5), 9.0);
+        visit(req(3, 0.6), 2.0);
+    });
+    adm.finalize();
+    const std::vector<std::pair<unsigned, double>> want = {
+        {0, opts.sched.sloTargetGapSeconds}, {1, 0.2}, {2, 0.7}, {3, 0.6}};
+    ASSERT_EQ(rig.result.classLatencies.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(rig.result.classLatencies[i].tier, want[i].first);
+        EXPECT_EQ(rig.result.classLatencies[i].gapSloTargetSeconds,
+                  want[i].second);
+    }
+    ASSERT_EQ(rig.result.tenantOccupancy.size(), 2u);
 }
 
 TEST(Admission, GateIsAMonotoneTierThreshold)

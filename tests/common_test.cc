@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -85,6 +87,82 @@ TEST(Rng, UniformIntBounds)
         auto v = rng.uniformInt(3, 17);
         EXPECT_GE(v, 3u);
         EXPECT_LE(v, 17u);
+    }
+}
+
+// --- The in-repo sampler against libstdc++, bit for bit. --------------
+
+constexpr std::uint64_t kPinnedSeeds[] = {0, 1, ~std::uint64_t{0}};
+constexpr std::size_t kPinnedDraws = 1000000;
+
+/** kPinnedDraws values of @p draw, in order. */
+template <typename T, typename Draw>
+std::vector<T>
+drawMany(Draw draw)
+{
+    std::vector<T> out(kPinnedDraws);
+    for (T &v : out)
+        v = draw();
+    return out;
+}
+
+/** memcmp, so a -0.0 against +0.0 or a NaN payload counts too. */
+template <typename T>
+void
+expectSameBits(const std::vector<T> &got, const std::vector<T> &want,
+               std::uint64_t seed)
+{
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(T)),
+              0)
+        << "seed " << seed;
+}
+
+TEST(RngPinned, EngineMatchesStdMt19937_64)
+{
+    for (std::uint64_t seed : kPinnedSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        auto got = drawMany<std::uint64_t>([&] { return rng.engine()(); });
+        auto want = drawMany<std::uint64_t>([&] { return ref(); });
+        expectSameBits(got, want, seed);
+    }
+}
+
+TEST(RngPinned, UniformMatchesUniformRealDistribution)
+{
+    for (std::uint64_t seed : kPinnedSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        std::uniform_real_distribution<double> dist(0.0, 1.0);
+        auto got = drawMany<double>([&] { return rng.uniform(); });
+        auto want = drawMany<double>([&] { return dist(ref); });
+        expectSameBits(got, want, seed);
+    }
+}
+
+TEST(RngPinned, NormalMatchesFreshNormalDistribution)
+{
+    for (std::uint64_t seed : kPinnedSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        auto got = drawMany<double>([&] { return rng.normal(); });
+        auto want = drawMany<double>([&] {
+            return std::normal_distribution<double>(0.0, 1.0)(ref);
+        });
+        expectSameBits(got, want, seed);
+    }
+}
+
+TEST(RngPinned, GammaThroughEngineMatchesStdMt19937_64)
+{
+    for (std::uint64_t seed : kPinnedSeeds) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        std::gamma_distribution<double> a(0.16, 2.0), b(0.16, 2.0);
+        auto got = drawMany<double>([&] { return a(rng.engine()); });
+        auto want = drawMany<double>([&] { return b(ref); });
+        expectSameBits(got, want, seed);
     }
 }
 

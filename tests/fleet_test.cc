@@ -667,6 +667,134 @@ TEST(ServingEngine, InjectedSortedBatchesMatchConstructorFeed)
     expectSameResult(fed, whole);
 }
 
+TEST(ServingEngine, UnsortedConstructorTraceMatchesSorted)
+{
+    // The constructor sorts a shuffled trace (keeping its time-zero
+    // prefix in place, ties and all) back into the sorted one and
+    // declares it by arrival: tier 1 carries two explicit targets
+    // after the prefix, and the earliest arrival's wins although the
+    // shuffled trace lists a later one first.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(48, 24.0, 21);
+    for (std::size_t i = 0; i < 3; ++i)
+        trace[i].arrivalSeconds = 0.0;
+    for (auto &timed : trace) {
+        RequestClass &cls = timed.request.cls;
+        cls.tier = timed.request.id % 2;
+        cls.gapSloSeconds = cls.tier == 0 ? 0.02 : 0.2;
+        if (cls.tier == 1 && timed.request.id < 3)
+            cls.gapSloSeconds = 0.0; // the prefix sets no target
+        if (cls.tier == 1 && timed.request.id >= 24)
+            cls.gapSloSeconds = 0.4;
+        cls.tenant = (timed.request.id / 2) % 2;
+    }
+    EngineOptions opts = testEngineOptions();
+    opts.sched.kind = SchedPolicyKind::SloAdmission;
+    opts.tenantBudgets = {{0, 0.3}, {1, 0.3}};
+    auto shuffled = trace;
+    std::reverse(shuffled.begin() + 3, shuffled.end());
+
+    auto sorted = ServingEngine(cluster, model, trace, opts).run();
+    auto unsorted = ServingEngine(cluster, model, shuffled, opts).run();
+    ASSERT_EQ(sorted.classLatencies.size(), 2u);
+    EXPECT_EQ(sorted.classLatencies[1].gapSloTargetSeconds, 0.2);
+    EXPECT_EQ(sorted.completedRequests, trace.size());
+    expectSameResult(unsorted, sorted);
+}
+
+TEST(ServingEngine, InjectionBeforeTheTailAfterPartialConsumption)
+{
+    // The constructor's stream holds trace[0, 18) and the odd
+    // requests after it. Once trace[0, 17) has arrived (consuming
+    // over half the stream, so its prefix is compacted away), the
+    // even requests are injected: they land after the stream's head
+    // and before its tail, so each is merged in. The run must equal
+    // the one of the merged trace.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(48, 24.0, 22);
+    std::vector<TimedRequest> stream(trace.begin(), trace.begin() + 18);
+    std::vector<TimedRequest> batch;
+    for (std::size_t i = 18; i < trace.size(); ++i)
+        (i % 2 ? stream : batch).push_back(trace[i]);
+    const double consumed_by = trace[16].arrivalSeconds;
+    ASSERT_GT(batch.front().arrivalSeconds, trace[17].arrivalSeconds);
+    ASSERT_LT(batch.front().arrivalSeconds, stream.back().arrivalSeconds);
+
+    auto whole =
+        ServingEngine(cluster, model, trace, testEngineOptions()).run();
+    ServingEngine engine(cluster, model, stream, testEngineOptions());
+    engine.declareWorkload(batch);
+    engine.prepare();
+    engine.advanceTo(consumed_by);
+    engine.injectArrivals(batch);
+    engine.advanceTo(std::numeric_limits<double>::infinity());
+    auto fed = engine.finalize();
+    EXPECT_EQ(fed.completedRequests, trace.size());
+    expectSameResult(fed, whole);
+}
+
+TEST(ServingEngine, ConstructorTimeZeroPrefixIsDeliveredAtPrepare)
+{
+    // prepare() admits the time-zero prefix at once (its prefills
+    // start), and the rest of the stream is still pending.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(16, 24.0, 24);
+    for (std::size_t i = 0; i < 3; ++i)
+        trace[i].arrivalSeconds = 0.0;
+    ServingEngine engine(cluster, model, trace, testEngineOptions());
+    engine.prepare();
+    auto out = engine.evacuate(false);
+    ASSERT_EQ(out.queued.size(), trace.size() - 3);
+    for (std::size_t i = 3; i < trace.size(); ++i)
+        EXPECT_EQ(out.queued[i - 3].request.id, trace[i].request.id) << i;
+}
+
+TEST(ServingEngine, EvacuateAfterPartialConsumptionReturnsTheRest)
+{
+    // Part of the constructor's stream has arrived: the evacuation
+    // returns the arrived-but-unadmitted queue and then exactly the
+    // records not yet consumed, in trace order.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(48, 24.0, 23);
+    const std::size_t arrived = 30;
+    ServingEngine engine(cluster, model, trace, testEngineOptions());
+    engine.prepare();
+    engine.advanceTo(trace[arrived - 1].arrivalSeconds);
+    auto out = engine.evacuate(false);
+    ASSERT_GE(out.queued.size(), trace.size() - arrived);
+    const std::size_t waiting = out.queued.size() - (trace.size() - arrived);
+    for (std::size_t i = 0; i < waiting; ++i)
+        EXPECT_LE(out.queued[i].arrivalSeconds,
+                  trace[arrived - 1].arrivalSeconds);
+    for (std::size_t i = arrived; i < trace.size(); ++i) {
+        const TimedRequest &got = out.queued[waiting + i - arrived];
+        EXPECT_EQ(got.request.id, trace[i].request.id) << i;
+        EXPECT_EQ(got.arrivalSeconds, trace[i].arrivalSeconds) << i;
+    }
+    engine.advanceTo(std::numeric_limits<double>::infinity());
+    EXPECT_EQ(engine.finalize().completedRequests + out.queued.size(),
+              trace.size());
+}
+
+TEST(ServingEngineDeathTest, NaNInUnsortedConstructorTraceIsFatal)
+{
+    // Unsorted, so a sort would run: the NaN must be rejected at its
+    // own index before any comparison could move it.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    std::vector<TimedRequest> trace = {{{0, 2000, 16}, 3.0},
+                                       {{1, 2000, 16}, std::nan("")},
+                                       {{2, 2000, 16}, 2.0},
+                                       {{3, 2000, 16}, 1.0}};
+    EXPECT_DEATH(ServingEngine(cluster, model, trace, testEngineOptions()),
+                 "ServingEngine: arrivalSeconds of request 1 at index 1 "
+                 "is NaN");
+}
+
 TEST(FleetEngine, AdvanceInStepsMatchesRun)
 {
     // The displacing schedule of FleetGolden.DisplacingFaults, so
@@ -740,6 +868,19 @@ TEST(FleetEngineDeathTest, InvalidOptionsAreFatalNamingTheField)
     faults.faults.replicas.resize(3);
     faults.faults.replicas[2].push_back(crashAt(1.0));
     EXPECT_DEATH(build(faults), "replica 2 of a 2-replica fleet");
+}
+
+TEST(FleetEngineDeathTest, NaNInUnsortedTraceIsFatal)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    std::vector<TimedRequest> trace = {{{0, 2000, 16}, 3.0},
+                                       {{1, 2000, 16}, std::nan("")},
+                                       {{2, 2000, 16}, 2.0},
+                                       {{3, 2000, 16}, 1.0}};
+    EXPECT_DEATH(FleetEngine(cluster, model, trace, FleetOptions{}),
+                 "sortByArrival: arrivalSeconds of request 1 at index 1 "
+                 "is NaN");
 }
 
 TEST(FleetEngineDeathTest, ProtocolMisuseIsFatal)
