@@ -4,16 +4,6 @@
 
 namespace pimphony {
 
-std::string
-allocatorName(AllocatorKind kind)
-{
-    switch (kind) {
-      case AllocatorKind::Static:    return "static";
-      case AllocatorKind::LazyChunk: return "dpa-lazy";
-    }
-    return "?";
-}
-
 // --- StaticKvAllocator -------------------------------------------------
 
 bool

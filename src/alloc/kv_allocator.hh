@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 
 #include "common/stats.hh"
@@ -31,8 +30,6 @@ enum class AllocatorKind {
     Static,
     LazyChunk,
 };
-
-std::string allocatorName(AllocatorKind kind);
 
 class KvAllocator
 {
@@ -73,20 +70,12 @@ class KvAllocator
 
     Bytes capacity() const { return capacity_; }
     Bytes bytesPerToken() const { return bytesPerToken_; }
-    Tokens tMax() const { return tMax_; }
 
     /** Fraction of capacity holding real KV data (Fig. 19 metric). */
     double
     capacityUtilization() const
     {
         return safeRatio(static_cast<double>(usedBytes()),
-                         static_cast<double>(capacity_));
-    }
-
-    double
-    reservedFraction() const
-    {
-        return safeRatio(static_cast<double>(reservedBytes()),
                          static_cast<double>(capacity_));
     }
 

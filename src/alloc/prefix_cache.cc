@@ -20,24 +20,12 @@ mix64(std::uint64_t x)
 
 } // namespace
 
-std::string
-prefixEvictPolicyName(PrefixEvictPolicy policy)
-{
-    switch (policy) {
-      case PrefixEvictPolicy::Lru:
-        return "lru";
-      case PrefixEvictPolicy::TierWeighted:
-        return "tier-weighted";
-    }
-    return "unknown";
-}
-
 PrefixCache::PrefixCache(LazyChunkAllocator &allocator,
                          const PrefixCacheOptions &options)
     : alloc_(allocator), options_(options)
 {
-    if (options_.maxShare < 0.0 || options_.maxShare > 1.0)
-        fatal("prefix cache maxShare %.3f outside [0, 1]",
+    if (!(options_.maxShare >= 0.0 && options_.maxShare <= 1.0))
+        fatal("PrefixCacheOptions::maxShare %.3f outside [0, 1]",
               options_.maxShare);
 }
 

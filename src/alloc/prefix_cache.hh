@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 
 #include "alloc/kv_allocator.hh"
 #include "common/types.hh"
@@ -47,8 +46,6 @@ enum class PrefixEvictPolicy {
     TierWeighted, ///< highest (least critical) consumer tier first,
                   ///< LRU within a tier
 };
-
-std::string prefixEvictPolicyName(PrefixEvictPolicy policy);
 
 /** Knobs for the prefix-sharing subsystem (ServingOptions member). */
 struct PrefixCacheOptions

@@ -14,14 +14,13 @@ namespace {
 // worker threads while a bench's main thread adjusts it; the sink
 // mutex serializes whole lines so concurrent messages never
 // interleave mid-line.
-std::atomic<LogLevel> g_threshold{LogLevel::Inform};
+std::atomic<LogLevel> g_threshold{LogLevel::Warn};
 std::mutex g_sink_mutex;
 
 const char *
 levelTag(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Inform: return "info";
       case LogLevel::Warn:   return "warn";
       case LogLevel::Fatal:  return "fatal";
       case LogLevel::Panic:  return "panic";
@@ -68,12 +67,6 @@ setLogThreshold(LogLevel level)
     g_threshold.store(level, std::memory_order_relaxed);
 }
 
-LogLevel
-logThreshold()
-{
-    return g_threshold.load(std::memory_order_relaxed);
-}
-
 void
 panic(const char *fmt, ...)
 {
@@ -100,15 +93,6 @@ warn(const char *fmt, ...)
     va_list args;
     va_start(args, fmt);
     vlogMessage(LogLevel::Warn, fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vlogMessage(LogLevel::Inform, fmt, args);
     va_end(args);
 }
 

@@ -8,7 +8,6 @@
  *             problem (bad configuration, impossible workload). Exits.
  * warn()   -- something is modelled approximately; results may be
  *             affected but execution continues.
- * inform() -- plain status output.
  *
  * The sink is thread-safe: the threshold is an atomic and every
  * message is formatted off-lock and emitted as one serialized write,
@@ -27,20 +26,16 @@ namespace pimphony {
 
 /** Severity levels understood by the log sink. */
 enum class LogLevel {
-    Inform,
     Warn,
     Fatal,
     Panic,
 };
 
 /**
- * Install a minimum level below which messages are suppressed.
- * Benches raise this to keep figure output clean.
+ * Install a minimum level below which messages are suppressed
+ * (default LogLevel::Warn).
  */
 void setLogThreshold(LogLevel level);
-
-/** Current threshold (default LogLevel::Inform). */
-LogLevel logThreshold();
 
 /** Internal invariant violation: print and abort(). */
 [[noreturn]] void panic(const char *fmt, ...)
@@ -52,9 +47,6 @@ LogLevel logThreshold();
 
 /** Possible modelling shortcut or suspicious condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Status message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace pimphony
 

@@ -124,9 +124,6 @@ class TruncatedNormal
 
     double sample(Rng &rng) const;
 
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
-
   private:
     double mean_;
     double stddev_;

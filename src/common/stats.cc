@@ -13,72 +13,6 @@ StatAccumulator::stddev() const
     return std::sqrt(variance());
 }
 
-void
-StatAccumulator::reset()
-{
-    *this = StatAccumulator{};
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
-{
-    if (bins == 0 || hi <= lo)
-        panic("Histogram requires bins > 0 and hi > lo");
-}
-
-void
-Histogram::add(double v)
-{
-    std::size_t bin;
-    if (v < lo_) {
-        bin = 0;
-    } else if (v >= hi_) {
-        bin = counts_.size() - 1;
-    } else {
-        bin = static_cast<std::size_t>((v - lo_) / width_);
-        if (bin >= counts_.size())
-            bin = counts_.size() - 1;
-    }
-    ++counts_[bin];
-    ++total_;
-}
-
-std::size_t
-Histogram::binSamples(std::size_t bin) const
-{
-    if (bin >= counts_.size())
-        panic("Histogram bin %zu out of range", bin);
-    return counts_[bin];
-}
-
-double
-Histogram::binLow(std::size_t bin) const
-{
-    return lo_ + width_ * static_cast<double>(bin);
-}
-
-double
-Histogram::binHigh(std::size_t bin) const
-{
-    return binLow(bin) + width_;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (total_ == 0)
-        return lo_;
-    double target = q * static_cast<double>(total_);
-    double running = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        running += static_cast<double>(counts_[i]);
-        if (running >= target)
-            return 0.5 * (binLow(i) + binHigh(i));
-    }
-    return hi_;
-}
-
 namespace {
 
 /** Shared nearest-rank rule: ceil(p/100 * n), clamped to [1, n]. */
@@ -220,15 +154,6 @@ WindowedQuantile::value() const
     if (low_.empty())
         return 0.0;
     return *low_.rbegin();
-}
-
-void
-WindowedQuantile::reset()
-{
-    ring_.clear();
-    head_ = 0;
-    low_.clear();
-    high_.clear();
 }
 
 } // namespace pimphony

@@ -1,6 +1,6 @@
 /**
  * @file
- * Small statistics toolkit: accumulators and fixed-bin histograms.
+ * Small statistics toolkit: accumulators and exact percentiles.
  *
  * Used both by the simulator (utilization, latency breakdowns) and by
  * the workload generator tests that check Table II moments.
@@ -14,7 +14,6 @@
 #include <deque>
 #include <limits>
 #include <set>
-#include <string>
 #include <vector>
 
 namespace pimphony {
@@ -53,8 +52,6 @@ class StatAccumulator
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
 
-    void reset();
-
   private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
@@ -62,34 +59,6 @@ class StatAccumulator
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Histogram over [lo, hi) with uniformly sized bins; out-of-range
- * samples land in the boundary bins.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double v);
-
-    std::size_t binCount() const { return counts_.size(); }
-    std::size_t binSamples(std::size_t bin) const;
-    double binLow(std::size_t bin) const;
-    double binHigh(std::size_t bin) const;
-    std::size_t totalSamples() const { return total_; }
-
-    /** Value below which @p q of the mass lies (bin midpoint). */
-    double quantile(double q) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
 };
 
 /**
@@ -107,6 +76,7 @@ safeRatio(double num, double den)
  * sample returns its only value and a 20-element sample's p95 is the
  * 19th. Returns 0 for an empty sample.
  */
+// test oracle: NearestRankInPlace.MatchesSortedNearestRank and others
 double nearestRankPercentile(const std::vector<double> &sorted, double p);
 
 /**
@@ -219,8 +189,6 @@ class WindowedQuantile
 
     /** Nearest-rank percentile of the window; 0 when empty. */
     double value() const;
-
-    void reset();
 
   private:
     /** Move values across the low/high split until |low| == rank. */

@@ -30,11 +30,6 @@ inline constexpr Bytes operator""_GiB(unsigned long long v)
 /** Bandwidth expressed in bytes per second. */
 using BytesPerSecond = double;
 
-inline constexpr BytesPerSecond gbPerSec(double v)
-{
-    return v * 1e9;
-}
-
 inline constexpr BytesPerSecond tbPerSec(double v)
 {
     return v * 1e12;

@@ -1,28 +1,8 @@
 #include "compiler/ir.hh"
 
-#include <sstream>
-
 #include "common/logging.hh"
 
 namespace pimphony {
-
-std::string
-opKindName(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::Input:    return "input";
-      case OpKind::Weight:   return "weight";
-      case OpKind::KvCache:  return "kv_cache";
-      case OpKind::MatMul:   return "matmul";
-      case OpKind::Softmax:  return "softmax";
-      case OpKind::RmsNorm:  return "rmsnorm";
-      case OpKind::SiLU:     return "silu";
-      case OpKind::Mul:      return "mul";
-      case OpKind::Add:      return "add";
-      case OpKind::KvAppend: return "kv_append";
-    }
-    return "?";
-}
 
 NodeId
 IrGraph::addNode(OpKind kind, std::string name, TensorShape shape,
@@ -60,32 +40,6 @@ IrGraph::usersOf(NodeId id) const
             if (in == id)
                 out.push_back(n.id);
     return out;
-}
-
-std::string
-IrGraph::dump() const
-{
-    std::ostringstream os;
-    for (const auto &n : nodes_) {
-        os << "%" << n.id << " = " << opKindName(n.kind) << " '" << n.name
-           << "' [";
-        for (std::size_t i = 0; i < n.shape.dims.size(); ++i) {
-            if (i)
-                os << "x";
-            if (n.shape.dims[i] == kTokenDim)
-                os << "T";
-            else
-                os << n.shape.dims[i];
-        }
-        os << "](";
-        for (std::size_t i = 0; i < n.inputs.size(); ++i) {
-            if (i)
-                os << ", ";
-            os << "%" << n.inputs[i];
-        }
-        os << ")\n";
-    }
-    return os.str();
 }
 
 IrGraph

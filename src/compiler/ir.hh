@@ -34,23 +34,12 @@ enum class OpKind : std::uint8_t {
     KvAppend,  ///< append current K/V vector to the cache
 };
 
-std::string opKindName(OpKind kind);
-
 /** Symbolic tensor shape; kTokenDim marks the runtime token axis. */
 inline constexpr std::int64_t kTokenDim = -1;
 
 struct TensorShape
 {
     std::vector<std::int64_t> dims;
-
-    bool
-    hasTokenDim() const
-    {
-        for (auto d : dims)
-            if (d == kTokenDim)
-                return true;
-        return false;
-    }
 };
 
 using NodeId = std::int32_t;
@@ -81,8 +70,6 @@ class IrGraph
 
     /** Users of @p id (nodes listing it as an input). */
     std::vector<NodeId> usersOf(NodeId id) const;
-
-    std::string dump() const;
 
   private:
     std::vector<IrNode> nodes_;

@@ -7,17 +7,6 @@
 
 namespace pimphony {
 
-std::string
-pimKernelClassName(PimKernelClass c)
-{
-    switch (c) {
-      case PimKernelClass::Qkt: return "qkt";
-      case PimKernelClass::Sv:  return "sv";
-      case PimKernelClass::Fc:  return "fc";
-    }
-    return "?";
-}
-
 std::vector<MatchedKernel>
 matchPimKernels(const IrGraph &graph)
 {

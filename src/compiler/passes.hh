@@ -9,7 +9,6 @@
 #define PIMPHONY_COMPILER_PASSES_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "compiler/ir.hh"
@@ -23,8 +22,6 @@ enum class PimKernelClass : std::uint8_t {
     Sv,   ///< MatMul(probs, V-cache): token-reduction GEMV
     Fc,   ///< MatMul(activation, weight): weight-stationary GEMV
 };
-
-std::string pimKernelClassName(PimKernelClass c);
 
 /** One matched PIM-amenable kernel. */
 struct MatchedKernel

@@ -42,19 +42,16 @@ class RefreshModel
             t = nextDue_ + params_.tRfc > t ? nextDue_ + params_.tRfc : t;
             nextDue_ += params_.tRefi;
             ++refreshes_;
-            stallCycles_ += params_.tRfc;
         }
         return t;
     }
 
     std::uint64_t refreshes() const { return refreshes_; }
-    Cycle stallCycles() const { return stallCycles_; }
 
   private:
     const AimTimingParams &params_;
     Cycle nextDue_;
     std::uint64_t refreshes_ = 0;
-    Cycle stallCycles_ = 0;
 };
 
 } // namespace pimphony

@@ -70,13 +70,6 @@ class RowStateTracker
     std::uint64_t activates() const { return activates_; }
     std::uint64_t precharges() const { return precharges_; }
 
-    void
-    resetStats()
-    {
-        activates_ = 0;
-        precharges_ = 0;
-    }
-
   private:
     const AimTimingParams &params_;
     RowIndex openRow_ = kNoRow;

@@ -39,6 +39,7 @@ struct DispatcherParams
     Bytes va2paBufferBytes = 128 * 1024;
 };
 
+// paper component: the Sec. VI-C HUB dispatcher (config + VA2PA buffers)
 class OnModuleDispatcher
 {
   public:

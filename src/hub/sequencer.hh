@@ -38,6 +38,7 @@ class InstructionSequencer
     {
     }
 
+    // paper component (fits, refills): the Fig. 10(c) buffer bound
     /** Whether @p program fits in the instruction buffer. */
     bool fits(const std::vector<PimInstruction> &program) const;
 

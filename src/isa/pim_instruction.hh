@@ -74,6 +74,7 @@ struct PimInstruction
 std::vector<PimCommand> expandInstruction(const PimInstruction &instr);
 
 /** Total commands a program expands to on one selected channel. */
+// test oracle: DpaVsStatic.SameWorkDifferentFootprint
 std::uint64_t
 expandedCommandCount(const std::vector<PimInstruction> &program);
 

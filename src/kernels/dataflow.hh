@@ -51,6 +51,7 @@ struct DrainRecord
  * no WR-INP populated, or a stream ending with un-drained
  * accumulations.
  */
+// test oracle: QktDataflow.EveryScoreComputedExactlyOnce and others
 std::vector<DrainRecord> replayDataflow(const CommandStream &stream,
                                         const AimTimingParams &params);
 

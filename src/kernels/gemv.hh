@@ -57,6 +57,7 @@ CommandStream buildGemvStream(const GemvSpec &spec,
                               bool pingpong = false);
 
 /** Number of extra partial-sum reductions the EPU must perform. */
+// test oracle: GemvStream.PartialDrainWhenOutputsExceedObuf
 std::uint64_t gemvPartialReductions(const GemvSpec &spec,
                                     const AimTimingParams &params);
 

@@ -7,16 +7,6 @@
 
 namespace pimphony {
 
-std::string
-partitioningName(Partitioning p)
-{
-    switch (p) {
-      case Partitioning::Hfp: return "hfp";
-      case Partitioning::Tcp: return "tcp";
-    }
-    return "?";
-}
-
 std::vector<std::vector<AttentionJob>>
 assignHfp(std::vector<AttentionJob> jobs, unsigned n_channels)
 {

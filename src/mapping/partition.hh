@@ -20,7 +20,6 @@
 #define PIMPHONY_MAPPING_PARTITION_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -31,8 +30,6 @@ enum class Partitioning {
     Hfp,
     Tcp,
 };
-
-std::string partitioningName(Partitioning p);
 
 /** One attention job: the KV scan of one (request, KV-head) pair. */
 struct AttentionJob

@@ -45,6 +45,7 @@ class DcsScheduler : public CommandScheduler
      * one D-Table ID and one S-Table row per GBuf and OBuf entry.
      * The paper reports 576 B of metadata per controller.
      */
+    // paper component: the 576 B D-Table plus S-Table of Sec. V-C
     Bytes metadataBytes() const;
 };
 

@@ -49,9 +49,6 @@ class EventQueue
     /** Events dispatched so far (throughput accounting). */
     std::uint64_t dispatched() const { return dispatched_; }
 
-    /** Earliest scheduled time (undefined when empty). */
-    double nextTime() const { return heap_.front().time; }
-
     /** Dispatch the earliest event. @return false when empty. */
     bool runOne();
 

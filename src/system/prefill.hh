@@ -61,6 +61,7 @@ struct PrefillChunk
  * (the last chunk takes the remainder; chunk_tokens == 0 means one
  * chunk). Returns an empty plan for an empty context.
  */
+// test oracle: PrefillFrom.ZeroCachedReducesToColdPlanner
 std::vector<PrefillChunk> prefillChunks(const LlmConfig &model,
                                         Tokens tokens,
                                         Tokens chunk_tokens);
@@ -70,6 +71,7 @@ std::vector<PrefillChunk> prefillChunks(const LlmConfig &model,
  * prefillSeconds(model, tokens, config, n_engines) apportioned by
  * chunk FLOPs, so the values sum exactly to the scalar charge.
  */
+// test oracle: PrefillFrom.ZeroCachedReducesToColdPlanner
 std::vector<double> prefillChunkSeconds(const LlmConfig &model,
                                         Tokens tokens,
                                         Tokens chunk_tokens,
@@ -120,6 +122,7 @@ std::vector<double> prefillChunkSecondsFrom(const LlmConfig &model,
  * charge that fits one quantum) yields a single slice; a charge
  * <= 0 yields none.
  */
+// test oracle: QueuedDevice.ChunkPreemptStartsDecodeWithinOneQuantum
 std::vector<double> preemptionSlices(double chunk_seconds,
                                      double quantum);
 

@@ -19,18 +19,6 @@ schedPolicyName(SchedPolicyKind kind)
     return "?";
 }
 
-bool
-parseSchedPolicy(const std::string &name, SchedPolicyKind &out)
-{
-    for (SchedPolicyKind kind : allSchedPolicies()) {
-        if (name == schedPolicyName(kind)) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<SchedPolicyKind>
 allSchedPolicies()
 {

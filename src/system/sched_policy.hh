@@ -59,10 +59,6 @@ enum class SchedPolicyKind : std::uint8_t {
 
 std::string schedPolicyName(SchedPolicyKind kind);
 
-/** Parse a policy name (as printed by schedPolicyName). @return
- *  false (leaving @p out untouched) on an unknown name. */
-bool parseSchedPolicy(const std::string &name, SchedPolicyKind &out);
-
 /** Every kind, in declaration order (sweep helper). */
 std::vector<SchedPolicyKind> allSchedPolicies();
 

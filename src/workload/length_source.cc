@@ -1,26 +1,10 @@
 #include "workload/length_source.hh"
 
-#include <cctype>
-#include <charconv>
 #include <cmath>
-#include <fstream>
 
 #include "common/logging.hh"
 
 namespace pimphony {
-
-namespace {
-
-/** Advance past spaces/tabs; true when a token remains. */
-bool
-skipBlank(const char *&p, const char *end)
-{
-    while (p < end && (*p == ' ' || *p == '\t'))
-        ++p;
-    return p < end;
-}
-
-} // namespace
 
 void
 LengthHistogram::add(Tokens prompt_tokens, Tokens decode_tokens,
@@ -30,48 +14,6 @@ LengthHistogram::add(Tokens prompt_tokens, Tokens decode_tokens,
         fatal("length histogram weights must be positive");
     bins_.push_back({prompt_tokens, decode_tokens, weight});
     totalWeight_ += weight;
-}
-
-LengthHistogram
-LengthHistogram::fromFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open length histogram '%s'", path.c_str());
-    LengthHistogram hist;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const char *p = line.data();
-        const char *end = line.data() + line.size();
-        if (!skipBlank(p, end) || *p == '#')
-            continue;
-        // "<prompt> <decode> [weight]" — std::from_chars keeps the
-        // parse locale-independent.
-        Tokens prompt = 0, decode = 0;
-        auto r1 = std::from_chars(p, end, prompt);
-        p = r1.ptr;
-        if (r1.ec != std::errc{} || !skipBlank(p, end))
-            fatal("%s:%zu: expected \"<prompt> <decode> [weight]\"",
-                  path.c_str(), lineno);
-        auto r2 = std::from_chars(p, end, decode);
-        p = r2.ptr;
-        if (r2.ec != std::errc{})
-            fatal("%s:%zu: expected \"<prompt> <decode> [weight]\"",
-                  path.c_str(), lineno);
-        double weight = 1.0;
-        if (skipBlank(p, end) && *p != '#') {
-            auto r3 = std::from_chars(p, end, weight);
-            p = r3.ptr;
-            if (r3.ec != std::errc{})
-                fatal("%s:%zu: bad weight", path.c_str(), lineno);
-        }
-        hist.add(prompt, decode, weight);
-    }
-    if (hist.empty())
-        fatal("length histogram '%s' has no bins", path.c_str());
-    return hist;
 }
 
 LengthPair

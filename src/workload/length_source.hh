@@ -1,7 +1,7 @@
 /**
  * @file
  * Request-length sources for WorkloadSpec: explicit (prompt, output)
- * pairs and empirical histograms loaded from file.
+ * pairs and empirical weighted histograms.
  *
  * The Table II synthetic generator (workload/trace.hh) samples
  * context lengths from fitted distributions; real serving traces
@@ -15,7 +15,6 @@
 #ifndef PIMPHONY_WORKLOAD_LENGTH_SOURCE_HH
 #define PIMPHONY_WORKLOAD_LENGTH_SOURCE_HH
 
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -50,14 +49,6 @@ class LengthHistogram
     /** Append a bin (weight must be positive). */
     void add(Tokens prompt_tokens, Tokens decode_tokens,
              double weight = 1.0);
-
-    /**
-     * Load a histogram from a text file: one bin per line as
-     * "<prompt> <decode> [weight]" (weight defaults to 1), with
-     * blank lines and '#' comments skipped. Fatal on parse errors
-     * or an unreadable path.
-     */
-    static LengthHistogram fromFile(const std::string &path);
 
     bool empty() const { return bins_.empty(); }
     const std::vector<Bin> &bins() const { return bins_; }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -45,7 +47,6 @@ appendRequestFields(std::string &out, const Request &r)
     out += ", \"tier\": " + numberToken(std::uint64_t{r.cls.tier});
     out += ", \"gap_slo_s\": " + numberToken(r.cls.gapSloSeconds);
     out += ", \"tenant\": " + numberToken(std::uint64_t{r.cls.tenant});
-    out += ", \"weight\": " + numberToken(r.cls.weight);
     // Only prefix-declaring requests carry the two extra keys, so
     // prefix-free traces stay byte-identical to the v1 files earlier
     // PRs committed. The hash is < 2^53 by construction (trace.hh),
@@ -164,6 +165,32 @@ fieldOr(const std::map<std::string, double> &fields, const char *key,
     return it == fields.end() ? fallback : it->second;
 }
 
+/**
+ * Integer key @p key as a T, 0 when absent. The value must be a
+ * whole number in [0, min(max T, 2^53)]: 2^53 is the largest integer
+ * the all-double format round-trips exactly.
+ */
+template <typename T>
+T
+integerField(const std::map<std::string, double> &fields, const char *key,
+             const Cursor &c)
+{
+    auto it = fields.find(key);
+    if (it == fields.end())
+        return 0;
+    const double max = std::min(
+        0x1p53, static_cast<double>(std::numeric_limits<T>::max()));
+    const double v = it->second;
+    if (!(v >= 0.0 && v <= max && std::floor(v) == v)) {
+        std::string what = std::string("'") + key +
+                           "' must be an integer in [0, " +
+                           numberToken(static_cast<std::uint64_t>(max)) +
+                           "], got " + numberToken(v);
+        parseFail(c, what.c_str());
+    }
+    return static_cast<T>(v);
+}
+
 Request
 requestFromFields(const std::map<std::string, double> &fields,
                   const Cursor &c)
@@ -172,19 +199,16 @@ requestFromFields(const std::map<std::string, double> &fields,
         !fields.count("decode"))
         parseFail(c, "request needs id/context/decode");
     Request r;
-    r.id = static_cast<RequestId>(fields.at("id"));
-    r.contextTokens = static_cast<Tokens>(fields.at("context"));
-    r.decodeTokens = static_cast<Tokens>(fields.at("decode"));
-    r.session = static_cast<SessionId>(fieldOr(fields, "session", 0.0));
-    r.turn = static_cast<unsigned>(fieldOr(fields, "turn", 0.0));
-    r.cls.tier = static_cast<unsigned>(fieldOr(fields, "tier", 0.0));
+    r.id = integerField<RequestId>(fields, "id", c);
+    r.contextTokens = integerField<Tokens>(fields, "context", c);
+    r.decodeTokens = integerField<Tokens>(fields, "decode", c);
+    r.session = integerField<SessionId>(fields, "session", c);
+    r.turn = integerField<unsigned>(fields, "turn", c);
+    r.cls.tier = integerField<unsigned>(fields, "tier", c);
     r.cls.gapSloSeconds = fieldOr(fields, "gap_slo_s", 0.0);
-    r.cls.tenant = static_cast<unsigned>(fieldOr(fields, "tenant", 0.0));
-    r.cls.weight = fieldOr(fields, "weight", 1.0);
-    r.prefixHash =
-        static_cast<std::uint64_t>(fieldOr(fields, "prefix_hash", 0.0));
-    r.prefixTokens =
-        static_cast<Tokens>(fieldOr(fields, "prefix_tokens", 0.0));
+    r.cls.tenant = integerField<unsigned>(fields, "tenant", c);
+    r.prefixHash = integerField<std::uint64_t>(fields, "prefix_hash", c);
+    r.prefixTokens = integerField<Tokens>(fields, "prefix_tokens", c);
     return r;
 }
 
@@ -267,8 +291,8 @@ loadWorkload(const std::string &path)
                         } else {
                             if (!fields.count("after"))
                                 parseFail(c, "successor needs 'after'");
-                            auto pred = static_cast<RequestId>(
-                                fields.at("after"));
+                            auto pred = integerField<RequestId>(
+                                fields, "after", c);
                             double think =
                                 fieldOr(fields, "think_s", 0.0);
                             if (!out.sessions

@@ -10,8 +10,8 @@
  *     "format": "pimphony-trace-v1",
  *     "requests": [ {"id": 0, "arrival_s": 0.125, "context": 13000,
  *                    "decode": 128, "session": 1, "turn": 0,
- *                    "tier": 0, "gap_slo_s": 0.05, "tenant": 0,
- *                    "weight": 1}, ... ],
+ *                    "tier": 0, "gap_slo_s": 0.05, "tenant": 0},
+ *                   ... ],
  *     "successors": [ {"after": 0, "think_s": 2.5, "id": 1, ...same
  *                      request fields...}, ... ]
  *   }
@@ -22,7 +22,10 @@
  * the file is byte-stable for a given workload. All values are
  * numbers; doubles are written with %.17g (round-trip exact) and
  * parsed with std::from_chars, so a load reproduces the saved
- * workload bit for bit regardless of locale.
+ * workload bit for bit regardless of locale. Integer keys must be
+ * whole, non-negative, within their field's type and at most 2^53;
+ * a request's unknown keys (such as an older file's "weight") are
+ * ignored.
  */
 
 #ifndef PIMPHONY_WORKLOAD_REPLAY_HH

@@ -18,8 +18,6 @@
  *  - tenant: admission-budget domain. The engine can enforce
  *    per-tenant token-capacity shares (EngineOptions::tenantBudgets)
  *    with work-conserving borrowing.
- *  - weight: relative share hint inside one tier (reserved for
- *    weighted policies; carried through, not yet arbitrated on).
  *
  * The default-constructed class is the implicit class every request
  * had before tiers existed; an engine run in which every request
@@ -29,10 +27,6 @@
 
 #ifndef PIMPHONY_WORKLOAD_REQUEST_CLASS_HH
 #define PIMPHONY_WORKLOAD_REQUEST_CLASS_HH
-
-#include <cstddef>
-#include <string>
-#include <vector>
 
 namespace pimphony {
 
@@ -47,29 +41,22 @@ struct RequestClass
     /** Tenant (admission-budget domain) the request bills to. */
     unsigned tenant = 0;
 
-    /** Relative weight inside the tier (reserved; default 1). */
-    double weight = 1.0;
-
     /** True for the implicit pre-tier class (strictly-additive path). */
     bool
     isDefault() const
     {
-        return tier == 0 && gapSloSeconds == 0.0 && tenant == 0 &&
-               weight == 1.0;
+        return tier == 0 && gapSloSeconds == 0.0 && tenant == 0;
     }
 
     bool
     operator==(const RequestClass &o) const
     {
         return tier == o.tier && gapSloSeconds == o.gapSloSeconds &&
-               tenant == o.tenant && weight == o.weight;
+               tenant == o.tenant;
     }
 
     bool operator!=(const RequestClass &o) const { return !(*this == o); }
 };
-
-/** Human-readable "tier=0 tenant=1 slo=50ms w=1" form (logs, benches). */
-std::string requestClassLabel(const RequestClass &cls);
 
 } // namespace pimphony
 

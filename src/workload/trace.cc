@@ -79,14 +79,6 @@ TraceGenerator::generate(std::size_t n, Tokens decode_tokens)
 }
 
 void
-assignRequestClass(std::vector<Request> &requests,
-                   const RequestClass &cls)
-{
-    for (auto &r : requests)
-        r.cls = cls;
-}
-
-void
 assignRequestClassesRoundRobin(std::vector<Request> &requests,
                                const std::vector<RequestClass> &classes)
 {

@@ -68,7 +68,7 @@ struct Request
     Tokens decodeTokens = 0;
 
     /**
-     * Service class (latency tier, SLO target, tenant, weight). The
+     * Service class (latency tier, SLO target, tenant). The
      * default class reproduces the pre-tier engine bit for bit; see
      * workload/request_class.hh.
      */
@@ -98,10 +98,6 @@ struct Request
     Tokens prefixTokens = 0;
 };
 
-/** Stamp every request in @p requests with @p cls. */
-void assignRequestClass(std::vector<Request> &requests,
-                        const RequestClass &cls);
-
 /**
  * Stamp @p requests with @p classes cyclically (request i gets
  * classes[i % classes.size()]) — the quick way to build a tier/tenant
@@ -130,12 +126,9 @@ class TraceGenerator
     std::vector<Request> generateScaled(std::size_t n, Tokens target_mean,
                                         Tokens decode_tokens = 128);
 
-    TraceTask task() const { return task_; }
-
     /** Service class stamped on every generated request (default:
      *  the implicit pre-tier class). */
     void setRequestClass(const RequestClass &cls) { cls_ = cls; }
-    const RequestClass &requestClass() const { return cls_; }
 
     /** Draw one context length; generate() draws once per request. */
     Tokens sampleLength();

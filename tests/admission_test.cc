@@ -195,7 +195,8 @@ TEST(Admission, SingleClassGateIsTierZero)
     deliver(plain, {arrival(0, 1000)}, *policy);
     Admission classed = rig.admission(opts);
     TimedRequest tagged = arrival(0, 1000);
-    tagged.request.cls.weight = 2.0; // non-default, still tier 0
+    // Non-default, still tier 0, and gated at the policy's own target.
+    tagged.request.cls.gapSloSeconds = opts.sched.sloTargetGapSeconds;
     deliver(classed, {tagged}, *policy);
     ASSERT_FALSE(plain.classesActive());
     ASSERT_TRUE(classed.classesActive());

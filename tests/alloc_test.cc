@@ -254,14 +254,12 @@ TEST(LazyAllocator, ChunksForOddBytesPerToken)
     EXPECT_EQ(a.chunksFor(9), 4u);
 }
 
-TEST(Allocator, FactoryAndNames)
+TEST(Allocator, Factory)
 {
     auto st = makeAllocator(AllocatorKind::Static, 1_GiB, kBpt, kTmax);
     auto lz = makeAllocator(AllocatorKind::LazyChunk, 1_GiB, kBpt, kTmax);
     EXPECT_TRUE(st->tryAdmit(0, 1) == false); // 16 GiB reservation > 1 GiB
     EXPECT_TRUE(lz->tryAdmit(0, 1));
-    EXPECT_EQ(allocatorName(AllocatorKind::Static), "static");
-    EXPECT_EQ(allocatorName(AllocatorKind::LazyChunk), "dpa-lazy");
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "compiler/ir.hh"
 #include "compiler/passes.hh"
 
@@ -17,12 +19,15 @@ TEST(Ir, DecoderLayerStructure)
 {
     auto g = buildDecoderLayer(LlmConfig::llm7b(true));
     EXPECT_GT(g.size(), 20u);
-    // The dump names every op; spot-check the attention core.
-    std::string dump = g.dump();
-    EXPECT_NE(dump.find("qkt"), std::string::npos);
-    EXPECT_NE(dump.find("softmax"), std::string::npos);
-    EXPECT_NE(dump.find("sv"), std::string::npos);
-    EXPECT_NE(dump.find("k_cache"), std::string::npos);
+    // Spot-check the attention core by node name.
+    auto has = [&g](const char *name) {
+        return std::any_of(g.nodes().begin(), g.nodes().end(),
+                           [name](const IrNode &n) { return n.name == name; });
+    };
+    EXPECT_TRUE(has("qkt"));
+    EXPECT_TRUE(has("softmax"));
+    EXPECT_TRUE(has("sv"));
+    EXPECT_TRUE(has("k_cache"));
 }
 
 TEST(Ir, UsersOfTracksEdges)
@@ -131,14 +136,6 @@ TEST(Lowering, FcIsContextIndependent)
         auto b = lowerKernel(k, params, 131072);
         EXPECT_EQ(staticProgramBytes(a), staticProgramBytes(b));
     }
-}
-
-TEST(Lowering, NamesRoundTrip)
-{
-    EXPECT_EQ(pimKernelClassName(PimKernelClass::Qkt), "qkt");
-    EXPECT_EQ(pimKernelClassName(PimKernelClass::Sv), "sv");
-    EXPECT_EQ(pimKernelClassName(PimKernelClass::Fc), "fc");
-    EXPECT_EQ(opKindName(OpKind::MatMul), "matmul");
 }
 
 } // namespace

@@ -117,7 +117,7 @@ TEST(DpaVsStatic, SameWorkDifferentFootprint)
         auto dpa_cmds =
             expandedCommandCount(lowered.dpaProgram.expand(t));
         EXPECT_EQ(static_cmds, dpa_cmds)
-            << pimKernelClassName(match.kernelClass);
+            << "kernel class " << static_cast<int>(match.kernelClass);
         EXPECT_GT(staticProgramBytes(lowered),
                   20 * dpaProgramBytes(lowered));
     }

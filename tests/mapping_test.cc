@@ -102,8 +102,6 @@ TEST(AllReduce, GrowsWithGroupAndBytes)
 
 TEST(Names, RoundTrip)
 {
-    EXPECT_EQ(partitioningName(Partitioning::Hfp), "hfp");
-    EXPECT_EQ(partitioningName(Partitioning::Tcp), "tcp");
     EXPECT_EQ((ParallelPlan{4, 2}.toString()), "(TP=4,PP=2)");
     EXPECT_EQ((ParallelPlan{4, 2}.modules()), 8u);
 }

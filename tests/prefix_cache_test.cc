@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -253,9 +254,16 @@ TEST(PrefixCache, KeysAreDistinctAndNonzero)
               PrefixCache::sessionKey(0xBEEF, 0));
     EXPECT_NE(PrefixCache::sessionKey(1, 2),
               PrefixCache::sessionKey(2, 1));
-    EXPECT_EQ(prefixEvictPolicyName(PrefixEvictPolicy::Lru), "lru");
-    EXPECT_EQ(prefixEvictPolicyName(PrefixEvictPolicy::TierWeighted),
-              "tier-weighted");
+}
+
+TEST(PrefixCache, MaxShareOutsideUnitIntervalDies)
+{
+    // NaN included: its cast to a chunk cap is undefined behaviour
+    // and in practice leaves the cache uncapped.
+    LazyChunkAllocator a(64_MiB, kBpt, kTmax, 1_MiB);
+    for (double share : {std::nan(""), -0.1, 1.5})
+        EXPECT_DEATH(PrefixCache(a, cacheOn(PrefixEvictPolicy::Lru, share)),
+                     "PrefixCacheOptions::maxShare .* outside \\[0, 1\\]");
 }
 
 // --- Warm-prefill planner conservation. --------------------------------

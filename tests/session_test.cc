@@ -11,7 +11,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -155,6 +158,41 @@ TEST(Sessions, TraceSaveLoadRunIsBitIdentical)
     auto replayed = runWithSessions(cluster, model, loaded);
     ASSERT_GT(generated.completedRequests, 0u);
     expectSameResult(generated, replayed);
+}
+
+TEST(Sessions, TraceWithRetiredWeightKeyRunsTheSame)
+{
+    // Older trace files carry a "weight" key on every request; the
+    // loader ignores it, so such a file runs exactly like one without.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionWorkload(5, 2, 37);
+
+    const char *path = "SESSION_WEIGHT_TRACE_TEST.tmp";
+    saveWorkload(path, built);
+    std::string text;
+    {
+        std::ifstream is(path, std::ios::binary);
+        text.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    const std::string key = "\"turn\": ", weight = "\"weight\": 2, ";
+    std::size_t tagged = 0;
+    for (std::size_t at = text.find(key); at != std::string::npos;
+         at = text.find(key, at + weight.size() + key.size()), ++tagged)
+        text.insert(at, weight);
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << text;
+    }
+    BuiltWorkload weighted = loadWorkload(path);
+    std::remove(path);
+
+    ASSERT_EQ(tagged, built.initial.size() + built.sessions.size());
+    auto plain = runWithSessions(cluster, model, built);
+    auto replayed = runWithSessions(cluster, model, weighted);
+    ASSERT_GT(plain.completedRequests, 0u);
+    expectSameResult(plain, replayed);
 }
 
 // --- Fleet integration: session affinity. ------------------------------

@@ -53,7 +53,6 @@ TEST(RequestClass, DefaultsAndAssignment)
     EXPECT_FALSE(tenanted.isDefault());
     EXPECT_NE(tiered, tenanted);
     EXPECT_EQ(tiered, tiered);
-    EXPECT_FALSE(requestClassLabel(tiered).empty());
 
     std::vector<Request> reqs;
     for (RequestId i = 0; i < 6; ++i)
@@ -61,7 +60,7 @@ TEST(RequestClass, DefaultsAndAssignment)
     for (const auto &r : reqs)
         EXPECT_TRUE(r.cls.isDefault());
 
-    assignRequestClass(reqs, tiered);
+    assignRequestClassesRoundRobin(reqs, {tiered});
     for (const auto &r : reqs)
         EXPECT_EQ(r.cls, tiered);
 
@@ -84,9 +83,6 @@ TEST(RequestClass, DefaultsAndAssignment)
 
 TEST(TierPolicy, PlumbingAndBands)
 {
-    SchedPolicyKind parsed = SchedPolicyKind::Fifo;
-    ASSERT_TRUE(parseSchedPolicy("tier-priority", parsed));
-    EXPECT_EQ(parsed, SchedPolicyKind::TierPriority);
     EXPECT_EQ(allSchedPolicies().back(), SchedPolicyKind::TierPriority);
 
     SchedPolicyConfig cfg;
@@ -269,7 +265,7 @@ TEST(SloClassesEngine, TierZeroGapBeatsTierOneAndSingleClassFifo)
 
     // The single-class reference: same trace, default classes, FIFO.
     std::vector<Request> plain = reqs;
-    assignRequestClass(plain, RequestClass{});
+    assignRequestClassesRoundRobin(plain, {RequestClass{}});
     auto plain_timed = attachArrivals(plain, arrivals, 17);
     sched.kind = SchedPolicyKind::Fifo;
     auto fifo = runEngine(cluster, model, plain_timed, 2048, sched);

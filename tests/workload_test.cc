@@ -367,17 +367,11 @@ TEST(RateCurve, InvalidCurvesDie)
 
 // --- Length sources. ----------------------------------------------------
 
-TEST(LengthHistogram, FromFileSamplesWeightedBins)
+TEST(LengthHistogram, SamplesWeightedBins)
 {
-    const char *path = "LENGTH_HIST_TEST.tmp";
-    {
-        std::ofstream os(path);
-        os << "# prompt decode [weight]\n"
-           << "1000 16 3\n"
-           << "4000 64 1\n";
-    }
-    LengthHistogram hist = LengthHistogram::fromFile(path);
-    std::remove(path);
+    LengthHistogram hist;
+    hist.add(1000, 16, 3.0);
+    hist.add(4000, 64);
     Rng rng(5);
     std::size_t small = 0, large = 0;
     const std::size_t kDraws = 4000;
@@ -394,33 +388,6 @@ TEST(LengthHistogram, FromFileSamplesWeightedBins)
     // +-5 percentage points.
     EXPECT_NEAR(static_cast<double>(small) / kDraws, 0.75, 0.05);
     EXPECT_GT(large, 0u);
-}
-
-TEST(LengthHistogram, FromFileErrorPathsNameFileAndLine)
-{
-    const char *path = "LENGTH_HIST_BAD_TEST.tmp";
-    auto write = [&](const char *text) {
-        std::ofstream os(path, std::ios::trunc);
-        os << text;
-    };
-    // Truncated row: a prompt with no decode column.
-    write("1000 16 2\n4000\n");
-    EXPECT_DEATH(LengthHistogram::fromFile(path),
-                 "LENGTH_HIST_BAD_TEST.tmp:2: expected");
-    // Non-numeric where a number is required.
-    write("1000 sixteen\n");
-    EXPECT_DEATH(LengthHistogram::fromFile(path),
-                 "LENGTH_HIST_BAD_TEST.tmp:1: expected");
-    // Non-numeric weight column.
-    write("1000 16 heavy\n");
-    EXPECT_DEATH(LengthHistogram::fromFile(path),
-                 "LENGTH_HIST_BAD_TEST.tmp:1: bad weight");
-    // Comments-only file: opens fine but yields no bins.
-    write("# nothing here\n\n");
-    EXPECT_DEATH(LengthHistogram::fromFile(path), "has no bins");
-    std::remove(path);
-    EXPECT_DEATH(LengthHistogram::fromFile(path),
-                 "cannot open length histogram");
 }
 
 // --- WorkloadSpec: bit-identity with the hand composition. --------------
@@ -580,7 +547,7 @@ class Fnv1a
         add(r.cls.tier);
         add(r.cls.gapSloSeconds);
         add(r.cls.tenant);
-        add(r.cls.weight);
+        add(1.0); // where weight was hashed: keeps the digests below
         add(r.session);
         add(r.turn);
         add(r.prefixHash);
@@ -747,6 +714,56 @@ TEST(Replay, LoadReportsFileLineColumnOnMalformedInput)
                  "REPLAY_BAD_TEST.tmp:2:.*expected number");
     std::remove(path);
     EXPECT_DEATH(loadWorkload(path), "cannot open trace");
+}
+
+TEST(Replay, IntegerKeysMustBeExactAndInRange)
+{
+    const char *path = "REPLAY_INT_TEST.tmp";
+    const std::string ok = "\"id\": 0, \"context\": 8, \"decode\": 1";
+    // One request and, given an "after" value, one successor.
+    auto write = [&](const std::string &request, const std::string &after) {
+        std::string text = "{\"format\": \"pimphony-trace-v1\", ";
+        text += "\"requests\": [{" + request + "}], \"successors\": [";
+        if (!after.empty())
+            text += "{\"after\": " + after + ", " + ok + "}";
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << text << "]}";
+    };
+    // Each bad value names its key; parseFail adds the position.
+    auto rejects = [&](const std::string &request, const char *message) {
+        write(request, "");
+        EXPECT_DEATH(loadWorkload(path), message) << request;
+    };
+    rejects("\"id\": 0, \"context\": -1, \"decode\": 1",
+            "'context' must be an integer in \\[0, 9007199254740992\\], "
+            "got -1 \\(at byte [0-9]+\\)");
+    rejects("\"id\": 0, \"context\": nan, \"decode\": 1",
+            "'context' must be an integer .*got nan");
+    rejects("\"id\": 0, \"context\": 8, \"decode\": 1.5",
+            "'decode' must be an integer .*got 1.5");
+    rejects("\"id\": 4294967296, \"context\": 8, \"decode\": 1",
+            "'id' must be an integer in \\[0, 4294967295\\]");
+    rejects(ok + ", \"session\": -2", "'session' must be");
+    rejects(ok + ", \"turn\": 1e10", "'turn' must be");
+    rejects(ok + ", \"tier\": 0.5", "'tier' must be");
+    rejects(ok + ", \"tenant\": inf", "'tenant' must be");
+    rejects(ok + ", \"prefix_hash\": 1e16", "'prefix_hash' must be");
+    rejects(ok + ", \"prefix_tokens\": -0.5", "'prefix_tokens' must be");
+    write(ok, "-1");
+    EXPECT_DEATH(loadWorkload(path), "'after' must be an integer");
+    write(ok, "nan");
+    EXPECT_DEATH(loadWorkload(path), "'after' must be an integer");
+
+    // The bounds themselves load exactly.
+    write("\"id\": 4294967295, \"context\": 8, \"decode\": 1, "
+          "\"prefix_hash\": 9007199254740992",
+          "4294967295");
+    BuiltWorkload loaded = loadWorkload(path);
+    std::remove(path);
+    ASSERT_EQ(loaded.initial.size(), 1u);
+    EXPECT_EQ(loaded.initial[0].request.id, 4294967295u);
+    EXPECT_EQ(loaded.initial[0].request.prefixHash, 1ull << 53);
+    EXPECT_EQ(loaded.sessions.count(4294967295u), 1u);
 }
 
 // --- Sorted-arrival guard. ----------------------------------------------
