@@ -1,49 +1,49 @@
 #!/usr/bin/env python3
 """Check that every library function is reached by a program.
 
-usage: tools/reachability.py BUILD PERFBENCH_BUILD [--allow FILE]
+usage: tools/reachability.py OUT
 
-BUILD is a root build of the repository and PERFBENCH_BUILD a build of
-the perfbench package, both configured so that the linker drops every
-function no entry point reaches:
+Configures and builds the repository into OUT/root and the perfbench
+package into OUT/perfbench at -O0 with one section per function, so
+that the linker drops every function no entry point reaches, then
+compares the two builds. Set CMAKE_BUILD_PARALLEL_LEVEL to build in
+parallel; a rerun rebuilds only what changed.
 
-  FLAGS='-O0 -ffunction-sections -fdata-sections'
-  cmake -B build-reach -S . -DCMAKE_BUILD_TYPE=None \\
-      -DCMAKE_CXX_FLAGS="$FLAGS" -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections
-  cmake --build build-reach -j
-  cmake -B build-reach-perfbench -S perfbench -DCMAKE_BUILD_TYPE=None \\
-      -DCMAKE_CXX_FLAGS="$FLAGS" -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections
-  cmake --build build-reach-perfbench --target perfbench -j
-  python3 tools/reachability.py build-reach build-reach-perfbench
-
-The functions `nm -C --defined-only` lists in BUILD/libpimphony.a are
+The functions `nm -C --defined-only` lists in libpimphony.a are
 compared, by their pimphony:: name up to the parameter list, with the
 functions left in the executables: every ELF executable directly in
-BUILD (tests, benches, examples) and PERFBENCH_BUILD/perfbench.
+OUT/root (tests, benches, examples) and OUT/perfbench/perfbench.
 Instantiations of std:: templates are left out, and a lambda counts
-as part of the function that encloses it.
+as part of the function that encloses it. Functions defined only in
+a header have no library copy, so they are invisible here.
 
 Exits 1 if a library function is in no executable, or if the set of
-functions only *_test executables reach differs from the allowlist
-(default tools/reachability_allow.txt) in either direction. Each
-allowlist line is a name and a tag: `oracle` (a reference a test
-compares against) or `paper` (a paper component kept for its tests).
+functions only *_test executables reach differs from
+tools/reachability_allow.txt in either direction. Each allowlist
+line is a name and a tag: `oracle` (a reference a test compares
+against) or `paper` (a paper component kept for its tests).
 """
 
-import argparse
 import os
 import re
 import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+ALLOW = os.path.join(HERE, "reachability_allow.txt")
+PROBE_FLAGS = ["-DCMAKE_BUILD_TYPE=None",
+               "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections",
+               "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections"]
 TAGS = ("oracle", "paper")
 TEXT_TYPES = set("TtWw")
 
-# Operators whose spelling contains a bracket; swapped for a
-# placeholder so bracket matching sees only real nesting.
+# Operators whose spelling contains a bracket, and conversion
+# operators, whose spelling contains a space; swapped for a placeholder
+# so bracket matching sees only real nesting and the space before the
+# name of a template's return type.
 OPERATOR = re.compile(
-    r"operator(\(\)|\[\]|<=>|<<=|>>=|<<|>>|<=|>=|->\*|->|<|>)")
+    r"operator(\(\)|\[\]|<=>|<<=|>>=|<<|>>|<=|>=|->\*|->|<|>| [^(]+)")
 OPENS, CLOSES = "<({[", ">)}]"
 
 
@@ -88,6 +88,12 @@ def functions(path):
     return names
 
 
+def build(source, out, *target):
+    subprocess.run(["cmake", "-B", out, "-S", source] + PROBE_FLAGS,
+                   check=True)
+    subprocess.run(["cmake", "--build", out] + list(target), check=True)
+
+
 def is_elf_executable(path):
     if not os.path.isfile(path) or not os.access(path, os.X_OK):
         return False
@@ -117,23 +123,17 @@ def report(title, names):
 
 
 def main():
-    parser = argparse.ArgumentParser(
-        description=__doc__.split("\n")[0],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=__doc__.split("\n", 2)[2])
-    parser.add_argument("build")
-    parser.add_argument("perfbench_build")
-    parser.add_argument("--allow",
-                        default=os.path.join(HERE, "reachability_allow.txt"))
-    args = parser.parse_args()
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        sys.exit(__doc__)
+    root = os.path.join(sys.argv[1], "root")
+    perfbench = os.path.join(sys.argv[1], "perfbench", "perfbench")
+    build(REPO, root)
+    build(os.path.join(REPO, "perfbench"), os.path.dirname(perfbench),
+          "--target", "perfbench")
 
-    library = functions(os.path.join(args.build, "libpimphony.a"))
-    exes = [os.path.join(args.build, f)
-            for f in sorted(os.listdir(args.build))]
-    exes = [p for p in exes if is_elf_executable(p)]
-    exes.append(os.path.join(args.perfbench_build, "perfbench"))
-    if not is_elf_executable(exes[-1]):
-        sys.exit("no perfbench executable in %s" % args.perfbench_build)
+    library = functions(os.path.join(root, "libpimphony.a"))
+    exes = [os.path.join(root, f) for f in sorted(os.listdir(root))]
+    exes = [p for p in exes if is_elf_executable(p)] + [perfbench]
 
     by_programs, by_tests = set(), set()
     for exe in exes:
@@ -141,7 +141,7 @@ def main():
         (by_tests if exe.endswith("_test") else by_programs).update(reached)
     unreached = library - by_programs - by_tests
     test_only = by_tests - by_programs
-    allow = read_allow(args.allow)
+    allow = read_allow(ALLOW)
 
     print("%d library functions, %d executables: %d reached by a "
           "program, %d by tests only, %d by none"
@@ -159,7 +159,7 @@ def main():
             failed = True
     if not failed:
         print("ok: the test-only set equals %s (%d oracle, %d paper)"
-              % (os.path.relpath(args.allow),
+              % (os.path.relpath(ALLOW),
                  sum(t == "oracle" for t in allow.values()),
                  sum(t == "paper" for t in allow.values())))
     return 1 if failed else 0
