@@ -191,6 +191,7 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     });
     if (!sorted)
         sortByArrival(requests);
+    requireDistinctIds(requests, nullptr, "ServingEngine");
     result_.firstTokenLatency.reserve(requests.size());
     result_.completionSeconds.reserve(requests.size());
     pending_ = std::move(requests);
@@ -237,8 +238,13 @@ ServingEngine::advanceMember(Active &a, double completion_clock)
     }
     a.lastTokenAt = completion_clock;
     if (a.generated >= a.request.decodeTokens) {
-        if (prefixCache_ && a.request.session != kNoSession && sessions_ &&
-            sessions_->count(a.request.id)) {
+        const SessionTurn *next = nullptr;
+        if (sessions_) {
+            auto it = sessions_->find(a.request.id);
+            if (it != sessions_->end())
+                next = &it->second;
+        }
+        if (prefixCache_ && a.request.session != kNoSession && next) {
             // A declared successor exists: hand the full KV (context
             // plus everything generated) to the tree under this
             // turn's session key so turn k+1 prefills only its delta.
@@ -264,6 +270,7 @@ ServingEngine::advanceMember(Active &a, double completion_clock)
         }
         admission_->release(a);
         ++result_.completedRequests;
+        result_.goodputTokens += a.request.decodeTokens;
         admission_->recordCompletion(tier);
         result_.requestLatencyRuns.add(completion_clock - a.arrival);
         // At most one completion per request per engine: what lets
@@ -272,8 +279,8 @@ ServingEngine::advanceMember(Active &a, double completion_clock)
                                                       completion_clock);
         if (!done.second)
             panic("request %u completed twice", a.request.id);
-        if (sessions_)
-            releaseNextTurn(a.request.id, completion_clock);
+        if (next)
+            releaseNextTurn(*next, completion_clock);
         return false;
     }
     return true;
@@ -750,6 +757,14 @@ ServingEngine::drained() const
 void
 ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 {
+    requireDistinctIds(trace, sessions_.get(),
+                       "ServingEngine::declareWorkload");
+    declareTrace(trace);
+}
+
+void
+ServingEngine::declareTrace(const std::vector<TimedRequest> &trace)
+{
     if (ev_)
         fatal("ServingEngine::declareWorkload() after prepare()");
     const char *context = "ServingEngine::declareWorkload";
@@ -772,6 +787,14 @@ void
 ServingEngine::declareSessionTurns(
     std::shared_ptr<const SessionBook> sessions)
 {
+    adoptSessionTurns(std::move(sessions));
+    requireDistinctIds(pending_, sessions_.get(),
+                       "ServingEngine::declareSessionTurns");
+}
+
+void
+ServingEngine::adoptSessionTurns(std::shared_ptr<const SessionBook> sessions)
+{
     if (ev_)
         fatal("ServingEngine::declareSessionTurns() after prepare()");
     if (!sessions)
@@ -780,8 +803,7 @@ ServingEngine::declareSessionTurns(
         if (!(kv.second.thinkSeconds >= 0.0)) // NaN too
             fatal("session think times must be nonnegative");
     // Successor turns join the class/tenant declaration exactly as a
-    // declared open-loop trace would, ranked by key: the outcome does
-    // not depend on the book's bucket layout.
+    // declared open-loop trace would, ranked by key.
     admission_->declare([&sessions](auto &&visit) {
         for (const auto &kv : *sessions)
             visit(kv.second.request, static_cast<double>(kv.first));
@@ -790,14 +812,10 @@ ServingEngine::declareSessionTurns(
 }
 
 void
-ServingEngine::releaseNextTurn(RequestId completed, double now)
+ServingEngine::releaseNextTurn(const SessionTurn &turn, double now)
 {
-    auto it = sessions_->find(completed);
-    if (it == sessions_->end())
-        return;
-    const SessionTurn *turn = &it->second;
-    double at = now + turn->thinkSeconds;
-    admission_->registerArrival(turn->request);
+    double at = now + turn.thinkSeconds;
+    admission_->registerArrival(turn.request);
     // The release gets its own event rather than joining the
     // pending-arrival chain: a release often lands earlier than the
     // armed head arrival, and re-arming would leave a stale no-op
@@ -812,7 +830,7 @@ ServingEngine::releaseNextTurn(RequestId completed, double now)
     // window barrier protocol. The event fires at exactly @c at and
     // captures only a pointer into the book (which outlives the
     // run), so the callback fits SimFn's inline buffer.
-    ev_->queue.schedule(at, [this, turn](double t) {
+    ev_->queue.schedule(at, [this, turn = &turn](double t) {
         evAccountTo(t);
         admission_->enqueue({turn->request, t});
         evFormNewCohorts(t);

@@ -82,6 +82,13 @@ struct EngineResult
      */
     std::uint64_t recomputedTokens = 0;
 
+    /**
+     * Decode tokens of the requests that completed here, counted at
+     * completion: the tokens a user received. generatedTokens also
+     * counts the partial decodes a preemption or a crash discarded.
+     */
+    std::uint64_t goodputTokens = 0;
+
     /** Time-averaged concurrent batch ("effective batch", Fig. 4). */
     double avgEffectiveBatch = 0.0;
 
@@ -321,7 +328,8 @@ class ServingEngine
      * caller that delivers requests later through injectArrivals()
      * declares them here. Must run before prepare(); calls
      * accumulate; a purely default-class trace leaves the engine
-     * bit-identical to an undeclared one.
+     * bit-identical to an undeclared one. Fatal if an id repeats
+     * within @p trace or the successor turns declared so far.
      */
     void declareWorkload(const std::vector<TimedRequest> &trace);
 
@@ -332,7 +340,8 @@ class ServingEngine
      * released as a fresh arrival at t + thinkSeconds — the
      * dependency an open-loop trace cannot express. Must run before
      * prepare(). Calls accumulate (mergeSessionBooks: a predecessor
-     * id declared twice is fatal).
+     * id declared twice is fatal), and a successor id that repeats
+     * one of the book or of the constructor's requests is fatal.
      *
      * Semantics worth knowing: a rejected or never-completing
      * predecessor keeps the rest of its session unreleased (the user
@@ -581,12 +590,18 @@ class ServingEngine
     void evArmArrivalEvent();
 
     /**
-     * Release the successor turn of @p completed (if any) as an
-     * arrival at @p now + its think time. Called from
-     * advanceMember's completion branch; no-op for requests without
-     * a declared successor.
+     * Release @p turn, the successor of a request that completed at
+     * @p now, as an arrival at @p now + its think time. Called from
+     * advanceMember's completion branch.
      */
-    void releaseNextTurn(RequestId completed, double now);
+    void releaseNextTurn(const SessionTurn &turn, double now);
+
+    // A fleet checks its ids once for all replicas, then declares
+    // through these: declareWorkload() and declareSessionTurns()
+    // without the id check.
+    friend class FleetEngine;
+    void declareTrace(const std::vector<TimedRequest> &trace);
+    void adoptSessionTurns(std::shared_ptr<const SessionBook> sessions);
 
     ClusterConfig cluster_;
     LlmConfig model_;

@@ -82,6 +82,7 @@ foldReplica(EngineResult &agg, EngineResult &r)
     agg.rejectedRequests += r.rejectedRequests;
     agg.preemptions += r.preemptions;
     agg.recomputedTokens += r.recomputedTokens;
+    agg.goodputTokens += r.goodputTokens;
     agg.simEvents += r.simEvents;
     agg.sloDeferrals += r.sloDeferrals;
     agg.chunkSlices += r.chunkSlices;
@@ -142,6 +143,14 @@ aggregateResults(std::vector<EngineResult> &results)
         double share_sum = 0.0, share_w = 0.0;
     };
     std::map<unsigned, TenantAccum> tenants;
+
+    std::size_t first_tokens = 0, completions = 0;
+    for (const EngineResult &r : results) {
+        first_tokens += r.firstTokenLatency.size();
+        completions += r.completionSeconds.size();
+    }
+    agg.firstTokenLatency.reserve(first_tokens);
+    agg.completionSeconds.reserve(completions);
 
     for (EngineResult &r : results) {
         foldReplica(agg, r);
@@ -303,9 +312,10 @@ FleetEngine::Run::Run(const FleetEngine &fleet)
         // shares the whole session book: a successor turn fires only
         // on the replica that completes its predecessor, so a
         // session's turns chain wherever its turn 0 was routed.
-        eng->declareWorkload(trace);
+        // The fleet checked the ids once for all of them.
+        eng->declareTrace(trace);
         if (fleet.sessions_)
-            eng->declareSessionTurns(fleet.sessions_);
+            eng->adoptSessionTurns(fleet.sessions_);
         eng->prepare();
         engines.push_back(std::move(eng));
     }
@@ -629,6 +639,7 @@ FleetEngine::FleetEngine(const ClusterConfig &cluster,
                           options_.retryBackoffSeconds);
     options_.faults.validate(options_.replicas);
     sortByArrival(trace_);
+    requireDistinctIds(trace_, nullptr, "FleetEngine");
 }
 
 FleetEngine::~FleetEngine() = default;
@@ -641,6 +652,7 @@ FleetEngine::setSessions(SessionBook sessions)
     sessions_ = mergeSessionBooks(
         std::move(sessions_),
         std::make_shared<const SessionBook>(std::move(sessions)));
+    requireDistinctIds(trace_, sessions_.get(), "FleetEngine::setSessions");
 }
 
 FleetResult
@@ -708,23 +720,7 @@ FleetEngine::finalize()
         ++fleet.retryHistogram[std::min<unsigned>(kv.second,
                                                   options_.retryBudget)];
 
-    // Goodput: decode tokens of requests that completed somewhere
-    // (integer sums: iteration order cannot perturb them), unlike
-    // generatedTokens, which counts discarded partial decodes too.
-    std::unordered_map<RequestId, Tokens> decode_of;
-    decode_of.reserve(trace_.size() + (sessions_ ? sessions_->size() : 0));
-    for (const TimedRequest &timed : trace_)
-        decode_of[timed.request.id] = timed.request.decodeTokens;
-    if (sessions_)
-        for (const auto &kv : *sessions_)
-            decode_of[kv.second.request.id] =
-                kv.second.request.decodeTokens;
-    for (const EngineResult &r : fleet.replicas)
-        for (const auto &kv : r.completionSeconds) {
-            auto it = decode_of.find(kv.first);
-            if (it != decode_of.end())
-                fleet.goodputTokens += it->second;
-        }
+    fleet.goodputTokens = fleet.aggregate.goodputTokens;
     double makespan = fleet.aggregate.simulatedSeconds;
     if (makespan > 0.0)
         fleet.goodputTokensPerSecond =

@@ -171,7 +171,8 @@ struct FleetResult
 
     /**
      * Decode tokens of requests that actually completed (the tokens
-     * a user received). aggregate.generatedTokens also counts
+     * a user received): aggregate.goodputTokens, which each replica
+     * counts at completion. aggregate.generatedTokens also counts
      * partial decodes that were discarded, and the ledger balances
      * exactly:
      *
@@ -219,7 +220,8 @@ struct FleetResult
 class FleetEngine
 {
   public:
-    /** fatal() on an invalid option, naming the field. */
+    /** fatal() on an invalid option, naming the field, and on a
+     *  request id that repeats in @p trace. */
     FleetEngine(const ClusterConfig &cluster, const LlmConfig &model,
                 std::vector<TimedRequest> trace,
                 const FleetOptions &options);
@@ -231,7 +233,9 @@ class FleetEngine
      * Declare the closed-loop successor turns of the trace's
      * sessions (workload/session.hh) before prepare(). Calls
      * accumulate exactly as ServingEngine::declareSessionTurns() does
-     * (mergeSessionBooks: a predecessor id declared twice is fatal).
+     * (mergeSessionBooks: a predecessor id declared twice is fatal),
+     * and a successor id that repeats one of the book or of the trace
+     * is fatal.
      * The fleet keeps one immutable book and every replica shares
      * it, so replica memory grows with the work routed to it, not
      * with the trace. A successor fires only on the replica that

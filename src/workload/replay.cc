@@ -228,24 +228,20 @@ saveWorkload(const std::string &path, const BuiltWorkload &workload)
         out += "}";
     }
     out += workload.initial.empty() ? "],\n" : "\n  ],\n";
-    // Ascending predecessor order keeps the file byte-stable for a
-    // given workload (the book itself is unordered).
-    std::vector<RequestId> after;
-    after.reserve(workload.sessions.size());
-    for (const auto &kv : workload.sessions)
-        after.push_back(kv.first);
-    std::sort(after.begin(), after.end());
+    // The book iterates in ascending predecessor order, which keeps
+    // the file byte-stable for a given workload.
     out += "  \"successors\": [";
-    for (std::size_t i = 0; i < after.size(); ++i) {
-        const SessionTurn &turn = workload.sessions.at(after[i]);
-        out += i ? ",\n    {" : "\n    {";
-        out += "\"after\": " + numberToken(std::uint64_t{after[i]});
-        out += ", \"think_s\": " + numberToken(turn.thinkSeconds);
+    bool first = true;
+    for (const auto &kv : workload.sessions) {
+        out += first ? "\n    {" : ",\n    {";
+        first = false;
+        out += "\"after\": " + numberToken(std::uint64_t{kv.first});
+        out += ", \"think_s\": " + numberToken(kv.second.thinkSeconds);
         out += ", ";
-        appendRequestFields(out, turn.request);
+        appendRequestFields(out, kv.second.request);
         out += "}";
     }
-    out += after.empty() ? "]\n}\n" : "\n  ]\n}\n";
+    out += workload.sessions.empty() ? "]\n}\n" : "\n  ]\n}\n";
 
     std::ofstream file(path, std::ios::binary | std::ios::trunc);
     if (!file)

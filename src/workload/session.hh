@@ -13,15 +13,16 @@
  *    (sum of earlier prompts and answers).
  *
  * The workload layer encodes this as a SessionBook: successor turns
- * keyed by their predecessor's request id. buildWorkload()
- * (workload/spec.hh) emits the book alongside the turn-0 arrivals;
- * ServingEngine::declareSessionTurns() adopts it as an immutable,
- * shared book and releases each successor from advanceMember's
- * completion branch through the engine's mid-run arrival machinery
- * (the injectArrivals() feed point). The book is never edited
- * after declaration: a request completes at most once per engine,
- * so every entry fires at most once, and a FleetEngine hands one
- * book to all of its replicas.
+ * keyed by their predecessor's request id, held in one key-sorted
+ * flat table (O(log n) lookups; a copy is one allocation).
+ * buildWorkload() (workload/spec.hh) emits the book alongside the
+ * turn-0 arrivals; ServingEngine::declareSessionTurns() adopts it as
+ * an immutable, shared book and releases each successor from
+ * advanceMember's completion branch through the engine's mid-run
+ * arrival machinery (the injectArrivals() feed point). The book is
+ * never edited after declaration: a request completes at most once
+ * per engine, so every entry fires at most once, and a FleetEngine
+ * hands one book to all of its replicas.
  * Requests carry their session identity (Request::session /
  * Request::turn), which FleetEngine's router uses to pin a session's
  * turns to one replica.
@@ -30,11 +31,16 @@
 #ifndef PIMPHONY_WORKLOAD_SESSION_HH
 #define PIMPHONY_WORKLOAD_SESSION_HH
 
+#include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <memory>
-#include <unordered_map>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
-#include "common/logging.hh"
 #include "common/types.hh"
+#include "workload/arrival.hh"
 #include "workload/trace.hh"
 
 namespace pimphony {
@@ -53,11 +59,82 @@ struct SessionTurn
 };
 
 /**
- * Successor turns keyed by predecessor request id: book[i] is the
+ * Successor turns keyed by predecessor request id: book.at(i) is the
  * turn released when request i completes. A k-turn session
  * contributes k-1 entries chained by id.
+ *
+ * A vector of (key, turn) pairs kept sorted by key: lookups are
+ * binary searches, iteration runs in key order, and entries are
+ * read-only once inserted. Inserting in key order (as buildWorkload()
+ * and a saved trace do) appends; an out-of-order key is inserted in
+ * place, which moves the entries after it.
  */
-using SessionBook = std::unordered_map<RequestId, SessionTurn>;
+class SessionBook
+{
+  public:
+    using value_type = std::pair<RequestId, SessionTurn>;
+    using const_iterator = std::vector<value_type>::const_iterator;
+
+    std::size_t size() const { return entries_.size(); }
+    bool empty() const { return entries_.empty(); }
+    void reserve(std::size_t n) { entries_.reserve(n); }
+    const_iterator begin() const { return entries_.begin(); }
+    const_iterator end() const { return entries_.end(); }
+
+    /** The entry keyed @p after, or end(). */
+    const_iterator
+    find(RequestId after) const
+    {
+        auto it = lowerBound(after);
+        return it != end() && it->first == after ? it : end();
+    }
+
+    std::size_t count(RequestId after) const { return find(after) != end(); }
+
+    /** The turn keyed @p after; throws std::out_of_range if none. */
+    const SessionTurn &
+    at(RequestId after) const
+    {
+        auto it = find(after);
+        if (it == end())
+            throw std::out_of_range("SessionBook::at: no such key");
+        return it->second;
+    }
+
+    /** Add @p turn under @p after unless the key is taken; .second
+     *  says whether it was added, .first points at the key's entry. */
+    std::pair<const_iterator, bool>
+    emplace(RequestId after, SessionTurn turn)
+    {
+        if (entries_.empty() || entries_.back().first < after) {
+            entries_.emplace_back(after, std::move(turn));
+            return {std::prev(end()), true};
+        }
+        auto it = lowerBound(after);
+        if (it->first == after)
+            return {it, false};
+        return {entries_.emplace(it, after, std::move(turn)), true};
+    }
+
+    std::pair<const_iterator, bool>
+    insert(const value_type &kv)
+    {
+        return emplace(kv.first, kv.second);
+    }
+
+  private:
+    const_iterator
+    lowerBound(RequestId after) const
+    {
+        return std::lower_bound(
+            begin(), end(), after,
+            [](const value_type &kv, RequestId key) {
+                return kv.first < key;
+            });
+    }
+
+    std::vector<value_type> entries_;
+};
 
 /**
  * The accumulate rule of ServingEngine::declareSessionTurns() and
@@ -65,25 +142,22 @@ using SessionBook = std::unordered_map<RequestId, SessionTurn>;
  * either of which may be null. When one side is empty the other
  * pointer is returned as is, so accumulating from null stays null
  * until the first nonempty book, which is adopted without a copy;
- * only a second nonempty book copies. A predecessor id in both
- * books is fatal.
+ * only a second nonempty book is merged, in one linear pass. A
+ * predecessor id in both books is fatal.
  */
-inline std::shared_ptr<const SessionBook>
+std::shared_ptr<const SessionBook>
 mergeSessionBooks(std::shared_ptr<const SessionBook> book,
-                  std::shared_ptr<const SessionBook> more)
-{
-    if (!more || more->empty())
-        return book;
-    if (!book || book->empty())
-        return more;
-    auto merged = std::make_shared<SessionBook>(*book);
-    merged->reserve(book->size() + more->size());
-    for (const auto &kv : *more)
-        if (!merged->insert(kv).second)
-            fatal("request %u already has a declared successor",
-                  kv.first);
-    return merged;
-}
+                  std::shared_ptr<const SessionBook> more);
+
+/**
+ * Fatal, naming @p context and the id, unless the request ids of
+ * @p trace and the successor-turn ids of @p book (null: none) are
+ * pairwise distinct. While the ids of each side strictly increase,
+ * as every generator emits them, this is one merged walk; otherwise
+ * it sorts a copy of the ids.
+ */
+void requireDistinctIds(const std::vector<TimedRequest> &trace,
+                        const SessionBook *book, const char *context);
 
 } // namespace pimphony
 

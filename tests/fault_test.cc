@@ -73,16 +73,6 @@ testTrace(std::size_t n, double rate, std::uint64_t seed,
     return attachArrivals(reqs, arrivals, seed);
 }
 
-/** The fleet token ledger: every generated token was delivered,
- *  discarded by a crash, or discarded by a preemption. */
-void
-expectTokenLedgerBalances(const FleetResult &fleet)
-{
-    EXPECT_EQ(fleet.aggregate.generatedTokens,
-              fleet.goodputTokens + fleet.lostTokens +
-                  fleet.aggregate.recomputedTokens);
-}
-
 // --- FaultSchedule: generation and validation. -------------------------
 
 TEST(FaultSchedule, BuilderIsAPureFunctionOfSpecAndSeed)
@@ -462,7 +452,7 @@ TEST(FleetFaults, CrashAndPreemptionBalanceTheTokenLedger)
     EXPECT_GT(fleet.lostTokens, 0u);
     EXPECT_EQ(fleet.aggregate.completedRequests + fleet.lostRequests,
               trace.size());
-    expectTokenLedgerBalances(fleet);
+    expectGoodputIsCompletedDecode(fleet, trace, SessionBook{});
 }
 
 TEST(FleetFaults, RetryBudgetExhaustionDropsAndHistogramsRequests)

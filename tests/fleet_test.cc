@@ -795,17 +795,58 @@ TEST(ServingEngineDeathTest, NaNInUnsortedConstructorTraceIsFatal)
                  "is NaN");
 }
 
-TEST(FleetEngine, AdvanceInStepsMatchesRun)
+TEST(ServingEngineDeathTest, DuplicateRequestIdIsFatal)
 {
-    // The displacing schedule of FleetGolden.DisplacingFaults, so
-    // the stepped runs cross drains, kills, a reload and stray
-    // sweeps as well as routing barriers.
+    // Unchecked, the engine admitted request 7 twice and panicked
+    // mid-run. Each declaration point names the id.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    std::vector<Request> closed = {{7, 2000, 16}, {7, 2000, 16}};
+    auto trace = testTrace(12, 8.0, 5);
+    trace[9].request.id = 7;
+    EXPECT_DEATH(ServingEngine(cluster, model, closed, testEngineOptions()),
+                 "ServingEngine: request id 7 is declared twice");
+    EXPECT_DEATH(ServingEngine(cluster, model, trace, testEngineOptions()),
+                 "ServingEngine: request id 7 is declared twice");
+    ServingEngine engine(cluster, model, std::vector<TimedRequest>{},
+                         testEngineOptions());
+    EXPECT_DEATH(engine.declareWorkload(trace),
+                 "ServingEngine::declareWorkload: request id 7 is "
+                 "declared twice");
+}
+
+/** The displacing schedule of FleetGolden.DisplacingFaults. */
+FaultSchedule
+displacingFaults()
+{
     FaultSchedule faults;
     faults.replicas.resize(4);
     faults.replicas[0].push_back(crashAt(1.0, 0.2));
     faults.replicas[1].push_back(crashAt(0.3));
     faults.replicas[1].push_back(recoverAt(0.9, 0.1));
     faults.replicas[2].push_back(degradeAt(0.2, 2.0, 0.6));
+    return faults;
+}
+
+TEST(FleetEngine, GoodputIsTheDecodeOfEveryCompletion)
+{
+    // Each replica counts goodput at completion and the fleet sums
+    // them: under displacing faults, where kills discard partial
+    // decodes and strays complete elsewhere, that must equal the
+    // declared decode tokens of every id in a replica's completions.
+    auto built = sessionAffinityWorkload();
+    for (double d : {0.002, 0.0}) {
+        auto f = runSessionAffinityFleet(d, displacingFaults());
+        EXPECT_GT(f.lostTokens, 0u);
+        expectGoodputIsCompletedDecode(f, built.initial, built.sessions);
+    }
+}
+
+TEST(FleetEngine, AdvanceInStepsMatchesRun)
+{
+    // The displacing schedule, so the stepped runs cross drains,
+    // kills, a reload and stray sweeps as well as routing barriers.
+    const FaultSchedule faults = displacingFaults();
     double last_arrival =
         sessionAffinityWorkload().initial.back().arrivalSeconds;
     const double inf = std::numeric_limits<double>::infinity();
@@ -881,6 +922,21 @@ TEST(FleetEngineDeathTest, NaNInUnsortedTraceIsFatal)
     EXPECT_DEATH(FleetEngine(cluster, model, trace, FleetOptions{}),
                  "sortByArrival: arrivalSeconds of request 1 at index 1 "
                  "is NaN");
+}
+
+TEST(FleetEngineDeathTest, DuplicateRequestIdIsFatal)
+{
+    // Unchecked, a 2-replica fleet ran both copies of request 7 and
+    // broke its token ledger.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(12, 8.0, 5);
+    trace[9].request.id = 7;
+    FleetOptions opts;
+    opts.replicas = 2;
+    opts.engine = testEngineOptions();
+    EXPECT_DEATH(FleetEngine(cluster, model, trace, opts),
+                 "FleetEngine: request id 7 is declared twice");
 }
 
 TEST(FleetEngineDeathTest, ProtocolMisuseIsFatal)

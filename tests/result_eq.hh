@@ -10,6 +10,9 @@
  * / sample-count fields: a fleet replica hands its stores to the
  * aggregate, and a percentile reorders a store's runs without
  * changing its contents.
+ *
+ * It also holds the fleet's token-ledger oracles: the ledger
+ * identity, and goodput recomputed from the per-replica completions.
  */
 
 #ifndef PIMPHONY_TESTS_RESULT_EQ_HH
@@ -18,10 +21,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
 
 #include "energy/energy.hh"
 #include "system/engine.hh"
 #include "system/fleet.hh"
+#include "workload/arrival.hh"
+#include "workload/session.hh"
 
 namespace pimphony {
 
@@ -46,6 +54,7 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.rejectedRequests, b.rejectedRequests);
     EXPECT_EQ(a.preemptions, b.preemptions);
     EXPECT_EQ(a.recomputedTokens, b.recomputedTokens);
+    EXPECT_EQ(a.goodputTokens, b.goodputTokens);
     EXPECT_EQ(a.avgEffectiveBatch, b.avgEffectiveBatch);
     EXPECT_EQ(a.macUtilization, b.macUtilization);
     EXPECT_EQ(a.capacityUtilization, b.capacityUtilization);
@@ -134,6 +143,40 @@ expectSameFleet(const FleetResult &a, const FleetResult &b)
     EXPECT_EQ(a.lostTokens, b.lostTokens);
     EXPECT_EQ(a.reloadSeconds, b.reloadSeconds);
     EXPECT_EQ(a.retryHistogram, b.retryHistogram);
+}
+
+/** The fleet token ledger: every generated token was delivered,
+ *  discarded by a crash, or discarded by a preemption. */
+inline void
+expectTokenLedgerBalances(const FleetResult &fleet)
+{
+    EXPECT_EQ(fleet.aggregate.generatedTokens,
+              fleet.goodputTokens + fleet.lostTokens +
+                  fleet.aggregate.recomputedTokens);
+}
+
+/**
+ * Goodput as the decode tokens that @p trace or @p book declare for
+ * each request some replica completed, summed over every replica's
+ * completionSeconds, and the ledger identity.
+ */
+inline void
+expectGoodputIsCompletedDecode(const FleetResult &fleet,
+                               const std::vector<TimedRequest> &trace,
+                               const SessionBook &book)
+{
+    std::unordered_map<RequestId, Tokens> decode_of;
+    for (const TimedRequest &timed : trace)
+        decode_of[timed.request.id] = timed.request.decodeTokens;
+    for (const auto &kv : book)
+        decode_of[kv.second.request.id] = kv.second.request.decodeTokens;
+    std::uint64_t goodput = 0;
+    for (const EngineResult &r : fleet.replicas)
+        for (const auto &kv : r.completionSeconds)
+            goodput += decode_of.at(kv.first);
+    EXPECT_EQ(fleet.goodputTokens, goodput);
+    EXPECT_EQ(fleet.aggregate.goodputTokens, goodput);
+    expectTokenLedgerBalances(fleet);
 }
 
 } // namespace pimphony

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -264,6 +265,53 @@ TEST(Sessions, FleetKeepsEverySessionOnOneReplica)
     }
 }
 
+// --- The book as a container. ------------------------------------------
+
+TEST(SessionBook, KeySortedInsertLookupAndCopy)
+{
+    auto turn = [](RequestId id, double think) {
+        return SessionTurn{Request(id, 1000, 8), think};
+    };
+    SessionBook book;
+    EXPECT_TRUE(book.empty());
+    // Appended, then inserted in front and in between.
+    EXPECT_TRUE(book.emplace(20, turn(21, 0.5)).second);
+    EXPECT_TRUE(book.emplace(4, turn(5, 0.1)).second);
+    EXPECT_TRUE(book.emplace(12, turn(13, 0.3)).second);
+    EXPECT_TRUE(book.insert({30, turn(31, 0.7)}).second);
+    // A taken key keeps its entry.
+    auto dup = book.emplace(12, turn(99, 9.0));
+    EXPECT_FALSE(dup.second);
+    EXPECT_EQ(dup.first->second.request.id, 13u);
+    EXPECT_FALSE(book.insert({4, turn(98, 9.0)}).second);
+    ASSERT_EQ(book.size(), 4u);
+
+    std::vector<RequestId> keys;
+    for (const auto &kv : book)
+        keys.push_back(kv.first);
+    EXPECT_EQ(keys, (std::vector<RequestId>{4, 12, 20, 30}));
+    EXPECT_EQ(book.at(20).request.id, 21u);
+    EXPECT_EQ(book.find(30)->second.thinkSeconds, 0.7);
+    EXPECT_EQ(book.count(4), 1u);
+    // Absent keys below, between and above the stored ones.
+    for (RequestId absent : {0u, 5u, 13u, 31u}) {
+        EXPECT_TRUE(book.find(absent) == book.end()) << absent;
+        EXPECT_EQ(book.count(absent), 0u);
+        EXPECT_THROW(book.at(absent), std::out_of_range);
+    }
+
+    const SessionBook copy = book;
+    ASSERT_EQ(copy.size(), book.size());
+    for (auto a = book.begin(), b = copy.begin(); a != book.end();
+         ++a, ++b) {
+        EXPECT_EQ(a->first, b->first);
+        EXPECT_EQ(a->second.request.id, b->second.request.id);
+        EXPECT_EQ(a->second.request.contextTokens,
+                  b->second.request.contextTokens);
+        EXPECT_EQ(a->second.thinkSeconds, b->second.thinkSeconds);
+    }
+}
+
 // --- Declaring the book: adoption, accumulation, immutability. --------
 
 /** @p book split by predecessor-id parity into two disjoint halves. */
@@ -471,14 +519,58 @@ TEST(SessionsDeathTest, DuplicatePredecessorAcrossDeclarationsIsFatal)
     EXPECT_DEATH(fleet_twice(), "already has a declared successor");
 }
 
+TEST(SessionsDeathTest, SuccessorIdRepeatingARequestIdIsFatal)
+{
+    // Successor ids must be distinct from each other and from the
+    // trace's ids, at every declaration point: the engine's book
+    // against its constructor's requests and declareWorkload()'s
+    // trace, and the fleet's book against its trace, once.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionWorkload(2, 2, 61);
+    ASSERT_EQ(built.sessions.size(), 2u);
+    const RequestId taken = built.initial.back().request.id;
+    auto entry = *built.sessions.begin();
+    entry.second.request.id = taken;
+    SessionBook clash;
+    clash.insert(entry);
+    const std::string message =
+        "request id " + std::to_string(taken) + " is declared twice";
+
+    auto engine_book = [&]() {
+        ServingEngine engine(cluster, model, built.initial,
+                             testEngineOptions());
+        engine.declareSessionTurns(clash);
+    };
+    auto engine_declared = [&]() {
+        ServingEngine engine(cluster, model, std::vector<TimedRequest>{},
+                             testEngineOptions());
+        engine.declareSessionTurns(clash);
+        engine.declareWorkload(built.initial);
+    };
+    auto fleet_book = [&]() {
+        FleetEngine fleet(cluster, model, built.initial, FleetOptions{});
+        fleet.setSessions(clash);
+    };
+    EXPECT_DEATH(engine_book(),
+                 "ServingEngine::declareSessionTurns: " + message);
+    EXPECT_DEATH(engine_declared(),
+                 "ServingEngine::declareWorkload: " + message);
+    EXPECT_DEATH(fleet_book(), "FleetEngine::setSessions: " + message);
+}
+
 TEST(SessionsDeathTest, NegativeOrNaNThinkTimeIsFatal)
 {
     auto model = testModel();
     auto cluster = testCluster(model);
     auto built = sessionWorkload(2, 2, 59);
     for (double think : {-1.0, std::nan("")}) {
-        SessionBook book = built.sessions;
-        book.begin()->second.thinkSeconds = think;
+        // The first entry with the bad think time, then the rest.
+        SessionBook book;
+        auto it = built.sessions.begin();
+        book.emplace(it->first, SessionTurn{it->second.request, think});
+        while (++it != built.sessions.end())
+            book.insert(*it);
         ServingEngine engine(cluster, model, built.initial,
                              testEngineOptions());
         EXPECT_DEATH(engine.declareSessionTurns(book),

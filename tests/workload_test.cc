@@ -15,6 +15,7 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 
 #include "common/stats.hh"
@@ -687,6 +688,75 @@ TEST(Replay, SaveLoadRoundTripIsExact)
         EXPECT_TRUE(a.cls == b.cls);
         EXPECT_EQ(kv.second.thinkSeconds, it->second.thinkSeconds);
     }
+}
+
+TEST(Replay, SuccessorsSavedInDescendingKeyOrderLoadTheSameBook)
+{
+    // A hand-edited file may list successors in any order: the loaded
+    // book is the original, key-sorted, so saving it again writes the
+    // original file byte for byte.
+    WorkloadSpec spec;
+    spec.count = 5;
+    spec.length.kind = LengthSourceKind::Pairs;
+    spec.length.pairs = {{1000, 20}, {3000, 40}};
+    spec.arrival.kind = ArrivalKind::Poisson;
+    spec.arrival.ratePerSecond = 2.0;
+    spec.session.turns = 3;
+    spec.session.thinkMeanSeconds = 1.0;
+    BuiltWorkload built = buildWorkload(spec, 57);
+    ASSERT_EQ(built.sessions.size(), 10u);
+
+    const char *path = "REPLAY_DESCENDING_TEST.tmp";
+    auto read = [path]() {
+        std::ifstream is(path, std::ios::binary);
+        std::ostringstream buf;
+        buf << is.rdbuf();
+        return buf.str();
+    };
+    saveWorkload(path, built);
+    const std::string saved = read();
+
+    // One successor per line inside the array: reverse the lines.
+    const std::string open = "\"successors\": [\n";
+    std::size_t begin = saved.find(open);
+    ASSERT_NE(begin, std::string::npos);
+    begin += open.size();
+    std::size_t end = saved.find("\n  ]", begin);
+    ASSERT_NE(end, std::string::npos);
+    std::vector<std::string> lines;
+    for (std::size_t at = begin; at < end;) {
+        std::size_t next = std::min(saved.find(",\n", at), end);
+        lines.push_back(saved.substr(at, next - at));
+        at = next + 2;
+    }
+    ASSERT_EQ(lines.size(), built.sessions.size());
+    std::reverse(lines.begin(), lines.end());
+    std::string descending = saved.substr(0, begin);
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        descending += (i ? ",\n" : "") + lines[i];
+    descending += saved.substr(end);
+    ASSERT_NE(descending, saved);
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << descending;
+    }
+
+    BuiltWorkload loaded = loadWorkload(path);
+    ASSERT_EQ(loaded.sessions.size(), built.sessions.size());
+    for (auto a = built.sessions.begin(), b = loaded.sessions.begin();
+         a != built.sessions.end(); ++a, ++b) {
+        EXPECT_EQ(a->first, b->first);
+        EXPECT_EQ(a->second.request.id, b->second.request.id);
+        EXPECT_EQ(a->second.request.contextTokens,
+                  b->second.request.contextTokens);
+        EXPECT_EQ(a->second.request.decodeTokens,
+                  b->second.request.decodeTokens);
+        EXPECT_EQ(a->second.request.turn, b->second.request.turn);
+        EXPECT_EQ(a->second.thinkSeconds, b->second.thinkSeconds);
+    }
+    saveWorkload(path, loaded);
+    EXPECT_EQ(read(), saved);
+    std::remove(path);
 }
 
 TEST(Replay, LoadReportsFileLineColumnOnMalformedInput)
