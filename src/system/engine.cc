@@ -757,17 +757,11 @@ ServingEngine::drained() const
 void
 ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 {
-    requireDistinctIds(trace, sessions_.get(),
-                       "ServingEngine::declareWorkload");
-    declareTrace(trace);
-}
-
-void
-ServingEngine::declareTrace(const std::vector<TimedRequest> &trace)
-{
     if (ev_)
         fatal("ServingEngine::declareWorkload() after prepare()");
     const char *context = "ServingEngine::declareWorkload";
+    requireDistinctIds(trace, pending_, context);
+    requireDistinctIds(trace, sessions_.get(), context);
     admission_->declare([&trace, context](auto &&visit) {
         for (std::size_t i = 0; i < trace.size(); ++i) {
             if (!arrivalInOrder(trace, i, context))
@@ -787,14 +781,6 @@ void
 ServingEngine::declareSessionTurns(
     std::shared_ptr<const SessionBook> sessions)
 {
-    adoptSessionTurns(std::move(sessions));
-    requireDistinctIds(pending_, sessions_.get(),
-                       "ServingEngine::declareSessionTurns");
-}
-
-void
-ServingEngine::adoptSessionTurns(std::shared_ptr<const SessionBook> sessions)
-{
     if (ev_)
         fatal("ServingEngine::declareSessionTurns() after prepare()");
     if (!sessions)
@@ -809,6 +795,8 @@ ServingEngine::adoptSessionTurns(std::shared_ptr<const SessionBook> sessions)
             visit(kv.second.request, static_cast<double>(kv.first));
     });
     sessions_ = mergeSessionBooks(std::move(sessions_), std::move(sessions));
+    requireDistinctIds(pending_, sessions_.get(),
+                       "ServingEngine::declareSessionTurns");
 }
 
 void

@@ -329,7 +329,10 @@ class ServingEngine
      * declares them here. Must run before prepare(); calls
      * accumulate; a purely default-class trace leaves the engine
      * bit-identical to an undeclared one. Fatal if an id repeats
-     * within @p trace or the successor turns declared so far.
+     * within @p trace, the constructor's requests or the successor
+     * turns declared so far. The trace itself is not kept, so an
+     * earlier declareWorkload() trace and successor turns declared
+     * later are not checked against it.
      */
     void declareWorkload(const std::vector<TimedRequest> &trace);
 
@@ -595,13 +598,6 @@ class ServingEngine
      * advanceMember's completion branch.
      */
     void releaseNextTurn(const SessionTurn &turn, double now);
-
-    // A fleet checks its ids once for all replicas, then declares
-    // through these: declareWorkload() and declareSessionTurns()
-    // without the id check.
-    friend class FleetEngine;
-    void declareTrace(const std::vector<TimedRequest> &trace);
-    void adoptSessionTurns(std::shared_ptr<const SessionBook> sessions);
 
     ClusterConfig cluster_;
     LlmConfig model_;

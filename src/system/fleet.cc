@@ -312,10 +312,9 @@ FleetEngine::Run::Run(const FleetEngine &fleet)
         // shares the whole session book: a successor turn fires only
         // on the replica that completes its predecessor, so a
         // session's turns chain wherever its turn 0 was routed.
-        // The fleet checked the ids once for all of them.
-        eng->declareTrace(trace);
+        eng->declareWorkload(trace);
         if (fleet.sessions_)
-            eng->adoptSessionTurns(fleet.sessions_);
+            eng->declareSessionTurns(fleet.sessions_);
         eng->prepare();
         engines.push_back(std::move(eng));
     }

@@ -265,6 +265,9 @@ loadWorkload(const std::string &path)
     Cursor c{text.data(), text.data(), text.data() + text.size(),
              path.c_str()};
     BuiltWorkload out;
+    // Successors in file order; sorted once below, so a hand-edited
+    // file in any key order loads in O(n log n).
+    std::vector<SessionBook::value_type> successors;
     bool format_seen = false;
     expect(c, '{', "expected top-level object");
     if (!eat(c, '}')) {
@@ -291,12 +294,8 @@ loadWorkload(const std::string &path)
                                 fields, "after", c);
                             double think =
                                 fieldOr(fields, "think_s", 0.0);
-                            if (!out.sessions
-                                     .emplace(pred,
-                                              SessionTurn{r, think})
-                                     .second)
-                                parseFail(c,
-                                          "duplicate successor key");
+                            successors.emplace_back(
+                                pred, SessionTurn{r, think});
                         }
                         if (eat(c, ','))
                             continue;
@@ -316,6 +315,20 @@ loadWorkload(const std::string &path)
     if (!format_seen)
         fatal("%s: not a pimphony trace (missing format tag)",
               path.c_str());
+    auto key_less = [](const SessionBook::value_type &a,
+                       const SessionBook::value_type &b) {
+        return a.first < b.first;
+    };
+    std::sort(successors.begin(), successors.end(), key_less);
+    auto dup = std::adjacent_find(
+        successors.begin(), successors.end(),
+        [](const SessionBook::value_type &a,
+           const SessionBook::value_type &b) { return a.first == b.first; });
+    if (dup != successors.end())
+        fatal("%s: duplicate successor key %u", path.c_str(), dup->first);
+    out.sessions.reserve(successors.size());
+    for (auto &kv : successors) // in key order: each one appends
+        out.sessions.emplace(kv.first, std::move(kv.second));
     // Saved files are arrival-ordered already; hand-edited ones may
     // not be, and every consumer requires the invariant.
     sortByArrival(out.initial);

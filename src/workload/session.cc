@@ -29,26 +29,36 @@ mergeSessionBooks(std::shared_ptr<const SessionBook> book,
     return merged;
 }
 
-void
-requireDistinctIds(const std::vector<TimedRequest> &trace,
-                   const SessionBook *book, const char *context)
+namespace {
+
+RequestId
+idOf(const TimedRequest &timed)
 {
-    static const SessionBook kNoBook;
-    if (!book)
-        book = &kNoBook;
+    return timed.request.id;
+}
+
+RequestId
+idOf(const SessionBook::value_type &kv)
+{
+    return kv.second.request.id;
+}
+
+template <typename A, typename B>
+void
+requireDistinct(const A &a, const B &b, const char *context)
+{
     // Walk both sides in merged order: if every id exceeds the one
     // before it, no id repeats.
-    auto t = trace.begin();
-    auto s = book->begin();
+    auto x = a.begin();
+    auto y = b.begin();
     std::int64_t last = -1;
     bool ascending = true;
-    while (ascending && (t != trace.end() || s != book->end())) {
+    while (ascending && (x != a.end() || y != b.end())) {
         RequestId id;
-        if (s == book->end() ||
-            (t != trace.end() && t->request.id < s->second.request.id))
-            id = (t++)->request.id;
+        if (y == b.end() || (x != a.end() && idOf(*x) < idOf(*y)))
+            id = idOf(*x++);
         else
-            id = (s++)->second.request.id;
+            id = idOf(*y++);
         ascending = id > last;
         last = id;
     }
@@ -56,15 +66,33 @@ requireDistinctIds(const std::vector<TimedRequest> &trace,
         return;
 
     std::vector<RequestId> ids;
-    ids.reserve(trace.size() + book->size());
-    for (const TimedRequest &timed : trace)
-        ids.push_back(timed.request.id);
-    for (const auto &kv : *book)
-        ids.push_back(kv.second.request.id);
+    ids.reserve(a.size() + b.size());
+    for (const auto &e : a)
+        ids.push_back(idOf(e));
+    for (const auto &e : b)
+        ids.push_back(idOf(e));
     std::sort(ids.begin(), ids.end());
     auto dup = std::adjacent_find(ids.begin(), ids.end());
     if (dup != ids.end())
         fatal("%s: request id %u is declared twice", context, *dup);
+}
+
+} // namespace
+
+void
+requireDistinctIds(const std::vector<TimedRequest> &trace,
+                   const SessionBook *book, const char *context)
+{
+    static const SessionBook kNoBook;
+    requireDistinct(trace, book ? *book : kNoBook, context);
+}
+
+void
+requireDistinctIds(const std::vector<TimedRequest> &trace,
+                   const std::vector<TimedRequest> &more,
+                   const char *context)
+{
+    requireDistinct(trace, more, context);
 }
 
 } // namespace pimphony

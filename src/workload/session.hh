@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <iterator>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -59,8 +58,8 @@ struct SessionTurn
 };
 
 /**
- * Successor turns keyed by predecessor request id: book.at(i) is the
- * turn released when request i completes. A k-turn session
+ * Successor turns keyed by predecessor request id: book.find(i) is
+ * the turn released when request i completes. A k-turn session
  * contributes k-1 entries chained by id.
  *
  * A vector of (key, turn) pairs kept sorted by key: lookups are
@@ -87,18 +86,6 @@ class SessionBook
     {
         auto it = lowerBound(after);
         return it != end() && it->first == after ? it : end();
-    }
-
-    std::size_t count(RequestId after) const { return find(after) != end(); }
-
-    /** The turn keyed @p after; throws std::out_of_range if none. */
-    const SessionTurn &
-    at(RequestId after) const
-    {
-        auto it = find(after);
-        if (it == end())
-            throw std::out_of_range("SessionBook::at: no such key");
-        return it->second;
     }
 
     /** Add @p turn under @p after unless the key is taken; .second
@@ -158,6 +145,11 @@ mergeSessionBooks(std::shared_ptr<const SessionBook> book,
  */
 void requireDistinctIds(const std::vector<TimedRequest> &trace,
                         const SessionBook *book, const char *context);
+
+/** The same check over the request ids of @p trace and @p more. */
+void requireDistinctIds(const std::vector<TimedRequest> &trace,
+                        const std::vector<TimedRequest> &more,
+                        const char *context);
 
 } // namespace pimphony
 

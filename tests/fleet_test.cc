@@ -813,6 +813,12 @@ TEST(ServingEngineDeathTest, DuplicateRequestIdIsFatal)
     EXPECT_DEATH(engine.declareWorkload(trace),
                  "ServingEngine::declareWorkload: request id 7 is "
                  "declared twice");
+    // A declared trace is checked against the constructor's requests.
+    ServingEngine seven(cluster, model, std::vector<Request>{closed[0]},
+                        testEngineOptions());
+    EXPECT_DEATH(seven.declareWorkload(testTrace(12, 8.0, 5)),
+                 "ServingEngine::declareWorkload: request id 7 is "
+                 "declared twice");
 }
 
 /** The displacing schedule of FleetGolden.DisplacingFaults. */

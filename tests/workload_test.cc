@@ -584,7 +584,7 @@ builtDigest(const BuiltWorkload &built)
     std::sort(keys.begin(), keys.end());
     h.add(keys.size());
     for (RequestId k : keys) {
-        const SessionTurn &turn = built.sessions.at(k);
+        const SessionTurn &turn = built.sessions.find(k)->second;
         h.add(k);
         h.add(turn.request);
         h.add(turn.thinkSeconds);
@@ -756,6 +756,19 @@ TEST(Replay, SuccessorsSavedInDescendingKeyOrderLoadTheSameBook)
     }
     saveWorkload(path, loaded);
     EXPECT_EQ(read(), saved);
+
+    // A key listed twice, anywhere in the file, is fatal and named.
+    std::string repeated = saved.substr(0, begin);
+    for (const std::string &line : lines)
+        repeated += line + ",\n";
+    repeated += lines.front() + saved.substr(end);
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << repeated;
+    }
+    const RequestId largest = std::prev(built.sessions.end())->first;
+    EXPECT_DEATH(loadWorkload(path),
+                 "duplicate successor key " + std::to_string(largest));
     std::remove(path);
 }
 
@@ -833,7 +846,8 @@ TEST(Replay, IntegerKeysMustBeExactAndInRange)
     ASSERT_EQ(loaded.initial.size(), 1u);
     EXPECT_EQ(loaded.initial[0].request.id, 4294967295u);
     EXPECT_EQ(loaded.initial[0].request.prefixHash, 1ull << 53);
-    EXPECT_EQ(loaded.sessions.count(4294967295u), 1u);
+    EXPECT_TRUE(loaded.sessions.find(4294967295u) !=
+                loaded.sessions.end());
 }
 
 // --- Sorted-arrival guard. ----------------------------------------------
