@@ -191,7 +191,7 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     });
     if (!sorted)
         sortByArrival(requests);
-    requireDistinctIds(requests, nullptr, "ServingEngine");
+    requireDistinctIds(requests, SessionBook{}, "ServingEngine");
     result_.firstTokenLatency.reserve(requests.size());
     result_.completionSeconds.reserve(requests.size());
     pending_ = std::move(requests);
@@ -239,11 +239,9 @@ ServingEngine::advanceMember(Active &a, double completion_clock)
     a.lastTokenAt = completion_clock;
     if (a.generated >= a.request.decodeTokens) {
         const SessionTurn *next = nullptr;
-        if (sessions_) {
-            auto it = sessions_->find(a.request.id);
-            if (it != sessions_->end())
-                next = &it->second;
-        }
+        auto it = sessions_.find(a.request.id);
+        if (it != sessions_.end())
+            next = &it->second;
         if (prefixCache_ && a.request.session != kNoSession && next) {
             // A declared successor exists: hand the full KV (context
             // plus everything generated) to the tree under this
@@ -761,7 +759,7 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
         fatal("ServingEngine::declareWorkload() after prepare()");
     const char *context = "ServingEngine::declareWorkload";
     requireDistinctIds(trace, pending_, context);
-    requireDistinctIds(trace, sessions_.get(), context);
+    requireDistinctIds(trace, sessions_, context);
     admission_->declare([&trace, context](auto &&visit) {
         for (std::size_t i = 0; i < trace.size(); ++i) {
             if (!arrivalInOrder(trace, i, context))
@@ -774,28 +772,16 @@ ServingEngine::declareWorkload(const std::vector<TimedRequest> &trace)
 void
 ServingEngine::declareSessionTurns(const SessionBook &sessions)
 {
-    declareSessionTurns(std::make_shared<const SessionBook>(sessions));
-}
-
-void
-ServingEngine::declareSessionTurns(
-    std::shared_ptr<const SessionBook> sessions)
-{
     if (ev_)
         fatal("ServingEngine::declareSessionTurns() after prepare()");
-    if (!sessions)
-        fatal("ServingEngine::declareSessionTurns(): null session book");
-    for (const auto &kv : *sessions)
-        if (!(kv.second.thinkSeconds >= 0.0)) // NaN too
-            fatal("session think times must be nonnegative");
     // Successor turns join the class/tenant declaration exactly as a
     // declared open-loop trace would, ranked by key.
     admission_->declare([&sessions](auto &&visit) {
-        for (const auto &kv : *sessions)
+        for (const auto &kv : sessions)
             visit(kv.second.request, static_cast<double>(kv.first));
     });
-    sessions_ = mergeSessionBooks(std::move(sessions_), std::move(sessions));
-    requireDistinctIds(pending_, sessions_.get(),
+    sessions_ = mergeSessionBooks(sessions_, sessions);
+    requireDistinctIds(pending_, sessions_,
                        "ServingEngine::declareSessionTurns");
 }
 
@@ -816,8 +802,9 @@ ServingEngine::releaseNextTurn(const SessionTurn &turn, double now)
     // the successor lands on the replica that completed its
     // predecessor (natural session stickiness) without crossing the
     // window barrier protocol. The event fires at exactly @c at and
-    // captures only a pointer into the book (which outlives the
-    // run), so the callback fits SimFn's inline buffer.
+    // captures only a pointer into the engine's copy of the book
+    // (never written after declaration, so its entries stay put), so
+    // the callback fits SimFn's inline buffer.
     ev_->queue.schedule(at, [this, turn = &turn](double t) {
         evAccountTo(t);
         admission_->enqueue({turn->request, t});

@@ -342,7 +342,8 @@ class ServingEngine
      * @p sessions completes at time t, its successor turn is
      * released as a fresh arrival at t + thinkSeconds — the
      * dependency an open-loop trace cannot express. Must run before
-     * prepare(). Calls accumulate (mergeSessionBooks: a predecessor
+     * prepare(). The engine keeps a copy that shares the caller's
+     * storage. Calls accumulate (mergeSessionBooks: a predecessor
      * id declared twice is fatal), and a successor id that repeats
      * one of the book or of the constructor's requests is fatal.
      *
@@ -353,13 +354,6 @@ class ServingEngine
      * load signal sees only work that has actually arrived.
      */
     void declareSessionTurns(const SessionBook &sessions);
-
-    /**
-     * The same declaration, adopting @p sessions without copying it:
-     * the engine only reads the book and keeps it alive for the
-     * run, so many engines (a fleet's replicas) can share one.
-     */
-    void declareSessionTurns(std::shared_ptr<const SessionBook> sessions);
 
     /**
      * Build the run state and deliver the constructor-supplied
@@ -619,12 +613,13 @@ class ServingEngine
 
     /**
      * Declared successor turns, keyed by the predecessor request id;
-     * null when none were declared. Read-only and possibly shared
-     * with other engines: an entry fires when its predecessor
-     * completes here, which happens at most once, so nothing is
-     * erased. Pending release events point into it.
+     * empty when none were declared. Never written after
+     * declaration, so its storage may be shared with other books:
+     * an entry fires when its predecessor completes here, which
+     * happens at most once, so nothing is erased. Pending release
+     * events point into it.
      */
-    std::shared_ptr<const SessionBook> sessions_;
+    SessionBook sessions_;
 
     /** Per-cycle scratch for planCohortCycle's attention jobs. */
     std::vector<AttentionJob> jobsScratch_;

@@ -313,7 +313,7 @@ FleetEngine::Run::Run(const FleetEngine &fleet)
         // on the replica that completes its predecessor, so a
         // session's turns chain wherever its turn 0 was routed.
         eng->declareWorkload(trace);
-        if (fleet.sessions_)
+        if (!fleet.sessions_.empty())
             eng->declareSessionTurns(fleet.sessions_);
         eng->prepare();
         engines.push_back(std::move(eng));
@@ -638,20 +638,18 @@ FleetEngine::FleetEngine(const ClusterConfig &cluster,
                           options_.retryBackoffSeconds);
     options_.faults.validate(options_.replicas);
     sortByArrival(trace_);
-    requireDistinctIds(trace_, nullptr, "FleetEngine");
+    requireDistinctIds(trace_, SessionBook{}, "FleetEngine");
 }
 
 FleetEngine::~FleetEngine() = default;
 
 void
-FleetEngine::setSessions(SessionBook sessions)
+FleetEngine::setSessions(const SessionBook &sessions)
 {
     if (run_)
         fatal("FleetEngine::setSessions() after prepare()");
-    sessions_ = mergeSessionBooks(
-        std::move(sessions_),
-        std::make_shared<const SessionBook>(std::move(sessions)));
-    requireDistinctIds(trace_, sessions_.get(), "FleetEngine::setSessions");
+    sessions_ = mergeSessionBooks(sessions_, sessions);
+    requireDistinctIds(trace_, sessions_, "FleetEngine::setSessions");
 }
 
 FleetResult

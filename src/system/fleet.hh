@@ -236,16 +236,16 @@ class FleetEngine
      * (mergeSessionBooks: a predecessor id declared twice is fatal),
      * and a successor id that repeats one of the book or of the trace
      * is fatal.
-     * The fleet keeps one immutable book and every replica shares
-     * it, so replica memory grows with the work routed to it, not
-     * with the trace. A successor fires only on the replica that
+     * The fleet's copy and every replica's share the caller's
+     * storage, so replica memory grows with the work routed to it,
+     * not with the trace. A successor fires only on the replica that
      * completes its predecessor, so a session's turns stay on the
      * replica its turn 0 was routed to. The router additionally
      * pins session identity (Request::session) at first sight: if a
      * session somehow reappears in the open-loop trace, its later
      * requests follow the pin rather than the policy.
      */
-    void setSessions(SessionBook sessions);
+    void setSessions(const SessionBook &sessions);
 
     /** prepare() -> advanceTo(+inf) -> finalize(). */
     FleetResult run();
@@ -276,9 +276,8 @@ class FleetEngine
     std::vector<TimedRequest> trace_;
     FleetOptions options_;
 
-    /** Closed-loop successor turns, shared by every replica; null
-     *  without sessions. */
-    std::shared_ptr<const SessionBook> sessions_;
+    /** Closed-loop successor turns; empty without sessions. */
+    SessionBook sessions_;
 
     /** Live run (prepare() .. finalize()). */
     std::unique_ptr<Run> run_;

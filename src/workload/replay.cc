@@ -294,6 +294,12 @@ loadWorkload(const std::string &path)
                                 fields, "after", c);
                             double think =
                                 fieldOr(fields, "think_s", 0.0);
+                            if (!(std::isfinite(think) && think >= 0.0)) {
+                                std::string what =
+                                    "'think_s' must be finite and >= 0, "
+                                    "got " + numberToken(think);
+                                parseFail(c, what.c_str());
+                            }
                             successors.emplace_back(
                                 pred, SessionTurn{r, think});
                         }

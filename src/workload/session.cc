@@ -6,22 +6,21 @@
 
 namespace pimphony {
 
-std::shared_ptr<const SessionBook>
-mergeSessionBooks(std::shared_ptr<const SessionBook> book,
-                  std::shared_ptr<const SessionBook> more)
+SessionBook
+mergeSessionBooks(const SessionBook &book, const SessionBook &more)
 {
-    if (!more || more->empty())
+    if (more.empty())
         return book;
-    if (!book || book->empty())
+    if (book.empty())
         return more;
-    auto merged = std::make_shared<SessionBook>();
-    merged->reserve(book->size() + more->size());
-    auto a = book->begin(), b = more->begin();
-    while (a != book->end() || b != more->end()) {
-        if (b == more->end() || (a != book->end() && a->first < b->first))
-            merged->insert(*a++);
-        else if (a == book->end() || b->first < a->first)
-            merged->insert(*b++);
+    SessionBook merged;
+    merged.reserve(book.size() + more.size());
+    auto a = book.begin(), b = more.begin();
+    while (a != book.end() || b != more.end()) {
+        if (b == more.end() || (a != book.end() && a->first < b->first))
+            merged.insert(*a++);
+        else if (a == book.end() || b->first < a->first)
+            merged.insert(*b++);
         else
             fatal("request %u already has a declared successor",
                   a->first);
@@ -81,10 +80,9 @@ requireDistinct(const A &a, const B &b, const char *context)
 
 void
 requireDistinctIds(const std::vector<TimedRequest> &trace,
-                   const SessionBook *book, const char *context)
+                   const SessionBook &book, const char *context)
 {
-    static const SessionBook kNoBook;
-    requireDistinct(trace, book ? *book : kNoBook, context);
+    requireDistinct(trace, book, context);
 }
 
 void

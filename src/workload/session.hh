@@ -14,15 +14,16 @@
  *
  * The workload layer encodes this as a SessionBook: successor turns
  * keyed by their predecessor's request id, held in one key-sorted
- * flat table (O(log n) lookups; a copy is one allocation).
- * buildWorkload() (workload/spec.hh) emits the book alongside the
- * turn-0 arrivals; ServingEngine::declareSessionTurns() adopts it as
- * an immutable, shared book and releases each successor from
- * advanceMember's completion branch through the engine's mid-run
- * arrival machinery (the injectArrivals() feed point). The book is
- * never edited after declaration: a request completes at most once
- * per engine, so every entry fires at most once, and a FleetEngine
- * hands one book to all of its replicas.
+ * flat table (O(log n) lookups). A book is a value over shared
+ * storage: copies share one table, the first write to a shared book
+ * clones it, and concurrent reads are safe. buildWorkload()
+ * (workload/spec.hh) emits the book alongside the turn-0 arrivals;
+ * ServingEngine::declareSessionTurns() keeps a copy and releases
+ * each successor from advanceMember's completion branch through the
+ * engine's mid-run arrival machinery (the injectArrivals() feed
+ * point). The engine never writes its copy: a request completes at
+ * most once per engine, so every entry fires at most once, and a
+ * FleetEngine's replicas all read the one table.
  * Requests carry their session identity (Request::session /
  * Request::turn), which FleetEngine's router uses to pin a session's
  * turns to one replica.
@@ -32,12 +33,14 @@
 #define PIMPHONY_WORKLOAD_SESSION_HH
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "workload/arrival.hh"
 #include "workload/trace.hh"
@@ -67,6 +70,11 @@ struct SessionTurn
  * read-only once inserted. Inserting in key order (as buildWorkload()
  * and a saved trace do) appends; an out-of-order key is inserted in
  * place, which moves the entries after it.
+ *
+ * Copying a book copies a pointer to the vector. emplace, insert and
+ * reserve clone the vector first when another book shares it, so a
+ * write never moves or changes an entry another book can see, and
+ * pointers into a book stay valid while it is not written.
  */
 class SessionBook
 {
@@ -74,11 +82,11 @@ class SessionBook
     using value_type = std::pair<RequestId, SessionTurn>;
     using const_iterator = std::vector<value_type>::const_iterator;
 
-    std::size_t size() const { return entries_.size(); }
-    bool empty() const { return entries_.empty(); }
-    void reserve(std::size_t n) { entries_.reserve(n); }
-    const_iterator begin() const { return entries_.begin(); }
-    const_iterator end() const { return entries_.end(); }
+    std::size_t size() const { return entries().size(); }
+    bool empty() const { return entries().empty(); }
+    void reserve(std::size_t n) { writable().reserve(n); }
+    const_iterator begin() const { return entries().begin(); }
+    const_iterator end() const { return entries().end(); }
 
     /** The entry keyed @p after, or end(). */
     const_iterator
@@ -89,18 +97,25 @@ class SessionBook
     }
 
     /** Add @p turn under @p after unless the key is taken; .second
-     *  says whether it was added, .first points at the key's entry. */
+     *  says whether it was added, .first points at the key's entry.
+     *  Fatal if the think time is negative or not finite. */
     std::pair<const_iterator, bool>
     emplace(RequestId after, SessionTurn turn)
     {
-        if (entries_.empty() || entries_.back().first < after) {
-            entries_.emplace_back(after, std::move(turn));
+        if (!(std::isfinite(turn.thinkSeconds) && turn.thinkSeconds >= 0.0))
+            fatal("SessionBook: the successor of request %u has think "
+                  "time %g; it must be finite and nonnegative",
+                  after, turn.thinkSeconds);
+        if (empty() || entries().back().first < after) {
+            writable().emplace_back(after, std::move(turn));
             return {std::prev(end()), true};
         }
         auto it = lowerBound(after);
         if (it->first == after)
             return {it, false};
-        return {entries_.emplace(it, after, std::move(turn)), true};
+        auto at = it - begin(); // writable() may clone
+        auto &v = writable();
+        return {v.emplace(v.begin() + at, after, std::move(turn)), true};
     }
 
     std::pair<const_iterator, bool>
@@ -110,6 +125,24 @@ class SessionBook
     }
 
   private:
+    const std::vector<value_type> &
+    entries() const
+    {
+        static const std::vector<value_type> kEmpty;
+        return entries_ ? *entries_ : kEmpty;
+    }
+
+    /** The vector, made on first use and cloned if shared. */
+    std::vector<value_type> &
+    writable()
+    {
+        if (!entries_)
+            entries_ = std::make_shared<std::vector<value_type>>();
+        else if (entries_.use_count() > 1)
+            entries_ = std::make_shared<std::vector<value_type>>(*entries_);
+        return *entries_;
+    }
+
     const_iterator
     lowerBound(RequestId after) const
     {
@@ -120,31 +153,29 @@ class SessionBook
             });
     }
 
-    std::vector<value_type> entries_;
+    /** Null until the first write; shared by copies. */
+    std::shared_ptr<std::vector<value_type>> entries_;
 };
 
 /**
  * The accumulate rule of ServingEngine::declareSessionTurns() and
- * FleetEngine::setSessions(): the union of @p book and @p more,
- * either of which may be null. When one side is empty the other
- * pointer is returned as is, so accumulating from null stays null
- * until the first nonempty book, which is adopted without a copy;
- * only a second nonempty book is merged, in one linear pass. A
- * predecessor id in both books is fatal.
+ * FleetEngine::setSessions(): the union of @p book and @p more. When
+ * one side is empty the other is returned, sharing its storage; only
+ * two nonempty books are merged, in one linear pass. A predecessor
+ * id in both books is fatal.
  */
-std::shared_ptr<const SessionBook>
-mergeSessionBooks(std::shared_ptr<const SessionBook> book,
-                  std::shared_ptr<const SessionBook> more);
+SessionBook mergeSessionBooks(const SessionBook &book,
+                              const SessionBook &more);
 
 /**
  * Fatal, naming @p context and the id, unless the request ids of
- * @p trace and the successor-turn ids of @p book (null: none) are
+ * @p trace and the successor-turn ids of @p book are
  * pairwise distinct. While the ids of each side strictly increase,
  * as every generator emits them, this is one merged walk; otherwise
  * it sorts a copy of the ids.
  */
 void requireDistinctIds(const std::vector<TimedRequest> &trace,
-                        const SessionBook *book, const char *context);
+                        const SessionBook &book, const char *context);
 
 /** The same check over the request ids of @p trace and @p more. */
 void requireDistinctIds(const std::vector<TimedRequest> &trace,

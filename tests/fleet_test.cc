@@ -886,6 +886,38 @@ TEST(FleetEngine, AdvanceInStepsMatchesRun)
     }
 }
 
+TEST(FleetEngine, WritingTheCallersBookAfterSetSessionsChangesNothing)
+{
+    // The caller writes its book after setSessions(): the write
+    // clones the storage, so the four threads that advance the
+    // replicas read a table nothing writes.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionAffinityWorkload();
+    FleetOptions fopts;
+    fopts.replicas = 4;
+    fopts.policy = RoutePolicy::PrefixAffinity;
+    fopts.dispatchLatencySeconds = 0.002;
+    fopts.engine = testEngineOptions();
+    fopts.engine.prefixCache.enabled = true;
+    fopts.threads = 4;
+    auto run = [&](bool write_after) {
+        FleetEngine fleet(cluster, model, built.initial, fopts);
+        SessionBook book = built.sessions;
+        fleet.setSessions(book);
+        if (write_after)
+            extendOneSession(book, built.initial);
+        return fleet.run();
+    };
+    const FleetResult unedited = run(false);
+    expectSameFleet(run(true), unedited);
+
+    // The edit is one a run would see when declared.
+    extendOneSession(built.sessions, built.initial);
+    EXPECT_EQ(run(false).aggregate.completedRequests,
+              unedited.aggregate.completedRequests + 1);
+}
+
 TEST(FleetEngineDeathTest, InvalidOptionsAreFatalNamingTheField)
 {
     auto model = testModel();

@@ -12,7 +12,9 @@
  * changing its contents.
  *
  * It also holds the fleet's token-ledger oracles: the ledger
- * identity, and goodput recomputed from the per-replica completions.
+ * identity, and goodput recomputed from the per-replica completions;
+ * and extendOneSession(), the book edit that shows a declared
+ * session book is unaffected by later writes to the caller's copy.
  */
 
 #ifndef PIMPHONY_TESTS_RESULT_EQ_HH
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -177,6 +180,31 @@ expectGoodputIsCompletedDecode(const FleetResult &fleet,
     EXPECT_EQ(fleet.goodputTokens, goodput);
     EXPECT_EQ(fleet.aggregate.goodputTokens, goodput);
     expectTokenLedgerBalances(fleet);
+}
+
+/**
+ * Emplace into @p book one more turn after the last turn of the
+ * session whose turn 1 has the largest key, under a request id no
+ * request of @p trace or @p book uses. A run that sees the edit
+ * completes one request more than one that does not.
+ */
+inline void
+extendOneSession(SessionBook &book, const std::vector<TimedRequest> &trace)
+{
+    ASSERT_FALSE(book.empty());
+    RequestId fresh = 0;
+    for (const TimedRequest &timed : trace)
+        fresh = std::max<RequestId>(fresh, timed.request.id + 1);
+    for (const auto &kv : book)
+        fresh = std::max<RequestId>(fresh, kv.second.request.id + 1);
+    Request last = std::prev(book.end())->second.request;
+    for (auto it = book.find(last.id); it != book.end();
+         it = book.find(last.id))
+        last = it->second.request;
+    Request next = last;
+    next.id = fresh;
+    ++next.turn;
+    ASSERT_TRUE(book.emplace(last.id, SessionTurn{next, 0.1}).second);
 }
 
 } // namespace pimphony

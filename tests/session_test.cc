@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <memory>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -308,6 +308,49 @@ TEST(SessionBook, KeySortedInsertLookupAndCopy)
     }
 }
 
+TEST(SessionBook, CopiesShareStorageUntilWritten)
+{
+    auto turn = [](RequestId id, double think) {
+        return SessionTurn{Request(id, 1000, 8), think};
+    };
+    SessionBook book;
+    book.reserve(8);
+    EXPECT_TRUE(book.emplace(10, turn(11, 0.1)).second);
+    EXPECT_TRUE(book.emplace(30, turn(31, 0.3)).second);
+    // A sole owner writes in place: with room reserved, appending and
+    // inserting in between keep the storage.
+    const auto *storage = &*book.begin();
+    EXPECT_TRUE(book.emplace(40, turn(41, 0.4)).second);
+    EXPECT_TRUE(book.emplace(20, turn(21, 0.2)).second);
+    EXPECT_EQ(&*book.begin(), storage);
+
+    SessionBook copy = book;
+    EXPECT_EQ(&*copy.begin(), &*book.begin());
+    std::vector<const SessionBook::value_type *> addresses;
+    for (const auto &kv : book)
+        addresses.push_back(&kv);
+    // A taken key writes nothing, so the copy still shares.
+    EXPECT_FALSE(copy.emplace(20, turn(99, 9.0)).second);
+    EXPECT_EQ(&*copy.begin(), &*book.begin());
+
+    // The first write to a shared book clones it; the original keeps
+    // its size, entries and element addresses.
+    EXPECT_TRUE(copy.emplace(25, turn(26, 0.25)).second);
+    EXPECT_NE(&*copy.begin(), &*book.begin());
+    EXPECT_EQ(copy.size(), 5u);
+    ASSERT_EQ(book.size(), 4u);
+    std::vector<RequestId> keys;
+    std::size_t i = 0;
+    for (const auto &kv : book) {
+        keys.push_back(kv.first);
+        EXPECT_EQ(kv.second.request.id, kv.first + 1);
+        EXPECT_EQ(&kv, addresses[i++]);
+    }
+    EXPECT_EQ(keys, (std::vector<RequestId>{10, 20, 30, 40}));
+    EXPECT_TRUE(book.find(25) == book.end());
+    EXPECT_EQ(copy.find(25)->second.request.id, 26u);
+}
+
 // --- Declaring the book: adoption, accumulation, immutability. --------
 
 /** @p book split by predecessor-id parity into two disjoint halves. */
@@ -325,28 +368,52 @@ TEST(Sessions, SharedBookMatchesCopiedBook)
     auto model = testModel();
     auto cluster = testCluster(model);
     auto built = sessionWorkload(6, 3, 37);
+    const std::vector<SessionBook::value_type> before(
+        built.sessions.begin(), built.sessions.end());
 
-    auto copied = runWithSessions(cluster, model, built);
-    auto book = std::make_shared<const SessionBook>(built.sessions);
+    auto declared = runWithSessions(cluster, model, built);
+    SessionBook book = built.sessions;
     ServingEngine engine(cluster, model, built.initial,
                          testEngineOptions());
     engine.declareSessionTurns(book);
-    auto shared = engine.run();
-    ASSERT_EQ(copied.completedRequests, 18u);
-    expectSameResult(copied, shared);
+    auto copied = engine.run();
+    ASSERT_EQ(declared.completedRequests, 18u);
+    expectSameResult(declared, copied);
 
-    // The engine only reads the book: after the run every entry is
-    // still there, unchanged, including the turns that fired.
-    ASSERT_EQ(book->size(), built.sessions.size());
-    for (const auto &kv : built.sessions) {
-        auto entry = book->find(kv.first);
-        ASSERT_TRUE(entry != book->end()) << kv.first;
+    // The engine only reads the book: after the run the copy still
+    // shares the original's storage, and every entry is still there,
+    // unchanged, including the turns that fired.
+    EXPECT_EQ(&*book.begin(), &*built.sessions.begin());
+    ASSERT_EQ(book.size(), before.size());
+    for (const auto &kv : before) {
+        auto entry = book.find(kv.first);
+        ASSERT_TRUE(entry != book.end()) << kv.first;
         const SessionTurn &after = entry->second;
         EXPECT_EQ(after.request.id, kv.second.request.id);
         EXPECT_EQ(after.request.contextTokens,
                   kv.second.request.contextTokens);
         EXPECT_EQ(after.thinkSeconds, kv.second.thinkSeconds);
     }
+}
+
+TEST(Sessions, WritingTheCallersBookAfterDeclarationChangesNothing)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto built = sessionWorkload(6, 3, 37);
+    auto declared = runWithSessions(cluster, model, built);
+    ASSERT_EQ(declared.completedRequests, 18u);
+
+    // The engine shares the caller's storage; the write clones it.
+    ServingEngine engine(cluster, model, built.initial,
+                         testEngineOptions());
+    engine.declareSessionTurns(built.sessions);
+    extendOneSession(built.sessions, built.initial);
+    expectSameResult(engine.run(), declared);
+
+    // The edit is one a run would see when declared.
+    EXPECT_EQ(runWithSessions(cluster, model, built).completedRequests,
+              19u);
 }
 
 TEST(Sessions, TwoDeclarationsEqualTheirUnion)
@@ -559,20 +626,15 @@ TEST(SessionsDeathTest, SuccessorIdRepeatingARequestIdIsFatal)
 
 TEST(SessionsDeathTest, NegativeOrNaNThinkTimeIsFatal)
 {
-    auto model = testModel();
-    auto cluster = testCluster(model);
-    auto built = sessionWorkload(2, 2, 59);
-    for (double think : {-1.0, std::nan("")}) {
-        // The first entry with the bad think time, then the rest.
+    // The book refuses a bad think time when it is inserted, naming
+    // the predecessor, so no engine ever sees one.
+    for (double think : {-1.0, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
         SessionBook book;
-        auto it = built.sessions.begin();
-        book.emplace(it->first, SessionTurn{it->second.request, think});
-        while (++it != built.sessions.end())
-            book.insert(*it);
-        ServingEngine engine(cluster, model, built.initial,
-                             testEngineOptions());
-        EXPECT_DEATH(engine.declareSessionTurns(book),
-                     "session think times must be nonnegative");
+        EXPECT_DEATH(book.emplace(7, SessionTurn{Request(8, 1000, 8), think}),
+                     "the successor of request 7 has think time .*; it "
+                     "must be finite and nonnegative")
+            << think;
     }
 }
 

@@ -850,6 +850,34 @@ TEST(Replay, IntegerKeysMustBeExactAndInRange)
                 loaded.sessions.end());
 }
 
+TEST(Replay, ThinkTimeMustBeFiniteAndNonnegative)
+{
+    const char *path = "REPLAY_THINK_TEST.tmp";
+    auto write = [&](const std::string &think) {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << "{\"format\": \"pimphony-trace-v1\", \"requests\": "
+              "[{\"id\": 0, \"context\": 8, \"decode\": 1}], "
+              "\"successors\": [{\"after\": 0, \"id\": 1, "
+              "\"context\": 8, \"decode\": 1, \"think_s\": "
+           << think << "}]}";
+    };
+    // Named with its value and position, as a bad integer key is.
+    for (const char *bad : {"-1", "-0.5", "inf", "nan"}) {
+        write(bad);
+        EXPECT_DEATH(loadWorkload(path),
+                     std::string("REPLAY_THINK_TEST.tmp:1:[0-9]+: bad trace "
+                                 "file: 'think_s' must be finite and "
+                                 ">= 0, got ") +
+                         bad + " \\(at byte [0-9]+\\)")
+            << bad;
+    }
+    write("0.25");
+    BuiltWorkload loaded = loadWorkload(path);
+    std::remove(path);
+    ASSERT_EQ(loaded.sessions.size(), 1u);
+    EXPECT_EQ(loaded.sessions.begin()->second.thinkSeconds, 0.25);
+}
+
 // --- Sorted-arrival guard. ----------------------------------------------
 
 TEST(Arrivals, RequireSortedAcceptsSortedAndDiesOnUnsorted)
