@@ -208,20 +208,13 @@ sweep(std::size_t n, const std::vector<double> &shares,
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         const EngineResult &r = outs[i].value;
-        double ttft_sum = 0.0;
-        for (const auto &kv : r.firstTokenLatency)
-            ttft_sum += kv.second;
-        double ttft_avg = r.firstTokenLatency.empty()
-            ? 0.0
-            : ttft_sum /
-                static_cast<double>(r.firstTokenLatency.size());
         t.addRow({TablePrinter::fmt(c.share, 1),
                   std::to_string(c.turns), c.mode.name,
                   TablePrinter::fmt(r.tokensPerSecond, 1),
                   TablePrinter::fmt(r.prefixHitRate, 2),
                   std::to_string(r.prefixCachedTokens),
                   TablePrinter::fmt(r.savedPrefillSeconds, 3),
-                  TablePrinter::fmt(ttft_avg, 3),
+                  TablePrinter::fmt(r.avgFirstTokenSeconds, 3),
                   std::to_string(r.completedRequests),
                   std::to_string(r.simEvents)});
         if (args.json) {
@@ -238,7 +231,7 @@ sweep(std::size_t n, const std::vector<double> &shares,
             json.field("prefix_cached_tokens", r.prefixCachedTokens);
             json.field("saved_prefill_s", r.savedPrefillSeconds);
             json.field("prefill_s", r.prefillSeconds);
-            json.field("ttft_avg_s", ttft_avg);
+            json.field("ttft_avg_s", r.avgFirstTokenSeconds);
             json.field("ttft_p95_s", r.p95FirstTokenSeconds);
             json.field("shared_kv_peak_bytes", r.sharedKvPeakBytes);
             json.field("completed", r.completedRequests);

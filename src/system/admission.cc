@@ -1,6 +1,7 @@
 #include "system/admission.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/logging.hh"
@@ -57,10 +58,21 @@ Admission::prepare(const SchedPolicy &policy)
 }
 
 void
+Admission::requireValidGapSlo(const Request &r)
+{
+    const double slo = r.cls.gapSloSeconds;
+    if (!(std::isfinite(slo) && slo >= 0.0))
+        fatal("request %u: RequestClass::gapSloSeconds is %g; it must be "
+              "finite and >= 0 (0 = the policy default)",
+              r.id, slo);
+}
+
+void
 Admission::registerArrival(const Request &r)
 {
     const RequestClass &cls = r.cls;
     if (classesActive_) {
+        requireValidGapSlo(r);
         TierState &ts = tierEntry(cls.tier);
         ++ts.row.requests;
         double &target = ts.row.gapSloTargetSeconds;

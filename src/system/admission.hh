@@ -99,7 +99,8 @@ class Admission
      * lowest-rank request (ties: the first visited); a tier without
      * one gets sloTargetGapSeconds. Calls accumulate, and a target an
      * earlier call set stays. A default-class workload without
-     * budgets activates nothing.
+     * budgets activates nothing. Fatal, naming the request, if a
+     * gapSloSeconds is not finite and >= 0 (0 = the policy default).
      */
     template <typename ForEach> void declare(ForEach for_each);
 
@@ -300,6 +301,9 @@ class Admission
         return memoized(tenants_, tenantMemo_, t);
     }
 
+    /** Fatal unless @p r's gapSloSeconds is finite and >= 0. */
+    static void requireValidGapSlo(const Request &r);
+
     /** Open a declare() call: lock the targets earlier calls set. */
     void beginDeclare();
 
@@ -319,6 +323,7 @@ Admission::declare(ForEach for_each)
         const RequestClass &cls = r.cls;
         classesActive_ = classesActive_ || !cls.isDefault();
         tenantsActive_ = tenantsActive_ || cls.tenant != 0;
+        requireValidGapSlo(r);
         TierState &ts = tierEntry(cls.tier);
         if (cls.gapSloSeconds > 0.0 && rank < ts.targetRank) {
             ts.row.gapSloTargetSeconds = cls.gapSloSeconds;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <list>
+#include <unordered_set>
 #include <utility>
 
 #include "common/logging.hh"
@@ -84,6 +85,13 @@ struct ServingEngine::EventRun
      * rewound and failed over.
      */
     std::uint64_t epoch = 0;
+
+    /**
+     * Requests that left this engine after emitting a token
+     * (preempted, or killed by evacuate()): a restart here records
+     * no second TTFT. Usually empty.
+     */
+    std::unordered_set<RequestId> restarted;
 
     std::uint32_t nextCohortId = 0;
     std::uint64_t cycles = 0;
@@ -217,6 +225,8 @@ ServingEngine::advanceMember(Active &a, double completion_clock)
         admission_->release(a);
         ++result_.preemptions;
         result_.recomputedTokens += a.generated;
+        if (a.generated >= 1)
+            ev_->restarted.insert(a.request.id);
         admission_->enqueue({a.request, a.arrival});
         return false;
     }
@@ -227,7 +237,8 @@ ServingEngine::advanceMember(Active &a, double completion_clock)
         double ttft = completion_clock - a.arrival;
         // First admission wins: a preempted-and-recomputed request
         // keeps the TTFT of its first emitted token.
-        if (result_.firstTokenLatency.emplace(a.request.id, ttft).second) {
+        if (!ev_->restarted.count(a.request.id)) {
+            result_.firstTokenLatency.add(a.request.id, ttft);
             result_.firstTokenRuns.add(ttft);
             admission_->recordFirstToken(tier, ttft);
         }
@@ -271,12 +282,10 @@ ServingEngine::advanceMember(Active &a, double completion_clock)
         result_.goodputTokens += a.request.decodeTokens;
         admission_->recordCompletion(tier);
         result_.requestLatencyRuns.add(completion_clock - a.arrival);
-        // At most one completion per request per engine: what lets
+        // At most one completion per request per engine (checked
+        // when finalize() seals the table): what lets
         // releaseNextTurn() leave the session book unedited.
-        auto done = result_.completionSeconds.emplace(a.request.id,
-                                                      completion_clock);
-        if (!done.second)
-            panic("request %u completed twice", a.request.id);
+        result_.completionSeconds.add(a.request.id, completion_clock);
         if (next)
             releaseNextTurn(*next, completion_clock);
         return false;
@@ -920,6 +929,8 @@ ServingEngine::evacuate(bool kill_in_flight)
         allocator_->release(a.request.id);
         admission_->release(a);
         out.lostTokens += a.generated;
+        if (a.generated >= 1)
+            ev.restarted.insert(a.request.id);
         out.inFlight.push_back({a.request, a.arrival});
     };
     for (Active &a : ev.readyPool)
@@ -1002,7 +1013,7 @@ ServingEngine::finalize()
     result_.simEvents = ev.queue.dispatched();
     admission_->finalize();
     finalizeResult(ev.acc, ev.batchTime, ev.capacityTime);
-    // Moved, not copied: the per-request maps are the largest part
+    // Moved, not copied: the per-request tables are the largest part
     // of the result, and a second finalize() is fatal above.
     return std::move(result_);
 }
@@ -1022,6 +1033,50 @@ ServingEngine::finalizeResult(const ChannelAccum &acc, double batch_time,
     }
     result_.macUtilization = safeRatio(acc.busyCycles, acc.spanCycles);
     result_.summarizeLatencies();
+    result_.firstTokenLatency.seal("emitted a first token");
+    result_.completionSeconds.seal("completed");
+}
+
+namespace {
+
+bool
+idLess(const RequestTimes::value_type &a, const RequestTimes::value_type &b)
+{
+    return a.first < b.first;
+}
+
+bool
+sameId(const RequestTimes::value_type &a, const RequestTimes::value_type &b)
+{
+    return a.first == b.first;
+}
+
+} // namespace
+
+void
+RequestTimes::append(const RequestTimes &other)
+{
+    entries_.insert(entries_.end(), other.begin(), other.end());
+}
+
+void
+RequestTimes::seal(const char *event)
+{
+    std::sort(entries_.begin(), entries_.end(), idLess);
+    auto twice = std::adjacent_find(entries_.begin(), entries_.end(), sameId);
+    if (twice != entries_.end())
+        panic("request %u %s twice", twice->first, event);
+}
+
+void
+RequestTimes::sealLatestWins()
+{
+    // Reversed, a stable sort puts each id's last-appended entry
+    // first in its run, and unique() keeps the first.
+    std::reverse(entries_.begin(), entries_.end());
+    std::stable_sort(entries_.begin(), entries_.end(), idLess);
+    entries_.erase(std::unique(entries_.begin(), entries_.end(), sameId),
+                   entries_.end());
 }
 
 void

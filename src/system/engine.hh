@@ -30,9 +30,11 @@
 #ifndef PIMPHONY_SYSTEM_ENGINE_HH
 #define PIMPHONY_SYSTEM_ENGINE_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "alloc/kv_allocator.hh"
@@ -63,6 +65,61 @@ struct EngineOptions : ServingOptions
 
     /** Cap on simulated cohort decode cycles (safety valve). */
     std::uint64_t maxSteps = 200000;
+};
+
+/**
+ * One time per request id (EngineResult::firstTokenLatency and
+ * ::completionSeconds): a flat vector of (id, seconds) pairs, 16 B
+ * an entry. The producer appends in any order and seals the table
+ * once; from then on find() and count() are binary searches and
+ * iteration runs in ascending id order.
+ */
+class RequestTimes
+{
+  public:
+    using value_type = std::pair<RequestId, double>;
+    using const_iterator = std::vector<value_type>::const_iterator;
+
+    std::size_t size() const { return entries_.size(); }
+    bool empty() const { return entries_.empty(); }
+    const_iterator begin() const { return entries_.begin(); }
+    const_iterator end() const { return entries_.end(); }
+
+    /** The entry of @p id, or end(). Sealed tables only. */
+    const_iterator
+    find(RequestId id) const
+    {
+        auto it = std::lower_bound(
+            begin(), end(), id,
+            [](const value_type &kv, RequestId key) {
+                return kv.first < key;
+            });
+        return it != end() && it->first == id ? it : end();
+    }
+
+    std::size_t count(RequestId id) const { return find(id) != end(); }
+
+    void reserve(std::size_t n) { entries_.reserve(n); }
+
+    /** Append @p id's time; seal() restores id order. */
+    void add(RequestId id, double seconds)
+    {
+        entries_.emplace_back(id, seconds);
+    }
+
+    /** Append every entry of @p other after this table's own. */
+    void append(const RequestTimes &other);
+
+    /** Sort by id. An id present twice is a panic that names it and
+     *  @p event ("request 7 completed twice"). */
+    void seal(const char *event);
+
+    /** Sort by id stably and keep, of each id, the entry appended
+     *  last: the fleet aggregate's "the later replica wins". */
+    void sealLatestWins();
+
+  private:
+    std::vector<value_type> entries_;
 };
 
 struct EngineResult
@@ -135,16 +192,22 @@ struct EngineResult
      */
     std::uint64_t tokenGapSamples = 0;
 
-    /** Per-request TTFT, keyed by request id (first admission). */
-    std::unordered_map<RequestId, double> firstTokenLatency;
+    /**
+     * Per-request TTFT, in ascending id order: one entry per request
+     * that emitted a token here. First admission wins: a request
+     * preempted or killed after its first token and served here again
+     * keeps the TTFT it emitted first, and its restart records no
+     * TTFT sample.
+     */
+    RequestTimes firstTokenLatency;
 
     /**
-     * Per-request completion time on the serving clock, keyed by
-     * request id. One entry per completed request (rejected requests
+     * Per-request completion time on the serving clock, in ascending
+     * id order. One entry per completed request (rejected requests
      * never complete); the session tests read it to check that turn
      * k+1 is released only after turn k completes.
      */
-    std::unordered_map<RequestId, double> completionSeconds;
+    RequestTimes completionSeconds;
 
     // --- Co-scheduling policy metrics. ------------------------------
 

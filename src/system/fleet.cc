@@ -72,8 +72,9 @@ transitionPlan(const FaultSchedule &faults)
     return plan;
 }
 
-/** Fold @p r's counters, peaks, sample stores and per-request maps
- *  into @p agg: sums, maxima, and concatenated stores. */
+/** Fold @p r's counters, peaks, sample stores and per-request
+ *  tables into @p agg: sums, maxima, and concatenated stores and
+ *  tables. */
 void
 foldReplica(EngineResult &agg, EngineResult &r)
 {
@@ -117,10 +118,8 @@ foldReplica(EngineResult &agg, EngineResult &r)
     agg.requestLatencyRuns.absorb(std::move(r.requestLatencyRuns));
     agg.firstTokenRuns.absorb(std::move(r.firstTokenRuns));
     agg.tokenGapRuns.absorb(std::move(r.tokenGapRuns));
-    for (const auto &kv : r.firstTokenLatency)
-        agg.firstTokenLatency[kv.first] = kv.second;
-    for (const auto &kv : r.completionSeconds)
-        agg.completionSeconds[kv.first] = kv.second;
+    agg.firstTokenLatency.append(r.firstTokenLatency);
+    agg.completionSeconds.append(r.completionSeconds);
 }
 
 /** Fleet-level aggregate of @p results (see FleetResult); takes
@@ -152,6 +151,8 @@ aggregateResults(std::vector<EngineResult> &results)
     agg.firstTokenLatency.reserve(first_tokens);
     agg.completionSeconds.reserve(completions);
 
+    // Replicas are folded in order, so sealLatestWins() keeps a
+    // failed-over request's entry from the later replica.
     for (EngineResult &r : results) {
         foldReplica(agg, r);
         batch_sum += r.avgEffectiveBatch * r.simulatedSeconds;
@@ -209,6 +210,8 @@ aggregateResults(std::vector<EngineResult> &results)
         agg.tenantOccupancy.push_back(ta.out);
     }
     agg.summarizeLatencies();
+    agg.firstTokenLatency.sealLatestWins();
+    agg.completionSeconds.sealLatestWins();
     return agg;
 }
 

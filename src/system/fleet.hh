@@ -130,7 +130,10 @@ struct FleetResult
      * averages and p95s (per class too) are exact over the replicas'
      * pooled samples: their stores are merged in replica index order
      * and summarized as one engine's, so a p95 is a true nearest-rank
-     * percentile. A deterministic function of the per-replica results.
+     * percentile. The per-request tables hold one entry per id, in
+     * id order; a request served on two replicas (a crash failover)
+     * keeps the later replica's entry. A deterministic function of
+     * the per-replica results.
      */
     EngineResult aggregate;
 

@@ -191,6 +191,21 @@ integerField(const std::map<std::string, double> &fields, const char *key,
     return static_cast<T>(v);
 }
 
+/** Seconds key @p key, 0 when absent; fails unless finite and >= 0. */
+double
+secondsField(const std::map<std::string, double> &fields, const char *key,
+             const Cursor &c)
+{
+    const double v = fieldOr(fields, key, 0.0);
+    if (!(std::isfinite(v) && v >= 0.0)) {
+        std::string what = std::string("'") + key +
+                           "' must be finite and >= 0, got " +
+                           numberToken(v);
+        parseFail(c, what.c_str());
+    }
+    return v;
+}
+
 Request
 requestFromFields(const std::map<std::string, double> &fields,
                   const Cursor &c)
@@ -205,7 +220,7 @@ requestFromFields(const std::map<std::string, double> &fields,
     r.session = integerField<SessionId>(fields, "session", c);
     r.turn = integerField<unsigned>(fields, "turn", c);
     r.cls.tier = integerField<unsigned>(fields, "tier", c);
-    r.cls.gapSloSeconds = fieldOr(fields, "gap_slo_s", 0.0);
+    r.cls.gapSloSeconds = secondsField(fields, "gap_slo_s", c);
     r.cls.tenant = integerField<unsigned>(fields, "tenant", c);
     r.prefixHash = integerField<std::uint64_t>(fields, "prefix_hash", c);
     r.prefixTokens = integerField<Tokens>(fields, "prefix_tokens", c);
@@ -293,13 +308,7 @@ loadWorkload(const std::string &path)
                             auto pred = integerField<RequestId>(
                                 fields, "after", c);
                             double think =
-                                fieldOr(fields, "think_s", 0.0);
-                            if (!(std::isfinite(think) && think >= 0.0)) {
-                                std::string what =
-                                    "'think_s' must be finite and >= 0, "
-                                    "got " + numberToken(think);
-                                parseFail(c, what.c_str());
-                            }
+                                secondsField(fields, "think_s", c);
                             successors.emplace_back(
                                 pred, SessionTurn{r, think});
                         }

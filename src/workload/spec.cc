@@ -168,6 +168,9 @@ buildWorkload(const WorkloadSpec &spec, std::uint64_t seed)
         spec.session.thinkMeanSeconds < 0.0)
         fatal("WorkloadSpec: session.thinkMeanSeconds must be finite "
               "and >= 0 (got %g)", spec.session.thinkMeanSeconds);
+    if (!(spec.prefix.share >= 0.0 && spec.prefix.share <= 1.0))
+        fatal("WorkloadSpec: prefix.share must be in [0, 1] (got %g)",
+              spec.prefix.share);
 
     LengthDraws lengths(spec.length, workloadLengthSeed(seed));
     PrefixDraws prefixes(spec.prefix, workloadPrefixSeed(seed));

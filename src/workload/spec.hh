@@ -133,7 +133,8 @@ struct SessionSpec
  */
 struct PrefixSpec
 {
-    /** Probability a request/session opens with a pooled prefix. */
+    /** Probability a request/session opens with a pooled prefix, in
+     *  [0, 1]; buildWorkload() is fatal on anything else. */
     double share = 0.0;
 
     /** Distinct prefixes in the pool. */

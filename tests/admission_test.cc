@@ -11,11 +11,14 @@
  *  - a memory block halts a pass while a budget block only skips;
  *  - a fractional prefix charge is refunded exactly;
  *  - declaration picks each tier's target by rank, whatever the
- *    visit order, and an earlier call's target stays.
+ *    visit order, and an earlier call's target stays, and a class
+ *    target that is not finite and >= 0 is fatal.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -143,6 +146,27 @@ TEST(Admission, DeclaredTargetIsTheLowestRanksAndCallsAccumulate)
                   want[i].second);
     }
     ASSERT_EQ(rig.result.tenantOccupancy.size(), 2u);
+}
+
+TEST(AdmissionDeathTest, BadClassSloTargetIsFatalNamingTheRequest)
+{
+    // NaN or negative used to fall back to the policy default, and
+    // +inf to disable the tier's gate, without a word.
+    Rig rig(200000);
+    for (double bad : {std::nan(""), -1.0,
+                       std::numeric_limits<double>::infinity()}) {
+        std::vector<TimedRequest> trace{arrival(0, 1000, 1, 0, 0.05),
+                                        arrival(3, 1000, 1, 0, bad)};
+        EXPECT_DEATH(ServingEngine(rig.cluster, rig.model, trace,
+                                   EngineOptions{}),
+                     "request 3: RequestClass::gapSloSeconds is "
+                     "[-a-z0-9]+; it must be finite and >= 0")
+            << bad;
+    }
+    // 0 still means the policy default.
+    std::vector<TimedRequest> trace{arrival(0, 1000, 1, 0, 0.0)};
+    ServingEngine engine(rig.cluster, rig.model, trace, EngineOptions{});
+    SUCCEED();
 }
 
 TEST(Admission, GateIsAMonotoneTierThreshold)

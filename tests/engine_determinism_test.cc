@@ -18,12 +18,16 @@
  *  - Run-to-run: the same engine object graph run twice in one
  *    process must be bit-identical in every field, which is what the
  *    CI determinism job also checks across processes.
+ *
+ * It also pins the per-request tables (RequestTimes): sealing puts
+ * them in id order, and a preempted restart keeps its first TTFT.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "result_eq.hh"
 #include "system/engine.hh"
 #include "system/sched_policy.hh"
 #include "workload/arrival.hh"
@@ -154,6 +158,77 @@ TEST(EngineGolden, EventDrivenChunkPreempt)
     // Quantum-slicing counters: preemption accounting is exact.
     EXPECT_EQ(r.chunkSlices, 5808u);
     EXPECT_EQ(r.decodeOvertakes, 168u);
+}
+
+TEST(EngineGolden, PreemptedRestartKeepsItsFirstTtft)
+{
+    // A KV budget of 5,600 tokens over two modules, and three
+    // requests that each grow to 3,000 tokens: two are preempted
+    // mid-decode, after emitting tokens, and restart. Each request
+    // records one TTFT, its first; a restart records none.
+    auto model = LlmConfig::llm7b(true);
+    auto cluster = ClusterConfig::centLike(model);
+    cluster.nModules = 2;
+    cluster.plan = ParallelPlan{2, 1};
+    Bytes kv_budget = model.kvBytesPerToken() * 5600;
+    cluster.module.capacityBytes =
+        (kv_budget + model.weightBytes()) / cluster.nModules + 1;
+    applyOptions(cluster, PimphonyOptions::all());
+    std::vector<TimedRequest> trace;
+    for (RequestId i = 0; i < 6; ++i)
+        trace.push_back({Request(i, 1000, i % 2 == 0 ? 2000 : 64),
+                         0.01 * static_cast<double>(i)});
+    EngineOptions opts;
+    opts.allocator = AllocatorKind::LazyChunk;
+    opts.prefillChunkTokens = 2048;
+    auto r = ServingEngine(cluster, model, trace, opts).run();
+
+    EXPECT_EQ(r.preemptions, 2u);
+    EXPECT_EQ(r.recomputedTokens, 3168u);
+    EXPECT_EQ(r.completedRequests, trace.size());
+    EXPECT_EQ(r.firstTokenLatency.size(), trace.size());
+    EXPECT_EQ(r.firstTokenLatency.size(), r.firstTokenRuns.count());
+    // Pinned when TTFTs were kept in a hash map keyed by request id
+    // (first emplace wins); a restart's TTFT would move it.
+    EXPECT_EQ(r.avgFirstTokenSeconds, 0x1.25897b6957de1p+3);
+    double sum = 0.0;
+    for (RequestId i = 0; i < 6; ++i)
+        sum += timeOf(r.firstTokenLatency, i);
+    EXPECT_DOUBLE_EQ(r.avgFirstTokenSeconds, sum / 6.0);
+}
+
+TEST(RequestTimes, SealOrdersOutOfOrderAppendsById)
+{
+    RequestTimes t;
+    t.add(7, 0.7);
+    t.add(2, 0.2);
+    t.add(9, 0.9);
+    t.add(4, 0.4);
+    t.seal("completed");
+    std::vector<RequestId> ids;
+    for (const auto &kv : t)
+        ids.push_back(kv.first);
+    EXPECT_EQ(ids, (std::vector<RequestId>{2, 4, 7, 9}));
+    EXPECT_EQ(t.size(), 4u);
+    EXPECT_EQ(timeOf(t, 7), 0.7);
+    EXPECT_EQ(t.count(4), 1u);
+    for (RequestId absent : {0u, 3u, 8u, 10u}) {
+        EXPECT_EQ(t.find(absent), t.end()) << absent;
+        EXPECT_EQ(t.count(absent), 0u) << absent;
+    }
+    RequestTimes empty;
+    empty.seal("completed");
+    EXPECT_TRUE(empty.empty());
+    EXPECT_EQ(empty.find(0), empty.end());
+}
+
+TEST(RequestTimesDeathTest, DuplicateCompletionPanicsNamingTheId)
+{
+    RequestTimes t;
+    t.add(11, 1.0);
+    t.add(4, 2.0);
+    t.add(11, 3.0);
+    EXPECT_DEATH(t.seal("completed"), "request 11 completed twice");
 }
 
 TEST(EngineDeterminism, RepeatedRunsAreBitIdentical)

@@ -326,6 +326,45 @@ TEST(FleetFaults, CrashMidDecodeFailsOverWithExactTokenAccounting)
     EXPECT_EQ(fleet.availability[0], 1.0);
 }
 
+TEST(FleetFaults, AggregateKeepsTheLaterReplicasTimes)
+{
+    // Replica 0 crashes mid-decode: requests it killed after their
+    // first token record a TTFT there and again on replica 1, where
+    // they complete. The aggregate holds one entry per id, in id
+    // order, and a request on both replicas keeps replica 1's.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(24, 64.0, 24, 256);
+
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.policy = RoutePolicy::RoundRobin;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = testEngineOptions();
+    fopts.faults.replicas.resize(2);
+    fopts.faults.replicas[0].push_back(crashAt(0.5));
+    auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+    ASSERT_GT(fleet.lostTokens, 0u);
+
+    const RequestTimes &r0 = fleet.replicas[0].firstTokenLatency;
+    const RequestTimes &r1 = fleet.replicas[1].firstTokenLatency;
+    const RequestTimes &agg = fleet.aggregate.firstTokenLatency;
+    std::size_t on_both = 0;
+    for (const auto &kv : r0) {
+        if (!r1.count(kv.first)) {
+            EXPECT_EQ(timeOf(agg, kv.first), kv.second) << kv.first;
+            continue;
+        }
+        ++on_both;
+        EXPECT_NE(kv.second, timeOf(r1, kv.first)) << kv.first;
+        EXPECT_EQ(timeOf(agg, kv.first), timeOf(r1, kv.first)) << kv.first;
+    }
+    ASSERT_GT(on_both, 0u);
+    EXPECT_EQ(agg.size(), r0.size() + r1.size() - on_both);
+    EXPECT_TRUE(std::is_sorted(agg.begin(), agg.end()));
+    EXPECT_EQ(fleet.aggregate.completionSeconds.size(), trace.size());
+}
+
 TEST(FleetFaults, ClassTtftAveragesAreWeightedByTtftSamples)
 {
     // Two tiers on both replicas of a 2-replica fleet; the crash on

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mapping/parallel.hh"
+#include "result_eq.hh"
 #include "sim/device.hh"
 #include "sim/event_queue.hh"
 #include "sim/pipeline.hh"
@@ -244,7 +245,7 @@ TEST(ChunkedPrefill, TtftReportedAndMonotoneInContext)
         auto r = ServingEngine(cluster, model, reqs, opts).run();
         ASSERT_EQ(r.completedRequests, 1u) << "ctx=" << ctx;
         ASSERT_EQ(r.firstTokenLatency.count(0), 1u) << "ctx=" << ctx;
-        double ttft = r.firstTokenLatency.at(0);
+        double ttft = timeOf(r.firstTokenLatency, 0);
         EXPECT_DOUBLE_EQ(ttft, r.avgFirstTokenSeconds);
         EXPECT_GT(ttft, 0.0);
         // Prefill work is on the clock now: TTFT exceeds the prefill

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "alloc/prefix_cache.hh"
+#include "result_eq.hh"
 #include "system/engine.hh"
 #include "system/fleet.hh"
 #include "system/prefill.hh"
@@ -406,8 +407,8 @@ TEST(PrefixEngine, WarmFollowersSkipTheCachedPrefill)
     // Every warm follower's TTFT beats its cold counterpart.
     for (RequestId id = 1; id < 6; ++id) {
         ASSERT_TRUE(on.firstTokenLatency.count(id));
-        EXPECT_LT(on.firstTokenLatency.at(id),
-                  off.firstTokenLatency.at(id))
+        EXPECT_LT(timeOf(on.firstTokenLatency, id),
+                  timeOf(off.firstTokenLatency, id))
             << "request " << id;
     }
     // The cache-off run never touches the prefix metrics.
@@ -476,7 +477,8 @@ TEST(PrefixEngine, SessionTurnsPrefillOnlyTheirDelta)
     EXPECT_GT(on.prefixCachedTokens, 0u);
     EXPECT_LT(on.prefillSeconds, off.prefillSeconds);
     // The successor turns complete earlier warm than cold.
-    EXPECT_LT(on.completionSeconds.at(2), off.completionSeconds.at(2));
+    EXPECT_LT(timeOf(on.completionSeconds, 2),
+              timeOf(off.completionSeconds, 2));
 }
 
 TEST(PrefixEngine, DisabledIsBitIdenticalToBaseline)
@@ -523,8 +525,8 @@ TEST(PrefixEngine, DisabledIsBitIdenticalToBaseline)
     EXPECT_EQ(a.avgRequestLatency, b.avgRequestLatency);
     EXPECT_EQ(a.avgFirstTokenSeconds, b.avgFirstTokenSeconds);
     EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds);
-    EXPECT_EQ(a.firstTokenLatency, b.firstTokenLatency);
-    EXPECT_EQ(a.completionSeconds, b.completionSeconds);
+    expectSameTimes(a.firstTokenLatency, b.firstTokenLatency);
+    expectSameTimes(a.completionSeconds, b.completionSeconds);
     EXPECT_EQ(b.prefixHits, 0u);
     EXPECT_EQ(b.prefixMisses, 0u);
 }
@@ -547,8 +549,8 @@ TEST(PrefixEngine, RunTwiceIsBitIdentical)
     EXPECT_EQ(a.prefixMisses, b.prefixMisses);
     EXPECT_EQ(a.prefixCachedTokens, b.prefixCachedTokens);
     EXPECT_EQ(a.savedPrefillSeconds, b.savedPrefillSeconds);
-    EXPECT_EQ(a.firstTokenLatency, b.firstTokenLatency);
-    EXPECT_EQ(a.completionSeconds, b.completionSeconds);
+    expectSameTimes(a.firstTokenLatency, b.firstTokenLatency);
+    expectSameTimes(a.completionSeconds, b.completionSeconds);
 }
 
 TEST(PrefixEngine, FractionalTenantChargeRefundsExactly)
@@ -714,10 +716,10 @@ TEST(PrefixFleet, AffinityWithCachingOffFallsBackToLeastLoaded)
     EXPECT_EQ(pa.aggregate.simulatedSeconds,
               ll.aggregate.simulatedSeconds);
     EXPECT_EQ(pa.aggregate.simEvents, ll.aggregate.simEvents);
-    EXPECT_EQ(pa.aggregate.firstTokenLatency,
-              ll.aggregate.firstTokenLatency);
-    EXPECT_EQ(pa.aggregate.completionSeconds,
-              ll.aggregate.completionSeconds);
+    expectSameTimes(pa.aggregate.firstTokenLatency,
+                    ll.aggregate.firstTokenLatency);
+    expectSameTimes(pa.aggregate.completionSeconds,
+                    ll.aggregate.completionSeconds);
     EXPECT_EQ(routePolicyName(RoutePolicy::PrefixAffinity),
               "prefix-affinity");
 }

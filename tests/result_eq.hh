@@ -11,6 +11,9 @@
  * aggregate, and a percentile reorders a store's runs without
  * changing its contents.
  *
+ * The per-request tables (firstTokenLatency, completionSeconds) are
+ * compared entry by entry, and read through timeOf().
+ *
  * It also holds the fleet's token-ledger oracles: the ledger
  * identity, and goodput recomputed from the per-replica completions;
  * and extendOneSession(), the book edit that shows a declared
@@ -25,6 +28,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +49,30 @@ expectSameEnergy(const EnergyBreakdown &a, const EnergyBreakdown &b)
     EXPECT_EQ(a.actPre, b.actPre);
     EXPECT_EQ(a.refreshE, b.refreshE);
     EXPECT_EQ(a.elseE, b.elseE);
+}
+
+/** @p id's time in @p table; a test failure, and NaN, if absent. */
+inline double
+timeOf(const RequestTimes &table, RequestId id)
+{
+    auto it = table.find(id);
+    if (it == table.end()) {
+        ADD_FAILURE() << "request " << id << " has no entry";
+        return std::numeric_limits<double>::quiet_NaN();
+    }
+    return it->second;
+}
+
+/** Same ids in the same order, with bit-equal times. */
+inline void
+expectSameTimes(const RequestTimes &a, const RequestTimes &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    auto ib = b.begin();
+    for (auto ia = a.begin(); ia != a.end(); ++ia, ++ib) {
+        EXPECT_EQ(ia->first, ib->first);
+        EXPECT_EQ(ia->second, ib->second) << "request " << ia->first;
+    }
 }
 
 inline void
@@ -74,8 +102,8 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.avgTokenGapSeconds, b.avgTokenGapSeconds);
     EXPECT_EQ(a.p95TokenGapSeconds, b.p95TokenGapSeconds);
     EXPECT_EQ(a.tokenGapSamples, b.tokenGapSamples);
-    EXPECT_EQ(a.firstTokenLatency, b.firstTokenLatency);
-    EXPECT_EQ(a.completionSeconds, b.completionSeconds);
+    expectSameTimes(a.firstTokenLatency, b.firstTokenLatency);
+    expectSameTimes(a.completionSeconds, b.completionSeconds);
 
     EXPECT_EQ(a.sloDeferrals, b.sloDeferrals);
     EXPECT_EQ(a.chunkSlices, b.chunkSlices);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "result_eq.hh"
 #include "sim/device.hh"
 #include "sim/event_queue.hh"
 #include "sim/pipeline.hh"
@@ -483,8 +484,8 @@ TEST(ChunkedPrefillEdge, ZeroContextRequestSkipsPrefill)
     ASSERT_EQ(r.firstTokenLatency.count(0), 1u);
     ASSERT_EQ(r.firstTokenLatency.count(1), 1u);
     EXPECT_GT(r.prefillSeconds, 0.0); // request 1 only
-    EXPECT_LT(r.firstTokenLatency.at(0),
-              0.5 * r.firstTokenLatency.at(1));
+    EXPECT_LT(timeOf(r.firstTokenLatency, 0),
+              0.5 * timeOf(r.firstTokenLatency, 1));
 }
 
 TEST(PipelineStage, XpuShadowTrailsPimTimeline)

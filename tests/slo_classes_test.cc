@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/orchestrator.hh"
+#include "result_eq.hh"
 #include "sim/device.hh"
 #include "sim/event_queue.hh"
 #include "system/engine.hh"
@@ -375,19 +376,19 @@ TEST(SloClassesEngine, GateDeferredPrefillHoldsTheFifoQueueButNotTiers)
     // Place B and C a quarter of the way into A's decode.
     auto alone = runEngine(cluster, model, {{{0, 2000, 64}, 0.0}}, 2048,
                            sched);
-    double a_first = alone.firstTokenLatency.at(0);
-    double a_done = alone.completionSeconds.at(0);
+    double a_first = timeOf(alone.firstTokenLatency, 0);
+    double a_done = timeOf(alone.completionSeconds, 0);
     double b_at = a_first + 0.25 * (a_done - a_first);
     double c_at = a_first + 0.3 * (a_done - a_first);
 
     auto c_first_token = [&](const EngineResult &r) {
-        return c_at + r.firstTokenLatency.at(2);
+        return c_at + timeOf(r.firstTokenLatency, 2);
     };
 
     auto fifo = run(RequestClass{}, RequestClass{}, b_at, c_at);
     ASSERT_EQ(fifo.completedRequests, 3u);
     EXPECT_GT(fifo.sloDeferrals, 0u);
-    EXPECT_GT(c_first_token(fifo), fifo.completionSeconds.at(0));
+    EXPECT_GT(c_first_token(fifo), timeOf(fifo.completionSeconds, 0));
 
     RequestClass tier0;
     tier0.tier = 0;
@@ -398,10 +399,10 @@ TEST(SloClassesEngine, GateDeferredPrefillHoldsTheFifoQueueButNotTiers)
     auto tiers = run(tier0, tier1, b_at, c_at);
     ASSERT_EQ(tiers.completedRequests, 3u);
     EXPECT_GT(tiers.sloDeferrals, 0u);
-    EXPECT_LT(c_first_token(tiers), tiers.completionSeconds.at(0));
+    EXPECT_LT(c_first_token(tiers), timeOf(tiers.completionSeconds, 0));
     // B itself still waits for A.
-    EXPECT_GT(b_at + tiers.firstTokenLatency.at(1),
-              tiers.completionSeconds.at(0));
+    EXPECT_GT(b_at + timeOf(tiers.firstTokenLatency, 1),
+              timeOf(tiers.completionSeconds, 0));
 }
 
 // --- (c) Per-tenant budgets. --------------------------------------------

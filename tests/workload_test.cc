@@ -935,6 +935,32 @@ TEST(Arrivals, SortByArrivalSortsUnsortedTiesStably)
     }
 }
 
+TEST(Replay, GapSloMustBeFiniteAndNonnegative)
+{
+    const char *path = "REPLAY_SLO_TEST.tmp";
+    auto write = [&](const std::string &slo) {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << "{\"format\": \"pimphony-trace-v1\", \"requests\": "
+              "[{\"id\": 0, \"context\": 8, \"decode\": 1, "
+              "\"tier\": 1, \"gap_slo_s\": "
+           << slo << "}]}";
+    };
+    for (const char *bad : {"-1", "-0.5", "inf", "nan"}) {
+        write(bad);
+        EXPECT_DEATH(loadWorkload(path),
+                     std::string("REPLAY_SLO_TEST.tmp:1:[0-9]+: bad trace "
+                                 "file: 'gap_slo_s' must be finite and "
+                                 ">= 0, got ") +
+                         bad + " \\(at byte [0-9]+\\)")
+            << bad;
+    }
+    write("0.05");
+    BuiltWorkload loaded = loadWorkload(path);
+    std::remove(path);
+    ASSERT_EQ(loaded.initial.size(), 1u);
+    EXPECT_EQ(loaded.initial[0].request.cls.gapSloSeconds, 0.05);
+}
+
 TEST(ArrivalsDeathTest, RequireSortedRejectsNaNArrival)
 {
     // NaN compares false both ways, so an order check alone lets it
@@ -1014,6 +1040,24 @@ TEST(WorkloadSpecDeathTest, NonFiniteThinkTimeIsFatal)
     spec.session.thinkMeanSeconds = -1.0;
     EXPECT_DEATH(buildWorkload(spec, 1),
                  "session.thinkMeanSeconds must be finite and >= 0");
+}
+
+TEST(WorkloadSpecDeathTest, PrefixShareOutsideZeroOneIsFatal)
+{
+    // A NaN share used to turn prefixes off silently, and a share
+    // above 1 was taken as 1.
+    WorkloadSpec spec;
+    spec.count = 4;
+    spec.prefix.tokens = 16;
+    for (double bad : {std::nan(""), -0.25, 1.5,
+                       std::numeric_limits<double>::infinity()}) {
+        spec.prefix.share = bad;
+        EXPECT_DEATH(buildWorkload(spec, 1),
+                     "prefix.share must be in \\[0, 1\\]")
+            << bad;
+    }
+    spec.prefix.share = 1.0;
+    EXPECT_EQ(buildWorkload(spec, 1).initial.size(), 4u);
 }
 
 TEST(WorkloadSpecDeathTest, TableTaskZeroDecodeTokensIsFatal)
