@@ -20,13 +20,17 @@ mix64(std::uint64_t x)
 
 } // namespace
 
+void
+PrefixCacheOptions::validate(const std::string &path) const
+{
+    requireField(path + "maxShare", maxShare, FieldRange::Fraction);
+}
+
 PrefixCache::PrefixCache(LazyChunkAllocator &allocator,
                          const PrefixCacheOptions &options)
     : alloc_(allocator), options_(options)
 {
-    if (!(options_.maxShare >= 0.0 && options_.maxShare <= 1.0))
-        fatal("PrefixCacheOptions::maxShare %.3f outside [0, 1]",
-              options_.maxShare);
+    options_.validate();
 }
 
 PrefixCache::~PrefixCache() { clear(); }

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 
 #include "alloc/kv_allocator.hh"
 #include "common/types.hh"
@@ -59,6 +60,9 @@ struct PrefixCacheOptions
     /** Cap on cache chunk custody as a fraction of KV capacity;
      *  publishes beyond it evict idle entries or are skipped. */
     double maxShare = 0.5;
+
+    /** Fatal, naming the field under @p path, on a bad maxShare. */
+    void validate(const std::string &path = "PrefixCacheOptions::") const;
 };
 
 struct PrefixCacheStats

@@ -1,6 +1,7 @@
 #include "common/logging.hh"
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -94,6 +95,40 @@ warn(const char *fmt, ...)
     va_start(args, fmt);
     vlogMessage(LogLevel::Warn, fmt, args);
     va_end(args);
+}
+
+void
+requireField(const std::string &field, double value, FieldRange range,
+             const char *needed_by)
+{
+    static const char *const kMust[] = {"finite", "finite and >= 0",
+                                        "finite and positive", "in [0, 1]"};
+    const bool finite = std::isfinite(value);
+    bool ok = finite;
+    if (range == FieldRange::NonNegative)
+        ok = finite && value >= 0.0;
+    else if (range == FieldRange::Positive)
+        ok = finite && value > 0.0;
+    else if (range == FieldRange::Fraction)
+        ok = value >= 0.0 && value <= 1.0; // NaN fails both
+    if (ok)
+        return;
+    if (needed_by)
+        fatal("%s needs a positive %s (got %g)", needed_by, field.c_str(),
+              value);
+    fatal("%s must be %s (got %g%s)", field.c_str(),
+          kMust[static_cast<int>(range)], value,
+          range == FieldRange::Fraction ? ", outside [0, 1]" : "");
+}
+
+void
+requireField(const std::string &field, std::uint64_t value,
+             std::uint64_t min)
+{
+    if (value < min)
+        fatal("%s must be at least %llu (got %llu)", field.c_str(),
+              static_cast<unsigned long long>(min),
+              static_cast<unsigned long long>(value));
 }
 
 } // namespace pimphony

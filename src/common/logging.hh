@@ -20,6 +20,7 @@
 #define PIMPHONY_COMMON_LOGGING_HH
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 
 namespace pimphony {
@@ -47,6 +48,23 @@ void setLogThreshold(LogLevel level);
 
 /** Possible modelling shortcut or suspicious condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/** The range of a real configuration field; none admits NaN or inf. */
+enum class FieldRange { Finite, NonNegative, Positive, Fraction };
+
+/**
+ * The field check every options struct's validate() is built on:
+ * fatal() unless @p value lies in @p range, naming @p field
+ * ("FleetOptions::retryBackoffSeconds must be finite and >= 0 (got
+ * -1)"). A Positive field only a setting uses names it as
+ * @p needed_by ("chunk-preempt needs a positive <field> (got 0)").
+ */
+void requireField(const std::string &field, double value, FieldRange range,
+                  const char *needed_by = nullptr);
+
+/** The same check for a count: fatal() unless @p value >= @p min. */
+void requireField(const std::string &field, std::uint64_t value,
+                  std::uint64_t min);
 
 } // namespace pimphony
 

@@ -113,6 +113,24 @@ TruncatedLognormal::TruncatedLognormal(double mean, double stddev, double lo,
     mu_ = std::log(mean) - 0.5 * sigma_ * sigma_;
     if (stddev <= 0.0)
         return;
+    if (stddev > (hi - lo) / std::sqrt(12.0)) {
+        // Beyond the uniform's std no truncated lognormal reaches:
+        // growing sigma only flattens it towards a power law, within
+        // 0.1% of that std, as acceptance falls to zero (Table II's
+        // multifieldqa, 31,025 against 28,621, drove the joint fit to
+        // sigma = 118 and 0.6% acceptance). Match the mean alone at
+        // sigma = 2: a std of 28,282 at 27% acceptance there, where a
+        // larger sigma gains under 1.2%.
+        sigma_ = 2.0;
+        double a = std::log(lo) - 32.0, b = std::log(hi) + 32.0;
+        for (int it = 0; it < 100; ++it) {
+            double m, s;
+            mu_ = 0.5 * (a + b);
+            truncatedLognormalMoments(mu_, sigma_, lo_, hi_, m, s);
+            (m < mean ? a : b) = mu_;
+        }
+        return;
+    }
     // Truncation shrinks both moments; fit (mu, sigma) so the
     // *truncated* distribution matches the published statistics.
     for (int it = 0; it < 60; ++it) {

@@ -82,6 +82,14 @@ class Rng
         return u;
     }
 
+    /** Unit-mean exponential draw: -log(u), a zero u taken as 1e-12. */
+    double
+    exponential()
+    {
+        double u = uniform();
+        return -std::log(u > 0.0 ? u : 1e-12);
+    }
+
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t uniformInt(std::uint64_t lo, std::uint64_t hi);
 
@@ -138,7 +146,10 @@ class TruncatedNormal
 class TruncatedLognormal
 {
   public:
-    /** Parameters are the target arithmetic mean/std (moment-matched). */
+    /** Parameters are the target arithmetic mean/std (moment-matched).
+     *  A std above the uniform's on [lo, hi], which no truncated
+     *  lognormal reaches, is dropped: the mean alone is matched, at
+     *  sigma = 2. */
     TruncatedLognormal(double mean, double stddev, double lo, double hi);
 
     double sample(Rng &rng) const;

@@ -3,12 +3,28 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "workload/length_source.hh"
 
 namespace pimphony {
 
 PimphonyOrchestrator::PimphonyOrchestrator(OrchestratorConfig config)
     : config_(std::move(config))
 {
+    engineOptions().validate("OrchestratorConfig::");
+    requireDecodeTokens("OrchestratorConfig::decodeTokens",
+                        config_.decodeTokens);
+}
+
+EngineOptions
+PimphonyOrchestrator::engineOptions() const
+{
+    EngineOptions opts;
+    // The shared serving knobs travel as one block (the
+    // ServingOptions base both structs embed).
+    static_cast<ServingOptions &>(opts) = config_;
+    opts.allocator = config_.options.dpa ? AllocatorKind::LazyChunk
+                                         : AllocatorKind::Static;
+    return opts;
 }
 
 ClusterConfig
@@ -48,14 +64,7 @@ PimphonyOrchestrator::runPlan(const std::vector<Request> &requests,
 {
     ClusterConfig c = cluster();
     c.plan = plan;
-    EngineOptions opts;
-    // The shared serving knobs travel as one block (the
-    // ServingOptions base both structs embed).
-    static_cast<ServingOptions &>(opts) = config_;
-    opts.allocator = config_.options.dpa ? AllocatorKind::LazyChunk
-                                         : AllocatorKind::Static;
-    opts.maxSteps = config_.maxSteps;
-    ServingEngine engine(c, config_.model, requests, opts);
+    ServingEngine engine(c, config_.model, requests, engineOptions());
     EvaluationResult out;
     out.engine = engine.run();
     out.plan = plan;

@@ -23,9 +23,9 @@ namespace pimphony {
 /**
  * Top-level evaluation configuration. The serving knobs shared with
  * the engine (prefillChunkTokens, chargePrefill, sched,
- * tenantBudgets, prefixCache) live in the ServingOptions base —
- * system/serving_options.hh documents them — and are forwarded to
- * EngineOptions wholesale at runPlan time, so a new serving knob is
+ * tenantBudgets, prefixCache, maxSteps) live in the ServingOptions
+ * base — system/serving_options.hh documents them — and are
+ * forwarded to EngineOptions wholesale, so a new serving knob is
  * added in exactly one place.
  */
 struct OrchestratorConfig : ServingOptions
@@ -44,9 +44,6 @@ struct OrchestratorConfig : ServingOptions
     std::size_t nRequests = 48;
     Tokens decodeTokens = 128;
     std::uint64_t seed = 42;
-
-    /** Engine safety cap. */
-    std::uint64_t maxSteps = 200000;
 };
 
 struct EvaluationResult
@@ -59,6 +56,7 @@ struct EvaluationResult
 class PimphonyOrchestrator
 {
   public:
+    /** Fatal on a bad configuration, naming the field. */
     explicit PimphonyOrchestrator(OrchestratorConfig config);
 
     /** Evaluate one trace task end to end. */
@@ -77,6 +75,9 @@ class PimphonyOrchestrator
     const OrchestratorConfig &config() const { return config_; }
 
   private:
+    /** The options every plan's engine runs with. */
+    EngineOptions engineOptions() const;
+
     EvaluationResult runPlan(const std::vector<Request> &requests,
                              const ParallelPlan &plan) const;
 

@@ -20,18 +20,10 @@ Admission::Admission(const LlmConfig &model, const ClusterConfig &cluster,
     budgetsActive_ = !options_.tenantBudgets.empty();
     capacityTokens_ = static_cast<double>(allocator_.capacity()) /
                       static_cast<double>(model_.kvBytesPerToken());
+    // EngineOptions::validate() has checked the budgets.
     double total_share = 0.0;
-    for (std::size_t i = 0; i < options_.tenantBudgets.size(); ++i) {
-        const TenantBudget &b = options_.tenantBudgets[i];
-        if (!(b.share >= 0.0 && b.share <= 1.0)) // NaN too
-            fatal("tenantBudgets[%zu].share must be finite and in [0, 1] "
-                  "(got %g)",
-                  i, b.share);
-        auto added = tenants_.emplace(b.tenant, TenantState{});
-        if (!added.second)
-            fatal("tenantBudgets[%zu]: tenant %u already has a budget", i,
-                  b.tenant);
-        added.first->second.budgetTokens = b.share * capacityTokens_;
+    for (const TenantBudget &b : options_.tenantBudgets) {
+        tenants_[b.tenant].budgetTokens = b.share * capacityTokens_;
         total_share += b.share;
     }
     if (total_share > 1.0 + 1e-9)

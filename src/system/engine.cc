@@ -141,6 +141,31 @@ struct ServingEngine::EventRun
     bool finalized = false;
 };
 
+void
+EngineOptions::validate(const std::string &path) const
+{
+    sched.validate(path + "sched.");
+    for (std::size_t i = 0; i < tenantBudgets.size(); ++i) {
+        const std::string budget =
+            path + "tenantBudgets[" + std::to_string(i) + "]";
+        // Finite first, so a NaN share is named as one.
+        requireField(budget + ".share", tenantBudgets[i].share,
+                     FieldRange::Finite);
+        requireField(budget + ".share", tenantBudgets[i].share,
+                     FieldRange::Fraction);
+        for (std::size_t j = 0; j < i; ++j)
+            if (tenantBudgets[j].tenant == tenantBudgets[i].tenant)
+                fatal("%s: tenant %u already has a budget", budget.c_str(),
+                      tenantBudgets[i].tenant);
+    }
+    prefixCache.validate(path + "prefixCache.");
+    // The tree shares the allocator's chunks; only the paged
+    // allocator has chunks to share.
+    if (prefixCache.enabled && allocator != AllocatorKind::LazyChunk)
+        fatal("%sprefixCache.enabled requires the LazyChunk allocator",
+              path.c_str());
+}
+
 ServingEngine::~ServingEngine() = default;
 
 ServingEngine::ServingEngine(const ClusterConfig &cluster,
@@ -162,6 +187,7 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
                              const EngineOptions &options)
     : cluster_(cluster), model_(model), options_(options)
 {
+    options_.validate();
     if (cluster_.plan.modules() != cluster_.nModules)
         fatal("parallel plan %s does not cover %u modules",
               cluster_.plan.toString().c_str(), cluster_.nModules);
@@ -173,10 +199,6 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
                                model_.kvBytesPerToken(),
                                model_.contextWindow);
     if (options_.prefixCache.enabled) {
-        // The tree shares the allocator's chunks; only the paged
-        // allocator has chunks to share.
-        if (options_.allocator != AllocatorKind::LazyChunk)
-            fatal("prefix caching requires the LazyChunk allocator");
         prefixCache_ = std::make_unique<PrefixCache>(
             static_cast<LazyChunkAllocator &>(*allocator_),
             options_.prefixCache);

@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -55,16 +56,16 @@ struct ActiveRequest;
 
 /**
  * Engine-level knob set: the shared serving options (prefill
- * chunking, co-scheduling policy, tenant budgets — see
- * system/serving_options.hh) plus the engine's own allocator choice
- * and safety cap.
+ * chunking, co-scheduling policy, tenant budgets, safety cap — see
+ * system/serving_options.hh) plus the engine's own allocator choice.
  */
 struct EngineOptions : ServingOptions
 {
     AllocatorKind allocator = AllocatorKind::Static;
 
-    /** Cap on simulated cohort decode cycles (safety valve). */
-    std::uint64_t maxSteps = 200000;
+    /** Fatal, naming the field under @p path, on any bad value (a
+     *  repeated tenant budget, a prefix cache without LazyChunk). */
+    void validate(const std::string &path = "EngineOptions::") const;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "system/fault.hh"
 
 #include <cmath>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -39,17 +40,6 @@ recoverAt(double at_seconds, double model_reload_seconds)
     return e;
 }
 
-std::string
-faultKindName(FaultEvent::Kind kind)
-{
-    switch (kind) {
-      case FaultEvent::Kind::Crash:   return "crash";
-      case FaultEvent::Kind::Degrade: return "degrade";
-      case FaultEvent::Kind::Recover: return "recover";
-    }
-    return "?";
-}
-
 std::size_t
 FaultSchedule::eventCount() const
 {
@@ -60,7 +50,8 @@ FaultSchedule::eventCount() const
 }
 
 void
-FaultSchedule::validate(unsigned fleet_replicas) const
+FaultSchedule::validate(unsigned fleet_replicas,
+                        const std::string &path) const
 {
     // Empty slots beyond the fleet are harmless: an empty schedule
     // of any shape validates.
@@ -74,11 +65,11 @@ FaultSchedule::validate(unsigned fleet_replicas) const
         bool down = false;
         for (std::size_t i = 0; i < replicas[r].size(); ++i) {
             const FaultEvent &e = replicas[r][i];
-            if (!(e.atSeconds >= 0.0))
-                fatal("FaultSchedule: replica %zu event %zu (%s) at "
-                      "negative time %.17g",
-                      r, i, faultKindName(e.kind).c_str(),
-                      e.atSeconds);
+            const std::string event = path + "replicas[" +
+                                      std::to_string(r) + "][" +
+                                      std::to_string(i) + "].";
+            requireField(event + "atSeconds", e.atSeconds,
+                         FieldRange::NonNegative);
             if (e.atSeconds < last)
                 fatal("FaultSchedule: replica %zu events out of "
                       "order at index %zu (%.17g after %.17g)",
@@ -90,8 +81,8 @@ FaultSchedule::validate(unsigned fleet_replicas) const
                     fatal("FaultSchedule: replica %zu crashes again "
                           "at %.17g while still down",
                           r, e.atSeconds);
-                if (e.drainSeconds < 0.0)
-                    fatal("FaultSchedule: negative drainSeconds");
+                requireField(event + "drainSeconds", e.drainSeconds,
+                             FieldRange::NonNegative);
                 down = true;
                 break;
               case FaultEvent::Kind::Recover:
@@ -99,19 +90,15 @@ FaultSchedule::validate(unsigned fleet_replicas) const
                     fatal("FaultSchedule: replica %zu recovers at "
                           "%.17g without a preceding crash",
                           r, e.atSeconds);
-                if (e.modelReloadSeconds < 0.0)
-                    fatal("FaultSchedule: negative modelReloadSeconds");
+                requireField(event + "modelReloadSeconds",
+                             e.modelReloadSeconds, FieldRange::NonNegative);
                 down = false;
                 break;
               case FaultEvent::Kind::Degrade:
-                if (!(e.slowdownFactor > 0.0))
-                    fatal("FaultSchedule: replica %zu degrade at "
-                          "%.17g with nonpositive slowdown %.17g",
-                          r, e.atSeconds, e.slowdownFactor);
-                if (!(e.durationSeconds > 0.0))
-                    fatal("FaultSchedule: replica %zu degrade at "
-                          "%.17g with nonpositive duration",
-                          r, e.atSeconds);
+                requireField(event + "slowdownFactor", e.slowdownFactor,
+                             FieldRange::Positive);
+                requireField(event + "durationSeconds", e.durationSeconds,
+                             FieldRange::Positive);
                 break;
             }
         }

@@ -84,8 +84,6 @@ FaultEvent degradeAt(double at_seconds, double slowdown_factor,
                      double duration_seconds);
 FaultEvent recoverAt(double at_seconds, double model_reload_seconds);
 
-std::string faultKindName(FaultEvent::Kind kind);
-
 /**
  * Per-replica fault script: replica[i] holds replica i's events in
  * nondecreasing time order. Replicas beyond the vector's size have
@@ -100,13 +98,16 @@ struct FaultSchedule
 
     /**
      * Validate against a fleet of @p fleet_replicas: events sorted
-     * by time per replica, nonnegative times, positive slowdown and
-     * durations, crash/recover alternation (a Recover must follow a
+     * by time per replica, finite nonnegative times, drains and
+     * reloads, finite positive slowdown and durations, crash/recover
+     * alternation (a Recover must follow a
      * Crash, a crashed replica must not crash again before
      * recovering), and no events scripted for replicas the fleet
-     * does not have. fatal() on the first violation.
+     * does not have. fatal() on the first violation, naming a bad
+     * event field under @p path.
      */
-    void validate(unsigned fleet_replicas) const;
+    void validate(unsigned fleet_replicas,
+                  const std::string &path = "FaultSchedule::") const;
 };
 
 /**

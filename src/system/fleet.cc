@@ -621,6 +621,18 @@ FleetEngine::Run::drain()
     drained = true;
 }
 
+void
+FleetOptions::validate() const
+{
+    requireField("FleetOptions::replicas", replicas, 1);
+    requireField("FleetOptions::dispatchLatencySeconds",
+                 dispatchLatencySeconds, FieldRange::NonNegative);
+    requireField("FleetOptions::retryBackoffSeconds", retryBackoffSeconds,
+                 FieldRange::NonNegative);
+    faults.validate(replicas, "FleetOptions::faults.");
+    engine.validate("FleetOptions::engine.");
+}
+
 FleetEngine::FleetEngine(const ClusterConfig &cluster,
                          const LlmConfig &model,
                          std::vector<TimedRequest> trace,
@@ -628,18 +640,7 @@ FleetEngine::FleetEngine(const ClusterConfig &cluster,
     : cluster_(cluster), model_(model), trace_(std::move(trace)),
       options_(options)
 {
-    if (options_.replicas == 0)
-        fatal("FleetEngine: FleetOptions::replicas must be at least 1");
-    auto require_finite_nonneg = [](const char *field, double v) {
-        if (!std::isfinite(v) || v < 0.0)
-            fatal("FleetEngine: FleetOptions::%s must be finite and >= 0 "
-                  "(got %g)", field, v);
-    };
-    require_finite_nonneg("dispatchLatencySeconds",
-                          options_.dispatchLatencySeconds);
-    require_finite_nonneg("retryBackoffSeconds",
-                          options_.retryBackoffSeconds);
-    options_.faults.validate(options_.replicas);
+    options_.validate();
     sortByArrival(trace_);
     requireDistinctIds(trace_, SessionBook{}, "FleetEngine");
 }

@@ -117,6 +117,9 @@ struct FleetOptions
      * no jitter, so fault runs stay bit-reproducible.
      */
     double retryBackoffSeconds = 0.5;
+
+    /** Fatal, naming the FleetOptions field, on any bad value. */
+    void validate() const;
 };
 
 struct FleetResult

@@ -1,7 +1,5 @@
 #include "system/sched_policy.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace pimphony {
@@ -96,37 +94,50 @@ TierPriorityPolicy::sliceSeconds(const sim::WorkItem &item) const
     return 0.0;
 }
 
+void
+SchedPolicyConfig::validate(const std::string &path) const
+{
+    requireField(path + "preemptQuantumSeconds", preemptQuantumSeconds,
+                 FieldRange::Finite);
+    requireField(path + "sloTargetGapSeconds", sloTargetGapSeconds,
+                 FieldRange::Finite);
+    requireField(path + "sloHeadroom", sloHeadroom, FieldRange::Finite);
+    requireField(path + "tierPreemptQuantumSeconds",
+                 tierPreemptQuantumSeconds, FieldRange::Finite);
+    const std::string policy = schedPolicyName(kind);
+    auto used = [&](const char *field, double v) {
+        requireField(path + field, v, FieldRange::Positive, policy.c_str());
+    };
+    switch (kind) {
+      case SchedPolicyKind::Fifo:
+      case SchedPolicyKind::DecodePriority:
+        break;
+      case SchedPolicyKind::ChunkPreempt:
+      case SchedPolicyKind::TierPriority:
+        used("preemptQuantumSeconds", preemptQuantumSeconds);
+        break;
+      case SchedPolicyKind::SloAdmission:
+        used("sloTargetGapSeconds", sloTargetGapSeconds);
+        used("sloHeadroom", sloHeadroom);
+        used("sloWindow", sloWindow);
+        break;
+    }
+}
+
 std::unique_ptr<SchedPolicy>
 makeSchedPolicy(const SchedPolicyConfig &config)
 {
-    auto finite = [](const char *field, double v) {
-        if (!std::isfinite(v))
-            fatal("SchedPolicyConfig::%s must be finite (got %g)", field, v);
-    };
-    finite("preemptQuantumSeconds", config.preemptQuantumSeconds);
-    finite("sloTargetGapSeconds", config.sloTargetGapSeconds);
-    finite("sloHeadroom", config.sloHeadroom);
-    finite("tierPreemptQuantumSeconds", config.tierPreemptQuantumSeconds);
-    auto positive = [&config](const char *field, double v) {
-        if (!(v > 0.0))
-            fatal("%s needs a positive SchedPolicyConfig::%s (got %g)",
-                  schedPolicyName(config.kind).c_str(), field, v);
-    };
+    config.validate();
     switch (config.kind) {
       case SchedPolicyKind::Fifo:
         return std::make_unique<FifoPolicy>(config);
       case SchedPolicyKind::DecodePriority:
         return std::make_unique<DecodePriorityPolicy>(config);
       case SchedPolicyKind::ChunkPreempt:
-        positive("preemptQuantumSeconds", config.preemptQuantumSeconds);
         return std::make_unique<ChunkPreemptPolicy>(config);
       case SchedPolicyKind::SloAdmission:
-        positive("sloTargetGapSeconds", config.sloTargetGapSeconds);
-        positive("sloHeadroom", config.sloHeadroom);
-        positive("sloWindow", config.sloWindow);
         return std::make_unique<SloAdmissionPolicy>(config);
       case SchedPolicyKind::TierPriority:
-        positive("preemptQuantumSeconds", config.preemptQuantumSeconds);
         return std::make_unique<TierPriorityPolicy>(config);
     }
     fatal("unknown scheduling policy");

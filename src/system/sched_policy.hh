@@ -105,6 +105,10 @@ struct SchedPolicyConfig
      * lower-tier work still applies).
      */
     double tierPreemptQuantumSeconds = 2e-3;
+
+    /** Fatal, naming the field under @p path, unless every real field
+     *  is finite and every field the policy uses is positive. */
+    void validate(const std::string &path = "SchedPolicyConfig::") const;
 };
 
 /**

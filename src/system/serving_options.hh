@@ -15,6 +15,7 @@
 #ifndef PIMPHONY_SYSTEM_SERVING_OPTIONS_HH
 #define PIMPHONY_SYSTEM_SERVING_OPTIONS_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "alloc/prefix_cache.hh"
@@ -90,6 +91,9 @@ struct ServingOptions
      * LazyChunk allocator.
      */
     PrefixCacheOptions prefixCache;
+
+    /** Cap on simulated cohort decode cycles (safety valve). */
+    std::uint64_t maxSteps = 200000;
 };
 
 } // namespace pimphony

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -23,12 +24,22 @@ ImmediateProcess::next()
     return 0.0;
 }
 
-PoissonProcess::PoissonProcess(double rate_per_second)
-    : rate_(rate_per_second)
+namespace {
+
+/** The rate of a Poisson or gamma process, checked. */
+double
+checkedRate(double rate_per_second)
 {
-    if (!std::isfinite(rate_) || rate_ <= 0.0)
-        fatal("arrival ratePerSecond must be finite and positive "
-              "(got %g)", rate_);
+    requireField("ArrivalSpec::ratePerSecond", rate_per_second,
+                 FieldRange::Positive);
+    return rate_per_second;
+}
+
+} // namespace
+
+PoissonProcess::PoissonProcess(double rate_per_second)
+    : rate_(checkedRate(rate_per_second))
+{
 }
 
 void
@@ -44,23 +55,17 @@ PoissonProcess::next()
 {
     if (!armed_)
         fatal("PoissonProcess::next() before reset()");
-    double u = rng_.uniform();
-    if (u <= 0.0)
-        u = 1e-12;
-    t_ += -std::log(u) / rate_;
+    t_ += rng_.exponential() / rate_;
     return t_;
 }
 
 GammaProcess::GammaProcess(double rate_per_second, double cv)
 {
-    if (!std::isfinite(rate_per_second) || rate_per_second <= 0.0)
-        fatal("arrival ratePerSecond must be finite and positive "
-              "(got %g)", rate_per_second);
-    if (!std::isfinite(cv) || cv <= 0.0)
-        fatal("arrival cv must be finite and positive (got %g)", cv);
+    const double rate = checkedRate(rate_per_second);
+    requireField("ArrivalSpec::cv", cv, FieldRange::Positive);
     // Gamma(k, theta): mean = k * theta = 1 / rate, CV = 1 / sqrt(k).
     shape_ = 1.0 / (cv * cv);
-    scale_ = cv * cv / rate_per_second;
+    scale_ = cv * cv / rate;
 }
 
 void
@@ -87,29 +92,16 @@ OnOffProcess::OnOffProcess(const OnOffTraffic &traffic)
     : traffic_(traffic)
 {
     const OnOffTraffic &t = traffic_;
-    if (!std::isfinite(t.onRate) || t.onRate < 0.0)
-        fatal("arrival onOff.onRate must be finite and >= 0 (got %g)",
-              t.onRate);
-    if (!std::isfinite(t.offRate) || t.offRate < 0.0)
-        fatal("arrival onOff.offRate must be finite and >= 0 (got %g)",
-              t.offRate);
+    requireField("ArrivalSpec::onOff.onRate", t.onRate,
+                 FieldRange::NonNegative);
+    requireField("ArrivalSpec::onOff.offRate", t.offRate,
+                 FieldRange::NonNegative);
     if (t.onRate <= 0.0 && t.offRate <= 0.0)
-        fatal("arrival onOff needs a positive onRate or offRate");
-    if (!std::isfinite(t.meanOnSeconds) || t.meanOnSeconds <= 0.0)
-        fatal("arrival onOff.meanOnSeconds must be finite and positive "
-              "(got %g)", t.meanOnSeconds);
-    if (!std::isfinite(t.meanOffSeconds) || t.meanOffSeconds <= 0.0)
-        fatal("arrival onOff.meanOffSeconds must be finite and positive "
-              "(got %g)", t.meanOffSeconds);
-}
-
-double
-OnOffProcess::expDraw(double mean)
-{
-    double u = rng_.uniform();
-    if (u <= 0.0)
-        u = 1e-12;
-    return -std::log(u) * mean;
+        fatal("ArrivalSpec::onOff needs a positive onRate or offRate");
+    requireField("ArrivalSpec::onOff.meanOnSeconds", t.meanOnSeconds,
+                 FieldRange::Positive);
+    requireField("ArrivalSpec::onOff.meanOffSeconds", t.meanOffSeconds,
+                 FieldRange::Positive);
 }
 
 void
@@ -119,7 +111,7 @@ OnOffProcess::reset(std::uint64_t seed)
     t_ = 0.0;
     on_ = true;
     armed_ = true;
-    stateEnd_ = expDraw(traffic_.meanOnSeconds);
+    stateEnd_ = rng_.exponential() * traffic_.meanOnSeconds;
 }
 
 double
@@ -132,7 +124,7 @@ OnOffProcess::next()
         // Memoryless in both dimensions: redrawing the arrival
         // gap after a state flip preserves the MMPP statistics.
         if (rate > 0.0) {
-            double next_t = t_ + expDraw(1.0 / rate);
+            double next_t = t_ + rng_.exponential() * (1.0 / rate);
             if (next_t <= stateEnd_) {
                 t_ = next_t;
                 return t_;
@@ -140,8 +132,8 @@ OnOffProcess::next()
         }
         t_ = stateEnd_;
         on_ = !on_;
-        stateEnd_ = t_ + expDraw(on_ ? traffic_.meanOnSeconds
-                                     : traffic_.meanOffSeconds);
+        stateEnd_ = t_ + rng_.exponential() * (on_ ? traffic_.meanOnSeconds
+                                                   : traffic_.meanOffSeconds);
     }
 }
 
@@ -149,10 +141,7 @@ RateCurve
 RateCurve::fromRates(const std::vector<double> &rates,
                      double segment_seconds)
 {
-    if (rates.empty())
-        fatal("rate curve needs at least one rate");
-    if (segment_seconds <= 0.0)
-        fatal("rate curve segment length must be positive");
+    // PiecewiseRateCurve checks the curve.
     RateCurve curve;
     curve.segments.reserve(rates.size());
     for (double r : rates)
@@ -183,17 +172,19 @@ PiecewiseRateCurve::PiecewiseRateCurve(const RateCurve &curve)
     : curve_(curve)
 {
     if (curve_.segments.empty())
-        fatal("rate curve needs at least one segment");
+        fatal("ArrivalSpec::curve needs at least one segment");
     bool any_positive = false;
-    for (const auto &s : curve_.segments) {
-        if (!(s.seconds > 0.0) || !std::isfinite(s.seconds))
-            fatal("rate curve segment lengths must be positive");
-        if (s.ratePerSecond < 0.0 || !std::isfinite(s.ratePerSecond))
-            fatal("rate curve rates must be finite and nonnegative");
+    for (std::size_t i = 0; i < curve_.segments.size(); ++i) {
+        const RateSegment &s = curve_.segments[i];
+        const std::string segment =
+            "ArrivalSpec::curve.segments[" + std::to_string(i) + "].";
+        requireField(segment + "seconds", s.seconds, FieldRange::Positive);
+        requireField(segment + "ratePerSecond", s.ratePerSecond,
+                     FieldRange::NonNegative);
         any_positive = any_positive || s.ratePerSecond > 0.0;
     }
     if (!any_positive)
-        fatal("rate curve needs a positive rate somewhere");
+        fatal("ArrivalSpec::curve needs a positive rate somewhere");
     if (!curve_.repeat &&
         curve_.segments.back().ratePerSecond <= 0.0)
         fatal("a non-repeating rate curve must end on a positive "
@@ -229,10 +220,7 @@ PiecewiseRateCurve::next()
         fatal("PiecewiseRateCurve::next() before reset()");
     // Inversion: spend a unit-exponential area against the running
     // rate integral, walking segments as each one's area is used up.
-    double u = rng_.uniform();
-    if (u <= 0.0)
-        u = 1e-12;
-    double target = -std::log(u);
+    double target = rng_.exponential();
     for (;;) {
         double rate = segmentRate();
         bool tail = !curve_.repeat &&

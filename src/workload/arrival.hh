@@ -135,8 +135,6 @@ class OnOffProcess final : public ArrivalProcess
     double next() override;
 
   private:
-    double expDraw(double mean);
-
     OnOffTraffic traffic_;
     Rng rng_{0};
     double t_ = 0.0;

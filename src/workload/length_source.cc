@@ -1,17 +1,26 @@
 #include "workload/length_source.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace pimphony {
 
 void
+requireDecodeTokens(const std::string &field, Tokens decode_tokens)
+{
+    if (decode_tokens == 0)
+        fatal("%s must be at least 1 (got 0): requests must decode at "
+              "least one token",
+              field.c_str());
+}
+
+void
 LengthHistogram::add(Tokens prompt_tokens, Tokens decode_tokens,
                      double weight)
 {
-    if (!(weight > 0.0) || !std::isfinite(weight))
-        fatal("length histogram weights must be positive");
+    const std::string bin =
+        "LengthHistogram bin " + std::to_string(bins_.size());
+    requireDecodeTokens(bin + " decode_tokens", decode_tokens);
+    requireField(bin + " weight", weight, FieldRange::Positive);
     bins_.push_back({prompt_tokens, decode_tokens, weight});
     totalWeight_ += weight;
 }

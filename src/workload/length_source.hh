@@ -15,6 +15,7 @@
 #ifndef PIMPHONY_WORKLOAD_LENGTH_SOURCE_HH
 #define PIMPHONY_WORKLOAD_LENGTH_SOURCE_HH
 
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -32,6 +33,10 @@ struct LengthPair
     Tokens decodeTokens = 0;
 };
 
+/** Fatal, naming @p field, unless a request decodes at least one
+ *  token: a zero-decode request completes without a first token. */
+void requireDecodeTokens(const std::string &field, Tokens decode_tokens);
+
 /**
  * An empirical (prompt, output) length distribution: weighted bins
  * sampled by cumulative weight. Deterministic per Rng state.
@@ -46,7 +51,7 @@ class LengthHistogram
         double weight = 1.0;
     };
 
-    /** Append a bin (weight must be positive). */
+    /** Append a bin (weight must be positive, decode_tokens >= 1). */
     void add(Tokens prompt_tokens, Tokens decode_tokens,
              double weight = 1.0);
 

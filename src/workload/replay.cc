@@ -217,6 +217,9 @@ requestFromFields(const std::map<std::string, double> &fields,
     r.id = integerField<RequestId>(fields, "id", c);
     r.contextTokens = integerField<Tokens>(fields, "context", c);
     r.decodeTokens = integerField<Tokens>(fields, "decode", c);
+    if (r.decodeTokens == 0)
+        parseFail(c, "'decode' must be at least 1, got 0: requests must "
+                     "decode at least one token");
     r.session = integerField<SessionId>(fields, "session", c);
     r.turn = integerField<unsigned>(fields, "turn", c);
     r.cls.tier = integerField<unsigned>(fields, "tier", c);

@@ -1,6 +1,7 @@
 #include "workload/spec.hh"
 
-#include <cmath>
+#include <optional>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -54,126 +55,107 @@ makeArrivalProcess(const ArrivalSpec &arrival)
 
 namespace {
 
-/**
- * Sequential (prompt, output) draws for one build: whichever source
- * the spec names, draws advance a single stream so session turns and
- * standalone requests consume lengths in generation order.
- */
-class LengthDraws
+/** Whether @p spec declares shared prefixes at all. */
+bool
+prefixesOn(const PrefixSpec &spec)
 {
-  public:
-    LengthDraws(const LengthSpec &spec, std::uint64_t length_seed)
-        : spec_(spec), rng_(length_seed)
-    {
-        switch (spec_.kind) {
-          case LengthSourceKind::TableTask:
-            if (spec_.decodeTokens == 0)
-                fatal("requests must decode at least one token");
-            generator_ = std::make_unique<TraceGenerator>(spec_.task,
-                                                          length_seed);
-            break;
-          case LengthSourceKind::Pairs:
-            if (spec_.pairs.empty())
-                fatal("WorkloadSpec: Pairs length source needs at "
-                      "least one (prompt, output) pair");
-            break;
-          case LengthSourceKind::Histogram:
-            if (spec_.histogram.empty())
-                fatal("WorkloadSpec: Histogram length source needs "
-                      "at least one bin");
-            break;
-        }
-    }
-
-    LengthPair
-    next()
-    {
-        switch (spec_.kind) {
-          case LengthSourceKind::TableTask:
-            return {generator_->sampleLength(), spec_.decodeTokens};
-          case LengthSourceKind::Pairs: {
-            const LengthPair &p =
-                spec_.pairs[nextPair_ % spec_.pairs.size()];
-            ++nextPair_;
-            return p;
-          }
-          case LengthSourceKind::Histogram:
-            return spec_.histogram.sample(rng_);
-        }
-        fatal("unknown length source kind");
-    }
-
-  private:
-    const LengthSpec &spec_;
-    Rng rng_;
-    std::unique_ptr<TraceGenerator> generator_;
-    std::size_t nextPair_ = 0;
-};
+    return spec.share > 0.0 && spec.tokens > 0;
+}
 
 /**
- * Pooled shared-prefix draws. Inert (no randomness consumed, nothing
- * stamped) unless the spec declares prefixes, so prefix-free specs
- * keep building bit-identical workloads.
+ * Stamp @p r with a pooled prefix if it draws one its context can
+ * hold. Inert (no randomness drawn) unless the spec declares
+ * prefixes, so prefix-free specs keep building bit-identical
+ * workloads.
  */
-class PrefixDraws
+void
+stampPrefix(const PrefixSpec &spec, Rng &rng, Request &r)
 {
-  public:
-    PrefixDraws(const PrefixSpec &spec, std::uint64_t prefix_seed)
-        : spec_(spec), rng_(prefix_seed),
-          active_(spec.share > 0.0 && spec.tokens > 0)
-    {
-        if (active_ && spec_.pool == 0)
-            fatal("WorkloadSpec: prefix pool must be >= 1");
-    }
-
-    /** Stamp @p r if it draws a pooled prefix its context can hold. */
-    void
-    stamp(Request &r)
-    {
-        if (!active_)
-            return;
-        double u = rng_.uniform();
-        double v = rng_.uniform(); // always drawn: stable stream
-        if (u >= spec_.share || r.contextTokens < spec_.tokens)
-            return;
-        auto idx = static_cast<std::uint64_t>(
-            v * static_cast<double>(spec_.pool));
-        if (idx >= spec_.pool)
-            idx = spec_.pool - 1;
-        // xxhash-style avalanche, masked to 53 bits so the hash
-        // round-trips exactly through the numeric trace format.
-        std::uint64_t h = (idx + 1) * 0xff51afd7ed558ccdULL;
-        h ^= h >> 33;
-        h *= 0xc4ceb9fe1a85ec53ULL;
-        h ^= h >> 33;
-        h &= (1ULL << 53) - 1;
-        r.prefixHash = h ? h : 1;
-        r.prefixTokens = spec_.tokens;
-    }
-
-  private:
-    const PrefixSpec &spec_;
-    Rng rng_;
-    bool active_;
-};
+    if (!prefixesOn(spec))
+        return;
+    double u = rng.uniform();
+    double v = rng.uniform(); // always drawn: stable stream
+    if (u >= spec.share || r.contextTokens < spec.tokens)
+        return;
+    auto idx = static_cast<std::uint64_t>(v * static_cast<double>(spec.pool));
+    if (idx >= spec.pool)
+        idx = spec.pool - 1;
+    // xxhash-style avalanche, masked to 53 bits so the hash
+    // round-trips exactly through the numeric trace format.
+    std::uint64_t h = (idx + 1) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    h &= (1ULL << 53) - 1;
+    r.prefixHash = h ? h : 1;
+    r.prefixTokens = spec.tokens;
+}
 
 } // namespace
+
+void
+WorkloadSpec::validate() const
+{
+    switch (length.kind) {
+      case LengthSourceKind::TableTask:
+        requireDecodeTokens("WorkloadSpec::length.decodeTokens",
+                            length.decodeTokens);
+        break;
+      case LengthSourceKind::Pairs:
+        if (length.pairs.empty())
+            fatal("WorkloadSpec::length.pairs: the Pairs length source "
+                  "needs at least one (prompt, output) pair");
+        for (std::size_t i = 0; i < length.pairs.size(); ++i)
+            requireDecodeTokens("WorkloadSpec::length.pairs[" +
+                                    std::to_string(i) + "].decodeTokens",
+                                length.pairs[i].decodeTokens);
+        break;
+      case LengthSourceKind::Histogram:
+        // LengthHistogram::add() checked each bin.
+        if (length.histogram.empty())
+            fatal("WorkloadSpec::length.histogram: the Histogram length "
+                  "source needs at least one bin");
+        break;
+    }
+    makeArrivalProcess(arrival);
+    for (std::size_t i = 0; i < classes.size(); ++i)
+        requireField("WorkloadSpec::classes[" + std::to_string(i) +
+                         "].gapSloSeconds",
+                     classes[i].gapSloSeconds, FieldRange::NonNegative);
+    requireField("WorkloadSpec::session.turns", session.turns, 1);
+    requireField("WorkloadSpec::session.thinkMeanSeconds",
+                 session.thinkMeanSeconds, FieldRange::NonNegative);
+    requireField("WorkloadSpec::prefix.share", prefix.share,
+                 FieldRange::Fraction);
+    if (prefixesOn(prefix))
+        requireField("WorkloadSpec::prefix.pool", prefix.pool, 1);
+}
 
 BuiltWorkload
 buildWorkload(const WorkloadSpec &spec, std::uint64_t seed)
 {
-    if (spec.session.turns == 0)
-        fatal("WorkloadSpec: session.turns must be >= 1");
-    if (!std::isfinite(spec.session.thinkMeanSeconds) ||
-        spec.session.thinkMeanSeconds < 0.0)
-        fatal("WorkloadSpec: session.thinkMeanSeconds must be finite "
-              "and >= 0 (got %g)", spec.session.thinkMeanSeconds);
-    if (!(spec.prefix.share >= 0.0 && spec.prefix.share <= 1.0))
-        fatal("WorkloadSpec: prefix.share must be in [0, 1] (got %g)",
-              spec.prefix.share);
-
-    LengthDraws lengths(spec.length, workloadLengthSeed(seed));
-    PrefixDraws prefixes(spec.prefix, workloadPrefixSeed(seed));
+    spec.validate();
+    // One length stream, drawn in generation order whichever source
+    // the spec names, so session turns and standalone requests draw
+    // alike.
+    const LengthSpec &length = spec.length;
+    std::optional<TraceGenerator> table;
+    if (length.kind == LengthSourceKind::TableTask)
+        table.emplace(length.task, workloadLengthSeed(seed));
+    Rng length_rng(workloadLengthSeed(seed));
+    std::size_t next_pair = 0;
+    auto nextLength = [&]() -> LengthPair {
+        switch (length.kind) {
+          case LengthSourceKind::TableTask:
+            return {table->sampleLength(), length.decodeTokens};
+          case LengthSourceKind::Pairs:
+            return length.pairs[next_pair++ % length.pairs.size()];
+          case LengthSourceKind::Histogram:
+            return length.histogram.sample(length_rng);
+        }
+        fatal("unknown length source kind");
+    };
+    Rng prefix_rng(workloadPrefixSeed(seed));
     auto process = makeArrivalProcess(spec.arrival);
     process->reset(workloadArrivalSeed(seed));
 
@@ -190,10 +172,10 @@ buildWorkload(const WorkloadSpec &spec, std::uint64_t seed)
         // plus-attachArrivals composition bit for bit.
         out.initial.reserve(spec.count);
         for (std::size_t i = 0; i < spec.count; ++i) {
-            LengthPair p = lengths.next();
+            LengthPair p = nextLength();
             Request r(static_cast<RequestId>(i), p.promptTokens,
                       p.decodeTokens, classOf(i));
-            prefixes.stamp(r);
+            stampPrefix(spec.prefix, prefix_rng, r);
             out.initial.push_back({r, process->next()});
         }
         sortByArrival(out.initial);
@@ -213,7 +195,7 @@ buildWorkload(const WorkloadSpec &spec, std::uint64_t seed)
         auto base = static_cast<RequestId>(s * turns);
         Tokens history = 0;
         for (unsigned k = 0; k < turns; ++k) {
-            LengthPair p = lengths.next();
+            LengthPair p = nextLength();
             Tokens ctx = spec.session.carryHistory
                              ? history + p.promptTokens
                              : p.promptTokens;
@@ -221,17 +203,14 @@ buildWorkload(const WorkloadSpec &spec, std::uint64_t seed)
             r.session = static_cast<SessionId>(s + 1);
             r.turn = k;
             if (k == 0) {
-                prefixes.stamp(r); // a prefix opens the session
+                // A prefix opens the session.
+                stampPrefix(spec.prefix, prefix_rng, r);
                 out.initial.push_back({r, start});
             } else {
                 double think = 0.0;
-                if (spec.session.thinkMeanSeconds > 0.0) {
-                    double u = think_rng.uniform();
-                    if (u <= 0.0)
-                        u = 1e-12;
-                    think = -std::log(u) *
+                if (spec.session.thinkMeanSeconds > 0.0)
+                    think = think_rng.exponential() *
                             spec.session.thinkMeanSeconds;
-                }
                 out.sessions.emplace(base + k - 1,
                                      SessionTurn{r, think});
             }

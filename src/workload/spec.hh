@@ -134,7 +134,7 @@ struct SessionSpec
 struct PrefixSpec
 {
     /** Probability a request/session opens with a pooled prefix, in
-     *  [0, 1]; buildWorkload() is fatal on anything else. */
+     *  [0, 1]. */
     double share = 0.0;
 
     /** Distinct prefixes in the pool. */
@@ -162,6 +162,10 @@ struct WorkloadSpec
     std::vector<RequestClass> classes;
 
     SessionSpec session;
+
+    /** Fatal, naming the field, on any bad value; the arrival process
+     *  makeArrivalProcess() builds checks its own. */
+    void validate() const;
 };
 
 /** A built workload: the open-loop arrivals plus (with sessions)
@@ -192,7 +196,8 @@ std::unique_ptr<ArrivalProcess> makeArrivalProcess(
 
 /**
  * Build the workload a spec describes, deterministically from
- * @p seed. Request ids are dense from zero in generation order
+ * @p seed; fatal on an invalid spec (WorkloadSpec::validate()).
+ * Request ids are dense from zero in generation order
  * (session s, turn k gets id s * turns + k).
  */
 BuiltWorkload buildWorkload(const WorkloadSpec &spec,

@@ -14,7 +14,6 @@
 #define PIMPHONY_WORKLOAD_TRACE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -139,9 +138,9 @@ class TraceGenerator
     RequestId next_ = 0;
     RequestClass cls_;
 
-    /** Fitted once; sampling is then cheap. */
-    std::unique_ptr<TruncatedNormal> normal_;
-    std::unique_ptr<TruncatedLognormal> lognormal_;
+    /** The task's length model, fitted once per process. */
+    struct LengthModel;
+    const LengthModel *model_ = nullptr;
 };
 
 } // namespace pimphony

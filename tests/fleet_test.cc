@@ -22,19 +22,26 @@
  *  (f) aggregate latency p95s are nearest-rank percentiles of every
  *      replica's pooled samples, never above the per-replica max;
  *  (g) prepare() + advanceTo() over any horizons + finalize() equals
- *      run(), and options and protocol misuse fail early.
+ *      run(), and options and protocol misuse fail early;
+ *  (h) every bad value of every numeric field of EngineOptions,
+ *      FleetOptions and WorkloadSpec dies where the configuration
+ *      enters (the engine, fleet and orchestrator constructors and
+ *      buildWorkload), naming the field.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
+#include "core/orchestrator.hh"
 #include "result_eq.hh"
 #include "system/engine.hh"
 #include "system/fault.hh"
@@ -1011,6 +1018,379 @@ TEST(FleetEngineDeathTest, ProtocolMisuseIsFatal)
                      f.setSessions({});
                  }),
                  "setSessions\\(\\) after prepare");
+}
+
+// --- (h) One validate() per options struct. ----------------------------
+
+/** A regex matching @p text literally. */
+std::string
+literal(const std::string &text)
+{
+    std::string out;
+    for (char c : text) {
+        if (std::strchr("[]().*+?", c))
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+/** NaN, both infinities and the out-of-range side of @p range. */
+std::vector<double>
+badValues(FieldRange range)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> out{std::nan(""), inf, -inf};
+    switch (range) {
+      case FieldRange::Finite:
+        break;
+      case FieldRange::NonNegative:
+        out.push_back(-1e-3);
+        break;
+      case FieldRange::Positive:
+        out.insert(out.end(), {0.0, -1.0});
+        break;
+      case FieldRange::Fraction:
+        out.insert(out.end(), {-0.25, 1.5});
+        break;
+    }
+    return out;
+}
+
+/** One real field of an options struct: its name as validate()
+ *  reports it, its range, and how to set it. */
+template <typename Options>
+struct RealField
+{
+    const char *name;
+    FieldRange range;
+    std::function<void(Options &, double)> set;
+};
+
+/** Expect every bad value of every field in @p fields to die in
+ *  @p enter (the configuration's entry point), naming the field. */
+template <typename Options>
+void
+expectEachBadValueNamed(const Options &valid,
+                        const std::vector<RealField<Options>> &fields,
+                        const std::function<void(const Options &)> &enter)
+{
+    for (const auto &f : fields) {
+        for (double bad : badValues(f.range)) {
+            Options options = valid;
+            f.set(options, bad);
+            EXPECT_DEATH(enter(options), literal(f.name))
+                << f.name << " = " << bad;
+        }
+    }
+}
+
+TEST(OptionsDeathTest, EveryBadEngineValueNamesItsField)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto enter = [&](const EngineOptions &o) {
+        ServingEngine engine(cluster, model, std::vector<TimedRequest>{}, o);
+    };
+    using F = RealField<EngineOptions>;
+    expectEachBadValueNamed<EngineOptions>(
+        testEngineOptions(),
+        {
+            F{"EngineOptions::sched.preemptQuantumSeconds",
+              FieldRange::Finite,
+              [](EngineOptions &o, double v) {
+                  o.sched.preemptQuantumSeconds = v;
+              }},
+            F{"EngineOptions::sched.sloTargetGapSeconds", FieldRange::Finite,
+              [](EngineOptions &o, double v) {
+                  o.sched.sloTargetGapSeconds = v;
+              }},
+            F{"EngineOptions::sched.sloHeadroom", FieldRange::Finite,
+              [](EngineOptions &o, double v) { o.sched.sloHeadroom = v; }},
+            F{"EngineOptions::sched.tierPreemptQuantumSeconds",
+              FieldRange::Finite,
+              [](EngineOptions &o, double v) {
+                  o.sched.tierPreemptQuantumSeconds = v;
+              }},
+            F{"EngineOptions::tenantBudgets[1].share", FieldRange::Fraction,
+              [](EngineOptions &o, double v) {
+                  o.tenantBudgets = {{0, 0.5}, {1, v}};
+              }},
+            F{"EngineOptions::prefixCache.maxShare", FieldRange::Fraction,
+              [](EngineOptions &o, double v) { o.prefixCache.maxShare = v; }},
+        },
+        std::function<void(const EngineOptions &)>(enter));
+
+    // Positive where the policy uses the value.
+    struct PolicyCase
+    {
+        SchedPolicyKind kind;
+        const char *field;
+        std::function<void(SchedPolicyConfig &)> zero;
+    };
+    const std::vector<PolicyCase> used = {
+        {SchedPolicyKind::ChunkPreempt, "preemptQuantumSeconds",
+         [](SchedPolicyConfig &c) { c.preemptQuantumSeconds = 0.0; }},
+        {SchedPolicyKind::TierPriority, "preemptQuantumSeconds",
+         [](SchedPolicyConfig &c) { c.preemptQuantumSeconds = -1.0; }},
+        {SchedPolicyKind::SloAdmission, "sloTargetGapSeconds",
+         [](SchedPolicyConfig &c) { c.sloTargetGapSeconds = 0.0; }},
+        {SchedPolicyKind::SloAdmission, "sloHeadroom",
+         [](SchedPolicyConfig &c) { c.sloHeadroom = -0.5; }},
+        {SchedPolicyKind::SloAdmission, "sloWindow",
+         [](SchedPolicyConfig &c) { c.sloWindow = 0; }},
+    };
+    for (const auto &c : used) {
+        EngineOptions o = testEngineOptions();
+        o.sched.kind = c.kind;
+        c.zero(o.sched);
+        const std::string needs = schedPolicyName(c.kind) +
+                                  " needs a positive EngineOptions::sched\\.";
+        EXPECT_DEATH(enter(o), needs + c.field) << c.field;
+    }
+
+    EngineOptions twice = testEngineOptions();
+    twice.tenantBudgets = {{3, 0.25}, {3, 0.25}};
+    EXPECT_DEATH(enter(twice), "EngineOptions::tenantBudgets\\[1\\]: "
+                               "tenant 3 already has a budget");
+    EngineOptions static_cache = testEngineOptions();
+    static_cache.allocator = AllocatorKind::Static;
+    static_cache.prefixCache.enabled = true;
+    EXPECT_DEATH(enter(static_cache),
+                 "EngineOptions::prefixCache\\.enabled requires the "
+                 "LazyChunk allocator");
+}
+
+TEST(OptionsDeathTest, EveryBadFleetValueNamesItsField)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(4, 8.0, 3);
+    auto enter = [&](const FleetOptions &o) {
+        FleetEngine fleet(cluster, model, trace, o);
+    };
+    auto one_event = [](FleetOptions &o, std::vector<FaultEvent> events) {
+        o.faults.replicas = {std::move(events)};
+    };
+    FleetOptions valid;
+    valid.replicas = 2;
+    valid.engine = testEngineOptions();
+    using F = RealField<FleetOptions>;
+    expectEachBadValueNamed<FleetOptions>(
+        valid,
+        {
+            F{"FleetOptions::dispatchLatencySeconds",
+              FieldRange::NonNegative,
+              [](FleetOptions &o, double v) {
+                  o.dispatchLatencySeconds = v;
+              }},
+            F{"FleetOptions::retryBackoffSeconds", FieldRange::NonNegative,
+              [](FleetOptions &o, double v) { o.retryBackoffSeconds = v; }},
+            F{"FleetOptions::faults.replicas[0][0].atSeconds",
+              FieldRange::NonNegative,
+              [&](FleetOptions &o, double v) { one_event(o, {crashAt(v)}); }},
+            F{"FleetOptions::faults.replicas[0][0].drainSeconds",
+              FieldRange::NonNegative,
+              [&](FleetOptions &o, double v) {
+                  one_event(o, {crashAt(1.0, v)});
+              }},
+            F{"FleetOptions::faults.replicas[0][1].modelReloadSeconds",
+              FieldRange::NonNegative,
+              [&](FleetOptions &o, double v) {
+                  one_event(o, {crashAt(1.0), recoverAt(2.0, v)});
+              }},
+            F{"FleetOptions::faults.replicas[0][0].slowdownFactor",
+              FieldRange::Positive,
+              [&](FleetOptions &o, double v) {
+                  one_event(o, {degradeAt(1.0, v, 1.0)});
+              }},
+            F{"FleetOptions::faults.replicas[0][0].durationSeconds",
+              FieldRange::Positive,
+              [&](FleetOptions &o, double v) {
+                  one_event(o, {degradeAt(1.0, 2.0, v)});
+              }},
+            // The replicas' engine options, checked by the fleet.
+            F{"FleetOptions::engine.sched.sloHeadroom", FieldRange::Finite,
+              [](FleetOptions &o, double v) {
+                  o.engine.sched.sloHeadroom = v;
+              }},
+            F{"FleetOptions::engine.tenantBudgets[0].share",
+              FieldRange::Fraction,
+              [](FleetOptions &o, double v) {
+                  o.engine.tenantBudgets = {{0, v}};
+              }},
+            F{"FleetOptions::engine.prefixCache.maxShare",
+              FieldRange::Fraction,
+              [](FleetOptions &o, double v) {
+                  o.engine.prefixCache.maxShare = v;
+              }},
+        },
+        std::function<void(const FleetOptions &)>(enter));
+
+    FleetOptions none = valid;
+    none.replicas = 0;
+    EXPECT_DEATH(enter(none), "FleetOptions::replicas must be at least 1 "
+                              "\\(got 0\\)");
+}
+
+TEST(OptionsDeathTest, FleetRejectsBadEngineOptionsAtConstruction)
+{
+    // The first replica's prepare() used to find this, naming no
+    // fleet field.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(4, 8.0, 3);
+    FleetOptions options;
+    options.engine = testEngineOptions();
+    options.engine.tenantBudgets = {{0, 2.0}};
+    EXPECT_DEATH(FleetEngine(cluster, model, trace, options),
+                 "FleetOptions::engine\\.tenantBudgets\\[0\\]\\.share must be "
+                 "in \\[0, 1\\] \\(got 2");
+}
+
+TEST(OptionsDeathTest, OrchestratorRejectsBadConfigAtConstruction)
+{
+    // The orchestrator checked nothing until evaluate().
+    OrchestratorConfig nan_headroom;
+    nan_headroom.sched.sloHeadroom = std::nan("");
+    EXPECT_DEATH(PimphonyOrchestrator{nan_headroom},
+                 "OrchestratorConfig::sched\\.sloHeadroom must be finite");
+    OrchestratorConfig budget;
+    budget.tenantBudgets = {{0, 2.0}};
+    EXPECT_DEATH(PimphonyOrchestrator{budget},
+                 "OrchestratorConfig::tenantBudgets\\[0\\]\\.share");
+    OrchestratorConfig cache;
+    cache.options.dpa = false;
+    cache.prefixCache.enabled = true;
+    EXPECT_DEATH(PimphonyOrchestrator{cache},
+                 "OrchestratorConfig::prefixCache\\.enabled requires the "
+                 "LazyChunk allocator");
+    OrchestratorConfig silent;
+    silent.decodeTokens = 0;
+    EXPECT_DEATH(PimphonyOrchestrator{silent},
+                 "OrchestratorConfig::decodeTokens must be at least 1");
+    OrchestratorConfig defaults;
+    PimphonyOrchestrator fine(defaults);
+    EXPECT_EQ(fine.config().maxSteps, EngineOptions{}.maxSteps);
+}
+
+TEST(OptionsDeathTest, EveryBadWorkloadValueNamesItsField)
+{
+    WorkloadSpec valid;
+    valid.count = 4;
+    auto enter = [](const WorkloadSpec &s) { buildWorkload(s, 1); };
+    auto arrival = [](ArrivalKind kind) {
+        return [kind](WorkloadSpec &s) {
+            s.arrival.kind = kind;
+            s.arrival.onOff.offRate = 1.0;
+            s.arrival.curve = RateCurve::fromRates({1.0, 2.0}, 1.0);
+        };
+    };
+    using F = RealField<WorkloadSpec>;
+    auto field = [](const char *name, FieldRange range,
+                    std::function<void(WorkloadSpec &)> kind,
+                    std::function<void(WorkloadSpec &, double)> set) {
+        return F{name, range, [kind, set](WorkloadSpec &s, double v) {
+                     kind(s);
+                     set(s, v);
+                 }};
+    };
+    auto any = [](WorkloadSpec &) {};
+    expectEachBadValueNamed<WorkloadSpec>(
+        valid,
+        {
+            field("ArrivalSpec::ratePerSecond", FieldRange::Positive,
+                  arrival(ArrivalKind::Poisson),
+                  [](WorkloadSpec &s, double v) {
+                      s.arrival.ratePerSecond = v;
+                  }),
+            field("ArrivalSpec::ratePerSecond", FieldRange::Positive,
+                  arrival(ArrivalKind::Gamma),
+                  [](WorkloadSpec &s, double v) {
+                      s.arrival.ratePerSecond = v;
+                  }),
+            field("ArrivalSpec::cv", FieldRange::Positive,
+                  arrival(ArrivalKind::Gamma),
+                  [](WorkloadSpec &s, double v) { s.arrival.cv = v; }),
+            field("ArrivalSpec::onOff.onRate", FieldRange::NonNegative,
+                  arrival(ArrivalKind::OnOff),
+                  [](WorkloadSpec &s, double v) {
+                      s.arrival.onOff.onRate = v;
+                  }),
+            field("ArrivalSpec::onOff.offRate", FieldRange::NonNegative,
+                  arrival(ArrivalKind::OnOff),
+                  [](WorkloadSpec &s, double v) {
+                      s.arrival.onOff.offRate = v;
+                  }),
+            field("ArrivalSpec::onOff.meanOnSeconds", FieldRange::Positive,
+                  arrival(ArrivalKind::OnOff),
+                  [](WorkloadSpec &s, double v) {
+                      s.arrival.onOff.meanOnSeconds = v;
+                  }),
+            field("ArrivalSpec::onOff.meanOffSeconds", FieldRange::Positive,
+                  arrival(ArrivalKind::OnOff),
+                  [](WorkloadSpec &s, double v) {
+                      s.arrival.onOff.meanOffSeconds = v;
+                  }),
+            field("ArrivalSpec::curve.segments[0].seconds",
+                  FieldRange::Positive, arrival(ArrivalKind::RateCurve),
+                  [](WorkloadSpec &s, double v) {
+                      s.arrival.curve.segments[0].seconds = v;
+                  }),
+            field("ArrivalSpec::curve.segments[0].ratePerSecond",
+                  FieldRange::NonNegative, arrival(ArrivalKind::RateCurve),
+                  [](WorkloadSpec &s, double v) {
+                      s.arrival.curve.segments[0].ratePerSecond = v;
+                  }),
+            field("WorkloadSpec::classes[1].gapSloSeconds",
+                  FieldRange::NonNegative, any,
+                  [](WorkloadSpec &s, double v) {
+                      s.classes = {RequestClass{}, RequestClass{1, v, 0}};
+                  }),
+            field("WorkloadSpec::session.thinkMeanSeconds",
+                  FieldRange::NonNegative,
+                  [](WorkloadSpec &s) { s.session.turns = 2; },
+                  [](WorkloadSpec &s, double v) {
+                      s.session.thinkMeanSeconds = v;
+                  }),
+            field("WorkloadSpec::prefix.share", FieldRange::Fraction,
+                  [](WorkloadSpec &s) { s.prefix.tokens = 16; },
+                  [](WorkloadSpec &s, double v) { s.prefix.share = v; }),
+        },
+        std::function<void(const WorkloadSpec &)>(enter));
+
+    // Counts, and sources with nothing to draw.
+    struct CountCase
+    {
+        const char *message;
+        std::function<void(WorkloadSpec &)> set;
+    };
+    const std::vector<CountCase> counts = {
+        {"WorkloadSpec::length.decodeTokens must be at least 1",
+         [](WorkloadSpec &s) { s.length.decodeTokens = 0; }},
+        {"WorkloadSpec::length.pairs\\[0\\].decodeTokens must be at least 1",
+         [](WorkloadSpec &s) {
+             s.length.kind = LengthSourceKind::Pairs;
+             s.length.pairs = {{128, 0}};
+         }},
+        {"WorkloadSpec::length.pairs: the Pairs length source needs",
+         [](WorkloadSpec &s) { s.length.kind = LengthSourceKind::Pairs; }},
+        {"WorkloadSpec::length.histogram: the Histogram length source needs",
+         [](WorkloadSpec &s) {
+             s.length.kind = LengthSourceKind::Histogram;
+         }},
+        {"WorkloadSpec::session.turns must be at least 1 \\(got 0\\)",
+         [](WorkloadSpec &s) { s.session.turns = 0; }},
+        {"WorkloadSpec::prefix.pool must be at least 1 \\(got 0\\)",
+         [](WorkloadSpec &s) {
+             s.prefix = PrefixSpec{0.5, 0, 16};
+         }},
+    };
+    for (const auto &c : counts) {
+        WorkloadSpec spec = valid;
+        c.set(spec);
+        EXPECT_DEATH(enter(spec), c.message);
+    }
 }
 
 } // namespace

@@ -1069,6 +1069,58 @@ TEST(WorkloadSpecDeathTest, TableTaskZeroDecodeTokensIsFatal)
                  "must decode at least one token");
 }
 
+TEST(WorkloadSpecDeathTest, ZeroDecodeTokensAreRefusedAtEveryEntry)
+{
+    // A histogram bin of 0 decode tokens used to build: four such
+    // requests finished with generatedTokens 4 and goodputTokens 0,
+    // breaking generated == goodput + lost + recomputed.
+    LengthHistogram histogram;
+    histogram.add(1024, 8);
+    EXPECT_DEATH(histogram.add(1024, 0),
+                 "LengthHistogram bin 1 decode_tokens must be at least 1 "
+                 "\\(got 0\\): requests must decode at least one token");
+
+    WorkloadSpec spec;
+    spec.count = 4;
+    spec.length.kind = LengthSourceKind::Pairs;
+    spec.length.pairs = {{1024, 8}, {2048, 0}};
+    EXPECT_DEATH(buildWorkload(spec, 1),
+                 "WorkloadSpec::length\\.pairs\\[1\\]\\.decodeTokens "
+                 "must be at least 1");
+
+    const char *path = "REPLAY_DECODE_TEST.tmp";
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << "{\"format\": \"pimphony-trace-v1\", \"requests\": "
+              "[{\"id\": 0, \"context\": 8, \"decode\": 0}]}";
+    }
+    EXPECT_DEATH(loadWorkload(path),
+                 "REPLAY_DECODE_TEST.tmp:1:[0-9]+: bad trace file: 'decode' "
+                 "must be at least 1, got 0: requests must decode at least "
+                 "one token \\(at byte [0-9]+\\)");
+    std::remove(path);
+}
+
+TEST(Trace, MultifieldQaMatchesTheMeanWithoutFallbackDraws)
+{
+    // Table II's multifieldqa std (31,025) is beyond any lognormal
+    // truncated to [20,333, 119,480]; the joint fit once ran to
+    // sigma = 118, where 59 of these 20,000 draws were the rejection
+    // fallback (exactly max) and the mean read 56,324. The mean-only
+    // fit at sigma = 2 keeps the attainable std.
+    const auto &ref = traceTaskStats(TraceTask::MultifieldQa);
+    TraceGenerator gen(TraceTask::MultifieldQa, 7);
+    StatAccumulator s;
+    int at_max = 0;
+    for (const auto &r : gen.generate(20000)) {
+        s.add(static_cast<double>(r.contextTokens));
+        at_max += static_cast<double>(r.contextTokens) == ref.max;
+    }
+    EXPECT_EQ(at_max, 0);
+    EXPECT_NEAR(s.mean(), ref.mean, 0.01 * ref.mean);
+    EXPECT_GT(s.stddev(), 28107.0);
+}
+
 TEST(Trace, NamesAndSuites)
 {
     EXPECT_EQ(traceTaskName(TraceTask::QMSum), "QMSum");
