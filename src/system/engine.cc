@@ -88,8 +88,9 @@ struct ServingEngine::EventRun
 
     /**
      * Requests that left this engine after emitting a token
-     * (preempted, or killed by evacuate()): a restart here records
-     * no second TTFT. Usually empty.
+     * (preempted, or killed by evacuate()), or arrived having emitted
+     * one elsewhere (skipFirstToken()): a restart here records no
+     * second TTFT. Usually empty.
      */
     std::unordered_set<RequestId> restarted;
 
@@ -936,6 +937,14 @@ ServingEngine::evacuate(bool kill_in_flight)
     out.queued.insert(out.queued.end(), ev.future.begin(), ev.future.end());
     ev.future = {};
     sortByArrival(out.queued);
+    // Whatever emitted a token here, or was handed in having done so
+    // elsewhere, has its TTFT recorded already.
+    auto note_first_token = [&](RequestId id) {
+        if (ev.restarted.count(id))
+            out.firstTokenDone.push_back(id);
+    };
+    for (const TimedRequest &timed : out.queued)
+        note_first_token(timed.request.id);
     if (!kill_in_flight)
         return out;
 
@@ -953,6 +962,7 @@ ServingEngine::evacuate(bool kill_in_flight)
         out.lostTokens += a.generated;
         if (a.generated >= 1)
             ev.restarted.insert(a.request.id);
+        note_first_token(a.request.id);
         out.inFlight.push_back({a.request, a.arrival});
     };
     for (Active &a : ev.readyPool)
@@ -984,6 +994,14 @@ ServingEngine::restoreService()
     // Just lift the halt: queues are empty (the evacuation took
     // them), so service resumes with the next injected arrival.
     ev_->halted = false;
+}
+
+void
+ServingEngine::skipFirstToken(RequestId id)
+{
+    if (!ev_)
+        fatal("ServingEngine::skipFirstToken() before prepare()");
+    ev_->restarted.insert(id);
 }
 
 void
@@ -1088,17 +1106,6 @@ RequestTimes::seal(const char *event)
     auto twice = std::adjacent_find(entries_.begin(), entries_.end(), sameId);
     if (twice != entries_.end())
         panic("request %u %s twice", twice->first, event);
-}
-
-void
-RequestTimes::sealLatestWins()
-{
-    // Reversed, a stable sort puts each id's last-appended entry
-    // first in its run, and unique() keeps the first.
-    std::reverse(entries_.begin(), entries_.end());
-    std::stable_sort(entries_.begin(), entries_.end(), idLess);
-    entries_.erase(std::unique(entries_.begin(), entries_.end(), sameId),
-                   entries_.end());
 }
 
 void

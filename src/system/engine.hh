@@ -115,10 +115,6 @@ class RequestTimes
      *  @p event ("request 7 completed twice"). */
     void seal(const char *event);
 
-    /** Sort by id stably and keep, of each id, the entry appended
-     *  last: the fleet aggregate's "the later replica wins". */
-    void sealLatestWins();
-
   private:
     std::vector<value_type> entries_;
 };
@@ -196,9 +192,9 @@ struct EngineResult
     /**
      * Per-request TTFT, in ascending id order: one entry per request
      * that emitted a token here. First admission wins: a request
-     * preempted or killed after its first token and served here again
-     * keeps the TTFT it emitted first, and its restart records no
-     * TTFT sample.
+     * preempted or killed after its first token keeps the TTFT it
+     * emitted first, and its restart, here or on the replica it
+     * fails over to (skipFirstToken()), records no TTFT sample.
      */
     RequestTimes firstTokenLatency;
 
@@ -268,8 +264,9 @@ struct EngineResult
         /** Token-gap samples of the tier. */
         std::uint64_t tokenGapSamples = 0;
 
-        /** TTFT samples of the tier (a request a crash kills after
-         *  its first token counts). */
+        /** TTFT samples of the tier, one per request that emitted a
+         *  token (a request a crash kills after its first token
+         *  counts where it emitted it). */
         std::uint64_t ttftSamples = 0;
 
         SampleRuns firstTokenRuns;
@@ -480,6 +477,13 @@ class ServingEngine
 
         /** Decode tokens already generated for inFlight, now wasted. */
         std::uint64_t lostTokens = 0;
+
+        /**
+         * Ids of the queued and inFlight requests that already
+         * emitted a token, here or before a skipFirstToken() handed
+         * them in: their TTFT is recorded.
+         */
+        std::vector<RequestId> firstTokenDone;
     };
 
     /**
@@ -502,6 +506,13 @@ class ServingEngine
      * again. No-op if not halted.
      */
     void restoreService();
+
+    /**
+     * Request @p id emitted its first token on another engine, which
+     * recorded its TTFT (Evacuation::firstTokenDone), so this one
+     * records none for it. Call before delivering the request.
+     */
+    void skipFirstToken(RequestId id);
 
     /**
      * Stretch device charges submitted from now on by @p factor

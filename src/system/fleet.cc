@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/logging.hh"
@@ -151,8 +152,6 @@ aggregateResults(std::vector<EngineResult> &results)
     agg.firstTokenLatency.reserve(first_tokens);
     agg.completionSeconds.reserve(completions);
 
-    // Replicas are folded in order, so sealLatestWins() keeps a
-    // failed-over request's entry from the later replica.
     for (EngineResult &r : results) {
         foldReplica(agg, r);
         batch_sum += r.avgEffectiveBatch * r.simulatedSeconds;
@@ -210,8 +209,10 @@ aggregateResults(std::vector<EngineResult> &results)
         agg.tenantOccupancy.push_back(ta.out);
     }
     agg.summarizeLatencies();
-    agg.firstTokenLatency.sealLatestWins();
-    agg.completionSeconds.sealLatestWins();
+    // A failed-over request's first token is recorded only where it
+    // was first emitted, and a request completes once.
+    agg.firstTokenLatency.seal("emitted a first token");
+    agg.completionSeconds.seal("completed");
     return agg;
 }
 
@@ -262,6 +263,9 @@ struct FleetEngine::Run
     std::size_t nextArrival = 0; // next unrouted trace index
     std::deque<TimedRequest> retries; // nondecreasing arrival order
     std::unordered_map<RequestId, unsigned> attempts;
+    /** Displaced requests that emitted a token before, until routed:
+     *  the replica they land on records no second TTFT. */
+    std::unordered_set<RequestId> firstTokenDone;
     std::vector<std::vector<TimedRequest>> batches;
     std::uint64_t barrierIndex = 0; // windowed: next B_j = j * d
     bool drained = false;
@@ -356,30 +360,22 @@ FleetEngine::Run::pickReplica(const TimedRequest &timed)
             pick = (pick + 1) % R;
         rrNext = (pick + 1) % R;
     } else if (pick == R) {
-        std::size_t best = R; // sentinel: first routable wins
-        if (options.policy == RoutePolicy::PrefixAffinity) {
-            // Warmest cache wins; ties fall to the lighter load,
-            // then the lower index. All-cold requests drop through
-            // to the exact least-loaded decision, so the policy is
-            // decision-identical to LeastLoaded when caching is off.
-            Tokens warmest = 0;
-            for (std::size_t i = 0; i < R; ++i) {
-                if (!routable[i])
-                    continue;
-                Tokens warm = engines[i]->prefixWarmTokens(timed.request);
-                if (warm > warmest ||
-                    (warm == warmest && warm > 0 && best != R &&
-                     loads[i] < loads[best])) {
-                    warmest = warm;
-                    best = i;
-                }
+        // Least uncached work wins, ties to the lower index: queued
+        // tokens less, under PrefixAffinity, the prefill the replica's
+        // cache already holds for this request (0 with caching off).
+        double cheapest = kInf;
+        for (std::size_t i = 0; i < R; ++i) {
+            if (!routable[i])
+                continue;
+            double cost = loads[i];
+            if (options.policy == RoutePolicy::PrefixAffinity)
+                cost -= static_cast<double>(
+                    engines[i]->prefixWarmTokens(timed.request));
+            if (cost < cheapest) {
+                cheapest = cost;
+                pick = i;
             }
         }
-        if (best == R)
-            for (std::size_t i = 0; i < R; ++i)
-                if (routable[i] && (best == R || loads[i] < loads[best]))
-                    best = i;
-        pick = best;
     }
     // Keep the load signal honest for pinned requests too.
     if (usesLoads())
@@ -507,6 +503,7 @@ FleetEngine::Run::evacuate(std::size_t r, bool kill, double at)
     ServingEngine::Evacuation ev = engines[r]->evacuate(kill);
     result.evacuatedRequests += ev.queued.size();
     result.lostTokens += ev.lostTokens;
+    firstTokenDone.insert(ev.firstTokenDone.begin(), ev.firstTokenDone.end());
     for (const auto *displaced : {&ev.queued, &ev.inFlight}) {
         for (TimedRequest timed : *displaced) {
             unsigned k = ++attempts[timed.request.id];
@@ -583,6 +580,8 @@ FleetEngine::Run::routeDue(double barrier)
             retries.pop_front();
         }
         std::size_t r = pickReplica(timed);
+        if (!take_trace && firstTokenDone.erase(timed.request.id))
+            engines[r]->skipFirstToken(timed.request.id);
         timed.arrivalSeconds = std::max(
             timed.arrivalSeconds + options.dispatchLatencySeconds, barrier);
         batches[r].push_back(timed);

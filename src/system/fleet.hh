@@ -57,14 +57,14 @@ enum class RoutePolicy {
     LeastLoaded,
 
     /**
-     * Prefix-affinity routing: the replica whose prefix cache is
-     * warmest for the request (ServingEngine::prefixWarmTokens —
-     * retained session KV or a cached workload prefix), ties broken
-     * by the least-loaded signal and then the lowest index. A
-     * request no replica is warm for falls back to the exact
-     * LeastLoaded decision; with prefix caching disabled every
-     * warmth reads 0, so routing is decision-identical to
-     * LeastLoaded. Session pinning still precedes the policy.
+     * Prefix-affinity routing: the replica with the least uncached
+     * work, its LeastLoaded signal less the prefill its prefix cache
+     * already holds for the request (ServingEngine::prefixWarmTokens
+     * — retained session KV or a cached workload prefix), ties to the
+     * lowest index. Warmth wins only while it outweighs the extra
+     * queued work. With prefix caching disabled every warmth reads
+     * 0, so routing is decision-identical to LeastLoaded. Session
+     * pinning still precedes the policy.
      */
     PrefixAffinity,
 };
@@ -134,9 +134,10 @@ struct FleetResult
      * pooled samples: their stores are merged in replica index order
      * and summarized as one engine's, so a p95 is a true nearest-rank
      * percentile. The per-request tables hold one entry per id, in
-     * id order; a request served on two replicas (a crash failover)
-     * keeps the later replica's entry. A deterministic function of
-     * the per-replica results.
+     * id order: a request failed over after its first token keeps
+     * the TTFT of the replica that emitted it (the next one records
+     * none, here or in the sample stores), and a request completes
+     * once. A deterministic function of the per-replica results.
      */
     EngineResult aggregate;
 

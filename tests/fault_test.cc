@@ -326,12 +326,12 @@ TEST(FleetFaults, CrashMidDecodeFailsOverWithExactTokenAccounting)
     EXPECT_EQ(fleet.availability[0], 1.0);
 }
 
-TEST(FleetFaults, AggregateKeepsTheLaterReplicasTimes)
+TEST(FleetFaults, AggregateKeepsTheFirstEmittedToken)
 {
     // Replica 0 crashes mid-decode: requests it killed after their
-    // first token record a TTFT there and again on replica 1, where
-    // they complete. The aggregate holds one entry per id, in id
-    // order, and a request on both replicas keeps replica 1's.
+    // first token record their TTFT there and none on replica 1,
+    // where they complete. The aggregate holds one entry per id, in
+    // id order, and a failed-over request keeps replica 0's.
     auto model = testModel();
     auto cluster = testCluster(model);
     auto trace = testTrace(24, 64.0, 24, 256);
@@ -346,23 +346,65 @@ TEST(FleetFaults, AggregateKeepsTheLaterReplicasTimes)
     auto fleet = FleetEngine(cluster, model, trace, fopts).run();
     ASSERT_GT(fleet.lostTokens, 0u);
 
-    const RequestTimes &r0 = fleet.replicas[0].firstTokenLatency;
-    const RequestTimes &r1 = fleet.replicas[1].firstTokenLatency;
+    const EngineResult &r0 = fleet.replicas[0];
+    const EngineResult &r1 = fleet.replicas[1];
     const RequestTimes &agg = fleet.aggregate.firstTokenLatency;
-    std::size_t on_both = 0;
-    for (const auto &kv : r0) {
-        if (!r1.count(kv.first)) {
-            EXPECT_EQ(timeOf(agg, kv.first), kv.second) << kv.first;
-            continue;
+    std::size_t failed_over = 0;
+    for (const auto &kv : r0.firstTokenLatency) {
+        EXPECT_EQ(timeOf(agg, kv.first), kv.second) << kv.first;
+        EXPECT_EQ(r1.firstTokenLatency.count(kv.first), 0u) << kv.first;
+        if (!r0.completionSeconds.count(kv.first)) {
+            ++failed_over;
+            EXPECT_EQ(r1.completionSeconds.count(kv.first), 1u) << kv.first;
         }
-        ++on_both;
-        EXPECT_NE(kv.second, timeOf(r1, kv.first)) << kv.first;
-        EXPECT_EQ(timeOf(agg, kv.first), timeOf(r1, kv.first)) << kv.first;
     }
-    ASSERT_GT(on_both, 0u);
-    EXPECT_EQ(agg.size(), r0.size() + r1.size() - on_both);
+    ASSERT_GT(failed_over, 0u);
+    EXPECT_EQ(agg.size(),
+              r0.firstTokenLatency.size() + r1.firstTokenLatency.size());
     EXPECT_TRUE(std::is_sorted(agg.begin(), agg.end()));
     EXPECT_EQ(fleet.aggregate.completionSeconds.size(), trace.size());
+}
+
+TEST(FleetFaults, TtftIsSampledOnceWhicheverReplicaCrashes)
+{
+    // A request killed after its first token records no second TTFT
+    // on the replica it fails over to, whether the crash hits the
+    // lower or the higher replica index: the fleet (and each class)
+    // holds one TTFT sample per request that emitted a token.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    auto trace = testTrace(24, 64.0, 24, 256);
+    for (auto &timed : trace)
+        timed.request.cls.tier = timed.request.id % 2;
+
+    for (std::size_t crashed : {0u, 1u}) {
+        FleetOptions fopts;
+        fopts.replicas = 2;
+        fopts.policy = RoutePolicy::RoundRobin;
+        fopts.dispatchLatencySeconds = 0.004;
+        fopts.engine = testEngineOptions();
+        fopts.faults.replicas.resize(2);
+        fopts.faults.replicas[crashed].push_back(crashAt(0.5));
+        auto fleet = FleetEngine(cluster, model, trace, fopts).run();
+
+        const EngineResult &down = fleet.replicas[crashed];
+        std::size_t killed_after_first_token = 0;
+        for (const auto &kv : down.firstTokenLatency)
+            killed_after_first_token +=
+                !down.completionSeconds.count(kv.first);
+        ASSERT_GT(killed_after_first_token, 0u) << "crash on " << crashed;
+
+        // Every request completes, so every one emitted a token.
+        const EngineResult &agg = fleet.aggregate;
+        ASSERT_EQ(agg.completedRequests, trace.size());
+        EXPECT_EQ(agg.firstTokenLatency.size(), trace.size());
+        EXPECT_EQ(agg.firstTokenRuns.count(), trace.size())
+            << "crash on " << crashed;
+        std::uint64_t class_samples = 0;
+        for (const auto &cl : agg.classLatencies)
+            class_samples += cl.ttftSamples;
+        EXPECT_EQ(class_samples, trace.size()) << "crash on " << crashed;
+    }
 }
 
 TEST(FleetFaults, ClassTtftAveragesAreWeightedByTtftSamples)

@@ -724,5 +724,70 @@ TEST(PrefixFleet, AffinityWithCachingOffFallsBackToLeastLoaded)
               "prefix-affinity");
 }
 
+/**
+ * The replica a prefix follower is routed to when the warm replica
+ * holds more queued work. At t = 0 a cold request takes replica 0
+ * (a tie at zero load) and the publisher of a 2048-token prefix
+ * replica 1 (the lighter). Both have finished by t = 10, when three
+ * requests arrive inside one 4 ms window, so the router's loads
+ * move only by its own placements: a cold 1016-token filler takes
+ * replica 0 (a tie), a cold filler of 1016 + @p lead tokens replica
+ * 1 (the lighter), and then the follower costs 1016 on replica 0 and
+ * 1016 + @p lead - 2048 on the warm replica 1.
+ */
+std::size_t
+followerReplica(Tokens lead)
+{
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    Request cold(0, 2048, 16);
+    Request publisher(1, 2048, 16);
+    publisher.prefixHash = 0xAAAA;
+    publisher.prefixTokens = 2048;
+    Request light(2, 1000, 16);
+    Request heavy(3, 1000 + lead, 16);
+    Request follower(4, 4096, 16);
+    follower.prefixHash = 0xAAAA;
+    follower.prefixTokens = 2048;
+    std::vector<TimedRequest> trace = {{cold, 0.0},
+                                       {publisher, 0.001},
+                                       {light, 10.0001},
+                                       {heavy, 10.0002},
+                                       {follower, 10.0003}};
+
+    FleetOptions fopts;
+    fopts.replicas = 2;
+    fopts.policy = RoutePolicy::PrefixAffinity;
+    fopts.dispatchLatencySeconds = 0.004;
+    fopts.engine = cachingOptions(true);
+    auto out = FleetEngine(cluster, model, trace, fopts).run();
+
+    EXPECT_EQ(out.aggregate.completedRequests, trace.size());
+    std::size_t pick = out.routedRequests[1] == 3u ? 1 : 0;
+    EXPECT_EQ(out.routedRequests[pick], 3u);
+    // Only a follower on the publisher's replica finds the prefix.
+    EXPECT_EQ(out.aggregate.prefixHits, pick == 1 ? 1u : 0u);
+    return pick;
+}
+
+TEST(PrefixFleet, ColderReplicaWinsByMoreThanTheWarmTokens)
+{
+    // Replica 0 holds 2049 fewer queued tokens than the warm replica
+    // 1, one more than the 2048 its cache would save.
+    EXPECT_EQ(followerReplica(2049), 0u);
+}
+
+TEST(PrefixFleet, WarmthWinsWithinTheMargin)
+{
+    // 2047 fewer queued tokens do not outweigh 2048 warm ones.
+    EXPECT_EQ(followerReplica(2047), 1u);
+}
+
+TEST(PrefixFleet, ExactCostTieGoesToTheLowerIndex)
+{
+    // Both cost 1016 tokens: the cold replica 0 wins the tie.
+    EXPECT_EQ(followerReplica(2048), 0u);
+}
+
 } // namespace
 } // namespace pimphony
