@@ -1,0 +1,244 @@
+/**
+ * @file
+ * Bit-exact pins of kernel schedules.
+ *
+ * schedule_pins.inc lists every distinct kernel descriptor the paper
+ * benches (bench_fig*, bench_table*, bench_ablation*) build in --smoke
+ * mode: 902 GEMV, QKT and SV kernels under the static, ping-pong and
+ * DCS controllers, ping-pong streams included, on AiMX channels with
+ * 1 to 64 output entries. Each row carries the ScheduleResult the
+ * kernel produced when the pins were recorded. Every field must match
+ * exactly, macUtilization by its bits, and every breakdown must sum to
+ * its makespan. The Fig. 7 worked example also pins its per-command
+ * timeline.
+ *
+ * A change that moves a schedule on purpose re-pins by pasting the
+ * "got" rows the failures print.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "kernels/kernel_sim.hh"
+#include "pim/scheduler.hh"
+
+namespace pimphony {
+namespace {
+
+struct ResultPin
+{
+    std::uint64_t makespan;
+    std::uint64_t macCycles;
+    std::uint64_t actPreCycles;
+    std::uint64_t refreshCycles;
+    std::uint64_t dtGbufCycles;
+    std::uint64_t dtOutregCycles;
+    std::uint64_t pipelinePenaltyCycles;
+    std::uint64_t macBusyCycles;
+    std::uint64_t macUtilizationBits;
+    std::uint64_t activates;
+    std::uint64_t precharges;
+    std::uint64_t refreshes;
+    std::uint64_t wrInpCount;
+    std::uint64_t macCount;
+    std::uint64_t rdOutCount;
+};
+
+struct KernelPin
+{
+    std::uint32_t kind;
+    std::uint32_t doutGroups;
+    std::uint32_t dinTiles;
+    std::uint64_t tokens;
+    std::uint32_t headDim;
+    std::uint32_t gqaGroup;
+    std::uint32_t rowReuse;
+    std::uint32_t scheduler;
+    std::uint32_t pingpong;
+    std::uint32_t outputEntries;
+    ResultPin result;
+};
+
+const KernelPin kKernelPins[] = {
+#include "schedule_pins.inc"
+};
+
+ResultPin
+pinOf(const ScheduleResult &r)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &r.macUtilization, sizeof bits);
+    const LatencyBreakdown &b = r.breakdown;
+    return {r.makespan,        b.macCycles,
+            b.actPreCycles,    b.refreshCycles,
+            b.dtGbufCycles,    b.dtOutregCycles,
+            b.pipelinePenaltyCycles, r.macBusyCycles,
+            bits,              r.activates,
+            r.precharges,      r.refreshes,
+            r.wrInpCount,      r.macCount,
+            r.rdOutCount};
+}
+
+/** The row as schedule_pins.inc writes it. */
+std::string
+format(const ResultPin &p)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "{%" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                  ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                  ", 0x%016" PRIx64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                  ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 "}",
+                  p.makespan, p.macCycles, p.actPreCycles, p.refreshCycles,
+                  p.dtGbufCycles, p.dtOutregCycles, p.pipelinePenaltyCycles,
+                  p.macBusyCycles, p.macUtilizationBits, p.activates,
+                  p.precharges, p.refreshes, p.wrInpCount, p.macCount,
+                  p.rdOutCount);
+    return buf;
+}
+
+std::string
+format(const KernelPin &k)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "{%u, %u, %u, %" PRIu64 ", %u, %u, %u, %u, %u, %u, ",
+                  k.kind, k.doutGroups, k.dinTiles, k.tokens, k.headDim,
+                  k.gqaGroup, k.rowReuse, k.scheduler, k.pingpong,
+                  k.outputEntries);
+    return buf;
+}
+
+KernelRequest
+requestOf(const KernelPin &k)
+{
+    KernelRequest req;
+    req.kind = static_cast<KernelKind>(k.kind);
+    req.gemv.doutGroups = k.doutGroups;
+    req.gemv.dinTiles = k.dinTiles;
+    req.att.tokens = k.tokens;
+    req.att.headDim = k.headDim;
+    req.att.gqaGroup = k.gqaGroup;
+    req.att.rowReuse = k.rowReuse != 0;
+    req.scheduler = static_cast<SchedulerKind>(k.scheduler);
+    req.pingpong = k.pingpong != 0;
+    return req;
+}
+
+TEST(SchedulePins, CoverEveryControllerAndKernelKind)
+{
+    EXPECT_EQ(std::size(kKernelPins), 902u);
+    unsigned per_sched[3] = {0, 0, 0};
+    unsigned per_kind[3] = {0, 0, 0};
+    unsigned pingpong_streams = 0;
+    for (const KernelPin &k : kKernelPins) {
+        ++per_sched[k.scheduler];
+        ++per_kind[k.kind];
+        pingpong_streams += k.pingpong;
+    }
+    for (unsigned i = 0; i < 3; ++i) {
+        EXPECT_GT(per_sched[i], 0u) << "scheduler " << i;
+        EXPECT_GT(per_kind[i], 0u) << "kernel kind " << i;
+    }
+    EXPECT_GT(pingpong_streams, 0u);
+}
+
+TEST(SchedulePins, EveryPaperBenchKernelIsBitIdentical)
+{
+    unsigned mismatches = 0;
+    for (const KernelPin &k : kKernelPins) {
+        ScheduleResult r = simulateKernel(
+            requestOf(k), AimTimingParams::aimxWithObuf(k.outputEntries));
+        EXPECT_EQ(r.breakdown.total(), r.makespan) << format(k);
+        std::string want = format(k.result);
+        std::string got = format(pinOf(r));
+        if (got != want && ++mismatches <= 20)
+            ADD_FAILURE() << format(k) << "\n  want " << want
+                          << "\n  got  " << got;
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+/** The 11-command GEMV of the paper's Fig. 7. */
+CommandStream
+fig7Stream()
+{
+    CommandStream s;
+    auto push = [&s](PimCommand c, std::int32_t group) {
+        c.group = group;
+        s.append(c);
+    };
+    int grp = 0;
+    push(PimCommand::wrInp(0), grp);
+    push(PimCommand::wrInp(1), grp);
+    push(PimCommand::wrInp(2), grp);
+    push(PimCommand::mac(0, 0, 0, 0), ++grp);
+    push(PimCommand::mac(1, 0, 0, 1), ++grp);
+    push(PimCommand::mac(2, 0, 0, 2), ++grp);
+    push(PimCommand::rdOut(0), ++grp);
+    push(PimCommand::mac(0, 1, 0, 3), ++grp);
+    push(PimCommand::mac(1, 1, 0, 4), ++grp);
+    push(PimCommand::mac(2, 1, 0, 5), ++grp);
+    push(PimCommand::rdOut(1), ++grp);
+    return s;
+}
+
+struct TimelinePin
+{
+    SchedulerKind scheduler;
+    bool illustrative; // else aimxWithObuf(4), as bench_fig7 prints
+    ResultPin result;
+    std::vector<std::pair<Cycle, Cycle>> issueComplete;
+};
+
+TEST(SchedulePins, Fig7TimelineIsBitIdentical)
+{
+    const TimelinePin pins[] = {
+        {SchedulerKind::Static, true,
+         {34, 12, 0, 0, 8, 6, 8, 12, 0x3fd6969696969697, 1, 0, 0, 3, 6, 2},
+         {{0, 4}, {2, 6}, {4, 8}, {8, 11}, {11, 14}, {14, 17}, {17, 21},
+          {21, 24}, {24, 27}, {27, 30}, {30, 34}}},
+        {SchedulerKind::Dcs, true,
+         {26, 12, 0, 0, 8, 4, 2, 12, 0x3fdd89d89d89d89e, 1, 0, 0, 3, 6, 2},
+         {{0, 4}, {2, 6}, {8, 12}, {4, 7}, {6, 9}, {12, 15}, {20, 24},
+          {14, 17}, {16, 19}, {18, 21}, {22, 26}}},
+        {SchedulerKind::Static, false,
+         {164, 12, 16, 0, 28, 26, 82, 12, 0x3fb2bb512bb512bb, 1, 0, 0, 3,
+          6, 2},
+         {{0, 24}, {2, 26}, {4, 28}, {44, 56}, {56, 68}, {68, 80},
+          {80, 104}, {104, 116}, {116, 128}, {128, 140}, {140, 164}}},
+        {SchedulerKind::Dcs, false,
+         {86, 12, 16, 0, 24, 4, 30, 12, 0x3fc1dc47711dc477, 1, 0, 0, 3, 6,
+          2},
+         {{0, 24}, {2, 26}, {4, 28}, {40, 52}, {42, 54}, {44, 56},
+          {56, 80}, {46, 58}, {48, 60}, {50, 62}, {62, 86}}},
+    };
+    const CommandStream stream = fig7Stream();
+    for (const TimelinePin &pin : pins) {
+        auto params = pin.illustrative ? AimTimingParams::illustrative()
+                                       : AimTimingParams::aimxWithObuf(4);
+        ScheduleResult r =
+            makeScheduler(pin.scheduler, params)->schedule(stream, true);
+        SCOPED_TRACE(schedulerName(pin.scheduler) +
+                     (pin.illustrative ? " illustrative" : " aimx"));
+        EXPECT_EQ(r.breakdown.total(), r.makespan);
+        EXPECT_EQ(format(pinOf(r)), format(pin.result));
+        ASSERT_EQ(r.timeline.size(), stream.size());
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            const ScheduledCommand &sc = r.timeline[i];
+            EXPECT_EQ(sc.cmd.id, stream[i].id);
+            EXPECT_EQ(sc.issue, pin.issueComplete[i].first) << "cmd " << i;
+            EXPECT_EQ(sc.complete, pin.issueComplete[i].second)
+                << "cmd " << i;
+        }
+    }
+}
+
+} // namespace
+} // namespace pimphony
