@@ -1,6 +1,23 @@
 #include "dram/timing.hh"
 
+#include "common/logging.hh"
+
 namespace pimphony {
+
+void
+AimTimingParams::validate(const std::string &path) const
+{
+    requireField(path + "clockGhz", clockGhz, FieldRange::Positive);
+    requireField(path + "tCcds", tCcds, 1);
+    // A refresh that lasts a whole interval never lets a command issue.
+    if (tRefi > 0 && tRfc >= tRefi)
+        fatal("%stRfc must be below tRefi when refresh is on (got tRfc "
+              "%llu, tRefi %llu)",
+              path.c_str(), static_cast<unsigned long long>(tRfc),
+              static_cast<unsigned long long>(tRefi));
+    requireField(path + "gbufEntries", gbufEntries, 1);
+    requireField(path + "outputEntries", outputEntries, 1);
+}
 
 AimTimingParams
 AimTimingParams::aimx()

@@ -13,6 +13,8 @@
 #ifndef PIMPHONY_DRAM_TIMING_HH
 #define PIMPHONY_DRAM_TIMING_HH
 
+#include <string>
+
 #include "common/types.hh"
 #include "common/units.hh"
 
@@ -97,6 +99,14 @@ struct AimTimingParams
     {
         return tileBytes * banksPerChannel;
     }
+
+    /**
+     * fatal() on a channel no schedule can run on, naming the field
+     * under @p path: clockGhz must be positive, tCcds at least 1,
+     * tRfc below tRefi unless refresh is off (tRefi == 0), and both
+     * buffers must hold at least one entry.
+     */
+    void validate(const std::string &path = "AimTimingParams::") const;
 
     /** Baseline AiMX-calibrated preset (static OutRegs). */
     static AimTimingParams aimx();

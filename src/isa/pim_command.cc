@@ -65,16 +65,6 @@ CommandStream::append(PimCommand cmd)
     commands_.push_back(cmd);
 }
 
-std::size_t
-CommandStream::countKind(CommandKind kind) const
-{
-    std::size_t n = 0;
-    for (const auto &c : commands_)
-        if (c.kind == kind)
-            ++n;
-    return n;
-}
-
 std::string
 CommandStream::validate(unsigned gbuf_entries, unsigned output_entries) const
 {

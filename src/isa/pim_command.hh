@@ -98,8 +98,6 @@ class CommandStream
     bool empty() const { return commands_.empty(); }
     const PimCommand &operator[](std::size_t i) const { return commands_[i]; }
 
-    std::size_t countKind(CommandKind kind) const;
-
     /**
      * Structural validation: every MAC reads a GBuf entry that some
      * earlier WR-INP produced, every RD-OUT drains an output entry

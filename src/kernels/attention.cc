@@ -1,129 +1,12 @@
 #include "kernels/attention.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/units.hh"
+#include "kernels/emitter.hh"
 
 namespace pimphony {
-
-namespace {
-
-/** Attention-specific emitter with explicit row placement. */
-struct AttEmitter
-{
-    CommandStream stream;
-    const AimTimingParams &params;
-    bool pingpong;
-    std::int32_t nextGroup = 0;
-    std::vector<std::int32_t> pendingDrains;
-    int pendingRegion = 0;
-
-    AttEmitter(const AimTimingParams &p, bool pp) : params(p), pingpong(pp) {}
-
-    /** Half of the GBuf: the streaming/double-buffer granule. */
-    unsigned
-    halfGbuf() const
-    {
-        return std::max(1u, params.gbufEntries / 2);
-    }
-
-    /** Output entries usable per region (full set when not split). */
-    unsigned
-    outCap() const
-    {
-        unsigned cap =
-            pingpong ? params.outputEntries / 2 : params.outputEntries;
-        return cap == 0 ? 1 : cap;
-    }
-
-    std::uint64_t
-    macsPerRow() const
-    {
-        std::uint64_t per =
-            params.rowBytesPerChannel() / params.macBytesPerCommand();
-        return per == 0 ? 1 : per;
-    }
-
-    /** Concrete output entry for an abstract slot in a region. */
-    std::int32_t
-    outEntry(std::uint64_t slot, int region) const
-    {
-        unsigned cap = outCap();
-        if (!pingpong || params.outputEntries < 2)
-            return static_cast<std::int32_t>(slot % cap);
-        return static_cast<std::int32_t>((region & 1) * cap + slot % cap);
-    }
-
-    void
-    push(PimCommand cmd, std::int32_t group, int region)
-    {
-        cmd.group = group;
-        cmd.region = pingpong ? static_cast<std::int8_t>(region & 1) : -1;
-        stream.append(cmd);
-    }
-
-    /** The i-th write carries logical source tile src_base + i. */
-    void
-    writeInputs(unsigned base, unsigned count, int region,
-                std::int64_t src_base = 0)
-    {
-        std::int32_t grp = nextGroup++;
-        for (unsigned i = 0; i < count; ++i) {
-            auto cmd =
-                PimCommand::wrInp(static_cast<std::int32_t>(base + i));
-            cmd.src = static_cast<std::int32_t>(src_base + i);
-            push(cmd, grp, region);
-        }
-    }
-
-    /**
-     * One accumulation run of @p count MACs into @p out; MAC i reads
-     * GBuf entry gbuf_base + i * gbuf_stride and covers DRAM tile
-     * dram_base + i.
-     */
-    void
-    macRun(unsigned gbuf_base, int gbuf_stride, unsigned count,
-           std::int32_t out, std::uint64_t dram_base, int region)
-    {
-        std::int32_t grp = nextGroup++;
-        std::uint64_t per_row = macsPerRow();
-        for (unsigned i = 0; i < count; ++i) {
-            std::uint64_t pos = dram_base + i;
-            RowIndex row = static_cast<RowIndex>(pos / per_row);
-            std::int32_t col = static_cast<std::int32_t>(pos % per_row);
-            push(PimCommand::mac(
-                     static_cast<std::int32_t>(
-                         gbuf_base + static_cast<unsigned>(gbuf_stride) * i),
-                     out, row, col),
-                 grp, region);
-        }
-    }
-
-    /** Queue a drain; flushes carry the region of their batch. */
-    void
-    queueDrain(std::int32_t out, int region)
-    {
-        if (!pendingDrains.empty() && region != pendingRegion)
-            flushDrains();
-        pendingRegion = region;
-        pendingDrains.push_back(out);
-    }
-
-    void
-    flushDrains()
-    {
-        if (pendingDrains.empty())
-            return;
-        std::int32_t grp = nextGroup++;
-        for (std::int32_t out : pendingDrains)
-            push(PimCommand::rdOut(out), grp, pendingRegion);
-        pendingDrains.clear();
-    }
-};
-
-} // namespace
 
 CommandStream
 buildQktStream(const AttentionSpec &spec, const AimTimingParams &params,
@@ -133,7 +16,7 @@ buildQktStream(const AttentionSpec &spec, const AimTimingParams &params,
         panic("bad attention spec (tokens=%llu headDim=%u)",
               static_cast<unsigned long long>(spec.tokens), spec.headDim);
 
-    AttEmitter em(params, pingpong);
+    Emitter em(params, pingpong);
     const unsigned q_tiles = spec.headDim / 16;
     const std::uint64_t token_groups = ceilDiv<Tokens>(spec.tokens, 16);
     const unsigned g = std::max(1u, spec.gqaGroup);
@@ -157,7 +40,7 @@ buildQktStream(const AttentionSpec &spec, const AimTimingParams &params,
             std::uint64_t slot = 0;
             for (std::uint64_t tg = 0; tg < token_groups; ++tg) {
                 std::int32_t out = em.outEntry(slot, region);
-                em.macRun(base, 1, q_tiles, out, tg * q_tiles, region);
+                em.macRun(base, q_tiles, out, tg * q_tiles, 1, region);
                 em.queueDrain(out, region);
                 ++slot;
                 if (slot % ocap == 0)
@@ -208,8 +91,7 @@ buildQktStream(const AttentionSpec &spec, const AimTimingParams &params,
                 if (resident)
                     run_region = static_cast<int>((slot / ocap) % 2);
                 std::int32_t out = em.outEntry(slot, run_region);
-                em.macRun(base, 1, q_tiles, out, tg * q_tiles,
-                          run_region);
+                em.macRun(base, q_tiles, out, tg * q_tiles, 1, run_region);
                 em.queueDrain(out, run_region);
                 ++slot;
                 if (slot % ocap == 0)
@@ -231,7 +113,7 @@ buildSvStream(const AttentionSpec &spec, const AimTimingParams &params,
         panic("bad attention spec (tokens=%llu headDim=%u)",
               static_cast<unsigned long long>(spec.tokens), spec.headDim);
 
-    AttEmitter em(params, pingpong);
+    Emitter em(params, pingpong);
     const unsigned j_tiles = spec.headDim / 16; // output dim groups
     const std::uint64_t token_groups = ceilDiv<Tokens>(spec.tokens, 16);
     const unsigned g = std::max(1u, spec.gqaGroup);
@@ -259,19 +141,8 @@ buildSvStream(const AttentionSpec &spec, const AimTimingParams &params,
                                        half_g);
                 for (unsigned j = 0; j < j_tiles; ++j) {
                     std::int32_t out = em.outEntry(j, region);
-                    std::int32_t grp = em.nextGroup++;
-                    for (unsigned i = 0; i < tiles; ++i) {
-                        std::uint64_t tg = blk * half_g + i;
-                        std::uint64_t pos = tg * j_tiles + j;
-                        RowIndex row =
-                            static_cast<RowIndex>(pos / per_row);
-                        std::int32_t col =
-                            static_cast<std::int32_t>(pos % per_row);
-                        em.push(PimCommand::mac(
-                                    static_cast<std::int32_t>(base + i),
-                                    out, row, col),
-                                grp, region);
-                    }
+                    em.macRun(base, tiles, out, blk * half_g * j_tiles + j,
+                              j_tiles, region);
                     em.queueDrain(out, region);
                     if ((j + 1) % ocap == 0)
                         em.flushDrains();
@@ -314,18 +185,8 @@ buildSvStream(const AttentionSpec &spec, const AimTimingParams &params,
                 static_cast<std::uint64_t>(q) * j_tiles;
             for (unsigned j = 0; j < j_tiles; ++j) {
                 std::int32_t out = em.outEntry(slot_base + j, region);
-                std::int32_t grp = em.nextGroup++;
-                for (unsigned i = 0; i < tgs; ++i) {
-                    std::uint64_t tg = tg_lo + i;
-                    std::uint64_t pos = tg * j_tiles + j;
-                    RowIndex row = static_cast<RowIndex>(pos / per_row);
-                    std::int32_t col =
-                        static_cast<std::int32_t>(pos % per_row);
-                    em.push(PimCommand::mac(
-                                static_cast<std::int32_t>(base + i), out,
-                                row, col),
-                            grp, region);
-                }
+                em.macRun(base, tgs, out, tg_lo * j_tiles + j, j_tiles,
+                          region);
                 em.queueDrain(out, region);
                 if (em.pendingDrains.size() >= ocap)
                     em.flushDrains();

@@ -18,6 +18,10 @@
  *    GBuf per row chunk — extra WR-INP traffic that only DCS hides.
  *  - input-reuse: keep one query's inputs resident and stream the
  *    whole KV range, re-activating every row g times.
+ *
+ * Both builders emit through the Emitter (kernels/emitter.hh) the GEMV
+ * builder shares. An SV run walks the V tiles at a DRAM stride of
+ * dh/16 (one output dim group of consecutive tokens).
  */
 
 #ifndef PIMPHONY_KERNELS_ATTENTION_HH

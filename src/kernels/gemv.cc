@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/units.hh"
+#include "kernels/emitter.hh"
 
 namespace pimphony {
 
@@ -18,113 +19,6 @@ GemvSpec::fromDims(std::uint64_t dout, std::uint64_t din)
     return s;
 }
 
-namespace {
-
-/** Emission context carrying buffer cursors and group numbering. */
-struct Emitter
-{
-    CommandStream stream;
-    const AimTimingParams &params;
-    bool pingpong;
-    std::int32_t nextGroup = 0;
-    std::uint64_t macsEmitted = 0;
-
-    explicit Emitter(const AimTimingParams &p, bool pp)
-        : params(p), pingpong(pp)
-    {
-    }
-
-    unsigned
-    gbufCap() const
-    {
-        return pingpong ? params.gbufEntries / 2 : params.gbufEntries;
-    }
-
-    unsigned
-    outCap() const
-    {
-        unsigned cap =
-            pingpong ? params.outputEntries / 2 : params.outputEntries;
-        return cap == 0 ? 1 : cap;
-    }
-
-    /** MACs that fit in one open row across the channel. */
-    std::uint64_t
-    macsPerRow() const
-    {
-        std::uint64_t per =
-            params.rowBytesPerChannel() / params.macBytesPerCommand();
-        return per == 0 ? 1 : per;
-    }
-
-    void
-    push(PimCommand cmd, std::int32_t group, int region)
-    {
-        cmd.group = group;
-        cmd.region = pingpong ? static_cast<std::int8_t>(region & 1) : -1;
-        stream.append(cmd);
-    }
-
-    /**
-     * Map an abstract output slot to a concrete entry. In ping-pong
-     * mode each region owns one half of the output entries, so the
-     * slot also determines the region of the commands touching it.
-     */
-    std::int32_t
-    outEntry(std::uint64_t slot, int region) const
-    {
-        unsigned half = outCap();
-        if (!pingpong || params.outputEntries < 2)
-            return static_cast<std::int32_t>(slot % half);
-        return static_cast<std::int32_t>((region & 1) * half +
-                                         slot % half);
-    }
-
-    /** Write @p count tiles into GBuf starting at @p base; the i-th
-     *  command carries logical source tile @p src_base + i. */
-    void
-    writeInputs(unsigned base, unsigned count, int region,
-                std::int64_t src_base = 0)
-    {
-        std::int32_t grp = nextGroup++;
-        for (unsigned i = 0; i < count; ++i) {
-            auto cmd =
-                PimCommand::wrInp(static_cast<std::int32_t>(base + i));
-            cmd.src = static_cast<std::int32_t>(src_base + i);
-            push(cmd, grp, region);
-        }
-    }
-
-    /**
-     * One accumulation run: @p count MACs into output entry @p out,
-     * reading GBuf entries base..base+count-1, rows advancing
-     * sequentially (row-reuse layout).
-     */
-    void
-    macRun(unsigned gbuf_base, unsigned count, std::int32_t out, int region)
-    {
-        std::int32_t grp = nextGroup++;
-        std::uint64_t per_row = macsPerRow();
-        for (unsigned i = 0; i < count; ++i) {
-            RowIndex row = static_cast<RowIndex>(macsEmitted / per_row);
-            std::int32_t col =
-                static_cast<std::int32_t>(macsEmitted % per_row);
-            push(PimCommand::mac(static_cast<std::int32_t>(gbuf_base + i),
-                                 out, row, col),
-                 grp, region);
-            ++macsEmitted;
-        }
-    }
-
-    void
-    drain(std::int32_t out, int region, std::int32_t grp)
-    {
-        push(PimCommand::rdOut(out), grp, region);
-    }
-};
-
-} // namespace
-
 CommandStream
 buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
                 bool pingpong)
@@ -135,6 +29,13 @@ buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
     Emitter em(params, pingpong);
     unsigned gcap = em.gbufCap();
     unsigned ocap = em.outCap();
+    // Row-reuse layout: every MAC reads the next DRAM tile.
+    std::uint64_t dram = 0;
+    auto mac_run = [&](unsigned base, unsigned tiles, std::int32_t out,
+                       int region) {
+        em.macRun(base, tiles, out, dram, 1, region);
+        dram += tiles;
+    };
 
     if (spec.dinTiles <= gcap) {
         // Input-resident: one write pass, then batched output groups.
@@ -147,11 +48,10 @@ buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
             std::uint32_t batch =
                 std::min<std::uint32_t>(ocap, spec.doutGroups - g0);
             for (std::uint32_t b = 0; b < batch; ++b)
-                em.macRun(0, spec.dinTiles, em.outEntry(b, region),
-                          region);
-            std::int32_t grp = em.nextGroup++;
+                mac_run(0, spec.dinTiles, em.outEntry(b, region), region);
             for (std::uint32_t b = 0; b < batch; ++b)
-                em.drain(em.outEntry(b, region), region, grp);
+                em.queueDrain(em.outEntry(b, region), region);
+            em.flushDrains();
         }
         return std::move(em.stream);
     }
@@ -159,7 +59,7 @@ buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
     // Input-streaming: blocks of half the full GBuf, alternating
     // halves (software double buffering; in ping-pong mode each half
     // is one region).
-    unsigned block = std::max(1u, params.gbufEntries / 2);
+    unsigned block = em.halfGbuf();
     std::uint32_t n_blocks = ceilDiv<std::uint32_t>(spec.dinTiles, block);
 
     if (spec.doutGroups <= ocap) {
@@ -171,12 +71,11 @@ buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
             em.writeInputs(base, tiles, blk % 2,
                            static_cast<std::int64_t>(blk) * block);
             for (std::uint32_t g = 0; g < spec.doutGroups; ++g)
-                em.macRun(base, tiles, static_cast<std::int32_t>(g),
-                          blk % 2);
+                mac_run(base, tiles, static_cast<std::int32_t>(g), blk % 2);
         }
-        std::int32_t grp = em.nextGroup++;
         for (std::uint32_t g = 0; g < spec.doutGroups; ++g)
-            em.drain(static_cast<std::int32_t>(g), (n_blocks - 1) % 2, grp);
+            em.queueDrain(static_cast<std::int32_t>(g), (n_blocks - 1) % 2);
+        em.flushDrains();
         return std::move(em.stream);
     }
 
@@ -193,10 +92,10 @@ buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
             std::uint32_t batch =
                 std::min<std::uint32_t>(ocap, spec.doutGroups - g0);
             for (std::uint32_t b = 0; b < batch; ++b)
-                em.macRun(base, tiles, em.outEntry(b, region), region);
-            std::int32_t grp = em.nextGroup++;
+                mac_run(base, tiles, em.outEntry(b, region), region);
             for (std::uint32_t b = 0; b < batch; ++b)
-                em.drain(em.outEntry(b, region), region, grp);
+                em.queueDrain(em.outEntry(b, region), region);
+            em.flushDrains();
         }
     }
     return std::move(em.stream);

@@ -22,6 +22,10 @@
  * Weight layout is co-designed with the emission order (row-reuse
  * mapping): consecutive MACs read consecutive DRAM locations, so a
  * row switch occurs every rowBytesPerChannel / 512 B MACs.
+ *
+ * Commands are emitted through the Emitter (kernels/emitter.hh) the
+ * attention builders share: writeInputs, macRun, and drains batched by
+ * queueDrain/flushDrains.
  */
 
 #ifndef PIMPHONY_KERNELS_GEMV_HH

@@ -1,16 +1,8 @@
 #include "pim/dcs_scheduler.hh"
 
-#include <limits>
-
-#include "common/logging.hh"
-#include "dram/refresh.hh"
-#include "dram/row_state.hh"
-
 namespace pimphony {
 
 namespace {
-
-constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
 
 /** Dependency of one command on an earlier command's completion. */
 struct Dependency
@@ -46,10 +38,7 @@ DcsScheduler::metadataBytes() const
 ScheduleResult
 DcsScheduler::schedule(const CommandStream &stream, bool keep_timeline)
 {
-    ScheduleResult result;
     const auto &cmds = stream.commands();
-    if (cmds.empty())
-        return result;
 
     // --- D-Table pass: assign dependency IDs in program order. ---
     std::vector<CommandId> gbuf_last(params_.gbufEntries, kNoCommand);
@@ -113,138 +102,41 @@ DcsScheduler::schedule(const CommandStream &stream, bool keep_timeline)
         deps[i] = d;
     }
 
-    // --- Issue loop: two in-order queues, OoO across them. ---
-    std::vector<std::size_t> io_q, comp_q;
-    io_q.reserve(cmds.size());
-    comp_q.reserve(cmds.size());
-    for (std::size_t i = 0; i < cmds.size(); ++i) {
-        if (isIoCommand(cmds[i].kind))
-            io_q.push_back(i);
-        else
-            comp_q.push_back(i);
-    }
+    // --- Issue: a head is ready once its dependencies complete. ---
+    struct Rule
+    {
+        const std::vector<DepSet> &deps;
 
-    std::vector<Cycle> complete(cmds.size(), kNever);
-    std::vector<bool> issued(cmds.size(), false);
-    RowStateTracker rows(params_);
-    RefreshModel refresh(params_);
-
-    if (keep_timeline)
-        result.timeline.resize(cmds.size());
-
-    Cycle bus_free = 0;
-    std::size_t io_head = 0, comp_head = 0;
-
-    // Readiness of one queue head; kNever when a dependency has not
-    // been issued yet. Also reports which dependency binds.
-    auto readiness = [&](std::size_t idx, CommandKind &cause,
-                         bool &bound) -> Cycle {
-        const DepSet &d = deps[idx];
-        Cycle ready = 0;
-        bound = false;
-        auto consider = [&](const Dependency &dep) {
-            if (dep.on == kNoCommand)
-                return;
-            if (!issued[dep.on]) {
-                ready = kNever;
-                return;
-            }
-            if (dep.chain)
-                return; // bus spacing suffices (is-MAC chaining)
-            if (ready == kNever)
-                return;
-            if (complete[dep.on] > ready) {
-                ready = complete[dep.on];
-                cause = dep.kind;
-                bound = true;
-            }
-        };
-        consider(d.gbuf);
-        consider(d.obuf);
-        return ready;
-    };
-
-    std::size_t remaining = cmds.size();
-    while (remaining > 0) {
-        CommandKind io_cause = CommandKind::Mac;
-        CommandKind comp_cause = CommandKind::Mac;
-        bool io_bound = false, comp_bound = false;
-        Cycle io_ready = io_head < io_q.size()
-            ? readiness(io_q[io_head], io_cause, io_bound)
-            : kNever;
-        Cycle comp_ready = comp_head < comp_q.size()
-            ? readiness(comp_q[comp_head], comp_cause, comp_bound)
-            : kNever;
-
-        if (io_ready == kNever && comp_ready == kNever)
-            panic("DCS deadlock: both queue heads blocked");
-
-        // Candidate issue = max(readiness, bus). Prefer the earlier
-        // candidate; on a tie prefer compute to keep the MACs fed.
-        Cycle io_cand = io_ready == kNever
-            ? kNever
-            : (io_ready > bus_free ? io_ready : bus_free);
-        Cycle comp_cand = comp_ready == kNever
-            ? kNever
-            : (comp_ready > bus_free ? comp_ready : bus_free);
-
-        bool pick_compute = comp_cand <= io_cand;
-        std::size_t idx =
-            pick_compute ? comp_q[comp_head] : io_q[io_head];
-        Cycle cand = pick_compute ? comp_cand : io_cand;
-        CommandKind cause = pick_compute ? comp_cause : io_cause;
-        bool bound = pick_compute ? comp_bound : io_bound;
-
-        const PimCommand &c = cmds[idx];
-
-        // Dependency stall attribution: time the bus sat idle waiting
-        // for the binding dependency to complete.
-        if (bound && cand > bus_free) {
-            Cycle wait = cand - bus_free;
-            switch (cause) {
-              case CommandKind::WrInp:
-                result.breakdown.dtGbufCycles += wait;
-                break;
-              case CommandKind::RdOut:
-                result.breakdown.dtOutregCycles += wait;
-                break;
-              case CommandKind::Mac:
-                result.breakdown.pipelinePenaltyCycles += wait;
-                break;
-            }
+        Readiness
+        ready(std::size_t idx, bool, const std::vector<bool> &issued,
+              const std::vector<Cycle> &complete) const
+        {
+            Readiness r;
+            auto consider = [&](const Dependency &dep) {
+                if (dep.on == kNoCommand || r.at == kNever)
+                    return;
+                if (!issued[dep.on]) {
+                    r.at = kNever;
+                    return;
+                }
+                if (dep.chain)
+                    return; // bus spacing suffices (is-MAC chaining)
+                if (complete[dep.on] > r.at) {
+                    // Bus idle time waiting for the binding
+                    // dependency is a stall of its kind.
+                    r.at = complete[dep.on];
+                    r.cause = dep.kind;
+                    r.charged = true;
+                }
+            };
+            consider(deps[idx].gbuf);
+            consider(deps[idx].obuf);
+            return r;
         }
 
-        Cycle act_pre = 0;
-        if (c.kind == CommandKind::Mac) {
-            act_pre = rows.prepare(c.row);
-            result.breakdown.actPreCycles += act_pre;
-        }
-        Cycle tentative = cand + act_pre;
-        Cycle after_refresh = refresh.adjust(tentative);
-        result.breakdown.refreshCycles += after_refresh - tentative;
-
-        Cycle issue = after_refresh;
-        Cycle done = issue + duration(c.kind);
-        complete[idx] = done;
-        issued[idx] = true;
-        if (keep_timeline)
-            result.timeline[idx] = {c, issue, done};
-        if (done > result.makespan)
-            result.makespan = done;
-
-        bus_free = issue + params_.tCcds;
-        if (pick_compute)
-            ++comp_head;
-        else
-            ++io_head;
-        --remaining;
-    }
-
-    result.activates = rows.activates();
-    result.precharges = rows.precharges();
-    result.refreshes = refresh.refreshes();
-    finalize(result, stream);
-    return result;
+        void onIssue(std::size_t, bool, Issued) {}
+    } rule{deps};
+    return scheduleTwoQueues(stream, keep_timeline, rule, "DCS");
 }
 
 } // namespace pimphony

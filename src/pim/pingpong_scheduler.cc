@@ -1,26 +1,11 @@
 #include "pim/pingpong_scheduler.hh"
 
-#include <limits>
-
-#include "common/logging.hh"
-#include "dram/refresh.hh"
-#include "dram/row_state.hh"
-
 namespace pimphony {
-
-namespace {
-
-constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
-
-} // namespace
 
 ScheduleResult
 PingPongScheduler::schedule(const CommandStream &stream, bool keep_timeline)
 {
-    ScheduleResult result;
     const auto &cmds = stream.commands();
-    if (cmds.empty())
-        return result;
 
     // --- Region-level ordering pass (program order). ---
     // The split-buffer controller tracks hazards only at region
@@ -45,152 +30,68 @@ PingPongScheduler::schedule(const CommandStream &stream, bool keep_timeline)
         }
     }
 
-    std::vector<std::size_t> io_q, comp_q;
-    for (std::size_t i = 0; i < cmds.size(); ++i) {
-        if (isIoCommand(cmds[i].kind))
-            io_q.push_back(i);
-        else
-            comp_q.push_back(i);
-    }
+    // --- Issue: region horizons, instruction gaps and hand-offs. ---
+    struct Rule
+    {
+        const PingPongScheduler &sched;
+        const std::vector<PimCommand> &cmds;
+        const std::vector<CommandId> &dep;
+        int curRegion[2] = {-1, -1}; // [0] compute, [1] I/O
+        // Completion horizons: per class, overall and per region.
+        Cycle horizon[2] = {0, 0};
+        Cycle regionHorizon[2][2] = {{0, 0}, {0, 0}};
+        Cycle prevIssue[2] = {0, 0};
+        std::int32_t prevGroup[2] = {-2, -2};
+        CommandKind prevKind[2] = {CommandKind::Mac, CommandKind::Mac};
+        bool have[2] = {false, false};
 
-    std::vector<Cycle> complete(cmds.size(), kNever);
-    std::vector<bool> issued(cmds.size(), false);
-    RowStateTracker rows(params_);
-    RefreshModel refresh(params_);
-    if (keep_timeline)
-        result.timeline.resize(cmds.size());
-
-    Cycle bus_free = 0;
-    std::size_t io_head = 0, comp_head = 0;
-    int cur_io_region = -1, cur_comp_region = -1;
-    // Completion horizons: per region and per type class.
-    Cycle io_region_horizon[2] = {0, 0};
-    Cycle comp_region_horizon[2] = {0, 0};
-    Cycle io_horizon = 0, comp_horizon = 0;
-    Cycle prev_io_issue = 0, prev_comp_issue = 0;
-    std::int32_t prev_io_group = -2, prev_comp_group = -2;
-    CommandKind prev_io_kind = CommandKind::WrInp;
-    bool have_io = false, have_comp = false;
-
-    auto readiness = [&](std::size_t idx, bool io) -> Cycle {
-        if (dep[idx] != kNoCommand && !issued[dep[idx]])
-            return kNever;
-        const PimCommand &c = cmds[idx];
-        int r = c.region;
-        // Region horizon of the opposite class covers every already
-        // issued command of that class on this region; the explicit
-        // dep guarantees the program-order prefix is issued.
-        Cycle ready = io ? comp_region_horizon[r] : io_region_horizon[r];
-        if (io) {
-            if (have_io) {
-                bool streaming = c.kind == prev_io_kind && c.group >= 0 &&
-                                 c.group == prev_io_group;
-                Cycle gap =
-                    streaming ? params_.tCcds : duration(prev_io_kind);
-                if (prev_io_issue + gap > ready)
-                    ready = prev_io_issue + gap;
-            }
-            if (c.region != cur_io_region && cur_io_region >= 0) {
-                // Hand-off: both regions must drain before the I/O
-                // stream swaps sides.
-                if (comp_horizon > ready)
-                    ready = comp_horizon;
-            }
-        } else {
-            if (have_comp) {
-                bool streaming =
-                    c.group >= 0 && c.group == prev_comp_group;
-                Cycle gap = streaming ? params_.tCcds : params_.tMac;
-                if (prev_comp_issue + gap > ready)
-                    ready = prev_comp_issue + gap;
-            }
-            if (c.region != cur_comp_region && cur_comp_region >= 0) {
-                if (io_horizon > ready)
-                    ready = io_horizon;
-            }
-        }
-        return ready;
-    };
-
-    std::size_t remaining = cmds.size();
-    while (remaining > 0) {
-        Cycle io_ready = io_head < io_q.size()
-            ? readiness(io_q[io_head], true)
-            : kNever;
-        Cycle comp_ready = comp_head < comp_q.size()
-            ? readiness(comp_q[comp_head], false)
-            : kNever;
-        if (io_ready == kNever && comp_ready == kNever)
-            panic("ping-pong deadlock: both queue heads blocked");
-
-        Cycle io_cand = io_ready == kNever
-            ? kNever
-            : (io_ready > bus_free ? io_ready : bus_free);
-        Cycle comp_cand = comp_ready == kNever
-            ? kNever
-            : (comp_ready > bus_free ? comp_ready : bus_free);
-
-        bool pick_compute = comp_cand <= io_cand;
-        std::size_t idx = pick_compute ? comp_q[comp_head] : io_q[io_head];
-        Cycle cand = pick_compute ? comp_cand : io_cand;
-        const PimCommand &c = cmds[idx];
-
-        if (cand > bus_free) {
+        Readiness
+        ready(std::size_t idx, bool io, const std::vector<bool> &issued,
+              const std::vector<Cycle> &) const
+        {
             // Region hand-offs and cross-class waits are the
             // structural stalls this controller suffers.
-            result.breakdown.pipelinePenaltyCycles += cand - bus_free;
+            Readiness r{0, true, CommandKind::Mac};
+            if (dep[idx] != kNoCommand && !issued[dep[idx]]) {
+                r.at = kNever;
+                return r;
+            }
+            const PimCommand &c = cmds[idx];
+            const AimTimingParams &p = sched.params_;
+            // Region horizon of the opposite class covers every
+            // already issued command of that class on this region;
+            // the explicit dep guarantees the program-order prefix is
+            // issued.
+            r.at = regionHorizon[!io][c.region];
+            if (have[io]) {
+                bool streaming = c.kind == prevKind[io] && c.group >= 0 &&
+                                 c.group == prevGroup[io];
+                Cycle gap =
+                    streaming ? p.tCcds : sched.duration(prevKind[io]);
+                r.at = std::max(r.at, prevIssue[io] + gap);
+            }
+            // Hand-off: both regions must drain before a stream swaps
+            // sides.
+            if (c.region != curRegion[io] && curRegion[io] >= 0)
+                r.at = std::max(r.at, horizon[!io]);
+            return r;
         }
 
-        Cycle act_pre = 0;
-        if (c.kind == CommandKind::Mac) {
-            act_pre = rows.prepare(c.row);
-            result.breakdown.actPreCycles += act_pre;
+        void
+        onIssue(std::size_t idx, bool io, Issued at)
+        {
+            const PimCommand &c = cmds[idx];
+            curRegion[io] = c.region;
+            prevIssue[io] = at.issue;
+            prevGroup[io] = c.group;
+            prevKind[io] = c.kind;
+            have[io] = true;
+            horizon[io] = std::max(horizon[io], at.complete);
+            regionHorizon[io][c.region] =
+                std::max(regionHorizon[io][c.region], at.complete);
         }
-        Cycle tentative = cand + act_pre;
-        Cycle after_refresh = refresh.adjust(tentative);
-        result.breakdown.refreshCycles += after_refresh - tentative;
-
-        Cycle issue = after_refresh;
-        Cycle done = issue + duration(c.kind);
-        complete[idx] = done;
-        issued[idx] = true;
-        if (keep_timeline)
-            result.timeline[idx] = {c, issue, done};
-        if (done > result.makespan)
-            result.makespan = done;
-
-        bus_free = issue + params_.tCcds;
-        int r = c.region;
-        if (pick_compute) {
-            ++comp_head;
-            cur_comp_region = r;
-            prev_comp_issue = issue;
-            prev_comp_group = c.group;
-            have_comp = true;
-            if (done > comp_horizon)
-                comp_horizon = done;
-            if (done > comp_region_horizon[r])
-                comp_region_horizon[r] = done;
-        } else {
-            ++io_head;
-            cur_io_region = r;
-            prev_io_issue = issue;
-            prev_io_group = c.group;
-            prev_io_kind = c.kind;
-            have_io = true;
-            if (done > io_horizon)
-                io_horizon = done;
-            if (done > io_region_horizon[r])
-                io_region_horizon[r] = done;
-        }
-        --remaining;
-    }
-
-    result.activates = rows.activates();
-    result.precharges = rows.precharges();
-    result.refreshes = refresh.refreshes();
-    finalize(result, stream);
-    return result;
+    } rule{*this, cmds, dep};
+    return scheduleTwoQueues(stream, keep_timeline, rule, "ping-pong");
 }
 
 } // namespace pimphony

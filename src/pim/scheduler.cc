@@ -1,6 +1,7 @@
 #include "pim/scheduler.hh"
 
-#include "common/logging.hh"
+#include <utility>
+
 #include "pim/dcs_scheduler.hh"
 #include "pim/pingpong_scheduler.hh"
 #include "pim/static_scheduler.hh"
@@ -18,24 +19,30 @@ schedulerName(SchedulerKind kind)
     return "?";
 }
 
-void
-CommandScheduler::finalize(ScheduleResult &result,
-                           const CommandStream &stream) const
+CommandScheduler::CommandScheduler(const AimTimingParams &params)
+    : params_(params)
 {
-    result.wrInpCount = stream.countKind(CommandKind::WrInp);
-    result.macCount = stream.countKind(CommandKind::Mac);
-    result.rdOutCount = stream.countKind(CommandKind::RdOut);
+    params_.validate();
+}
 
-    result.macBusyCycles = result.macCount * params_.tCcds;
+ScheduleResult
+CommandScheduler::Channel::finalize()
+{
+    ScheduleResult &result = result_;
+    const AimTimingParams &params = sched_.params_;
+    result.activates = rows_.activates();
+    result.precharges = rows_.precharges();
+    result.refreshes = refresh_.refreshes();
+
+    result.macBusyCycles = result.macCount * params.tCcds;
     result.breakdown.macCycles = result.macBusyCycles;
 
     // Bus occupancy of the I/O commands themselves counts as data
-    // transfer time; stall attributions were accumulated by the
-    // concrete scheduler. Whatever remains of the makespan is the
-    // pipeline penalty (issue slots lost to scheduling, ramp-up and
-    // drain).
-    result.breakdown.dtGbufCycles += result.wrInpCount * params_.tCcds;
-    result.breakdown.dtOutregCycles += result.rdOutCount * params_.tCcds;
+    // transfer time; the issue step charged the stalls. Whatever
+    // remains of the makespan is the pipeline penalty (issue slots
+    // lost to scheduling, ramp-up and drain).
+    result.breakdown.dtGbufCycles += result.wrInpCount * params.tCcds;
+    result.breakdown.dtOutregCycles += result.rdOutCount * params.tCcds;
 
     Cycle accounted = result.breakdown.total();
     if (result.makespan > accounted) {
@@ -51,6 +58,7 @@ CommandScheduler::finalize(ScheduleResult &result,
     result.macUtilization =
         safeRatio(static_cast<double>(result.macBusyCycles),
                   static_cast<double>(result.makespan));
+    return std::move(result);
 }
 
 std::unique_ptr<CommandScheduler>

@@ -1,29 +1,19 @@
 #include "pim/static_scheduler.hh"
 
-#include "dram/refresh.hh"
-#include "dram/row_state.hh"
-
 namespace pimphony {
 
 ScheduleResult
 StaticScheduler::schedule(const CommandStream &stream, bool keep_timeline)
 {
-    ScheduleResult result;
-    if (stream.empty())
-        return result;
-
-    RowStateTracker rows(params_);
-    RefreshModel refresh(params_);
-
+    Channel channel(*this, stream.size(), keep_timeline);
     Cycle prev_issue = 0;
     bool have_prev = false;
     CommandKind prev_kind = CommandKind::Mac;
     std::int32_t prev_group = -1;
 
     for (const auto &cmd : stream.commands()) {
-        Cycle tentative = 0;
+        Cycle earliest = 0;
         Cycle gap_penalty = 0;
-        CommandKind gap_cause = CommandKind::Mac;
         if (have_prev) {
             bool streaming =
                 cmd.kind == prev_kind && cmd.group >= 0 &&
@@ -31,58 +21,17 @@ StaticScheduler::schedule(const CommandStream &stream, bool keep_timeline)
             Cycle gap = streaming ? params_.tCcds : duration(prev_kind);
             if (gap < params_.tCcds)
                 gap = params_.tCcds;
-            tentative = prev_issue + gap;
-            if (gap > params_.tCcds) {
-                gap_penalty = gap - params_.tCcds;
-                gap_cause = prev_kind;
-            }
+            earliest = prev_issue + gap;
+            gap_penalty = gap - params_.tCcds;
         }
-
-        Cycle act_pre = 0;
-        if (cmd.kind == CommandKind::Mac) {
-            act_pre = rows.prepare(cmd.row);
-            tentative += act_pre;
-        }
-
-        Cycle after_refresh = refresh.adjust(tentative);
-        Cycle refresh_stall = after_refresh - tentative;
-
-        // Attribute the issue delay.
-        result.breakdown.actPreCycles += act_pre;
-        result.breakdown.refreshCycles += refresh_stall;
-        if (gap_penalty > 0) {
-            switch (gap_cause) {
-              case CommandKind::WrInp:
-                result.breakdown.dtGbufCycles += gap_penalty;
-                break;
-              case CommandKind::RdOut:
-                result.breakdown.dtOutregCycles += gap_penalty;
-                break;
-              case CommandKind::Mac:
-                result.breakdown.pipelinePenaltyCycles += gap_penalty;
-                break;
-            }
-        }
-
-        Cycle issue = after_refresh;
-        Cycle complete = issue + duration(cmd.kind);
-        if (keep_timeline)
-            result.timeline.push_back({cmd, issue, complete});
-
-        if (complete > result.makespan)
-            result.makespan = complete;
-
-        prev_issue = issue;
+        // The gap waits out the previous command: charge it by kind.
+        prev_issue =
+            channel.issue(cmd, earliest, gap_penalty, prev_kind).issue;
         prev_kind = cmd.kind;
         prev_group = cmd.group;
         have_prev = true;
     }
-
-    result.activates = rows.activates();
-    result.precharges = rows.precharges();
-    result.refreshes = refresh.refreshes();
-    finalize(result, stream);
-    return result;
+    return channel.finalize();
 }
 
 } // namespace pimphony

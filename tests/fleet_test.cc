@@ -894,6 +894,55 @@ TEST(FleetEngine, AdvanceInStepsMatchesRun)
     }
 }
 
+TEST(FleetEngine, AdvanceInStepsMatchesRunAcrossQueuedEvacuation)
+{
+    // Routing by uncached work leaves displacingFaults()' drain of
+    // replica 0 nothing queued. Here the replicas are memory-tight
+    // (two requests fill the KV capacity) and the trace offers three
+    // per replica, so replica 1 holds an admission backlog when it
+    // drains at 0.05 s; the stepped runs must evacuate it exactly as
+    // run() does.
+    auto model = testModel();
+    auto cluster = ClusterConfig::centLike(model);
+    cluster.nModules = 2;
+    cluster.plan = ParallelPlan{2, 1};
+    applyOptions(cluster, PimphonyOptions::all());
+    Tokens per_req = cluster.usableKvBytes(model) /
+                     model.kvBytesPerToken() / 2;
+    std::vector<TimedRequest> trace;
+    for (RequestId i = 0; i < 12; ++i)
+        trace.push_back({Request(i, per_req - 64, 32),
+                         0.001 * static_cast<double>(i)});
+    const double inf = std::numeric_limits<double>::infinity();
+
+    for (double d : {0.01, 0.0}) {
+        FleetOptions fopts;
+        fopts.replicas = 4;
+        fopts.policy = RoutePolicy::PrefixAffinity;
+        fopts.dispatchLatencySeconds = d;
+        fopts.engine = testEngineOptions();
+        fopts.faults.replicas.resize(4);
+        fopts.faults.replicas[1].push_back(crashAt(0.05, 10000.0));
+        for (unsigned threads : {1u, 4u}) {
+            fopts.threads = threads;
+            auto whole = FleetEngine(cluster, model, trace, fopts).run();
+            FleetEngine fleet(cluster, model, trace, fopts);
+            fleet.prepare();
+            // Before the drain; exactly on it, twice; just after.
+            for (double h : {0.02, 0.05, 0.05, 0.06}) {
+                fleet.advanceTo(h);
+                EXPECT_FALSE(fleet.drained());
+            }
+            fleet.advanceTo(inf);
+            EXPECT_TRUE(fleet.drained());
+            auto stepped = fleet.finalize();
+            expectSameFleet(whole, stepped);
+            EXPECT_GT(stepped.evacuatedRequests, 0u);
+            EXPECT_EQ(stepped.aggregate.completedRequests, trace.size());
+        }
+    }
+}
+
 TEST(FleetEngine, WritingTheCallersBookAfterSetSessionsChangesNothing)
 {
     // The caller writes its book after setSessions(): the write

@@ -23,9 +23,9 @@ TEST(CommandStream, AssignsSequentialIds)
     EXPECT_EQ(s[0].id, 0u);
     EXPECT_EQ(s[1].id, 1u);
     EXPECT_EQ(s[2].id, 2u);
-    EXPECT_EQ(s.countKind(CommandKind::WrInp), 1u);
-    EXPECT_EQ(s.countKind(CommandKind::Mac), 1u);
-    EXPECT_EQ(s.countKind(CommandKind::RdOut), 1u);
+    EXPECT_EQ(s[0].kind, CommandKind::WrInp);
+    EXPECT_EQ(s[1].kind, CommandKind::Mac);
+    EXPECT_EQ(s[2].kind, CommandKind::RdOut);
 }
 
 TEST(CommandStream, ValidAccepted)

@@ -398,5 +398,67 @@ TEST(Refresh, DisabledWhenTrefiZero)
     EXPECT_EQ(refresh.refreshes(), 0u);
 }
 
+/** A scheduler of every kind on @p params; dies on a bad channel. */
+void
+makeAll(const AimTimingParams &params)
+{
+    for (auto kind : {SchedulerKind::Static, SchedulerKind::PingPong,
+                      SchedulerKind::Dcs})
+        makeScheduler(kind, params);
+}
+
+TEST(TimingValidation, PresetsAreValid)
+{
+    makeAll(AimTimingParams::aimx());
+    makeAll(AimTimingParams::aimxWithObuf(16));
+    makeAll(AimTimingParams::illustrative()); // tRefi = tRfc = 0
+}
+
+TEST(TimingValidation, NonPositiveClockDies)
+{
+    auto p = AimTimingParams::aimx();
+    p.clockGhz = 0.0;
+    EXPECT_EXIT(makeAll(p), ::testing::ExitedWithCode(1),
+                "AimTimingParams::clockGhz must be finite and positive");
+}
+
+TEST(TimingValidation, ZeroTccdsDies)
+{
+    auto p = AimTimingParams::aimx();
+    p.tCcds = 0;
+    EXPECT_EXIT(makeAll(p), ::testing::ExitedWithCode(1),
+                "AimTimingParams::tCcds must be at least 1");
+}
+
+TEST(TimingValidation, RefreshLongerThanIntervalDies)
+{
+    // Refresh would never let a command issue: RefreshModel::adjust
+    // would loop forever on the first command past tRefi.
+    auto p = AimTimingParams::aimx();
+    p.tRefi = 200;
+    p.tRfc = 280;
+    EXPECT_EXIT(makeAll(p), ::testing::ExitedWithCode(1),
+                "AimTimingParams::tRfc must be below tRefi");
+    p.tRfc = 200;
+    EXPECT_EXIT(makeAll(p), ::testing::ExitedWithCode(1),
+                "AimTimingParams::tRfc must be below tRefi");
+}
+
+TEST(TimingValidation, EmptyGbufDies)
+{
+    auto p = AimTimingParams::aimx();
+    p.gbufEntries = 0;
+    EXPECT_EXIT(makeAll(p), ::testing::ExitedWithCode(1),
+                "AimTimingParams::gbufEntries must be at least 1");
+}
+
+TEST(TimingValidation, EmptyOutputBufferDies)
+{
+    auto p = AimTimingParams::aimx();
+    p.outputEntries = 0;
+    EXPECT_EXIT(makeAll(p), ::testing::ExitedWithCode(1),
+                "AimTimingParams::outputEntries must be at least 1");
+}
+
 } // namespace
 } // namespace pimphony
