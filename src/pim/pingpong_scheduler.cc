@@ -45,6 +45,12 @@ PingPongScheduler::schedule(const CommandStream &stream, bool keep_timeline)
         CommandKind prevKind[2] = {CommandKind::Mac, CommandKind::Mac};
         bool have[2] = {false, false};
 
+        Rule(const PingPongScheduler &s, const std::vector<PimCommand> &c,
+             const std::vector<CommandId> &d)
+            : sched(s), cmds(c), dep(d)
+        {
+        }
+
         Readiness
         ready(std::size_t idx, bool io, const std::vector<bool> &issued,
               const std::vector<Cycle> &) const
@@ -90,7 +96,7 @@ PingPongScheduler::schedule(const CommandStream &stream, bool keep_timeline)
             regionHorizon[io][c.region] =
                 std::max(regionHorizon[io][c.region], at.complete);
         }
-    } rule{*this, cmds, dep};
+    } rule(*this, cmds, dep);
     return scheduleTwoQueues(stream, keep_timeline, rule, "ping-pong");
 }
 
