@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
 """Compare the JSON row files the benches write (--json).
 
-Two modes:
+Three modes:
 
   diff A B --strip KEY...   Drop the named keys (host timing) from
                             every row of both documents, then require
                             the documents to be identical. Prints the
                             drifted rows and exits 1 on a difference.
+
+  merge OUT IN... --strip KEY...
+                            Write one document holding the rows of
+                            every IN, each row tagged with its bench
+                            ("bench": IN's bench name) and the named
+                            keys dropped. Inputs are ordered by bench
+                            name, so the shell's glob order does not
+                            matter. This builds BENCH_paper.json.
 
   gate CUR BASE             events_per_sec of every config row in CUR
                             against the same config in BASE: below
@@ -23,6 +31,9 @@ Examples:
       --strip wall_ms events_per_sec config_wall_ms threads \\
       --ok "deterministic ({rows} rows)" --fail "rows differ"
   tools/bench_rows.py gate BENCH_simperf.json ../BENCH_simperf.json
+  tools/bench_rows.py merge BENCH_paper.json BENCH_fig*.json \\
+      BENCH_table*.json BENCH_ablation*.json \\
+      --strip wall_ms threads config_wall_ms
 """
 
 import argparse
@@ -67,6 +78,19 @@ def diff(args):
     sys.exit(args.fail)
 
 
+def merge(args):
+    docs = sorted((load(path, args.strip) for path in args.inputs),
+                  key=lambda doc: doc["bench"])
+    rows = [{"bench": doc["bench"], **row}
+            for doc in docs for row in doc["rows"]]
+    with open(args.out, "w") as f:
+        f.write('{\n  "bench": "paper",\n  "rows": [\n')
+        f.write(",\n".join("    " + json.dumps(row) for row in rows))
+        f.write("\n  ]\n}\n")
+    print(f"wrote {args.out} ({len(rows)} rows from {len(docs)} benches)")
+    return 0
+
+
 def gate(args):
     if args.missing_ok and missing(args.base, "baseline"):
         return 0
@@ -109,6 +133,13 @@ def main():
                    help="annotation title of the drifted-row lines")
     d.add_argument("--missing-ok", action="store_true")
     d.set_defaults(run=diff)
+
+    m = modes.add_parser("merge", help="tagged rows of several benches")
+    m.add_argument("out")
+    m.add_argument("inputs", nargs="+", metavar="IN")
+    m.add_argument("--strip", nargs="+", default=[], metavar="KEY",
+                   help="row keys to drop before merging")
+    m.set_defaults(run=merge)
 
     g = modes.add_parser("gate", help="events/sec vs a baseline")
     g.add_argument("cur")
