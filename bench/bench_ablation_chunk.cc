@@ -42,8 +42,9 @@ main(int argc, char **argv)
         std::uint64_t hostMsgs;
     };
     auto outs = bench::runSweep(args, chunks.size(), [&](std::size_t i) {
-        LazyChunkAllocator alloc(114_GiB, model.kvBytesPerToken(),
-                                 model.contextWindow, chunks[i]);
+        KvAllocator alloc(AllocatorKind::LazyChunk, 114_GiB,
+                          model.kvBytesPerToken(), model.contextWindow,
+                          chunks[i]);
         std::size_t admitted = 0;
         for (const auto &r : requests) {
             if (alloc.tryAdmit(r.id, r.contextTokens))

@@ -22,11 +22,11 @@ std::size_t
 admissible(AllocatorKind kind, Bytes capacity, const LlmConfig &model,
            const std::vector<Request> &requests)
 {
-    auto alloc = makeAllocator(kind, capacity, model.kvBytesPerToken(),
-                               model.contextWindow);
+    KvAllocator alloc(kind, capacity, model.kvBytesPerToken(),
+                      model.contextWindow);
     std::size_t n = 0;
     for (const auto &r : requests) {
-        if (!alloc->tryAdmit(r.id, r.contextTokens + r.decodeTokens))
+        if (!alloc.tryAdmit(r.id, r.contextTokens + r.decodeTokens))
             break;
         ++n;
     }

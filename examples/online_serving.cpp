@@ -238,8 +238,7 @@ main()
             auto cluster = base_cluster;
             applyOptions(cluster, options);
             EngineOptions opts;
-            opts.allocator = options.dpa ? AllocatorKind::LazyChunk
-                                         : AllocatorKind::Static;
+            opts.allocator = options.allocatorKind();
             ServingEngine engine(cluster, model, timed, opts);
             auto r = engine.run();
             std::printf("%9.1f/s  %-14s %10.1f %12.2f %12.2f\n", rate,

@@ -1,23 +1,30 @@
 /**
  * @file
- * KV-cache allocators for a PIM module (Sec. VI / Fig. 19).
+ * The KV-cache allocator of the serving engine (Sec. VI / Fig. 19).
  *
- * StaticKvAllocator models conventional PIM memory management:
- * because command streams embed physical addresses at compile time,
- * every admitted request must reserve kvBytesPerToken x T_max up
- * front, regardless of its actual context.
+ * Both of the paper's memory-management schemes hand out KV capacity
+ * in chunks; they differ only in the chunk size:
  *
- * LazyChunkAllocator models DPA-backed management: memory is
- * allocated in fixed chunks (1 MiB by default) on demand as the KV
- * cache grows, mapped through the on-module VA2PA table; internal
- * fragmentation is limited to the last chunk of each request.
+ * - Static models conventional PIM management. Command streams embed
+ *   physical addresses at compile time, so a request's chunk is
+ *   kvBytesPerToken x T_max, reserved in full at admission whatever
+ *   the context. A request never holds a second chunk: one beyond
+ *   T_max tokens is refused.
+ * - LazyChunk models DPA-backed management. Chunks (1 MiB by default)
+ *   are mapped on demand as the KV cache grows, through the
+ *   on-module VA2PA table; internal fragmentation is limited to the
+ *   last chunk of each request.
+ *
+ * The capacity is the cluster's pooled KV capacity
+ * (ClusterConfig::usableKvBytes, weights already subtracted), not one
+ * module's: the engine gives the allocator the whole pool, and a
+ * chunk is one allocation in that pool.
  */
 
 #ifndef PIMPHONY_ALLOC_KV_ALLOCATOR_HH
 #define PIMPHONY_ALLOC_KV_ALLOCATOR_HH
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "common/stats.hh"
@@ -35,41 +42,63 @@ class KvAllocator
 {
   public:
     /**
-     * @param capacity usable KV capacity of the module (weights
-     *        already subtracted by the caller).
+     * @param kind Static (one T_max-sized chunk per request) or
+     *        LazyChunk (@p chunk_bytes chunks on demand).
+     * @param capacity pooled KV capacity (weights already subtracted
+     *        by the caller).
      * @param bytes_per_token model-dependent KV growth rate.
      * @param t_max the compile-time maximum context length.
+     * @param chunk_bytes LazyChunk's chunk size; Static's chunk is
+     *        bytes_per_token x t_max.
      */
-    KvAllocator(Bytes capacity, Bytes bytes_per_token, Tokens t_max)
-        : capacity_(capacity), bytesPerToken_(bytes_per_token),
-          tMax_(t_max)
+    KvAllocator(AllocatorKind kind, Bytes capacity, Bytes bytes_per_token,
+                Tokens t_max, Bytes chunk_bytes = 1_MiB);
+
+    /** A LazyChunk allocator (the form LazyChunkAllocator callers
+     *  use). */
+    KvAllocator(Bytes capacity, Bytes bytes_per_token, Tokens t_max,
+                Bytes chunk_bytes = 1_MiB)
+        : KvAllocator(AllocatorKind::LazyChunk, capacity, bytes_per_token,
+                      t_max, chunk_bytes)
     {
     }
 
-    virtual ~KvAllocator() = default;
-
     /** Try to admit a request at @p tokens context; reserves memory. */
-    virtual bool tryAdmit(RequestId id, Tokens tokens) = 0;
+    bool tryAdmit(RequestId id, Tokens tokens);
 
     /** Grow a request to @p tokens (one per decode step). @return
-     *  false when the module is out of memory. */
-    virtual bool grow(RequestId id, Tokens tokens) = 0;
+     *  false when the pool is out of chunks, or a Static request
+     *  would outgrow its T_max chunk. */
+    bool grow(RequestId id, Tokens tokens);
 
     /** Release all memory of a completed request. */
-    virtual void release(RequestId id) = 0;
+    void release(RequestId id);
 
     /** Bytes reserved (unusable by other requests). */
-    virtual Bytes reservedBytes() const = 0;
+    Bytes reservedBytes() const { return chunksInUse_ * chunk_; }
 
     /** Bytes actually holding KV data. */
-    virtual Bytes usedBytes() const = 0;
+    Bytes usedBytes() const { return bytesPerToken_ * totalTokens_; }
 
-    /** Host<->PIM management interactions so far (admit/grow/release
-     *  messages that DPA batches at chunk granularity). */
-    virtual std::uint64_t hostInterventions() const = 0;
+    /** Host<->PIM management interactions so far: one per admit and
+     *  per release, and one per grow that maps new chunks (DPA batches
+     *  them at chunk granularity; Static never maps on grow). */
+    std::uint64_t hostInterventions() const { return host_; }
 
     Bytes capacity() const { return capacity_; }
     Bytes bytesPerToken() const { return bytesPerToken_; }
+    Bytes chunkBytes() const { return chunk_; }
+    std::uint64_t chunksInUse() const { return chunksInUse_; }
+    std::uint64_t totalChunks() const { return totalChunks_; }
+
+    /** Chunks needed to back @p tokens of KV (last chunk may be
+     *  partially filled; a Static request holds its one chunk from
+     *  admission). Exposed for the prefix cache, which splits custody
+     *  of a request's KV between shared and unique chunks. */
+    std::uint64_t chunksFor(Tokens tokens) const;
+
+    /** VA2PA table footprint: one entry (8 B) per mapped chunk. */
+    Bytes va2paBytes() const { return chunksInUse_ * 8; }
 
     /** Fraction of capacity holding real KV data (Fig. 19 metric). */
     double
@@ -79,73 +108,30 @@ class KvAllocator
                          static_cast<double>(capacity_));
     }
 
-  protected:
+  private:
+    /** Whether a request can hold @p need chunks, @p extra of them
+     *  newly mapped. */
+    bool canHold(std::uint64_t need, std::uint64_t extra) const;
+
+    struct Held
+    {
+        Tokens tokens;
+        std::uint64_t chunks;
+    };
+
+    AllocatorKind kind_;
     Bytes capacity_;
     Bytes bytesPerToken_;
-    Tokens tMax_;
-};
-
-class StaticKvAllocator : public KvAllocator
-{
-  public:
-    using KvAllocator::KvAllocator;
-
-    bool tryAdmit(RequestId id, Tokens tokens) override;
-    bool grow(RequestId id, Tokens tokens) override;
-    void release(RequestId id) override;
-    Bytes reservedBytes() const override { return reserved_; }
-    Bytes usedBytes() const override;
-    std::uint64_t hostInterventions() const override { return host_; }
-
-  private:
-    Bytes reservationBytes() const { return bytesPerToken_ * tMax_; }
-
-    std::unordered_map<RequestId, Tokens> tokens_;
-    Tokens totalTokens_ = 0; ///< running sum of tokens_ values
-    Bytes reserved_ = 0;
-    std::uint64_t host_ = 0;
-};
-
-class LazyChunkAllocator : public KvAllocator
-{
-  public:
-    LazyChunkAllocator(Bytes capacity, Bytes bytes_per_token, Tokens t_max,
-                       Bytes chunk_bytes = 1_MiB);
-
-    bool tryAdmit(RequestId id, Tokens tokens) override;
-    bool grow(RequestId id, Tokens tokens) override;
-    void release(RequestId id) override;
-    Bytes reservedBytes() const override { return chunksInUse_ * chunk_; }
-    Bytes usedBytes() const override;
-    std::uint64_t hostInterventions() const override { return host_; }
-
-    Bytes chunkBytes() const { return chunk_; }
-    std::uint64_t chunksInUse() const { return chunksInUse_; }
-    std::uint64_t totalChunks() const { return totalChunks_; }
-
-    /** Chunks needed to back @p tokens of KV (last chunk may be
-     *  partially filled). Exposed for the prefix cache, which splits
-     *  custody of a request's KV between shared and unique chunks. */
-    std::uint64_t chunksFor(Tokens tokens) const;
-
-    /** VA2PA table footprint: one entry (8 B) per mapped chunk. */
-    Bytes va2paBytes() const { return chunksInUse_ * 8; }
-
-  private:
     Bytes chunk_;
-    std::unordered_map<RequestId, Tokens> tokens_;
-    Tokens totalTokens_ = 0; ///< running sum of tokens_ values
-    std::unordered_map<RequestId, std::uint64_t> chunks_;
+    std::uint64_t totalChunks_ = 0;
+    std::unordered_map<RequestId, Held> held_;
+    Tokens totalTokens_ = 0; ///< running sum of the held tokens
     std::uint64_t chunksInUse_ = 0;
-    std::uint64_t totalChunks_;
     std::uint64_t host_ = 0;
 };
 
-/** Factory. */
-std::unique_ptr<KvAllocator> makeAllocator(AllocatorKind kind,
-                                           Bytes capacity,
-                                           Bytes bytes_per_token,
-                                           Tokens t_max);
+/** The name perfbench's micro benchmarks construct the allocator by. */
+using LazyChunkAllocator = KvAllocator;
 
 } // namespace pimphony
 

@@ -26,7 +26,7 @@ PrefixCacheOptions::validate(const std::string &path) const
     requireField(path + "maxShare", maxShare, FieldRange::Fraction);
 }
 
-PrefixCache::PrefixCache(LazyChunkAllocator &allocator,
+PrefixCache::PrefixCache(KvAllocator &allocator,
                          const PrefixCacheOptions &options)
     : alloc_(allocator), options_(options)
 {

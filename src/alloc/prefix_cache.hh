@@ -2,8 +2,8 @@
  * @file
  * Copy-on-write prefix sharing over the paged KV allocator.
  *
- * PIMphony's DPA already pages KV state in fixed chunks
- * (LazyChunkAllocator); this layer adds a refcounted prefix tree on
+ * PIMphony's DPA already pages KV state in fixed chunks (the
+ * LazyChunk KvAllocator); this layer adds a refcounted prefix tree on
  * top of it so that requests opening with an identical token prefix
  * — a shared system prompt, or the retained history of a multi-turn
  * session — map the prefix's chunks instead of recomputing them.
@@ -23,7 +23,7 @@
  *    and the tree never dangles.
  *
  * Custody is real, not virtual: every entry reserves its chunks
- * through the underlying LazyChunkAllocator under a synthetic
+ * through the underlying allocator under a synthetic
  * RequestId, so `allocator.reservedBytes() == shared + unique` holds
  * structurally and capacity pressure (admission headroom, Fig. 19
  * utilization) automatically includes the cache.
@@ -76,8 +76,7 @@ struct PrefixCacheStats
 class PrefixCache
 {
   public:
-    PrefixCache(LazyChunkAllocator &allocator,
-                const PrefixCacheOptions &options);
+    PrefixCache(KvAllocator &allocator, const PrefixCacheOptions &options);
     ~PrefixCache();
 
     /** Key for a workload-declared prefix hash. */
@@ -195,7 +194,7 @@ class PrefixCache
     EntryMap::iterator pickVictim();
     bool evictChunks(std::uint64_t chunks_needed_free);
 
-    LazyChunkAllocator &alloc_;
+    KvAllocator &alloc_;
     PrefixCacheOptions options_;
     EntryMap entries_;
     std::uint64_t heldChunks_ = 0;

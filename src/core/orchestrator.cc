@@ -22,8 +22,7 @@ PimphonyOrchestrator::engineOptions() const
     // The shared serving knobs travel as one block (the
     // ServingOptions base both structs embed).
     static_cast<ServingOptions &>(opts) = config_;
-    opts.allocator = config_.options.dpa ? AllocatorKind::LazyChunk
-                                         : AllocatorKind::Static;
+    opts.allocator = config_.options.allocatorKind();
     return opts;
 }
 

@@ -84,27 +84,30 @@ OnModuleDispatcher::expand(const DpaProgram &program, RequestId id) const
     });
 }
 
+OnModuleDispatcher::Footprint
+OnModuleDispatcher::footprint() const
+{
+    Footprint bytes;
+    for (const auto &[id, st] : state_) {
+        bytes.config += 16;                  // config entry (id, T_cur, flags)
+        bytes.va2pa += st.chunks.size() * 8; // VA2PA entries
+    }
+    return bytes;
+}
+
 Bytes
 OnModuleDispatcher::stateBytes() const
 {
-    Bytes bytes = 0;
-    for (const auto &[id, st] : state_) {
-        bytes += 16;                    // config entry (id, T_cur, flags)
-        bytes += st.chunks.size() * 8;  // VA2PA entries
-    }
-    return bytes;
+    Footprint bytes = footprint();
+    return bytes.config + bytes.va2pa;
 }
 
 bool
 OnModuleDispatcher::fitsHardware() const
 {
-    Bytes config = 0, va2pa = 0;
-    for (const auto &[id, st] : state_) {
-        config += 16;
-        va2pa += st.chunks.size() * 8;
-    }
-    return config <= params_.configBufferBytes &&
-           va2pa <= params_.va2paBufferBytes;
+    Footprint bytes = footprint();
+    return bytes.config <= params_.configBufferBytes &&
+           bytes.va2pa <= params_.va2paBufferBytes;
 }
 
 } // namespace pimphony

@@ -95,7 +95,15 @@ class OnModuleDispatcher
         std::vector<std::uint64_t> chunks; // VA chunk -> PA chunk
     };
 
+    /** Config-buffer and VA2PA-buffer bytes in use. */
+    struct Footprint
+    {
+        Bytes config = 0;
+        Bytes va2pa = 0;
+    };
+
     const RequestState &stateOf(RequestId id) const;
+    Footprint footprint() const;
 
     DispatcherParams params_;
     std::unordered_map<RequestId, RequestState> state_;

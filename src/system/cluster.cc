@@ -87,7 +87,7 @@ applyOptions(ClusterConfig &config, const PimphonyOptions &options)
     config.module.scheduler =
         options.dcs ? SchedulerKind::Dcs : SchedulerKind::Static;
     config.module.timing.outputEntries = options.dcs ? 16 : 1;
-    // DPA selects the allocator at the engine level.
+    // DPA selects the engine's allocator (allocatorKind()).
 }
 
 } // namespace pimphony

@@ -10,6 +10,7 @@
 
 #include <string>
 
+#include "alloc/kv_allocator.hh"
 #include "mapping/parallel.hh"
 #include "model/llm.hh"
 #include "system/pim_module.hh"
@@ -73,6 +74,15 @@ struct PimphonyOptions
 
     static PimphonyOptions baseline() { return {}; }
     static PimphonyOptions all() { return {true, true, true}; }
+
+    /** The engine's KV allocator: DPA maps chunks on demand, without
+     *  it each request reserves T_max (applyOptions sets TCP and DCS
+     *  on the cluster; DPA is this). */
+    AllocatorKind
+    allocatorKind() const
+    {
+        return dpa ? AllocatorKind::LazyChunk : AllocatorKind::Static;
+    }
 
     std::string label() const;
 };

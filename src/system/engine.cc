@@ -196,14 +196,12 @@ ServingEngine::ServingEngine(const ClusterConfig &cluster,
     if (kv_capacity == 0)
         fatal("model weights (%llu B) exceed system capacity",
               static_cast<unsigned long long>(model_.weightBytes()));
-    allocator_ = makeAllocator(options_.allocator, kv_capacity,
-                               model_.kvBytesPerToken(),
-                               model_.contextWindow);
-    if (options_.prefixCache.enabled) {
-        prefixCache_ = std::make_unique<PrefixCache>(
-            static_cast<LazyChunkAllocator &>(*allocator_),
-            options_.prefixCache);
-    }
+    allocator_ = std::make_unique<KvAllocator>(
+        options_.allocator, kv_capacity, model_.kvBytesPerToken(),
+        model_.contextWindow);
+    if (options_.prefixCache.enabled)
+        prefixCache_ =
+            std::make_unique<PrefixCache>(*allocator_, options_.prefixCache);
     admission_ = std::make_unique<Admission>(
         model_, cluster_, options_, *allocator_, prefixCache_.get(), result_);
     module_ = std::make_unique<PimModuleModel>(cluster_.module);
@@ -1138,8 +1136,7 @@ runServing(ClusterConfig cluster, const LlmConfig &model,
 {
     applyOptions(cluster, pimphony);
     EngineOptions options;
-    options.allocator =
-        pimphony.dpa ? AllocatorKind::LazyChunk : AllocatorKind::Static;
+    options.allocator = pimphony.allocatorKind();
     options.maxSteps = max_steps;
     ServingEngine engine(cluster, model, requests, options);
     return engine.run();

@@ -39,8 +39,8 @@ struct Rig
     explicit Rig(Tokens tokens)
         : model(LlmConfig::llm7b(true)),
           cluster(ClusterConfig::neupimsLike(model)),
-          alloc(model.kvBytesPerToken() * tokens, model.kvBytesPerToken(),
-                model.contextWindow)
+          alloc(AllocatorKind::LazyChunk, model.kvBytesPerToken() * tokens,
+                model.kvBytesPerToken(), model.contextWindow)
     {
     }
 
@@ -52,7 +52,7 @@ struct Rig
 
     LlmConfig model;
     ClusterConfig cluster;
-    LazyChunkAllocator alloc;
+    KvAllocator alloc;
     EngineResult result;
 };
 

@@ -139,6 +139,35 @@ TEST(Dispatcher, StateFitsHardwareBuffers)
     EXPECT_EQ(d.activeRequests(), 64u);
 }
 
+TEST(Dispatcher, Va2PaOverflowDoesNotFitHardware)
+{
+    DispatcherParams p;
+    p.va2paBufferBytes = 64; // 8 VA2PA entries
+    OnModuleDispatcher d(p);
+    d.registerRequest(0, 0);
+    for (std::uint64_t c = 0; c < 8; ++c)
+        d.mapChunk(0, c);
+    EXPECT_TRUE(d.fitsHardware());
+    d.mapChunk(0, 8); // the ninth entry overflows
+    EXPECT_FALSE(d.fitsHardware());
+    EXPECT_EQ(d.stateBytes(), 16u + 9u * 8u);
+}
+
+TEST(Dispatcher, ConfigOverflowDoesNotFitHardware)
+{
+    DispatcherParams p;
+    p.configBufferBytes = 32; // 2 config entries
+    OnModuleDispatcher d(p);
+    d.registerRequest(0, 0);
+    d.registerRequest(1, 0);
+    EXPECT_TRUE(d.fitsHardware());
+    d.registerRequest(2, 0); // the third request overflows
+    EXPECT_FALSE(d.fitsHardware());
+    EXPECT_EQ(d.stateBytes(), 3u * 16u);
+    d.release(2);
+    EXPECT_TRUE(d.fitsHardware());
+}
+
 TEST(Dispatcher, ReleaseFreesState)
 {
     OnModuleDispatcher d;

@@ -44,7 +44,7 @@ cacheOn(PrefixEvictPolicy evict = PrefixEvictPolicy::Lru,
 
 TEST(PrefixCache, PublishAcquireReleaseLifecycle)
 {
-    LazyChunkAllocator a(64_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 64_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn());
     std::uint64_t key = PrefixCache::prefixKey(0xBEEF);
 
@@ -80,7 +80,7 @@ TEST(PrefixCache, PublishAcquireReleaseLifecycle)
 
 TEST(PrefixCache, CowTailIsNotShareable)
 {
-    LazyChunkAllocator a(64_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 64_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn());
     // 12 tokens back 2 chunks, but only the 8 tokens of the full
     // chunk are shareable: the partial tail is the CoW copy the
@@ -96,7 +96,7 @@ TEST(PrefixCache, CowTailIsNotShareable)
 
 TEST(PrefixCache, NotReadyUntilMarked)
 {
-    LazyChunkAllocator a(64_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 64_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn());
     std::uint64_t key = PrefixCache::prefixKey(0x34);
     // Publisher protocol: entry exists but is unconsumable while the
@@ -117,7 +117,7 @@ TEST(PrefixCache, NotReadyUntilMarked)
 
 TEST(PrefixCache, AbandonedUnreadyEntryIsErased)
 {
-    LazyChunkAllocator a(64_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 64_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn());
     std::uint64_t key = PrefixCache::prefixKey(0x56);
     ASSERT_TRUE(cache.publish(key, 0, 0, 16, 16, 0.0, 0,
@@ -133,7 +133,7 @@ TEST(PrefixCache, AbandonedUnreadyEntryIsErased)
 
 TEST(PrefixCache, SessionChainHoldsParentAlive)
 {
-    LazyChunkAllocator a(64_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 64_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn());
     std::uint64_t parent = PrefixCache::sessionKey(7, 0);
     std::uint64_t child = PrefixCache::sessionKey(7, 1);
@@ -163,7 +163,7 @@ TEST(PrefixCache, LruEvictsOldestIdleEntry)
 {
     // 4-chunk module; three 1-chunk entries and a consumer that
     // needs 2 chunks forces one eviction.
-    LazyChunkAllocator a(4_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 4_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn(PrefixEvictPolicy::Lru));
     std::uint64_t ka = PrefixCache::prefixKey(0xA);
     std::uint64_t kb = PrefixCache::prefixKey(0xB);
@@ -184,7 +184,7 @@ TEST(PrefixCache, LruEvictsOldestIdleEntry)
 
 TEST(PrefixCache, TierWeightedEvictsLeastCriticalFirst)
 {
-    LazyChunkAllocator a(4_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 4_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn(PrefixEvictPolicy::TierWeighted));
     std::uint64_t hot = PrefixCache::prefixKey(0x1);
     std::uint64_t cold = PrefixCache::prefixKey(0x2);
@@ -199,7 +199,7 @@ TEST(PrefixCache, TierWeightedEvictsLeastCriticalFirst)
 
 TEST(PrefixCache, ConsumersPinEntriesAgainstEviction)
 {
-    LazyChunkAllocator a(2_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 2_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn());
     std::uint64_t key = PrefixCache::prefixKey(0x9);
     ASSERT_TRUE(cache.publish(key, 0, 0, 8, 8, 0.0, 0, false, true));
@@ -217,7 +217,7 @@ TEST(PrefixCache, ConsumersPinEntriesAgainstEviction)
 TEST(PrefixCache, MaxShareCapsCustody)
 {
     // 8-chunk module capped at 25%: the tree may hold 2 chunks.
-    LazyChunkAllocator a(8_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 8_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn(PrefixEvictPolicy::Lru, 0.25));
     std::uint64_t k1 = PrefixCache::prefixKey(0x11);
     std::uint64_t k2 = PrefixCache::prefixKey(0x22);
@@ -233,7 +233,7 @@ TEST(PrefixCache, MaxShareCapsCustody)
 
 TEST(PrefixCache, ClearReturnsEveryChunk)
 {
-    LazyChunkAllocator a(64_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 64_MiB, kBpt, kTmax, 1_MiB);
     PrefixCache cache(a, cacheOn());
     ASSERT_TRUE(cache.publish(PrefixCache::prefixKey(1), 0, 0, 16, 16,
                               0.0, 0, false, true));
@@ -261,7 +261,7 @@ TEST(PrefixCache, MaxShareOutsideUnitIntervalDies)
 {
     // NaN included: its cast to a chunk cap is undefined behaviour
     // and in practice leaves the cache uncapped.
-    LazyChunkAllocator a(64_MiB, kBpt, kTmax, 1_MiB);
+    KvAllocator a(AllocatorKind::LazyChunk, 64_MiB, kBpt, kTmax, 1_MiB);
     for (double share : {std::nan(""), -0.1, 1.5})
         EXPECT_DEATH(PrefixCache(a, cacheOn(PrefixEvictPolicy::Lru, share)),
                      "PrefixCacheOptions::maxShare .* outside \\[0, 1\\]");
