@@ -52,8 +52,10 @@ main(int argc, char **argv)
             else
                 break;
         }
+        // The HUB dispatcher's VA2PA table holds one 8 B entry per
+        // mapped chunk (Sec. VI-C).
         return AdmitStats{admitted, alloc.capacityUtilization(),
-                          alloc.va2paBytes(), alloc.hostInterventions()};
+                          alloc.chunksInUse() * 8, alloc.hostInterventions()};
     });
     for (std::size_t i = 0; i < chunks.size(); ++i) {
         const auto &r = outs[i].value;

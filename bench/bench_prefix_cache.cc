@@ -8,9 +8,8 @@
  * publisher pays the full prefill once; every follower reuses the
  * cached KV and prefills nothing. The bench ASSERTS that the warm
  * followers' average TTFT is at most half the cold average and
- * exits fatally otherwise — wired into CI the same way as the
- * simperf gate, so a regression that erodes prefix reuse fails the
- * build instead of drifting.
+ * exits fatally otherwise, so CI's bench smoke fails on a regression
+ * that erodes prefix reuse instead of letting it drift.
  *
  * Grid: WorkloadSpec-built cells over prefix share x session turns
  * x cache mode (off / LRU / tier-weighted eviction). Every

@@ -97,9 +97,6 @@ class KvAllocator
      *  of a request's KV between shared and unique chunks. */
     std::uint64_t chunksFor(Tokens tokens) const;
 
-    /** VA2PA table footprint: one entry (8 B) per mapped chunk. */
-    Bytes va2paBytes() const { return chunksInUse_ * 8; }
-
     /** Fraction of capacity holding real KV data (Fig. 19 metric). */
     double
     capacityUtilization() const

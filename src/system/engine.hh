@@ -236,8 +236,9 @@ struct EngineResult
 
     /**
      * Events dispatched by the event core. Deterministic for a
-     * given configuration and seed; bench_simperf divides it by wall
-     * time for the events-per-second trajectory metric.
+     * given configuration and seed; perfbench divides its traced
+     * run's host time by it for engine.advance_ns_per_event, the
+     * simulator-speed figure CI gates.
      */
     std::uint64_t simEvents = 0;
 

@@ -2,11 +2,17 @@
  * @file
  * PIM HUB tests: EPU latency model, instruction sequencer capacity
  * and expansion, and the DPA on-module dispatcher (VA2PA translation,
- * host-message accounting, hardware-buffer fit).
+ * host-message accounting, hardware-buffer fit, and its footprint
+ * against the serving allocator's chunk ledger).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
+#include "alloc/kv_allocator.hh"
 #include "hub/dispatcher.hh"
 #include "hub/epu.hh"
 #include "hub/sequencer.hh"
@@ -178,6 +184,79 @@ TEST(Dispatcher, ReleaseFreesState)
     d.release(0);
     EXPECT_EQ(d.stateBytes(), 0u);
     EXPECT_EQ(d.activeRequests(), 0u);
+}
+
+TEST(Dispatcher, FootprintTracksAllocatorChunksUnderPressure)
+{
+    // The dispatcher's VA2PA table mirrors the LazyChunk allocator's
+    // chunk ledger: the host registers a request when the allocator
+    // admits it, maps one entry per chunk the allocator newly holds,
+    // and releases it when it completes or a grow is refused. After
+    // every step the dispatcher holds one 16 B config entry per live
+    // request and one 8 B VA2PA entry per allocated chunk. 64 chunks
+    // of 16 tokens against contexts of up to 256 tokens keep the pool
+    // near full, so admits and grows are refused along the way.
+    KvAllocator alloc(AllocatorKind::LazyChunk, 64_MiB, 64_KiB, 4096);
+    OnModuleDispatcher d;
+    struct Live
+    {
+        RequestId id;
+        Tokens tokens;
+        Tokens target;
+    };
+    std::vector<Live> live;
+    std::mt19937 rng(7);
+    std::uniform_int_distribution<Tokens> context(1, 256);
+    std::uniform_int_distribution<Tokens> decode(1, 64);
+    std::uniform_int_distribution<Tokens> step(1, 24);
+    RequestId next_id = 0;
+    std::uint64_t next_physical = 0;
+    int refused_admits = 0, refused_grows = 0;
+
+    auto mapNewChunks = [&](RequestId id, std::uint64_t before) {
+        for (std::uint64_t c = before; c < alloc.chunksInUse(); ++c)
+            d.mapChunk(id, next_physical++);
+    };
+    for (int i = 0; i < 4000; ++i) {
+        if (live.empty() || rng() % 3 == 0) {
+            Tokens tokens = context(rng);
+            std::uint64_t before = alloc.chunksInUse();
+            if (alloc.tryAdmit(next_id, tokens)) {
+                d.registerRequest(next_id, tokens);
+                mapNewChunks(next_id, before);
+                live.push_back({next_id, tokens, tokens + decode(rng)});
+            } else {
+                ++refused_admits;
+            }
+            ++next_id;
+        } else {
+            std::size_t k = rng() % live.size();
+            Live &r = live[k];
+            Tokens grown = std::min(r.target, r.tokens + step(rng));
+            std::uint64_t before = alloc.chunksInUse();
+            bool ok = alloc.grow(r.id, grown);
+            if (ok) {
+                mapNewChunks(r.id, before);
+                for (; r.tokens < grown; ++r.tokens)
+                    d.advanceToken(r.id);
+                EXPECT_EQ(d.tokens(r.id), r.tokens);
+            } else {
+                ++refused_grows;
+            }
+            if (!ok || r.tokens == r.target) {
+                alloc.release(r.id);
+                d.release(r.id);
+                live[k] = live.back();
+                live.pop_back();
+            }
+        }
+        ASSERT_EQ(d.activeRequests(), live.size());
+        ASSERT_EQ(d.stateBytes(),
+                  16 * d.activeRequests() + 8 * alloc.chunksInUse())
+            << "step " << i;
+    }
+    EXPECT_GT(refused_admits, 0);
+    EXPECT_GT(refused_grows, 0);
 }
 
 } // namespace
