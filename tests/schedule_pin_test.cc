@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "kernels/attention.hh"
+#include "kernels/gemv.hh"
 #include "kernels/kernel_sim.hh"
 #include "pim/scheduler.hh"
 
@@ -163,6 +166,147 @@ TEST(SchedulePins, EveryPaperBenchKernelIsBitIdentical)
                           << "\n  got  " << got;
     }
     EXPECT_EQ(mismatches, 0u);
+}
+
+/** The command stream simulateKernel schedules for @p k. */
+CommandStream
+streamOf(const KernelPin &k)
+{
+    const KernelRequest req = requestOf(k);
+    const auto params = AimTimingParams::aimxWithObuf(k.outputEntries);
+    switch (req.kind) {
+      case KernelKind::Gemv:
+        return buildGemvStream(req.gemv, params, req.pingpong);
+      case KernelKind::Qkt:
+        return buildQktStream(req.att, params, req.pingpong);
+      case KernelKind::Sv:
+        break;
+    }
+    return buildSvStream(req.att, params, req.pingpong);
+}
+
+/**
+ * Every field of every command the pinned kernels schedule, hashed
+ * with FNV-1a per kernel kind. ScheduleResult cannot see a command's
+ * src or region, nor an operand that leaves the timing unchanged; a
+ * change to how streams are generated must leave these digests as
+ * they are.
+ */
+TEST(SchedulePins, EveryCommandStreamIsBitIdentical)
+{
+    const std::uint64_t want[3] = {
+        0xe28b8a6cd5cfcdfdull, // GEMV
+        0x1154330aae1b1a94ull, // QKT
+        0x7d2ba2bb707cc85full, // SV
+    };
+    std::uint64_t got[3] = {1469598103934665603ull, 1469598103934665603ull,
+                            1469598103934665603ull};
+    std::uint64_t commands = 0;
+    for (const KernelPin &k : kKernelPins) {
+        std::uint64_t &h = got[k.kind];
+        auto mix = [&h](std::uint64_t v) {
+            h ^= v;
+            h *= 1099511628211ull;
+        };
+        const CommandStream stream = streamOf(k);
+        commands += stream.size();
+        for (const PimCommand &c : stream.commands()) {
+            mix(c.id);
+            mix(static_cast<std::uint64_t>(c.kind));
+            mix(static_cast<std::uint64_t>(c.gbufIdx));
+            mix(static_cast<std::uint64_t>(c.outIdx));
+            mix(static_cast<std::uint64_t>(c.row));
+            mix(static_cast<std::uint64_t>(c.col));
+            mix(static_cast<std::uint64_t>(c.group));
+            mix(static_cast<std::uint64_t>(c.region));
+            mix(static_cast<std::uint64_t>(c.src));
+        }
+    }
+    EXPECT_EQ(commands, 15405664u);
+    const char *kinds[3] = {"GEMV", "QKT", "SV"};
+    for (int i = 0; i < 3; ++i) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "0x%016" PRIx64 "ull", got[i]);
+        EXPECT_EQ(got[i], want[i]) << kinds[i] << " got " << buf;
+    }
+}
+
+/**
+ * The first hazard in @p r's timeline, read in issue order; empty when
+ * there is none. Commands on one GBuf or output entry conflict unless
+ * both are MACs (reads of one GBuf entry, or an accumulation chain on
+ * one output entry): a command must not issue before every conflicting
+ * command earlier in program order has completed. That covers RAW
+ * (a MAC after the WR-INP that filled its GBuf entry, a RD-OUT after
+ * the MACs it drains) and WAR (a WR-INP after the MACs that read the
+ * old tile, a MAC after the RD-OUT that emptied its entry). Issues
+ * must also be at least tCCDS apart on the channel bus.
+ */
+std::string
+hazardIn(const ScheduleResult &r, const AimTimingParams &params)
+{
+    // Latest completion per entry, of its MACs and of its I/O commands.
+    std::vector<Cycle> gbuf_mac(params.gbufEntries, 0);
+    std::vector<Cycle> gbuf_io(params.gbufEntries, 0);
+    std::vector<Cycle> out_mac(params.outputEntries, 0);
+    std::vector<Cycle> out_io(params.outputEntries, 0);
+    std::vector<Cycle> issues;
+    issues.reserve(r.timeline.size());
+    char buf[160];
+    for (const ScheduledCommand &sc : r.timeline) {
+        const PimCommand &c = sc.cmd;
+        Cycle need = 0;
+        switch (c.kind) {
+          case CommandKind::WrInp:
+            need = std::max(gbuf_mac[c.gbufIdx], gbuf_io[c.gbufIdx]);
+            gbuf_io[c.gbufIdx] = std::max(gbuf_io[c.gbufIdx], sc.complete);
+            break;
+          case CommandKind::Mac:
+            need = std::max(gbuf_io[c.gbufIdx], out_io[c.outIdx]);
+            gbuf_mac[c.gbufIdx] =
+                std::max(gbuf_mac[c.gbufIdx], sc.complete);
+            out_mac[c.outIdx] = std::max(out_mac[c.outIdx], sc.complete);
+            break;
+          case CommandKind::RdOut:
+            need = std::max(out_mac[c.outIdx], out_io[c.outIdx]);
+            out_io[c.outIdx] = std::max(out_io[c.outIdx], sc.complete);
+            break;
+        }
+        if (sc.issue < need) {
+            std::snprintf(buf, sizeof buf,
+                          "%s issues at %" PRIu64 " before a conflicting "
+                          "command completes at %" PRIu64,
+                          c.toString().c_str(), sc.issue, need);
+            return buf;
+        }
+        issues.push_back(sc.issue);
+    }
+    std::sort(issues.begin(), issues.end());
+    for (std::size_t i = 1; i < issues.size(); ++i) {
+        if (issues[i] - issues[i - 1] < params.tCcds) {
+            std::snprintf(buf, sizeof buf,
+                          "issues at %" PRIu64 " and %" PRIu64
+                          " are closer than tCCDS",
+                          issues[i - 1], issues[i]);
+            return buf;
+        }
+    }
+    return {};
+}
+
+TEST(SchedulePins, EveryScheduleIsHazardFreeInIssueOrder)
+{
+    unsigned flagged = 0;
+    for (const KernelPin &k : kKernelPins) {
+        const auto params = AimTimingParams::aimxWithObuf(k.outputEntries);
+        ScheduleResult r =
+            makeScheduler(static_cast<SchedulerKind>(k.scheduler), params)
+                ->schedule(streamOf(k), true);
+        std::string hazard = hazardIn(r, params);
+        if (!hazard.empty() && ++flagged <= 20)
+            ADD_FAILURE() << format(k) << "\n  " << hazard;
+    }
+    EXPECT_EQ(flagged, 0u);
 }
 
 /** The 11-command GEMV of the paper's Fig. 7. */
