@@ -5,7 +5,6 @@
  */
 
 #include "bench_util.hh"
-#include "hub/sequencer.hh"
 #include "isa/pim_instruction.hh"
 
 using namespace pimphony;
@@ -43,8 +42,7 @@ main(int argc, char **argv)
         PimInstruction::mac(0xFFFF, 2, 0, 2, 0, 4),
         PimInstruction::rdOut(0xFFFF, 1, 128, 2),
     };
-    InstructionSequencer seq;
-    auto stream = seq.expandProgram(prog);
+    auto stream = expandProgram(prog);
     std::cout << "  program: " << prog.size() << " instructions ("
               << programBytes(prog) << " B) -> " << stream.size()
               << " channel commands\n";

@@ -1,9 +1,11 @@
 /**
  * @file
- * Scheduler deep-dive: lower one GQA attention kernel to its PIM
- * command stream, schedule it under all three controllers, and print
- * an ASCII occupancy timeline plus the latency breakdown -- a
- * miniature of the paper's Fig. 7/9 analysis you can edit and rerun.
+ * Scheduler deep-dive: build one GQA attention kernel's PIM
+ * instruction program, unroll it into the channel command stream
+ * (expandProgram, the Instruction Sequencer's unroll), schedule it
+ * under all three controllers, and print an ASCII occupancy timeline
+ * plus the latency breakdown -- a miniature of the paper's Fig. 7/9
+ * analysis you can edit and rerun.
  */
 
 #include <algorithm>
@@ -68,7 +70,7 @@ main()
         AimTimingParams params = kind == SchedulerKind::Static
             ? AimTimingParams::aimx()
             : AimTimingParams::aimxWithObuf(16);
-        auto stream = buildQktStream(spec, params, pingpong);
+        auto stream = expandProgram(buildQktProgram(spec, params, pingpong));
         auto r = makeScheduler(kind, params)->schedule(stream, true);
         if (horizon == 0)
             horizon = r.makespan; // scale all lanes to the static run

@@ -52,60 +52,6 @@ matchPimKernels(const IrGraph &graph)
 
 namespace {
 
-/**
- * Static lowering of a token-dependent attention kernel: the
- * compiler must unroll the token loop to the compiled maximum, so
- * the program grows with t_max.
- */
-std::vector<PimInstruction>
-lowerAttentionStatic(const MatchedKernel &match,
-                     const AimTimingParams &params, Tokens t_max)
-{
-    std::vector<PimInstruction> prog;
-    std::uint64_t token_groups = ceilDiv<Tokens>(t_max, 16);
-    unsigned tiles = static_cast<unsigned>(
-        ceilDiv<std::uint64_t>(
-            match.kernelClass == PimKernelClass::Qkt ? match.din
-                                                     : match.dout,
-            16));
-    unsigned ocap = std::max(1u, params.outputEntries);
-
-    if (match.kernelClass == PimKernelClass::Qkt) {
-        prog.push_back(PimInstruction::wrInp(0xFFFF, tiles, 0, 0));
-        for (std::uint64_t tg = 0; tg < token_groups; ++tg) {
-            prog.push_back(PimInstruction::mac(
-                0xFFFF, tiles, 0,
-                static_cast<std::int32_t>(tg % ocap),
-                static_cast<RowIndex>(tg * tiles /
-                                      std::max<std::uint64_t>(
-                                          1, params.rowBytesPerChannel() /
-                                                 params
-                                                     .macBytesPerCommand())),
-                0));
-            if ((tg + 1) % ocap == 0 || tg + 1 == token_groups)
-                prog.push_back(PimInstruction::rdOut(
-                    0xFFFF,
-                    static_cast<std::uint32_t>(tg % ocap + 1), 0, 0));
-        }
-        return prog;
-    }
-
-    // SV: stream score blocks; one WR-INP + per-j MACs per block.
-    unsigned block = std::max(1u, params.gbufEntries / 2);
-    std::uint64_t n_blocks = ceilDiv(token_groups,
-                                     static_cast<std::uint64_t>(block));
-    for (std::uint64_t blk = 0; blk < n_blocks; ++blk) {
-        prog.push_back(PimInstruction::wrInp(0xFFFF, block, 0, 0));
-        for (unsigned j = 0; j < tiles; ++j)
-            prog.push_back(PimInstruction::mac(
-                0xFFFF, block, 0, static_cast<std::int32_t>(j % ocap),
-                static_cast<RowIndex>(blk), 0));
-        prog.push_back(PimInstruction::rdOut(
-            0xFFFF, std::min(tiles, ocap), 0, 0));
-    }
-    return prog;
-}
-
 DpaProgram
 lowerAttentionDpa(const MatchedKernel &match, const AimTimingParams &params)
 {
@@ -125,46 +71,26 @@ lowerAttentionDpa(const MatchedKernel &match, const AimTimingParams &params)
         p.pushEndLoop();
         return p;
     }
+    // SV: per score block, one MAC per output dim group; the groups
+    // share the output entries in batches of ocap, each drained by
+    // one RD-OUT.
     unsigned block = std::max(1u, params.gbufEntries / 2);
+    unsigned ocap = std::max(1u, params.outputEntries);
     p.pushDynLoop(LoopBound::TokensDiv, 0,
                   static_cast<std::uint64_t>(block) * 16);
     p.pushInstr(PimInstruction::wrInp(0xFFFF, block, 0, 0));
-    for (unsigned j = 0; j < tiles; ++j)
+    for (unsigned j = 0; j < tiles; ++j) {
         p.pushInstr(PimInstruction::mac(0xFFFF, block, 0,
-                                        static_cast<std::int32_t>(j), 0,
-                                        0));
-    p.pushDynModi(ModiField::Row, 1);
-    p.pushInstr(PimInstruction::rdOut(0xFFFF, tiles, 0, 0));
+                                        static_cast<std::int32_t>(j % ocap),
+                                        0, 0));
+        const bool last = j + 1 == tiles;
+        if (last)
+            p.pushDynModi(ModiField::Row, 1);
+        if (last || (j + 1) % ocap == 0)
+            p.pushInstr(PimInstruction::rdOut(0xFFFF, j % ocap + 1, 0, 0));
+    }
     p.pushEndLoop();
     return p;
-}
-
-std::vector<PimInstruction>
-lowerFcStatic(const MatchedKernel &match, const AimTimingParams &params)
-{
-    // Weight-stationary GEMV; token independent, so the static form
-    // is already compact.
-    std::vector<PimInstruction> prog;
-    unsigned din_tiles = static_cast<unsigned>(
-        ceilDiv<std::uint64_t>(match.din, 16));
-    unsigned dout_groups = static_cast<unsigned>(
-        ceilDiv<std::uint64_t>(match.dout, 16));
-    unsigned block = std::min(din_tiles,
-                              std::max(1u, params.gbufEntries / 2));
-    unsigned n_blocks = ceilDiv(din_tiles, block);
-    unsigned ocap = std::max(1u, params.outputEntries);
-    for (unsigned blk = 0; blk < n_blocks; ++blk) {
-        prog.push_back(PimInstruction::wrInp(0xFFFF, block, 0, 0));
-        for (unsigned g0 = 0; g0 < dout_groups; g0 += ocap) {
-            unsigned batch = std::min(ocap, dout_groups - g0);
-            for (unsigned b = 0; b < batch; ++b)
-                prog.push_back(PimInstruction::mac(
-                    0xFFFF, block, 0, static_cast<std::int32_t>(b),
-                    static_cast<RowIndex>(blk), 0));
-            prog.push_back(PimInstruction::rdOut(0xFFFF, batch, 0, 0));
-        }
-    }
-    return prog;
 }
 
 DpaProgram
@@ -199,17 +125,25 @@ lowerKernel(const MatchedKernel &match, const AimTimingParams &params,
 {
     LoweredKernel out;
     out.match = match;
-    switch (match.kernelClass) {
-      case PimKernelClass::Qkt:
-      case PimKernelClass::Sv:
-        out.staticProgram = lowerAttentionStatic(match, params, t_max);
-        out.dpaProgram = lowerAttentionDpa(match, params);
-        break;
-      case PimKernelClass::Fc:
-        out.staticProgram = lowerFcStatic(match, params);
+    if (match.kernelClass == PimKernelClass::Fc) {
+        out.staticProgram = buildGemvProgram(
+            GemvSpec::fromDims(match.dout, match.din), params);
         out.dpaProgram = lowerFcDpa(match, params);
-        break;
+        return out;
     }
+    // One head over t_max tokens, input-reuse mapping, one buffer
+    // region: the builder's program a static compiler must unroll.
+    AttentionSpec spec;
+    spec.tokens = t_max;
+    spec.rowReuse = false;
+    if (match.kernelClass == PimKernelClass::Qkt) {
+        spec.headDim = static_cast<std::uint32_t>(match.din);
+        out.staticProgram = buildQktProgram(spec, params);
+    } else {
+        spec.headDim = static_cast<std::uint32_t>(match.dout);
+        out.staticProgram = buildSvProgram(spec, params);
+    }
+    out.dpaProgram = lowerAttentionDpa(match, params);
     return out;
 }
 

@@ -3,6 +3,11 @@
  * Compiler passes: pattern matching of PIM-amenable kernels in the
  * decoder graph and lowering to PIM instruction programs (static
  * fully unrolled form vs. compact DPA form).
+ *
+ * The static form is not a second model of the kernel: it is the
+ * kernel builder's program (kernels/), the one simulateKernel times,
+ * built at t_max for one head with the input-reuse mapping and
+ * unsplit buffers. Only the DPA form is written here.
  */
 
 #ifndef PIMPHONY_COMPILER_PASSES_HH
@@ -43,9 +48,9 @@ struct MatchedKernel
 std::vector<MatchedKernel> matchPimKernels(const IrGraph &graph);
 
 /**
- * Lowered program pair for one kernel: a statically unrolled
- * instruction list sized for @p t_max, and the context-independent
- * DPA form (Fig. 10).
+ * Lowered program pair for one kernel: the builder's statically
+ * unrolled instruction list sized for @p t_max, and the
+ * context-independent DPA form (Fig. 10).
  */
 struct LoweredKernel
 {

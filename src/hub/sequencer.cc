@@ -20,20 +20,4 @@ InstructionSequencer::refills(
     return ceilDiv<Bytes>(total, params_.bufferBytes) - 1;
 }
 
-CommandStream
-InstructionSequencer::expandProgram(
-    const std::vector<PimInstruction> &program) const
-{
-    CommandStream stream;
-    std::int32_t group = 0;
-    for (const auto &instr : program) {
-        for (auto cmd : expandInstruction(instr)) {
-            cmd.group = group;
-            stream.append(cmd);
-        }
-        ++group;
-    }
-    return stream;
-}
-
 } // namespace pimphony

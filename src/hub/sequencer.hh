@@ -4,10 +4,12 @@
  *
  * The sequencer holds the (static or dispatcher-decoded) instruction
  * program in its instruction buffer and unrolls each instruction's
- * Op-size repetitions into the channel command stream. Its buffer
- * capacity is the scalability bottleneck Fig. 10(c) highlights:
- * fully unrolled static programs grow linearly with context length
- * and overflow it, while DPA-encoded programs stay constant.
+ * Op-size repetitions into the channel command stream; that unroll is
+ * expandProgram (isa/pim_instruction.hh), the one source of timed
+ * commands. Its buffer capacity is the scalability bottleneck
+ * Fig. 10(c) highlights: fully unrolled static programs grow linearly
+ * with context length and overflow it, while DPA-encoded programs stay
+ * constant.
  */
 
 #ifndef PIMPHONY_HUB_SEQUENCER_HH
@@ -47,10 +49,6 @@ class InstructionSequencer
      * buffer when it does not fit at once.
      */
     std::uint64_t refills(const std::vector<PimInstruction> &program) const;
-
-    /** Expand a whole program into one per-channel command stream. */
-    CommandStream expandProgram(
-        const std::vector<PimInstruction> &program) const;
 
     const SequencerParams &params() const { return params_; }
 

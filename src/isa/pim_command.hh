@@ -92,6 +92,7 @@ class CommandStream
 {
   public:
     void append(PimCommand cmd);
+    void reserve(std::size_t n) { commands_.reserve(n); }
 
     const std::vector<PimCommand> &commands() const { return commands_; }
     std::size_t size() const { return commands_.size(); }

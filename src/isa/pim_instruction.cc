@@ -47,42 +47,43 @@ PimInstruction::rdOut(std::uint32_t ch_mask, std::uint32_t op_size,
     return i;
 }
 
-std::vector<PimCommand>
-expandInstruction(const PimInstruction &instr)
+void
+expandInstruction(const PimInstruction &instr, std::int32_t group,
+                   CommandStream &out)
 {
     if (instr.opSize == 0)
         panic("instruction with Op-size 0");
+    if (instr.kind == CommandKind::Mac && instr.colsPerRow <= 0)
+        panic("MAC instruction with colsPerRow <= 0");
 
-    std::vector<PimCommand> out;
-    out.reserve(instr.opSize);
     for (std::uint32_t rep = 0; rep < instr.opSize; ++rep) {
+        const auto step = static_cast<std::int32_t>(rep);
+        PimCommand cmd;
         switch (instr.kind) {
           case CommandKind::WrInp:
-            out.push_back(PimCommand::wrInp(
-                instr.gbufIdx + static_cast<std::int32_t>(rep)));
+            cmd = PimCommand::wrInp(instr.gbufIdx + step);
+            cmd.src = static_cast<std::int32_t>(instr.gprAddr + rep);
             break;
           case CommandKind::Mac: {
-            if (instr.colsPerRow <= 0)
-                panic("MAC instruction with colsPerRow <= 0");
-            std::int64_t flat = instr.col + static_cast<std::int64_t>(rep);
-            RowIndex row = instr.row + flat / instr.colsPerRow;
-            std::int32_t col =
-                static_cast<std::int32_t>(flat % instr.colsPerRow);
+            std::int64_t flat =
+                instr.col + static_cast<std::int64_t>(rep) * instr.colStride;
             // Consecutive MACs of one unrolled instruction advance the
             // GBuf entry and the weight column together (one dot
             // product accumulating into the shared output entry).
-            out.push_back(PimCommand::mac(
-                instr.gbufIdx + static_cast<std::int32_t>(rep),
-                instr.outIdx, row, col));
+            cmd = PimCommand::mac(
+                instr.gbufIdx + step, instr.outIdx,
+                instr.row + flat / instr.colsPerRow,
+                static_cast<std::int32_t>(flat % instr.colsPerRow));
             break;
           }
           case CommandKind::RdOut:
-            out.push_back(PimCommand::rdOut(
-                instr.outIdx + static_cast<std::int32_t>(rep)));
+            cmd = PimCommand::rdOut(instr.outIdx + step);
             break;
         }
+        cmd.group = group;
+        cmd.region = instr.region;
+        out.append(cmd);
     }
-    return out;
 }
 
 std::uint64_t
@@ -92,6 +93,16 @@ expandedCommandCount(const std::vector<PimInstruction> &program)
     for (const auto &i : program)
         n += i.opSize;
     return n;
+}
+
+CommandStream
+expandProgram(const std::vector<PimInstruction> &program)
+{
+    CommandStream stream;
+    stream.reserve(expandedCommandCount(program));
+    for (std::size_t i = 0; i < program.size(); ++i)
+        expandInstruction(program[i], static_cast<std::int32_t>(i), stream);
+    return stream;
 }
 
 Bytes

@@ -2,11 +2,15 @@
  * @file
  * Hub-level PIM instructions (the paper's Table III).
  *
- * Instructions are what the compiler emits and the PIM HUB's
- * Instruction Sequencer consumes. Each instruction carries a channel
- * mask (Ch-mask), a repetition count (Op-size) that the sequencer
- * unrolls into consecutive-address commands, a GPR base address for
- * I/O instructions, and buffer/row/column operands.
+ * Instructions are what the kernel builders and the compiler emit and
+ * the PIM HUB's Instruction Sequencer consumes. Each instruction
+ * carries a channel mask (Ch-mask), a repetition count (Op-size) that
+ * the sequencer unrolls into consecutive-address commands, a GPR base
+ * address for I/O instructions, and buffer/row/column operands.
+ *
+ * expandProgram is the sequencer's unroll, and the only source of the
+ * commands the channel controllers time: simulateKernel schedules the
+ * expansion of a builder's program.
  */
 
 #ifndef PIMPHONY_ISA_PIM_INSTRUCTION_HH
@@ -33,7 +37,8 @@ struct PimInstruction
     /** Repetition count unrolled by the Instruction Sequencer. */
     std::uint32_t opSize = 1;
 
-    /** GPR base address for WR-INP / RD-OUT data movement. */
+    /** GPR base address for WR-INP / RD-OUT data movement. WR-INP's
+     *  i-th command carries source tile gprAddr + i (PimCommand::src). */
     std::uint64_t gprAddr = 0;
 
     /** Base GBuf entry (WR-INP destination, MAC source). */
@@ -49,6 +54,14 @@ struct PimInstruction
     /** Columns per row used when unrolling wraps to the next row. */
     std::int32_t colsPerRow = 32;
 
+    /** Tile columns a MAC advances per repetition (SV reads V tiles
+     *  dh/16 apart). */
+    std::int32_t colStride = 1;
+
+    /** Ping-pong region (0/1) of the unrolled commands; -1 when the
+     *  buffers are not split. */
+    std::int8_t region = -1;
+
     static PimInstruction wrInp(std::uint32_t ch_mask, std::uint32_t op_size,
                                 std::uint64_t gpr_addr,
                                 std::int32_t gbuf_idx);
@@ -62,21 +75,28 @@ struct PimInstruction
 };
 
 /**
- * Reference semantics of the Instruction Sequencer's unrolling: one
- * instruction expands into @c opSize commands at consecutive
- * addresses. WR-INP walks GBuf entries, MAC walks tile columns
- * (wrapping to the next row after @c colsPerRow), RD-OUT walks output
- * entries.
+ * Reference semantics of the Instruction Sequencer's unrolling: append
+ * @p instr's @c opSize commands at consecutive addresses to @p out, all
+ * in instruction group @p group and the instruction's region. WR-INP
+ * walks GBuf entries and source tiles, MAC walks GBuf entries and tile
+ * columns by @c colStride (wrapping to the next row after
+ * @c colsPerRow), RD-OUT walks output entries.
  *
  * The expansion is the per-channel view; the Multicast Interconnect
  * replicates it to every channel selected by the mask.
  */
-std::vector<PimCommand> expandInstruction(const PimInstruction &instr);
+void expandInstruction(const PimInstruction &instr, std::int32_t group,
+                       CommandStream &out);
 
 /** Total commands a program expands to on one selected channel. */
-// test oracle: DpaVsStatic.SameWorkDifferentFootprint
 std::uint64_t
 expandedCommandCount(const std::vector<PimInstruction> &program);
+
+/**
+ * Unroll a whole program into one per-channel command stream sized
+ * exactly; instruction i's commands form instruction group i.
+ */
+CommandStream expandProgram(const std::vector<PimInstruction> &program);
 
 /** Encoded program footprint in bytes (Fig. 10 model). */
 Bytes programBytes(const std::vector<PimInstruction> &program);

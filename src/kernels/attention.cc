@@ -8,9 +8,9 @@
 
 namespace pimphony {
 
-CommandStream
-buildQktStream(const AttentionSpec &spec, const AimTimingParams &params,
-               bool pingpong)
+std::vector<PimInstruction>
+buildQktProgram(const AttentionSpec &spec, const AimTimingParams &params,
+                bool pingpong)
 {
     if (spec.tokens == 0 || spec.headDim == 0 || spec.headDim % 16 != 0)
         panic("bad attention spec (tokens=%llu headDim=%u)",
@@ -48,7 +48,7 @@ buildQktStream(const AttentionSpec &spec, const AimTimingParams &params,
             }
             em.flushDrains();
         }
-        return std::move(em.stream);
+        return std::move(em.program);
     }
 
     // Row-reuse mapping.
@@ -102,12 +102,12 @@ buildQktStream(const AttentionSpec &spec, const AimTimingParams &params,
             em.flushDrains(); // regions switch at the chunk boundary
     }
     em.flushDrains();
-    return std::move(em.stream);
+    return std::move(em.program);
 }
 
-CommandStream
-buildSvStream(const AttentionSpec &spec, const AimTimingParams &params,
-              bool pingpong)
+std::vector<PimInstruction>
+buildSvProgram(const AttentionSpec &spec, const AimTimingParams &params,
+               bool pingpong)
 {
     if (spec.tokens == 0 || spec.headDim == 0 || spec.headDim % 16 != 0)
         panic("bad attention spec (tokens=%llu headDim=%u)",
@@ -150,7 +150,7 @@ buildSvStream(const AttentionSpec &spec, const AimTimingParams &params,
                 em.flushDrains();
             }
         }
-        return std::move(em.stream);
+        return std::move(em.program);
     }
 
     // Row-reuse: per DRAM row chunk, all g queries consume the open V
@@ -188,14 +188,14 @@ buildSvStream(const AttentionSpec &spec, const AimTimingParams &params,
                 em.macRun(base, tgs, out, tg_lo * j_tiles + j, j_tiles,
                           region);
                 em.queueDrain(out, region);
-                if (em.pendingDrains.size() >= ocap)
+                if (em.drain.opSize >= ocap)
                     em.flushDrains();
             }
             em.flushDrains();
         }
     }
     em.flushDrains();
-    return std::move(em.stream);
+    return std::move(em.program);
 }
 
 } // namespace pimphony

@@ -1,7 +1,8 @@
 /**
  * @file
- * Attention command-stream generators: QK^T (score) and SV (context)
- * GEMVs over the KV cache held by one PIM channel.
+ * Attention program builders: QK^T (score) and SV (context) GEMVs
+ * over the KV cache held by one PIM channel, as Table III instruction
+ * programs.
  *
  * Layout: tokens are grouped 16 at a time across the banks ("token
  * groups"). For QK^T, output group (q, tg) holds the 16 scores of
@@ -20,18 +21,20 @@
  *    whole KV range, re-activating every row g times.
  *
  * Both builders emit through the Emitter (kernels/emitter.hh) the GEMV
- * builder shares. An SV run walks the V tiles at a DRAM stride of
- * dh/16 (one output dim group of consecutive tokens).
+ * builder shares; expandProgram unrolls a program into the command
+ * stream the controllers time. An SV MAC walks the V tiles at a DRAM
+ * stride of dh/16 (one output dim group of consecutive tokens).
  */
 
 #ifndef PIMPHONY_KERNELS_ATTENTION_HH
 #define PIMPHONY_KERNELS_ATTENTION_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hh"
 #include "dram/timing.hh"
-#include "isa/pim_command.hh"
+#include "isa/pim_instruction.hh"
 
 namespace pimphony {
 
@@ -50,15 +53,15 @@ struct AttentionSpec
     bool rowReuse = true;
 };
 
-/** Build the QK^T command stream for one channel. */
-CommandStream buildQktStream(const AttentionSpec &spec,
-                             const AimTimingParams &params,
-                             bool pingpong = false);
+/** Build the QK^T program for one channel. */
+std::vector<PimInstruction> buildQktProgram(const AttentionSpec &spec,
+                                            const AimTimingParams &params,
+                                            bool pingpong = false);
 
-/** Build the SV command stream for one channel. */
-CommandStream buildSvStream(const AttentionSpec &spec,
-                            const AimTimingParams &params,
-                            bool pingpong = false);
+/** Build the SV program for one channel. */
+std::vector<PimInstruction> buildSvProgram(const AttentionSpec &spec,
+                                           const AimTimingParams &params,
+                                           bool pingpong = false);
 
 } // namespace pimphony
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * The command emitter the GEMV and attention builders share.
+ * The instruction emitter the GEMV and attention builders share.
  *
- * It carries the stream under construction, the instruction-group
- * numbering and the buffer geometry (halved per region for a ping-pong
- * controller), and emits the three command patterns every kernel is
- * made of: a burst of input writes, an accumulation run of MACs, and a
- * batch of output drains.
+ * It carries the program under construction and the buffer geometry
+ * (halved per region for a ping-pong controller), and emits the three
+ * Table III instructions every kernel is made of: a WR-INP burst of
+ * input tiles, a MAC accumulation run, and a RD-OUT batch of output
+ * drains. expandProgram (isa/pim_instruction.hh) unrolls the program
+ * into the commands the controllers time, one instruction group per
+ * instruction.
  */
 
 #ifndef PIMPHONY_KERNELS_EMITTER_HH
@@ -17,18 +19,19 @@
 #include <vector>
 
 #include "dram/timing.hh"
-#include "isa/pim_command.hh"
+#include "isa/pim_instruction.hh"
 
 namespace pimphony {
 
 struct Emitter
 {
-    CommandStream stream;
+    std::vector<PimInstruction> program;
     const AimTimingParams &params;
     bool pingpong;
-    std::int32_t nextGroup = 0;
-    std::vector<std::int32_t> pendingDrains;
-    int pendingRegion = 0;
+
+    /** The RD-OUT batch being gathered; Op-size 0 while empty. */
+    PimInstruction drain = PimInstruction::rdOut(0x1, 0, 0, 0);
+    int drainRegion = 0;
 
     Emitter(const AimTimingParams &p, bool pp) : params(p), pingpong(pp) {}
 
@@ -79,11 +82,10 @@ struct Emitter
     }
 
     void
-    push(PimCommand cmd, std::int32_t group, int region)
+    push(PimInstruction instr, int region)
     {
-        cmd.group = group;
-        cmd.region = pingpong ? static_cast<std::int8_t>(region & 1) : -1;
-        stream.append(cmd);
+        instr.region = pingpong ? static_cast<std::int8_t>(region & 1) : -1;
+        program.push_back(instr);
     }
 
     /** Write @p count tiles into GBuf starting at @p base; the i-th
@@ -92,13 +94,10 @@ struct Emitter
     writeInputs(unsigned base, unsigned count, int region,
                 std::int64_t src_base = 0)
     {
-        std::int32_t grp = nextGroup++;
-        for (unsigned i = 0; i < count; ++i) {
-            auto cmd =
-                PimCommand::wrInp(static_cast<std::int32_t>(base + i));
-            cmd.src = static_cast<std::int32_t>(src_base + i);
-            push(cmd, grp, region);
-        }
+        push(PimInstruction::wrInp(0x1, count,
+                                   static_cast<std::uint64_t>(src_base),
+                                   static_cast<std::int32_t>(base)),
+             region);
     }
 
     /**
@@ -110,38 +109,39 @@ struct Emitter
     macRun(unsigned gbuf_base, unsigned count, std::int32_t out,
            std::uint64_t dram_base, std::uint64_t dram_stride, int region)
     {
-        std::int32_t grp = nextGroup++;
         std::uint64_t per_row = macsPerRow();
-        for (unsigned i = 0; i < count; ++i) {
-            std::uint64_t pos = dram_base + i * dram_stride;
-            RowIndex row = static_cast<RowIndex>(pos / per_row);
-            std::int32_t col = static_cast<std::int32_t>(pos % per_row);
-            push(PimCommand::mac(static_cast<std::int32_t>(gbuf_base + i),
-                                 out, row, col),
-                 grp, region);
-        }
+        auto mac = PimInstruction::mac(
+            0x1, count, static_cast<std::int32_t>(gbuf_base), out,
+            static_cast<RowIndex>(dram_base / per_row),
+            static_cast<std::int32_t>(dram_base % per_row),
+            static_cast<std::int32_t>(per_row));
+        mac.colStride = static_cast<std::int32_t>(dram_stride);
+        push(mac, region);
     }
 
-    /** Queue a drain; flushes carry the region of their batch. */
+    /** Add a drain to the batch; a change of region, or an entry that
+     *  does not follow the batch's last, flushes the batch first. */
     void
     queueDrain(std::int32_t out, int region)
     {
-        if (!pendingDrains.empty() && region != pendingRegion)
+        if (drain.opSize > 0 &&
+            (region != drainRegion ||
+             out != drain.outIdx + static_cast<std::int32_t>(drain.opSize)))
             flushDrains();
-        pendingRegion = region;
-        pendingDrains.push_back(out);
+        if (drain.opSize == 0)
+            drain.outIdx = out;
+        drainRegion = region;
+        ++drain.opSize;
     }
 
-    /** Drain the queued entries as one instruction group. */
+    /** Drain the batch as one RD-OUT instruction. */
     void
     flushDrains()
     {
-        if (pendingDrains.empty())
+        if (drain.opSize == 0)
             return;
-        std::int32_t grp = nextGroup++;
-        for (std::int32_t out : pendingDrains)
-            push(PimCommand::rdOut(out), grp, pendingRegion);
-        pendingDrains.clear();
+        push(drain, drainRegion);
+        drain.opSize = 0;
     }
 };
 

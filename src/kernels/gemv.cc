@@ -19,9 +19,9 @@ GemvSpec::fromDims(std::uint64_t dout, std::uint64_t din)
     return s;
 }
 
-CommandStream
-buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
-                bool pingpong)
+std::vector<PimInstruction>
+buildGemvProgram(const GemvSpec &spec, const AimTimingParams &params,
+                 bool pingpong)
 {
     if (spec.doutGroups == 0 || spec.dinTiles == 0)
         panic("GEMV spec with zero extent");
@@ -53,7 +53,7 @@ buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
                 em.queueDrain(em.outEntry(b, region), region);
             em.flushDrains();
         }
-        return std::move(em.stream);
+        return std::move(em.program);
     }
 
     // Input-streaming: blocks of half the full GBuf, alternating
@@ -76,7 +76,7 @@ buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
         for (std::uint32_t g = 0; g < spec.doutGroups; ++g)
             em.queueDrain(static_cast<std::int32_t>(g), (n_blocks - 1) % 2);
         em.flushDrains();
-        return std::move(em.stream);
+        return std::move(em.program);
     }
 
     // Partial-drain dataflow: per block, every output group produces
@@ -98,7 +98,7 @@ buildGemvStream(const GemvSpec &spec, const AimTimingParams &params,
             em.flushDrains();
         }
     }
-    return std::move(em.stream);
+    return std::move(em.program);
 }
 
 std::uint64_t

@@ -1,6 +1,6 @@
 /**
  * @file
- * GEMV command-stream generator for one PIM channel.
+ * GEMV program builder for one PIM channel.
  *
  * Dataflow (AiM-style): the 16 banks operate in lock-step; one MAC
  * command consumes one 32 B input tile from the GBuf and one 32 B
@@ -23,18 +23,19 @@
  * mapping): consecutive MACs read consecutive DRAM locations, so a
  * row switch occurs every rowBytesPerChannel / 512 B MACs.
  *
- * Commands are emitted through the Emitter (kernels/emitter.hh) the
- * attention builders share: writeInputs, macRun, and drains batched by
- * queueDrain/flushDrains.
+ * Instructions are emitted through the Emitter (kernels/emitter.hh)
+ * the attention builders share: writeInputs, macRun, and drains
+ * batched by queueDrain/flushDrains into one RD-OUT each.
  */
 
 #ifndef PIMPHONY_KERNELS_GEMV_HH
 #define PIMPHONY_KERNELS_GEMV_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "dram/timing.hh"
-#include "isa/pim_command.hh"
+#include "isa/pim_instruction.hh"
 
 namespace pimphony {
 
@@ -51,14 +52,15 @@ struct GemvSpec
 };
 
 /**
- * Build the per-channel command stream for @p spec.
+ * Build the per-channel program for @p spec.
  *
- * @param pingpong tag commands with alternating region ids and halve
- *        the effective buffer capacities (split-buffer baseline).
+ * @param pingpong tag instructions with alternating region ids and
+ *        halve the effective buffer capacities (split-buffer
+ *        baseline).
  */
-CommandStream buildGemvStream(const GemvSpec &spec,
-                              const AimTimingParams &params,
-                              bool pingpong = false);
+std::vector<PimInstruction> buildGemvProgram(const GemvSpec &spec,
+                                             const AimTimingParams &params,
+                                             bool pingpong = false);
 
 /** Number of extra partial-sum reductions the EPU must perform. */
 // test oracle: GemvStream.PartialDrainWhenOutputsExceedObuf

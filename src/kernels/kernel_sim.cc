@@ -37,23 +37,26 @@ KernelRequest::makeSv(AttentionSpec spec, SchedulerKind sched, bool pingpong)
     return r;
 }
 
+std::vector<PimInstruction>
+kernelProgram(const KernelRequest &req, const AimTimingParams &params)
+{
+    switch (req.kind) {
+      case KernelKind::Gemv:
+        return buildGemvProgram(req.gemv, params, req.pingpong);
+      case KernelKind::Qkt:
+        return buildQktProgram(req.att, params, req.pingpong);
+      case KernelKind::Sv:
+        break;
+    }
+    return buildSvProgram(req.att, params, req.pingpong);
+}
+
 ScheduleResult
 simulateKernel(const KernelRequest &req, const AimTimingParams &params)
 {
-    CommandStream stream;
-    switch (req.kind) {
-      case KernelKind::Gemv:
-        stream = buildGemvStream(req.gemv, params, req.pingpong);
-        break;
-      case KernelKind::Qkt:
-        stream = buildQktStream(req.att, params, req.pingpong);
-        break;
-      case KernelKind::Sv:
-        stream = buildSvStream(req.att, params, req.pingpong);
-        break;
-    }
-    auto scheduler = makeScheduler(req.scheduler, params);
-    return scheduler->schedule(stream, false);
+    // The program is freed once unrolled, before the schedule runs.
+    const CommandStream stream = expandProgram(kernelProgram(req, params));
+    return makeScheduler(req.scheduler, params)->schedule(stream, false);
 }
 
 Tokens

@@ -1,8 +1,10 @@
 /**
  * @file
- * Kernel-level simulation facade: generate a command stream for a
- * kernel descriptor, schedule it on a channel model, and cache the
- * result.
+ * Kernel-level simulation facade: build a kernel descriptor's
+ * instruction program, schedule its unroll (expandProgram) on a
+ * channel model, and cache the result. The builder's program is the
+ * one kernel model: the compiler's static program (lowerKernel) is the
+ * same builder's program at t_max.
  *
  * End-to-end serving simulations evaluate millions of kernel
  * instances whose latency depends only on (shape, mapping, scheduler,
@@ -15,6 +17,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "dram/timing.hh"
 #include "kernels/attention.hh"
@@ -44,7 +47,11 @@ struct KernelRequest
                                 bool pingpong = false);
 };
 
-/** Generate + schedule a kernel (uncached). */
+/** The builder's per-channel program for @p req. */
+std::vector<PimInstruction> kernelProgram(const KernelRequest &req,
+                                          const AimTimingParams &params);
+
+/** Build, unroll and schedule a kernel (uncached). */
 ScheduleResult simulateKernel(const KernelRequest &req,
                               const AimTimingParams &params);
 

@@ -37,7 +37,7 @@ TEST_P(QktDataflow, EveryScoreComputedExactlyOnce)
     spec.gqaGroup = static_cast<std::uint32_t>(gqa);
     spec.rowReuse = row_reuse;
 
-    auto stream = buildQktStream(spec, params);
+    auto stream = expandProgram(buildQktProgram(spec, params));
     auto drains = replayDataflow(stream, params);
 
     const unsigned q_tiles = 8;
@@ -88,7 +88,7 @@ TEST_P(SvDataflow, PartialsTileTheTokenAxisExactly)
     spec.gqaGroup = static_cast<std::uint32_t>(gqa);
     spec.rowReuse = row_reuse;
 
-    auto stream = buildSvStream(spec, params);
+    auto stream = expandProgram(buildSvProgram(spec, params));
     auto drains = replayDataflow(stream, params);
 
     const unsigned j_tiles = 8;
@@ -147,7 +147,7 @@ TEST_P(GemvDataflow, EveryWeightTileUsedOnceWithItsInput)
         AimTimingParams::aimxWithObuf(static_cast<unsigned>(obuf));
     auto spec = GemvSpec::fromDims(static_cast<std::uint64_t>(dout),
                                    static_cast<std::uint64_t>(din));
-    auto stream = buildGemvStream(spec, params);
+    auto stream = expandProgram(buildGemvProgram(spec, params));
     auto drains = replayDataflow(stream, params);
 
     // Global invariants: each weight tile position read exactly once;
@@ -184,7 +184,7 @@ TEST(GemvDataflow, ResidentLayoutPairsInputWithItsColumn)
     // co-designs.
     AimTimingParams params = AimTimingParams::aimxWithObuf(16);
     auto spec = GemvSpec::fromDims(256, 512); // 32 tiles resident
-    auto stream = buildGemvStream(spec, params);
+    auto stream = expandProgram(buildGemvProgram(spec, params));
     for (const auto &d : replayDataflow(stream, params)) {
         for (const auto &p : d.products)
             EXPECT_EQ(static_cast<std::uint64_t>(p.src),

@@ -56,13 +56,12 @@ TEST(Sequencer, CapacityAndRefills)
 
 TEST(Sequencer, ExpansionGroupsPerInstruction)
 {
-    InstructionSequencer seq;
     std::vector<PimInstruction> prog = {
         PimInstruction::wrInp(1, 4, 0, 0),
         PimInstruction::mac(1, 4, 0, 0, 0, 0),
         PimInstruction::rdOut(1, 1, 0, 0),
     };
-    auto stream = seq.expandProgram(prog);
+    auto stream = expandProgram(prog);
     ASSERT_EQ(stream.size(), 9u);
     EXPECT_EQ(stream[0].group, 0);
     EXPECT_EQ(stream[3].group, 0);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "compiler/ir.hh"
 #include "compiler/passes.hh"
@@ -31,8 +32,7 @@ TEST(CompilerToScheduler, StaticQktProgramSchedules)
         if (match.kernelClass != PimKernelClass::Qkt)
             continue;
         auto lowered = lowerKernel(match, params, 4096);
-        InstructionSequencer seq;
-        auto stream = seq.expandProgram(lowered.staticProgram);
+        auto stream = expandProgram(lowered.staticProgram);
         ASSERT_EQ(stream.validate(params.gbufEntries,
                                   params.outputEntries),
                   "");
@@ -66,8 +66,7 @@ TEST(DpaToScheduler, DispatcherExpansionSchedulesAtRuntimeLength)
         dispatcher.mapChunk(0, 100 + 3 * c); // deliberately scattered
 
     auto instrs = dispatcher.expand(lowered.dpaProgram, 0);
-    InstructionSequencer seq;
-    auto stream = seq.expandProgram(instrs);
+    auto stream = expandProgram(instrs);
     ASSERT_EQ(stream.validate(params.gbufEntries, params.outputEntries),
               "");
 
@@ -104,24 +103,35 @@ TEST(DpaToScheduler, DispatcherExpansionSchedulesAtRuntimeLength)
 TEST(DpaVsStatic, SameWorkDifferentFootprint)
 {
     // The two compilation paths must describe the same computation:
-    // equal MAC counts at equal token lengths, wildly different
-    // encoded sizes.
+    // valid expansions and equal command counts at equal token
+    // lengths, whether the output entries hold every dim group or one,
+    // and wildly different encoded sizes. The static form is the
+    // builder's program, the one the controllers time.
     auto model = LlmConfig::llm7b(true);
     auto graph = buildDecoderLayer(model);
-    AimTimingParams params = AimTimingParams::aimxWithObuf(16);
 
-    for (const auto &match : matchPimKernels(graph)) {
-        if (match.kernelClass == PimKernelClass::Fc)
-            continue;
-        Tokens t = 65536;
-        auto lowered = lowerKernel(match, params, t);
-        auto static_cmds = expandedCommandCount(lowered.staticProgram);
-        auto dpa_cmds =
-            expandedCommandCount(lowered.dpaProgram.expand(t));
-        EXPECT_EQ(static_cmds, dpa_cmds)
-            << "kernel class " << static_cast<int>(match.kernelClass);
-        EXPECT_GT(staticProgramBytes(lowered),
-                  20 * dpaProgramBytes(lowered));
+    for (unsigned obuf : {1u, 16u}) {
+        AimTimingParams params = AimTimingParams::aimxWithObuf(obuf);
+        for (const auto &match : matchPimKernels(graph)) {
+            if (match.kernelClass == PimKernelClass::Fc)
+                continue;
+            SCOPED_TRACE("kernel class " +
+                         std::to_string(static_cast<int>(match.kernelClass)) +
+                         ", " + std::to_string(obuf) + " output entries");
+            Tokens t = 65536;
+            auto lowered = lowerKernel(match, params, t);
+            auto static_cmds = expandProgram(lowered.staticProgram);
+            auto dpa_cmds = expandProgram(lowered.dpaProgram.expand(t));
+            EXPECT_EQ(static_cmds.validate(params.gbufEntries,
+                                           params.outputEntries),
+                      "");
+            EXPECT_EQ(dpa_cmds.validate(params.gbufEntries,
+                                        params.outputEntries),
+                      "");
+            EXPECT_EQ(static_cmds.size(), dpa_cmds.size());
+            EXPECT_GT(staticProgramBytes(lowered),
+                      20 * dpaProgramBytes(lowered));
+        }
     }
 }
 
@@ -199,7 +209,7 @@ TEST(KernelCounts, QktMacWorkMatchesAnalyticFlops)
     spec.headDim = model.headDim;
     spec.gqaGroup = model.gqaGroup;
     spec.rowReuse = true;
-    auto stream = buildQktStream(spec, params);
+    auto stream = expandProgram(buildQktProgram(spec, params));
     std::uint64_t macs = makeScheduler(SchedulerKind::Static, params)
                              ->schedule(stream)
                              .macCount;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "isa/dpa.hh"
 #include "isa/pim_command.hh"
 #include "isa/pim_instruction.hh"
@@ -75,9 +77,18 @@ TEST(CommandStream, OutOfRangeIndicesRejected)
     EXPECT_NE(b.validate(64, 16), "");
 }
 
+/** The commands @p instr unrolls to, as instruction group 0. */
+CommandStream
+unroll(const PimInstruction &instr)
+{
+    CommandStream s;
+    expandInstruction(instr, 0, s);
+    return s;
+}
+
 TEST(Instruction, WrInpExpansionWalksGbuf)
 {
-    auto cmds = expandInstruction(PimInstruction::wrInp(0x1, 4, 0, 8));
+    auto cmds = unroll(PimInstruction::wrInp(0x1, 4, 0, 8));
     ASSERT_EQ(cmds.size(), 4u);
     for (int i = 0; i < 4; ++i) {
         EXPECT_EQ(cmds[i].kind, CommandKind::WrInp);
@@ -87,8 +98,7 @@ TEST(Instruction, WrInpExpansionWalksGbuf)
 
 TEST(Instruction, MacExpansionWalksGbufAndColumns)
 {
-    auto cmds =
-        expandInstruction(PimInstruction::mac(0x1, 3, 0, 0, 5, 0, 32));
+    auto cmds = unroll(PimInstruction::mac(0x1, 3, 0, 0, 5, 0, 32));
     ASSERT_EQ(cmds.size(), 3u);
     for (int i = 0; i < 3; ++i) {
         EXPECT_EQ(cmds[i].gbufIdx, i);
@@ -100,8 +110,7 @@ TEST(Instruction, MacExpansionWalksGbufAndColumns)
 
 TEST(Instruction, MacExpansionWrapsRows)
 {
-    auto cmds =
-        expandInstruction(PimInstruction::mac(0x1, 5, 0, 0, 7, 30, 32));
+    auto cmds = unroll(PimInstruction::mac(0x1, 5, 0, 0, 7, 30, 32));
     ASSERT_EQ(cmds.size(), 5u);
     EXPECT_EQ(cmds[0].row, 7);
     EXPECT_EQ(cmds[0].col, 30);
@@ -109,6 +118,40 @@ TEST(Instruction, MacExpansionWrapsRows)
     EXPECT_EQ(cmds[2].row, 8);
     EXPECT_EQ(cmds[2].col, 0);
     EXPECT_EQ(cmds[4].col, 2);
+}
+
+TEST(Instruction, ExpansionCarriesStrideSourceRegionAndGroup)
+{
+    // An SV-style MAC reads every 8th tile column and wraps rows; a
+    // WR-INP's commands carry source tiles from its GPR address; both
+    // tag their commands with the instruction's region and group.
+    auto mac = PimInstruction::mac(0x1, 4, 2, 3, 1, 6, 16);
+    mac.colStride = 8;
+    mac.region = 1;
+    auto wr = PimInstruction::wrInp(0x1, 2, 40, 2);
+    wr.region = 1;
+    CommandStream s;
+    expandInstruction(wr, 5, s);
+    expandInstruction(mac, 6, s);
+    ASSERT_EQ(s.size(), 6u);
+    EXPECT_EQ(s[0].src, 40);
+    EXPECT_EQ(s[1].src, 41);
+    EXPECT_EQ(s[1].gbufIdx, 3);
+    const std::pair<RowIndex, std::int32_t> row_col[] = {
+        {1, 6}, {1, 14}, {2, 6}, {2, 14}};
+    for (int i = 0; i < 4; ++i) {
+        const PimCommand &c = s[2 + i];
+        EXPECT_EQ(c.id, static_cast<CommandId>(2 + i));
+        EXPECT_EQ(c.gbufIdx, 2 + i);
+        EXPECT_EQ(c.outIdx, 3);
+        EXPECT_EQ(c.row, row_col[i].first);
+        EXPECT_EQ(c.col, row_col[i].second);
+        EXPECT_EQ(c.src, -1);
+    }
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        EXPECT_EQ(s[i].region, 1);
+        EXPECT_EQ(s[i].group, i < 2 ? 5 : 6);
+    }
 }
 
 TEST(Instruction, ProgramByteAccounting)

@@ -51,7 +51,7 @@ TEST(GemvStream, ResidentCaseCounts)
     // din 1024 (64 tiles, exactly resident), dout 256 (16 groups).
     auto params = pimphonyParams();
     auto spec = GemvSpec::fromDims(256, 1024);
-    auto s = buildGemvStream(spec, params);
+    auto s = expandProgram(buildGemvProgram(spec, params));
     EXPECT_EQ(s.validate(params.gbufEntries, params.outputEntries), "");
     EXPECT_EQ(countKind(s, CommandKind::WrInp), 64u);     // once
     EXPECT_EQ(countKind(s, CommandKind::Mac), 64u * 16u); // full
@@ -65,7 +65,7 @@ TEST(GemvStream, StreamingAccumulateInPlace)
     // inputs streamed once, outputs accumulate in place.
     auto params = pimphonyParams();
     auto spec = GemvSpec::fromDims(128, 4096);
-    auto s = buildGemvStream(spec, params);
+    auto s = expandProgram(buildGemvProgram(spec, params));
     EXPECT_EQ(s.validate(params.gbufEntries, params.outputEntries), "");
     EXPECT_EQ(countKind(s, CommandKind::WrInp), 256u);
     EXPECT_EQ(countKind(s, CommandKind::Mac), 256u * 8u);
@@ -78,7 +78,7 @@ TEST(GemvStream, PartialDrainWhenOutputsExceedObuf)
     // din 4096, dout 4096 (256 groups > OBuf): partial drains.
     auto params = pimphonyParams();
     auto spec = GemvSpec::fromDims(4096, 4096);
-    auto s = buildGemvStream(spec, params);
+    auto s = expandProgram(buildGemvProgram(spec, params));
     EXPECT_EQ(s.validate(params.gbufEntries, params.outputEntries), "");
     EXPECT_EQ(countKind(s, CommandKind::WrInp), 256u); // streamed once
     EXPECT_EQ(countKind(s, CommandKind::Mac), 256u * 256u);
@@ -99,7 +99,7 @@ TEST_P(GemvGeometrySweep, StreamsAlwaysValid)
         static_cast<unsigned>(obuf));
     auto spec = GemvSpec::fromDims(static_cast<std::uint64_t>(dout),
                                    static_cast<std::uint64_t>(din));
-    auto s = buildGemvStream(spec, params, pingpong);
+    auto s = expandProgram(buildGemvProgram(spec, params, pingpong));
     ASSERT_EQ(s.validate(params.gbufEntries, params.outputEntries), "");
     // Exact MAC count: every (group, tile) pair exactly once.
     EXPECT_EQ(countKind(s, CommandKind::Mac),
@@ -126,7 +126,7 @@ TEST(QktStream, MacCountMatchesShape)
     spec.gqaGroup = 4;
     for (bool row_reuse : {true, false}) {
         spec.rowReuse = row_reuse;
-        auto s = buildQktStream(spec, params);
+        auto s = expandProgram(buildQktProgram(spec, params));
         ASSERT_EQ(s.validate(params.gbufEntries, params.outputEntries),
                   "");
         // (tokens/16) token groups x (dh/16) tiles x g queries.
@@ -144,7 +144,7 @@ TEST(QktStream, ResidentQueriesWriteOnce)
     spec.headDim = 128;
     spec.gqaGroup = 4; // 32 tiles <= half GBuf: resident
     spec.rowReuse = true;
-    auto s = buildQktStream(spec, params);
+    auto s = expandProgram(buildQktProgram(spec, params));
     EXPECT_EQ(countKind(s, CommandKind::WrInp), 4u * 8u);
 }
 
@@ -156,7 +156,7 @@ TEST(QktStream, LargeGqaSwapsQueriesPerRowChunk)
     spec.headDim = 128;
     spec.gqaGroup = 8; // 64 tiles > half GBuf: swap per chunk
     spec.rowReuse = true;
-    auto s = buildQktStream(spec, params);
+    auto s = expandProgram(buildQktProgram(spec, params));
     // Row chunks = (256 tg x 8 tiles) / 64 macs-per-row = 32; per
     // chunk all 8 queries re-stream 8 tiles each.
     EXPECT_EQ(countKind(s, CommandKind::WrInp), 32u * 8u * 8u);
@@ -195,7 +195,7 @@ TEST(SvStream, CountsAndValidity)
     spec.gqaGroup = 2;
     for (bool row_reuse : {true, false}) {
         spec.rowReuse = row_reuse;
-        auto s = buildSvStream(spec, params);
+        auto s = expandProgram(buildSvProgram(spec, params));
         ASSERT_EQ(s.validate(params.gbufEntries, params.outputEntries),
                   "");
         EXPECT_EQ(countKind(s, CommandKind::Mac), 256u * 8u * 2u);
@@ -211,10 +211,32 @@ TEST(SvStream, BaselineSingleOutRegDrainsEveryRun)
     spec.headDim = 128;
     spec.gqaGroup = 1;
     spec.rowReuse = true;
-    auto s = buildSvStream(spec, params);
+    auto s = expandProgram(buildSvProgram(spec, params));
     EXPECT_EQ(s.validate(params.gbufEntries, params.outputEntries), "");
     // Every (chunk, j) partial drains: chunks = 64 tg / 8 = 8, j = 8.
     EXPECT_EQ(countKind(s, CommandKind::RdOut), 8u * 8u);
+}
+
+TEST(SvStream, DrainBatchesStayConsecutiveAtOddHeadDims)
+{
+    // Five dim groups per query over 16 output entries: query 3's
+    // groups land on entries 15, 0, 1, 2, 3, so its drains split into
+    // two RD-OUT instructions, each over consecutive entries.
+    auto params = AimTimingParams::aimxWithObuf(16);
+    AttentionSpec spec;
+    spec.tokens = 1024;
+    spec.headDim = 80;
+    spec.gqaGroup = 4;
+    spec.rowReuse = true;
+    auto program = buildSvProgram(spec, params);
+    for (const PimInstruction &i : program) {
+        if (i.kind != CommandKind::RdOut)
+            continue;
+        EXPECT_LE(i.outIdx + static_cast<std::int32_t>(i.opSize), 16);
+    }
+    auto s = expandProgram(program);
+    EXPECT_EQ(s.validate(params.gbufEntries, params.outputEntries), "");
+    EXPECT_EQ(countKind(s, CommandKind::Mac), 64u * 5u * 4u);
 }
 
 class AttentionSweep
@@ -234,11 +256,11 @@ TEST_P(AttentionSweep, AllStreamsValid)
     spec.gqaGroup = static_cast<std::uint32_t>(gqa);
     spec.rowReuse = row_reuse;
 
-    auto qkt = buildQktStream(spec, params, pingpong);
+    auto qkt = expandProgram(buildQktProgram(spec, params, pingpong));
     ASSERT_EQ(qkt.validate(params.gbufEntries, params.outputEntries),
               "")
         << "qkt tokens=" << tokens << " g=" << gqa;
-    auto sv = buildSvStream(spec, params, pingpong);
+    auto sv = expandProgram(buildSvProgram(spec, params, pingpong));
     ASSERT_EQ(sv.validate(params.gbufEntries, params.outputEntries), "")
         << "sv tokens=" << tokens << " g=" << gqa;
 

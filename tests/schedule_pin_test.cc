@@ -26,8 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "kernels/attention.hh"
-#include "kernels/gemv.hh"
 #include "kernels/kernel_sim.hh"
 #include "pim/scheduler.hh"
 
@@ -172,17 +170,8 @@ TEST(SchedulePins, EveryPaperBenchKernelIsBitIdentical)
 CommandStream
 streamOf(const KernelPin &k)
 {
-    const KernelRequest req = requestOf(k);
-    const auto params = AimTimingParams::aimxWithObuf(k.outputEntries);
-    switch (req.kind) {
-      case KernelKind::Gemv:
-        return buildGemvStream(req.gemv, params, req.pingpong);
-      case KernelKind::Qkt:
-        return buildQktStream(req.att, params, req.pingpong);
-      case KernelKind::Sv:
-        break;
-    }
-    return buildSvStream(req.att, params, req.pingpong);
+    return expandProgram(kernelProgram(
+        requestOf(k), AimTimingParams::aimxWithObuf(k.outputEntries)));
 }
 
 /**
