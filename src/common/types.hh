@@ -37,9 +37,6 @@ using ModuleId = std::uint32_t;
 /** Identifier for a PIM command within a stream. */
 using CommandId = std::uint64_t;
 
-/** Sentinel meaning "no command" in dependency tables. */
-inline constexpr CommandId kNoCommand = ~CommandId{0};
-
 /** Token counts (context lengths, KV-cache sizes in tokens). */
 using Tokens = std::uint64_t;
 

@@ -74,6 +74,16 @@ struct ModiState
           case ModiField::GprAddr: gpr += delta; break;
         }
     }
+
+    void
+    add(const ModiState &d)
+    {
+        row += d.row;
+        col += d.col;
+        gbuf += d.gbuf;
+        out += d.out;
+        gpr += d.gpr;
+    }
 };
 
 PimInstruction
@@ -103,86 +113,57 @@ DpaProgram::expand(Tokens tokens,
 {
     std::vector<PimInstruction> out;
 
-    // Recursive-descent interpretation over the op list.
-    std::function<std::size_t(std::size_t, ModiState)> run =
-        [&](std::size_t pc, ModiState outer) -> std::size_t {
-        // Per-loop-body Dyn-Modi strides, applied cumulatively per
-        // iteration on top of the enclosing scope's offsets.
-        std::size_t start = pc;
-        (void)start;
-        while (pc < ops_.size()) {
+    // Recursive-descent interpretation over the op list: emit from
+    // @p pc with the enclosing scope's offsets @p at, up to the
+    // EndLoop that closes the scope.
+    std::function<void(std::size_t, const ModiState &)> run =
+        [&](std::size_t pc, const ModiState &at) {
+        for (; pc < ops_.size(); ++pc) {
             const DpaOp &op = ops_[pc];
             switch (op.kind) {
               case DpaOpKind::Instr:
-                out.push_back(offsetInstruction(op.instr, outer, translate));
-                ++pc;
+                out.push_back(offsetInstruction(op.instr, at, translate));
                 break;
               case DpaOpKind::DynModi:
-                // Strides are advanced once per enclosing Dyn-Loop
-                // iteration (see the re-scan below); iteration i sees
-                // an accumulated offset of i * stride. A Dyn-Modi
-                // outside any loop is a no-op by construction.
-                ++pc;
+                // Read by the enclosing Dyn-Loop below; outside any
+                // loop it is a no-op.
                 break;
               case DpaOpKind::DynLoop: {
-                std::uint64_t trip = op.bound == LoopBound::Constant
+                // One scan finds the matching EndLoop and the body's
+                // top-level strides: iteration i offsets the whole
+                // body, nested loops included, by i * stride.
+                ModiState step;
+                std::size_t end = pc + 1;
+                for (int depth = 0; end < ops_.size(); ++end) {
+                    const DpaOp &b = ops_[end];
+                    if (b.kind == DpaOpKind::DynLoop) {
+                        ++depth;
+                    } else if (b.kind == DpaOpKind::EndLoop) {
+                        if (depth == 0)
+                            break;
+                        --depth;
+                    } else if (b.kind == DpaOpKind::DynModi && depth == 0) {
+                        step.apply(b.field, b.stride);
+                    }
+                }
+                const std::uint64_t trip = op.bound == LoopBound::Constant
                     ? op.constBound
                     : ceilDiv<std::uint64_t>(tokens, op.tokensDivisor);
-                // Gather the body's per-iteration strides: Dyn-Modi
-                // ops directly inside the body advance the offsets on
-                // every iteration.
-                std::size_t body = pc + 1;
-                std::size_t after = body;
-                ModiState iter = outer;
+                ModiState iter = at;
                 for (std::uint64_t it = 0; it < trip; ++it) {
-                    after = run(body, iter);
-                    // Re-scan the body's top-level Dyn-Modi strides to
-                    // advance the iteration state.
-                    std::size_t scan = body;
-                    int depth = 0;
-                    while (scan < ops_.size()) {
-                        const DpaOp &b = ops_[scan];
-                        if (b.kind == DpaOpKind::DynLoop) {
-                            ++depth;
-                        } else if (b.kind == DpaOpKind::EndLoop) {
-                            if (depth == 0)
-                                break;
-                            --depth;
-                        } else if (b.kind == DpaOpKind::DynModi &&
-                                   depth == 0) {
-                            iter.apply(b.field, b.stride);
-                        }
-                        ++scan;
-                    }
+                    run(pc + 1, iter);
+                    iter.add(step);
                 }
-                if (trip == 0) {
-                    // Skip the body entirely.
-                    std::size_t scan = pc + 1;
-                    int depth = 0;
-                    while (scan < ops_.size()) {
-                        if (ops_[scan].kind == DpaOpKind::DynLoop)
-                            ++depth;
-                        else if (ops_[scan].kind == DpaOpKind::EndLoop) {
-                            if (depth == 0)
-                                break;
-                            --depth;
-                        }
-                        ++scan;
-                    }
-                    after = scan;
-                }
-                pc = after + 1;
+                pc = end;
                 break;
               }
               case DpaOpKind::EndLoop:
-                return pc;
+                return;
             }
         }
-        return pc;
     };
 
-    ModiState root;
-    run(0, root);
+    run(0, ModiState{});
     return out;
 }
 

@@ -7,10 +7,10 @@
  *  - @c Dyn-Loop: a loop whose bound is resolved at runtime from the
  *    request's current token length (T_cur), not a compile-time
  *    maximum.
- *  - @c Dyn-Modi: modifies a target operand field of the following
- *    instruction(s) by a stride each iteration, producing *virtual*
- *    addresses that the on-module dispatcher translates through the
- *    VA2PA table.
+ *  - @c Dyn-Modi: strides a target operand field of every instruction
+ *    in the enclosing Dyn-Loop's body by one more step each
+ *    iteration, producing *virtual* addresses that the on-module
+ *    dispatcher translates through the VA2PA table.
  *
  * A DPA program is therefore compact: its encoded size is independent
  * of the context length, unlike a fully unrolled static program whose
@@ -65,7 +65,11 @@ struct DpaOp
     std::uint64_t constBound = 1;
     std::uint64_t tokensDivisor = 1;
 
-    /** Valid when kind == DynModi: applies to the next Instr op. */
+    /**
+     * Valid when kind == DynModi: iteration i of the enclosing
+     * Dyn-Loop offsets @c field of every instruction in the loop
+     * body, nested loops included, by i * stride.
+     */
     ModiField field = ModiField::Row;
     std::int64_t stride = 0;
 };

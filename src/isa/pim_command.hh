@@ -39,7 +39,7 @@ struct PimCommand
 {
     CommandKind kind = CommandKind::Mac;
 
-    /** Position in the stream; doubles as the D-Table command ID. */
+    /** Position in the stream. */
     CommandId id = 0;
 
     /** GBuf entry written (WR-INP) or read (MAC); -1 when unused. */

@@ -1,29 +1,10 @@
 #include "pim/dcs_scheduler.hh"
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace pimphony {
-
-namespace {
-
-/** Dependency of one command on an earlier command's completion. */
-struct Dependency
-{
-    CommandId on = kNoCommand;
-
-    /** True when issue may chain at tCCDS without completion wait
-     *  (consecutive MACs on the same OBuf entry, via is-MAC). */
-    bool chain = false;
-
-    /** Kind of the dependency target, for stall attribution. */
-    CommandKind kind = CommandKind::Mac;
-};
-
-struct DepSet
-{
-    Dependency gbuf;
-    Dependency obuf;
-};
-
-} // namespace
 
 Bytes
 DcsScheduler::metadataBytes() const
@@ -38,104 +19,101 @@ DcsScheduler::metadataBytes() const
 ScheduleResult
 DcsScheduler::schedule(const CommandStream &stream, bool keep_timeline)
 {
-    const auto &cmds = stream.commands();
+    /** One table row: a GBuf or output entry. */
+    struct Entry
+    {
+        /** Completion cycle of the last command issued on the entry;
+         *  0 (never delays anything) while none has. */
+        Cycle complete = 0;
 
-    // --- D-Table pass: assign dependency IDs in program order. ---
-    std::vector<CommandId> gbuf_last(params_.gbufEntries, kNoCommand);
-    std::vector<CommandId> obuf_last(params_.outputEntries, kNoCommand);
-    std::vector<DepSet> deps(cmds.size());
+        /** Kind of that command: a MAC after a MAC chains (is-MAC). */
+        CommandKind kind = CommandKind::Mac;
 
-    auto kind_of = [&](CommandId id) { return cmds[id].kind; };
+        /** Commands on the entry the leading queue has passed and
+         *  that have not issued yet. */
+        std::int32_t held = 0;
+    };
 
-    for (std::size_t i = 0; i < cmds.size(); ++i) {
-        const PimCommand &c = cmds[i];
-        DepSet d;
-        switch (c.kind) {
-          case CommandKind::WrInp: {
-            if (c.gbufIdx < 0 ||
-                c.gbufIdx >= static_cast<std::int32_t>(params_.gbufEntries))
-                panic("WR-INP gbuf index %d out of range", c.gbufIdx);
-            CommandId last = gbuf_last[c.gbufIdx];
-            if (last != kNoCommand)
-                d.gbuf = {last, false, kind_of(last)};
-            gbuf_last[c.gbufIdx] = c.id;
-            break;
-          }
-          case CommandKind::Mac: {
-            if (c.gbufIdx < 0 ||
-                c.gbufIdx >= static_cast<std::int32_t>(params_.gbufEntries))
-                panic("MAC gbuf index %d out of range", c.gbufIdx);
-            if (c.outIdx < 0 ||
-                c.outIdx >= static_cast<std::int32_t>(params_.outputEntries))
-                panic("MAC out index %d out of range (outputEntries=%u)",
-                      c.outIdx, params_.outputEntries);
-            CommandId g = gbuf_last[c.gbufIdx];
-            if (g != kNoCommand) {
-                // Read-after-read on a GBuf entry carries no hazard:
-                // a MAC whose predecessor on the entry was another
-                // MAC may issue as soon as the bus allows.
-                bool read_chain = kind_of(g) == CommandKind::Mac;
-                d.gbuf = {g, read_chain, kind_of(g)};
-            }
-            CommandId o = obuf_last[c.outIdx];
-            if (o != kNoCommand) {
-                // is-MAC: consecutive MACs on the same OBuf entry
-                // chain at tCCDS; a RD-OUT must fully drain first.
-                bool chain = kind_of(o) == CommandKind::Mac;
-                d.obuf = {o, chain, kind_of(o)};
-            }
-            gbuf_last[c.gbufIdx] = c.id;
-            obuf_last[c.outIdx] = c.id;
-            break;
-          }
-          case CommandKind::RdOut: {
-            if (c.outIdx < 0 ||
-                c.outIdx >= static_cast<std::int32_t>(params_.outputEntries))
-                panic("RD-OUT out index %d out of range", c.outIdx);
-            CommandId o = obuf_last[c.outIdx];
-            if (o != kNoCommand)
-                d.obuf = {o, false, kind_of(o)};
-            obuf_last[c.outIdx] = c.id;
-            break;
-          }
-        }
-        deps[i] = d;
-    }
-
-    // --- Issue: a head is ready once its dependencies complete. ---
     struct Rule
     {
-        const std::vector<DepSet> &deps;
+        std::vector<Entry> gbuf;
+        std::vector<Entry> obuf;
+
+        /** The entries @p c touches; null for an unused operand. */
+        std::pair<Entry *, Entry *>
+        entries(const PimCommand &c)
+        {
+            Entry *g = nullptr;
+            Entry *o = nullptr;
+            if (c.kind != CommandKind::RdOut) {
+                if (c.gbufIdx < 0 ||
+                    c.gbufIdx >= static_cast<std::int32_t>(gbuf.size()))
+                    panic("%s gbuf index %d out of range",
+                          c.kind == CommandKind::Mac ? "MAC" : "WR-INP",
+                          c.gbufIdx);
+                g = &gbuf[c.gbufIdx];
+            }
+            if (c.kind != CommandKind::WrInp) {
+                if (c.outIdx < 0 ||
+                    c.outIdx >= static_cast<std::int32_t>(obuf.size()))
+                    panic("%s out index %d out of range (outputEntries=%zu)",
+                          c.kind == CommandKind::Mac ? "MAC" : "RD-OUT",
+                          c.outIdx, obuf.size());
+                o = &obuf[c.outIdx];
+            }
+            return {g, o};
+        }
 
         Readiness
-        ready(std::size_t idx, bool, const std::vector<bool> &issued,
-              const std::vector<Cycle> &complete) const
+        ready(const PimCommand &c, bool, bool lead)
         {
             Readiness r;
-            auto consider = [&](const Dependency &dep) {
-                if (dep.on == kNoCommand || r.at == kNever)
-                    return;
-                if (!issued[dep.on]) {
-                    r.at = kNever;
-                    return;
-                }
-                if (dep.chain)
-                    return; // bus spacing suffices (is-MAC chaining)
-                if (complete[dep.on] > r.at) {
+            auto [g, o] = entries(c);
+            for (const Entry *e : {g, o}) {
+                if (!e)
+                    continue;
+                // A passed command on the entry precedes this one and
+                // has not issued: its completion is not known yet.
+                if (lead && e->held > 0)
+                    return {kNever};
+                // Read-after-read on a GBuf entry carries no hazard,
+                // and consecutive MACs on an OBuf entry chain at tCCDS
+                // (is-MAC): the bus spacing suffices.
+                if (c.kind == CommandKind::Mac && e->kind == CommandKind::Mac)
+                    continue;
+                if (e->complete > r.at) {
                     // Bus idle time waiting for the binding
                     // dependency is a stall of its kind.
-                    r.at = complete[dep.on];
-                    r.cause = dep.kind;
+                    r.at = e->complete;
+                    r.cause = e->kind;
                     r.charged = true;
                 }
-            };
-            consider(deps[idx].gbuf);
-            consider(deps[idx].obuf);
+            }
             return r;
         }
 
-        void onIssue(std::size_t, bool, Issued) {}
-    } rule{deps};
+        void
+        hold(const PimCommand &c, int delta)
+        {
+            auto [g, o] = entries(c);
+            for (Entry *e : {g, o})
+                if (e)
+                    e->held += delta;
+        }
+
+        void
+        onIssue(const PimCommand &c, bool, Issued at)
+        {
+            auto [g, o] = entries(c);
+            for (Entry *e : {g, o}) {
+                if (e) {
+                    e->complete = at.complete;
+                    e->kind = c.kind;
+                }
+            }
+        }
+    } rule{std::vector<Entry>(params_.gbufEntries),
+           std::vector<Entry>(params_.outputEntries)};
     return scheduleTwoQueues(stream, keep_timeline, rule, "DCS");
 }
 

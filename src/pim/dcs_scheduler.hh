@@ -4,33 +4,25 @@
  *
  * The controller splits arriving commands into an I/O transfer queue
  * (WR-INP, RD-OUT) and a compute queue (MAC). Queues are in-order
- * internally but issue out-of-order with respect to each other. A
- * Dependency Table (D-Table) records, per GBuf and per OBuf entry,
- * the most recent command that accessed it; each new command receives
- * that command's ID as its Dependency ID (DID). A Status Table
- * (S-Table) records, per entry, the last accessor and the cycle at
- * which its access completes, plus an is-MAC flag that lets
- * consecutive MACs accumulating into the same OBuf entry chain at the
+ * internally but issue out-of-order with respect to each other. The
+ * paper's D-Table and S-Table keep one row per GBuf and per OBuf
+ * entry; so does the model. A row holds the kind and completion
+ * cycle of the last command issued on the entry, and how many
+ * commands on it the queue running ahead has passed without their
+ * issuing. A command waits while its entry holds such a command, so
+ * the commands on one entry issue in program order; the last one
+ * issued is then the one it depends on, and it waits for that one to
+ * complete. The exception is the is-MAC flag: consecutive MACs reading
+ * one GBuf entry or accumulating into one OBuf entry chain at the
  * minimum tCCDS interval instead of waiting tMAC.
  */
 
 #ifndef PIMPHONY_PIM_DCS_SCHEDULER_HH
 #define PIMPHONY_PIM_DCS_SCHEDULER_HH
 
-#include <cstdint>
-#include <vector>
-
 #include "pim/scheduler.hh"
 
 namespace pimphony {
-
-/** One S-Table row: who touched the entry and when they finish. */
-struct STableEntry
-{
-    CommandId id = kNoCommand;
-    Cycle expire = 0;
-    bool isMac = false;
-};
 
 class DcsScheduler : public CommandScheduler
 {

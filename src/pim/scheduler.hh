@@ -10,16 +10,17 @@
  *  - PingPong: buffers split into two regions; I/O on one region may
  *    overlap compute on the other, with hand-off stalls at region
  *    swaps (the prior-work baseline of Fig. 18).
- *  - Dcs: PIMphony's Dynamic Command Scheduling with a D-Table and
- *    S-Table tracking per-entry dependencies, an I/O queue and a
- *    compute queue issued out-of-order with respect to each other.
+ *  - Dcs: PIMphony's Dynamic Command Scheduling with one table row
+ *    per GBuf and output entry tracking its dependencies, an I/O
+ *    queue and a compute queue issued out-of-order with respect to
+ *    each other.
  *
  * The pieces they share live here, once. Channel::issue is the issue
  * step every controller calls: row opening, refresh, completion,
  * makespan, timeline, stall attribution and kind counts.
  * scheduleTwoQueues is the I/O-queue/compute-queue loop of ping-pong
  * and DCS; each of the two supplies only its readiness rule and its
- * bookkeeping after an issue.
+ * per-resource bookkeeping, sized by the buffers, never by the stream.
  */
 
 #ifndef PIMPHONY_PIM_SCHEDULER_HH
@@ -29,7 +30,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/logging.hh"
 #include "dram/refresh.hh"
@@ -168,11 +168,18 @@ class CommandScheduler
      * max(readiness, bus free); a tie goes to compute to keep the
      * MACs fed.
      *
-     * @p rule supplies `Readiness ready(std::size_t idx, bool io,
-     * const std::vector<bool> &issued, const std::vector<Cycle>
-     * &complete)` for a queue head, given which commands have issued
-     * and when they complete, and `void onIssue(std::size_t idx,
-     * bool io, Issued at)`.
+     * Each queue is a cursor over the stream. The cursor further
+     * ahead, the leading one, has passed the other class's commands
+     * that have not issued yet; those, and only those, precede its
+     * head in program order without having issued. @p rule supplies:
+     *
+     *  - `Readiness ready(const PimCommand &head, bool io, bool lead)`
+     *    for a queue head; @p lead says whether its cursor leads.
+     *  - `void hold(const PimCommand &cmd, int delta)`: +1 when the
+     *    leading cursor passes @p cmd, -1 when @p cmd then issues. A
+     *    rule counts these per resource (a buffer entry, a region);
+     *    a leading head whose resource holds a command must wait.
+     *  - `void onIssue(const PimCommand &cmd, bool io, Issued at)`.
      */
     template <class Rule>
     ScheduleResult
@@ -180,28 +187,27 @@ class CommandScheduler
                       Rule &rule, const char *controller) const
     {
         const auto &cmds = stream.commands();
-        std::vector<std::size_t> queue[2]; // [0] compute, [1] I/O
-        queue[0].reserve(cmds.size());
-        queue[1].reserve(cmds.size());
-        for (std::size_t i = 0; i < cmds.size(); ++i)
-            queue[isIoCommand(cmds[i].kind)].push_back(i);
+        const std::size_t n = cmds.size();
+        std::size_t head[2] = {0, 0}; // [0] compute, [1] I/O; n when done
+        // Move cursor @p io to its next command at or after @p from.
+        auto advance = [&](int io, std::size_t from) {
+            for (; from < n && isIoCommand(cmds[from].kind) != io; ++from)
+                if (from >= head[!io])
+                    rule.hold(cmds[from], +1);
+            head[io] = from;
+        };
+        advance(0, 0);
+        advance(1, 0);
 
-        std::vector<Cycle> complete(cmds.size(), kNever);
-        // Says what complete == kNever says, but dropping it lets
-        // glibc trim the heap after each kernel: the paper benches'
-        // stream builds then fault every page again (30x the minor
-        // faults in bench_fig17_scaling --smoke).
-        std::vector<bool> issued(cmds.size(), false);
-        Channel channel(*this, cmds.size(), keep_timeline);
-        std::size_t head[2] = {0, 0};
+        Channel channel(*this, n, keep_timeline);
         Cycle bus_free = 0;
-        for (std::size_t left = cmds.size(); left > 0; --left) {
+        for (std::size_t left = n; left > 0; --left) {
             Readiness ready[2];
             Cycle cand[2];
             for (int io = 0; io < 2; ++io) {
-                if (head[io] < queue[io].size())
-                    ready[io] =
-                        rule.ready(queue[io][head[io]], io, issued, complete);
+                if (head[io] < n)
+                    ready[io] = rule.ready(cmds[head[io]], io,
+                                           head[io] > head[!io]);
                 else
                     ready[io].at = kNever;
                 cand[io] = ready[io].at == kNever
@@ -211,14 +217,14 @@ class CommandScheduler
                 panic("%s deadlock: both queue heads blocked", controller);
 
             const int io = cand[1] < cand[0];
-            const std::size_t idx = queue[io][head[io]++];
+            const PimCommand &cmd = cmds[head[io]];
+            if (head[!io] > head[io])
+                rule.hold(cmd, -1);
             const Cycle stall = ready[io].charged ? cand[io] - bus_free : 0;
-            Issued at =
-                channel.issue(cmds[idx], cand[io], stall, ready[io].cause);
-            complete[idx] = at.complete;
-            issued[idx] = true;
-            rule.onIssue(idx, io, at);
+            Issued at = channel.issue(cmd, cand[io], stall, ready[io].cause);
+            rule.onIssue(cmd, io, at);
             bus_free = at.issue + params_.tCcds;
+            advance(io, head[io] + 1);
         }
         return channel.finalize();
     }

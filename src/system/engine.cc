@@ -752,8 +752,7 @@ ServingEngine::prepare()
     // decode FC shares and prefill chunks; in PimOnly mode only the
     // prefill chunks (the PNM compute engines) land there.
     ev.stages = std::make_unique<StageDeviceSet>(
-        ev.pp, *module_, xpu_.get(),
-        ev.policy->reordersXpu() ? ev.policy.get() : nullptr);
+        ev.pp, ev.policy->reordersXpu() ? ev.policy.get() : nullptr);
     ev.readyPool.reserve(pending_.size());
 
     // The constructor's sorted trace becomes the pending-arrival
@@ -1030,21 +1029,19 @@ ServingEngine::finalize()
 
     // Per-policy observability off the stage timelines.
     for (unsigned s = 0; s < ev.stages->count(); ++s) {
-        XpuStageDevice *x = ev.stages->stage(s).xpu();
-        if (!x)
-            continue;
-        result_.chunkSlices += x->preemptionSlices() -
-                               x->decodePreemptionSlices();
-        result_.decodePreemptSlices += x->decodePreemptionSlices();
-        result_.decodeOvertakes += x->overtakes();
-        result_.tierInversions += x->tierInversions();
+        XpuStageDevice &x = ev.stages->stage(s).xpu();
+        result_.chunkSlices += x.preemptionSlices() -
+                               x.decodePreemptionSlices();
+        result_.decodePreemptSlices += x.decodePreemptionSlices();
+        result_.decodeOvertakes += x.overtakes();
+        result_.tierInversions += x.tierInversions();
         result_.maxTierInversionWaitSeconds =
             std::max(result_.maxTierInversionWaitSeconds,
-                     x->maxTierInversionWaitSeconds());
+                     x.maxTierInversionWaitSeconds());
         result_.maxDecodeXpuWaitSeconds =
             std::max(result_.maxDecodeXpuWaitSeconds,
-                     x->maxDecodeWaitSeconds());
-        result_.xpuPrefillBusySeconds += x->prefillBusySeconds();
+                     x.maxDecodeWaitSeconds());
+        result_.xpuPrefillBusySeconds += x.prefillBusySeconds();
     }
 
     result_.simulatedSeconds = ev.endTime;

@@ -5,14 +5,11 @@
 
 namespace pimphony {
 
-PipelineStage::PipelineStage(std::string name, PimModuleModel &pim,
-                             XpuModel *xpu,
+PipelineStage::PipelineStage(std::string name,
                              const sim::QueueArbiter *arbiter)
-    : sim::Device(name), arbiter_(arbiter), pim_(name + ".pim", pim)
+    : sim::Device(name), arbiter_(arbiter), pim_(name + ".pim"),
+      xpu_(name + ".xpu", arbiter)
 {
-    if (xpu)
-        xpu_ = std::make_unique<XpuStageDevice>(name + ".xpu", *xpu,
-                                                arbiter);
 }
 
 double
@@ -20,15 +17,12 @@ PipelineStage::submit(sim::EventQueue &queue, const sim::WorkItem &item,
                       double ready, CompletionFn done)
 {
     if (item.kind == sim::WorkItem::Kind::PrefillChunk) {
-        // Prefill chunks occupy the stage's compute timeline (the
-        // xPU when one exists, else the serializing device), queueing
+        // Prefill chunks occupy the stage's xPU timeline, queueing
         // with decode FC shares under the attached arbitration.
-        sim::Device &dev =
-            xpu_ ? static_cast<sim::Device &>(*xpu_) : pim_;
-        return dev.submit(queue, item, ready, std::move(done));
+        return xpu_.submit(queue, item, ready, std::move(done));
     }
 
-    if (arbiter_ && xpu_ && item.fcSeconds > 0.0) {
+    if (arbiter_ && item.fcSeconds > 0.0) {
         // Arbitrated path: the FC share's completion depends on
         // future arbitration, so the stage queues decode items and
         // joins the two timelines in event time.
@@ -41,7 +35,7 @@ PipelineStage::submit(sim::EventQueue &queue, const sim::WorkItem &item,
 
     double start = std::max(ready, pim_.busyUntil());
     sim::WorkItem main = item;
-    if (xpu_ && item.fcSeconds > 0.0) {
+    if (item.fcSeconds > 0.0) {
         sim::WorkItem fc = item;
         fc.seconds = std::min(item.fcSeconds, item.seconds);
         fc.fcSeconds = 0.0;
@@ -49,11 +43,11 @@ PipelineStage::submit(sim::EventQueue &queue, const sim::WorkItem &item,
         // the composite item starts. With an idle xPU it shadows the
         // serializing timeline (fc <= seconds); behind queued prefill
         // chunks it completes late and gates the stage instead.
-        double fc_done = xpu_->submit(queue, fc, start);
+        double fc_done = xpu_.submit(queue, fc, start);
         // Reservation arithmetic is synchronous, so the queueing
         // delay is known here; record it to keep the decode-wait
         // metric comparable with arbitrated policies.
-        xpu_->noteDecodeWait(fc_done - fc.seconds - start);
+        xpu_.noteDecodeWait(fc_done - fc.seconds - start);
         if (fc_done > start + item.seconds)
             main.seconds = fc_done - start;
     }
@@ -93,10 +87,10 @@ PipelineStage::pumpDecode(sim::EventQueue &queue)
     sim::WorkItem fc = e.item;
     fc.seconds = std::min(e.item.fcSeconds, e.item.seconds);
     fc.fcSeconds = 0.0;
-    xpu_->submit(queue, fc, start,
-                 [this, &queue, att_end](double fc_end) {
-                     joinDecode(queue, att_end, fc_end);
-                 });
+    xpu_.submit(queue, fc, start,
+                [this, &queue, att_end](double fc_end) {
+                    joinDecode(queue, att_end, fc_end);
+                });
 }
 
 void
@@ -123,14 +117,13 @@ PipelineStage::joinDecode(sim::EventQueue &queue, double att_end,
     });
 }
 
-StageDeviceSet::StageDeviceSet(unsigned pp, PimModuleModel &pim,
-                               XpuModel *xpu,
+StageDeviceSet::StageDeviceSet(unsigned pp,
                                const sim::QueueArbiter *arbiter)
 {
     std::vector<sim::Device *> devices;
     for (unsigned s = 0; s < pp; ++s) {
         stages_.push_back(std::make_unique<PipelineStage>(
-            "stage" + std::to_string(s), pim, xpu, arbiter));
+            "stage" + std::to_string(s), arbiter));
         devices.push_back(stages_.back().get());
     }
     pipeline_ = std::make_unique<sim::StagePipeline>(devices);

@@ -1,12 +1,12 @@
 /**
  * @file
- * Adapters that put the system's device models behind the sim core's
- * Device interface.
+ * The serving engine's pipeline stages, built from the sim core's
+ * Device timelines.
  *
  * One pipeline stage of the serving engine is a PipelineStage: its
  * serializing timeline is the PIM side (attention always runs
- * there), and in xPU+PIM systems an xPU timeline shadows the FC
- * share of each work item — FC of one cohort overlaps PIM attention
+ * there), and its xPU timeline shadows the FC share of each work
+ * item in xPU+PIM systems — FC of one cohort overlaps PIM attention
  * of the same (and, across stages, other) cohorts, which is the
  * overlap NeuPIMs-like systems are built around. The same xPU
  * timeline serves prefill chunks in FIFO order with the decode FC
@@ -24,42 +24,23 @@
 #include "sim/device.hh"
 #include "sim/pipeline.hh"
 #include "sim/ring_buffer.hh"
-#include "system/pim_module.hh"
-#include "system/xpu.hh"
 
 namespace pimphony {
 
-/** The PIM side of a stage: a FIFO timeline over a module model. */
-class PimStageDevice : public sim::Device
-{
-  public:
-    PimStageDevice(std::string name, PimModuleModel &model)
-        : sim::Device(std::move(name)), model_(&model)
-    {
-    }
-
-    PimModuleModel &model() { return *model_; }
-
-  private:
-    PimModuleModel *model_;
-};
-
 /**
- * The xPU side of a stage: a timeline over an xPU model. With a null
- * arbiter it is the PR 2 FIFO reservation timeline; with a
- * co-scheduling policy attached it arbitrates between queued prefill
- * chunks and decode FC shares (see system/sched_policy).
+ * The xPU side of a stage. With a null arbiter it is a FIFO
+ * reservation timeline; with a co-scheduling policy attached it
+ * arbitrates between queued prefill chunks and decode FC shares (see
+ * system/sched_policy).
  */
 class XpuStageDevice : public sim::QueuedDevice
 {
   public:
-    XpuStageDevice(std::string name, XpuModel &model,
-                   const sim::QueueArbiter *arbiter = nullptr)
-        : sim::QueuedDevice(std::move(name), arbiter), model_(&model)
+    explicit XpuStageDevice(std::string name,
+                            const sim::QueueArbiter *arbiter = nullptr)
+        : sim::QueuedDevice(std::move(name), arbiter)
     {
     }
-
-    XpuModel &model() { return *model_; }
 
     /**
      * Prefill seconds actually served to completion on this
@@ -78,20 +59,17 @@ class XpuStageDevice : public sim::QueuedDevice
     }
 
   private:
-    XpuModel *model_;
     double prefillBusy_ = 0.0;
 };
 
 /**
- * One PP stage: serializes decode cohorts on the PIM timeline and,
- * when an xPU timeline is attached, runs each item's FC share there
- * together with prefill chunks. With an idle xPU the FC share (never
- * larger than the item's total service time) trails the PIM timeline
- * as a pure shadow; when prefill chunks congest the xPU the FC share
+ * One PP stage: serializes decode cohorts on the PIM timeline and
+ * runs each item's FC share on its xPU timeline together with prefill
+ * chunks. With an idle xPU the FC share (never larger than the item's
+ * total service time) trails the PIM timeline as a pure shadow; when prefill chunks congest the xPU the FC share
  * completes late and the stage is extended to cover the stall, so
  * prefill delays decode exactly as a shared compute engine would.
- * PrefillChunk items route to the xPU timeline (or the PIM timeline
- * when the stage has none).
+ * PrefillChunk items route to the xPU timeline.
  *
  * With a co-scheduling arbiter attached, the xPU timeline is
  * queue-arbitrated and an FC share's completion is unknown at submit
@@ -106,8 +84,8 @@ class XpuStageDevice : public sim::QueuedDevice
 class PipelineStage : public sim::Device
 {
   public:
-    PipelineStage(std::string name, PimModuleModel &pim, XpuModel *xpu,
-                  const sim::QueueArbiter *arbiter = nullptr);
+    explicit PipelineStage(std::string name,
+                           const sim::QueueArbiter *arbiter = nullptr);
 
     double submit(sim::EventQueue &queue, const sim::WorkItem &item,
                   double ready, CompletionFn done = nullptr) override;
@@ -119,8 +97,7 @@ class PipelineStage : public sim::Device
         return pim_.completedItems();
     }
 
-    PimStageDevice &pim() { return pim_; }
-    XpuStageDevice *xpu() { return xpu_ ? xpu_.get() : nullptr; }
+    XpuStageDevice &xpu() { return xpu_; }
 
   private:
     struct DecodeEntry
@@ -138,8 +115,8 @@ class PipelineStage : public sim::Device
                     double fc_end);
 
     const sim::QueueArbiter *arbiter_ = nullptr;
-    PimStageDevice pim_;
-    std::unique_ptr<XpuStageDevice> xpu_;
+    sim::Device pim_;
+    XpuStageDevice xpu_;
     sim::RingQueue<DecodeEntry> decodeQ_;
     /** pumpDecode's arbitration scratch (reused, never re-entered). */
     std::vector<const sim::WorkItem *> decodeEligible_;
@@ -155,8 +132,8 @@ class PipelineStage : public sim::Device
 class StageDeviceSet
 {
   public:
-    StageDeviceSet(unsigned pp, PimModuleModel &pim, XpuModel *xpu,
-                   const sim::QueueArbiter *arbiter = nullptr);
+    explicit StageDeviceSet(unsigned pp,
+                            const sim::QueueArbiter *arbiter = nullptr);
 
     sim::StagePipeline &pipeline() { return *pipeline_; }
     PipelineStage &stage(unsigned s) { return *stages_[s]; }

@@ -140,10 +140,7 @@ TEST(StagePipeline, EmptySequenceCompletesAtReady)
 
 TEST(PipelineStage, PrefillChunkOccupiesXpuAndGatesDecodeFc)
 {
-    PimModuleConfig mcfg;
-    PimModuleModel pim(mcfg);
-    XpuModel xpu(XpuConfig::neupimsNpu());
-    PipelineStage stage("s", pim, &xpu);
+    PipelineStage stage("s");
     sim::EventQueue q;
 
     sim::WorkItem chunk;
@@ -153,8 +150,7 @@ TEST(PipelineStage, PrefillChunkOccupiesXpuAndGatesDecodeFc)
     // The chunk occupies the xPU timeline, not the serializing PIM.
     EXPECT_DOUBLE_EQ(chunk_done, 1.0);
     EXPECT_DOUBLE_EQ(stage.busyUntil(), 0.0);
-    ASSERT_NE(stage.xpu(), nullptr);
-    EXPECT_DOUBLE_EQ(stage.xpu()->busyUntil(), 1.0);
+    EXPECT_DOUBLE_EQ(stage.xpu().busyUntil(), 1.0);
 
     // A decode item whose FC share queues behind the chunk is gated:
     // FC runs [1.0, 1.4] on the xPU, so the stage completes at 1.4
@@ -165,20 +161,6 @@ TEST(PipelineStage, PrefillChunkOccupiesXpuAndGatesDecodeFc)
     double decode_done = stage.submit(q, decode, 0.0);
     EXPECT_DOUBLE_EQ(decode_done, 1.4);
     EXPECT_DOUBLE_EQ(stage.busyUntil(), 1.4);
-    q.runAll();
-}
-
-TEST(PipelineStage, PrefillChunkFallsBackToPimWithoutXpu)
-{
-    PimModuleConfig mcfg;
-    PimModuleModel pim(mcfg);
-    PipelineStage stage("s", pim, nullptr);
-    sim::EventQueue q;
-    sim::WorkItem chunk;
-    chunk.kind = sim::WorkItem::Kind::PrefillChunk;
-    chunk.seconds = 2.0;
-    EXPECT_DOUBLE_EQ(stage.submit(q, chunk, 0.0), 2.0);
-    EXPECT_DOUBLE_EQ(stage.busyUntil(), 2.0);
     q.runAll();
 }
 
