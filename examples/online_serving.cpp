@@ -29,10 +29,12 @@ namespace {
 /**
  * SLO-aware policy selection: a bursty on/off arrival process (the
  * hard case for a decode token-gap SLO) under each co-scheduling
- * policy. fifo shows the unmanaged gap tail; decode-priority and
- * chunk-preempt shrink it on the timeline itself; slo-admission
- * instead defers prefills whenever the observed p95 gap exceeds the
- * target, trading first-token latency for the decode SLO.
+ * policy. Prefills run first-come-first-served, so fifo already
+ * stalls a decode share behind at most one chunk; at PP=1 no chunk
+ * ever queues for decode-priority to overtake. chunk-preempt shrinks
+ * the stall to a quantum; slo-admission defers prefills whenever the
+ * observed p95 gap exceeds the target, which costs first-token
+ * latency but cannot shorten a one-chunk stall.
  */
 void
 policySelection()
@@ -74,11 +76,12 @@ policySelection()
                     r.p95TokenGapSeconds <= target_gap ? "  <- meets SLO"
                                                        : "");
     }
-    std::printf("\nfifo lets prefill bursts stall decode; "
-                "decode-priority caps the stall at one\nchunk, "
-                "chunk-preempt at one quantum; slo-admission defers "
-                "prefills until the\nobserved gap recovers, at the "
-                "cost of the TTFT tail.\n");
+    std::printf("\nPrefills run first-come-first-served, so fifo "
+                "already caps a decode stall at one\nchunk and "
+                "decode-priority finds nothing to overtake; "
+                "chunk-preempt caps it at one\nquantum; slo-admission "
+                "defers prefills, at a TTFT cost, without shortening\n"
+                "the one-chunk stall.\n");
 }
 
 /**

@@ -1,5 +1,6 @@
 #include "sim/pipeline.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -115,34 +116,36 @@ StagePipeline::submitChain(EventQueue &queue,
 void
 StagePipeline::launchElement(EventQueue &queue, Sequence *sq, double at)
 {
-    std::size_t e = sq->next;
-    const std::vector<WorkItem> &element = sq->elements[e];
-    if (element.size() != stages_.size())
-        panic("submitSequence element %zu has %zu items for %zu "
-              "stages",
-              e, element.size(), stages_.size());
-    bool last = (e + 1 == sq->elements.size());
+    const std::vector<WorkItem> &element = sq->elements[sq->next++];
     Chain *ch = acquireChain();
     ch->items.assign(element.begin(), element.end());
-    if (last) {
-        // The last element completes the sequence at its last-stage
-        // completion.
-        ch->done = [this, sq](double t) {
-            CompletionFn done = std::move(sq->done);
-            releaseSequence(sq);
-            if (done)
-                done(t);
-        };
-    } else {
-        // Launching element e+1 at e's *stage-0* completion (not the
-        // chain end) pipelines elements across stages while leaving a
-        // FIFO gap other submitters can slot into between elements.
-        sq->next = e + 1;
-        ch->firstDone = [this, sq, &queue](double t) {
-            launchElement(queue, sq, t);
-        };
-    }
+    // The last element completes the sequence at its last-stage
+    // completion.
+    if (sq->next == sq->elements.size())
+        ch->done = std::move(sq->done);
+    // Handing off at the element's *stage-0* completion (not the
+    // chain end) pipelines elements across stages while leaving a
+    // FIFO gap other submitters can slot into between elements.
+    ch->firstDone = [this, &queue](double t) {
+        onElementLeftStage0(queue, t);
+    };
+    sq->running = ch;
     advanceChain(queue, ch, at);
+}
+
+void
+StagePipeline::onElementLeftStage0(EventQueue &queue, double t)
+{
+    Sequence *sq = waiting_.front();
+    if (sq->next < sq->elements.size()) {
+        launchElement(queue, sq, t);
+        return;
+    }
+    waiting_.pop();
+    releaseSequence(sq);
+    if (!waiting_.empty())
+        launchElement(queue, waiting_.front(),
+                      std::max(t, waiting_.front()->ready));
 }
 
 void
@@ -158,11 +161,38 @@ StagePipeline::submitSequence(
     Sequence *sq = acquireSequence();
     // Element-wise assign reuses the pooled inner vectors' capacity.
     sq->elements.resize(elements.size());
-    for (std::size_t e = 0; e < elements.size(); ++e)
+    for (std::size_t e = 0; e < elements.size(); ++e) {
+        if (elements[e].size() != stages_.size())
+            panic("submitSequence element %zu has %zu items for %zu "
+                  "stages",
+                  e, elements[e].size(), stages_.size());
         sq->elements[e].assign(elements[e].begin(), elements[e].end());
-    sq->next = 0;
+    }
+    sq->ready = ready;
     sq->done = std::move(done);
-    launchElement(queue, sq, ready);
+    waiting_.push(std::move(sq));
+    if (waiting_.size() == 1)
+        launchElement(queue, waiting_.front(), ready);
+}
+
+void
+StagePipeline::dropSequences()
+{
+    if (waiting_.empty())
+        return;
+    Sequence *sq = waiting_.front();
+    waiting_.pop();
+    while (!waiting_.empty()) {
+        releaseSequence(waiting_.front());
+        waiting_.pop();
+    }
+    // The streaming sequence launches nothing more and completes
+    // when its element on the device does; that element's stage-0
+    // completion retires it.
+    sq->next = sq->elements.size();
+    if (sq->done)
+        sq->running->done = std::move(sq->done);
+    waiting_.push(std::move(sq));
 }
 
 } // namespace sim

@@ -11,9 +11,15 @@
  *
  * Prefill chunks use the same traversal: submitSequence() runs an
  * ordered list of elements (one per chunk) through the stages with
- * chunk k+1 entering stage 0 at chunk k's stage-0 completion, so at
- * most one chunk per request queues at any stage and decode work
- * submitted in between interleaves with the chunk stream.
+ * element k+1 entering stage 0 at element k's stage-0 completion.
+ * Sequences are served first-come-first-served: a sequence's first
+ * element enters stage 0 when the previous sequence's last element
+ * completes stage 0 (or at its own ready time, if later), so one
+ * request's chunk stream runs to the end before the next one starts
+ * and at most one chunk in total queues at stage 0. Decode chains
+ * submitted meanwhile still slot in between elements, so on a FIFO
+ * stage 0 a decode share waits behind at most one chunk. Sequences
+ * waiting for stage 0 sit in a pooled FIFO.
  *
  * Stage devices need not be plain FIFO timelines: a queue-arbitrated
  * stage (see sim::QueuedDevice and the co-scheduling policies in
@@ -24,11 +30,12 @@
  *
  * Performance contract: in-flight chain and sequence state lives in
  * free lists owned by the pipeline (item vectors keep their
- * capacity across reuse), and every per-stage completion callback
- * captures only two pointers. Submitting one decode cycle on the
- * steady-state path therefore allocates nothing once the pools are
- * warm — the shared_ptr-per-chain and std::function-per-stage of
- * the previous design are gone.
+ * capacity across reuse), waiting sequences in a reusable ring, and
+ * every per-stage completion callback captures only two pointers.
+ * Submitting one decode cycle on the steady-state path therefore
+ * allocates nothing once the pools are warm — the
+ * shared_ptr-per-chain and std::function-per-stage of the previous
+ * design are gone.
  */
 
 #ifndef PIMPHONY_SIM_PIPELINE_HH
@@ -39,6 +46,7 @@
 
 #include "sim/device.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/work_item.hh"
 
 namespace pimphony {
@@ -86,15 +94,28 @@ class StagePipeline
     /**
      * Submit an ordered sequence of traversals (e.g. one request's
      * prefill chunks): element e+1 enters stage 0 at element e's
-     * stage-0 completion, so elements pipeline across stages while
-     * later submitters can interleave between them in FIFO order.
-     * @p done fires at the last element's last-stage completion.
-     * Empty sequences complete immediately at @p ready. Elements
-     * are copied into pooled sequence storage.
+     * stage-0 completion, so elements pipeline across stages and
+     * other submitters' chains can slot in between them. Sequences
+     * run first-come-first-served: the first element enters stage 0
+     * at max(@p ready, the previous sequence's last stage-0
+     * completion). @p done fires at the last element's last-stage
+     * completion. Empty sequences complete immediately at @p ready
+     * and do not queue. Elements are copied into pooled sequence
+     * storage.
      */
     void submitSequence(EventQueue &queue,
                         const std::vector<std::vector<WorkItem>> &elements,
                         double ready, CompletionFn done);
+
+    /**
+     * Drop every submitted sequence's work that has not reached a
+     * device: waiting sequences are discarded, with their @p done,
+     * and the streaming one launches no further element. Elements
+     * already on a device run out; the streaming sequence's @p done
+     * fires when its element on the device completes the last stage.
+     * Used when a replica crashes.
+     */
+    void dropSequences();
 
   private:
     /**
@@ -111,12 +132,14 @@ class StagePipeline
         CompletionFn done;      ///< fires at last-stage completion
     };
 
-    /** One in-flight sequence of chained elements. */
+    /** One submitted sequence of chained elements. */
     struct Sequence
     {
         std::vector<std::vector<WorkItem>> elements;
-        std::size_t next = 0;
-        CompletionFn done;
+        std::size_t next = 0; ///< next element to launch
+        double ready = 0.0;
+        Chain *running = nullptr; ///< latest launched element
+        CompletionFn done; ///< moves to the last element's chain
     };
 
     Chain *acquireChain();
@@ -133,11 +156,20 @@ class StagePipeline
     /** Launch sequence element sq->next as a chain at @p at. */
     void launchElement(EventQueue &queue, Sequence *sq, double at);
 
+    /**
+     * Stage-0 completion of the streaming sequence's latest element
+     * at @p t: launch its next element, or retire it and start the
+     * next waiting one.
+     */
+    void onElementLeftStage0(EventQueue &queue, double t);
+
     std::vector<Device *> stages_;
     std::vector<std::unique_ptr<Chain>> chains_;
     std::vector<Chain *> freeChains_;
     std::vector<std::unique_ptr<Sequence>> sequences_;
     std::vector<Sequence *> freeSequences_;
+    /** Submitted sequences; the front one is streaming. */
+    RingQueue<Sequence *> waiting_;
 };
 
 } // namespace sim

@@ -530,6 +530,9 @@ ServingEngine::evStartPrefill(Active a, double now)
         ev.queue, ev.seqScratch, now,
         [this, holder, holder_tokens, epoch](double t) {
             EventRun &run = *ev_;
+            // A killed prefill's chunk ran out on the device until t,
+            // like a killed cohort's cycle.
+            evAccountTo(t);
             if (epoch != run.epoch)
                 return; // evacuated mid-prefill; already failed over
             run.prefillHolders.erase(
@@ -537,7 +540,6 @@ ServingEngine::evStartPrefill(Active a, double now)
                           run.prefillHolders.end(), holder));
             --run.prefilling;
             run.prefillingTokens -= holder_tokens;
-            evAccountTo(t);
             // Publisher's prefix KV is now materialized: open the
             // tree entry for the requests queued behind it.
             if (prefixCache_ && holder->cachePublisher &&
@@ -916,7 +918,7 @@ ServingEngine::now() const
 }
 
 ServingEngine::Evacuation
-ServingEngine::evacuate(bool kill_in_flight)
+ServingEngine::evacuate(bool kill_in_flight, double at)
 {
     if (!ev_)
         fatal("ServingEngine::evacuate() before prepare()");
@@ -948,11 +950,16 @@ ServingEngine::evacuate(bool kill_in_flight)
     // Hard crash: every admitted request loses its progress. KV
     // reservations are released, partial decode tokens are counted
     // as wasted, and the request is rewound to a fresh arrival for
-    // the failover router. Residual timeline events for the killed
-    // work drain as no-ops: cycle completions find empty cohorts and
+    // the failover router. Killed prefills launch no further chunk
+    // and waiting ones are dropped; work already on a device runs
+    // out as no-ops: cycle completions find empty cohorts and
     // prefill completions see a stale epoch.
+    // The replica was up, holding its KV, until the crash: account
+    // its time up to there even when no event of its own lands on it.
+    evAccountTo(at);
     ev.halted = true;
     ++ev.epoch;
+    ev.stages->pipeline().dropSequences();
     auto drop = [&](Active &a) {
         allocator_->release(a.request.id);
         admission_->release(a);

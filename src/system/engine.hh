@@ -21,8 +21,12 @@
  * traverse the per-stage xPU timelines on the event queue,
  * interleaving FIFO with — and delaying — decode FC work, the way a
  * continuous-batching scheduler shares its compute engines between
- * phases. The request joins the decode ready pool only when its last
- * chunk completes. chargePrefill without chunking keeps the scalar
+ * phases. Prefills run first-come-first-served, one request's chunk
+ * stream at a time (sim::StagePipeline::submitSequence), so a
+ * partly prefilled request finishes before the next one starts and
+ * a decode FC share queues behind at most one chunk at stage 0. The
+ * request joins the decode ready pool only when its last chunk
+ * completes. chargePrefill without chunking keeps the scalar
  * prefillSeconds() charge at admission; the chunked per-request
  * total matches that scalar exactly.
  */
@@ -494,12 +498,16 @@ class ServingEngine
      * ready-pool, in-flight prefills, decoding cohort members — by
      * releasing their reservations and returning them rewound (their
      * generated tokens stay counted in generatedTokens as wasted
-     * throughput), and halts the engine: no new cohorts form and
-     * late prefill completions are dropped until restoreService().
+     * throughput), and halts the engine: no new cohorts form, the
+     * killed prefills launch no further chunk (chunks already on a
+     * device run out) and late prefill completions are dropped until
+     * restoreService(). A kill at @p at (the fault's time) accounts
+     * the engine's time up to @p at, so its simulatedSeconds covers
+     * the crash; a drain ignores @p at.
      * Composes with the resumable protocol: call between advanceTo()
      * horizons; a halted engine still drains its residual events.
      */
-    Evacuation evacuate(bool kill_in_flight);
+    Evacuation evacuate(bool kill_in_flight, double at);
 
     /**
      * Lift the halt a killing evacuate() imposed (the replica's

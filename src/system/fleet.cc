@@ -130,17 +130,19 @@ aggregateResults(std::vector<EngineResult> &results)
 {
     EngineResult agg;
 
-    // Time-weighted accumulators: sums of value * replica seconds and
-    // of seconds, folded into the means at the end.
-    double batch_sum = 0.0, mac_sum = 0.0, cap_sum = 0.0;
-    double sec_sum = 0.0;
+    // Time-weighted means, summed as value * (replica seconds /
+    // total seconds): each weight is formed before it scales its
+    // value, so a one-replica fleet reproduces its replica's means
+    // exactly (x * s / s may round; x * (s / s) cannot).
+    double batch_mean = 0.0, mac_mean = 0.0, cap_mean = 0.0;
+    double sec_sum = 0.0, makespan = 0.0;
 
     std::map<unsigned, EngineResult::ClassLatency> classes;
 
     struct TenantAccum
     {
         EngineResult::TenantOccupancy out;
-        double share_sum = 0.0, share_w = 0.0;
+        double seconds = 0.0; ///< of the replicas that report it
     };
     std::map<unsigned, TenantAccum> tenants;
 
@@ -148,16 +150,24 @@ aggregateResults(std::vector<EngineResult> &results)
     for (const EngineResult &r : results) {
         first_tokens += r.firstTokenLatency.size();
         completions += r.completionSeconds.size();
+        sec_sum += r.simulatedSeconds;
+        makespan = std::max(makespan, r.simulatedSeconds);
+        for (const auto &to : r.tenantOccupancy)
+            tenants[to.tenant].seconds += r.simulatedSeconds;
     }
     agg.firstTokenLatency.reserve(first_tokens);
     agg.completionSeconds.reserve(completions);
 
     for (EngineResult &r : results) {
         foldReplica(agg, r);
-        batch_sum += r.avgEffectiveBatch * r.simulatedSeconds;
-        mac_sum += r.macUtilization * r.simulatedSeconds;
-        cap_sum += r.capacityUtilization * r.simulatedSeconds;
-        sec_sum += r.simulatedSeconds;
+        if (makespan > 0.0) {
+            // Sum of per-replica concurrent batches, time-averaged
+            // over the fleet makespan.
+            batch_mean +=
+                r.avgEffectiveBatch * (r.simulatedSeconds / makespan);
+            mac_mean += r.macUtilization * (r.simulatedSeconds / sec_sum);
+            cap_mean += r.capacityUtilization * (r.simulatedSeconds / sec_sum);
+        }
 
         for (auto &cl : r.classLatencies) {
             EngineResult::ClassLatency &out = classes[cl.tier];
@@ -179,8 +189,9 @@ aggregateResults(std::vector<EngineResult> &results)
             ta.out.budgetDeferrals += to.budgetDeferrals;
             ta.out.peakTokenShare =
                 std::max(ta.out.peakTokenShare, to.peakTokenShare);
-            ta.share_sum += to.avgTokenShare * r.simulatedSeconds;
-            ta.share_w += r.simulatedSeconds;
+            if (ta.seconds > 0.0)
+                ta.out.avgTokenShare +=
+                    to.avgTokenShare * (r.simulatedSeconds / ta.seconds);
         }
     }
 
@@ -191,23 +202,14 @@ aggregateResults(std::vector<EngineResult> &results)
         agg.prefixHitRate =
             static_cast<double>(agg.prefixHits) /
             static_cast<double>(agg.prefixHits + agg.prefixMisses);
-    if (agg.simulatedSeconds > 0.0)
-        // Sum of per-replica concurrent batches, time-averaged over
-        // the fleet makespan.
-        agg.avgEffectiveBatch = batch_sum / agg.simulatedSeconds;
-    if (sec_sum > 0.0) {
-        agg.macUtilization = mac_sum / sec_sum;
-        agg.capacityUtilization = cap_sum / sec_sum;
-    }
+    agg.avgEffectiveBatch = batch_mean;
+    agg.macUtilization = mac_mean;
+    agg.capacityUtilization = cap_mean;
 
     for (auto &kv : classes)
         agg.classLatencies.push_back(std::move(kv.second));
-    for (auto &kv : tenants) {
-        TenantAccum &ta = kv.second;
-        if (ta.share_w > 0.0)
-            ta.out.avgTokenShare = ta.share_sum / ta.share_w;
-        agg.tenantOccupancy.push_back(ta.out);
-    }
+    for (auto &kv : tenants)
+        agg.tenantOccupancy.push_back(kv.second.out);
     agg.summarizeLatencies();
     // A failed-over request's first token is recorded only where it
     // was first emitted, and a request completes once.
@@ -500,7 +502,7 @@ FleetEngine::Run::applyTransitions(double barrier)
 std::size_t
 FleetEngine::Run::evacuate(std::size_t r, bool kill, double at)
 {
-    ServingEngine::Evacuation ev = engines[r]->evacuate(kill);
+    ServingEngine::Evacuation ev = engines[r]->evacuate(kill, at);
     result.evacuatedRequests += ev.queued.size();
     result.lostTokens += ev.lostTokens;
     firstTokenDone.insert(ev.firstTokenDone.begin(), ev.firstTokenDone.end());

@@ -16,8 +16,9 @@
  *    and refund fractional tenant charges.
  *
  * The values were recorded before admission moved out of the engine
- * and must not change: latencies at hex-float precision, counts
- * exactly.
+ * and re-pinned when prefills became first-come-first-served; they
+ * must not change otherwise: latencies at hex-float precision,
+ * counts exactly.
  */
 
 #include <gtest/gtest.h>
@@ -109,16 +110,16 @@ TEST(AdmissionGolden, ClassedBudgetedSloChunked)
     EXPECT_EQ(r.rejectedRequests, 1u);
     EXPECT_EQ(r.preemptions, 0u);
     EXPECT_EQ(r.generatedTokens, 3816u);
-    EXPECT_EQ(r.simEvents, 5932u);
-    EXPECT_EQ(r.sloDeferrals, 199u);
-    EXPECT_EQ(r.budgetDeferrals, 35u);
-    EXPECT_EQ(r.simulatedSeconds, 0x1.20eeb85f2e747p+5);
-    EXPECT_EQ(r.avgRequestLatency, 0x1.6bce4c3355148p+4);
-    EXPECT_EQ(r.p95RequestLatency, 0x1.08524e75de672p+5);
-    EXPECT_EQ(r.avgFirstTokenSeconds, 0x1.880b0cfe036f3p+3);
-    EXPECT_EQ(r.p95FirstTokenSeconds, 0x1.020a72a8e1f09p+5);
-    EXPECT_EQ(r.avgTokenGapSeconds, 0x1.d2e0c1f5c691fp-2);
-    EXPECT_EQ(r.p95TokenGapSeconds, 0x1.09ab6428cf61p+0);
+    EXPECT_EQ(r.simEvents, 9092u);
+    EXPECT_EQ(r.sloDeferrals, 545u);
+    EXPECT_EQ(r.budgetDeferrals, 18u);
+    EXPECT_EQ(r.simulatedSeconds, 0x1.23c6bfc4eddefp+5);
+    EXPECT_EQ(r.avgRequestLatency, 0x1.3540fe5699802p+4);
+    EXPECT_EQ(r.p95RequestLatency, 0x1.0865722ffd3bap+5);
+    EXPECT_EQ(r.avgFirstTokenSeconds, 0x1.dac5d00d0066dp+3);
+    EXPECT_EQ(r.p95FirstTokenSeconds, 0x1.00aefc98cffc5p+5);
+    EXPECT_EQ(r.avgTokenGapSeconds, 0x1.8ff55ac8e5d48p-3);
+    EXPECT_EQ(r.p95TokenGapSeconds, 0x1.0f0794ee2b5cp-2);
     EXPECT_EQ(r.prefillSeconds, 0x1.0ac8152d0dd52p+5);
 
     ASSERT_EQ(r.classLatencies.size(), 2u);
@@ -126,28 +127,28 @@ TEST(AdmissionGolden, ClassedBudgetedSloChunked)
     EXPECT_EQ(t0.gapSloTargetSeconds, 50e-3);
     EXPECT_EQ(t0.requests, 80u);
     EXPECT_EQ(t0.completedRequests, 80u);
-    EXPECT_EQ(t0.p95FirstTokenSeconds, 0x1.669548ee03a91p+4);
-    EXPECT_EQ(t0.p95TokenGapSeconds, 0x1.155a101897e1p+0);
+    EXPECT_EQ(t0.p95FirstTokenSeconds, 0x1.f3f17906f7b2bp+4);
+    EXPECT_EQ(t0.p95TokenGapSeconds, 0x1.0f0794ee2b5cp-2);
     const auto &t1 = r.classLatencies[1];
     EXPECT_EQ(t1.gapSloTargetSeconds, 500e-3);
     EXPECT_EQ(t1.requests, 80u);
     EXPECT_EQ(t1.completedRequests, 79u);
-    EXPECT_EQ(t1.p95FirstTokenSeconds, 0x1.0248c39fbc134p+5);
-    EXPECT_EQ(t1.p95TokenGapSeconds, 0x1.08ceada199c28p+0);
+    EXPECT_EQ(t1.p95FirstTokenSeconds, 0x1.04b9b6d5295acp+5);
+    EXPECT_EQ(t1.p95TokenGapSeconds, 0x1.0f0794ee2b5cp-2);
 
     ASSERT_EQ(r.tenantOccupancy.size(), 2u);
     const auto &a = r.tenantOccupancy[0];
     EXPECT_EQ(a.budgetShare, 0.5);
-    EXPECT_EQ(a.avgTokenShare, 0x1.40ec7f22457bcp-2);
-    EXPECT_EQ(a.peakTokenShare, 0x1.012bf2d0c15f9p-1);
+    EXPECT_EQ(a.avgTokenShare, 0x1.c54142f55f7b9p-3);
+    EXPECT_EQ(a.peakTokenShare, 0x1.fep-2);
     EXPECT_EQ(a.admittedRequests, 79u);
-    EXPECT_EQ(a.budgetDeferrals, 24u);
+    EXPECT_EQ(a.budgetDeferrals, 9u);
     const auto &b = r.tenantOccupancy[1];
     EXPECT_EQ(b.budgetShare, 0.5);
-    EXPECT_EQ(b.avgTokenShare, 0x1.5ffc70d315c34p-2);
-    EXPECT_EQ(b.peakTokenShare, 0x1.fe5c4ab662e25p-2);
+    EXPECT_EQ(b.avgTokenShare, 0x1.1dc43780c926cp-2);
+    EXPECT_EQ(b.peakTokenShare, 0x1.fep-2);
     EXPECT_EQ(b.admittedRequests, 80u);
-    EXPECT_EQ(b.budgetDeferrals, 11u);
+    EXPECT_EQ(b.budgetDeferrals, 9u);
 }
 
 TEST(AdmissionGolden, PrefixCacheBudgeted)
@@ -157,37 +158,37 @@ TEST(AdmissionGolden, PrefixCacheBudgeted)
     EXPECT_EQ(r.rejectedRequests, 0u);
     EXPECT_EQ(r.preemptions, 0u);
     EXPECT_EQ(r.generatedTokens, 2304u);
-    EXPECT_EQ(r.simEvents, 2504u);
+    EXPECT_EQ(r.simEvents, 4344u);
     EXPECT_EQ(r.sloDeferrals, 0u);
-    EXPECT_EQ(r.budgetDeferrals, 40u);
-    EXPECT_EQ(r.prefixHits, 62u);
-    EXPECT_EQ(r.prefixMisses, 10u);
+    EXPECT_EQ(r.budgetDeferrals, 10u);
+    EXPECT_EQ(r.prefixHits, 67u);
+    EXPECT_EQ(r.prefixMisses, 5u);
     EXPECT_EQ(r.prefixEvictions, 0u);
-    EXPECT_EQ(r.prefixCachedTokens, 253952u);
-    EXPECT_EQ(r.simulatedSeconds, 0x1.9e6f6c5f3ae23p+3);
-    EXPECT_EQ(r.avgRequestLatency, 0x1.2178b7c3abe7p+3);
-    EXPECT_EQ(r.p95RequestLatency, 0x1.8dd1c37904c21p+3);
-    EXPECT_EQ(r.avgFirstTokenSeconds, 0x1.0d8b3dd8b716ep+2);
-    EXPECT_EQ(r.p95FirstTokenSeconds, 0x1.e2f29dd08a6a7p+2);
-    EXPECT_EQ(r.avgTokenGapSeconds, 0x1.ae77ec145a0b3p-3);
-    EXPECT_EQ(r.p95TokenGapSeconds, 0x1.2d80c5329955p+0);
-    EXPECT_EQ(r.savedPrefillSeconds, 0x1.0a49b88e59fe4p+2);
-    EXPECT_EQ(r.prefillSeconds, 0x1.74135e67d0855p+3);
+    EXPECT_EQ(r.prefixCachedTokens, 274432u);
+    EXPECT_EQ(r.simulatedSeconds, 0x1.951f4d293ce8p+3);
+    EXPECT_EQ(r.avgRequestLatency, 0x1.82d7225af1b67p+2);
+    EXPECT_EQ(r.p95RequestLatency, 0x1.d2e44693afa3cp+2);
+    EXPECT_EQ(r.avgFirstTokenSeconds, 0x1.6dd90fbda37bp+1);
+    EXPECT_EQ(r.p95FirstTokenSeconds, 0x1.1c8e5f815ba36p+2);
+    EXPECT_EQ(r.avgTokenGapSeconds, 0x1.1bb5b58b4ddd2p-3);
+    EXPECT_EQ(r.p95TokenGapSeconds, 0x1.60a99f0e4018p-3);
+    EXPECT_EQ(r.savedPrefillSeconds, 0x1.1fc347708a8a6p+2);
+    EXPECT_EQ(r.prefillSeconds, 0x1.695696f6b83f5p+3);
 
     // The warm admissions' fractional charges drive these shares.
     ASSERT_EQ(r.tenantOccupancy.size(), 2u);
     const auto &a = r.tenantOccupancy[0];
     EXPECT_EQ(a.budgetShare, 0.3);
-    EXPECT_EQ(a.avgTokenShare, 0x1.1cb0e47972844p-3);
-    EXPECT_EQ(a.peakTokenShare, 0x1.900129a87d6a4p-3);
+    EXPECT_EQ(a.avgTokenShare, 0x1.5d91abaa82bf8p-4);
+    EXPECT_EQ(a.peakTokenShare, 0x1.e23c1f9b6ba83p-4);
     EXPECT_EQ(a.admittedRequests, 48u);
     EXPECT_EQ(a.budgetDeferrals, 0u);
     const auto &b = r.tenantOccupancy[1];
     EXPECT_EQ(b.budgetShare, 0.3);
-    EXPECT_EQ(b.avgTokenShare, 0x1.568a4a27252bp-2);
-    EXPECT_EQ(b.peakTokenShare, 0x1.ec6bef182915ep-2);
+    EXPECT_EQ(b.avgTokenShare, 0x1.ca09b2a327014p-3);
+    EXPECT_EQ(b.peakTokenShare, 0x1.4f437d4f689f3p-2);
     EXPECT_EQ(b.admittedRequests, 48u);
-    EXPECT_EQ(b.budgetDeferrals, 40u);
+    EXPECT_EQ(b.budgetDeferrals, 10u);
 }
 
 } // namespace

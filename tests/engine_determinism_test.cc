@@ -101,24 +101,24 @@ expectAvgNear(double actual, double golden)
 TEST(EngineGolden, EventDrivenPp4FifoChunked)
 {
     auto r = runConfigA();
-    EXPECT_DOUBLE_EQ(r.tokensPerSecond, 0x1.0dc2950e6faffp+6);
-    EXPECT_DOUBLE_EQ(r.simulatedSeconds, 0x1.6c69a64fde9b9p+4);
+    EXPECT_DOUBLE_EQ(r.tokensPerSecond, 0x1.0d4661a46b785p+6);
+    EXPECT_DOUBLE_EQ(r.simulatedSeconds, 0x1.6d11bb6477d27p+4);
     EXPECT_EQ(r.generatedTokens, 1536u);
     EXPECT_EQ(r.completedRequests, 64u);
-    EXPECT_DOUBLE_EQ(r.avgEffectiveBatch, 0x1.293396f5d0b5bp+3);
-    EXPECT_DOUBLE_EQ(r.macUtilization, 0x1.3e78189cc649ap-3);
-    EXPECT_DOUBLE_EQ(r.capacityUtilization, 0x1.06d349531cda7p-3);
-    EXPECT_DOUBLE_EQ(r.attentionSeconds, 0x1.8e79c4abdad46p+1);
-    EXPECT_DOUBLE_EQ(r.fcSeconds, 0x1.62d540ad09928p+2);
+    EXPECT_DOUBLE_EQ(r.avgEffectiveBatch, 0x1.cb9114563d319p+2);
+    EXPECT_DOUBLE_EQ(r.macUtilization, 0x1.1c55546911e71p-3);
+    EXPECT_DOUBLE_EQ(r.capacityUtilization, 0x1.052aa68456df8p-3);
+    EXPECT_DOUBLE_EQ(r.attentionSeconds, 0x1.8e79c4abdad4p+1);
+    EXPECT_DOUBLE_EQ(r.fcSeconds, 0x1.96336965bb228p+2);
     EXPECT_DOUBLE_EQ(r.prefillSeconds, 0x1.ab40b5fda861dp+3);
-    EXPECT_DOUBLE_EQ(r.p95RequestLatency, 0x1.9cee1d2c9a9bp+2);
-    EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.4c6cd1a96e2ccp+2);
-    EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.f8ad03a9d52a8p-2);
-    EXPECT_DOUBLE_EQ(r.maxDecodeXpuWaitSeconds, 0x1.8946b705d2885p-2);
+    EXPECT_DOUBLE_EQ(r.p95RequestLatency, 0x1.96a5cd2f13ca4p+2);
+    EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.1e0f9fe85f95p+2);
+    EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.0408d4fd6eacp-2);
+    EXPECT_DOUBLE_EQ(r.maxDecodeXpuWaitSeconds, 0x1.063bc82d947p-4);
     EXPECT_DOUBLE_EQ(r.xpuPrefillBusySeconds, 0x1.ab40b5fda8616p+5);
-    expectAvgNear(r.avgRequestLatency, 0x1.289a62b4d8264p+2);
-    expectAvgNear(r.avgFirstTokenSeconds, 0x1.a3b100f0cefa1p+0);
-    expectAvgNear(r.avgTokenGapSeconds, 0x1.0aaf7ddf8090cp-3);
+    expectAvgNear(r.avgRequestLatency, 0x1.2828afa306ccep+2);
+    expectAvgNear(r.avgFirstTokenSeconds, 0x1.2242d450c2219p+1);
+    expectAvgNear(r.avgTokenGapSeconds, 0x1.a440c155479a4p-4);
     EXPECT_EQ(r.preemptions, 0u);
     EXPECT_EQ(r.rejectedRequests, 0u);
     EXPECT_EQ(r.sloDeferrals, 0u);
@@ -133,16 +133,16 @@ TEST(EngineGolden, EventDrivenPp2SloAdmission)
     EXPECT_DOUBLE_EQ(r.simulatedSeconds, 0x1.209ec681ab226p+4);
     EXPECT_EQ(r.generatedTokens, 512u);
     EXPECT_EQ(r.completedRequests, 32u);
-    EXPECT_DOUBLE_EQ(r.p95RequestLatency, 0x1.6b67d7357f448p+2);
-    EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.292e0105d1166p+2);
-    EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.fe72c208383cp-4);
+    EXPECT_DOUBLE_EQ(r.p95RequestLatency, 0x1.1406f60f10a14p+2);
+    EXPECT_DOUBLE_EQ(r.p95FirstTokenSeconds, 0x1.cf00965e51bfcp+1);
+    EXPECT_DOUBLE_EQ(r.p95TokenGapSeconds, 0x1.be66d72ded1p-5);
     EXPECT_DOUBLE_EQ(r.prefillSeconds, 0x1.b7c5d48b072fep+3);
-    EXPECT_DOUBLE_EQ(r.xpuPrefillBusySeconds, 0x1.b7c5d48b07303p+4);
-    expectAvgNear(r.avgTokenGapSeconds, 0x1.1f3e419584d91p-5);
+    EXPECT_DOUBLE_EQ(r.xpuPrefillBusySeconds, 0x1.b7c5d48b07306p+4);
+    expectAvgNear(r.avgTokenGapSeconds, 0x1.c0931e11ebb2ep-6);
     // The SLO gate's deferral count is the sharpest witness that the
     // streaming windowed p95 reproduces the copy+sort signal: one
     // different percentile read would shift admissions.
-    EXPECT_EQ(r.sloDeferrals, 73u);
+    EXPECT_EQ(r.sloDeferrals, 451u);
 }
 
 TEST(EngineGolden, EventDrivenChunkPreempt)

@@ -23,13 +23,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <vector>
 
 #include "result_eq.hh"
 #include "system/engine.hh"
 #include "system/fault.hh"
 #include "system/fleet.hh"
+#include "system/prefill.hh"
 #include "workload/arrival.hh"
 #include "workload/session.hh"
 #include "workload/trace.hh"
@@ -328,10 +331,12 @@ TEST(FleetFaults, CrashMidDecodeFailsOverWithExactTokenAccounting)
 
 TEST(FleetFaults, AggregateKeepsTheFirstEmittedToken)
 {
-    // Replica 0 crashes mid-decode: requests it killed after their
-    // first token record their TTFT there and none on replica 1,
-    // where they complete. The aggregate holds one entry per id, in
-    // id order, and a failed-over request keeps replica 0's.
+    // Replica 0 crashes mid-decode, late enough that requests queued
+    // behind its first-come-first-served 20k-token prefills are
+    // decoding: requests it killed after their first token record
+    // their TTFT there and none on replica 1, where they complete.
+    // The aggregate holds one entry per id, in id order, and a
+    // failed-over request keeps replica 0's.
     auto model = testModel();
     auto cluster = testCluster(model);
     auto trace = testTrace(24, 64.0, 24, 256);
@@ -342,7 +347,7 @@ TEST(FleetFaults, AggregateKeepsTheFirstEmittedToken)
     fopts.dispatchLatencySeconds = 0.004;
     fopts.engine = testEngineOptions();
     fopts.faults.replicas.resize(2);
-    fopts.faults.replicas[0].push_back(crashAt(0.5));
+    fopts.faults.replicas[0].push_back(crashAt(1.5));
     auto fleet = FleetEngine(cluster, model, trace, fopts).run();
     ASSERT_GT(fleet.lostTokens, 0u);
 
@@ -384,7 +389,7 @@ TEST(FleetFaults, TtftIsSampledOnceWhicheverReplicaCrashes)
         fopts.dispatchLatencySeconds = 0.004;
         fopts.engine = testEngineOptions();
         fopts.faults.replicas.resize(2);
-        fopts.faults.replicas[crashed].push_back(crashAt(0.5));
+        fopts.faults.replicas[crashed].push_back(crashAt(1.5));
         auto fleet = FleetEngine(cluster, model, trace, fopts).run();
 
         const EngineResult &down = fleet.replicas[crashed];
@@ -492,6 +497,10 @@ TEST(FleetFaults, DeadFleetLosesTheRemainderExactly)
                   fleet.aggregate.rejectedRequests,
               trace.size());
     expectTokenLedgerBalances(fleet);
+    // Each replica's clock covers its crash, replica 0's too, although
+    // it was only prefilling when it struck.
+    EXPECT_GE(fleet.replicas[0].simulatedSeconds, 0.5);
+    EXPECT_GE(fleet.replicas[1].simulatedSeconds, 0.3);
     EXPECT_LT(fleet.availability[0], 1.0);
     EXPECT_LT(fleet.availability[1], 1.0);
 }
@@ -642,6 +651,45 @@ TEST(FleetFaults, StrandedSessionSuccessorRePinsAfterCrash)
     EXPECT_EQ(fleet.replicas[1].completionSeconds.count(turn1.id), 1u);
     EXPECT_EQ(fleet.routedSessions[1], 1u);
     EXPECT_LT(fleet.availability[0], 1.0);
+}
+
+TEST(EngineCrash, RestoredEngineServesLikeAFreshOne)
+{
+    // A crash kills a 30k-token request mid-prefill. The chunk on the
+    // device runs out, but none of the request's later chunks
+    // launch, so a request injected after restoreService() finds an
+    // idle xPU and sees exactly a fresh engine's TTFT.
+    auto model = testModel();
+    auto cluster = testCluster(model);
+    const TimedRequest late{{1, 4096, 16}, 0.2};
+
+    ServingEngine crashed(cluster, model, {{{0, 30000, 16}, 0.0}},
+                          testEngineOptions());
+    crashed.prepare();
+    crashed.advanceTo(0.1);
+    auto out = crashed.evacuate(true, 0.1);
+    ASSERT_EQ(out.inFlight.size(), 1u);
+    crashed.restoreService();
+    crashed.injectArrivals({late});
+    crashed.advanceTo(std::numeric_limits<double>::infinity());
+    auto r = crashed.finalize();
+
+    auto fresh =
+        ServingEngine(cluster, model, {late}, testEngineOptions()).run();
+    ASSERT_EQ(r.completedRequests, 1u);
+    EXPECT_EQ(r.firstTokenLatency.count(0), 0u);
+    EXPECT_EQ(timeOf(r.firstTokenLatency, 1),
+              timeOf(fresh.firstTokenLatency, 1));
+    // The killed request's xPU time is what reached a device by the
+    // crash, a small share of its full prefill.
+    const Tokens chunk = testEngineOptions().prefillChunkTokens;
+    auto chunks = prefillChunkSeconds(model, 30000, chunk, cluster.xpu,
+                                      cluster.prefillEngines());
+    double full = std::accumulate(chunks.begin(), chunks.end(), 0.0) *
+                  cluster.prefillEngines() / cluster.plan.tp;
+    double killed = r.xpuPrefillBusySeconds - fresh.xpuPrefillBusySeconds;
+    EXPECT_GT(killed, 0.0);
+    EXPECT_LT(killed, 0.5 * full);
 }
 
 TEST(FleetFaults, AvailabilityAndReloadFollowTheScriptedOutage)

@@ -342,9 +342,13 @@ TEST(FleetEngine, AggregatePercentilesArePooledNearestRank)
     // A fault-free, session-free 3-replica fleet at zero dispatch
     // latency: each replica sees the trace's own arrival times, so
     // the pooled samples can be rebuilt from the per-request maps.
+    // The trace is short enough that one replica's gap tail sits
+    // above the others': with first-come-first-served prefill a
+    // longer backlog gives every replica the same p95 gap (one cycle
+    // behind one chunk), which no pooling can undercut.
     auto model = testModel();
     auto cluster = testCluster(model);
-    auto trace = testTrace(60, 36.0, 19);
+    auto trace = testTrace(48, 36.0, 19);
 
     FleetOptions fopts;
     fopts.replicas = 3;
@@ -544,17 +548,17 @@ TEST(FleetGolden, SessionAffinityWindowedAndLockstep)
 {
     // Both runs route identically; the dispatch delay only shifts the
     // makespan, and with it the throughput, and rounds the pooled
-    // token gaps differently. The p95s are nearest-rank over the
-    // pooled samples of all four replicas.
+    // request latencies differently. The p95s are nearest-rank over
+    // the pooled samples of all four replicas.
     struct Golden
     {
         double dispatchLatency;
         double tokensPerSecond;
-        double p95TokenGapSeconds;
+        double p95RequestLatency;
     };
     for (const Golden &g :
-         {Golden{0.002, 0x1.0c16bf0f83dd1p+8, 0x1.5407697cba78p-4},
-          Golden{0.0, 0x1.0c46b1b8e0558p+8, 0x1.5407697cba77p-4}}) {
+         {Golden{0.002, 0x1.0cf5558de5532p+8, 0x1.7499a30ec3abap-1},
+          Golden{0.0, 0x1.0d2597fe33b3ep+8, 0x1.7499a30ec3ab8p-1}}) {
         auto f = runSessionAffinityFleet(g.dispatchLatency);
         const std::vector<std::uint64_t> routed{3, 4, 5, 4};
         EXPECT_EQ(f.windows, 17u);
@@ -562,9 +566,9 @@ TEST(FleetGolden, SessionAffinityWindowedAndLockstep)
         EXPECT_EQ(f.routedSessions, routed);
         EXPECT_EQ(f.aggregate.tokensPerSecond, g.tokensPerSecond);
         EXPECT_EQ(f.aggregate.simEvents, 6408u);
-        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, g.p95TokenGapSeconds);
-        EXPECT_EQ(f.aggregate.p95FirstTokenSeconds, 0x1.64c6abda769bcp-2);
-        EXPECT_EQ(f.aggregate.p95RequestLatency, 0x1.7521fcb639633p-1);
+        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, 0x1.5adc7a7ae559p-4);
+        EXPECT_EQ(f.aggregate.p95FirstTokenSeconds, 0x1.468de0fb5a09p-2);
+        EXPECT_EQ(f.aggregate.p95RequestLatency, g.p95RequestLatency);
         EXPECT_EQ(f.aggregate.completedRequests, 48u);
         EXPECT_GT(f.aggregate.prefixHits, 0u);
     }
@@ -599,11 +603,11 @@ TEST(FleetGolden, DisplacingFaults)
         double p95RequestLatency;
     };
     for (const Golden &g :
-         {Golden{0.002, 0x1.03113056607c4p-2, 0x1.a553957b5e3afp-1,
-                 0x1.a37754c3db393p+7, 0x1.71902a4afd626p-2,
+         {Golden{0.002, 0x1.fd78597725d04p-3, 0x1.a6d7bd24bfc86p-1,
+                 0x1.9c73ae6db55cep+7, 0x1.76dbe63b8c86p-2,
                  0x1.f9ffeb8034ccep-1},
-          Golden{0.0, 0x1.0332c381c8746p-2, 0x1.a547d52c2d0a8p-1,
-                 0x1.a3adb18da3108p+7, 0x1.71902a4afd626p-2,
+          Golden{0.0, 0x1.fdb9458fbe024p-3, 0x1.a6cc60a071f2dp-1,
+                 0x1.9ca83d909e936p+7, 0x1.76dbe63b8c86p-2,
                  0x1.f9ffeb8034ccep-1}}) {
         auto f = runSessionAffinityFleet(g.dispatchLatency, faults);
         EXPECT_EQ(f.windows, 24u);
@@ -623,8 +627,8 @@ TEST(FleetGolden, DisplacingFaults)
         EXPECT_EQ(f.reloadSeconds, 0x1.999999999999ap-4);
         EXPECT_EQ(f.goodputTokens, 768u);
         EXPECT_EQ(f.aggregate.tokensPerSecond, g.tokensPerSecond);
-        EXPECT_EQ(f.aggregate.simEvents, 6022u);
-        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, 0x1.15a8a5ef4428p-3);
+        EXPECT_EQ(f.aggregate.simEvents, 5966u);
+        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, 0x1.08d7d262b96f4p-3);
         EXPECT_EQ(f.aggregate.p95FirstTokenSeconds,
                   g.p95FirstTokenSeconds);
         EXPECT_EQ(f.aggregate.p95RequestLatency, g.p95RequestLatency);
@@ -753,7 +757,7 @@ TEST(ServingEngine, ConstructorTimeZeroPrefixIsDeliveredAtPrepare)
         trace[i].arrivalSeconds = 0.0;
     ServingEngine engine(cluster, model, trace, testEngineOptions());
     engine.prepare();
-    auto out = engine.evacuate(false);
+    auto out = engine.evacuate(false, 0.0);
     ASSERT_EQ(out.queued.size(), trace.size() - 3);
     for (std::size_t i = 3; i < trace.size(); ++i)
         EXPECT_EQ(out.queued[i - 3].request.id, trace[i].request.id) << i;
@@ -771,7 +775,7 @@ TEST(ServingEngine, EvacuateAfterPartialConsumptionReturnsTheRest)
     ServingEngine engine(cluster, model, trace, testEngineOptions());
     engine.prepare();
     engine.advanceTo(trace[arrived - 1].arrivalSeconds);
-    auto out = engine.evacuate(false);
+    auto out = engine.evacuate(false, trace[arrived - 1].arrivalSeconds);
     ASSERT_GE(out.queued.size(), trace.size() - arrived);
     const std::size_t waiting = out.queued.size() - (trace.size() - arrived);
     for (std::size_t i = 0; i < waiting; ++i)

@@ -339,7 +339,7 @@ expectPrefillConserved(const EngineResult &r,
     EXPECT_NEAR(r.xpuPrefillBusySeconds / expected, 1.0, 0.01) << tag;
 }
 
-TEST(SchedPolicyEngine, DecodePriorityCutsP95GapUnderBurstyLoad)
+TEST(SchedPolicyEngine, ChunkPreemptCutsP95GapWhereDecodePriorityEqualsFifo)
 {
     auto model = LlmConfig::llm7b(true);
     auto cluster = ClusterConfig::neupimsLike(model);
@@ -368,18 +368,18 @@ TEST(SchedPolicyEngine, DecodePriorityCutsP95GapUnderBurstyLoad)
     ASSERT_EQ(dp.completedRequests, 32u);
     ASSERT_EQ(cp.completedRequests, 32u);
 
-    // Prioritizing decode strictly cuts the decode token-gap tail:
-    // an FC share waits for at most the in-service chunk instead of
-    // the whole queued burst.
+    // Prefills run first-come-first-served, so at PP=1 no chunk ever
+    // queues behind another: decode has nothing to overtake and
+    // DecodePriority reproduces FIFO's tail (ROADMAP lists the
+    // policy for deletion).
     ASSERT_GT(fifo.p95TokenGapSeconds, 0.0);
-    EXPECT_LT(dp.p95TokenGapSeconds, 0.5 * fifo.p95TokenGapSeconds);
-    // Preemption tightens the tail further: the wait is one quantum,
-    // not one chunk.
+    EXPECT_EQ(dp.decodeOvertakes, 0u);
+    EXPECT_EQ(dp.p95TokenGapSeconds, fifo.p95TokenGapSeconds);
+    // Preemption still cuts the tail: the wait is one quantum, not
+    // one chunk.
     EXPECT_LT(cp.p95TokenGapSeconds, dp.p95TokenGapSeconds);
 
-    // Policy observability: decode really overtook queued prefill,
-    // and only the quantum policy split chunks.
-    EXPECT_GT(dp.decodeOvertakes, 0u);
+    // Only the quantum policy split chunks.
     EXPECT_EQ(dp.chunkSlices, 0u);
     EXPECT_GT(cp.chunkSlices, 0u);
     EXPECT_EQ(fifo.chunkSlices, 0u);
@@ -434,14 +434,55 @@ TEST(SchedPolicyEngine, ChunkPreemptBoundsDecodeStallByQuantum)
               5.0 * sched.preemptQuantumSeconds);
 }
 
-TEST(SchedPolicyEngine, SloAdmissionKeepsGapUnderTargetAtTtftCost)
+TEST(SchedPolicyEngine, FifoDecodeWaitsBehindAtMostOneChunk)
+{
+    // Prefills run first-come-first-served, so stage 0 holds at most
+    // one chunk and even FIFO stalls a decode FC share behind at most
+    // one: at PP=1 the longest chunk's service bounds the worst wait.
+    // (At PP>1 chunks can queue behind decode shares at later stages,
+    // so no such bound holds there.)
+    auto model = LlmConfig::llm7b(true);
+    auto cluster = ClusterConfig::neupimsLike(model);
+    applyOptions(cluster, PimphonyOptions::all());
+    ASSERT_EQ(cluster.plan.pp, 1u);
+    std::vector<Request> reqs;
+    for (RequestId i = 0; i < 32; ++i)
+        reqs.push_back({i, 30000, 64});
+    OnOffTraffic traffic;
+    traffic.onRate = 4.0;
+    traffic.offRate = 0.0;
+    traffic.meanOnSeconds = 2.0;
+    traffic.meanOffSeconds = 4.0;
+    OnOffProcess arrivals(traffic);
+    auto timed = attachArrivals(reqs, arrivals, 17);
+    const Tokens chunk = 2048;
+
+    SchedPolicyConfig sched;
+    sched.kind = SchedPolicyKind::Fifo;
+    auto r = runPolicy(cluster, model, timed, chunk, sched);
+    ASSERT_EQ(r.completedRequests, 32u);
+
+    // The engine's chunk service: the chunk's scalar seconds spread
+    // over the stage's engines.
+    auto secs = prefillChunkSeconds(model, 30000, chunk, cluster.xpu,
+                                    cluster.prefillEngines());
+    double longest = *std::max_element(secs.begin(), secs.end());
+    double bound = longest * static_cast<double>(cluster.prefillEngines()) /
+                   cluster.plan.tp;
+    EXPECT_GT(r.maxDecodeXpuWaitSeconds, 0.0);
+    // The wait is timeline arithmetic (end - service - start), so it
+    // may exceed the chunk's service by rounding.
+    EXPECT_LE(r.maxDecodeXpuWaitSeconds, bound * (1.0 + 1e-12));
+}
+
+TEST(SchedPolicyEngine, SloAdmissionIdlesWhileFifoHoldsTheTarget)
 {
     auto model = LlmConfig::llm7b(true);
     auto cluster = ClusterConfig::neupimsLike(model);
     applyOptions(cluster, PimphonyOptions::all());
 
     // A warm decoder (so the SLO feedback exists) plus two admission
-    // bursts of long-context prefills that clobber its token gaps.
+    // bursts of long-context prefills.
     std::vector<TimedRequest> timed;
     timed.push_back({{0, 30000, 1536}, 0.0});
     RequestId id = 1;
@@ -460,23 +501,22 @@ TEST(SchedPolicyEngine, SloAdmissionKeepsGapUnderTargetAtTtftCost)
 
     ASSERT_EQ(fifo.completedRequests, 17u);
     ASSERT_EQ(slo.completedRequests, 17u);
-    ASSERT_GT(slo.sloDeferrals, 0u);
 
-    // The gate keeps the decode tail under the target; FIFO blows
-    // through it during the bursts.
-    EXPECT_LE(slo.p95TokenGapSeconds, sched.sloTargetGapSeconds);
-    EXPECT_GT(fifo.p95TokenGapSeconds, sched.sloTargetGapSeconds);
-
-    // The cost is time to first token: deferred prefills stretch the
-    // TTFT tail (admission serializes, so the average can improve
-    // while the worst case degrades).
+    // Prefills run first-come-first-served, so a decode waits behind
+    // at most one chunk and FIFO's gap tail stays under the target
+    // the bursts used to break. The gate never closes and SLO
+    // admission reproduces FIFO (ROADMAP: the gate would have to act
+    // where prefills now wait, at pipeline entry).
+    EXPECT_LE(fifo.p95TokenGapSeconds, sched.sloTargetGapSeconds);
+    EXPECT_EQ(slo.sloDeferrals, 0u);
+    EXPECT_EQ(slo.p95TokenGapSeconds, fifo.p95TokenGapSeconds);
     auto max_ttft = [](const EngineResult &r) {
         double m = 0.0;
         for (const auto &kv : r.firstTokenLatency)
             m = std::max(m, kv.second);
         return m;
     };
-    EXPECT_GT(max_ttft(slo), max_ttft(fifo));
+    EXPECT_EQ(max_ttft(slo), max_ttft(fifo));
     expectPrefillConserved(fifo, cluster, "fifo");
     expectPrefillConserved(slo, cluster, "slo-admission");
 }

@@ -439,12 +439,11 @@ TEST(StagePipeline, SequenceOnSingleStageRunsElementsBackToBack)
     EXPECT_EQ(s0.completedItems(), 3u);
 }
 
-TEST(StagePipeline, TwoSequencesInterleaveElementWise)
+TEST(StagePipeline, SequencesRunFirstComeFirstServed)
 {
-    // Two requests' chunk streams on one stage interleave FIFO at
-    // element granularity: A0 B0 A1 B1, because each stream only
-    // submits its next element at the previous one's stage-0
-    // completion event.
+    // Two requests' chunk streams on one stage run one after the
+    // other: A0 A1 B0 B1. B's first element enters stage 0 only when
+    // A's last element leaves it.
     sim::EventQueue q;
     sim::Device s0("s0");
     sim::StagePipeline pipe({&s0});
@@ -459,10 +458,90 @@ TEST(StagePipeline, TwoSequencesInterleaveElementWise)
     pipe.submitSequence(q, {element(1.0), element(1.0)}, 0.0,
                         [&](double t) { b_done = t; });
     q.runAll();
-    // A0 [0,1], B0 [1,2], A1 [2,3], B1 [3,4].
-    EXPECT_DOUBLE_EQ(a_done, 3.0);
+    // A0 [0,1], A1 [1,2], B0 [2,3], B1 [3,4].
+    EXPECT_DOUBLE_EQ(a_done, 2.0);
     EXPECT_DOUBLE_EQ(b_done, 4.0);
     EXPECT_DOUBLE_EQ(s0.busySeconds(), 4.0);
+}
+
+TEST(StagePipeline, ChainsSlotInBetweenSequenceElements)
+{
+    // A decode chain submitted while A0 runs queues behind A0 only:
+    // A1 and the waiting sequence B enter after it.
+    sim::EventQueue q;
+    sim::Device s0("s0");
+    sim::StagePipeline pipe({&s0});
+    auto element = [](double sec) {
+        std::vector<sim::WorkItem> row(1);
+        row[0].seconds = sec;
+        return row;
+    };
+    double a_done = -1.0, b_done = -1.0, c_done = -1.0;
+    pipe.submitSequence(q, {element(1.0), element(1.0)}, 0.0,
+                        [&](double t) { a_done = t; });
+    pipe.submitSequence(q, {element(1.0)}, 0.0, [&](double t) { b_done = t; });
+    sim::WorkItem cycle;
+    cycle.seconds = 0.5;
+    pipe.submitCycle(q, cycle, 0.0, [&](double t) { c_done = t; });
+    q.runAll();
+    // A0 [0,1], C [1,1.5], A1 [1.5,2.5], B0 [2.5,3.5].
+    EXPECT_DOUBLE_EQ(c_done, 1.5);
+    EXPECT_DOUBLE_EQ(a_done, 2.5);
+    EXPECT_DOUBLE_EQ(b_done, 3.5);
+}
+
+TEST(StagePipeline, WaitingSequenceStartsAtItsOwnReadyTime)
+{
+    // B is submitted before A's stream ends but is ready only after
+    // it: B's first element enters at its ready time, not at A's
+    // last stage-0 completion.
+    sim::EventQueue q;
+    sim::Device s0("s0"), s1("s1");
+    sim::StagePipeline pipe({&s0, &s1});
+    auto element = [](double sec) {
+        std::vector<sim::WorkItem> row(2);
+        row[0].seconds = row[1].seconds = sec;
+        return row;
+    };
+    double a_done = -1.0, b_done = -1.0;
+    pipe.submitSequence(q, {element(1.0)}, 0.0, [&](double t) { a_done = t; });
+    pipe.submitSequence(q, {element(1.0)}, 3.0, [&](double t) { b_done = t; });
+    q.runAll();
+    EXPECT_DOUBLE_EQ(a_done, 2.0);
+    EXPECT_DOUBLE_EQ(b_done, 5.0);
+}
+
+TEST(StagePipeline, DroppedSequencesLaunchNothingMore)
+{
+    // dropSequences() lets the element on the device run out, then
+    // launches neither the streaming sequence's rest nor any waiting
+    // sequence. The streaming sequence completes with its element on
+    // the device; the waiting one never does. A sequence submitted
+    // after the drop starts at the dropped element's stage-0
+    // completion.
+    sim::EventQueue q;
+    sim::Device s0("s0");
+    sim::StagePipeline pipe({&s0});
+    auto element = [](double sec) {
+        std::vector<sim::WorkItem> row(1);
+        row[0].seconds = sec;
+        return row;
+    };
+    double a_done = -1.0, c_done = -1.0;
+    bool b_done = false;
+    pipe.submitSequence(q, {element(1.0), element(1.0), element(1.0)},
+                        0.0, [&](double t) { a_done = t; });
+    pipe.submitSequence(q, {element(1.0)}, 0.0,
+                        [&](double) { b_done = true; });
+    q.runUntil(0.5);
+    pipe.dropSequences();
+    pipe.submitSequence(q, {element(2.0)}, 0.5, [&](double t) { c_done = t; });
+    q.runAll();
+    EXPECT_DOUBLE_EQ(a_done, 1.0);
+    EXPECT_FALSE(b_done);
+    EXPECT_DOUBLE_EQ(c_done, 3.0);
+    EXPECT_EQ(s0.completedItems(), 2u);
+    EXPECT_DOUBLE_EQ(s0.busySeconds(), 3.0);
 }
 
 TEST(ChunkedPrefillEdge, ZeroContextRequestSkipsPrefill)

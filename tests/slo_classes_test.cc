@@ -304,15 +304,15 @@ TEST(SloClassesEngine, TierZeroGapBeatsTierOneAndSingleClassFifo)
 
 // --- Per-class SLO admission. ------------------------------------------
 
-TEST(SloClassesEngine, PerClassGateKeepsGuardedTierUnderItsTarget)
+TEST(SloClassesEngine, PerClassGateIdlesWhileFifoHoldsTheGuardedTier)
 {
     auto model = LlmConfig::llm7b(true);
     auto cluster = ClusterConfig::neupimsLike(model);
     applyOptions(cluster, PimphonyOptions::all());
 
     // A warm tier-0 decoder plus bursts of tier-1 long-context
-    // prefills that would clobber its token gaps (the per-class
-    // variant of the SloAdmission scenario in sched_policy_test).
+    // prefills (the per-class variant of the SloAdmission scenario in
+    // sched_policy_test).
     RequestClass interactive;
     interactive.tier = 0;
     interactive.gapSloSeconds = 0.07;
@@ -338,15 +338,17 @@ TEST(SloClassesEngine, PerClassGateKeepsGuardedTierUnderItsTarget)
 
     ASSERT_EQ(slo.completedRequests, 17u);
     ASSERT_EQ(fifo.completedRequests, 17u);
-    ASSERT_GT(slo.sloDeferrals, 0u);
 
-    // Tier 0 is judged on its own window against its own target;
-    // gated admission keeps its decode tail under that target while
-    // FIFO blows through it.
+    // Tier 0 is judged on its own window against its own target.
+    // Prefills run first-come-first-served, so its decode waits
+    // behind at most one chunk and FIFO keeps its tail under the
+    // target the tier-1 bursts used to break: the gate never closes
+    // and the gated run reproduces FIFO's tier-0 tail.
     const auto &slo_t0 = tierRow(slo, 0);
     const auto &fifo_t0 = tierRow(fifo, 0);
-    EXPECT_LE(slo_t0.p95TokenGapSeconds, interactive.gapSloSeconds);
-    EXPECT_GT(fifo_t0.p95TokenGapSeconds, interactive.gapSloSeconds);
+    EXPECT_LE(fifo_t0.p95TokenGapSeconds, interactive.gapSloSeconds);
+    EXPECT_EQ(slo.sloDeferrals, 0u);
+    EXPECT_EQ(slo_t0.p95TokenGapSeconds, fifo_t0.p95TokenGapSeconds);
 }
 
 TEST(SloClassesEngine, GateDeferredPrefillHoldsTheFifoQueueButNotTiers)
