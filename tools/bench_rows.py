@@ -14,7 +14,9 @@ Two modes:
                             ("bench": IN's bench name) and the named
                             keys dropped. Inputs are ordered by bench
                             name, so the shell's glob order does not
-                            matter. This builds BENCH_paper.json.
+                            matter. The document is named after OUT
+                            (BENCH_paper.json -> "paper"). This builds
+                            BENCH_paper.json and BENCH_serving.json.
 
 diff's messages are templates so each caller keeps its own wording:
 --ok takes {rows} (row count).
@@ -30,6 +32,7 @@ Examples:
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -63,8 +66,10 @@ def merge(args):
                   key=lambda doc: doc["bench"])
     rows = [{"bench": doc["bench"], **row}
             for doc in docs for row in doc["rows"]]
+    name = os.path.splitext(os.path.basename(args.out))[0]
+    name = name[len("BENCH_"):] if name.startswith("BENCH_") else name
     with open(args.out, "w") as f:
-        f.write('{\n  "bench": "paper",\n  "rows": [\n')
+        f.write('{\n  "bench": "%s",\n  "rows": [\n' % name)
         f.write(",\n".join("    " + json.dumps(row) for row in rows))
         f.write("\n  ]\n}\n")
     print(f"wrote {args.out} ({len(rows)} rows from {len(docs)} benches)")
