@@ -30,11 +30,13 @@ namespace {
  * SLO-aware policy selection: a bursty on/off arrival process (the
  * hard case for a decode token-gap SLO) under each co-scheduling
  * policy. Prefills run first-come-first-served, so fifo already
- * stalls a decode share behind at most one chunk; at PP=1 no chunk
- * ever queues for decode-priority to overtake. chunk-preempt shrinks
- * the stall to a quantum; slo-admission defers prefills whenever the
- * observed p95 gap exceeds the target, which costs first-token
- * latency but cannot shorten a one-chunk stall.
+ * stalls a decode share behind at most one chunk, and a share waiting
+ * when a chunk launches rides the chunk's GEMMs; at PP=1 no chunk
+ * ever queues for decode-priority to overtake, and since it runs a
+ * waiting share before the chunk, no share rides one. chunk-preempt
+ * shrinks the stall to a quantum; slo-admission defers prefills
+ * whenever the observed p95 gap exceeds the target, which costs
+ * first-token latency but cannot shorten a one-chunk stall.
  */
 void
 policySelection()
@@ -77,11 +79,13 @@ policySelection()
                                                        : "");
     }
     std::printf("\nPrefills run first-come-first-served, so fifo "
-                "already caps a decode stall at one\nchunk and "
-                "decode-priority finds nothing to overtake; "
-                "chunk-preempt caps it at one\nquantum; slo-admission "
-                "defers prefills, at a TTFT cost, without shortening\n"
-                "the one-chunk stall.\n");
+                "already caps a decode stall at one\nchunk, and a "
+                "share waiting at a chunk's launch rides its GEMMs; "
+                "decode-priority\nfinds nothing to overtake and runs "
+                "waiting shares first, so none ride a chunk;\n"
+                "chunk-preempt caps the stall at one quantum; "
+                "slo-admission defers prefills, at a\nTTFT cost, "
+                "without shortening the one-chunk stall.\n");
 }
 
 /**

@@ -8,6 +8,22 @@
 namespace pimphony {
 namespace sim {
 
+namespace {
+
+/**
+ * Charge of @p item when it launches with a prefill chunk, or 0 when
+ * it cannot: only a decode share that carries a fused charge rides.
+ */
+double
+fusedCharge(const WorkItem &item)
+{
+    if (item.kind != WorkItem::Kind::DecodeCycle || item.fusedFcSeconds <= 0.0)
+        return 0.0;
+    return std::min(item.fusedFcSeconds, item.seconds);
+}
+
+} // namespace
+
 double
 Device::submit(EventQueue &queue, const WorkItem &item, double ready,
                CompletionFn done)
@@ -46,8 +62,26 @@ double
 QueuedDevice::submit(EventQueue &queue, const WorkItem &item,
                      double ready, CompletionFn done)
 {
-    if (!arbiter_)
-        return Device::submit(queue, item, ready, std::move(done));
+    if (!arbiter_) {
+        if (item.kind == WorkItem::Kind::PrefillChunk) {
+            lastChunkStart_ = std::max(ready, Device::busyUntil());
+            return Device::submit(queue, item, ready, std::move(done));
+        }
+        // A share ready by the time the last reserved chunk starts
+        // waits for it, so it launches with it: reserved right after
+        // the chunk (and earlier riders) at its fused charge.
+        WorkItem charged = item;
+        double fused = fusedCharge(item);
+        if (fused > 0.0 && ready <= lastChunkStart_) {
+            charged.seconds = fused;
+            ++fused_;
+        }
+        double completion =
+            Device::submit(queue, charged, ready, std::move(done));
+        double wait = completion - charged.seconds - ready;
+        maxDecodeWait_ = std::max(maxDecodeWait_, wait);
+        return completion;
+    }
 
     Pending p;
     p.item = item;
@@ -93,36 +127,52 @@ QueuedDevice::pump(EventQueue &queue)
         return;
     double now = queue.now();
 
-    std::vector<const WorkItem *> &eligible = eligibleScratch_;
-    std::vector<std::size_t> &index = indexScratch_;
-    eligible.clear();
-    index.clear();
-    double earliest = pending_.front().ready;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        earliest = std::min(earliest, pending_[i].ready);
-        if (pending_[i].ready <= now) {
-            eligible.push_back(&pending_[i].item);
-            index.push_back(i);
+    std::size_t at = 0; // pending_ index of this dispatch
+    bool rider = riders_ > 0;
+    if (rider) {
+        // The riders of the completed chunk launch first, in queue
+        // order and unsliced: they are the tail of its launch.
+        while (!pending_[at].rides)
+            ++at;
+        pending_[at].rides = false;
+        --riders_;
+    } else {
+        std::vector<const WorkItem *> &eligible = eligibleScratch_;
+        std::vector<std::size_t> &index = indexScratch_;
+        eligible.clear();
+        index.clear();
+        double earliest = pending_.front().ready;
+        for (std::size_t i = 0; i < pending_.size(); ++i) {
+            earliest = std::min(earliest, pending_[i].ready);
+            if (pending_[i].ready <= now) {
+                eligible.push_back(&pending_[i].item);
+                index.push_back(i);
+            }
         }
-    }
-    if (eligible.empty()) {
-        // Everything queued becomes ready in the future; sleep until
-        // the earliest (redundant wakes no-op through this guard).
-        queue.schedule(earliest, [this, &queue](double) { pump(queue); });
-        return;
-    }
+        if (eligible.empty()) {
+            // Everything queued becomes ready in the future; sleep
+            // until the earliest (redundant wakes no-op through this
+            // guard).
+            queue.schedule(earliest, [this, &queue](double) { pump(queue); });
+            return;
+        }
 
-    std::size_t pick = arbiter_->pickNext(eligible);
-    if (pick >= eligible.size())
-        pick = 0;
-    if (pick != 0)
-        ++overtakes_; // jumped at least one earlier-queued item
-    Pending &p = pending_[index[pick]];
+        std::size_t pick = arbiter_->pickNext(eligible);
+        if (pick >= eligible.size())
+            pick = 0;
+        if (pick != 0)
+            ++overtakes_; // jumped at least one earlier-queued item
+        at = index[pick];
+    }
+    Pending &p = pending_[at];
 
-    double quantum = arbiter_->sliceSeconds(p.item);
+    double quantum = rider ? 0.0 : arbiter_->sliceSeconds(p.item);
     sliceIsFinal_ =
         !(quantum > 0.0 && p.remaining > quantum * (1.0 + 1e-9));
     double serve = sliceIsFinal_ ? p.remaining : quantum;
+    if (sliceIsFinal_ && p.item.kind == WorkItem::Kind::PrefillChunk &&
+        eligibleScratch_.size() > 1)
+        fuseWaitingShares(p.seq);
 
     if (p.item.kind == WorkItem::Kind::DecodeCycle) {
         // Wait metrics are recorded only on an item's FIRST dispatch:
@@ -153,6 +203,22 @@ QueuedDevice::pump(EventQueue &queue)
     servedSeconds_ += serve;
     queue.schedule(timelineEnd_,
                    [this, &queue](double t) { finishSlice(queue, t); });
+}
+
+void
+QueuedDevice::fuseWaitingShares(std::uint64_t chunk)
+{
+    for (std::size_t i : indexScratch_) {
+        Pending &w = pending_[i];
+        double fused = fusedCharge(w.item);
+        if (w.seq == chunk || fused <= 0.0 || w.item.servedSeconds > 0.0)
+            continue;
+        w.item.seconds = fused;
+        w.remaining = fused;
+        w.rides = true;
+        ++riders_;
+        ++fused_;
+    }
 }
 
 void

@@ -15,10 +15,12 @@
  * so later-submitted work can overtake queued work) and may bound a
  * dispatch to a service quantum (preempting an in-flight item at the
  * slice boundary). With no arbiter a QueuedDevice degenerates to the
- * plain Device timeline, bit for bit. Because arbitration depends on
- * future submissions, QueuedDevice completion times are authoritative
- * only through the completion callback; the submit() return value is
- * a congestion-free estimate.
+ * plain Device timeline, bit for bit, apart from the one launch rule
+ * both modes share: a decode share waiting on the device when a
+ * prefill chunk launches launches with it (see QueuedDevice). Because
+ * arbitration depends on future submissions, QueuedDevice completion
+ * times are authoritative only through the completion callback; the
+ * submit() return value is a congestion-free estimate.
  *
  * Performance contract: completion callbacks are sim::SimFn
  * (small-buffer, no heap), and a device keeps its in-flight items in
@@ -144,6 +146,21 @@ class QueueArbiter
  * With a null arbiter every call forwards to the plain Device
  * timeline arithmetic, preserving the FIFO semantics (including
  * advance reservation of future-ready items) exactly.
+ *
+ * Hybrid launch, in both modes: when a PrefillChunk launches, every
+ * DecodeCycle share already waiting on the device (one that carries
+ * a WorkItem::fusedFcSeconds charge and has not been served) launches
+ * with it. The chunk streams the weights for both, so the share is
+ * charged only its fused seconds and completes right after the chunk
+ * (after earlier riders, in queue order). A share that becomes ready
+ * after the chunk started waits and runs stand-alone; a share queued
+ * ahead of the chunk is never delayed. On the reservation timeline a
+ * share fuses when the last reserved chunk starts at or after the
+ * share's ready time. Under an arbiter, a chunk launches at its final
+ * dispatch (its only one unless the arbiter slices chunks; a sliced
+ * chunk's earlier slices launch nothing), and the decode items
+ * eligible then join it. Policies that pick decode first never leave
+ * one waiting.
  */
 class QueuedDevice : public Device
 {
@@ -174,6 +191,9 @@ class QueuedDevice : public Device
     /** Dispatches that overtook earlier-queued eligible work. */
     std::uint64_t overtakes() const { return overtakes_; }
 
+    /** Decode shares that launched together with a prefill chunk. */
+    std::uint64_t fusedShares() const { return fused_; }
+
     /**
      * Tier inversions observed at dispatch time: a DecodeCycle item
      * started after waiting, and the dispatch immediately before it
@@ -191,19 +211,10 @@ class QueuedDevice : public Device
     /**
      * Worst queueing delay (start - ready) of a DecodeCycle-kind
      * item, i.e. the longest a decode share stalled behind other
-     * work on this timeline. Arbitrated dispatches record it
-     * automatically; reservation-path callers (null arbiter) report
-     * theirs through noteDecodeWait() so the metric stays comparable
-     * across policies.
+     * work on this timeline, in both modes. A fused share starts its
+     * own compute when its chunk completes.
      */
     double maxDecodeWaitSeconds() const { return maxDecodeWait_; }
-
-    /** Record a decode queueing delay observed outside pump(). */
-    void
-    noteDecodeWait(double seconds)
-    {
-        maxDecodeWait_ = std::max(maxDecodeWait_, seconds);
-    }
 
   private:
     struct Pending
@@ -213,7 +224,14 @@ class QueuedDevice : public Device
         double remaining = 0.0;
         CompletionFn done;
         std::uint64_t seq = 0;
+        /** Rides the chunk in service: dispatched, unsliced, as soon
+         *  as that chunk completes. */
+        bool rides = false;
     };
+
+    /** Make the eligible decode shares (@ref indexScratch_) riders
+     *  of the chunk with seq @p chunk, dispatched for its launch. */
+    void fuseWaitingShares(std::uint64_t chunk);
 
     /** Dispatch the next eligible item when idle. */
     void pump(EventQueue &queue);
@@ -237,6 +255,11 @@ class QueuedDevice : public Device
     std::uint64_t slices_ = 0;
     std::uint64_t decodeSlices_ = 0;
     std::uint64_t overtakes_ = 0;
+    std::uint64_t fused_ = 0;
+    /** Queued items that ride the chunk in service. */
+    std::size_t riders_ = 0;
+    /** Reservation mode: start of the last reserved chunk. */
+    double lastChunkStart_ = -1.0;
     std::uint64_t tierInversions_ = 0;
     double maxDecodeWait_ = 0.0;
     double maxTierInvWait_ = 0.0;

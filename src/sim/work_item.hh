@@ -4,7 +4,8 @@
  * of work flow through the same stage devices: one cohort's
  * (micro-batch's) occupancy of one pipeline stage for one decode
  * cycle, and one request's prefill chunk crossing the same stage's
- * compute (xPU) timeline.
+ * compute (xPU) timeline. A decode cycle's FC share carries two
+ * charges: stand-alone, and fused into a prefill chunk's launch.
  */
 
 #ifndef PIMPHONY_SIM_WORK_ITEM_HH
@@ -53,6 +54,17 @@ struct WorkItem
      * xPU, the FC share completes late and gates the stage instead.
      */
     double fcSeconds = 0.0;
+
+    /**
+     * Charge of the FC share when it launches together with a
+     * prefill chunk (never above the share's stand-alone charge): the
+     * chunk's GEMMs stream the stage's weights once for both, so the
+     * share pays only its rows' compute. A share waiting on the xPU
+     * when a chunk launches rides it this way and completes right
+     * after it (see sim::QueuedDevice). 0 = the share never fuses
+     * (no xPU FC share, e.g. PimOnly systems).
+     */
+    double fusedFcSeconds = 0.0;
 
     // --- Preemption metadata (maintained by QueuedDevice). ----------
 

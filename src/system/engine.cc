@@ -341,6 +341,7 @@ ServingEngine::planCohortCycle(const Active *begin, const Active *end)
 
     PhaseResult att = module_->attentionLayer(jobs, model_);
     double fc_sec;
+    double fused_fc_sec = 0.0;
     PhaseResult fc;
     if (cluster_.kind == SystemKind::PimOnly) {
         fc = module_->fcLayer(batch, model_, tp);
@@ -354,6 +355,7 @@ ServingEngine::planCohortCycle(const Active *begin, const Active *end)
             static_cast<double>(model_.weightBytes()) /
             model_.nLayers / tp);
         fc_sec = xpu_->gemmSeconds(flops, w, batch);
+        fused_fc_sec = std::min(xpu_->fusedGemmSeconds(flops), fc_sec);
         // Simple NPU energy: 0.4 pJ/FLOP.
         fc.energy.elseE = flops * 0.4;
     }
@@ -370,6 +372,7 @@ ServingEngine::planCohortCycle(const Active *begin, const Active *end)
     plan.layerSeconds = layer_sec;
     plan.fcLayerSeconds =
         cluster_.kind == SystemKind::XpuPim ? fc_sec : 0.0;
+    plan.fusedFcLayerSeconds = fused_fc_sec;
 
     // Per full cycle the cohort crosses all pp stages.
     double layers_total = stageLayersTotal(model_.nLayers, pp);
@@ -587,6 +590,7 @@ ServingEngine::evStartCycle(EventCohort &c, double ready)
     // the intrinsic work. scale == 1.0 multiplies exactly.
     double layer_sec = plan.layerSeconds * ev.serviceRateScale;
     double fc_layer_sec = plan.fcLayerSeconds * ev.serviceRateScale;
+    double fused_layer_sec = plan.fusedFcLayerSeconds * ev.serviceRateScale;
     double span_cycles = layer_sec * plan.layersTotal / ev.spc *
                          cluster_.module.nChannels * ev.tp;
     accountCycle(plan, span_cycles, ev.acc);
@@ -609,6 +613,7 @@ ServingEngine::evStartCycle(EventCohort &c, double ready)
         ev.cycleItems[s].tier = cohort_tier;
         ev.cycleItems[s].seconds = layer_sec * layers;
         ev.cycleItems[s].fcSeconds = fc_layer_sec * layers;
+        ev.cycleItems[s].fusedFcSeconds = fused_layer_sec * layers;
     }
     ++c.cycle;
     EventCohort *cohort = &c;
@@ -1049,6 +1054,8 @@ ServingEngine::finalize()
             std::max(result_.maxDecodeXpuWaitSeconds,
                      x.maxDecodeWaitSeconds());
         result_.xpuPrefillBusySeconds += x.prefillBusySeconds();
+        result_.xpuFcBusySeconds += x.fcBusySeconds();
+        result_.fusedFcShares += x.fusedShares();
     }
 
     result_.simulatedSeconds = ev.endTime;

@@ -239,6 +239,18 @@ struct EngineResult
     double xpuPrefillBusySeconds = 0.0;
 
     /**
+     * Decode FC seconds served on the xPU timelines, summed across
+     * stages. A share launched with a prefill chunk is served at its
+     * fused charge (its rows' compute only), so with chunked prefill
+     * this reads below the plan-based fcSeconds; without chunking,
+     * nothing fuses and the two agree.
+     */
+    double xpuFcBusySeconds = 0.0;
+
+    /** Decode FC shares that launched together with a prefill chunk. */
+    std::uint64_t fusedFcShares = 0;
+
+    /**
      * Events dispatched by the event core. Deterministic for a
      * given configuration and seed; perfbench divides its traced
      * run's host time by it for engine.advance_ns_per_event, the
@@ -570,6 +582,13 @@ class ServingEngine
 
         /** xPU share of one layer's service (XpuPim overlap). */
         double fcLayerSeconds = 0.0;
+
+        /**
+         * The same share launched with a prefill chunk: its rows'
+         * compute only, the weights riding the chunk's stream
+         * (WorkItem::fusedFcSeconds; <= fcLayerSeconds).
+         */
+        double fusedFcLayerSeconds = 0.0;
 
         /** Layers across all stages (= nLayers when pp <= nLayers). */
         double layersTotal = 0.0;

@@ -106,6 +106,8 @@ foldReplica(EngineResult &agg, EngineResult &r)
     agg.fcSeconds += r.fcSeconds;
     agg.prefillSeconds += r.prefillSeconds;
     agg.xpuPrefillBusySeconds += r.xpuPrefillBusySeconds;
+    agg.xpuFcBusySeconds += r.xpuFcBusySeconds;
+    agg.fusedFcShares += r.fusedFcShares;
     agg.attentionEnergy += r.attentionEnergy;
     agg.fcEnergy += r.fcEnergy;
 

@@ -27,7 +27,8 @@ prefillSeconds(const LlmConfig &model, Tokens tokens,
     double engines = std::max(1u, n_engines);
     // Prefill GEMMs are large: assume near-saturated matrix units.
     double flops = prefillFlops(model, tokens);
-    double compute = flops / (config.peakFlops * 0.8 * engines);
+    double rate = config.peakFlops * XpuConfig::kSaturatedGemmEfficiency;
+    double compute = flops / (rate * engines);
     double weights = static_cast<double>(model.weightBytes()) /
                      (config.memBandwidth * engines);
     return std::max(compute, weights);

@@ -42,12 +42,9 @@ PipelineStage::submit(sim::EventQueue &queue, const sim::WorkItem &item,
         // The FC share queues on the xPU timeline from the moment
         // the composite item starts. With an idle xPU it shadows the
         // serializing timeline (fc <= seconds); behind queued prefill
-        // chunks it completes late and gates the stage instead.
+        // chunks it completes late and gates the stage instead, or
+        // launches with the next chunk at its fused charge.
         double fc_done = xpu_.submit(queue, fc, start);
-        // Reservation arithmetic is synchronous, so the queueing
-        // delay is known here; record it to keep the decode-wait
-        // metric comparable with arbitrated policies.
-        xpu_.noteDecodeWait(fc_done - fc.seconds - start);
         if (fc_done > start + item.seconds)
             main.seconds = fc_done - start;
     }

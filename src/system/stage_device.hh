@@ -11,7 +11,9 @@
  * overlap NeuPIMs-like systems are built around. The same xPU
  * timeline serves prefill chunks in FIFO order with the decode FC
  * shares, which is where prefill/decode interference appears in the
- * simulation.
+ * simulation. A share already waiting when a chunk launches rides
+ * the chunk's GEMMs (the weights stream once for both) and completes
+ * right after it, charged only its rows' compute.
  */
 
 #ifndef PIMPHONY_SYSTEM_STAGE_DEVICE_HH
@@ -50,26 +52,41 @@ class XpuStageDevice : public sim::QueuedDevice
      */
     double prefillBusySeconds() const { return prefillBusy_; }
 
+    /**
+     * Decode FC seconds served to completion on this timeline, fused
+     * shares at their fused charge. Once everything submitted has
+     * completed, prefill plus FC equals busySeconds().
+     */
+    double fcBusySeconds() const { return fcBusy_; }
+
   protected:
     void
     onComplete(const sim::WorkItem &item, double) override
     {
         if (item.kind == sim::WorkItem::Kind::PrefillChunk)
             prefillBusy_ += item.seconds;
+        else
+            fcBusy_ += item.seconds;
     }
 
   private:
     double prefillBusy_ = 0.0;
+    double fcBusy_ = 0.0;
 };
 
 /**
  * One PP stage: serializes decode cohorts on the PIM timeline and
  * runs each item's FC share on its xPU timeline together with prefill
  * chunks. With an idle xPU the FC share (never larger than the item's
- * total service time) trails the PIM timeline as a pure shadow; when prefill chunks congest the xPU the FC share
- * completes late and the stage is extended to cover the stall, so
- * prefill delays decode exactly as a shared compute engine would.
- * PrefillChunk items route to the xPU timeline.
+ * total service time) trails the PIM timeline as a pure shadow; when
+ * prefill chunks congest the xPU the FC share completes late and the
+ * stage is extended to cover the stall, so prefill delays decode
+ * exactly as a shared compute engine would. A share waiting when a
+ * chunk launches launches with it (WorkItem::fusedFcSeconds) and
+ * gates the stage until just after the chunk; one that arrives after
+ * the chunk started waits for it and then runs stand-alone (an
+ * arbiter that slices chunks launches each at its final slice; see
+ * sim::QueuedDevice). PrefillChunk items route to the xPU timeline.
  *
  * With a co-scheduling arbiter attached, the xPU timeline is
  * queue-arbitrated and an FC share's completion is unknown at submit

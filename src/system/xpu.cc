@@ -35,6 +35,12 @@ XpuModel::gemmSeconds(double flops, Bytes weight_bytes,
     return std::max(compute, memory);
 }
 
+double
+XpuModel::fusedGemmSeconds(double flops) const
+{
+    return flops / (config_.peakFlops * XpuConfig::kSaturatedGemmEfficiency);
+}
+
 GpuConfig
 GpuConfig::a100()
 {

@@ -26,6 +26,14 @@ struct XpuConfig
     /** Batch size at which GEMM efficiency reaches one half. */
     double halfSaturationBatch = 16.0;
 
+    /**
+     * Fraction of peak the matrix units sustain on compute-bound
+     * GEMMs: prefill passes, and the rows of a decode FC share
+     * launched together with a prefill chunk (which streams the
+     * weights for both).
+     */
+    static constexpr double kSaturatedGemmEfficiency = 0.8;
+
     /** Table IV presets. */
     static XpuConfig neupimsNpu();
     static XpuConfig centPnm();
@@ -44,6 +52,14 @@ class XpuModel
      */
     double gemmSeconds(double flops, Bytes weight_bytes,
                        std::uint32_t batch) const;
+
+    /**
+     * Seconds for @p flops of GEMM rows that ride another GEMM over
+     * the same weights (a decode FC share launched with a prefill
+     * chunk): the weights stream once for both, so only the rows'
+     * compute is charged, at the saturated efficiency.
+     */
+    double fusedGemmSeconds(double flops) const;
 
     const XpuConfig &config() const { return config_; }
 

@@ -16,9 +16,9 @@
  *    and refund fractional tenant charges.
  *
  * The values were recorded before admission moved out of the engine
- * and re-pinned when prefills became first-come-first-served; they
- * must not change otherwise: latencies at hex-float precision,
- * counts exactly.
+ * and re-pinned when prefills became first-come-first-served and when
+ * decode FC shares began launching with prefill chunks; they must not
+ * change otherwise: latencies at hex-float precision, counts exactly.
  */
 
 #include <gtest/gtest.h>
@@ -110,16 +110,16 @@ TEST(AdmissionGolden, ClassedBudgetedSloChunked)
     EXPECT_EQ(r.rejectedRequests, 1u);
     EXPECT_EQ(r.preemptions, 0u);
     EXPECT_EQ(r.generatedTokens, 3816u);
-    EXPECT_EQ(r.simEvents, 9092u);
-    EXPECT_EQ(r.sloDeferrals, 545u);
-    EXPECT_EQ(r.budgetDeferrals, 18u);
-    EXPECT_EQ(r.simulatedSeconds, 0x1.23c6bfc4eddefp+5);
-    EXPECT_EQ(r.avgRequestLatency, 0x1.3540fe5699802p+4);
-    EXPECT_EQ(r.p95RequestLatency, 0x1.0865722ffd3bap+5);
-    EXPECT_EQ(r.avgFirstTokenSeconds, 0x1.dac5d00d0066dp+3);
-    EXPECT_EQ(r.p95FirstTokenSeconds, 0x1.00aefc98cffc5p+5);
-    EXPECT_EQ(r.avgTokenGapSeconds, 0x1.8ff55ac8e5d48p-3);
-    EXPECT_EQ(r.p95TokenGapSeconds, 0x1.0f0794ee2b5cp-2);
+    EXPECT_EQ(r.simEvents, 9292u);
+    EXPECT_EQ(r.sloDeferrals, 583u);
+    EXPECT_EQ(r.budgetDeferrals, 46u);
+    EXPECT_EQ(r.simulatedSeconds, 0x1.236c34290fc5cp+5);
+    EXPECT_EQ(r.avgRequestLatency, 0x1.315cdb64f893ap+4);
+    EXPECT_EQ(r.p95RequestLatency, 0x1.07e89dedc7c45p+5);
+    EXPECT_EQ(r.avgFirstTokenSeconds, 0x1.d798fcdc9f5e6p+3);
+    EXPECT_EQ(r.p95FirstTokenSeconds, 0x1.001a2b3f3c944p+5);
+    EXPECT_EQ(r.avgTokenGapSeconds, 0x1.832369893c9bp-3);
+    EXPECT_EQ(r.p95TokenGapSeconds, 0x1.016ec7568c0ep-2);
     EXPECT_EQ(r.prefillSeconds, 0x1.0ac8152d0dd52p+5);
 
     ASSERT_EQ(r.classLatencies.size(), 2u);
@@ -127,28 +127,28 @@ TEST(AdmissionGolden, ClassedBudgetedSloChunked)
     EXPECT_EQ(t0.gapSloTargetSeconds, 50e-3);
     EXPECT_EQ(t0.requests, 80u);
     EXPECT_EQ(t0.completedRequests, 80u);
-    EXPECT_EQ(t0.p95FirstTokenSeconds, 0x1.f3f17906f7b2bp+4);
-    EXPECT_EQ(t0.p95TokenGapSeconds, 0x1.0f0794ee2b5cp-2);
+    EXPECT_EQ(t0.p95FirstTokenSeconds, 0x1.c54ad1272ff62p+4);
+    EXPECT_EQ(t0.p95TokenGapSeconds, 0x1.fc0d5e2df1f8p-3);
     const auto &t1 = r.classLatencies[1];
     EXPECT_EQ(t1.gapSloTargetSeconds, 500e-3);
     EXPECT_EQ(t1.requests, 80u);
     EXPECT_EQ(t1.completedRequests, 79u);
-    EXPECT_EQ(t1.p95FirstTokenSeconds, 0x1.04b9b6d5295acp+5);
-    EXPECT_EQ(t1.p95TokenGapSeconds, 0x1.0f0794ee2b5cp-2);
+    EXPECT_EQ(t1.p95FirstTokenSeconds, 0x1.041d810f1830ep+5);
+    EXPECT_EQ(t1.p95TokenGapSeconds, 0x1.04804f9de338p-2);
 
     ASSERT_EQ(r.tenantOccupancy.size(), 2u);
     const auto &a = r.tenantOccupancy[0];
     EXPECT_EQ(a.budgetShare, 0.5);
-    EXPECT_EQ(a.avgTokenShare, 0x1.c54142f55f7b9p-3);
+    EXPECT_EQ(a.avgTokenShare, 0x1.dafbd56991c0cp-3);
     EXPECT_EQ(a.peakTokenShare, 0x1.fep-2);
     EXPECT_EQ(a.admittedRequests, 79u);
-    EXPECT_EQ(a.budgetDeferrals, 9u);
+    EXPECT_EQ(a.budgetDeferrals, 22u);
     const auto &b = r.tenantOccupancy[1];
     EXPECT_EQ(b.budgetShare, 0.5);
-    EXPECT_EQ(b.avgTokenShare, 0x1.1dc43780c926cp-2);
+    EXPECT_EQ(b.avgTokenShare, 0x1.1cfcdc42d0196p-2);
     EXPECT_EQ(b.peakTokenShare, 0x1.fep-2);
     EXPECT_EQ(b.admittedRequests, 80u);
-    EXPECT_EQ(b.budgetDeferrals, 9u);
+    EXPECT_EQ(b.budgetDeferrals, 24u);
 }
 
 TEST(AdmissionGolden, PrefixCacheBudgeted)
@@ -158,19 +158,19 @@ TEST(AdmissionGolden, PrefixCacheBudgeted)
     EXPECT_EQ(r.rejectedRequests, 0u);
     EXPECT_EQ(r.preemptions, 0u);
     EXPECT_EQ(r.generatedTokens, 2304u);
-    EXPECT_EQ(r.simEvents, 4344u);
+    EXPECT_EQ(r.simEvents, 4552u);
     EXPECT_EQ(r.sloDeferrals, 0u);
-    EXPECT_EQ(r.budgetDeferrals, 10u);
+    EXPECT_EQ(r.budgetDeferrals, 5u);
     EXPECT_EQ(r.prefixHits, 67u);
     EXPECT_EQ(r.prefixMisses, 5u);
     EXPECT_EQ(r.prefixEvictions, 0u);
     EXPECT_EQ(r.prefixCachedTokens, 274432u);
-    EXPECT_EQ(r.simulatedSeconds, 0x1.951f4d293ce8p+3);
-    EXPECT_EQ(r.avgRequestLatency, 0x1.82d7225af1b67p+2);
-    EXPECT_EQ(r.p95RequestLatency, 0x1.d2e44693afa3cp+2);
-    EXPECT_EQ(r.avgFirstTokenSeconds, 0x1.6dd90fbda37bp+1);
-    EXPECT_EQ(r.p95FirstTokenSeconds, 0x1.1c8e5f815ba36p+2);
-    EXPECT_EQ(r.avgTokenGapSeconds, 0x1.1bb5b58b4ddd2p-3);
+    EXPECT_EQ(r.simulatedSeconds, 0x1.97cc0f01779c5p+3);
+    EXPECT_EQ(r.avgRequestLatency, 0x1.747d733a52a0cp+2);
+    EXPECT_EQ(r.p95RequestLatency, 0x1.c73a8682c214bp+2);
+    EXPECT_EQ(r.avgFirstTokenSeconds, 0x1.702d3d59212c8p+1);
+    EXPECT_EQ(r.p95FirstTokenSeconds, 0x1.21ac5cd2ead67p+2);
+    EXPECT_EQ(r.avgTokenGapSeconds, 0x1.061fc38d93881p-3);
     EXPECT_EQ(r.p95TokenGapSeconds, 0x1.60a99f0e4018p-3);
     EXPECT_EQ(r.savedPrefillSeconds, 0x1.1fc347708a8a6p+2);
     EXPECT_EQ(r.prefillSeconds, 0x1.695696f6b83f5p+3);
@@ -179,16 +179,16 @@ TEST(AdmissionGolden, PrefixCacheBudgeted)
     ASSERT_EQ(r.tenantOccupancy.size(), 2u);
     const auto &a = r.tenantOccupancy[0];
     EXPECT_EQ(a.budgetShare, 0.3);
-    EXPECT_EQ(a.avgTokenShare, 0x1.5d91abaa82bf8p-4);
-    EXPECT_EQ(a.peakTokenShare, 0x1.e23c1f9b6ba83p-4);
+    EXPECT_EQ(a.avgTokenShare, 0x1.4db7d0032decap-4);
+    EXPECT_EQ(a.peakTokenShare, 0x1.d1482c2787bdbp-4);
     EXPECT_EQ(a.admittedRequests, 48u);
     EXPECT_EQ(a.budgetDeferrals, 0u);
     const auto &b = r.tenantOccupancy[1];
     EXPECT_EQ(b.budgetShare, 0.3);
-    EXPECT_EQ(b.avgTokenShare, 0x1.ca09b2a327014p-3);
-    EXPECT_EQ(b.peakTokenShare, 0x1.4f437d4f689f3p-2);
+    EXPECT_EQ(b.avgTokenShare, 0x1.b58278aea35ccp-3);
+    EXPECT_EQ(b.peakTokenShare, 0x1.3e8d053f595e9p-2);
     EXPECT_EQ(b.admittedRequests, 48u);
-    EXPECT_EQ(b.budgetDeferrals, 10u);
+    EXPECT_EQ(b.budgetDeferrals, 5u);
 }
 
 } // namespace

@@ -603,12 +603,12 @@ TEST(FleetGolden, DisplacingFaults)
         double p95RequestLatency;
     };
     for (const Golden &g :
-         {Golden{0.002, 0x1.fd78597725d04p-3, 0x1.a6d7bd24bfc86p-1,
-                 0x1.9c73ae6db55cep+7, 0x1.76dbe63b8c86p-2,
-                 0x1.f9ffeb8034ccep-1},
-          Golden{0.0, 0x1.fdb9458fbe024p-3, 0x1.a6cc60a071f2dp-1,
-                 0x1.9ca83d909e936p+7, 0x1.76dbe63b8c86p-2,
-                 0x1.f9ffeb8034ccep-1}}) {
+         {Golden{0.002, 0x1.fddc18336ad1cp-3, 0x1.a6c648909a1b5p-1,
+                 0x1.9d43e59dad15p+7, 0x1.7639e4a76d698p-2,
+                 0x1.f86d467c16eecp-1},
+          Golden{0.0, 0x1.fe1d1dbbf3dfp-3, 0x1.a6bae798b5529p-1,
+                 0x1.9d789999d82b5p+7, 0x1.7639e4a76d698p-2,
+                 0x1.f86d467c16eecp-1}}) {
         auto f = runSessionAffinityFleet(g.dispatchLatency, faults);
         EXPECT_EQ(f.windows, 24u);
         EXPECT_EQ(f.routedRequests,
@@ -618,7 +618,7 @@ TEST(FleetGolden, DisplacingFaults)
         EXPECT_EQ(f.evacuatedRequests, 0u);
         EXPECT_EQ(f.retriedRequests, 6u);
         EXPECT_EQ(f.lostRequests, 0u);
-        EXPECT_EQ(f.lostTokens, 61u);
+        EXPECT_EQ(f.lostTokens, 62u);
         EXPECT_EQ(f.retryHistogram,
                   (std::vector<std::uint64_t>{0, 6, 0, 0}));
         EXPECT_EQ(f.availability,
@@ -627,8 +627,8 @@ TEST(FleetGolden, DisplacingFaults)
         EXPECT_EQ(f.reloadSeconds, 0x1.999999999999ap-4);
         EXPECT_EQ(f.goodputTokens, 768u);
         EXPECT_EQ(f.aggregate.tokensPerSecond, g.tokensPerSecond);
-        EXPECT_EQ(f.aggregate.simEvents, 5966u);
-        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, 0x1.08d7d262b96f4p-3);
+        EXPECT_EQ(f.aggregate.simEvents, 5974u);
+        EXPECT_EQ(f.aggregate.p95TokenGapSeconds, 0x1.06cb93b756108p-3);
         EXPECT_EQ(f.aggregate.p95FirstTokenSeconds,
                   g.p95FirstTokenSeconds);
         EXPECT_EQ(f.aggregate.p95RequestLatency, g.p95RequestLatency);

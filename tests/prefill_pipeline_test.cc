@@ -138,6 +138,16 @@ TEST(StagePipeline, EmptySequenceCompletesAtReady)
 
 // --- Prefill/decode interference on one stage. -----------------------
 
+sim::WorkItem
+decodeShare(double seconds, double fc, double fused)
+{
+    sim::WorkItem w;
+    w.seconds = seconds;
+    w.fcSeconds = fc;
+    w.fusedFcSeconds = fused;
+    return w;
+}
+
 TEST(PipelineStage, PrefillChunkOccupiesXpuAndGatesDecodeFc)
 {
     PipelineStage stage("s");
@@ -152,16 +162,118 @@ TEST(PipelineStage, PrefillChunkOccupiesXpuAndGatesDecodeFc)
     EXPECT_DOUBLE_EQ(stage.busyUntil(), 0.0);
     EXPECT_DOUBLE_EQ(stage.xpu().busyUntil(), 1.0);
 
-    // A decode item whose FC share queues behind the chunk is gated:
-    // FC runs [1.0, 1.4] on the xPU, so the stage completes at 1.4
-    // instead of its nominal 0.5.
-    sim::WorkItem decode;
-    decode.seconds = 0.5;
-    decode.fcSeconds = 0.4;
-    double decode_done = stage.submit(q, decode, 0.0);
+    // The decode item's FC share is ready when the chunk launches, so
+    // it launches with it: the chunk streams the weights, the share
+    // pays only its 0.1 s of rows and completes right after the
+    // chunk, [1.0, 1.1]. The stage is gated until then instead of
+    // its nominal 0.5 (stand-alone, the share would run [1.0, 1.4]).
+    double decode_done = stage.submit(q, decodeShare(0.5, 0.4, 0.1), 0.0);
+    EXPECT_DOUBLE_EQ(decode_done, 1.1);
+    EXPECT_DOUBLE_EQ(stage.busyUntil(), 1.1);
+    EXPECT_DOUBLE_EQ(stage.xpu().busyUntil(), 1.1);
+    EXPECT_EQ(stage.xpu().fusedShares(), 1u);
+    q.runAll();
+    EXPECT_DOUBLE_EQ(stage.xpu().fcBusySeconds(), 0.1);
+}
+
+TEST(PipelineStage, ShareArrivingMidChunkWaitsAndRunsStandAlone)
+{
+    PipelineStage stage("s");
+    sim::EventQueue q;
+
+    sim::WorkItem chunk;
+    chunk.kind = sim::WorkItem::Kind::PrefillChunk;
+    chunk.seconds = 1.0;
+    stage.submit(q, chunk, 0.0);
+    // Ready at 0.5, after the chunk launched at 0: the share is gated
+    // behind the chunk and runs stand-alone on the xPU, [1.0, 1.4],
+    // so the stage completes at 1.4 instead of its nominal 1.0.
+    double decode_done = stage.submit(q, decodeShare(0.5, 0.4, 0.1), 0.5);
     EXPECT_DOUBLE_EQ(decode_done, 1.4);
     EXPECT_DOUBLE_EQ(stage.busyUntil(), 1.4);
+    EXPECT_EQ(stage.xpu().fusedShares(), 0u);
+    EXPECT_DOUBLE_EQ(stage.xpu().maxDecodeWaitSeconds(), 0.5);
     q.runAll();
+    EXPECT_DOUBLE_EQ(stage.xpu().fcBusySeconds(), 0.4);
+}
+
+TEST(PipelineStage, ShareAheadOfAChunkIsNeverDelayed)
+{
+    PipelineStage stage("s");
+    sim::EventQueue q;
+
+    // The share reserves the xPU first, [0, 0.4]; the chunk queued
+    // behind it neither delays it nor changes its charge.
+    double decode_done = stage.submit(q, decodeShare(0.5, 0.4, 0.1), 0.0);
+    sim::WorkItem chunk;
+    chunk.kind = sim::WorkItem::Kind::PrefillChunk;
+    chunk.seconds = 1.0;
+    double chunk_done = stage.submit(q, chunk, 0.0);
+    EXPECT_DOUBLE_EQ(decode_done, 0.5);
+    EXPECT_DOUBLE_EQ(chunk_done, 1.4);
+    EXPECT_EQ(stage.xpu().fusedShares(), 0u);
+    EXPECT_DOUBLE_EQ(stage.xpu().maxDecodeWaitSeconds(), 0.0);
+    q.runAll();
+}
+
+TEST(XpuStageDevice, TwoSharesBehindOneQueuedChunkBothFuseInOrder)
+{
+    XpuStageDevice xpu("x");
+    sim::EventQueue q;
+    sim::WorkItem a, b;
+    a.kind = b.kind = sim::WorkItem::Kind::PrefillChunk;
+    a.seconds = 1.0;
+    b.seconds = 2.0;
+    EXPECT_DOUBLE_EQ(xpu.submit(q, a, 0.0), 1.0);
+    EXPECT_DOUBLE_EQ(xpu.submit(q, b, 0.0), 3.0); // launches at 1.0
+
+    // Both shares are ready before chunk B launches (0.5 and 0.8 <=
+    // 1.0), so both launch with it and complete right after it, in
+    // queue order, each at its fused charge.
+    sim::WorkItem x = decodeShare(0.4, 0.0, 0.1);
+    sim::WorkItem y = decodeShare(0.3, 0.0, 0.2);
+    EXPECT_DOUBLE_EQ(xpu.submit(q, x, 0.5), 3.1);
+    EXPECT_DOUBLE_EQ(xpu.submit(q, y, 0.8), 3.3);
+    EXPECT_EQ(xpu.fusedShares(), 2u);
+    // Ready at 1.5, after B launched: stand-alone, [3.3, 3.7].
+    sim::WorkItem z = decodeShare(0.4, 0.0, 0.1);
+    EXPECT_DOUBLE_EQ(xpu.submit(q, z, 1.5), 3.7);
+    EXPECT_EQ(xpu.fusedShares(), 2u);
+    // A fused share waits until its own compute starts, after B.
+    EXPECT_DOUBLE_EQ(xpu.maxDecodeWaitSeconds(), 3.0 - 0.5);
+
+    q.runAll();
+    EXPECT_DOUBLE_EQ(xpu.prefillBusySeconds(), 3.0);
+    EXPECT_NEAR(xpu.fcBusySeconds(), 0.1 + 0.2 + 0.4, 1e-12);
+    EXPECT_NEAR(xpu.busySeconds(),
+                xpu.prefillBusySeconds() + xpu.fcBusySeconds(), 1e-12);
+}
+
+TEST(PipelineStage, XpuBusyIsPrefillPlusFcShare)
+{
+    // A stream of chunks and decode items, some fusing and some not:
+    // the xPU serves exactly the prefill charge plus the FC charge,
+    // a fused share at its fused charge.
+    PipelineStage stage("s");
+    sim::EventQueue q;
+    sim::WorkItem chunk;
+    chunk.kind = sim::WorkItem::Kind::PrefillChunk;
+    for (int i = 0; i < 6; ++i) {
+        double t = 2.0 * i;
+        chunk.seconds = 0.5 + 0.1 * i;
+        stage.submit(q, chunk, t);
+        // Even items are ready at the chunk's launch and fuse; odd
+        // ones arrive mid-chunk and run stand-alone after it.
+        double ready = i % 2 == 0 ? t : t + 0.2;
+        stage.submit(q, decodeShare(0.3, 0.25, 0.05), ready);
+    }
+    q.runAll();
+    const XpuStageDevice &x = stage.xpu();
+    EXPECT_EQ(x.fusedShares(), 3u);
+    EXPECT_NEAR(x.fcBusySeconds(), 3 * 0.05 + 3 * 0.25, 1e-12);
+    EXPECT_NEAR(x.prefillBusySeconds(), 6 * 0.5 + 0.1 * 15, 1e-12);
+    EXPECT_NEAR(x.busySeconds(), x.prefillBusySeconds() + x.fcBusySeconds(),
+                1e-12);
 }
 
 // --- Per-stage layer remainder. --------------------------------------
@@ -283,6 +395,47 @@ TEST(ChunkedPrefill, SmallerChunksCutDecodeStallAtSamePrefillCost)
     EXPECT_LT(fine.avgTokenGapSeconds, coarse.avgTokenGapSeconds);
 }
 
+TEST(ChunkedPrefill, ServedFcIsThePlanLessWhatFusedSharesSaved)
+{
+    auto model = LlmConfig::llm7b(true);
+    auto cluster = ClusterConfig::neupimsLike(model);
+    cluster.plan = ParallelPlan{cluster.nModules / 2, 2};
+    applyOptions(cluster, PimphonyOptions::all());
+    std::vector<Request> reqs;
+    for (RequestId i = 0; i < 16; ++i)
+        reqs.push_back({i, 20000, 16});
+    PoissonProcess arrivals(2.0);
+    auto timed = attachArrivals(reqs, arrivals, 7);
+
+    auto run = [&](Tokens chunk_tokens) {
+        EngineOptions opts;
+        opts.allocator = AllocatorKind::LazyChunk;
+        opts.prefillChunkTokens = chunk_tokens;
+        opts.chargePrefill = chunk_tokens == 0;
+        return ServingEngine(cluster, model, timed, opts).run();
+    };
+    auto plain = run(0);
+    auto chunked = run(1024);
+    ASSERT_EQ(plain.completedRequests, 16u);
+    ASSERT_EQ(chunked.completedRequests, 16u);
+
+    // Without chunks on the xPU nothing fuses, and the timelines
+    // serve exactly the planned FC charge.
+    EXPECT_EQ(plain.fusedFcShares, 0u);
+    ASSERT_GT(plain.fcSeconds, 0.0);
+    EXPECT_NEAR(plain.xpuFcBusySeconds, plain.fcSeconds,
+                1e-12 * plain.fcSeconds);
+
+    // With chunks, shares that launched with one were served at
+    // their fused charge only; prefill is served in full.
+    EXPECT_GT(chunked.fusedFcShares, 0u);
+    EXPECT_LT(chunked.xpuFcBusySeconds, chunked.fcSeconds);
+    double expected = chunked.prefillSeconds *
+                      static_cast<double>(cluster.prefillEngines()) /
+                      cluster.plan.tp;
+    EXPECT_NEAR(chunked.xpuPrefillBusySeconds, expected, 1e-9 * expected);
+}
+
 TEST(ChunkedPrefill, ChunksPipelineAcrossPpStages)
 {
     // On a PP=2 deployment a single whole-context chunk crosses the
@@ -337,9 +490,12 @@ TEST(ChunkedPrefill, PimOnlyPrefillsOnPnmWithoutTouchingDecode)
     EXPECT_EQ(chunked.completedRequests, 1u);
     EXPECT_GT(chunked.prefillSeconds, 0.0);
     EXPECT_GT(chunked.avgFirstTokenSeconds, plain.avgFirstTokenSeconds);
-    // Steady-state decode pace is untouched by PNM-side prefill.
+    // Steady-state decode pace is untouched by PNM-side prefill, and
+    // with no decode share on the PNM timeline nothing fuses.
     EXPECT_NEAR(chunked.avgTokenGapSeconds, plain.avgTokenGapSeconds,
                 1e-9);
+    EXPECT_EQ(chunked.fusedFcShares, 0u);
+    EXPECT_EQ(chunked.xpuFcBusySeconds, 0.0);
 }
 
 } // namespace

@@ -110,6 +110,8 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
     EXPECT_EQ(a.decodeOvertakes, b.decodeOvertakes);
     EXPECT_EQ(a.maxDecodeXpuWaitSeconds, b.maxDecodeXpuWaitSeconds);
     EXPECT_EQ(a.xpuPrefillBusySeconds, b.xpuPrefillBusySeconds);
+    EXPECT_EQ(a.xpuFcBusySeconds, b.xpuFcBusySeconds);
+    EXPECT_EQ(a.fusedFcShares, b.fusedFcShares);
     EXPECT_EQ(a.simEvents, b.simEvents);
 
     ASSERT_EQ(a.classLatencies.size(), b.classLatencies.size());

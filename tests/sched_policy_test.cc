@@ -3,10 +3,12 @@
  * Tests for the pluggable xPU co-scheduling subsystem: policy
  * naming/factory plumbing, the preemption re-planner, the
  * queue-arbitrated device (ordering, quantum slicing, charge
- * conservation, decode-wait bounds), the arbitrated stage join, and
- * the engine-level properties the policies exist for — DecodePriority
- * cuts the p95 decode token gap vs FIFO under bursty load,
- * ChunkPreempt bounds the worst-case decode stall by its quantum,
+ * conservation, decode-wait bounds, hybrid chunk launches), the
+ * arbitrated stage join, and the engine-level properties the policies
+ * exist for — ChunkPreempt cuts the p95 decode token gap under bursty
+ * load while FIFO's hybrid launches put its gap below
+ * DecodePriority's, ChunkPreempt bounds the worst-case decode stall
+ * by its quantum,
  * SloAdmission keeps the p95 gap under the target at the cost of
  * higher tail TTFT, and every policy conserves the planned prefill
  * charge.
@@ -310,6 +312,105 @@ TEST(PipelineStage, ArbitratedJoinGatesDecodeBehindInServiceChunk)
     EXPECT_DOUBLE_EQ(stage.xpu().busySeconds(), 1.4);
 }
 
+sim::WorkItem
+fusableDecode(double seconds, double fused, std::uint32_t tier)
+{
+    sim::WorkItem w = decodeItem(seconds);
+    w.fusedFcSeconds = fused;
+    w.tier = tier;
+    return w;
+}
+
+TEST(QueuedDevice, TierPriorityFusesALowerTierShareIntoAHigherTierChunk)
+{
+    SchedPolicyConfig cfg;
+    cfg.kind = SchedPolicyKind::TierPriority;
+    cfg.preemptQuantumSeconds = 0.5;
+    TierPriorityPolicy policy(cfg);
+    sim::EventQueue q;
+    XpuStageDevice dev("d", &policy);
+
+    double chunk_done = -1, low_done = -1, high_done = -1;
+    dev.submit(q, chunkItem(2.0), 0.0, [&](double t) { chunk_done = t; });
+    // The tier-1 share waits behind the tier-0 chunk's band through
+    // its slices; it rides the chunk's final slice (dispatched 1.7).
+    q.schedule(0.5, [&](double) {
+        dev.submit(q, fusableDecode(0.4, 0.1, 1), 0.5,
+                   [&](double t) { low_done = t; });
+    });
+    // A tier-0 share still preempts the chunk at a slice boundary;
+    // the tier-1 share, outranked by both, keeps waiting.
+    q.schedule(1.2, [&](double) {
+        dev.submit(q, fusableDecode(0.2, 0.05, 0), 1.2,
+                   [&](double t) { high_done = t; });
+    });
+    q.runAll();
+
+    // Chunk [0,1.5], tier-0 share [1.5,1.7] stand-alone (it was
+    // picked, never left waiting at a chunk launch), chunk [1.7,2.2],
+    // rider [2.2,2.3] at its fused charge.
+    EXPECT_DOUBLE_EQ(high_done, 1.7);
+    EXPECT_DOUBLE_EQ(chunk_done, 2.2);
+    EXPECT_DOUBLE_EQ(low_done, 2.3);
+    EXPECT_EQ(dev.fusedShares(), 1u);
+    EXPECT_DOUBLE_EQ(dev.prefillBusySeconds(), 2.0);
+    EXPECT_NEAR(dev.fcBusySeconds(), 0.2 + 0.1, 1e-12);
+    EXPECT_NEAR(dev.busySeconds(),
+                dev.prefillBusySeconds() + dev.fcBusySeconds(), 1e-12);
+    // The rider's own compute started when the chunk completed.
+    EXPECT_NEAR(dev.maxDecodeWaitSeconds(), 2.2 - 0.5, 1e-12);
+}
+
+TEST(QueuedDevice, DecodePriorityNeverLeavesAShareToFuse)
+{
+    SchedPolicyConfig cfg;
+    cfg.kind = SchedPolicyKind::DecodePriority;
+    DecodePriorityPolicy policy(cfg);
+    sim::EventQueue q;
+    XpuStageDevice dev("d", &policy);
+
+    double d_done = -1;
+    dev.submit(q, chunkItem(2.0), 0.0);
+    dev.submit(q, chunkItem(3.0), 0.0);
+    dev.submit(q, fusableDecode(1.0, 0.1, 0), 1.0,
+               [&](double t) { d_done = t; });
+    q.runAll();
+    // Decode is picked before chunk B launches, so it runs
+    // stand-alone [2,3] and nothing fuses.
+    EXPECT_DOUBLE_EQ(d_done, 3.0);
+    EXPECT_EQ(dev.fusedShares(), 0u);
+    EXPECT_DOUBLE_EQ(dev.fcBusySeconds(), 1.0);
+}
+
+TEST(QueuedDevice, FifoArbiterFusesAShareWaitingAtAChunkLaunch)
+{
+    // The arbitrated timeline applies the reservation timeline's
+    // launch rule: the share waiting when chunk B launches rides it.
+    SchedPolicyConfig cfg;
+    FifoPolicy policy(cfg);
+    sim::EventQueue q;
+    XpuStageDevice dev("d", &policy);
+    XpuStageDevice reserved("r");
+    sim::EventQueue rq;
+
+    double b_done = -1, d_done = -1;
+    dev.submit(q, chunkItem(2.0), 0.0);
+    dev.submit(q, chunkItem(3.0), 0.0, [&](double t) { b_done = t; });
+    dev.submit(q, fusableDecode(1.0, 0.25, 0), 1.0,
+               [&](double t) { d_done = t; });
+    q.runAll();
+    EXPECT_DOUBLE_EQ(b_done, 5.0);
+    EXPECT_DOUBLE_EQ(d_done, 5.25);
+    EXPECT_EQ(dev.fusedShares(), 1u);
+
+    reserved.submit(rq, chunkItem(2.0), 0.0);
+    reserved.submit(rq, chunkItem(3.0), 0.0);
+    EXPECT_DOUBLE_EQ(reserved.submit(rq, fusableDecode(1.0, 0.25, 0), 1.0),
+                     d_done);
+    EXPECT_EQ(reserved.fusedShares(), 1u);
+    rq.runAll();
+}
+
 // --- Engine-level policy properties. ---------------------------------
 
 EngineResult
@@ -339,7 +440,7 @@ expectPrefillConserved(const EngineResult &r,
     EXPECT_NEAR(r.xpuPrefillBusySeconds / expected, 1.0, 0.01) << tag;
 }
 
-TEST(SchedPolicyEngine, ChunkPreemptCutsP95GapWhereDecodePriorityEqualsFifo)
+TEST(SchedPolicyEngine, ChunkPreemptCutsP95GapAndFifoFusionBeatsDecodePriority)
 {
     auto model = LlmConfig::llm7b(true);
     auto cluster = ClusterConfig::neupimsLike(model);
@@ -369,12 +470,16 @@ TEST(SchedPolicyEngine, ChunkPreemptCutsP95GapWhereDecodePriorityEqualsFifo)
     ASSERT_EQ(cp.completedRequests, 32u);
 
     // Prefills run first-come-first-served, so at PP=1 no chunk ever
-    // queues behind another: decode has nothing to overtake and
-    // DecodePriority reproduces FIFO's tail (ROADMAP lists the
-    // policy for deletion).
+    // queues behind another and decode has nothing to overtake. Under
+    // FIFO a share waiting when a chunk launches rides its GEMMs;
+    // DecodePriority runs every share before the chunk it waits on,
+    // so nothing fuses and its tail is FIFO's without fusion.
     ASSERT_GT(fifo.p95TokenGapSeconds, 0.0);
     EXPECT_EQ(dp.decodeOvertakes, 0u);
-    EXPECT_EQ(dp.p95TokenGapSeconds, fifo.p95TokenGapSeconds);
+    EXPECT_GT(fifo.fusedFcShares, 0u);
+    EXPECT_EQ(dp.fusedFcShares, 0u);
+    EXPECT_EQ(cp.fusedFcShares, 0u);
+    EXPECT_LT(fifo.p95TokenGapSeconds, dp.p95TokenGapSeconds);
     // Preemption still cuts the tail: the wait is one quantum, not
     // one chunk.
     EXPECT_LT(cp.p95TokenGapSeconds, dp.p95TokenGapSeconds);

@@ -14,9 +14,10 @@ Two modes:
                             ("bench": IN's bench name) and the named
                             keys dropped. Inputs are ordered by bench
                             name, so the shell's glob order does not
-                            matter. The document is named after OUT
-                            (BENCH_paper.json -> "paper"). This builds
-                            BENCH_paper.json and BENCH_serving.json.
+                            matter. --name sets the document's bench
+                            name (default "paper"). This builds
+                            BENCH_paper.json, BENCH_paper_full.json
+                            and BENCH_serving.json.
 
 diff's messages are templates so each caller keeps its own wording:
 --ok takes {rows} (row count).
@@ -32,7 +33,6 @@ Examples:
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -66,10 +66,8 @@ def merge(args):
                   key=lambda doc: doc["bench"])
     rows = [{"bench": doc["bench"], **row}
             for doc in docs for row in doc["rows"]]
-    name = os.path.splitext(os.path.basename(args.out))[0]
-    name = name[len("BENCH_"):] if name.startswith("BENCH_") else name
     with open(args.out, "w") as f:
-        f.write('{\n  "bench": "%s",\n  "rows": [\n' % name)
+        f.write('{\n  "bench": "%s",\n  "rows": [\n' % args.name)
         f.write(",\n".join("    " + json.dumps(row) for row in rows))
         f.write("\n  ]\n}\n")
     print(f"wrote {args.out} ({len(rows)} rows from {len(docs)} benches)")
@@ -98,6 +96,8 @@ def main():
     m.add_argument("inputs", nargs="+", metavar="IN")
     m.add_argument("--strip", nargs="+", default=[], metavar="KEY",
                    help="row keys to drop before merging")
+    m.add_argument("--name", default="paper",
+                   help="bench name of the merged document")
     m.set_defaults(run=merge)
 
     args = parser.parse_args()
