@@ -5,15 +5,16 @@
  * prefill. Each stage's xPU timeline is shared between prefill
  * chunks and decode FC shares; the policy decides who goes first:
  *
- *   fifo            strict submission order (the baseline)
- *   decode-priority decode FC overtakes queued chunks
- *   chunk-preempt   + in-flight chunks preempted at a quantum
+ *   fifo            strict submission order (the baseline); a decode
+ *                   FC share waiting when a chunk launches rides it
  *   slo-admission   FIFO timeline, prefills deferred while the
  *                   observed p95 token gap exceeds a target
+ *   tier-priority   decode FC before chunks (one tier here), and
+ *                   in-flight chunks preempted at a quantum
  *
  * The interesting columns: gap p95 (the decode SLO the policies
  * protect), ttft p95 (what SLO protection costs), and max FC wait
- * (the stall bound chunk-preempt enforces). Prefill charge is
+ * (the stall bound tier-priority's quantum enforces). Prefill charge is
  * conserved by every policy — "prefill (s)" must match across the
  * policy rows of one (rate, ctx) cell.
  *

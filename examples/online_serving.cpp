@@ -31,12 +31,12 @@ namespace {
  * hard case for a decode token-gap SLO) under each co-scheduling
  * policy. Prefills run first-come-first-served, so fifo already
  * stalls a decode share behind at most one chunk, and a share waiting
- * when a chunk launches rides the chunk's GEMMs; at PP=1 no chunk
- * ever queues for decode-priority to overtake, and since it runs a
- * waiting share before the chunk, no share rides one. chunk-preempt
- * shrinks the stall to a quantum; slo-admission defers prefills
- * whenever the observed p95 gap exceeds the target, which costs
- * first-token latency but cannot shorten a one-chunk stall.
+ * when a chunk launches rides the chunk's GEMMs. tier-priority (every
+ * request is tier 0 here) runs decode first and preempts an in-flight
+ * chunk at a quantum, which shrinks the stall to that quantum at a
+ * throughput and TTFT cost; slo-admission defers prefills whenever
+ * the observed p95 gap exceeds the target, which costs first-token
+ * latency but cannot shorten a one-chunk stall.
  */
 void
 policySelection()
@@ -81,11 +81,9 @@ policySelection()
     std::printf("\nPrefills run first-come-first-served, so fifo "
                 "already caps a decode stall at one\nchunk, and a "
                 "share waiting at a chunk's launch rides its GEMMs; "
-                "decode-priority\nfinds nothing to overtake and runs "
-                "waiting shares first, so none ride a chunk;\n"
-                "chunk-preempt caps the stall at one quantum; "
-                "slo-admission defers prefills, at a\nTTFT cost, "
-                "without shortening the one-chunk stall.\n");
+                "tier-priority\n(one tier here) caps the stall at one "
+                "quantum; slo-admission defers prefills,\nat a TTFT "
+                "cost, without shortening the one-chunk stall.\n");
 }
 
 /**

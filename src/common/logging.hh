@@ -57,7 +57,7 @@ enum class FieldRange { Finite, NonNegative, Positive, Fraction };
  * fatal() unless @p value lies in @p range, naming @p field
  * ("FleetOptions::retryBackoffSeconds must be finite and >= 0 (got
  * -1)"). A Positive field only a setting uses names it as
- * @p needed_by ("chunk-preempt needs a positive <field> (got 0)").
+ * @p needed_by ("tier-priority needs a positive <field> (got 0)").
  */
 void requireField(const std::string &field, double value, FieldRange range,
                   const char *needed_by = nullptr);

@@ -215,7 +215,7 @@ struct EngineResult
     /** Admission passes whose SLO gate deferred a prefill. */
     std::uint64_t sloDeferrals = 0;
 
-    /** Preemption splits of in-flight prefill chunks (ChunkPreempt). */
+    /** Preemption splits of in-flight prefill chunks (TierPriority). */
     std::uint64_t chunkSlices = 0;
 
     /** xPU dispatches where decode overtook earlier-queued prefill. */
@@ -224,8 +224,9 @@ struct EngineResult
     /**
      * Worst xPU queueing delay of one decode FC share (seconds):
      * how long a decode cycle stalled waiting for the compute
-     * timeline. ChunkPreempt bounds this by its quantum when one
-     * decode share is in flight at a time (PP=1).
+     * timeline. TierPriority bounds this by its chunk quantum when
+     * one decode share is in flight at a time (PP=1) and every share
+     * is tier 0.
      */
     double maxDecodeXpuWaitSeconds = 0.0;
 

@@ -114,7 +114,7 @@ std::vector<double> prefillChunkSecondsFrom(const LlmConfig &model,
 
 /**
  * Preemption re-plan: the dispatch slices a quantum co-scheduling
- * policy (SchedPolicyKind::ChunkPreempt) serves one chunk's service
+ * policy (SchedPolicyKind::TierPriority) serves one chunk's service
  * charge in — full quanta followed by the remainder, matching the
  * sim core's slice arithmetic. The slices sum exactly to
  * @p chunk_seconds: preempting a chunk relocates its remaining
@@ -122,7 +122,7 @@ std::vector<double> prefillChunkSecondsFrom(const LlmConfig &model,
  * charge that fits one quantum) yields a single slice; a charge
  * <= 0 yields none.
  */
-// test oracle: QueuedDevice.ChunkPreemptStartsDecodeWithinOneQuantum
+// test oracle: QueuedDevice.ChunkSlicingStartsDecodeWithinOneQuantum
 std::vector<double> preemptionSlices(double chunk_seconds,
                                      double quantum);
 

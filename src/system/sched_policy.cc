@@ -8,11 +8,9 @@ std::string
 schedPolicyName(SchedPolicyKind kind)
 {
     switch (kind) {
-      case SchedPolicyKind::Fifo:           return "fifo";
-      case SchedPolicyKind::DecodePriority: return "decode-priority";
-      case SchedPolicyKind::ChunkPreempt:   return "chunk-preempt";
-      case SchedPolicyKind::SloAdmission:   return "slo-admission";
-      case SchedPolicyKind::TierPriority:   return "tier-priority";
+      case SchedPolicyKind::Fifo:         return "fifo";
+      case SchedPolicyKind::SloAdmission: return "slo-admission";
+      case SchedPolicyKind::TierPriority: return "tier-priority";
     }
     return "?";
 }
@@ -20,30 +18,8 @@ schedPolicyName(SchedPolicyKind kind)
 std::vector<SchedPolicyKind>
 allSchedPolicies()
 {
-    return {SchedPolicyKind::Fifo, SchedPolicyKind::DecodePriority,
-            SchedPolicyKind::ChunkPreempt, SchedPolicyKind::SloAdmission,
+    return {SchedPolicyKind::Fifo, SchedPolicyKind::SloAdmission,
             SchedPolicyKind::TierPriority};
-}
-
-std::size_t
-DecodePriorityPolicy::pickNext(
-    const std::vector<const sim::WorkItem *> &eligible) const
-{
-    // Earliest-queued decode share first; with none waiting, the
-    // earliest-queued prefill chunk (plain FIFO among chunks, so a
-    // preempted remainder resumes before later chunks).
-    for (std::size_t i = 0; i < eligible.size(); ++i)
-        if (eligible[i]->kind == sim::WorkItem::Kind::DecodeCycle)
-            return i;
-    return 0;
-}
-
-double
-ChunkPreemptPolicy::sliceSeconds(const sim::WorkItem &item) const
-{
-    if (item.kind != sim::WorkItem::Kind::PrefillChunk)
-        return 0.0;
-    return config_.preemptQuantumSeconds;
 }
 
 bool
@@ -110,9 +86,7 @@ SchedPolicyConfig::validate(const std::string &path) const
     };
     switch (kind) {
       case SchedPolicyKind::Fifo:
-      case SchedPolicyKind::DecodePriority:
         break;
-      case SchedPolicyKind::ChunkPreempt:
       case SchedPolicyKind::TierPriority:
         used("preemptQuantumSeconds", preemptQuantumSeconds);
         break;
@@ -120,6 +94,13 @@ SchedPolicyConfig::validate(const std::string &path) const
         used("sloTargetGapSeconds", sloTargetGapSeconds);
         used("sloHeadroom", sloHeadroom);
         used("sloWindow", sloWindow);
+        // A window never holds more than sloWindow samples, so a
+        // larger minimum would keep the gate open for good.
+        if (sloMinSamples > sloWindow)
+            fatal("%ssloMinSamples (%u) exceeds %ssloWindow (%u): the "
+                  "%s gate could never bind",
+                  path.c_str(), sloMinSamples, path.c_str(), sloWindow,
+                  policy.c_str());
         break;
     }
 }
@@ -131,10 +112,6 @@ makeSchedPolicy(const SchedPolicyConfig &config)
     switch (config.kind) {
       case SchedPolicyKind::Fifo:
         return std::make_unique<FifoPolicy>(config);
-      case SchedPolicyKind::DecodePriority:
-        return std::make_unique<DecodePriorityPolicy>(config);
-      case SchedPolicyKind::ChunkPreempt:
-        return std::make_unique<ChunkPreemptPolicy>(config);
       case SchedPolicyKind::SloAdmission:
         return std::make_unique<SloAdmissionPolicy>(config);
       case SchedPolicyKind::TierPriority:

@@ -12,14 +12,6 @@
  *
  *  - Fifo: strict submission order (the PR 2 behavior, and the
  *    default). The timeline keeps the plain reservation arithmetic.
- *  - DecodePriority: decode FC shares overtake *queued* prefill
- *    chunks; an in-flight chunk still runs to completion, so the
- *    worst decode stall is one whole chunk.
- *  - ChunkPreempt: DecodePriority plus quantum slicing — an
- *    in-flight prefill chunk is preempted at a configurable service
- *    quantum and its remaining charge re-queued, so a waiting decode
- *    share starts within one quantum. Slices conserve the chunk's
- *    total charge exactly.
  *  - SloAdmission: FIFO on the timeline, but admission-time gating —
  *    new prefills are deferred while the observed p95 decode token
  *    gap (over a sliding window) exceeds a target, trading TTFT for
@@ -31,7 +23,10 @@
  *    well as prefill chunks, and in-flight lower-band work is
  *    quantum-sliced so a tier inversion is bounded
  *    (tierPreemptQuantumSeconds for decode, preemptQuantumSeconds
- *    for chunks).
+ *    for chunks). On single-class traffic every item is tier 0, so
+ *    it is decode-first with in-flight chunks preempted at the
+ *    quantum: a waiting decode share starts within one quantum, and
+ *    slices conserve the chunk's total charge exactly.
  *
  * Policies are selected through EngineOptions::sched (and
  * OrchestratorConfig::sched).
@@ -51,8 +46,6 @@ namespace pimphony {
 
 enum class SchedPolicyKind : std::uint8_t {
     Fifo,
-    DecodePriority,
-    ChunkPreempt,
     SloAdmission,
     TierPriority,
 };
@@ -67,7 +60,7 @@ struct SchedPolicyConfig
     SchedPolicyKind kind = SchedPolicyKind::Fifo;
 
     /**
-     * ChunkPreempt: service quantum in seconds at which an in-flight
+     * TierPriority: service quantum in seconds at which an in-flight
      * prefill chunk is preempted. Bounds the worst-case decode FC
      * stall behind prefill at one quantum.
      */
@@ -83,7 +76,10 @@ struct SchedPolicyConfig
     /** SloAdmission: sliding window of recent token gaps. */
     unsigned sloWindow = 64;
 
-    /** SloAdmission: minimum gap samples before the gate can bind. */
+    /**
+     * SloAdmission: minimum gap samples before the gate can bind; at
+     * most sloWindow, which caps the samples a window holds.
+     */
     unsigned sloMinSamples = 8;
 
     /**
@@ -168,31 +164,6 @@ class FifoPolicy : public SchedPolicy
 {
   public:
     using SchedPolicy::SchedPolicy;
-};
-
-/** Decode FC shares overtake queued prefill chunks. */
-class DecodePriorityPolicy : public SchedPolicy
-{
-  public:
-    using SchedPolicy::SchedPolicy;
-
-    bool reordersXpu() const override { return true; }
-
-    std::size_t pickNext(
-        const std::vector<const sim::WorkItem *> &eligible)
-        const override;
-};
-
-/**
- * DecodePriority plus quantum preemption of in-flight prefill
- * chunks: a waiting decode share starts within one quantum.
- */
-class ChunkPreemptPolicy : public DecodePriorityPolicy
-{
-  public:
-    using DecodePriorityPolicy::DecodePriorityPolicy;
-
-    double sliceSeconds(const sim::WorkItem &item) const override;
 };
 
 /**

@@ -58,9 +58,8 @@ PipelineStage::pumpDecode(sim::EventQueue &queue)
         return;
     // The arbiter picks among the queued decode items too, so a
     // tier-aware policy serves a higher tier's cohort first when two
-    // cohorts queue at one stage. Policies that pick the first
-    // decode item (DecodePriority, ChunkPreempt) reduce to the FIFO
-    // pop exactly.
+    // cohorts queue at one stage. Among same-tier items TierPriority
+    // picks the first, which is the FIFO pop exactly.
     std::size_t pick = 0;
     if (decodeQ_.size() > 1) {
         decodeEligible_.clear();

@@ -87,7 +87,7 @@ runConfigD()
     EngineOptions opts;
     opts.allocator = AllocatorKind::LazyChunk;
     opts.prefillChunkTokens = 2048;
-    opts.sched.kind = SchedPolicyKind::ChunkPreempt;
+    opts.sched.kind = SchedPolicyKind::TierPriority;
     return ServingEngine(cluster, model, timed, opts).run();
 }
 
@@ -145,8 +145,11 @@ TEST(EngineGolden, EventDrivenPp2SloAdmission)
     EXPECT_EQ(r.sloDeferrals, 315u);
 }
 
-TEST(EngineGolden, EventDrivenChunkPreempt)
+TEST(EngineGolden, EventDrivenTierPriority)
 {
+    // Every item of this single-class trace is tier 0, so
+    // tier-priority runs decode first and slices chunks at the
+    // quantum.
     auto r = runConfigD();
     EXPECT_DOUBLE_EQ(r.tokensPerSecond, 0x1.ac69c8d7c69eep+3);
     EXPECT_DOUBLE_EQ(r.simulatedSeconds, 0x1.caebe19eb91a8p+3);

@@ -1183,7 +1183,7 @@ TEST(OptionsDeathTest, EveryBadEngineValueNamesItsField)
         std::function<void(SchedPolicyConfig &)> zero;
     };
     const std::vector<PolicyCase> used = {
-        {SchedPolicyKind::ChunkPreempt, "preemptQuantumSeconds",
+        {SchedPolicyKind::TierPriority, "preemptQuantumSeconds",
          [](SchedPolicyConfig &c) { c.preemptQuantumSeconds = 0.0; }},
         {SchedPolicyKind::TierPriority, "preemptQuantumSeconds",
          [](SchedPolicyConfig &c) { c.preemptQuantumSeconds = -1.0; }},
@@ -1202,6 +1202,11 @@ TEST(OptionsDeathTest, EveryBadEngineValueNamesItsField)
                                   " needs a positive EngineOptions::sched\\.";
         EXPECT_DEATH(enter(o), needs + c.field) << c.field;
     }
+    EngineOptions few = testEngineOptions();
+    few.sched.kind = SchedPolicyKind::SloAdmission;
+    few.sched.sloMinSamples = few.sched.sloWindow + 1;
+    EXPECT_DEATH(enter(few), "EngineOptions::sched\\.sloMinSamples .* "
+                             "exceeds EngineOptions::sched\\.sloWindow");
 
     EngineOptions twice = testEngineOptions();
     twice.tenantBudgets = {{3, 0.25}, {3, 0.25}};

@@ -3,15 +3,14 @@
  * Tests for the pluggable xPU co-scheduling subsystem: policy
  * naming/factory plumbing, the preemption re-planner, the
  * queue-arbitrated device (ordering, quantum slicing, charge
- * conservation, decode-wait bounds, hybrid chunk launches), the
- * arbitrated stage join, and the engine-level properties the policies
- * exist for — ChunkPreempt cuts the p95 decode token gap under bursty
- * load while FIFO's hybrid launches put its gap below
- * DecodePriority's, ChunkPreempt bounds the worst-case decode stall
- * by its quantum,
- * SloAdmission keeps the p95 gap under the target at the cost of
- * higher tail TTFT, and every policy conserves the planned prefill
- * charge.
+ * conservation, decode-wait bounds, hybrid chunk launches) and the
+ * arbitrated stage join, partly driven by a test-local decode-first
+ * arbiter, and the engine-level properties the policies exist for — TierPriority cuts
+ * the p95 decode token gap below FIFO's over a grid of loads and
+ * bounds the worst-case decode stall by its quantum while FIFO's
+ * hybrid launches fuse shares into chunks, SloAdmission's gate idles
+ * where FIFO holds the target, and every policy conserves the planned
+ * prefill charge.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +43,7 @@ TEST(SchedPolicy, FactoryKindsAndNames)
         EXPECT_EQ(policy->kind(), kind);
         EXPECT_EQ(policy->name(), schedPolicyName(kind));
     }
+    EXPECT_EQ(allSchedPolicies().size(), 3u);
 }
 
 TEST(SchedPolicy, OnlyPriorityPoliciesReorderTheTimeline)
@@ -53,9 +53,7 @@ TEST(SchedPolicy, OnlyPriorityPoliciesReorderTheTimeline)
     EXPECT_FALSE(makeSchedPolicy(cfg)->reordersXpu());
     cfg.kind = SchedPolicyKind::SloAdmission;
     EXPECT_FALSE(makeSchedPolicy(cfg)->reordersXpu());
-    cfg.kind = SchedPolicyKind::DecodePriority;
-    EXPECT_TRUE(makeSchedPolicy(cfg)->reordersXpu());
-    cfg.kind = SchedPolicyKind::ChunkPreempt;
+    cfg.kind = SchedPolicyKind::TierPriority;
     EXPECT_TRUE(makeSchedPolicy(cfg)->reordersXpu());
 }
 
@@ -115,10 +113,22 @@ TEST(SchedPolicy, RejectsInvalidConfigNamingTheField)
     EXPECT_DEATH(makeSchedPolicy(cfg),
                  "positive SchedPolicyConfig::sloTargetGapSeconds");
     cfg = SchedPolicyConfig{};
-    cfg.kind = SchedPolicyKind::ChunkPreempt;
+    cfg.kind = SchedPolicyKind::TierPriority;
     cfg.preemptQuantumSeconds = 0.0;
     EXPECT_DEATH(makeSchedPolicy(cfg),
-                 "chunk-preempt needs a positive .*::preemptQuantumSeconds");
+                 "tier-priority needs a positive .*::preemptQuantumSeconds");
+
+    // A window holds at most sloWindow gaps, so a larger minimum
+    // would keep the gate open for good.
+    cfg = SchedPolicyConfig{};
+    cfg.kind = SchedPolicyKind::SloAdmission;
+    cfg.sloWindow = 64;
+    cfg.sloMinSamples = 65;
+    EXPECT_DEATH(makeSchedPolicy(cfg),
+                 "SchedPolicyConfig::sloMinSamples \\(65\\) exceeds "
+                 "SchedPolicyConfig::sloWindow \\(64\\)");
+    cfg.sloMinSamples = 64;
+    EXPECT_NE(makeSchedPolicy(cfg), nullptr);
 
     // A non-positive tier quantum stays the documented "off", and a
     // field the policy ignores need not be positive.
@@ -128,6 +138,7 @@ TEST(SchedPolicy, RejectsInvalidConfigNamingTheField)
     EXPECT_NE(makeSchedPolicy(cfg), nullptr);
     cfg = SchedPolicyConfig{};
     cfg.sloWindow = 0;
+    cfg.sloMinSamples = 1000;
     EXPECT_NE(makeSchedPolicy(cfg), nullptr);
 }
 
@@ -174,6 +185,41 @@ decodeItem(double seconds)
     return w;
 }
 
+/**
+ * Decode before chunks, FIFO inside each kind, and chunks sliced at
+ * @p chunk_quantum (<= 0: unsliced): the single-class order the
+ * device mechanism tests below drive the QueuedDevice with.
+ */
+class DecodeFirstArbiter : public sim::QueueArbiter
+{
+  public:
+    explicit DecodeFirstArbiter(double chunk_quantum = 0.0)
+        : chunkQuantum_(chunk_quantum)
+    {
+    }
+
+    std::size_t
+    pickNext(const std::vector<const sim::WorkItem *> &eligible)
+        const override
+    {
+        for (std::size_t i = 0; i < eligible.size(); ++i)
+            if (eligible[i]->kind == sim::WorkItem::Kind::DecodeCycle)
+                return i;
+        return 0;
+    }
+
+    double
+    sliceSeconds(const sim::WorkItem &item) const override
+    {
+        return item.kind == sim::WorkItem::Kind::PrefillChunk
+                   ? chunkQuantum_
+                   : 0.0;
+    }
+
+  private:
+    double chunkQuantum_;
+};
+
 TEST(QueuedDevice, NullArbiterKeepsReservationTimeline)
 {
     sim::EventQueue q;
@@ -214,13 +260,11 @@ TEST(QueuedDevice, FifoArbiterIsWorkConserving)
     EXPECT_EQ(dev.completedItems(), 3u);
 }
 
-TEST(QueuedDevice, DecodePriorityOvertakesQueuedChunks)
+TEST(QueuedDevice, DecodeFirstArbiterOvertakesQueuedChunks)
 {
-    SchedPolicyConfig cfg;
-    cfg.kind = SchedPolicyKind::DecodePriority;
-    DecodePriorityPolicy policy(cfg);
+    DecodeFirstArbiter arbiter;
     sim::EventQueue q;
-    sim::QueuedDevice dev("d", &policy);
+    sim::QueuedDevice dev("d", &arbiter);
 
     double b_done = -1, d_done = -1;
     dev.submit(q, chunkItem(2.0), 0.0);
@@ -251,14 +295,11 @@ class CapturingDevice : public sim::QueuedDevice
     }
 };
 
-TEST(QueuedDevice, ChunkPreemptStartsDecodeWithinOneQuantum)
+TEST(QueuedDevice, ChunkSlicingStartsDecodeWithinOneQuantum)
 {
-    SchedPolicyConfig cfg;
-    cfg.kind = SchedPolicyKind::ChunkPreempt;
-    cfg.preemptQuantumSeconds = 0.5;
-    ChunkPreemptPolicy policy(cfg);
+    DecodeFirstArbiter arbiter(0.5);
     sim::EventQueue q;
-    CapturingDevice dev("d", &policy);
+    CapturingDevice dev("d", &arbiter);
 
     double chunk_done = -1, d_done = -1;
     dev.submit(q, chunkItem(10.0), 0.0, [&](double t) { chunk_done = t; });
@@ -290,10 +331,8 @@ TEST(QueuedDevice, ChunkPreemptStartsDecodeWithinOneQuantum)
 
 TEST(PipelineStage, ArbitratedJoinGatesDecodeBehindInServiceChunk)
 {
-    SchedPolicyConfig cfg;
-    cfg.kind = SchedPolicyKind::DecodePriority;
-    DecodePriorityPolicy policy(cfg);
-    PipelineStage stage("s", &policy);
+    DecodeFirstArbiter arbiter;
+    PipelineStage stage("s", &arbiter);
     sim::EventQueue q;
 
     stage.submit(q, chunkItem(1.0), 0.0);
@@ -361,13 +400,11 @@ TEST(QueuedDevice, TierPriorityFusesALowerTierShareIntoAHigherTierChunk)
     EXPECT_NEAR(dev.maxDecodeWaitSeconds(), 2.2 - 0.5, 1e-12);
 }
 
-TEST(QueuedDevice, DecodePriorityNeverLeavesAShareToFuse)
+TEST(QueuedDevice, DecodeFirstArbiterNeverLeavesAShareToFuse)
 {
-    SchedPolicyConfig cfg;
-    cfg.kind = SchedPolicyKind::DecodePriority;
-    DecodePriorityPolicy policy(cfg);
+    DecodeFirstArbiter arbiter;
     sim::EventQueue q;
-    XpuStageDevice dev("d", &policy);
+    XpuStageDevice dev("d", &arbiter);
 
     double d_done = -1;
     dev.submit(q, chunkItem(2.0), 0.0);
@@ -440,68 +477,58 @@ expectPrefillConserved(const EngineResult &r,
     EXPECT_NEAR(r.xpuPrefillBusySeconds / expected, 1.0, 0.01) << tag;
 }
 
-TEST(SchedPolicyEngine, ChunkPreemptCutsP95GapAndFifoFusionBeatsDecodePriority)
+TEST(SchedPolicyEngine, TierPriorityCutsP95GapBelowFifoOverALoadGrid)
 {
+    // bench_sched_policies' full grid: 24 requests of 48 decode
+    // tokens on bursty (gamma cv 3) arrivals, 2048-token chunks.
     auto model = LlmConfig::llm7b(true);
     auto cluster = ClusterConfig::neupimsLike(model);
     applyOptions(cluster, PimphonyOptions::all());
 
-    std::vector<Request> reqs;
-    for (RequestId i = 0; i < 32; ++i)
-        reqs.push_back({i, 30000, 64});
-    OnOffTraffic traffic;
-    traffic.onRate = 4.0;
-    traffic.offRate = 0.0;
-    traffic.meanOnSeconds = 2.0;
-    traffic.meanOffSeconds = 4.0;
-    OnOffProcess arrivals(traffic);
-    auto timed = attachArrivals(reqs, arrivals, 17);
+    for (Tokens ctx : {Tokens(8000), Tokens(30000), Tokens(60000)}) {
+        for (double rate : {0.8, 1.2, 1.6}) {
+            std::vector<Request> reqs;
+            for (RequestId i = 0; i < 24; ++i)
+                reqs.push_back({i, ctx, 48});
+            GammaProcess arrivals(rate, 3.0);
+            auto timed = attachArrivals(reqs, arrivals, 17);
+            SCOPED_TRACE("ctx " + std::to_string(ctx) + " rate " +
+                         std::to_string(rate));
 
-    SchedPolicyConfig sched;
-    sched.kind = SchedPolicyKind::Fifo;
-    auto fifo = runPolicy(cluster, model, timed, 2048, sched);
-    sched.kind = SchedPolicyKind::DecodePriority;
-    auto dp = runPolicy(cluster, model, timed, 2048, sched);
-    sched.kind = SchedPolicyKind::ChunkPreempt;
-    auto cp = runPolicy(cluster, model, timed, 2048, sched);
+            SchedPolicyConfig sched;
+            sched.kind = SchedPolicyKind::Fifo;
+            auto fifo = runPolicy(cluster, model, timed, 2048, sched);
+            sched.kind = SchedPolicyKind::TierPriority;
+            auto tp = runPolicy(cluster, model, timed, 2048, sched);
+            ASSERT_EQ(fifo.completedRequests, 24u);
+            ASSERT_EQ(tp.completedRequests, 24u);
 
-    ASSERT_EQ(fifo.completedRequests, 32u);
-    ASSERT_EQ(dp.completedRequests, 32u);
-    ASSERT_EQ(cp.completedRequests, 32u);
+            // FIFO stalls a decode share behind at most one whole
+            // chunk; tier-priority (every item tier 0) runs decode
+            // first and slices in-flight chunks, so the stall is one
+            // quantum and the gap tail falls below FIFO's.
+            ASSERT_GT(fifo.p95TokenGapSeconds, 0.0);
+            EXPECT_LT(tp.p95TokenGapSeconds, fifo.p95TokenGapSeconds);
+            EXPECT_EQ(fifo.chunkSlices, 0u);
+            EXPECT_GT(tp.chunkSlices, 0u);
 
-    // Prefills run first-come-first-served, so at PP=1 no chunk ever
-    // queues behind another and decode has nothing to overtake. Under
-    // FIFO a share waiting when a chunk launches rides its GEMMs;
-    // DecodePriority runs every share before the chunk it waits on,
-    // so nothing fuses and its tail is FIFO's without fusion.
-    ASSERT_GT(fifo.p95TokenGapSeconds, 0.0);
-    EXPECT_EQ(dp.decodeOvertakes, 0u);
-    EXPECT_GT(fifo.fusedFcShares, 0u);
-    EXPECT_EQ(dp.fusedFcShares, 0u);
-    EXPECT_EQ(cp.fusedFcShares, 0u);
-    EXPECT_LT(fifo.p95TokenGapSeconds, dp.p95TokenGapSeconds);
-    // Preemption still cuts the tail: the wait is one quantum, not
-    // one chunk.
-    EXPECT_LT(cp.p95TokenGapSeconds, dp.p95TokenGapSeconds);
+            // Under FIFO a share waiting when a chunk launches rides
+            // its GEMMs. Tier-priority picks a waiting tier-0 share
+            // before the chunk, so none is left waiting to ride.
+            EXPECT_GT(fifo.fusedFcShares, 0u);
+            EXPECT_EQ(tp.fusedFcShares, 0u);
 
-    // Only the quantum policy split chunks.
-    EXPECT_EQ(dp.chunkSlices, 0u);
-    EXPECT_GT(cp.chunkSlices, 0u);
-    EXPECT_EQ(fifo.chunkSlices, 0u);
-    EXPECT_EQ(fifo.sloDeferrals, 0u);
-
-    // Same admissions, same charge: chunking policies must not
-    // change what prefill costs, only where it sits in time.
-    EXPECT_NEAR(dp.prefillSeconds, fifo.prefillSeconds,
-                1e-9 * fifo.prefillSeconds);
-    EXPECT_NEAR(cp.prefillSeconds, fifo.prefillSeconds,
-                1e-9 * fifo.prefillSeconds);
-    expectPrefillConserved(fifo, cluster, "fifo");
-    expectPrefillConserved(dp, cluster, "decode-priority");
-    expectPrefillConserved(cp, cluster, "chunk-preempt");
+            // Same admissions, same charge: a policy moves prefill in
+            // time but never changes what it costs.
+            EXPECT_NEAR(tp.prefillSeconds, fifo.prefillSeconds,
+                        1e-9 * fifo.prefillSeconds);
+            expectPrefillConserved(fifo, cluster, "fifo");
+            expectPrefillConserved(tp, cluster, "tier-priority");
+        }
+    }
 }
 
-TEST(SchedPolicyEngine, ChunkPreemptBoundsDecodeStallByQuantum)
+TEST(SchedPolicyEngine, TierPriorityBoundsDecodeStallByQuantum)
 {
     auto model = LlmConfig::llm7b(true);
     auto cluster = ClusterConfig::neupimsLike(model);
@@ -520,22 +547,22 @@ TEST(SchedPolicyEngine, ChunkPreemptBoundsDecodeStallByQuantum)
     auto timed = attachArrivals(reqs, arrivals, 17);
 
     SchedPolicyConfig sched;
-    sched.kind = SchedPolicyKind::ChunkPreempt;
+    sched.kind = SchedPolicyKind::TierPriority;
     sched.preemptQuantumSeconds = 2e-3;
-    auto cp = runPolicy(cluster, model, timed, 2048, sched);
-    sched.kind = SchedPolicyKind::DecodePriority;
-    auto dp = runPolicy(cluster, model, timed, 2048, sched);
+    auto tp = runPolicy(cluster, model, timed, 2048, sched);
+    sched.kind = SchedPolicyKind::Fifo;
+    auto fifo = runPolicy(cluster, model, timed, 2048, sched);
 
-    ASSERT_EQ(cp.completedRequests, 32u);
-    ASSERT_GT(cp.chunkSlices, 0u);
+    ASSERT_EQ(tp.completedRequests, 32u);
+    ASSERT_GT(tp.chunkSlices, 0u);
     // The worst decode stall behind prefill is one quantum (plus at
     // most one device cycle of slack); without preemption it is one
     // whole chunk — many quanta.
     double cycle = cluster.module.timing.secondsPerCycle();
-    EXPECT_LE(cp.maxDecodeXpuWaitSeconds,
+    EXPECT_LE(tp.maxDecodeXpuWaitSeconds,
               sched.preemptQuantumSeconds + cycle + 1e-12);
-    EXPECT_GT(cp.maxDecodeXpuWaitSeconds, 0.0);
-    EXPECT_GT(dp.maxDecodeXpuWaitSeconds,
+    EXPECT_GT(tp.maxDecodeXpuWaitSeconds, 0.0);
+    EXPECT_GT(fifo.maxDecodeXpuWaitSeconds,
               5.0 * sched.preemptQuantumSeconds);
 }
 

@@ -239,7 +239,7 @@ TEST(SmallFn, DecodePathIsCallbackAllocationFree)
     auto model = LlmConfig::llm7b(true);
     for (SchedPolicyKind kind :
          {SchedPolicyKind::Fifo, SchedPolicyKind::SloAdmission,
-          SchedPolicyKind::ChunkPreempt}) {
+          SchedPolicyKind::TierPriority}) {
         auto cluster = ClusterConfig::neupimsLike(model);
         cluster.plan = ParallelPlan{cluster.nModules / 4, 4};
         applyOptions(cluster, PimphonyOptions::all());

@@ -572,7 +572,7 @@ TEST(SloClassesEngine, DefaultClassNoBudgetsIsBitIdentical)
         t.request.cls = RequestClass{};
 
     for (SchedPolicyKind kind :
-         {SchedPolicyKind::Fifo, SchedPolicyKind::ChunkPreempt,
+         {SchedPolicyKind::Fifo, SchedPolicyKind::TierPriority,
           SchedPolicyKind::SloAdmission}) {
         SchedPolicyConfig sched;
         sched.kind = kind;
