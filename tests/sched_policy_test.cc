@@ -26,6 +26,7 @@
 #include "system/sched_policy.hh"
 #include "system/stage_device.hh"
 #include "core/orchestrator.hh"
+#include "test_arbiters.hh"
 #include "workload/arrival.hh"
 
 namespace pimphony {
@@ -184,41 +185,6 @@ decodeItem(double seconds)
     w.seconds = seconds;
     return w;
 }
-
-/**
- * Decode before chunks, FIFO inside each kind, and chunks sliced at
- * @p chunk_quantum (<= 0: unsliced): the single-class order the
- * device mechanism tests below drive the QueuedDevice with.
- */
-class DecodeFirstArbiter : public sim::QueueArbiter
-{
-  public:
-    explicit DecodeFirstArbiter(double chunk_quantum = 0.0)
-        : chunkQuantum_(chunk_quantum)
-    {
-    }
-
-    std::size_t
-    pickNext(const std::vector<const sim::WorkItem *> &eligible)
-        const override
-    {
-        for (std::size_t i = 0; i < eligible.size(); ++i)
-            if (eligible[i]->kind == sim::WorkItem::Kind::DecodeCycle)
-                return i;
-        return 0;
-    }
-
-    double
-    sliceSeconds(const sim::WorkItem &item) const override
-    {
-        return item.kind == sim::WorkItem::Kind::PrefillChunk
-                   ? chunkQuantum_
-                   : 0.0;
-    }
-
-  private:
-    double chunkQuantum_;
-};
 
 TEST(QueuedDevice, NullArbiterKeepsReservationTimeline)
 {
