@@ -8,7 +8,7 @@
  *   fifo            strict submission order (the baseline); a decode
  *                   FC share waiting when a chunk launches rides it
  *   slo-admission   FIFO timeline, prefills deferred while the
- *                   observed p95 token gap exceeds a target
+ *                   observed p95 token gap exceeds 0.7 x a target
  *   tier-priority   decode FC before chunks (one tier here), and
  *                   in-flight chunks preempted at a quantum
  *

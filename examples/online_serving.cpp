@@ -146,11 +146,12 @@ requestClasses()
                     to.budgetShare * 1e2, to.avgTokenShare * 1e2,
                     to.peakTokenShare * 1e2);
     std::printf("\ndecode-side preemption sliced lower-tier work %llu "
-                "times (charge conserved);\ntier inversions observed: "
-                "%llu, worst inversion wait %.1f ms\n",
+                "times and chunks %llu times\n(%.0f ms quanta, charge "
+                "conserved); worst decode FC wait %.1f ms\n",
                 static_cast<unsigned long long>(r.decodePreemptSlices),
-                static_cast<unsigned long long>(r.tierInversions),
-                r.maxTierInversionWaitSeconds * 1e3);
+                static_cast<unsigned long long>(r.chunkSlices),
+                kTierPreemptQuantumSeconds * 1e3,
+                r.maxDecodeXpuWaitSeconds * 1e3);
 }
 
 /**

@@ -159,7 +159,8 @@ QueuedDevice::pump(EventQueue &queue)
 
         std::size_t pick = arbiter_->pickNext(eligible);
         if (pick >= eligible.size())
-            pick = 0;
+            panic("%s: arbiter picked item %zu of %zu eligible",
+                  name().c_str(), pick, eligible.size());
         if (pick != 0)
             ++overtakes_; // jumped at least one earlier-queued item
         at = index[pick];
@@ -174,27 +175,12 @@ QueuedDevice::pump(EventQueue &queue)
         eligibleScratch_.size() > 1)
         fuseWaitingShares(p.seq);
 
-    if (p.item.kind == WorkItem::Kind::DecodeCycle) {
-        // Wait metrics are recorded only on an item's FIRST dispatch:
-        // a quantum-sliced decode item's resumes would otherwise
-        // count its own earlier service as queueing delay.
-        if (p.item.servedSeconds == 0.0) {
-            double wait = now - p.ready;
-            maxDecodeWait_ = std::max(maxDecodeWait_, wait);
-            // A decode item that waited while the previous dispatch
-            // was decode work of a worse tier sat in a tier
-            // inversion; tier-aware quantum slicing bounds this wait.
-            if (wait > 0.0 && lastWasDecode_ &&
-                lastDecodeTier_ > p.item.tier) {
-                ++tierInversions_;
-                maxTierInvWait_ = std::max(maxTierInvWait_, wait);
-            }
-        }
-        lastWasDecode_ = true;
-        lastDecodeTier_ = p.item.tier;
-    } else {
-        lastWasDecode_ = false;
-    }
+    // Wait metrics are recorded only on an item's FIRST dispatch: a
+    // quantum-sliced decode item's resumes would otherwise count its
+    // own earlier service as queueing delay.
+    if (p.item.kind == WorkItem::Kind::DecodeCycle &&
+        p.item.servedSeconds == 0.0)
+        maxDecodeWait_ = std::max(maxDecodeWait_, now - p.ready);
 
     inService_ = true;
     serviceSeq_ = p.seq;

@@ -98,8 +98,8 @@ class Device
 
 /**
  * Arbitration hooks for a QueuedDevice. The sim layer defines only
- * the mechanism (pick + slice); the serving policies implementing it
- * live in system/sched_policy.
+ * the mechanism (pick + slice); the serving engine's arbiter,
+ * TierPriorityArbiter, lives in system/sched_policy.
  */
 class QueueArbiter
 {
@@ -109,8 +109,8 @@ class QueueArbiter
     /**
      * Pick the next item to dispatch. @p eligible holds the queued
      * items whose ready time has passed, in submission (FIFO) order;
-     * it is never empty. @return an index into @p eligible. The
-     * default is FIFO (index 0).
+     * it is never empty. @return an index into @p eligible (a device
+     * panics on any other value). The default is FIFO (index 0).
      */
     virtual std::size_t
     pickNext(const std::vector<const WorkItem *> &eligible) const
@@ -195,20 +195,6 @@ class QueuedDevice : public Device
     std::uint64_t fusedShares() const { return fused_; }
 
     /**
-     * Tier inversions observed at dispatch time: a DecodeCycle item
-     * started after waiting, and the dispatch immediately before it
-     * was a decode item of a strictly worse (numerically greater)
-     * tier — the occupant the waiter was inverted behind.
-     * Tier-aware slicing bounds the wait of each such inversion (see
-     * maxTierInversionWaitSeconds); a FIFO arbiter lets it grow to a
-     * whole service.
-     */
-    std::uint64_t tierInversions() const { return tierInversions_; }
-
-    /** Worst queueing delay among the tier inversions counted above. */
-    double maxTierInversionWaitSeconds() const { return maxTierInvWait_; }
-
-    /**
      * Worst queueing delay (start - ready) of a DecodeCycle-kind
      * item, i.e. the longest a decode share stalled behind other
      * work on this timeline, in both modes. A fused share starts its
@@ -260,11 +246,7 @@ class QueuedDevice : public Device
     std::size_t riders_ = 0;
     /** Reservation mode: start of the last reserved chunk. */
     double lastChunkStart_ = -1.0;
-    std::uint64_t tierInversions_ = 0;
     double maxDecodeWait_ = 0.0;
-    double maxTierInvWait_ = 0.0;
-    bool lastWasDecode_ = false;
-    std::uint32_t lastDecodeTier_ = 0;
 };
 
 } // namespace sim

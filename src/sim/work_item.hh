@@ -86,9 +86,9 @@ struct WorkItem
      * Latency tier of the work (0 = most latency-sensitive, the
      * default). Decode cycles carry the best (lowest) tier of their
      * cohort's members; prefill chunks carry their request's tier.
-     * Tier-aware arbiters serve lower values first and may slice a
-     * lower-tier in-flight item to bound how long a higher tier is
-     * inverted behind it.
+     * Only an arbiter reads it: the tier-priority arbiter
+     * (system/sched_policy) serves lower values first and slices a
+     * lower-tier in-flight decode item at a quantum.
      */
     std::uint32_t tier = 0;
 };

@@ -33,12 +33,12 @@ Admission::Admission(const LlmConfig &model, const ClusterConfig &cluster,
 }
 
 void
-Admission::prepare(const SchedPolicy &policy)
+Admission::prepare()
 {
     // A single-class workload is tier 0 at the policy-wide target:
     // with one tier, "tier 0 decodes" means "anything decodes".
-    policy_ = &policy;
-    gated_ = options_.prefillChunkTokens > 0 && policy.needsGapSignal();
+    gated_ = options_.prefillChunkTokens > 0 &&
+             options_.sched.kind == SchedPolicyKind::SloAdmission;
     if (!gated_)
         return;
     if (!classesActive_)
@@ -146,13 +146,16 @@ Admission::gateTier(const std::vector<unsigned> &decoding) const
         return kGateOpen;
     for (const auto &kv : tiers_) {
         const TierState &ts = kv.second;
-        if (!ts.window)
+        if (!ts.window || ts.window->size() < kSloMinSamples)
             continue;
+        // The gate binds only while the tier decodes: with nothing
+        // decoding there is no SLO pressure, and a binding gate would
+        // deadlock admission (no event could ever clear it).
         bool decodes = !decoding.empty(); // one tier: anything decodes
         if (classesActive_)
             decodes = std::count(decoding.begin(), decoding.end(), kv.first);
-        if (!policy_->admitPrefillAt(ts.window->value(), ts.window->size(),
-                                     decodes, ts.row.gapSloTargetSeconds))
+        if (decodes &&
+            ts.window->value() > kSloHeadroom * ts.row.gapSloTargetSeconds)
             return kv.first;
     }
     return kGateOpen;

@@ -104,10 +104,10 @@ class Admission
      */
     template <typename ForEach> void declare(ForEach for_each);
 
-    /** Attach the run's policy. With chunked prefill and a policy
-     *  steering on the gap signal, every tier gets its gate window
-     *  (a single-class workload is tier 0 at sloTargetGapSeconds). */
-    void prepare(const SchedPolicy &policy);
+    /** Arm the SLO gate. With chunked prefill under SloAdmission,
+     *  every tier gets its gate window (a single-class workload is
+     *  tier 0 at sloTargetGapSeconds). */
+    void prepare();
 
     /** Count a delivered request into its tier; touch its tenant. */
     void registerArrival(const Request &r);
@@ -246,7 +246,6 @@ class Admission
     KvAllocator &allocator_;
     PrefixCache *cache_ = nullptr;
     EngineResult &result_;
-    const SchedPolicy *policy_ = nullptr;
 
     std::deque<TimedRequest> queue_;
 

@@ -32,7 +32,7 @@ struct ServingEngine::EventCohort
 struct ServingEngine::EventRun
 {
     sim::EventQueue queue;
-    std::unique_ptr<SchedPolicy> policy;
+    TierPriorityArbiter tierArbiter;
     std::unique_ptr<StageDeviceSet> stages;
 
     unsigned pp = 1;
@@ -750,16 +750,17 @@ ServingEngine::prepare()
     ev.spc = cluster_.module.timing.secondsPerCycle();
     ev.chunked = options_.prefillChunkTokens > 0;
 
-    // Co-scheduling policy: arbitration of the xPU timelines (FIFO
-    // policies keep the plain reservation arithmetic) plus the SLO
-    // admission gate.
-    ev.policy = makeSchedPolicy(options_.sched);
-    admission_->prepare(*ev.policy);
+    // Co-scheduling policy: the SLO admission gate, and arbitration
+    // of the xPU timelines under tier-priority (the other policies
+    // keep the plain reservation arithmetic).
+    admission_->prepare();
     // Every stage carries an xPU timeline: in XpuPim mode it serves
     // decode FC shares and prefill chunks; in PimOnly mode only the
     // prefill chunks (the PNM compute engines) land there.
     ev.stages = std::make_unique<StageDeviceSet>(
-        ev.pp, ev.policy->reordersXpu() ? ev.policy.get() : nullptr);
+        ev.pp, options_.sched.kind == SchedPolicyKind::TierPriority
+                   ? &ev.tierArbiter
+                   : nullptr);
     ev.readyPool.reserve(pending_.size());
 
     // The constructor's sorted trace becomes the pending-arrival
@@ -1046,10 +1047,6 @@ ServingEngine::finalize()
                                x.decodePreemptionSlices();
         result_.decodePreemptSlices += x.decodePreemptionSlices();
         result_.decodeOvertakes += x.overtakes();
-        result_.tierInversions += x.tierInversions();
-        result_.maxTierInversionWaitSeconds =
-            std::max(result_.maxTierInversionWaitSeconds,
-                     x.maxTierInversionWaitSeconds());
         result_.maxDecodeXpuWaitSeconds =
             std::max(result_.maxDecodeXpuWaitSeconds,
                      x.maxDecodeWaitSeconds());

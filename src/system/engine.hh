@@ -322,17 +322,6 @@ struct EngineResult
     /** Admission attempts deferred by tenant budgets (all tenants). */
     std::uint64_t budgetDeferrals = 0;
 
-    /**
-     * Tier inversions observed on the xPU timelines: a decode share
-     * dispatched after waiting behind a worse-tier decode share (see
-     * sim::QueuedDevice::tierInversions). Tier-aware preemption
-     * bounds each inversion's wait by its quantum.
-     */
-    std::uint64_t tierInversions = 0;
-
-    /** Worst tier-inversion wait (seconds) across the timelines. */
-    double maxTierInversionWaitSeconds = 0.0;
-
     /** Decode-side preemption splits (lower-tier in-flight decode
      *  items sliced by a tier-aware policy; charge conserved). */
     std::uint64_t decodePreemptSlices = 0;

@@ -90,7 +90,6 @@ foldReplica(EngineResult &agg, EngineResult &r)
     agg.chunkSlices += r.chunkSlices;
     agg.decodeOvertakes += r.decodeOvertakes;
     agg.decodePreemptSlices += r.decodePreemptSlices;
-    agg.tierInversions += r.tierInversions;
     agg.budgetDeferrals += r.budgetDeferrals;
     agg.prefixHits += r.prefixHits;
     agg.prefixMisses += r.prefixMisses;
@@ -115,8 +114,6 @@ foldReplica(EngineResult &agg, EngineResult &r)
         std::max(agg.simulatedSeconds, r.simulatedSeconds);
     agg.maxDecodeXpuWaitSeconds = std::max(agg.maxDecodeXpuWaitSeconds,
                                            r.maxDecodeXpuWaitSeconds);
-    agg.maxTierInversionWaitSeconds = std::max(
-        agg.maxTierInversionWaitSeconds, r.maxTierInversionWaitSeconds);
 
     agg.requestLatencyRuns.absorb(std::move(r.requestLatencyRuns));
     agg.firstTokenRuns.absorb(std::move(r.firstTokenRuns));

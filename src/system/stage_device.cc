@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/logging.hh"
+
 namespace pimphony {
 
 PipelineStage::PipelineStage(std::string name,
@@ -67,7 +69,8 @@ PipelineStage::pumpDecode(sim::EventQueue &queue)
             decodeEligible_.push_back(&decodeQ_.at(i).item);
         pick = arbiter_->pickNext(decodeEligible_);
         if (pick >= decodeQ_.size())
-            pick = 0;
+            panic("%s: arbiter picked decode item %zu of %zu queued",
+                  name().c_str(), pick, decodeQ_.size());
     }
     DecodeEntry e = decodeQ_.takeAt(pick);
     decodeInFlight_ = true;

@@ -31,7 +31,7 @@ namespace pimphony {
 
 /**
  * The xPU side of a stage. With a null arbiter it is a FIFO
- * reservation timeline; with a co-scheduling policy attached it
+ * reservation timeline; with a co-scheduling arbiter attached it
  * arbitrates between queued prefill chunks and decode FC shares (see
  * system/sched_policy).
  */
@@ -144,7 +144,7 @@ class PipelineStage : public sim::Device
 /**
  * Build the per-stage devices for a PP-deep pipeline and a
  * StagePipeline view over them. @p arbiter (optional) attaches a
- * co-scheduling policy to every stage's xPU timeline.
+ * co-scheduling arbiter to every stage's xPU timeline.
  */
 class StageDeviceSet
 {

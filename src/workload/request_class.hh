@@ -7,12 +7,14 @@
  * sharing one PIM deployment. A RequestClass captures what the
  * scheduling subsystem needs to tell them apart:
  *
- *  - tier: latency tier, 0 = most latency-sensitive. Tier-aware
- *    scheduling policies (SchedPolicyKind::TierPriority) serve lower
- *    tier numbers first and bound how long a higher tier can be
- *    inverted behind a lower one.
- *  - gapSloSeconds: the tier's decode token-gap SLO target. Under a
- *    gap-steered admission policy each tier is gated on its own
+ *  - tier: latency tier, 0 = most latency-sensitive. Under
+ *    SchedPolicyKind::TierPriority the xPU timelines serve lower tier
+ *    numbers first and slice lower-tier decode in flight at
+ *    kTierPreemptQuantumSeconds, so a higher tier waits at most one
+ *    quantum behind it. (In bench_slo_classes this gives both tiers
+ *    the same gap p95: the bands do not separate them.)
+ *  - gapSloSeconds: the tier's decode token-gap SLO target. Under
+ *    SchedPolicyKind::SloAdmission each tier is gated on its own
  *    windowed p95 against its own target (0 falls back to the
  *    policy-wide SchedPolicyConfig::sloTargetGapSeconds).
  *  - tenant: admission-budget domain. The engine can enforce

@@ -4,8 +4,10 @@
  * a LazyChunk allocator, optionally a prefix cache, and no event
  * queue or engine. They pin the module's decisions:
  *
- *  - the SLO gate is a tier threshold, monotone in tier, and a
- *    single-class workload behaves as tier 0;
+ *  - the SLO gate binds over kSloHeadroom times a tier's target,
+ *    with kSloMinSamples gaps, while the tier decodes; it is a tier
+ *    threshold, monotone in tier, and a single-class workload
+ *    behaves as tier 0;
  *  - a borrower is denied while another tenant has an entitled
  *    request waiting, and allowed once none does;
  *  - a memory block halts a pass while a budget block only skips;
@@ -67,16 +69,15 @@ arrival(RequestId id, Tokens context, unsigned tier = 0,
     return {r, 0.0};
 }
 
-/** Declare @p trace, prepare under @p policy and queue every request. */
+/** Declare @p trace, prepare and queue every request. */
 void
-deliver(Admission &adm, const std::vector<TimedRequest> &trace,
-        const SchedPolicy &policy)
+deliver(Admission &adm, const std::vector<TimedRequest> &trace)
 {
     adm.declare([&trace](auto &&visit) {
         for (const TimedRequest &timed : trace)
             visit(timed.request, timed.arrivalSeconds);
     });
-    adm.prepare(policy);
+    adm.prepare();
     for (const TimedRequest &timed : trace) {
         adm.registerArrival(timed.request);
         adm.enqueue(timed);
@@ -98,9 +99,6 @@ gatedOptions()
     ServingOptions opts;
     opts.prefillChunkTokens = 2048;
     opts.sched.kind = SchedPolicyKind::SloAdmission;
-    opts.sched.sloWindow = 4;
-    opts.sched.sloMinSamples = 1;
-    opts.sched.sloHeadroom = 1.0;
     return opts;
 }
 
@@ -173,19 +171,25 @@ TEST(Admission, GateIsAMonotoneTierThreshold)
 {
     Rig rig(200000);
     ServingOptions opts = gatedOptions();
-    auto policy = makeSchedPolicy(opts.sched);
     Admission adm = rig.admission(opts);
     // Request i is a tier-i prefill with a gap target of 0.1 * (i + 1).
     auto tiered = [](unsigned tier) {
         return arrival(tier, 1000, tier, 0, 0.1 * (tier + 1));
     };
-    deliver(adm, {tiered(0), tiered(1), tiered(2)}, *policy);
+    deliver(adm, {tiered(0), tiered(1), tiered(2)});
     ASSERT_TRUE(adm.gated());
 
-    // Tier 0 under its target; tiers 1 and 2 over theirs.
-    adm.recordGap(0, 0.05);
-    adm.recordGap(1, 0.25);
-    adm.recordGap(2, 0.5);
+    // Tier 0 under kSloHeadroom times its target; tiers 1 and 2 over
+    // theirs. A window binds once it holds kSloMinSamples gaps.
+    auto record = [&adm](unsigned tier, double gap, unsigned times) {
+        for (unsigned i = 0; i < times; ++i)
+            adm.recordGap(tier, gap);
+    };
+    record(0, 0.05, kSloMinSamples);
+    record(1, 0.25, kSloMinSamples);
+    record(2, 0.5, kSloMinSamples - 1);
+    EXPECT_EQ(adm.gateTier({2}), Admission::kGateOpen);
+    record(2, 0.5, 1);
     // An over-target tier binds only while it decodes.
     EXPECT_EQ(adm.gateTier({}), Admission::kGateOpen);
     EXPECT_EQ(adm.gateTier({0}), Admission::kGateOpen);
@@ -200,12 +204,47 @@ TEST(Admission, GateIsAMonotoneTierThreshold)
     ASSERT_EQ(adm.queue().size(), 2u);
     EXPECT_EQ(adm.queue()[0].request.id, 1u);
 
-    // Tier 1 recovers: the threshold moves up to tier 2.
-    for (int i = 0; i < 4; ++i)
-        adm.recordGap(1, 0.1);
+    // Tier 1 recovers once its window holds only gaps under its
+    // threshold: the threshold moves up to tier 2.
+    record(1, 0.1, SchedPolicyConfig::sloWindow);
     adm.admit(0.0, {1, 2}, out);
     EXPECT_EQ(admittedIds(out), std::vector<RequestId>({1}));
     EXPECT_EQ(adm.queue().size(), 1u);
+}
+
+TEST(Admission, GateBindsOverHeadroomWithEnoughSamplesWhileDecoding)
+{
+    // Open: nothing decoding, too few samples, or the windowed p95 at
+    // most kSloHeadroom * target. Shut otherwise.
+    Rig rig(200000);
+    ServingOptions opts = gatedOptions();
+    opts.sched.sloTargetGapSeconds = 0.1;
+    Admission slow = rig.admission(opts);
+    deliver(slow, {arrival(0, 1000)});
+    for (unsigned i = 0; i + 1 < kSloMinSamples; ++i)
+        slow.recordGap(0, 10.0);
+    EXPECT_EQ(slow.gateTier({0}), Admission::kGateOpen);
+    slow.recordGap(0, 10.0);
+    EXPECT_EQ(slow.gateTier({0}), 0u);
+    EXPECT_EQ(slow.gateTier({}), Admission::kGateOpen);
+
+    // headroom * target = 70 ms.
+    for (double gap : {0.06, 0.0701}) {
+        Admission adm = rig.admission(opts);
+        deliver(adm, {arrival(0, 1000)});
+        for (unsigned i = 0; i < kSloMinSamples; ++i)
+            adm.recordGap(0, gap);
+        EXPECT_EQ(adm.gateTier({0}),
+                  gap < 0.07 ? Admission::kGateOpen : 0u)
+            << gap;
+    }
+
+    // Other policies never defer.
+    opts.sched.kind = SchedPolicyKind::Fifo;
+    Admission fifo = rig.admission(opts);
+    deliver(fifo, {arrival(0, 1000)});
+    EXPECT_FALSE(fifo.gated());
+    EXPECT_EQ(fifo.gateTier({0}), Admission::kGateOpen);
 }
 
 TEST(Admission, SingleClassGateIsTierZero)
@@ -214,19 +253,21 @@ TEST(Admission, SingleClassGateIsTierZero)
     // at the same target decide identically, gap by gap.
     Rig rig(200000);
     ServingOptions opts = gatedOptions();
-    auto policy = makeSchedPolicy(opts.sched);
     Admission plain = rig.admission(opts);
-    deliver(plain, {arrival(0, 1000)}, *policy);
+    deliver(plain, {arrival(0, 1000)});
     Admission classed = rig.admission(opts);
     TimedRequest tagged = arrival(0, 1000);
     // Non-default, still tier 0, and gated at the policy's own target.
     tagged.request.cls.gapSloSeconds = opts.sched.sloTargetGapSeconds;
-    deliver(classed, {tagged}, *policy);
+    deliver(classed, {tagged});
     ASSERT_FALSE(plain.classesActive());
     ASSERT_TRUE(classed.classesActive());
 
     const double target = opts.sched.sloTargetGapSeconds;
-    for (double gap : {0.01, 2 * target, 3 * target, 0.01, 0.01, 0.01, 0.01}) {
+    std::vector<double> gaps(kSloMinSamples, 0.01);
+    for (double gap : {2 * target, 3 * target, 0.01, 0.01, 0.01, 0.01})
+        gaps.push_back(gap);
+    for (double gap : gaps) {
         plain.recordGap(0, gap);
         classed.recordGap(0, gap);
         EXPECT_EQ(plain.gateTier({}), classed.gateTier({}));
@@ -243,14 +284,13 @@ TEST(Admission, BorrowerWaitsWhileAnotherTenantIsEntitled)
     Rig rig(100000);
     ServingOptions opts;
     opts.tenantBudgets = {{0, 0.25}, {1, 0.25}};
-    auto policy = makeSchedPolicy(opts.sched);
     Admission adm = rig.admission(opts);
     // 10k-token requests. Tenant 0's third would borrow past its
     // 25k-token budget; tenant 1 has an entitled request behind it.
     auto req = [](RequestId id, unsigned tenant) {
         return arrival(id, 9992, 0, tenant);
     };
-    deliver(adm, {req(0, 0), req(1, 0), req(2, 0), req(3, 1)}, *policy);
+    deliver(adm, {req(0, 0), req(1, 0), req(2, 0), req(3, 1)});
     std::vector<Admission::Admitted> out;
     adm.admit(0.0, {}, out);
     EXPECT_EQ(admittedIds(out), std::vector<RequestId>({0, 1, 3}));
@@ -275,13 +315,11 @@ TEST(Admission, MemoryBlockHaltsThePassBudgetBlockSkips)
     Rig rig(100000);
     ServingOptions opts;
     opts.tenantBudgets = {{0, 0.1}, {1, 0.9}};
-    auto policy = makeSchedPolicy(opts.sched);
     Admission adm = rig.admission(opts);
     auto tenant1 = [](RequestId id, Tokens context) {
         return arrival(id, context, 0, 1);
     };
-    deliver(adm, {tenant1(0, 59992), tenant1(1, 59992), tenant1(2, 992)},
-            *policy);
+    deliver(adm, {tenant1(0, 59992), tenant1(1, 59992), tenant1(2, 992)});
     std::vector<Admission::Admitted> out;
     // Request 1 does not fit next to request 0: the pass stops there,
     // so request 2 waits even though it would fit.
@@ -294,7 +332,7 @@ TEST(Admission, MemoryBlockHaltsThePassBudgetBlockSkips)
     Rig other(100000);
     Admission budget = other.admission(opts);
     TimedRequest borrower = arrival(10, 19992, 0, 0);
-    deliver(budget, {borrower, tenant1(11, 992)}, *policy);
+    deliver(budget, {borrower, tenant1(11, 992)});
     budget.admit(0.0, {}, out);
     EXPECT_EQ(admittedIds(out), std::vector<RequestId>({11}));
     ASSERT_EQ(budget.queue().size(), 1u);
@@ -310,7 +348,6 @@ TEST(Admission, FractionalChargeIsRefundedExactly)
     ServingOptions opts;
     opts.prefixCache = cache_opts;
     opts.tenantBudgets = {{0, 0.5}, {1, 0.5}};
-    auto policy = makeSchedPolicy(opts.sched);
     Admission adm = rig.admission(opts, &cache);
 
     auto shared = [](RequestId id, unsigned tenant) {
@@ -323,7 +360,7 @@ TEST(Admission, FractionalChargeIsRefundedExactly)
     // requests 1 and 2 hit it; tenant 1's request 3 holds a full
     // charge.
     TimedRequest full = arrival(3, 992, 0, 1);
-    deliver(adm, {shared(0, 0), shared(1, 0), shared(2, 0), full}, *policy);
+    deliver(adm, {shared(0, 0), shared(1, 0), shared(2, 0), full});
     std::vector<Admission::Admitted> out;
     adm.admit(0.0, {}, out);
     ASSERT_EQ(out.size(), 4u);

@@ -284,12 +284,7 @@ runPipelineStream(Digest &d, unsigned pp, const sim::QueueArbiter *arbiter,
 struct Arbiters
 {
     sim::QueueArbiter base;
-    SchedPolicyConfig tierConfig = [] {
-        SchedPolicyConfig c;
-        c.kind = SchedPolicyKind::TierPriority;
-        return c;
-    }();
-    TierPriorityPolicy tier{tierConfig};
+    TierPriorityArbiter tier;
     DecodeFirstArbiter decodeFirst;
     DecodeFirstArbiter decodeFirstSliced{1e-3};
 };

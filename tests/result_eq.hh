@@ -141,8 +141,6 @@ expectSameResult(const EngineResult &a, const EngineResult &b)
         EXPECT_EQ(ta.budgetDeferrals, tb.budgetDeferrals);
     }
     EXPECT_EQ(a.budgetDeferrals, b.budgetDeferrals);
-    EXPECT_EQ(a.tierInversions, b.tierInversions);
-    EXPECT_EQ(a.maxTierInversionWaitSeconds, b.maxTierInversionWaitSeconds);
     EXPECT_EQ(a.decodePreemptSlices, b.decodePreemptSlices);
 
     EXPECT_EQ(a.prefixHits, b.prefixHits);

@@ -34,113 +34,35 @@ namespace {
 
 // --- Policy plumbing. ------------------------------------------------
 
-TEST(SchedPolicy, FactoryKindsAndNames)
+TEST(SchedPolicy, KindsAndNames)
 {
-    for (SchedPolicyKind kind : allSchedPolicies()) {
-        SchedPolicyConfig cfg;
-        cfg.kind = kind;
-        auto policy = makeSchedPolicy(cfg);
-        ASSERT_NE(policy, nullptr);
-        EXPECT_EQ(policy->kind(), kind);
-        EXPECT_EQ(policy->name(), schedPolicyName(kind));
-    }
-    EXPECT_EQ(allSchedPolicies().size(), 3u);
-}
-
-TEST(SchedPolicy, OnlyPriorityPoliciesReorderTheTimeline)
-{
-    SchedPolicyConfig cfg;
-    cfg.kind = SchedPolicyKind::Fifo;
-    EXPECT_FALSE(makeSchedPolicy(cfg)->reordersXpu());
-    cfg.kind = SchedPolicyKind::SloAdmission;
-    EXPECT_FALSE(makeSchedPolicy(cfg)->reordersXpu());
-    cfg.kind = SchedPolicyKind::TierPriority;
-    EXPECT_TRUE(makeSchedPolicy(cfg)->reordersXpu());
-}
-
-TEST(SchedPolicy, SloGateBindsOnlyWithDecodeInFlight)
-{
-    SchedPolicyConfig cfg;
-    cfg.kind = SchedPolicyKind::SloAdmission;
-    cfg.sloTargetGapSeconds = 0.1;
-    cfg.sloMinSamples = 8;
-    cfg.sloHeadroom = 0.7;
-    auto policy = makeSchedPolicy(cfg);
-
-    // Gate open: nothing decoding, or too few samples, or gap OK.
-    const double target = cfg.sloTargetGapSeconds;
-    EXPECT_TRUE(policy->admitPrefillAt(10.0, 100, false, target));
-    EXPECT_TRUE(policy->admitPrefillAt(10.0, 7, true, target));
-    EXPECT_TRUE(policy->admitPrefillAt(0.06, 100, true, target));
-    // Gate shut: headroom * target = 70 ms exceeded while decoding.
-    EXPECT_FALSE(policy->admitPrefillAt(0.0701, 100, true, target));
-    // Other policies never defer.
-    cfg.kind = SchedPolicyKind::Fifo;
-    EXPECT_TRUE(makeSchedPolicy(cfg)->admitPrefillAt(10.0, 100, true, target));
+    const std::vector<SchedPolicyKind> kinds = allSchedPolicies();
+    ASSERT_EQ(kinds.size(), 3u);
+    EXPECT_EQ(schedPolicyName(kinds[0]), "fifo");
+    EXPECT_EQ(schedPolicyName(kinds[1]), "slo-admission");
+    EXPECT_EQ(schedPolicyName(kinds[2]), "tier-priority");
 }
 
 TEST(SchedPolicy, RejectsInvalidConfigNamingTheField)
 {
-    const double nan = std::nan("");
-    // NaN is rejected in every field, whatever the policy (Fifo
-    // here): a NaN target or headroom used to shut the gate for good,
-    // a NaN quantum to stop all slicing.
+    // NaN is rejected whatever the policy (Fifo here): a NaN target
+    // used to shut the gate for good.
     SchedPolicyConfig cfg;
-    cfg.sloTargetGapSeconds = nan;
-    EXPECT_DEATH(makeSchedPolicy(cfg), "sloTargetGapSeconds must be finite");
-    cfg = SchedPolicyConfig{};
-    cfg.sloHeadroom = nan;
-    EXPECT_DEATH(makeSchedPolicy(cfg), "sloHeadroom must be finite");
-    cfg = SchedPolicyConfig{};
-    cfg.preemptQuantumSeconds = nan;
-    EXPECT_DEATH(makeSchedPolicy(cfg), "preemptQuantumSeconds must be finite");
-    cfg = SchedPolicyConfig{};
-    cfg.tierPreemptQuantumSeconds = nan;
-    EXPECT_DEATH(makeSchedPolicy(cfg),
-                 "tierPreemptQuantumSeconds must be finite");
+    cfg.sloTargetGapSeconds = std::nan("");
+    EXPECT_DEATH(cfg.validate(), "sloTargetGapSeconds must be finite");
 
     // Positive where the policy uses the value.
     cfg = SchedPolicyConfig{};
     cfg.kind = SchedPolicyKind::SloAdmission;
-    cfg.sloWindow = 0; // used to disable the gate silently
-    EXPECT_DEATH(makeSchedPolicy(cfg),
-                 "slo-admission needs a positive .*::sloWindow");
-    cfg.sloWindow = 64;
-    cfg.sloHeadroom = 0.0;
-    EXPECT_DEATH(makeSchedPolicy(cfg),
-                 "positive SchedPolicyConfig::sloHeadroom");
-    cfg.sloHeadroom = 0.7;
     cfg.sloTargetGapSeconds = -1.0;
-    EXPECT_DEATH(makeSchedPolicy(cfg),
-                 "positive SchedPolicyConfig::sloTargetGapSeconds");
-    cfg = SchedPolicyConfig{};
-    cfg.kind = SchedPolicyKind::TierPriority;
-    cfg.preemptQuantumSeconds = 0.0;
-    EXPECT_DEATH(makeSchedPolicy(cfg),
-                 "tier-priority needs a positive .*::preemptQuantumSeconds");
+    EXPECT_DEATH(cfg.validate(),
+                 "slo-admission needs a positive "
+                 "SchedPolicyConfig::sloTargetGapSeconds");
 
-    // A window holds at most sloWindow gaps, so a larger minimum
-    // would keep the gate open for good.
-    cfg = SchedPolicyConfig{};
-    cfg.kind = SchedPolicyKind::SloAdmission;
-    cfg.sloWindow = 64;
-    cfg.sloMinSamples = 65;
-    EXPECT_DEATH(makeSchedPolicy(cfg),
-                 "SchedPolicyConfig::sloMinSamples \\(65\\) exceeds "
-                 "SchedPolicyConfig::sloWindow \\(64\\)");
-    cfg.sloMinSamples = 64;
-    EXPECT_NE(makeSchedPolicy(cfg), nullptr);
-
-    // A non-positive tier quantum stays the documented "off", and a
-    // field the policy ignores need not be positive.
-    cfg = SchedPolicyConfig{};
+    // A field the policy ignores need not be positive.
     cfg.kind = SchedPolicyKind::TierPriority;
-    cfg.tierPreemptQuantumSeconds = 0.0;
-    EXPECT_NE(makeSchedPolicy(cfg), nullptr);
-    cfg = SchedPolicyConfig{};
-    cfg.sloWindow = 0;
-    cfg.sloMinSamples = 1000;
-    EXPECT_NE(makeSchedPolicy(cfg), nullptr);
+    cfg.validate();
+    SUCCEED();
 }
 
 // --- Preemption re-planner. ------------------------------------------
@@ -203,10 +125,9 @@ TEST(QueuedDevice, NullArbiterKeepsReservationTimeline)
 
 TEST(QueuedDevice, FifoArbiterIsWorkConserving)
 {
-    SchedPolicyConfig cfg;
-    FifoPolicy policy(cfg);
+    sim::QueueArbiter fifo;
     sim::EventQueue q;
-    sim::QueuedDevice dev("d", &policy);
+    sim::QueuedDevice dev("d", &fifo);
     EXPECT_TRUE(dev.arbitrated());
 
     double a_done = -1, b_done = -1, d_done = -1;
@@ -328,42 +249,82 @@ fusableDecode(double seconds, double fused, std::uint32_t tier)
 
 TEST(QueuedDevice, TierPriorityFusesALowerTierShareIntoAHigherTierChunk)
 {
-    SchedPolicyConfig cfg;
-    cfg.kind = SchedPolicyKind::TierPriority;
-    cfg.preemptQuantumSeconds = 0.5;
-    TierPriorityPolicy policy(cfg);
+    // Every time is in units of the chunk quantum Q.
+    const double Q = kPreemptQuantumSeconds;
+    TierPriorityArbiter tier;
     sim::EventQueue q;
-    XpuStageDevice dev("d", &policy);
+    XpuStageDevice dev("d", &tier);
 
     double chunk_done = -1, low_done = -1, high_done = -1;
-    dev.submit(q, chunkItem(2.0), 0.0, [&](double t) { chunk_done = t; });
+    dev.submit(q, chunkItem(4 * Q), 0.0, [&](double t) { chunk_done = t; });
     // The tier-1 share waits behind the tier-0 chunk's band through
-    // its slices; it rides the chunk's final slice (dispatched 1.7).
-    q.schedule(0.5, [&](double) {
-        dev.submit(q, fusableDecode(0.4, 0.1, 1), 0.5,
+    // its slices; it rides the chunk's final slice (dispatched 3.4 Q).
+    q.schedule(Q, [&](double) {
+        dev.submit(q, fusableDecode(0.8 * Q, 0.2 * Q, 1), Q,
                    [&](double t) { low_done = t; });
     });
     // A tier-0 share still preempts the chunk at a slice boundary;
     // the tier-1 share, outranked by both, keeps waiting.
-    q.schedule(1.2, [&](double) {
-        dev.submit(q, fusableDecode(0.2, 0.05, 0), 1.2,
+    q.schedule(2.4 * Q, [&](double) {
+        dev.submit(q, fusableDecode(0.4 * Q, 0.1 * Q, 0), 2.4 * Q,
                    [&](double t) { high_done = t; });
     });
     q.runAll();
 
-    // Chunk [0,1.5], tier-0 share [1.5,1.7] stand-alone (it was
-    // picked, never left waiting at a chunk launch), chunk [1.7,2.2],
-    // rider [2.2,2.3] at its fused charge.
-    EXPECT_DOUBLE_EQ(high_done, 1.7);
-    EXPECT_DOUBLE_EQ(chunk_done, 2.2);
-    EXPECT_DOUBLE_EQ(low_done, 2.3);
+    // Chunk [0,3Q], tier-0 share [3Q,3.4Q] stand-alone (it was
+    // picked, never left waiting at a chunk launch), chunk
+    // [3.4Q,4.4Q], rider [4.4Q,4.6Q] at its fused charge.
+    EXPECT_DOUBLE_EQ(high_done, 3.4 * Q);
+    EXPECT_DOUBLE_EQ(chunk_done, 4.4 * Q);
+    EXPECT_DOUBLE_EQ(low_done, 4.6 * Q);
     EXPECT_EQ(dev.fusedShares(), 1u);
-    EXPECT_DOUBLE_EQ(dev.prefillBusySeconds(), 2.0);
-    EXPECT_NEAR(dev.fcBusySeconds(), 0.2 + 0.1, 1e-12);
+    EXPECT_DOUBLE_EQ(dev.prefillBusySeconds(), 4 * Q);
+    EXPECT_NEAR(dev.fcBusySeconds(), 0.4 * Q + 0.2 * Q, 2e-12 * Q);
     EXPECT_NEAR(dev.busySeconds(),
-                dev.prefillBusySeconds() + dev.fcBusySeconds(), 1e-12);
+                dev.prefillBusySeconds() + dev.fcBusySeconds(), 2e-12 * Q);
     // The rider's own compute started when the chunk completed.
-    EXPECT_NEAR(dev.maxDecodeWaitSeconds(), 2.2 - 0.5, 1e-12);
+    EXPECT_NEAR(dev.maxDecodeWaitSeconds(), 4.4 * Q - Q, 2e-12 * Q);
+}
+
+/** Whenever it has a choice, picks one past the end. */
+class OnePastTheEndArbiter : public sim::QueueArbiter
+{
+  public:
+    std::size_t
+    pickNext(const std::vector<const sim::WorkItem *> &eligible)
+        const override
+    {
+        return eligible.size() > 1 ? eligible.size() : 0;
+    }
+};
+
+TEST(QueuedDeviceDeathTest, BadPickPanicsNamingTheDevice)
+{
+    // An out-of-range pick used to be served as index 0.
+    OnePastTheEndArbiter arbiter;
+    auto device = [&arbiter] {
+        sim::EventQueue q;
+        sim::QueuedDevice dev("xpu3", &arbiter);
+        for (int i = 0; i < 3; ++i)
+            dev.submit(q, chunkItem(1.0), 0.0);
+        q.runAll();
+    };
+    EXPECT_DEATH(device(), "xpu3: arbiter picked item 2 of 2 eligible");
+
+    // The stage's own decode queue: the first item's FC share is
+    // alone on the xPU, and the next two queue behind it.
+    auto stage = [&arbiter] {
+        sim::EventQueue q;
+        PipelineStage stage("stage3", &arbiter);
+        sim::WorkItem decode;
+        decode.seconds = 0.5;
+        decode.fcSeconds = 0.4;
+        for (int i = 0; i < 3; ++i)
+            stage.submit(q, decode, 0.0);
+        q.runAll();
+    };
+    EXPECT_DEATH(stage(),
+                 "stage3: arbiter picked decode item 2 of 2 queued");
 }
 
 TEST(QueuedDevice, DecodeFirstArbiterNeverLeavesAShareToFuse)
@@ -389,10 +350,9 @@ TEST(QueuedDevice, FifoArbiterFusesAShareWaitingAtAChunkLaunch)
 {
     // The arbitrated timeline applies the reservation timeline's
     // launch rule: the share waiting when chunk B launches rides it.
-    SchedPolicyConfig cfg;
-    FifoPolicy policy(cfg);
+    sim::QueueArbiter fifo;
     sim::EventQueue q;
-    XpuStageDevice dev("d", &policy);
+    XpuStageDevice dev("d", &fifo);
     XpuStageDevice reserved("r");
     sim::EventQueue rq;
 
@@ -514,7 +474,6 @@ TEST(SchedPolicyEngine, TierPriorityBoundsDecodeStallByQuantum)
 
     SchedPolicyConfig sched;
     sched.kind = SchedPolicyKind::TierPriority;
-    sched.preemptQuantumSeconds = 2e-3;
     auto tp = runPolicy(cluster, model, timed, 2048, sched);
     sched.kind = SchedPolicyKind::Fifo;
     auto fifo = runPolicy(cluster, model, timed, 2048, sched);
@@ -526,10 +485,9 @@ TEST(SchedPolicyEngine, TierPriorityBoundsDecodeStallByQuantum)
     // whole chunk — many quanta.
     double cycle = cluster.module.timing.secondsPerCycle();
     EXPECT_LE(tp.maxDecodeXpuWaitSeconds,
-              sched.preemptQuantumSeconds + cycle + 1e-12);
+              kPreemptQuantumSeconds + cycle + 1e-12);
     EXPECT_GT(tp.maxDecodeXpuWaitSeconds, 0.0);
-    EXPECT_GT(fifo.maxDecodeXpuWaitSeconds,
-              5.0 * sched.preemptQuantumSeconds);
+    EXPECT_GT(fifo.maxDecodeXpuWaitSeconds, 5.0 * kPreemptQuantumSeconds);
 }
 
 TEST(SchedPolicyEngine, FifoDecodeWaitsBehindAtMostOneChunk)
@@ -594,7 +552,6 @@ TEST(SchedPolicyEngine, SloAdmissionIdlesWhileFifoHoldsTheTarget)
     auto fifo = runPolicy(cluster, model, timed, 512, sched);
     sched.kind = SchedPolicyKind::SloAdmission;
     sched.sloTargetGapSeconds = 0.07;
-    sched.sloWindow = 32;
     auto slo = runPolicy(cluster, model, timed, 512, sched);
 
     ASSERT_EQ(fifo.completedRequests, 17u);
