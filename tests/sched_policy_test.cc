@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the pluggable xPU co-scheduling subsystem: policy
- * naming/factory plumbing, the preemption re-planner, the
- * queue-arbitrated device (ordering, quantum slicing, charge
- * conservation, decode-wait bounds, hybrid chunk launches) and the
- * arbitrated stage join, partly driven by a test-local decode-first
- * arbiter, and the engine-level properties the policies exist for — TierPriority cuts
+ * Tests for the xPU co-scheduling subsystem: policy names and config
+ * checks, the preemption re-planner, the queue-arbitrated device
+ * (ordering, quantum slicing, charge conservation, decode-wait
+ * bounds, hybrid chunk launches, bad picks) and the arbitrated stage
+ * join, partly driven by a test-local decode-first arbiter, and the
+ * engine-level properties the policies exist for — TierPriority cuts
  * the p95 decode token gap below FIFO's over a grid of loads and
  * bounds the worst-case decode stall by its quantum while FIFO's
  * hybrid launches fuse shares into chunks, SloAdmission's gate idles
